@@ -68,7 +68,6 @@ from .bounds import (
     combined_bound,
     combined_bound_grid,
     hoeffding_bound,
-    normal_crossover,
     normal_opt_bound,
     normal_tail,
     partial_moment,

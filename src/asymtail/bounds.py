@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erfc
 
 from .dist import FiniteDist, bs, from_pairs, iid_sum, scale
@@ -123,7 +122,7 @@ def hoeffding_bound(p: float, n: int, s_m: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# standard normal partial moments and domination
+# standard normal partial moments and tail
 # ---------------------------------------------------------------------------
 
 def normal_partial_moment(alpha: int, t: float) -> float:
@@ -160,42 +159,6 @@ def normal_opt_bound(x: float, sigma: float, alpha: int = 5) -> float:
     hi = x - 1e-9 * sigma
     t_g, val = golden_section(objective, lo, hi)
     return min(val, 1.0)
-
-
-_CROSSOVER_CACHE: dict[float, float] = {}
-
-
-def normal_crossover(alpha: float = 5.0) -> float:
-    """z where c_{alpha,0} Q(z) = exp(-z^2 / 2); tails past it favor Q."""
-    key = float(alpha)
-    if key not in _CROSSOVER_CACHE:
-        c = c_const(key)
-
-        def g(z: float) -> float:
-            return math.log(c) + math.log(normal_tail(z)) + 0.5 * z * z
-
-        _CROSSOVER_CACHE[key] = brentq(g, 0.0, 20.0, xtol=1e-13)
-    return _CROSSOVER_CACHE[key]
-
-
-@dataclass(frozen=True)
-class NormalDomBound:
-    z: float
-    normal_term: float
-    exp_term: float
-    minimum: float
-    crossover: float
-
-
-def normal_dom_bound(x: float, s: float, n: int, alpha: float = 5.0) -> NormalDomBound:
-    """min(c_{alpha,0} Q(z), exp(-z^2/2)) at z = x / (s sqrt(n))."""
-    if s <= 0 or n < 1:
-        raise BoundError("normal_dom_bound needs s > 0 and n >= 1")
-    z = x / (s * math.sqrt(n))
-    nt = min(c_const(alpha) * normal_tail(z), 1.0)
-    et = 1.0 if z <= 0 else math.exp(-0.5 * z * z)
-    return NormalDomBound(z=z, normal_term=nt, exp_term=et,
-                          minimum=min(nt, et), crossover=normal_crossover(alpha))
 
 
 # ---------------------------------------------------------------------------

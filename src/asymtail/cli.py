@@ -71,23 +71,33 @@ def _emit(args, body: dict, csv_rows: list[dict] | None) -> None:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("grid must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    return np.linspace(lo, hi, count)
+    """argparse type for lo:hi:count grids."""
+    try:
+        lo, hi, count = text.split(":")
+        return np.linspace(float(lo), float(hi), int(count))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"grid must be lo:hi:count, got {text!r}") from None
 
 
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _read_dist(path: str) -> FiniteDist:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DistError(f"cannot read {path}: {exc.strerror or exc}") from None
+    return FiniteDist.from_json(text)
+
+
 def _load_base(args) -> FiniteDist:
     if getattr(args, "preset", None):
         return from_pairs(_PRESETS[args.preset])
     if getattr(args, "base_file", None):
-        with open(args.base_file) as fh:
-            return FiniteDist.from_json(fh.read())
+        return _read_dist(args.base_file)
     raise SelfNormError("need --preset or --base-file")
 
 
@@ -99,7 +109,7 @@ def _cmd_thresholds(args) -> int:
     if args.p is not None:
         ps = args.p
     elif args.p_grid is not None:
-        ps = list(_parse_grid(args.p_grid))
+        ps = list(args.p_grid)
     else:
         ps = list(np.linspace(0.02, 0.5, 25))
     rows = threshold_table(ps)
@@ -111,7 +121,7 @@ def _cmd_bound(args) -> int:
     if args.x is not None:
         xs = args.x
     elif args.x_grid is not None:
-        xs = list(_parse_grid(args.x_grid))
+        xs = list(args.x_grid)
     else:
         raise BoundError("need --x or --x-grid")
     coeffs = _floats(args.coeffs) if args.coeffs else None
@@ -127,8 +137,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_majorant(args) -> int:
     if args.dist_file:
-        with open(args.dist_file) as fh:
-            d = FiniteDist.from_json(fh.read())
+        d = _read_dist(args.dist_file)
     elif args.p is not None and args.n is not None:
         from .bounds import carrier_sum
         d = carrier_sum(args.p, args.n, args.s_m)
@@ -195,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("thresholds", help="moment-index threshold table")
     t.add_argument("--p", type=float, action="append",
                    help="asymmetry parameter (repeatable)")
-    t.add_argument("--p-grid", help="lo:hi:count")
+    t.add_argument("--p-grid", type=_parse_grid, help="lo:hi:count")
     t.add_argument("--out", help="also write rows to this CSV file")
     t.set_defaults(func=_cmd_thresholds)
 
@@ -206,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--coeffs", help="comma-separated coefficients")
     b.add_argument("--s-m", type=float, default=None, dest="s_m")
     b.add_argument("--x", type=float, action="append")
-    b.add_argument("--x-grid", help="lo:hi:count")
+    b.add_argument("--x-grid", type=_parse_grid, help="lo:hi:count")
     b.add_argument("--out", help="also write rows to this CSV file")
     b.set_defaults(func=_cmd_bound)
 

@@ -23,8 +23,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .moments import MomentFunction  # noqa: F401  (re-exported for callers)
-
 MERGE_RTOL = 1e-12
 MASS_ATOL = 1e-12
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .dist import MERGE_RTOL, FiniteDist
+from .dist import FiniteDist, tail
 
 _EVAL_RTOL = 1e-12
 
@@ -92,8 +92,7 @@ class TailMajorant:
     def log_value(self, x) -> float | np.ndarray:
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(xa)
-        tol = _EVAL_RTOL * np.maximum(1.0, np.abs(xa))
-        below = xa <= self.support_min + tol * 0 + _EVAL_RTOL * max(1.0, abs(self.support_min))
+        below = xa <= self.support_min + _EVAL_RTOL * max(1.0, abs(self.support_min))
         above = xa > self.zero_from + _EVAL_RTOL * max(1.0, abs(self.zero_from))
         mid = ~(below | above)
         out[below] = 0.0
@@ -128,12 +127,6 @@ class TailMajorant:
         with np.errstate(over="ignore"):
             return np.where(np.isneginf(lv), 0.0, np.exp(lv))
 
-    def hull_knot_indices(self, rtol: float = 1e-9) -> np.ndarray:
-        """Indices of knots the hull touches (value equality within rtol)."""
-        lv = np.atleast_1d(self.log_value(self.knot_x))
-        close = np.abs(lv - self.knot_logq) <= rtol * np.maximum(1.0, np.abs(self.knot_logq))
-        return np.nonzero(close)[0]
-
     def to_obj(self) -> dict:
         return {
             "kind": self.kind,
@@ -160,13 +153,6 @@ def _upper_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
                 break
         keep.append(i)
     return keep
-
-
-def _tail_at(d: FiniteDist, xs: np.ndarray) -> np.ndarray:
-    suffix = np.concatenate((np.cumsum(d.masses[::-1])[::-1], [0.0]))
-    tol = MERGE_RTOL * np.maximum(1.0, np.abs(xs))
-    idx = np.searchsorted(d.values, xs - tol, side="left")
-    return suffix[idx]
 
 
 def lc_majorant(d: FiniteDist) -> TailMajorant:
@@ -257,7 +243,7 @@ def _lattice_tails(d: FiniteDist) -> tuple[np.ndarray, np.ndarray, float]:
     origin, h = lattice_params(d)
     nsteps = int(round((d.max_value - d.min_value) / h))
     lat = d.min_value + h * np.arange(nsteps + 2)  # through max + h
-    qt = _tail_at(d, lat)
+    qt = tail(d, lat)
     qt[-1] = 0.0
     return lat, qt, h
 

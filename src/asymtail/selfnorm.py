@@ -27,10 +27,8 @@ from scipy.stats import beta as beta_dist
 from .bounds import normal_tail
 from .dist import FiniteDist, RngSpec, bs, from_pairs, iid_sum, sample, scale, st
 from .majorant import lc_majorant
-from .thresholds import c_const, m_star
+from .thresholds import SQRT2_MINUS_1, c_const, m_star
 from .verifier import McConfig
-
-SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 
 
 class SelfNormError(ValueError):

@@ -94,14 +94,6 @@ def p_star_upper(m: float) -> float:
 # exponential-class threshold
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParamPoint:
-    """One point of the exponential-class parametric curve."""
-    k: float
-    m: float
-    p: float
-
-
 def m_tilde(k: float) -> float:
     if k <= 0:
         raise ThresholdError("m_tilde requires k > 0")
@@ -120,10 +112,6 @@ def p_tilde(k: float) -> float:
     # 1 + k + (k - 1) e^k rewritten without the unit cancellation
     den2 = 2.0 * k - (1.0 - k) * em1
     return num / (em1 * den2)
-
-
-def m_exp_parametric(k: float) -> ParamPoint:
-    return ParamPoint(k=k, m=m_tilde(k), p=p_tilde(k))
 
 
 # Taylor coefficients of F(k) / k^2 about k = 0, F as below: the j-th
@@ -313,17 +301,6 @@ def m_conj(p: float) -> ConjecturalValue:
     if p <= _p_zero_one():
         return ConjecturalValue(value=m_one(p))
     return m_zero(p)
-
-
-def m_st_exp_interval(p: float) -> tuple[float, float]:
-    """Enclosure [1, m_exp(r_sym(p))] for the symmetric exponential-class
-    threshold; exposed as an interval because only the envelope is
-    established."""
-    if not 0.0 < p <= 0.5:
-        raise ThresholdError("m_st_exp_interval requires p in (0, 1/2]")
-    r = r_sym(p)
-    hi = 1.0 if r >= 0.5 else m_exp(r)
-    return (1.0, max(1.0, hi))
 
 
 @dataclass(frozen=True)

@@ -115,33 +115,39 @@ class DeltaGridResult:
 
 
 def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResult:
-    """Minimize the certificates over c in (0,1), u in region ranges.
+    """Exact minimum of the certificates over u, on `resolution` values of c.
 
-    Region 1 is linear in u, so its minimum sits at an endpoint of the
-    scanned range [0, 3]; region 2 additionally gets its interior
-    stationary point u_* as a candidate.  Also cross-checks the
-    piecewise table against the positive-part form on the same grid.
+    c runs over the `resolution` interior points of an even grid on
+    (0, 1).  For each c the minimum over u of every region lies at points
+    known in closed form, and only those are evaluated:
+
+      region 1, linear on the scanned range [0, 3]:  u in {0, 3};
+      region 2, a convex parabola on [-c, 0]:        u in {-c, 0, u*},
+                with u* its vertex clipped into the range;
+      region 3, concave on [-1, -c]:                 u in {-1, -c};
+      region 4, the square (1-C) p (1+c+u)^2:        u in {-1-c, -1}.
+
+    identity_max_err compares the piecewise table with the
+    positive-part form at the same points.
     """
     if not 0.0 < p < 1.0:
         raise VerifyError("p must be in (0, 1)")
     cs = np.linspace(0.0, 1.0, resolution + 2)[1:-1][:, None]
-    frac = np.linspace(0.0, 1.0, resolution)[None, :]
-
-    best = (math.inf, 0, math.nan, math.nan)
-    grids = {
-        1: 3.0 * frac + 0.0 * cs,
-        2: -cs * (1.0 - frac),
-        3: -1.0 + (1.0 - cs) * frac,
-        4: -1.0 - cs * (1.0 - frac),
-    }
-    # interior stationary point of the region-2 parabola
+    # vertex of the region-2 parabola
     C = cs ** (2.0 * m - 1.0)
     denom = (1.0 - C) * (1.0 - p)
     with np.errstate(divide="ignore", invalid="ignore"):
         u_star = -cs * (1.0 - cs ** (2.0 * m - 2.0)) / denom
     u_star = np.clip(np.where(np.isfinite(u_star), u_star, 0.0), -cs, 0.0)
-    grids[2] = np.concatenate([grids[2], u_star], axis=1)
+    zero = np.zeros_like(cs)
+    grids = {
+        1: np.hstack([zero, zero + 3.0]),
+        2: np.hstack([-cs, zero, u_star]),
+        3: np.hstack([zero - 1.0, -cs]),
+        4: np.hstack([-1.0 - cs, zero - 1.0]),
+    }
 
+    best = (math.inf, 0, math.nan, math.nan)
     ident_err = 0.0
     for region, ug in grids.items():
         vals = delta(region, ug, cs, p, m)
@@ -149,11 +155,8 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
         ci, ui = divmod(flat, vals.shape[1])
         if vals[ci, ui] < best[0]:
             best = (float(vals[ci, ui]), region, float(cs[ci, 0]), float(ug[ci, ui]))
-        table = delta_piecewise(ug, np.broadcast_to(cs, ug.shape), p, m)
-        direct = delta_positive_part_form(ug, np.broadcast_to(cs, ug.shape), p, m)
-        inside = (ug >= -1.0 - np.broadcast_to(cs, ug.shape)) & (ug <= 3.0)
-        if np.any(inside):
-            ident_err = max(ident_err, float(np.max(np.abs((table - direct))[inside])))
+        resid = delta_piecewise(ug, cs, p, m) - delta_positive_part_form(ug, cs, p, m)
+        ident_err = max(ident_err, float(np.max(np.abs(resid))))
     return DeltaGridResult(p=p, m=m, resolution=resolution,
                            min_value=best[0], argmin_region=best[1],
                            argmin_c=best[2], argmin_u=best[3],
@@ -356,12 +359,14 @@ _RULES = ("constant", "history_scaled", "random_modulated")
 
 
 def _simulate_block(cfg: SupermartingaleConfig, rng: np.random.Generator,
-                    size: int) -> np.ndarray:
+                    size: int) -> tuple[np.ndarray, float]:
+    """Final sums of `size` paths, and the largest sqrt(A B) / c_i - 1 seen."""
     p, q = cfg.p, 1.0 - cfg.p
     ratio = q / p
     c = np.asarray(cfg.coeffs, dtype=float)
     sref = math.sqrt(float(np.sum(c * c)))
     S = np.zeros(size)
+    sqrtab_excess = -math.inf
     for i in range(cfg.n):
         ci = c[i]
         if cfg.rule == "constant":
@@ -377,14 +382,14 @@ def _simulate_block(cfg: SupermartingaleConfig, rng: np.random.Generator,
             A = ci * ratio ** (-0.5 * U)
         else:
             raise VerifyError(f"unknown rule {cfg.rule!r}")
-        root = np.sqrt(A * B)
-        if np.max(root) > ci * (1.0 + 1e-12):
+        sqrtab_excess = max(sqrtab_excess, float(np.max(np.sqrt(A * B))) / ci - 1.0)
+        if sqrtab_excess > 1e-12:
             raise VerifyError("rule breaks sqrt(A B) <= c_i")
         if np.max(B / A) > ratio * (1.0 + 1e-12):
             raise VerifyError("rule breaks B/A <= q/p")
         take_up = rng.random(size) < A / (A + B)
         S = S + np.where(take_up, B, -A)
-    return S
+    return S, sqrtab_excess
 
 
 @dataclass(frozen=True)
@@ -444,17 +449,18 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
     sizes = [min(mc.block, mc.n_paths - i * mc.block) for i in range(n_blocks)]
     spec = RngSpec(mc.seed)
 
-    def run_block(i: int) -> np.ndarray:
+    def run_block(i: int) -> tuple[np.ndarray, float]:
         rng = spec.substream(i).generator()
-        S = _simulate_block(cfg, rng, sizes[i])
-        return np.array([np.count_nonzero(S >= x) for x in xs])
+        S, excess = _simulate_block(cfg, rng, sizes[i])
+        return np.array([np.count_nonzero(S >= x) for x in xs]), excess
 
     workers = max(1, int(os.environ.get("ASYMTAIL_THREADS", "1") or "1"))
     if workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            counts = sum(ex.map(run_block, range(n_blocks)))
+            blocks = list(ex.map(run_block, range(n_blocks)))
     else:
-        counts = sum(run_block(i) for i in range(n_blocks))
+        blocks = [run_block(i) for i in range(n_blocks)]
+    counts = sum(c for c, _ in blocks)
 
     total = sum(sizes)
     rows = []
@@ -468,7 +474,7 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
                           cp_lower=lo, bound=rep.minimum,
                           bound_name=rep.argmin, ok=lo <= rep.minimum))
     return SupermartingaleReport(config=cfg, mc=mc, n_paths=total, rows=rows,
-                                 max_sqrtab_excess=0.0)
+                                 max_sqrtab_excess=max(e for _, e in blocks))
 
 
 # ---------------------------------------------------------------------------

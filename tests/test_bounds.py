@@ -16,8 +16,6 @@ from asymtail.bounds import (
     combined_bound_grid,
     hoeffding_H,
     hoeffding_bound,
-    normal_crossover,
-    normal_dom_bound,
     normal_opt_bound,
     normal_partial_moment,
     normal_tail,
@@ -101,9 +99,6 @@ class TestHoeffding:
 
 
 class TestNormalBounds:
-    def test_crossover_frozen(self):
-        assert normal_crossover() == pytest.approx(1.8870914938019314, rel=1e-10)
-
     def test_opt_bound_below_scaled_tail(self):
         for x in (0.5, 1.0, 2.0, 4.0):
             assert normal_opt_bound(x, 1.0) <= c_const(5, 0) * normal_tail(x) + 1e-15
@@ -112,11 +107,6 @@ class TestNormalBounds:
         a = normal_opt_bound(2.0, 1.0)
         b = normal_opt_bound(4.0, 2.0)
         assert a == pytest.approx(b, rel=1e-10)
-
-    def test_dom_bound_picks_smaller_branch(self):
-        r = normal_dom_bound(1.0, 1.0, 4)
-        assert r.minimum == pytest.approx(min(r.normal_term, r.exp_term), rel=1e-14)
-        assert r.crossover == pytest.approx(normal_crossover(), rel=1e-12)
 
 
 class TestBaseline:

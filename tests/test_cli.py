@@ -10,6 +10,8 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from asymtail import cli
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA_DIR = ROOT / "schemas"
 
@@ -172,3 +174,33 @@ class TestOutputHygiene:
     def test_no_args_usage_error(self):
         proc = run_cli(check=False)
         assert proc.returncode == 2
+
+
+class TestBadInputExit2:
+    """Bad input exits 2 with an `error:` line, never 1 (check failed).
+    These run in-process through cli.main to skip interpreter start-up."""
+
+    @pytest.mark.parametrize("argv", [
+        ["thresholds", "--p-grid", "0.1:0.2"],
+        ["thresholds", "--p-grid", "a:0.2:5"],
+        ["bound", "--p", "0.3", "--n", "4", "--s-m", "1", "--x-grid", "1:2"],
+    ])
+    def test_malformed_grid(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument" in err and "lo:hi:count" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["majorant", "--dist-file", "missing.json"],
+        ["selfnorm", "--kind", "vym", "--base-file", "missing.json",
+         "--n", "4", "--p", "0.3"],
+    ])
+    def test_missing_file(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: cannot read missing.json: ")
+        assert len(err) == 2 and err[1].startswith("wall time")

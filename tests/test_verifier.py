@@ -62,6 +62,74 @@ class TestDeltaPolynomials:
     def test_vanishes_below_support(self):
         assert delta_piecewise(np.array([-5.0]), 0.5, 0.3, 2.0)[0] == 0.0
 
+    def test_table_equals_positive_part_form_symbolically(self):
+        # delta_1..delta_4 as written in `delta`, with the powers of c kept
+        # as c^(2m+k); C = c^(2m-1) turns every difference into a
+        # polynomial in (u, c, p, C) that must expand to zero.
+        sp = pytest.importorskip("sympy")
+        u, c, p, m, C = sp.symbols("u c p m C", positive=True)
+
+        def cpow(k):
+            return c ** (2 * m + k)
+
+        c1 = cpow(-1)
+        d1 = (2 * c * (1 - cpow(-2)) * u + 2 * p * c * (1 - c1)
+              + c * c * (1 - cpow(-3)))
+        table = {
+            1: d1,
+            2: (1 - p) * (1 - c1) * u * u + d1,
+            3: (-c1 * u * u - 2 * (c1 - c * p + cpow(0) * p) * u
+                + ((2 * c + c * c - 2 * cpow(0) - cpow(1)) * p - c1)),
+            4: (1 - c1) * p * (1 + c + u) ** 2,
+        }
+        q = 1 - p
+        terms = (-(1 - C) * q * u ** 2,              # (u)_+^2
+                 -(C * q + p) * (1 + u) ** 2,        # (1+u)_+^2
+                 (q + C * p) * (c + u) ** 2,         # (c+u)_+^2
+                 (1 - C) * p * (1 + c + u) ** 2)     # (1+c+u)_+^2
+        active = {1: (0, 1, 2, 3), 2: (1, 2, 3), 3: (1, 3), 4: (3,)}
+        for i, expr in table.items():
+            in_c = sp.expand_power_exp(sp.expand(expr)).subs(c ** (2 * m), C * c)
+            assert not in_c.has(m)
+            assert sp.expand(in_c - sum(terms[k] for k in active[i])) == 0, i
+            # the symbolic table is the one `delta` computes
+            f = sp.lambdify((u, c, p, m), expr, "numpy")
+            for uu, cc, pp, mm in ((-1.3, 0.4, 0.2, 2.3), (-0.7, 0.9, 0.05, 1.1),
+                                   (-0.2, 0.3, 0.6, 4.0), (1.5, 0.6, 0.35, 1.0)):
+                assert delta(i, uu, cc, pp, mm) == pytest.approx(
+                    f(uu, cc, pp, mm), rel=1e-13, abs=1e-15)
+
+    @staticmethod
+    def _dense_scan_min(p, m, resolution, points=200):
+        """Minimum over an even u-grid on every region, plus the region-2
+        vertex, on the c values delta_grid_check uses."""
+        cs = np.linspace(0.0, 1.0, resolution + 2)[1:-1][:, None]
+        frac = np.linspace(0.0, 1.0, points)[None, :]
+        C = cs ** (2.0 * m - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = -cs * (1.0 - cs ** (2.0 * m - 2.0)) / ((1.0 - C) * (1.0 - p))
+        vertex = np.clip(np.nan_to_num(vertex, nan=0.0, posinf=0.0, neginf=0.0),
+                         -cs, 0.0)
+        grids = {
+            1: 3.0 * frac + 0.0 * cs,
+            2: np.hstack([-cs * (1.0 - frac), vertex]),
+            3: -1.0 + (1.0 - cs) * frac,
+            4: -1.0 - cs * (1.0 - frac),
+        }
+        return min(float(np.min(delta(i, ug, cs, p, m))) for i, ug in grids.items())
+
+    @pytest.mark.parametrize("p", [0.03, 0.1, 0.2, 0.3, 0.45, 0.6, 0.9])
+    def test_grid_minimum_matches_dense_scan(self, p):
+        ms = (0.9 * m_star(p), m_star(p), 1.3 * m_star(p), 5.0)
+        for m in ms:
+            res = delta_grid_check(p, m, resolution=60)
+            ref = self._dense_scan_min(p, m, 60)
+            assert abs(res.min_value - ref) <= 1e-14, (p, m, res.min_value, ref)
+            at = delta(res.argmin_region, res.argmin_u, res.argmin_c, p, m)
+            assert float(at) == res.min_value
+            if p < 0.5 and m < m_star(p):
+                assert res.min_value < 0
+
     def test_grid_nonnegative_at_threshold(self):
         for p in (0.05, 0.15, 0.3, 0.45):
             res = delta_grid_check(p, m_star(p), resolution=120)
@@ -163,7 +231,8 @@ class TestSupermartingaleMC:
         rep = supermartingale_mc(self._cfg(rule),
                                  McConfig(seed=7, n_paths=60_000))
         assert rep.all_ok
-        assert rep.max_sqrtab_excess <= 1e-12
+        # every rule meets sqrt(A B) = c_i on some step
+        assert abs(rep.max_sqrtab_excess) <= 1e-12
         assert rep.n_paths == 60_000
 
     def test_counts_independent_of_thread_split(self):
@@ -181,6 +250,7 @@ class TestSupermartingaleMC:
             else:
                 os.environ["ASYMTAIL_THREADS"] = old
         assert [r.count for r in a.rows] == [r.count for r in b.rows]
+        assert a.max_sqrtab_excess == b.max_sqrtab_excess
 
     def test_guards(self):
         with pytest.raises(VerifyError):
