@@ -12,6 +12,12 @@ cube-positive-part ordering:
 closed forms), plus, for p >= 1/2, straight normal domination
 c_{3,0} Q(x / (s sqrt n)).  combined_bound evaluates every member and
 reports which one wins.
+
+b_opt(eta, 3, x) = inf over t < x of E (eta - t)_+^3 / (x - t)^3 has a
+closed form: the ratio is quasi-convex in t, and on each interval
+between atoms its first-order condition is a quadratic in t.  One
+backward pass over the carrier's atoms gives the coefficients, and the
+whole x grid is then evaluated at once, one root per x (see b_opt).
 """
 from __future__ import annotations
 
@@ -46,48 +52,107 @@ def partial_moment(d: FiniteDist, alpha: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class BOptResult:
-    value: float
-    t_opt: float
-    raw: float
+    """b_opt at each x: the clamped value, the minimizing t and the raw ratio.
+
+    Each field is a float for a scalar x and an array for an array x."""
+    value: float | np.ndarray
+    t_opt: float | np.ndarray
+    raw: float | np.ndarray
 
 
-def b_opt(d: FiniteDist, alpha: float, x: float) -> BOptResult:
-    """inf over t < x of E (D - t)_+^alpha / (x - t)^alpha, clamped to [0, 1].
+def _shifted_suffix_moments(d: FiniteDist) -> np.ndarray:
+    """P[j, k] = sum over i >= k of m_i (v_i - v_k)^j for j = 0..3.
 
-    The objective is piecewise smooth with kinks at the atoms, so a
-    golden-section pass runs on every atom-bounded subinterval (atom
-    count permitting) and on the full bracket, with the atoms themselves
-    thrown in as candidates.
+    One backward pass: shifting the origin from v_{k+1} down to v_k is a
+    binomial expansion in the nonnegative gap, so every term added is
+    nonnegative and nothing cancels."""
+    v = d.values.tolist()
+    m = d.masses.tolist()
+    p0, p1, p2, p3 = m[-1], 0.0, 0.0, 0.0
+    rows = [(p0, p1, p2, p3)]
+    for k in range(len(v) - 2, -1, -1):
+        h = v[k + 1] - v[k]
+        p3 += h * (3.0 * p2 + h * (3.0 * p1 + h * p0))
+        p2 += h * (2.0 * p1 + h * p0)
+        p1 += h * p0
+        p0 += m[k]
+        rows.append((p0, p1, p2, p3))
+    return np.array(rows[::-1]).T
+
+
+def b_opt(d: FiniteDist, alpha: float, x) -> BOptResult:
+    """inf over t < x of E (D - t)_+^3 / (x - t)^3, clamped to [0, 1].
+
+    alpha must be 3, the cube-positive-part ordering the carriers obey.
+    With A_j(t) = E (D - t)_+^j, the t-derivative of the ratio is
+    3 g(t) / (x - t)^4 where g(t) = A_3(t) - (x - t) A_2(t) =
+    A_2(t) (r(t) - x) and r(t) = t + A_3(t) / A_2(t) is nondecreasing
+    (Cauchy-Schwarz: A_2^2 <= A_1 A_3).  So the ratio is quasi-convex in
+    t and its minimizer t* solves r(t*) = x.  The atom values
+    r_k = r(v_k) locate the interval [v_{k-1}, v_k] holding t* (below v_0
+    when x <= r_0); on it, with t = v_k - u and dx = x - v_k, g is the
+    quadratic
+
+        (P3 - dx P2) + 2 u (P2 - dx P1) + u^2 (P1 - dx P0)
+
+    in the shifted suffix moments P_j of the atoms >= v_k, and the ratio
+    is (P3 + 3u P2 + 3u^2 P1 + u^3 P0) / (dx + u)^3.  x may be a scalar
+    or a 1-d array; the whole grid is evaluated at once.
+
+    Past the top atom the value is 0.  For x <= E D the ratio is
+    nondecreasing in t with limit 1 at t = -inf, so the value is 1, with
+    t_opt = min - 10 range.  Any t < x gives an upper bound, so a root
+    clipped to its interval by roundoff still yields a valid bound.
     """
-    if alpha <= 0:
-        raise BoundError("b_opt needs alpha > 0")
+    if alpha != 3:
+        raise BoundError("b_opt is implemented for alpha = 3 only")
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1:
+        raise BoundError("x must be a scalar or a 1-d array")
+    if not np.all(np.isfinite(xs)):
+        raise BoundError("x must be finite")
+    v = d.values
     vmax = d.max_value
     rng = vmax - d.min_value
-    scale_x = rng if rng > 0 else max(1.0, abs(vmax))
-    if x > vmax + 1e-12 * max(1.0, abs(vmax)):
-        t0 = 0.5 * (vmax + x)
-        return BOptResult(0.0, t0, 0.0)
-    lo = d.min_value - 10.0 * scale_x
-    hi = x - 1e-9 * scale_x
-    if hi <= lo:
-        return BOptResult(1.0, lo, 1.0)
-
-    def objective(t: float) -> float:
-        return partial_moment(d, alpha, t) / (x - t) ** alpha
-
-    cand_t = [lo, hi]
-    t_g, _ = golden_section(objective, lo, hi)
-    cand_t.append(t_g)
-    interior = [float(v) for v in d.values if lo < v < hi]
-    cand_t.extend(interior)
-    if len(interior) + 2 <= 64:
-        edges = [lo] + interior + [hi]
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b - a > 1e-13 * scale_x:
-                tg, _ = golden_section(objective, a, b)
-                cand_t.append(tg)
-    best_t, best = min(((t, objective(t)) for t in cand_t), key=lambda z: z[1])
-    return BOptResult(min(best, 1.0), best_t, best)
+    t_low = d.min_value - 10.0 * (rng if rng > 0 else max(1.0, abs(vmax)))
+    P = _shifted_suffix_moments(d)
+    # x within merge tolerance above the top atom counts as the top atom,
+    # as in dist.tail; further up the value is 0
+    past = xs > vmax + 1e-12 * max(1.0, abs(vmax))
+    xs_in = np.minimum(xs, vmax)
+    # non-finite intermediates are all resolved below: by fmax, by the
+    # NaN-to-0 and clip of u, or where the two overrides replace the ratio
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # r_k >= v_{k+1} holds exactly; fmax and the running max restore
+        # it, and the order, where roundoff or underflow broke them
+        r = np.maximum.accumulate(np.fmax(v[:-1] + P[3, :-1] / P[2, :-1], v[1:]))
+        k = np.searchsorted(r, xs_in)
+        # conditional moments given D >= v_k: the squares below stay normal
+        mass = P[0, k]
+        q1, q2, q3 = P[1:, k] / mass
+        dx = xs_in - v[k]
+        a = q1 - dx
+        b = 2.0 * (q2 - dx * q1)
+        c = q3 - dx * q2
+        s = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+        # the root where g falls through zero, in its cancellation-free form
+        u = np.where(b > 0.0, (-b - s) / (2.0 * a), 2.0 * c / (s - b))
+        width = np.where(k > 0, v[k] - v[np.maximum(k - 1, 0)], np.inf)
+        u = np.clip(np.where(np.isnan(u), 0.0, u), 0.0, width)
+        w = dx + u
+        # one division per power: w^3 can underflow where the ratio does not
+        raw = mass * (q3 + u * (3.0 * q2 + u * (3.0 * q1 + u))) / w / w / w
+    t_opt = v[k] - u
+    no_root = (k == 0) & (a >= 0.0)
+    raw = np.where(no_root, 1.0, raw)
+    t_opt = np.where(no_root, t_low, t_opt)
+    raw = np.where(past, 0.0, raw)
+    t_opt = np.where(past, 0.5 * (vmax + xs), t_opt)
+    value = np.minimum(raw, 1.0)
+    if scalar:
+        return BOptResult(float(value[0]), float(t_opt[0]), float(raw[0]))
+    return BOptResult(value, t_opt, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +319,11 @@ def carrier_sum(p: float, n: int, s_m: float) -> FiniteDist:
 def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
                         coeffs=None, s_m: float | None = None) -> list[BoundReport]:
     """Evaluate the whole bound family at each x, sharing one carrier."""
+    if not 0.0 < p < 1.0:
+        raise BoundError(f"p must lie in (0, 1), got {p!r}")
+    if not m >= 1.0:
+        raise BoundError(f"m must be >= 1, got {m!r}")
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     n, sm, s1 = resolve_s_m(m, coeffs=coeffs, s_m=s_m, n=n)
     below = m < m_star(p) - 1e-12
     carrier = carrier_sum(p, n, sm)
@@ -261,12 +331,11 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     linlc = lin_lc_majorant(carrier)
     _, h = lattice_params(carrier)
     c30 = c_const(3.0)
+    bo = b_opt(carrier, 3.0, xs)
     reports = []
-    for x in np.atleast_1d(np.asarray(xs, dtype=float)):
-        x = float(x)
-        bo = b_opt(carrier, 3.0, x)
+    for i, x in enumerate(xs.tolist()):
         raw = {
-            "b_opt": bo.raw,
+            "b_opt": float(bo.raw[i]),
             "lc": c30 * float(lc.value(x)),
             "lin_lc": c30 * float(linlc.value(x + 0.5 * h)),
             "hoeffding": hoeffding_bound(p, n, sm, x),
@@ -280,7 +349,7 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
         argmin = min(names, key=lambda k: (clamped[k], names.index(k)))
         reports.append(BoundReport(
             p=p, m=m, n=n, s_m=sm, x=x, h=h,
-            b_opt=clamped["b_opt"], b_opt_t=bo.t_opt,
+            b_opt=clamped["b_opt"], b_opt_t=float(bo.t_opt[i]),
             lc=clamped["lc"], lin_lc=clamped["lin_lc"],
             hoeffding=clamped["hoeffding"], normal_dom=nd,
             minimum=clamped[argmin], argmin=argmin,

@@ -344,6 +344,14 @@ class McConfig:
     block: int = 65_536
     confidence: float = 0.99
 
+    def __post_init__(self):
+        if not self.n_paths >= 1:
+            raise VerifyError(f"n_paths must be >= 1, got {self.n_paths!r}")
+        if not self.block >= 1:
+            raise VerifyError(f"block must be >= 1, got {self.block!r}")
+        if not 0.0 < self.confidence < 1.0:
+            raise VerifyError(f"confidence must lie in (0, 1), got {self.confidence!r}")
+
 
 @dataclass(frozen=True)
 class SupermartingaleConfig:

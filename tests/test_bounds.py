@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 from asymtail.bounds import (
@@ -65,6 +67,13 @@ class TestBOpt:
         d = bs(0.4)
         assert b_opt(d, 3.0, d.max_value + 1e-6).value == 0.0
 
+    def test_just_above_top_counts_as_top_atom(self):
+        # within merge tolerance above the top atom, `tail` counts that atom
+        d = carrier_sum(0.3, 6, 1.0)
+        x = d.max_value * (1.0 + 1e-13)
+        assert tail(d, x) == d.masses[-1]
+        assert b_opt(d, 3.0, x).value == pytest.approx(d.masses[-1], rel=1e-12)
+
     def test_trivial_when_target_too_low(self):
         d = bs(0.4)
         assert b_opt(d, 3.0, d.min_value - 1.0).value == 1.0
@@ -73,6 +82,80 @@ class TestBOpt:
         d = carrier_sum(0.25, 4, 1.0)
         for x in np.linspace(d.min_value, d.max_value, 23):
             assert b_opt(d, 3.0, float(x)).value >= tail(d, float(x)) - 1e-12
+
+    @staticmethod
+    def brute_min(d, x, points=2048, chunk=256):
+        """min over a t-grid below x, plus the atoms below x, of the ratio."""
+        lo = d.min_value - 10.0 * (d.max_value - d.min_value)
+        t = np.concatenate((np.linspace(lo, x, points, endpoint=False),
+                            d.values[d.values < x]))
+        best = math.inf
+        for i in range(0, len(t), chunk):
+            tc = t[i:i + chunk]
+            num = (np.clip(d.values[None, :] - tc[:, None], 0.0, None) ** 3) @ d.masses
+            best = min(best, float(np.min(num / (x - tc) ** 3)))
+        return best
+
+    @pytest.mark.parametrize("n", [4, 63, 64, 65, 200, 600])
+    @pytest.mark.parametrize("p", [0.02, 0.3, 0.5, 0.9])
+    def test_closed_form_vs_brute_force(self, p, n):
+        # n = 63..65 straddles the atom count where the golden-section
+        # search used to stop scanning atom intervals
+        d = carrier_sum(p, n, 1.0)
+        xs = np.concatenate((np.linspace(d.mean() - 1.0, d.max_value, 9),
+                             d.values[-3:]))
+        res = b_opt(d, 3.0, xs)
+        for x, value in zip(xs, res.value):
+            assert value <= min(self.brute_min(d, float(x)), 1.0) * (1.0 + 1e-12)
+            assert value >= tail(d, float(x)) * (1.0 - 1e-12)
+
+    def test_array_matches_scalar_calls_bitwise(self):
+        for d in (carrier_sum(0.3, 40, 1.3), carrier_sum(0.9, 7, 1.0), bs(0.4)):
+            xs = np.linspace(d.min_value - 1.0, d.max_value + 1.0, 57)
+            res = b_opt(d, 3.0, xs)
+            for i, x in enumerate(xs):
+                one = b_opt(d, 3.0, float(x))
+                assert isinstance(one.value, float)
+                assert (one.value, one.t_opt, one.raw) == (
+                    res.value[i], res.t_opt[i], res.raw[i])
+
+    @pytest.mark.parametrize("p,n", [(0.05, 30), (0.3, 50), (0.5, 9), (0.8, 120)])
+    def test_t_opt_is_first_order_root(self, p, n):
+        # g(t) = E (D - t)_+^3 - (x - t) E (D - t)_+^2 vanishes at t_opt
+        d = carrier_sum(p, n, 1.0)
+        for x in np.linspace(d.mean(), d.max_value, 14)[1:-1]:
+            t = b_opt(d, 3.0, float(x)).t_opt
+            a3 = partial_moment(d, 3.0, t)
+            a2 = (x - t) * partial_moment(d, 2.0, t)
+            assert abs(a3 - a2) <= 1e-10 * max(a3, a2)
+
+    @given(hst.lists(hst.tuples(hst.floats(-4, 4), hst.floats(0.01, 1.0)),
+                     min_size=1, max_size=8),
+           hst.floats(-5, 5), hst.floats(1e-6, 20.0))
+    @settings(max_examples=150, deadline=None)
+    def test_never_above_objective(self, pairs, x, gap):
+        total = sum(w for _, w in pairs)
+        d = from_pairs([(v, w / total) for v, w in pairs])
+        top = d.max_value
+        # just above the top atom, x counts as the top atom (as in `tail`)
+        assume(not top < x <= top + 1e-12 * max(1.0, abs(top)))
+        t = x - gap
+        objective = partial_moment(d, 3.0, t) / (x - t) ** 3
+        assert b_opt(d, 3.0, x).value <= min(objective, 1.0) * (1.0 + 1e-12) + 1e-300
+
+    def test_below_mean_is_trivial(self):
+        d = carrier_sum(0.2, 12, 1.0)
+        res = b_opt(d, 3.0, np.array([d.min_value - 3.0, d.mean()]))
+        assert list(res.raw) == [1.0, 1.0]
+        assert np.all(np.isfinite(res.t_opt)) and np.all(res.t_opt < d.min_value)
+
+    def test_rejects_other_alpha_and_bad_x(self):
+        d = bs(0.4)
+        with pytest.raises(BoundError):
+            b_opt(d, 2.0, 0.5)
+        for x in (math.nan, math.inf, [0.5, -math.inf]):
+            with pytest.raises(BoundError):
+                b_opt(d, 3.0, x)
 
 
 class TestHoeffding:
@@ -191,6 +274,22 @@ class TestCombinedBound:
             combined_bound(0.3, 1.0, 1.0, n=3, coeffs=[1.0, 1.0])
         with pytest.raises(BoundError):
             combined_bound(0.3, 1.0, 1.0, n=3)
+
+    @pytest.mark.parametrize("p,m,x", [
+        (0.3, 1.0, math.nan), (0.3, 1.0, math.inf), (0.3, 1.0, -math.inf),
+        (0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (math.nan, 1.0, 1.0),
+        (0.3, 0.5, 1.0), (0.3, math.nan, 1.0),
+    ])
+    def test_rejects_out_of_domain_inputs(self, p, m, x):
+        with pytest.raises(BoundError):
+            combined_bound(p, m, x, n=10, s_m=1.0)
+
+    def test_needs_no_golden_section(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("golden_section called")
+        monkeypatch.setattr("asymtail.bounds.golden_section", refuse)
+        reports = combined_bound_grid(0.3, 1.2, np.linspace(1.0, 20.0, 20), n=50, s_m=1.0)
+        assert all(0.0 <= r.b_opt <= 1.0 for r in reports)
 
 
 class TestGoldenSection:

@@ -204,3 +204,17 @@ class TestBadInputExit2:
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("error: cannot read missing.json: ")
         assert len(err) == 2 and err[1].startswith("wall time")
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--p", "0.3", "--n", "10", "--s-m", "1", "--x", "nan"],
+        ["bound", "--p", "0.3", "--n", "10", "--s-m", "1", "--x", "inf"],
+        ["bound", "--p", "0.3", "--n", "10", "--s-m", "1", "--m", "0.5", "--x", "1"],
+        ["selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "3", "--paths", "0"],
+    ])
+    def test_out_of_domain_value(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = out.err.splitlines()
+        assert err[0].startswith("error: ")
+        assert len(err) == 2 and err[1].startswith("wall time")

@@ -270,6 +270,14 @@ class TestSupermartingaleMC:
                                       rule="constant", m=2.0),
                 McConfig(n_paths=1000))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_paths": 0}, {"n_paths": -5}, {"block": 0},
+        {"confidence": 0.0}, {"confidence": 1.0}, {"confidence": math.nan},
+    ])
+    def test_mc_config_rejects_out_of_range(self, kwargs):
+        with pytest.raises(VerifyError):
+            McConfig(**kwargs)
+
     def test_history_scaled_allows_large_p(self):
         rep = supermartingale_mc(self._cfg("history_scaled", p=0.65, n=4),
                                  McConfig(seed=3, n_paths=30_000))
