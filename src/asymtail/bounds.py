@@ -159,31 +159,35 @@ def b_opt(d: FiniteDist, alpha: float, x) -> BOptResult:
 # Hoeffding form
 # ---------------------------------------------------------------------------
 
-def hoeffding_H(p: float, y: float) -> float:
+def _float_or_array(a: np.ndarray) -> float | np.ndarray:
+    return float(a) if a.ndim == 0 else a
+
+
+def hoeffding_H(p: float, y) -> float | np.ndarray:
     """KL rate (p+y) log((p+y)/p) + (q-y) log((q-y)/q) on 0 <= y <= q.
 
     Values within relative 1e-12 of the endpoint y = q snap to the exact
-    limit -log p; beyond it the rate is infinite (empty event).
+    limit -log p; beyond it the rate is infinite (empty event).  y may
+    be a scalar or an array.
     """
     if not 0.0 < p < 1.0:
         raise BoundError("hoeffding_H requires p in (0, 1)")
     q = 1.0 - p
-    if y <= 0.0:
-        return 0.0
-    if abs(y - q) <= _SNAP_RTOL * max(1.0, q):
-        return -math.log(p)
-    if y > q:
-        return math.inf
-    return (p + y) * math.log((p + y) / p) + (q - y) * math.log((q - y) / q)
+    y = np.asarray(y, dtype=float)
+    inside = (y > 0.0) & (y < q)
+    yi = np.where(inside, y, 0.0)
+    rate = (p + yi) * np.log((p + yi) / p) + (q - yi) * np.log((q - yi) / q)
+    snap = np.abs(y - q) <= _SNAP_RTOL * max(1.0, q)
+    rate = np.select([y <= 0.0, snap, y > q], [0.0, -math.log(p), math.inf], rate)
+    return _float_or_array(rate)
 
 
-def hoeffding_bound(p: float, n: int, s_m: float, x: float) -> float:
-    """exp(-n H(p, y)) with y = (x/n) sqrt(pq) / s_m."""
+def hoeffding_bound(p: float, n: int, s_m: float, x) -> float | np.ndarray:
+    """exp(-n H(p, y)) with y = (x/n) sqrt(pq) / s_m; x a scalar or an array."""
     if n < 1 or s_m <= 0:
         raise BoundError("hoeffding_bound needs n >= 1 and s_m > 0")
-    y = (x / n) * math.sqrt(p * (1.0 - p)) / s_m
-    H = hoeffding_H(p, y)
-    return 0.0 if math.isinf(H) else min(math.exp(-n * H), 1.0)
+    y = (np.asarray(x, dtype=float) / n) * math.sqrt(p * (1.0 - p)) / s_m
+    return _float_or_array(np.minimum(np.exp(-n * hoeffding_H(p, y)), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +212,9 @@ def normal_partial_moment(alpha: int, t: float) -> float:
     return float(m_cur)
 
 
-def normal_tail(z: float) -> float:
-    return 0.5 * float(erfc(z / math.sqrt(2.0)))
+def normal_tail(z) -> float | np.ndarray:
+    """Q(z) = P(Z >= z); z a scalar or an array."""
+    return _float_or_array(0.5 * erfc(np.asarray(z, dtype=float) / math.sqrt(2.0)))
 
 
 def normal_opt_bound(x: float, sigma: float, alpha: int = 5) -> float:
@@ -254,9 +259,6 @@ def baseline_binom_bound(b: float, c: float, n: int, y: float) -> dict:
 # ---------------------------------------------------------------------------
 # combined report
 # ---------------------------------------------------------------------------
-
-_PRIORITY = ("b_opt", "lc", "lin_lc", "hoeffding", "normal_dom")
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -332,29 +334,25 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     _, h = lattice_params(carrier)
     c30 = c_const(3.0)
     bo = b_opt(carrier, 3.0, xs)
-    reports = []
-    for i, x in enumerate(xs.tolist()):
-        raw = {
-            "b_opt": float(bo.raw[i]),
-            "lc": c30 * float(lc.value(x)),
-            "lin_lc": c30 * float(linlc.value(x + 0.5 * h)),
-            "hoeffding": hoeffding_bound(p, n, sm, x),
-        }
-        nd = None
-        if p >= 0.5 and s1 is not None:
-            raw["normal_dom"] = c30 * normal_tail(x / (s1 * math.sqrt(n)))
-            nd = min(raw["normal_dom"], 1.0)
-        clamped = {k: min(v, 1.0) for k, v in raw.items()}
-        names = [k for k in _PRIORITY if k in clamped]
-        argmin = min(names, key=lambda k: (clamped[k], names.index(k)))
-        reports.append(BoundReport(
-            p=p, m=m, n=n, s_m=sm, x=x, h=h,
-            b_opt=clamped["b_opt"], b_opt_t=float(bo.t_opt[i]),
-            lc=clamped["lc"], lin_lc=clamped["lin_lc"],
-            hoeffding=clamped["hoeffding"], normal_dom=nd,
-            minimum=clamped[argmin], argmin=argmin,
-            below_threshold=below, raw=raw))
-    return reports
+    # members in tie-break order: argmin keeps the first of equal minima
+    raw = {
+        "b_opt": bo.raw,
+        "lc": c30 * lc.value(xs),
+        "lin_lc": c30 * linlc.value(xs + 0.5 * h),
+        "hoeffding": hoeffding_bound(p, n, sm, xs),
+    }
+    if p >= 0.5 and s1 is not None:
+        raw["normal_dom"] = c30 * normal_tail(xs / (s1 * math.sqrt(n)))
+    names = list(raw)
+    rows = np.stack(list(raw.values()))
+    clamped = np.minimum(rows, 1.0)
+    best = np.argmin(clamped, axis=0).tolist()
+    return [BoundReport(
+        p=p, m=m, n=n, s_m=sm, x=x, h=h, b_opt=c[0], b_opt_t=t, lc=c[1], lin_lc=c[2],
+        hoeffding=c[3], normal_dom=c[4] if len(c) == 5 else None,
+        minimum=c[k], argmin=names[k], below_threshold=below, raw=dict(zip(names, r)))
+        for x, t, r, c, k in zip(xs.tolist(), bo.t_opt.tolist(), rows.T.tolist(),
+                                 clamped.T.tolist(), best)]
 
 
 def combined_bound(p: float, m: float, x: float, *, n: int | None = None,

@@ -1,9 +1,21 @@
 """Exact calculus for finite discrete distributions.
 
 A FiniteDist is a list of atoms (value, mass) with strictly increasing
-values, strictly positive masses, and total mass 1 up to 1e-12.  Atoms
-closer than 1e-12 * max(1, |value|) are merged on construction, so the
-support stays well separated and tail evaluation is unambiguous.
+values, normal (>= 2.2e-308) masses, and total mass 1 up to 1e-12.  On
+construction:
+
+- atoms closer than 1e-12 * max(1, |value|) to their neighbour merge
+  into one atom at the group's first (smallest) value, with the summed
+  mass, so the support stays well separated and tail evaluation is
+  unambiguous; an atom that collides with nothing keeps its value bit
+  for bit, so a lattice law stays on its lattice;
+- atoms whose mass is below the smallest normal float are dropped, as
+  zero masses are: a sub-normal mass has too few bits for the hull
+  arithmetic downstream, so tails below about 2.2e-308 read as 0.
+
+iid_sum of a two-atom law {a: q, b: p} is the binomial lattice
+n a + k (b - a), k = 0..n, in closed form (O(n)); laws with more atoms
+are convolved by binary powering.
 
 Conventions used throughout the package:
 
@@ -25,6 +37,8 @@ import numpy as np
 
 MERGE_RTOL = 1e-12
 MASS_ATOL = 1e-12
+# smallest normal float: a mass below it has too few bits for hull arithmetic
+MIN_MASS = float(np.finfo(float).tiny)
 
 # Hard cap for weighted_bs_sum: 2^24 outcomes is the largest enumeration
 # this module is willing to do exactly.
@@ -61,20 +75,9 @@ def _canonicalize(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, n
     if len(v) > 1:
         gaps = np.diff(v)
         tol = MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
-        new_group = np.concatenate(([True], gaps > tol))
-        gid = np.cumsum(new_group) - 1
-        ngroups = gid[-1] + 1
-        gm = np.zeros(ngroups)
-        np.add.at(gm, gid, m)
-        gv = np.zeros(ngroups)
-        np.add.at(gv, gid, v * m)
-        with np.errstate(invalid="ignore"):
-            gv = np.where(gm > 0, gv / np.where(gm > 0, gm, 1.0), 0.0)
-        # groups of zero total mass keep their first value for the drop test
-        firsts = np.nonzero(new_group)[0]
-        gv = np.where(gm > 0, gv, v[firsts])
-        v, m = gv, gm
-    keep = m > 0
+        firsts = np.flatnonzero(np.concatenate(([True], gaps > tol)))
+        v, m = v[firsts], np.add.reduceat(m, firsts)
+    keep = m >= MIN_MASS
     return np.ascontiguousarray(v[keep]), np.ascontiguousarray(m[keep])
 
 
@@ -231,10 +234,35 @@ def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:
     return FiniteDist(v, m)
 
 
+def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
+    """Sum of n iid draws from the two-atom law {a: q, b: p}, in closed form.
+
+    Atoms n a + k (b - a), k = 0..n, with binomial masses from the ratio
+    recurrence P(k+1) / P(k) = (n - k) p / ((k + 1) q), run outward from
+    1 at the mode and then normalized.  Every ratio taken is <= 1, and
+    the total is >= 1, so a product leaves the normal range only where
+    the normalized mass is below it too and the atom is dropped anyway.
+    (lgamma differences would lose about ten times more accuracy.)
+    """
+    (a, b), (q, p) = d.values, d.masses
+    k = np.arange(n + 1)
+    mode = min(int((n + 1) * p), n)
+    up = (n - k[mode:n]) * p / ((k[mode:n] + 1) * q)
+    down = k[mode:0:-1] * q / ((n - k[mode:0:-1] + 1) * p)
+    mass = np.concatenate((np.cumprod(down)[::-1], [1.0], np.cumprod(up)))
+    return FiniteDist(n * a + k * (b - a), mass / math.fsum(mass))
+
+
 def iid_sum(d: FiniteDist, n: int) -> FiniteDist:
-    """Law of the sum of n iid draws from d (binary powering)."""
+    """Law of the sum of n iid draws from d.
+
+    A two-atom law gives the binomial lattice in closed form; laws with
+    more atoms go through binary-powering convolution.
+    """
     if n < 1:
         raise DistError("n must be >= 1")
+    if d.n_atoms == 2:
+        return _binomial_lattice(d, n)
     result = None
     power = d
     k = n

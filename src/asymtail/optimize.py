@@ -1,9 +1,7 @@
-"""Scalar optimization helpers shared across the package.
+"""Scalar optimization helper shared across the package.
 
-Only bracketed one-dimensional problems appear here: golden-section
-minimization on a closed interval and a bracket-safeguarded Newton
-iteration that falls back to bisection whenever the Newton step leaves
-the bracket or fails to shrink it fast enough.
+Golden-section minimization on a closed interval.  Roots are found
+with scipy's brentq on a bracket the caller certifies.
 """
 from __future__ import annotations
 
@@ -49,50 +47,3 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
     if fc < fd:
         return c, fc
     return d, fd
-
-
-def safeguarded_newton(f_and_df: Callable[[float], tuple[float, float]],
-                       lo: float, hi: float, x0: float,
-                       xtol: float = 1e-13, max_iter: int = 100) -> tuple[float, int]:
-    """Root of f on a sign-changing bracket [lo, hi], Newton-first.
-
-    Takes a Newton step when it stays inside the current bracket and at
-    least halves it; bisects otherwise.  Returns (root, iterations).
-    Raises ValueError when f(lo) and f(hi) do not straddle zero or the
-    iteration budget runs out before |step| < xtol.
-    """
-    flo, _ = f_and_df(lo)
-    fhi, _ = f_and_df(hi)
-    if flo == 0.0:
-        return lo, 0
-    if fhi == 0.0:
-        return hi, 0
-    if (flo > 0) == (fhi > 0):
-        raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    x = min(max(x0, lo), hi)
-    dx_old = hi - lo
-    for it in range(1, max_iter + 1):
-        fx, dfx = f_and_df(x)
-        if fx == 0.0:
-            return x, it
-        if (fx > 0) == (flo > 0):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        step_ok = False
-        if dfx != 0.0 and math.isfinite(dfx):
-            xn = x - fx / dfx
-            # progress test: the Newton step must stay bracketed and be
-            # at most half the previous step, else it can crawl linearly
-            if lo < xn < hi and 2.0 * abs(fx) <= abs(dx_old * dfx):
-                step = xn - x
-                x = xn
-                step_ok = True
-        if not step_ok:
-            xn = 0.5 * (lo + hi)
-            step = xn - x
-            x = xn
-        dx_old = abs(step)
-        if abs(step) < xtol:
-            return x, it
-    raise ValueError(f"no convergence in {max_iter} iterations (bracket width {hi - lo:g})")

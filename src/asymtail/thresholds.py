@@ -21,7 +21,7 @@ parametric curve k -> (m_tilde(k), p_tilde(k)),
     m_tilde(k) = (e^k + 1) k / (2 (e^k - 1)),
     p_tilde(k) = (e^k - 1 - k) / ((e^k - 1) (1 + k + (k - 1) e^k)),
 
-whose inverse k_tilde(p) is found by a bracketed Newton iteration, plus
+whose inverse k_tilde(p) is found by brentq on a fixed bracket, plus
 the closed-form upper envelope m_exp_up(p) = (1 - 2p - ln 2p)/(2 (1 - 2p)).
 
 For symmetric three-point summands st(p) the exact threshold is only
@@ -48,7 +48,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .optimize import golden_section, safeguarded_newton
+from .optimize import golden_section
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 
@@ -129,53 +129,35 @@ _F_SERIES = (
 )
 
 
-def _k_residual(p: float, k: float) -> tuple[float, float]:
+def _k_residual(p: float, k: float) -> float:
     # F(k) = e^k - 1 - k + (1 + k - 2 e^k + e^{2k} (1 - k)) p.  For large
     # k the residual is rescaled by e^{-2k} so nothing overflows; for
     # small k the factored series F / k^2 is used instead.  Both carry
     # the sign of F, which is all the bracketing logic needs.
     if k < 0.05:
         f = 0.0
-        df = 0.0
-        for j in reversed(range(len(_F_SERIES))):
-            a, b = _F_SERIES[j]
-            cj = a + b * p
-            f = f * k + cj
-            if j > 0:
-                df = df * k + j * cj
-        return f, df
+        for a, b in reversed(_F_SERIES):
+            f = f * k + (a + b * p)
+        return f
     emk = math.exp(-k)
     em2k = emk * emk
-    f = emk - (1.0 + k) * em2k + ((1.0 + k) * em2k - 2.0 * emk + (1.0 - k)) * p
-    df = emk - em2k + (em2k - 2.0 * emk + (1.0 - 2.0 * k)) * p
-    return f, df
+    return emk - (1.0 + k) * em2k + ((1.0 + k) * em2k - 2.0 * emk + (1.0 - k)) * p
 
 
 def k_tilde(p: float) -> float:
     """Solve p_tilde(k) = p for k > 0 (0 < p < 1/2).
 
-    Bracketed Newton on [lo, 60].  The seed follows the two asymptotic
-    regimes of the root: k ~ 3 (1/2 - p) near p = 1/2, and for small p
-    the fixed point of k = log(1 / (p (k - 1))), which comes from the
-    dominant balance e^{2k} (1 - k) p + e^k ~ 0 in the residual.
+    brentq on [min(1e-8, 1/2 - p), 60], where the residual changes sign.
+    The root goes to 0 like 3 (1/2 - p) as p -> 1/2, so the absolute
+    tolerance is negligible and the relative one stops the search.
     """
     if not 0.0 < p < 0.5:
         raise ThresholdError("k_tilde requires p in (0, 1/2)")
-    lo = min(1e-8, 0.5 - p)
-    hi = 60.0
-    if p >= 0.2:
-        k0 = 3.0 * (0.5 - p)
-    else:
-        k0 = math.log(1.0 / p)
-        for _ in range(4):
-            k0 = math.log(1.0 / (p * max(k0 - 1.0, 0.5)))
-    k0 = min(max(k0, lo), hi - 1.0)
     try:
-        root, _ = safeguarded_newton(lambda k: _k_residual(p, k), lo, hi, k0,
-                                     xtol=1e-13, max_iter=100)
-    except ValueError as exc:
+        return brentq(lambda k: _k_residual(p, k), min(1e-8, 0.5 - p), 60.0,
+                      xtol=1e-300, maxiter=200)
+    except (ValueError, RuntimeError) as exc:
         raise ThresholdError(f"k_tilde({p!r}) failed: {exc}") from exc
-    return root
 
 
 def m_exp(p: float) -> float:
@@ -255,8 +237,8 @@ def m_zero(p: float) -> ConjecturalValue:
     """Conjectured symmetric threshold branch 1 / (2 log2 z(p)).
 
     z(p) is the root of a degree-6 polynomial in (0, sqrt(2)); uniqueness
-    is certified by a sign-change count on a 1e4-point grid before the
-    bisection refines the bracket to 1e-12.
+    is certified by a sign-change count on a 1e4-point grid before
+    brentq refines the bracket to about 1e-15.
     """
     if not 0.0 < p < SQRT2_MINUS_1:
         raise ThresholdError("m_zero requires p in (0, sqrt(2)-1)")
@@ -270,15 +252,7 @@ def m_zero(p: float) -> ConjecturalValue:
     idx_nz = np.nonzero(nz)[0]
     lo = float(zs[idx_nz[flips[0]]])
     hi = float(zs[idx_nz[flips[0] + 1]])
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if (_z_poly(p, lo) > 0) == (_z_poly(p, mid) > 0):
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
+    z = brentq(lambda t: _z_poly(p, t), lo, hi, xtol=1e-15)
     return ConjecturalValue(value=1.0 / (2.0 * math.log2(z)))
 
 

@@ -159,6 +159,20 @@ class TestBOpt:
 
 
 class TestHoeffding:
+    def test_arrays_match_scalar_calls(self):
+        p, n, s_m = 0.3, 12, 1.4
+        xs = np.array([-2.0, 0.0, 1e-9, 3.0, 10.0, n * s_m * math.sqrt(0.7 / 0.3), 40.0])
+        ys = (xs / n) * math.sqrt(p * (1 - p)) / s_m
+        for fn, args in ((hoeffding_H, (p,)), (hoeffding_bound, (p, n, s_m)),
+                         (normal_tail, ())):
+            arg = ys if fn is hoeffding_H else xs
+            whole = fn(*args, arg)
+            assert isinstance(whole, np.ndarray) and whole.shape == arg.shape
+            for i, a in enumerate(arg.tolist()):
+                one = fn(*args, a)
+                assert isinstance(one, float)
+                assert one == pytest.approx(float(whole[i]), rel=1e-15, abs=0.0)
+
     def test_fair_coin_sixteenth(self):
         assert hoeffding_bound(0.5, 4, 1.0, 4.0) == pytest.approx(1 / 16, rel=1e-13)
 
@@ -290,6 +304,77 @@ class TestCombinedBound:
         monkeypatch.setattr("asymtail.bounds.golden_section", refuse)
         reports = combined_bound_grid(0.3, 1.2, np.linspace(1.0, 20.0, 20), n=50, s_m=1.0)
         assert all(0.0 <= r.b_opt <= 1.0 for r in reports)
+
+
+def log_binomial_tail(p, n, s_m, x):
+    """log P(s_m (sum of n bs(p)) >= x), by lgamma and logaddexp.
+
+    An atom within 1e-9 relative of x is left out, which can only make
+    the reference smaller."""
+    q = 1.0 - p
+    k = np.arange(n + 1)
+    atoms = s_m * (k / math.sqrt(p * q) - n * math.sqrt(p / q))
+    log_mass = np.array([math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                         for j in range(n + 1)]) + k * math.log(p) + (n - k) * math.log(q)
+    first = int(np.searchsorted(atoms, x + 1e-9 * max(1.0, abs(x))))
+    return float(np.logaddexp.reduce(log_mass[first:])) if first <= n else -math.inf
+
+
+def assert_valid_reports(reports, p, n, s_m):
+    for r in reports:
+        exact = math.exp(log_binomial_tail(p, n, s_m, r.x))
+        members = [r.b_opt, r.lc, r.lin_lc, r.hoeffding]
+        if r.normal_dom is not None:
+            members.append(r.normal_dom)
+        for v in members:
+            assert isinstance(v, float) and math.isfinite(v)
+            assert exact * (1.0 - 1e-12) <= v <= 1.0
+        assert r.minimum == min(members)
+
+
+class TestLargeCarriers:
+    # (p, n, s_m) lattice points of the bound benchmark where the averaged
+    # merge pushed atoms off the lattice and the carrier raised
+    # LatticeError or IndexError
+    @pytest.mark.parametrize("p,n,s_m", [
+        (0.8085714285714285, 502, 0.5935499592903313),
+        (0.09285714285714285, 429, 0.5835099310103146),
+        (0.05, 287, 1.3953552517622982),
+        (0.7614285714285715, 561, 0.7270508948459816),
+    ])
+    def test_former_lattice_failures(self, p, n, s_m):
+        xs = np.array([0.25, 1.0, 2.5, 5.0]) * math.sqrt(n) * s_m
+        reports = combined_bound_grid(p, m_star(p), xs, n=n, s_m=s_m)
+        assert_valid_reports(reports, p, n, s_m)
+
+    @pytest.mark.parametrize("p,n,seed", [
+        (0.9414285714285714, 410, 0),
+        (0.8728571428571428, 587, 1),
+    ])
+    def test_former_lattice_failures_with_coeffs(self, p, n, seed):
+        coeffs = np.random.default_rng(seed).uniform(0.2, 2.0, size=n)
+        m = m_star(p)
+        s_m = float(np.mean(coeffs ** (2.0 * m)) ** (1.0 / (2.0 * m)))
+        xs = np.array([0.25, 1.0, 2.5, 5.0]) * math.sqrt(n) * s_m
+        reports = combined_bound_grid(p, m, xs, coeffs=coeffs)
+        assert reports[0].normal_dom is not None
+        assert_valid_reports(reports, p, n, s_m)
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5])
+    def test_ten_thousand_terms(self, p):
+        n = 10_000
+        xs = math.sqrt(n) * np.array([0.0, 0.25, 1.0, 2.0, 4.0, 8.0, 40.0])
+        reports = combined_bound_grid(p, m_star(p), xs, n=n, s_m=1.0)
+        for r in reports:
+            for v in (r.b_opt, r.lc, r.lin_lc, r.hoeffding):
+                assert math.isfinite(v) and 0.0 <= v <= 1.0
+        assert_valid_reports(reports[:-1], p, n, 1.0)
+
+    def test_argmin_takes_first_of_equal_members(self):
+        # past the top atom every member but normal_dom is 0
+        rep = combined_bound(0.6, 1.0, 100.0, n=5, s_m=1.0)
+        assert (rep.b_opt, rep.lc, rep.lin_lc, rep.hoeffding) == (0.0, 0.0, 0.0, 0.0)
+        assert rep.argmin == "b_opt" and rep.minimum == 0.0
 
 
 class TestGoldenSection:

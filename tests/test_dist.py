@@ -1,13 +1,17 @@
 """Exact distribution arithmetic against brute-force enumeration."""
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from asymtail.bounds import baseline_two_point
 from asymtail.dist import (
+    MIN_MASS,
     DistError,
     FiniteDist,
     RngSpec,
@@ -112,6 +116,17 @@ def test_from_pairs_merges_duplicate_atoms():
     assert d.masses == pytest.approx([0.5, 0.5])
 
 
+def test_merge_keeps_first_value_and_drops_subnormal_masses():
+    lone = 0.1 + 0.2  # not representable exactly; must survive bit for bit
+    close = 1.0 + 4e-13  # within merge tolerance of 1.0
+    d = FiniteDist(np.array([close, lone, 1.0, 5.0, 7.0]),
+                   np.array([0.25, 0.5, 0.25, MIN_MASS / 2, 5e-324]))
+    assert d.values.tolist() == [lone, 1.0]  # the group's first (smallest) value
+    assert d.masses.tolist() == [0.5, 0.5]
+    kept = FiniteDist(np.array([0.0, 1.0]), np.array([1.0, MIN_MASS]))
+    assert kept.masses.tolist() == [1.0, MIN_MASS]
+
+
 def test_invalid_masses_rejected():
     with pytest.raises(DistError):
         from_pairs([(0.0, 0.4), (1.0, 0.4)])  # sums to 0.8
@@ -141,6 +156,54 @@ def test_iid_sum_mass_and_moments(p, n):
     assert np.all(np.diff(d.values) > 0)
     assert d.mean() == pytest.approx(0.0, abs=1e-9)
     assert d.var() == pytest.approx(n, rel=1e-9)
+
+
+def two_atom_laws():
+    return hst.one_of(
+        hst.floats(0.01, 0.99).map(bs),
+        hst.floats(0.01, 0.99).map(bc),
+        hst.builds(baseline_two_point, hst.floats(0.1, 10.0), hst.floats(0.1, 10.0)),
+    )
+
+
+@given(d=two_atom_laws(), n=hst.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_two_atom_iid_sum_is_exact_binomial_lattice(d, n):
+    got = iid_sum(d, n)
+    conv = functools.reduce(convolve, [d] * n)
+    assert got.n_atoms == conv.n_atoms == n + 1
+    scale_ = max(1.0, float(np.max(np.abs(conv.values))))
+    assert np.allclose(got.values, conv.values, rtol=1e-12, atol=1e-12 * scale_)
+    assert np.allclose(got.masses, conv.masses, rtol=1e-13, atol=0.0)
+    (a, b), (q, p) = d.values, d.masses
+    fq, fp = Fraction(float(q)), Fraction(float(p))
+    total = (fq + fp) ** n
+    exact = [math.comb(n, k) * fp ** k * fq ** (n - k) / total for k in range(n + 1)]
+    assert np.allclose(got.masses, [float(e) for e in exact], rtol=1e-13, atol=0.0)
+    assert got.values[0] == n * a
+
+
+@pytest.mark.parametrize("n", [30, 200, 600])
+@pytest.mark.parametrize("p", [0.02, 0.3, 0.9])
+def test_two_atom_iid_sum_matches_scipy_binomial(p, n):
+    from scipy.stats import binom
+
+    d = iid_sum(bs(p), n)
+    lo, hi = bs(p).values
+    k = np.rint((d.values - n * lo) / (hi - lo)).astype(int)
+    assert np.array_equal(k, np.arange(k[0], k[0] + d.n_atoms))  # consecutive lattice
+    ref = binom.pmf(k, n, p)
+    big = ref > 1e-250
+    assert np.all(np.abs(d.masses[big] / ref[big] - 1.0) <= 2e-13)
+    assert np.all(d.masses >= MIN_MASS)
+
+
+def test_three_atom_iid_sum_still_convolves():
+    d = iid_sum(st(0.4), 5)
+    ref = functools.reduce(convolve, [st(0.4)] * 5)
+    assert d.n_atoms == ref.n_atoms == 11
+    assert np.allclose(d.values, ref.values, rtol=1e-12, atol=1e-12)
+    assert np.allclose(d.masses, ref.masses, rtol=1e-12, atol=0.0)
 
 
 @given(p=hst.floats(0.01, 0.99), x=hst.floats(-5, 5))
