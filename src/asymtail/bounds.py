@@ -28,7 +28,8 @@ import numpy as np
 from scipy.special import erfc
 
 from .dist import FiniteDist, bs, from_pairs, iid_sum, scale
-from .majorant import TailMajorant, lattice_params, lc_majorant, lin_lc_majorant
+# lattice_params is not called here; perfbench/tracer.py wraps it under this name
+from .majorant import TailMajorant, lattice_params, lc_majorant, lin_lc_majorant  # noqa: F401
 from .optimize import golden_section
 from .thresholds import c_const, m_star
 
@@ -331,7 +332,7 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     carrier = carrier_sum(p, n, sm)
     lc = lc_majorant(carrier)
     linlc = lin_lc_majorant(carrier)
-    _, h = lattice_params(carrier)
+    h = linlc.step
     c30 = c_const(3.0)
     bo = b_opt(carrier, 3.0, xs)
     # members in tie-break order: argmin keeps the first of equal minima

@@ -10,16 +10,18 @@ Two constructions over the tail q(x) = P(D >= x) of a FiniteDist:
 - lin_lc_majorant: the least log-concave majorant of the *linear
   interpolation* of the tail over the carrying lattice {min + k h}.
   In log space the interpolant is a chain of concave arcs
-  log(q_j + beta_j (x - L_j)) glued with convex kinks, so the majorant
-  alternates between touched sub-arcs and straight bridges.  Bridges
-  are computed exactly: for a given slope s the support point of an
-  arc has the closed form I = beta / s, and the bridge slope between
-  two hull features is the root of the (strictly monotone) difference
-  of their support intercepts.  A refined sample of the interpolant
-  (refine points per lattice step) is stored as the knot set that the
-  hull is validated against; the hull itself does not depend on the
-  refinement, which is what makes doubling the refinement a no-op at
-  evaluation points.
+  log(q0 + beta (x - x0)), one per lattice cell where the tail
+  decreases, so the majorant alternates between touched sub-arcs and
+  straight bridges.  The hull is array code over the arcs: at slope
+  s < 0 an arc touches its support line where q0 + beta (x - x0) =
+  beta / s, clipped to its cell; the slope of the bridge between two
+  arcs is where their support intercepts agree, found for every pair of
+  arcs by one shared bisection; arcs that lie under a bridge of two
+  others are dropped in rounds (see lin_lc_majorant).  A refined sample
+  of the interpolant (refine points per lattice step) is stored as the
+  knot set that the hull is validated against; the hull itself does
+  not depend on the refinement, which is what makes doubling the
+  refinement a no-op at evaluation points.
 
 Evaluation is exact on arc segments (linear in probability space),
 log-linear on bridges.
@@ -30,11 +32,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dist import FiniteDist, tail
 
 _EVAL_RTOL = 1e-12
+_LATTICE_RTOL = 1e-9
 
 
 class MajorantError(ValueError):
@@ -45,11 +47,11 @@ class LatticeError(MajorantError):
     """The support does not sit on an affine lattice."""
 
 
-def lattice_params(d: FiniteDist, rtol: float = 1e-9) -> tuple[float, float]:
+def lattice_params(d: FiniteDist) -> tuple[float, float]:
     """Infer (origin, step) with origin = max atom; raise LatticeError.
 
     The step is the smallest gap, divided by a small integer if needed
-    so that every gap is an integer multiple within rtol.
+    so that every gap is an integer multiple within 1e-9 relative.
     """
     v = d.values
     if len(v) < 2:
@@ -60,7 +62,7 @@ def lattice_params(d: FiniteDist, rtol: float = 1e-9) -> tuple[float, float]:
     for div in range(1, 9):
         h = base / div
         ratios = gaps / h
-        if np.all(np.abs(ratios - np.round(ratios)) * h <= rtol * scale):
+        if np.all(np.abs(ratios - np.round(ratios)) * h <= _LATTICE_RTOL * scale):
             return float(v[-1]), h
     raise LatticeError("support is not an affine lattice (within 1e-9)")
 
@@ -179,64 +181,16 @@ def lc_majorant(d: FiniteDist) -> TailMajorant:
 # exact hull over the log of the linearly interpolated tail
 # ---------------------------------------------------------------------------
 
-class _Arc:
-    """One lattice segment of the interpolant: I(x) = q0 + beta (x - x0)."""
-    __slots__ = ("x0", "x1", "q0", "q1", "beta")
-
-    def __init__(self, x0, x1, q0, q1):
-        self.x0, self.x1, self.q0, self.q1 = x0, x1, q0, q1
-        self.beta = (q1 - q0) / (x1 - x0)
-
-    def prob(self, x: float) -> float:
-        return self.q0 + self.beta * (x - self.x0)
-
-    def log(self, x: float) -> float:
-        val = self.prob(x)
-        return math.log(val) if val > 0 else -math.inf
-
-    def support(self, s: float, lo: float, hi: float) -> tuple[float, float]:
-        """argmax / max of log I(x) - s x over [lo, hi] (s < 0).
-
-        The stationary point has I = beta / s; it is clamped into the
-        range, which also covers corner support at either endpoint.
-        """
-        if self.beta < 0:
-            t = self.x0 + (self.beta / s - self.q0) / self.beta
-            t = min(max(t, lo), hi)
-        else:
-            t = lo  # flat arcs never occur here; guard anyway
-        return t, self.log(t) - s * t
-
-
-def _bridge(arc_a: _Arc, range_a: tuple[float, float],
-            arc_b: _Arc, range_b: tuple[float, float]) -> tuple[float, float, float]:
-    """Common support line of two features; returns (tA, tB, slope).
-
-    psi(s) = intercept_A(s) - intercept_B(s) is strictly increasing in
-    the slope s < 0 (its derivative is tB - tA > 0), positive as s -> 0-
-    because A's range starts higher, negative for steep s.  brentq on a
-    doubling bracket finds the unique bridge slope; the clamped support
-    points then fall out directly, covering interior bitangents, corner
-    contacts and parallel arcs uniformly.
-    """
-    def psi(s: float) -> float:
-        _, ca = arc_a.support(s, *range_a)
-        _, cb = arc_b.support(s, *range_b)
-        return ca - cb
-
-    s_hi = -1e-300
-    s_lo = -1.0
-    for _ in range(80):
-        if psi(s_lo) < 0:
-            break
-        s_hi = s_lo
-        s_lo *= 4.0
-    else:
-        raise MajorantError("bridge slope bracket not found")
-    s = brentq(psi, s_lo, s_hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    ta, _ = arc_a.support(s, *range_a)
-    tb, _ = arc_b.support(s, *range_b)
-    return ta, tb, s
+# Bridge slopes are bisected in u = log(-s h) on [-709, 8].  At u = -709
+# every arc touches at its left corner, because a cell's mass over its
+# tail is at least MIN_MASS > e^-709, so an intercept difference is
+# log(q0_a / q0_b) > 0 up to e^-709 per step.  At u = 8 it is below
+# 717 - (e^8 - 1) < 0: no touch value is below MIN_MASS e^-8, and the
+# later arc's touch point is at least 1 - e^-8 steps right of the
+# earlier one's.  72 halvings of that range leave 1.5e-19 in u.
+_U_FLAT = -709.0
+_U_STEEP = 8.0
+_HALVINGS = 72
 
 
 def _lattice_tails(d: FiniteDist) -> tuple[np.ndarray, np.ndarray, float]:
@@ -248,99 +202,126 @@ def _lattice_tails(d: FiniteDist) -> tuple[np.ndarray, np.ndarray, float]:
     return lat, qt, h
 
 
+def _bridges(k, lm, lq0, lq1, r, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """u of the common support line of arcs a[i] < b[i], all pairs at once.
+
+    The intercept difference psi(u) = log(I_a / I_b) - e^u (k_b + t_b -
+    k_a - t_a), with I = clip(m e^-u, q1, q0) and touch offsets t in
+    steps, is nonincreasing in u; each step moves every u by half the
+    previous step toward its pair's sign change.  Where psi is exactly 0
+    (both arcs touch a shared corner) u stays, so such a bridge has no
+    length.
+    """
+    pair = np.stack((a, b))
+    dk = (k[b] - k[a]).astype(float)
+    lm, lq0, lq1, r = lm[pair], lq0[pair], lq1[pair], r[pair]
+    u = np.full(len(a), 0.5 * (_U_FLAT + _U_STEEP))
+    step = 0.25 * (_U_STEEP - _U_FLAT)
+    for _ in range(_HALVINGS):
+        g = np.exp(-u)
+        log_i = np.minimum(np.maximum(lm - u, lq1), lq0)
+        t = np.minimum(np.maximum(r - g, 0.0), 1.0)
+        psi = (log_i[0] - log_i[1]) - (dk + t[1] - t[0]) / g
+        u += step * np.sign(psi)
+        step *= 0.5
+    return u
+
+
 def lin_lc_majorant(d: FiniteDist, refine: int = 64) -> TailMajorant:
     """Least log-concave majorant of the lattice-linear interpolant of the tail.
 
-    The hull is computed with exact arc contacts (see module docstring);
-    `refine` only controls the density of the stored knot sample that
-    the result is checked against, not the hull itself.
+    The arcs are the lattice cells where the tail decreases, each with
+    I(x) = q0 + beta (x - x0) on [x0, x1] and mass m = q0 - q1; flat
+    cells add nothing beyond their right corner, which starts the next
+    arc.  At slope s < 0, log I touches its support line where I = beta
+    / s, i.e. m e^-u with u = log(-s h), clipped to the cell.  Bridges
+    are taken between full cells: the hull's contact with an arc is then
+    the range between the touch points of its two bridges.
+
+    An arc whose incoming bridge is steeper than its bridge to a later
+    arc lies below the bridge of those two at every slope, so it is off
+    the hull whatever else is removed.  Each round takes the bridges of
+    neighbouring arcs and drops the arcs whose incoming bridge is
+    steeper than their outgoing one.  In the same bisection it bridges
+    the arc after each dropped run back to every arc since the previous
+    run, and drops those after the last one whose incoming bridge is no
+    steeper than that bridge, so a long dominated stretch goes in one
+    round; those back bridges are the next round's new neighbour
+    bridges.  The rounds stop when nothing drops.  `refine` only sets
+    the density of the stored knot sample that the result is checked
+    against, not the hull itself.
     """
     if refine < 2:
         raise MajorantError("refine must be >= 2")
     lat, qt, h = _lattice_tails(d)
 
-    arcs: list[_Arc] = []
-    for j in range(len(lat) - 1):
-        if qt[j] > qt[j + 1]:  # flat pieces constrain nothing beyond their right corner
-            arcs.append(_Arc(lat[j], lat[j + 1], qt[j], qt[j + 1]))
-    if not arcs:
+    k = np.flatnonzero(qt[:-1] > qt[1:])
+    if len(k) == 0:
         raise MajorantError("tail has no decreasing segment")
+    x0, x1, q0, q1 = lat[k], lat[k + 1], qt[k], qt[k + 1]
+    beta = (q1 - q0) / (x1 - x0)
+    r = q0 / (q0 - q1)
+    with np.errstate(divide="ignore"):
+        arcs = (k, np.log(q0 - q1), np.log(q0), np.log(q1), r)
 
-    # feature stack: [arc index, touched from, touched to, incoming slope].
-    # A feature whose contact interval has shrunk to its left endpoint is
-    # still a hull vertex; it is discarded only when a new bridge slope
-    # exceeds its incoming slope, which would break concavity there.
-    feats: list[list[float]] = []
-    for ai, arc in enumerate(arcs):
-        t_in = arc.x0
-        s_in = math.inf  # the first feature's corner can never be cut
-        while feats:
-            fa, sa, ea, fs_in = feats[-1]
-            ta, tb, s = _bridge(arcs[int(fa)], (sa, ea), arc, (arc.x0, arc.x1))
-            if ta <= sa and s > fs_in:
-                feats.pop()
-                continue
-            ta = min(max(ta, sa), ea)
-            # tolerance sized for the sqrt(eps) root slop of a C1 kink,
-            # where the bridge-slope equation has a double root
-            if tb - ta <= 1e-6 * (arc.x1 - arc.x0) and ea == arc.x0:
-                # contact passes straight through the kink (C1 join or
-                # corner); collapse the bridge so no stray vertex is kept
-                ta = tb = arc.x0
-            feats[-1][2] = ta
-            t_in = tb
-            s_in = s
+    keep = np.arange(len(k))
+    u = _bridges(*arcs, keep[:-1], keep[1:])
+    while True:
+        bad = np.zeros(len(keep), dtype=bool)
+        bad[1:-1] = u[:-1] > u[1:]
+        if not bad.any():
             break
-        feats.append([ai, t_in, arc.x1, s_in])
+        # bridge every arc of the stretch before each bad run to the arc
+        # after the run; the stretch keeps its arcs up to the last one whose
+        # incoming bridge is no steeper than that bridge (its first arc,
+        # whose incoming bridge is not known yet, always stays)
+        runs = np.flatnonzero(bad)
+        grp = np.searchsorted(runs, np.arange(len(keep)))
+        back = np.flatnonzero(~bad & (grp < len(runs)))
+        grp = grp[back]
+        good = np.flatnonzero(~bad)
+        to = good[np.searchsorted(good, runs[grp])]
+        w = _bridges(*arcs, keep[back], keep[to])
+        stay = np.flatnonzero((back == 0) | bad[back - 1] | (u[back - 1] <= w))
+        stay = stay[np.r_[grp[stay[1:]] != grp[stay[:-1]], True]]
+        gone = bad.copy()
+        gone[back[back > back[stay][np.searchsorted(grp[stay], grp)]]] = True
+        # the new neighbours of each run's successor were bridged just now
+        kept = np.flatnonzero(~gone)
+        u = u[kept[:-1]]
+        joined = np.flatnonzero(np.diff(kept) > 1)
+        u[joined] = w[np.searchsorted(back, kept[joined])]
+        keep = keep[kept]
 
-    hull_x: list[float] = []
-    hull_y: list[float] = []
-    seg_arc: list[bool] = []
-    seg_q: list[float] = []
-    seg_beta: list[float] = []
-    seg_x0: list[float] = []
-
-    def push_vertex(x: float, y: float, *, is_arc: bool, arc: _Arc | None):
-        if hull_x and x <= hull_x[-1] + 1e-15 * max(1.0, abs(x)):
-            return
-        if hull_x:
-            seg_arc.append(is_arc)
-            if is_arc and arc is not None:
-                seg_q.append(arc.q0)
-                seg_beta.append(arc.beta)
-                seg_x0.append(arc.x0)
-            else:
-                seg_q.append(math.nan)
-                seg_beta.append(math.nan)
-                seg_x0.append(math.nan)
-        hull_x.append(x)
-        hull_y.append(y)
-
-    for fa, sa, ea, _ in feats:
-        arc = arcs[int(fa)]
-        push_vertex(sa, arc.log(sa), is_arc=False, arc=None)  # bridge from previous feature
-        if ea > sa:
-            push_vertex(ea, arc.log(ea), is_arc=True, arc=arc)
+    # vertices: each kept arc's in and out touch points, then segments
+    # alternate arc and bridge; a segment shorter than roundoff gives way
+    # to the next one
+    u_in_out = np.stack((np.r_[-np.inf, u], np.r_[u, np.inf]), axis=1)
+    off = np.clip(r[keep, None] - np.exp(-u_in_out), 0.0, 1.0)
+    dx = (x1 - x0)[keep, None]
+    tx = np.where(off < 1.0, x0[keep, None] + off * dx, x1[keep, None]).ravel()
+    owner = np.repeat(keep, 2)
+    with np.errstate(divide="ignore"):
+        ty = np.log(np.maximum(q0[owner] + beta[owner] * (tx - x0[owner]), 0.0))
+    seg = np.flatnonzero(tx[1:] > tx[:-1] + 1e-15 * np.maximum(1.0, np.abs(tx[1:])))
+    vert = np.r_[0, seg + 1]
+    seg_is_arc = seg % 2 == 0
+    seg_arc = keep[seg // 2]
 
     # certified knot sample of the interpolant
-    ks, kl = [], []
-    for j in range(len(lat) - 1):
-        frac = np.arange(refine) / refine
-        xs = lat[j] + frac * h
-        Is = qt[j] + (qt[j + 1] - qt[j]) * frac
-        keep = Is > 0
-        ks.append(xs[keep])
-        with np.errstate(divide="ignore"):
-            kl.append(np.log(Is[keep]))
-    knot_x = np.concatenate(ks)
-    knot_logq = np.concatenate(kl)
+    frac = np.arange(refine) / refine
+    knot_x = (lat[:-1, None] + frac * h).ravel()
+    knot_q = (qt[:-1, None] + (qt[1:] - qt[:-1])[:, None] * frac).ravel()
+    live = knot_q > 0
+    knot_x, knot_logq = knot_x[live], np.log(knot_q[live])
 
     maj = TailMajorant(
         kind="linlc", knot_x=knot_x, knot_logq=knot_logq,
-        hull_x=np.asarray(hull_x), hull_logq=np.asarray(hull_y),
-        seg_is_arc=np.asarray(seg_arc, dtype=bool),
-        seg_q=np.asarray(seg_q), seg_beta=np.asarray(seg_beta),
-        seg_x0=np.asarray(seg_x0),
+        hull_x=tx[vert], hull_logq=ty[vert],
+        seg_is_arc=seg_is_arc,
+        seg_q=np.where(seg_is_arc, q0[seg_arc], np.nan),
+        seg_beta=np.where(seg_is_arc, beta[seg_arc], np.nan),
+        seg_x0=np.where(seg_is_arc, x0[seg_arc], np.nan),
         support_min=float(lat[0]), zero_from=float(lat[-1]),
         step=h, origin=float(d.max_value))
 

@@ -10,19 +10,21 @@ from typing import Callable
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_RTOL = 1e-12
+_MAX_ITER = 200
 
 
-def golden_section(f: Callable[[float], float], lo: float, hi: float,
-                   rtol: float = 1e-12, max_iter: int = 200) -> tuple[float, float]:
+def golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Minimize f on [lo, hi]; returns (argmin, min).
 
-    Interval shrinks until its width is below rtol * max(1, |lo|, |hi|).
+    Interval shrinks until its width is below 1e-12 * max(1, |lo|, |hi|),
+    or for at most 200 steps.
     The function is assumed unimodal on the bracket; callers with kinked
     objectives must supply kink locations as extra candidates themselves.
     """
     if hi < lo:
         raise ValueError("empty bracket")
-    tol = rtol * max(1.0, abs(lo), abs(hi))
+    tol = _RTOL * max(1.0, abs(lo), abs(hi))
     a, b = lo, hi
     h = b - a
     if h <= tol:
@@ -31,7 +33,7 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if h <= tol:
             break
         if fc < fd:

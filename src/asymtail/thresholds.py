@@ -51,6 +51,10 @@ from scipy.optimize import brentq
 from .optimize import golden_section
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
+# The smaller root in p of the quartic _z_poly(p, sqrt(2)); the larger is
+# sqrt(2) - 1.  Below it a second root of the sextic in z enters (0, sqrt(2))
+# through sqrt(2), so m_zero's root is no longer unique.
+M_ZERO_P_MIN = 0.08028339623133584
 
 
 class ThresholdError(ValueError):
@@ -236,12 +240,15 @@ class ConjecturalValue:
 def m_zero(p: float) -> ConjecturalValue:
     """Conjectured symmetric threshold branch 1 / (2 log2 z(p)).
 
-    z(p) is the root of a degree-6 polynomial in (0, sqrt(2)); uniqueness
-    is certified by a sign-change count on a 1e4-point grid before
-    brentq refines the bracket to about 1e-15.
+    z(p) is the root of a degree-6 polynomial in (0, sqrt(2)), unique
+    for p in (M_ZERO_P_MIN, sqrt(2)-1) with M_ZERO_P_MIN ~ 0.0803; m_conj
+    only needs p above about 0.388.  Uniqueness is certified by a
+    sign-change count on a 1e4-point grid before brentq refines the
+    bracket to about 1e-15.
     """
-    if not 0.0 < p < SQRT2_MINUS_1:
-        raise ThresholdError("m_zero requires p in (0, sqrt(2)-1)")
+    if not M_ZERO_P_MIN < p < SQRT2_MINUS_1:
+        raise ThresholdError(
+            f"m_zero requires p in ({M_ZERO_P_MIN:.6g}, sqrt(2)-1), got {p!r}")
     zs = np.linspace(1e-9, math.sqrt(2.0), 10_000)
     vals = _z_poly(p, zs)
     signs = np.sign(vals)
@@ -360,7 +367,7 @@ def k1_const(alpha: float, beta: float) -> float:
             return math.inf
         return -(alpha * math.log(integral) - beta * (alpha - 1.0) * w)
 
-    w_star, neg = golden_section(neg_log_obj, -12.0, 12.0, rtol=1e-12)
+    w_star, neg = golden_section(neg_log_obj, -12.0, 12.0)
     return math.exp(-neg)
 
 

@@ -29,6 +29,11 @@ from .dist import FiniteDist, RngSpec, bs, iid_sum, scale, weighted_bs_sum
 from .thresholds import m_star
 
 DEFAULT_TOL = 1e-12
+_ENUM_T_COUNT = 401      # cube_plus / abs_cube thresholds t
+_ENUM_LAM_COUNT = 20     # exp / cosh rates lambda in [0.1, 5]
+_SCHUR_THETAS = 64       # angles on (0, pi/4] per Schur sweep
+_WITNESS_WINDOW = 0.2    # witness scan covers theta in [pi/4 - 0.2, pi/4]
+_WITNESS_SCAN = 10_000   # steps of that scan
 
 
 class VerifyError(ValueError):
@@ -213,8 +218,7 @@ def _family_moments(lhs: FiniteDist, rhs: FiniteDist, t_grid, lam_grid,
             yield "cosh", float(lv), float(cl[i]), float(cr[i])
 
 
-def enumeration_check(p: float, m: float, coeffs, *, t_count: int = 401,
-                      lam_count: int = 20, two_sided: bool = False,
+def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False,
                       left_tail: bool = False) -> EnumCheck:
     """Exact-enumeration comparison of E f(sum c_i X_i) vs the carrier.
 
@@ -236,8 +240,8 @@ def enumeration_check(p: float, m: float, coeffs, *, t_count: int = 401,
     rhs = scale(iid_sum(bs(p_eff), n), s_m)
     lo = min(lhs.min_value, rhs.min_value) - 1.0
     hi = max(lhs.max_value, rhs.max_value) + 1.0
-    t_grid = np.linspace(lo, hi, t_count)
-    lam_grid = np.geomspace(0.1, 5.0, lam_count)
+    t_grid = np.linspace(lo, hi, _ENUM_T_COUNT)
+    lam_grid = np.geomspace(0.1, 5.0, _ENUM_LAM_COUNT)
     worst = (-math.inf, "", math.nan)
     for fam, prm, el, er in _family_moments(lhs, rhs, t_grid, lam_grid, two_sided):
         viol = (el - er) / max(1.0, abs(er))
@@ -246,8 +250,8 @@ def enumeration_check(p: float, m: float, coeffs, *, t_count: int = 401,
     mode = "two_sided" if two_sided else ("left_tail" if left_tail else "right_tail")
     return EnumCheck(p=p, m=m, coeffs=tuple(float(x) for x in c), n=n,
                      max_violation=worst[0], worst_family=worst[1],
-                     worst_param=worst[2], t_count=t_count,
-                     lam_count=lam_count, mode=mode)
+                     worst_param=worst[2], t_count=_ENUM_T_COUNT,
+                     lam_count=_ENUM_LAM_COUNT, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +285,10 @@ class SchurSweep:
         return self.min_forward_diff >= -DEFAULT_TOL
 
 
-def schur_sweep(p: float, m: float, t: float, theta_count: int = 64) -> SchurSweep:
+def schur_sweep(p: float, m: float, t: float) -> SchurSweep:
     """g(theta) along the equalizing path; monotone iff the comparison
     respects majorization at this (p, m, t)."""
-    if theta_count < 16:
-        raise VerifyError("theta_count must be >= 16")
-    th = np.linspace(1e-9, math.pi / 4.0, theta_count)
+    th = np.linspace(1e-9, math.pi / 4.0, _SCHUR_THETAS)
     g = _pair_moment(p, m, th, t)
     fd = np.diff(g)
     return SchurSweep(p=p, m=m, t=t, thetas=th, values=g,
@@ -304,8 +306,7 @@ class ViolationWitness:
     gap: float
 
 
-def exactness_witness(p: float, m: float, *, window: float = 0.2,
-                      scan: int = 10000) -> ViolationWitness | None:
+def exactness_witness(p: float, m: float) -> ViolationWitness | None:
     """Search for a two-coefficient violation near the equal point.
 
     At the witness threshold t the equalized pair is strictly worse than
@@ -322,7 +323,7 @@ def exactness_witness(p: float, m: float, *, window: float = 0.2,
     u_p = -pow2 * (m - 1.0) / ((2.0 * m - 1.0) * q)
     t_p = -u_p - pow2 * p
     t = t_p / math.sqrt(p * q)
-    th = np.linspace(math.pi / 4.0 - window, math.pi / 4.0, scan + 1)
+    th = np.linspace(math.pi / 4.0 - _WITNESS_WINDOW, math.pi / 4.0, _WITNESS_SCAN + 1)
     g = _pair_moment(p, m, th, t)
     g_eq = float(g[-1])
     j = int(np.argmax(g[:-1]))

@@ -114,6 +114,23 @@ class TestMajorantCommand:
         assert vals[0] == pytest.approx(0.25 ** (1 / 3), rel=1e-10)
         assert vals[1] == pytest.approx(0.25 ** (2 / 3), rel=1e-10)
 
+    def test_holey_lattice_law_in_process(self, tmp_path, capsys):
+        # a lattice law whose hull construction once leaked a bare
+        # ValueError (traceback, exit 1)
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps({"atoms": [
+            {"v": -3.0, "p": 0.1929934671960955},
+            {"v": -0.9000000000000004, "p": 0.1799434383177208},
+            {"v": 3.3, "p": 0.0473321531463145},
+            {"v": 10.299999999999999, "p": 0.4437393880349943},
+            {"v": 11.0, "p": 0.046189761591674844},
+            {"v": 12.399999999999999, "p": 0.08980179171320006},
+        ]}))
+        assert cli.main(["majorant", "--dist-file", str(f), "--kind", "linlc"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        load_validator("majorant.schema.json").validate(body)
+        assert body["majorant"]["kind"] == "linlc"
+
     def test_non_lattice_linlc_is_config_error(self, tmp_path):
         f = tmp_path / "d.json"
         f.write_text(json.dumps({"atoms": [

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from asymtail.bounds import carrier_sum
 from asymtail.dist import bs, from_pairs, iid_sum, scale, tail, weighted_bs_sum
@@ -21,6 +23,17 @@ from asymtail.majorant import (
 )
 
 
+def lattice_knots(d):
+    """Lattice points from the bottom atom to one step past the top, and
+    the tail at each: the knots of the lattice-linear interpolant."""
+    origin, h = lattice_params(d)
+    lo = d.min_value
+    n_steps = int(round((origin - lo) / h)) + 1
+    knots = origin - h * np.arange(n_steps + 1)[::-1]
+    knots = np.append(knots, origin + h)
+    return knots, np.array([tail(d, k) for k in knots])
+
+
 def dense_hull_oracle(d, per_step=400):
     """Sampled upper concave hull of the log lattice-linear tail.
 
@@ -28,12 +41,7 @@ def dense_hull_oracle(d, per_step=400):
     matters: when the incoming chord is steeper than the ramp the hull
     bridges over the top knot, so the oracle must sample it too.
     """
-    origin, h = lattice_params(d)
-    lo = d.min_value
-    n_steps = int(round((origin - lo) / h)) + 1
-    knots = origin - h * np.arange(n_steps + 1)[::-1]
-    knots = np.append(knots, origin + h)
-    qt = np.array([tail(d, k) for k in knots])
+    knots, qt = lattice_knots(d)
     xs = np.linspace(knots[0], knots[-1], per_step * len(knots))
     lin = np.interp(xs, knots, qt)
     keep = lin > 0
@@ -141,12 +149,22 @@ class TestInterpolatedHull:
                 assert (linlc.value(float(v) + 0.5 * h)
                         <= lc.value(float(v)) * (1.0 + 1e-12))
 
-    @pytest.mark.parametrize("seed", range(8))
+    # the feature-stack construction this replaced raised a bare ValueError
+    # from brentq here: a feature shrunk to its right corner was bridged
+    # across a flat hole at the same height
+    HOLE_LAW = [(-3.0, 0.1929934671960955), (-0.9000000000000004, 0.1799434383177208),
+                (3.3, 0.0473321531463145), (10.299999999999999, 0.4437393880349943),
+                (11.0, 0.046189761591674844), (12.399999999999999, 0.08980179171320006)]
+
+    @pytest.mark.parametrize("seed", [*range(8), "hole"])
     def test_against_dense_comparator(self, seed):
-        rng = np.random.default_rng(seed)
-        p = float(rng.uniform(0.1, 0.9))
-        n = int(rng.integers(2, 6))
-        d = carrier_sum(p, n, 1.0)
+        if seed == "hole":
+            d = from_pairs(self.HOLE_LAW)
+        else:
+            rng = np.random.default_rng(seed)
+            p = float(rng.uniform(0.1, 0.9))
+            n = int(rng.integers(2, 6))
+            d = carrier_sum(p, n, 1.0)
         maj = lin_lc_majorant(d)
         hx, hq = dense_hull_oracle(d)
         exact = np.log(np.maximum(maj.value(hx), 1e-300))
@@ -175,3 +193,45 @@ class TestInterpolatedHull:
         d = from_pairs([(0.0, 0.5), (1.0, 0.3), (math.pi, 0.2)])
         with pytest.raises(MajorantError):
             lin_lc_majorant(d)
+
+
+@hst.composite
+def lattice_laws(draw):
+    """Lattice laws unlike any carrier: random atoms with holes and
+    Dirichlet masses, or a binomial bulk with one to four far atoms."""
+    h = draw(hst.sampled_from([1.0, 0.7, 0.3]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    if draw(hst.booleans()):
+        span = draw(hst.integers(2, 40))
+        idx = np.sort(rng.choice(span, size=draw(hst.integers(2, span)), replace=False))
+        w = rng.dirichlet(np.full(len(idx), draw(hst.sampled_from([0.2, 1.0, 5.0]))))
+    else:
+        bulk = iid_sum(bs(draw(hst.floats(0.05, 0.95))), draw(hst.integers(3, 60)))
+        k = np.rint((bulk.values - bulk.min_value) / (bulk.values[1] - bulk.values[0]))
+        far = k[-1] + np.cumsum(rng.integers(2, 150, size=draw(hst.integers(1, 4))))
+        idx = np.concatenate((k, far))
+        w = np.concatenate((bulk.masses, 10.0 ** rng.uniform(-8, -1, len(far))))
+        w /= w.sum()
+    return from_pairs(zip(-3.0 + h * idx, w))
+
+
+@given(lattice_laws())
+@settings(max_examples=200, deadline=None)
+def test_hull_is_concave_majorant_on_any_lattice_law(d):
+    try:
+        maj = lin_lc_majorant(d)
+    except MajorantError:
+        return
+    knots, qt = lattice_knots(d)
+    xs = np.linspace(knots[0], knots[-1], 50 * len(knots))
+    lin = np.interp(xs, knots, qt)
+    live = lin > 0
+    assert np.all(maj.log_value(xs[live]) >= np.log(lin[live]) - 1e-9)
+    hx, hy = maj.hull_x, maj.hull_logq
+    fin = np.isfinite(hy)
+    hx, hy = hx[fin], hy[fin]
+    dx = np.diff(hx)
+    slope = np.diff(hy) / dx
+    # roundoff of the vertex logs, over the chord length
+    err = 1e-15 * (1.0 + np.abs(hy[:-1]) + np.abs(hy[1:])) / dx
+    assert np.all(slope[1:] <= slope[:-1] + err[1:] + err[:-1])

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from asymtail.thresholds import (
+    M_ZERO_P_MIN,
     ConjecturalValue,
     ThresholdError,
     _p_zero_one,
+    _z_poly,
     c_const,
     k1_const,
     k_const,
@@ -142,6 +144,18 @@ class TestSymmetricThresholds:
         mid = m_conj(0.4)
         assert mid.conjectured
         assert mid.value == pytest.approx(m_zero(0.4).value, rel=1e-12)
+
+    def test_m_zero_domain(self):
+        # the lower end is where the sextic's second root in (0, sqrt(2))
+        # leaves through sqrt(2)
+        assert _z_poly(M_ZERO_P_MIN, math.sqrt(2.0)) == pytest.approx(0.0, abs=1e-12)
+        assert _z_poly(0.99 * M_ZERO_P_MIN, math.sqrt(2.0)) > 0.0
+        assert _z_poly(1.01 * M_ZERO_P_MIN, math.sqrt(2.0)) < 0.0
+        with pytest.raises(ThresholdError, match=r"requires p in \(0\.08028"):
+            m_zero(1e-4)
+        assert m_zero(0.1).value == pytest.approx(1.6651473725322088, rel=1e-12)
+        assert m_zero(0.4).value == pytest.approx(1.0100797708007858, rel=1e-12)
+        assert m_zero(1.001 * M_ZERO_P_MIN).value > m_zero(0.1).value
 
     def test_m_st_bounds_bracket_conjecture(self):
         for p in np.linspace(0.01, 0.41, 25):

@@ -158,6 +158,7 @@ class TestEnumeration:
         # equal weights make both sides the same distribution, any m
         res = enumeration_check(0.2, 1.0, [1.0, 1.0, 1.0])
         assert res.max_violation <= 1e-14
+        assert (res.t_count, res.lam_count) == (401, 20)
 
     @pytest.mark.parametrize("coeffs", [
         [1.0, 2.0], [0.5, 1.0, 1.5], [1.0, 1.0, 3.0, 0.25],
