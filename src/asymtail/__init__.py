@@ -6,7 +6,15 @@ constants (`thresholds`), log-concave tail majorants (`majorant`), the
 tail bound family (`bounds`), empirical verification by enumeration
 and Monte Carlo (`verifier`), and self-normalized statistics
 (`selfnorm`).  `cli` exposes all of it as the `asymtail` command.
+
+Importing the package loads numpy only; scipy is imported inside the
+few functions that use it (root finding, quadrature, the
+Clopper-Pearson quantile), the first time they run.
 """
+from time import perf_counter as _perf_counter
+
+# when the package import began; the CLI counts its wall time from here
+_IMPORT_START = _perf_counter()
 
 __version__ = "0.1.0"
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .dist import FiniteDist, bs, from_pairs, iid_sum, scale
 # lattice_params is not called here; perfbench/tracer.py wraps it under this name
@@ -203,7 +202,7 @@ def normal_partial_moment(alpha: int, t: float) -> float:
     """
     if not 0 <= alpha <= 5:
         raise BoundError("normal_partial_moment covers integer alpha 0..5")
-    Q = 0.5 * erfc(t / math.sqrt(2.0))
+    Q = _q(float(t))
     phi = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
     m_prev, m_cur = Q, phi - t * Q
     if alpha == 0:
@@ -213,9 +212,36 @@ def normal_partial_moment(alpha: int, t: float) -> float:
     return float(m_cur)
 
 
+# 1/sqrt(2) as a double plus the rest (1/sqrt(2) minus that double, from
+# mpmath), and the double split in two 26-bit halves for Veltkamp's exact
+# product (2^27 + 1 is the splitter).
+_INV_SQRT2 = math.sqrt(0.5)
+_INV_SQRT2_REST = -4.833646656726457e-17
+_SPLITTER = 134217729.0
+_INV_SQRT2_HI = _SPLITTER * _INV_SQRT2 - (_SPLITTER * _INV_SQRT2 - _INV_SQRT2)
+_INV_SQRT2_LO = _INV_SQRT2 - _INV_SQRT2_HI
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _q(z: float) -> float:
+    # Q(z) = erfc(z / sqrt 2) / 2.  The rounding r of x = z / sqrt 2 would
+    # cost a relative 2 x r in Q (1e-13 at z = 27), so it is computed
+    # exactly and taken back to first order: erfc(x + r) = erfc(x) - 2 r
+    # e^{-x^2} / sqrt(pi).  Q is 0 or 1 in double precision beyond |z| = 40.
+    z = min(max(z, -40.0), 40.0)
+    x = z * _INV_SQRT2
+    c = _SPLITTER * z
+    z_hi = c - (c - z)
+    z_lo = z - z_hi
+    r = ((((z_hi * _INV_SQRT2_HI - x) + z_hi * _INV_SQRT2_LO + z_lo * _INV_SQRT2_HI)
+          + z_lo * _INV_SQRT2_LO) + z * _INV_SQRT2_REST)
+    return 0.5 * math.erfc(x) - r * math.exp(-x * x) / _SQRT_PI
+
+
 def normal_tail(z) -> float | np.ndarray:
-    """Q(z) = P(Z >= z); z a scalar or an array."""
-    return _float_or_array(0.5 * erfc(np.asarray(z, dtype=float) / math.sqrt(2.0)))
+    """Q(z) = P(Z >= z); z a scalar or an array, evaluated elementwise."""
+    z = np.asarray(z, dtype=float)
+    return _float_or_array(np.array([_q(v) for v in z.ravel().tolist()]).reshape(z.shape))
 
 
 def normal_opt_bound(x: float, sigma: float, alpha: int = 5) -> float:

@@ -1,7 +1,8 @@
 """Scalar optimization helper shared across the package.
 
 Golden-section minimization on a closed interval.  Roots are found
-with scipy's brentq on a bracket the caller certifies.
+with scipy's brentq on a bracket the caller certifies; callers import
+it inside the function, so loading the package does not load scipy.
 """
 from __future__ import annotations
 

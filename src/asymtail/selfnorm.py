@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .bounds import normal_tail
 from .dist import FiniteDist, RngSpec, bs, from_pairs, iid_sum, sample, scale, st
 from .majorant import lc_majorant
 from .thresholds import SQRT2_MINUS_1, c_const, m_star
-from .verifier import McConfig
+from .verifier import McConfig, beta_dist
 
 
 class SelfNormError(ValueError):

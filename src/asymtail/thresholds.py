@@ -45,9 +45,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
+# scipy's brentq and quad are imported inside the functions that call
+# them, so importing this module costs numpy alone.
 from .optimize import golden_section
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
@@ -157,6 +157,7 @@ def k_tilde(p: float) -> float:
     """
     if not 0.0 < p < 0.5:
         raise ThresholdError("k_tilde requires p in (0, 1/2)")
+    from scipy.optimize import brentq
     try:
         return brentq(lambda k: _k_residual(p, k), min(1e-8, 0.5 - p), 60.0,
                       xtol=1e-300, maxiter=200)
@@ -259,6 +260,7 @@ def m_zero(p: float) -> ConjecturalValue:
     idx_nz = np.nonzero(nz)[0]
     lo = float(zs[idx_nz[flips[0]]])
     hi = float(zs[idx_nz[flips[0] + 1]])
+    from scipy.optimize import brentq
     z = brentq(lambda t: _z_poly(p, t), lo, hi, xtol=1e-15)
     return ConjecturalValue(value=1.0 / (2.0 * math.log2(z)))
 
@@ -266,6 +268,7 @@ def m_zero(p: float) -> ConjecturalValue:
 @lru_cache(maxsize=1)
 def _p_zero_one() -> float:
     # crossing of m_one and m_zero, around 0.3879
+    from scipy.optimize import brentq
     return brentq(lambda p: m_one(p) - m_zero(p).value, 0.30, 0.41, xtol=1e-13)
 
 
@@ -334,6 +337,7 @@ def _tail_integral(sigma: float, beta: float) -> float:
     # endpoint singularity is removed by the substitution u = s^beta.
     if sigma <= 0:
         return 0.0
+    from scipy.integrate import quad
     total = 0.0
     head = min(1.0, sigma)
     if beta < 1.0:

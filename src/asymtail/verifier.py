@@ -22,11 +22,27 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .bounds import combined_bound_grid
 from .dist import FiniteDist, RngSpec, bs, iid_sum, scale, weighted_bs_sum
 from .thresholds import m_star
+
+
+class _BetaQuantile:
+    """Quantile function of the Beta(a, b) law, for Clopper-Pearson limits.
+
+    `beta_dist.ppf(q, a, b)` gives the same numbers as
+    `scipy.stats.beta.ppf` without loading `scipy.stats`; `scipy.special`
+    is imported on the first call.  `selfnorm` shares this object.
+    """
+
+    @staticmethod
+    def ppf(q, a, b):
+        from scipy.special import betaincinv
+        return betaincinv(a, b, q)
+
+
+beta_dist = _BetaQuantile()
 
 DEFAULT_TOL = 1e-12
 _ENUM_T_COUNT = 401      # cube_plus / abs_cube thresholds t

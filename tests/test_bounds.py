@@ -2,6 +2,7 @@
 exponential bounds, and the normal ingredients they share."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -51,6 +52,40 @@ class TestPartialMoments:
         ref, _ = quad(lambda z: (z - t) ** alpha * math.exp(-z * z / 2)
                       / math.sqrt(2 * math.pi), t, t + 40)
         assert val == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+
+class TestNormalTail:
+    """Q is computed with math.erfc, elementwise, with the rounding of
+    z / sqrt(2) corrected; mpmath at 40 digits is the reference."""
+    ZS = np.linspace(-5.0, 27.0, 1601)
+
+    @staticmethod
+    def _q_ref(z: float) -> mpmath.mpf:
+        with mpmath.workdps(40):
+            return mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)) / 2
+
+    @pytest.mark.parametrize("fn", [normal_tail, lambda z: normal_partial_moment(0, z)],
+                             ids=["normal_tail", "normal_partial_moment_0"])
+    def test_within_1e_15_of_mpmath(self, fn):
+        worst = 0.0
+        for z in self.ZS.tolist():
+            ref = self._q_ref(z)
+            worst = max(worst, float(abs(mpmath.mpf(fn(z)) - ref) / ref))
+        assert worst <= 1e-15
+
+    def test_array_and_scalar_calls_bitwise_equal(self):
+        zs = np.concatenate([self.ZS, [-40.0, 0.0, -0.0, 38.5, 1e300, -1e300]])
+        whole = normal_tail(zs)
+        assert whole.dtype == np.float64 and whole.shape == zs.shape
+        assert [normal_tail(z) for z in zs.tolist()] == whole.tolist()
+        grid = normal_tail(zs[:6].reshape(2, 3))
+        assert grid.shape == (2, 3) and grid.ravel().tolist() == whole[:6].tolist()
+
+    def test_limits(self):
+        assert normal_tail(0.0) == 0.5
+        assert normal_tail(math.inf) == 0.0 and normal_tail(-math.inf) == 1.0
+        assert math.isnan(normal_tail(math.nan))
+        assert normal_tail(np.zeros(0)).shape == (0,)
 
 
 class TestBOpt:
@@ -330,6 +365,31 @@ def assert_valid_reports(reports, p, n, s_m):
             assert isinstance(v, float) and math.isfinite(v)
             assert exact * (1.0 - 1e-12) <= v <= 1.0
         assert r.minimum == min(members)
+
+
+REPORTED_MEMBERS = ("b_opt", "lc", "lin_lc", "hoeffding", "normal_dom", "minimum")
+
+
+@given(p=hst.floats(0.01, 0.99), n=hst.integers(1, 600), s_m=hst.floats(0.5, 2.0),
+       m_up=hst.floats(0.0, 0.5), xs=hst.lists(
+           hst.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_every_reported_member_is_a_probability(p, n, s_m, m_up, xs):
+    """Each member of every report is a finite float in [0, 1], or the
+    call raises BoundError; never a NaN, an infinity or another error."""
+    m = m_star(p) * (1.0 + m_up)
+    try:
+        reports = combined_bound_grid(p, m, xs, n=n, s_m=s_m)
+    except BoundError:
+        return
+    assert len(reports) == len(xs)
+    for r in reports:
+        for name in REPORTED_MEMBERS:
+            v = getattr(r, name)
+            if v is None and name == "normal_dom":
+                continue
+            assert isinstance(v, float) and math.isfinite(v), (name, v)
+            assert 0.0 <= v <= 1.0, (name, v)
 
 
 class TestLargeCarriers:

@@ -62,6 +62,15 @@ class TestThresholdsCommand:
         proc = run_cli("thresholds", "--p", "0.3")
         assert "wall time" in proc.stderr
 
+    def test_measured_timings_within_wall_time(self):
+        proc = run_cli("bound", "--p", "0.7", "--n", "10", "--s-m", "1", "--x", "3")
+        timings = json.loads(proc.stdout)["manifest"]["timings"]
+        assert set(timings) == {"import_s", "command_s"}
+        assert timings["import_s"] > 0.0 and timings["command_s"] > 0.0
+        wall = float(proc.stderr.split("wall time")[1].split()[0])
+        # the stderr figure is rounded to the millisecond
+        assert timings["import_s"] + timings["command_s"] <= wall + 5e-4
+
 
 class TestBoundCommand:
     def test_fair_coin_top(self):
@@ -166,8 +175,10 @@ class TestSelfnormCommand:
         assert body["all_ok"] is True
 
     def test_deterministic_stdout(self):
-        a = run_cli(*self.ARGS).stdout
-        b = run_cli(*self.ARGS).stdout
+        # everything but the measured timings repeats exactly
+        a, b = (json.loads(run_cli(*self.ARGS).stdout) for _ in range(2))
+        for body in (a, b):
+            del body["manifest"]["timings"]
         assert a == b
 
     def test_bad_config_exit_2(self):

@@ -5,12 +5,16 @@ import os
 
 import numpy as np
 import pytest
+from scipy.stats import beta as scipy_beta
 
+from asymtail import selfnorm, verifier
+from asymtail.dist import from_pairs
 from asymtail.thresholds import m_star, p_star
 from asymtail.verifier import (
     McConfig,
     SupermartingaleConfig,
     VerifyError,
+    beta_dist,
     delta,
     delta_grid_check,
     delta_piecewise,
@@ -283,6 +287,47 @@ class TestSupermartingaleMC:
         rep = supermartingale_mc(self._cfg("history_scaled", p=0.65, n=4),
                                  McConfig(seed=3, n_paths=30_000))
         assert rep.all_ok
+
+
+def _cp_cases():
+    """(k, total, confidence) with k = 1, k = total and points between."""
+    out = []
+    for total in (1, 2, 7, 100, 4_096, 65_536, 1_000_000):
+        ks = {1, 2, total // 3, total // 2, total - 1, total}
+        for k in sorted(j for j in ks if 1 <= j <= total):
+            for conf in (0.9, 0.99, 0.999):
+                out.append((k, total, conf))
+    return out
+
+
+class TestClopperPearson:
+    """The one Clopper-Pearson quantile that verifier and selfnorm share."""
+
+    @pytest.mark.parametrize("k,total,conf", _cp_cases())
+    def test_bit_equal_to_scipy_stats(self, k, total, conf):
+        a, b, q = k, total - k + 1, 1.0 - conf
+        assert float(beta_dist.ppf(q, a, b)) == float(scipy_beta.ppf(q, a, b))
+
+    def test_selfnorm_shares_the_object(self):
+        assert selfnorm.beta_dist is verifier.beta_dist
+
+    def test_supermartingale_report_frozen(self):
+        cfg = SupermartingaleConfig(n=6, p=0.3, coeffs=(1.0,) * 6,
+                                    rule="history_scaled", m=m_star(0.3))
+        rep = supermartingale_mc(cfg, McConfig(seed=7, n_paths=20_000))
+        assert [(r.count, r.cp_lower) for r in rep.rows] == [
+            (5110, 0.24834946322399223), (4733, 0.22968602938301566),
+            (1356, 0.06372518837966014), (20, 0.0005542162576428615),
+            (0, 0.0), (0, 0.0), (0, 0.0), (0, 0.0)]
+
+    def test_selfnorm_report_frozen(self):
+        base = from_pairs([(-1.0, 2 / 3), (1.0, 1 / 6), (3.0, 1 / 6)])
+        rep = selfnorm.selfnorm_bound_check(selfnorm.SelfNormConfig(base=base, n=6, kind="vw"),
+                                            McConfig(seed=9, n_paths=20_000, block=4_096))
+        assert [(r.count, r.cp_lower) for r in rep.rows] == [
+            (5268, 0.25617658949330646), (2785, 0.13360169028657387),
+            (1160, 0.0542175884228976), (438, 0.019562135952492364),
+            (119, 0.004757796401517287), (16, 0.0004091251435945157)]
 
 
 class TestSuiteRunner:
