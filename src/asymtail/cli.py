@@ -6,7 +6,8 @@ moment-index boundaries, `bound` evaluates the tail bound family,
 check suites, and `selfnorm` runs the self-normalized Monte Carlo
 checks.  Results go to stdout as JSON (or to a CSV file with --out);
 timing goes to stderr so stdout stays machine-readable.  Exit status is
-0 on success, 1 when a verification check fails, 2 on usage errors.
+0 on success, 1 when a verification check fails, 2 on usage errors; a
+reader that closes stdout early (`| head`) does not change it.
 
 Times are measured, never estimated.  The manifest's `timings` holds
 `import_s`, from the first line of the package's `__init__` to the end
@@ -22,6 +23,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -69,7 +71,15 @@ def _emit(args, body: dict, csv_rows: list[dict] | None) -> None:
     timings = {"import_s": _IMPORT_S, "command_s": time.perf_counter() - args.started}
     body = {"manifest": {"tool": "asymtail", "version": __version__,
                          "command": args.command, "timings": timings}, **body}
-    print(json.dumps(_jsonable(body), indent=2, allow_nan=False))
+    try:
+        print(json.dumps(_jsonable(body), indent=2, allow_nan=False))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): drop the rest of the
+        # output, here and at exit, and finish the command as usual
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if getattr(args, "out", None) and csv_rows:
         with open(args.out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(csv_rows[0].keys()))

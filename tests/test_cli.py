@@ -195,6 +195,21 @@ class TestOutputHygiene:
         proc = run_cli("thresholds", "--p", "0.2")
         json.loads(proc.stdout)  # no banner, no trailing junk
 
+    def test_reader_closing_stdout_early_is_quiet(self):
+        # a 3 MB hull, far past the pipe buffer, so the write must fail
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "asymtail.cli", "majorant", "--p", "0.3",
+             "--n", "3000", "--s-m", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert head.startswith(b"{")
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        assert err.startswith("wall time")
+
     def test_version_flag(self):
         proc = run_cli("--version")
         assert "asymtail" in proc.stdout
