@@ -8,8 +8,9 @@ and Monte Carlo (`verifier`), and self-normalized statistics
 (`selfnorm`).  `cli` exposes all of it as the `asymtail` command.
 
 Importing the package loads numpy only; scipy is imported inside the
-few functions that use it (root finding, quadrature, the
-Clopper-Pearson quantile), the first time they run.
+two functions that use it (the quadrature in `k1_const` and the
+Clopper-Pearson quantile), the first time they run.  Roots come from
+`optimize.brent_root`, a port of scipy's brentq.
 """
 from time import perf_counter as _perf_counter
 

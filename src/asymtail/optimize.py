@@ -1,18 +1,23 @@
-"""Scalar optimization helper shared across the package.
+"""Scalar optimization helpers shared across the package.
 
-Golden-section minimization on a closed interval.  Roots are found
-with scipy's brentq on a bracket the caller certifies; callers import
-it inside the function, so loading the package does not load scipy.
+Golden-section minimization on a closed interval, and Brent's bracketed
+root finder.  `brent_root` is a line-by-line port of scipy's brentq
+(scipy/optimize/Zeros/brentq.c), so it returns the same bits; it spares
+the callers in `thresholds` the import of `scipy.optimize`, which pulls
+in `scipy.linalg`, `scipy.sparse` and `scipy.spatial`.
 """
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _RTOL = 1e-12
 _MAX_ITER = 200
+# brentq's default and least relative tolerance, 4 eps
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon
 
 
 def golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -50,3 +55,77 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple[f
     if fc < fd:
         return c, fc
     return d, fd
+
+
+def brent_root(f: Callable[[float], float], a: float, b: float,
+               xtol: float = 2e-12, maxiter: int = 100) -> float:
+    """A root of f in the bracket [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method as in scipy's brentq, step for step: inverse quadratic
+    extrapolation or secant interpolation when the step is short enough,
+    bisection otherwise, and steps never shorter than
+    delta = (xtol + 4 eps |x|) / 2.  Stops when the bracket's half-width
+    is below delta, returning its end with the smaller |f|.  Raises
+    ValueError on a bracket without a sign change or a NaN value of f,
+    and RuntimeError after maxiter iterations.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    rtol = _ROOT_RTOL
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = _value(f, xpre)
+    fcur = _value(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate; a zero denominator gives an infinite or NaN
+                # step in C, which fails the test below, so bisect
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0 else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur!r}")
+
+
+def _value(f: Callable[[float], float], x: float) -> float:
+    # f(x) as a float; a NaN stops the search, as in brentq
+    fx = float(f(x))
+    if fx != fx:
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx

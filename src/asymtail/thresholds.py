@@ -21,7 +21,8 @@ parametric curve k -> (m_tilde(k), p_tilde(k)),
     m_tilde(k) = (e^k + 1) k / (2 (e^k - 1)),
     p_tilde(k) = (e^k - 1 - k) / ((e^k - 1) (1 + k + (k - 1) e^k)),
 
-whose inverse k_tilde(p) is found by brentq on a fixed bracket, plus
+whose inverse k_tilde(p) is found by Brent's method on the bracket
+[min(1e-8, 1/2 - p), max(60, -ln p)], plus
 the closed-form upper envelope m_exp_up(p) = (1 - 2p - ln 2p)/(2 (1 - 2p)).
 
 For symmetric three-point summands st(p) the exact threshold is only
@@ -41,14 +42,16 @@ Optimized tail constants:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-# scipy's brentq and quad are imported inside the functions that call
-# them, so importing this module costs numpy alone.
-from .optimize import golden_section
+# Roots come from optimize.brent_root, a port of scipy's brentq; scipy's
+# quad is imported inside _tail_integral, so importing this module, and
+# every threshold but k1_const, costs numpy alone.
+from .optimize import brent_root, golden_section
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 # The smaller root in p of the quartic _z_poly(p, sqrt(2)); the larger is
@@ -98,9 +101,18 @@ def p_star_upper(m: float) -> float:
 # exponential-class threshold
 # ---------------------------------------------------------------------------
 
+# Past this k, m_tilde and p_tilde are written in e^{-k}: e^k overflows
+# p_tilde's denominator from k ~ 352 and m_tilde's numerator from k ~ 703.
+# Either form is within an ulp or two of the exact value at the switch.
+_LARGE_K = 40.0
+
+
 def m_tilde(k: float) -> float:
     if k <= 0:
         raise ThresholdError("m_tilde requires k > 0")
+    if k > _LARGE_K:
+        emk = math.exp(-k)
+        return k * (1.0 + emk) / (2.0 * (1.0 - emk))
     em1 = math.expm1(k)
     return (em1 + 2.0) * k / (2.0 * em1)
 
@@ -108,6 +120,10 @@ def m_tilde(k: float) -> float:
 def p_tilde(k: float) -> float:
     if k <= 0:
         raise ThresholdError("p_tilde requires k > 0")
+    if k > _LARGE_K:
+        # numerator and both denominator factors divided by e^k
+        emk = math.exp(-k)
+        return emk * (1.0 - emk - k * emk) / ((1.0 - emk) * (k - 1.0 + (1.0 + k) * emk))
     em1 = math.expm1(k)
     if k < 1e-3:
         num = 0.5 * k * k * (1.0 + k / 3.0 + k * k / 12.0 + k ** 3 / 60.0)
@@ -151,16 +167,17 @@ def _k_residual(p: float, k: float) -> float:
 def k_tilde(p: float) -> float:
     """Solve p_tilde(k) = p for k > 0 (0 < p < 1/2).
 
-    brentq on [min(1e-8, 1/2 - p), 60], where the residual changes sign.
-    The root goes to 0 like 3 (1/2 - p) as p -> 1/2, so the absolute
-    tolerance is negligible and the relative one stops the search.
+    brent_root on [min(1e-8, 1/2 - p), max(60, -ln p)], where the
+    residual changes sign: at k = -ln p it is about p (2 - k) < 0, and
+    the root sits near -ln p - ln(-ln p) for small p.  The root goes to
+    0 like 3 (1/2 - p) as p -> 1/2, so the absolute tolerance is
+    negligible and the relative one stops the search.
     """
     if not 0.0 < p < 0.5:
         raise ThresholdError("k_tilde requires p in (0, 1/2)")
-    from scipy.optimize import brentq
     try:
-        return brentq(lambda k: _k_residual(p, k), min(1e-8, 0.5 - p), 60.0,
-                      xtol=1e-300, maxiter=200)
+        return brent_root(lambda k: _k_residual(p, k), min(1e-8, 0.5 - p),
+                          max(60.0, -math.log(p)), xtol=1e-300, maxiter=200)
     except (ValueError, RuntimeError) as exc:
         raise ThresholdError(f"k_tilde({p!r}) failed: {exc}") from exc
 
@@ -198,14 +215,23 @@ def m_st_high(p: float) -> float:
         raise ThresholdError("m_st_high requires p in (0, 1]")
     if p > 0.5:
         return 1.0
+    # (5 - 3s - 2p) / (4 (sqrt(p/2) + 1 - s - p)), s = sqrt(1 - 2p), with
+    # 1 - s = 2p / (1 + s): the direct form loses sqrt(p/2) against 1
+    # and turns negative below p ~ 2.5e-32
     s = math.sqrt(1.0 - 2.0 * p)
-    return (5.0 - 3.0 * s - 2.0 * p) / (4.0 * (math.sqrt(p / 2.0) + 1.0 - s - p))
+    one_minus_s = 2.0 * p / (1.0 + s)
+    return ((2.0 + 3.0 * one_minus_s - 2.0 * p)
+            / (4.0 * (math.sqrt(2.0 * p) / 2.0 + one_minus_s - p)))
 
 
 def m_one(p: float) -> float:
-    """Second-vs-2m-th moment necessary bound: sqrt((2-p)/p)/2."""
-    if not 0.0 < p <= 1.0:
-        raise ThresholdError("m_one requires p in (0, 1]")
+    """Second-vs-2m-th moment necessary bound: sqrt((2-p)/p)/2.
+
+    p must be a normal double: below it (2-p)/p overflows.
+    """
+    if not sys.float_info.min <= p <= 1.0:
+        raise ThresholdError(
+            f"m_one requires p in [{sys.float_info.min!r}, 1], got {p!r}")
     return 0.5 * math.sqrt((2.0 - p) / p)
 
 
@@ -244,7 +270,7 @@ def m_zero(p: float) -> ConjecturalValue:
     z(p) is the root of a degree-6 polynomial in (0, sqrt(2)), unique
     for p in (M_ZERO_P_MIN, sqrt(2)-1) with M_ZERO_P_MIN ~ 0.0803; m_conj
     only needs p above about 0.388.  Uniqueness is certified by a
-    sign-change count on a 1e4-point grid before brentq refines the
+    sign-change count on a 1e4-point grid before brent_root refines the
     bracket to about 1e-15.
     """
     if not M_ZERO_P_MIN < p < SQRT2_MINUS_1:
@@ -260,16 +286,14 @@ def m_zero(p: float) -> ConjecturalValue:
     idx_nz = np.nonzero(nz)[0]
     lo = float(zs[idx_nz[flips[0]]])
     hi = float(zs[idx_nz[flips[0] + 1]])
-    from scipy.optimize import brentq
-    z = brentq(lambda t: _z_poly(p, t), lo, hi, xtol=1e-15)
+    z = brent_root(lambda t: _z_poly(p, t), lo, hi, xtol=1e-15)
     return ConjecturalValue(value=1.0 / (2.0 * math.log2(z)))
 
 
 @lru_cache(maxsize=1)
 def _p_zero_one() -> float:
     # crossing of m_one and m_zero, around 0.3879
-    from scipy.optimize import brentq
-    return brentq(lambda p: m_one(p) - m_zero(p).value, 0.30, 0.41, xtol=1e-13)
+    return brent_root(lambda p: m_one(p) - m_zero(p).value, 0.30, 0.41, xtol=1e-13)
 
 
 def m_conj(p: float) -> ConjecturalValue:

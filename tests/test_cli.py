@@ -58,6 +58,21 @@ class TestThresholdsCommand:
         assert len(rows) == 9
         assert "m_star" in rows[0]
 
+    def test_tiny_p(self):
+        # below p ~ 1.5e-28 k_tilde's root lies past the old bracket top 60
+        proc = run_cli("thresholds", "--p", "1e-30")
+        body = json.loads(proc.stdout)
+        load_validator("thresholds.schema.json").validate(body)
+        row = body["rows"][0]
+        assert 1.0 <= row["m_exp"] <= row["m_exp_up"] <= row["m_star"]
+        assert row["m_st_low"] <= row["m_st_high"] * (1.0 + 1e-15)
+
+    def test_subnormal_p_is_an_input_error(self):
+        proc = run_cli("thresholds", "--p", "5e-324", check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[0].startswith("error: m_one requires p")
+
     def test_wall_time_on_stderr(self):
         proc = run_cli("thresholds", "--p", "0.3")
         assert "wall time" in proc.stderr

@@ -115,6 +115,44 @@ class TestExponentialClass:
         ratio = m_exp_up(0.005334) / m_exp(0.005334)
         assert ratio == pytest.approx(1.340757355002224, rel=1e-9)
 
+    def test_p_tilde_roundtrip_tiny_p(self):
+        # below p ~ 8.8e-27 the bracket's top moves from 60 to -ln p
+        worst = 0.0
+        for p in np.geomspace(1e-300, 1e-6, 300):
+            k = k_tilde(float(p))
+            worst = max(worst, abs(p_tilde(k) - p) / p)
+        assert worst <= 1e-11
+
+    @pytest.mark.parametrize("p", [2e-28, 1e-28, 1e-100, 1e-300])
+    def test_m_exp_below_the_old_bracket(self, p):
+        k = k_tilde(p)
+        # the root sits near -ln p - ln(-ln p)
+        assert k == pytest.approx(-math.log(p) - math.log(-math.log(p)), rel=0.02)
+        assert 1.0 <= m_exp(p) <= min(m_exp_up(p), m_star(p))
+
+    def test_large_k_forms_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for k in (39.5, 40.5, 100.0, 360.0, 709.0, 710.0, 730.0):
+            with mpmath.workdps(40):
+                ek = mpmath.exp(mpmath.mpf(k))
+                m_ref = (ek + 1) * k / (2 * (ek - 1))
+                p_ref = (ek - 1 - k) / ((ek - 1) * (1 + k + (k - 1) * ek))
+            assert m_tilde(k) == pytest.approx(float(m_ref), rel=1e-15)
+            if p_ref > 1e-300:
+                assert p_tilde(k) == pytest.approx(float(p_ref), rel=1e-14)
+            else:
+                assert 0.0 <= p_tilde(k) <= 2.0 * float(p_ref) + 1e-320
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-323, 2.5e-320, 1e-310, 2.2e-308])
+    def test_m_exp_at_subnormal_p(self, p):
+        # subnormal p leaves few bits in the residual, but the answer is
+        # still a threshold in [1, m_star(p)] or an explicit error
+        try:
+            m = m_exp(p)
+        except ThresholdError:
+            return
+        assert math.isfinite(m) and 1.0 <= m <= m_star(p)
+
 
 class TestSymmetricThresholds:
     def test_r_sym_fixed_points(self):
@@ -202,3 +240,25 @@ def test_threshold_row_fast():
     for p in np.linspace(0.02, 0.98, 25):
         threshold_row(float(p))
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("p", [1e-4, 1e-8, 1e-30, 1e-300])
+def test_threshold_row_at_tiny_p(p):
+    mpmath = pytest.importorskip("mpmath")
+    row = threshold_row(p)
+    assert all(math.isfinite(v) and v > 0 for v in row.values())
+    assert row["p_star_inverse"] == pytest.approx(p, rel=1e-12)
+    # m_st_high = m_star(r_sym(p)), with 1 - s written as 2p / (1 + s)
+    with mpmath.workdps(40):
+        q = mpmath.mpf(p)
+        s = mpmath.sqrt(1 - 2 * q)
+        one_minus_s = 2 * q / (1 + s)
+        ref = (2 + 3 * one_minus_s - 2 * q) / (4 * (mpmath.sqrt(q / 2) + one_minus_s - q))
+    assert row["m_st_high"] == pytest.approx(float(ref), rel=1e-14)
+    # the envelope closes like 3p/4 in relative terms
+    assert row["m_st_low"] <= row["m_st_high"] * (1.0 + 1e-15)
+
+
+def test_threshold_row_rejects_subnormal_p():
+    with pytest.raises(ThresholdError, match="m_one requires p"):
+        threshold_row(5e-324)
