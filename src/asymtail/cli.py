@@ -202,6 +202,9 @@ def _cmd_selfnorm(args) -> int:
         "m": args.m,
         "p": args.p,
         "n_paths": rep.n_paths,
+        "seed": rep.seed,
+        "blocks": rep.blocks,
+        "workers": rep.workers,
         "all_ok": rep.all_ok,
         "rows": [dataclasses.asdict(r) for r in rep.rows],
     }

@@ -14,6 +14,16 @@ tail, the Y form against the asymmetric two-point carrier, and the
 symmetrized forms against the three-point carrier.  Everything here is
 either exact (decomposition, recombination, variance identity) or a
 Monte Carlo check with a one-sided Clopper-Pearson guard.
+
+The Monte Carlo checks work on atom indices rather than values.  A draw
+is the index j of an atom (inverse CDF, as `dist.sample` does), and the
+pairing is a table lookup: the harvest level h0[j] + u span[j] falls in
+one slice between consecutive harvest levels, and a (side, slice) table
+holds the partner atom.  `ReciprocatingMap.reciprocate` and
+`selfnorm_stat` are thin wrappers over the same private helpers.  The
+blocks run on `verifier.tail_counts`, so they share the supermartingale
+check's thread pool and per-block streams, and the counts are the same
+at any ASYMTAIL_THREADS.
 """
 from __future__ import annotations
 
@@ -24,10 +34,12 @@ from typing import Callable
 import numpy as np
 
 from .bounds import normal_tail
-from .dist import FiniteDist, RngSpec, bs, from_pairs, iid_sum, sample, scale, st
+# `sample` stays importable here: perfbench/tracer.py wraps selfnorm.sample
+from .dist import (FiniteDist, _atom_index, _searchsorted, bs, from_pairs,  # noqa: F401
+                   iid_sum, sample, scale, st)
 from .majorant import lc_majorant
 from .thresholds import SQRT2_MINUS_1, c_const, m_star
-from .verifier import McConfig, beta_dist
+from .verifier import McConfig, beta_dist, tail_counts
 
 
 class SelfNormError(ValueError):
@@ -74,6 +86,59 @@ class ReciprocatingMap:
         self.g_total = 0.5 * (gp + gn)
         self._ztol = ztol
 
+        # Per atom (in value order): start and width of its harvest
+        # interval.  Negative atoms come first and zero atoms keep width 0.
+        k = v.size
+        n_neg = int(np.count_nonzero(neg))
+        first_pos = k - self.pos_x.size
+        self._h0 = np.zeros(k)
+        self._span = np.zeros(k)
+        self._h0[first_pos:] = self.pos_h - self.pos_span
+        self._span[first_pos:] = self.pos_span
+        self._h0[:n_neg] = (self.neg_h - self.neg_span)[::-1]
+        self._span[:n_neg] = self.neg_span[::-1]
+        # Slice s holds the levels in (levels[s-1], levels[s]], with
+        # levels[-1] = -inf and levels[S] = +inf.  The partner table has
+        # one row of S + 1 slices per side of the drawn atom: row 0 for
+        # negative atoms holds x_plus, row 1 for zero atoms holds 0, and
+        # row 2 for positive atoms holds x_minus.
+        self.levels = np.unique(np.concatenate((self.pos_h, self.neg_h)))
+        self._partners = np.stack((
+            self._slice_atoms(self.pos_h, self.pos_x),
+            np.zeros(self.levels.size + 1),
+            self._slice_atoms(self.neg_h, self.neg_x)))
+        stride = self.levels.size + 1
+        self._row_start = np.full(k, stride, dtype=np.int64)
+        self._row_start[:n_neg] = 0
+        self._row_start[first_pos:] = 2 * stride
+
+    def _slice_atoms(self, side_h, side_x) -> np.ndarray:
+        """The atom of one side met by each slice: side_x at the number of
+        side_h levels below the slice, clipped to the last atom."""
+        if side_x.size == 0:
+            return np.zeros(self.levels.size + 1)
+        below = np.searchsorted(side_h, self.levels, side="right")
+        return side_x[np.minimum(np.concatenate(([0], below)), side_x.size - 1)]
+
+    def _slice_index(self, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Flat index into the partner table for atoms j at uniforms u.
+
+        The level h0[j] + u span[j], clipped to [0, g_total], picks the
+        slice; the side of atom j picks the row.  u must be a C-contiguous
+        float64 array of j's shape, and is overwritten.
+        """
+        u *= self._span.take(j)
+        u += self._h0.take(j)
+        np.clip(u, 0.0, self.g_total, out=u)
+        idx = _searchsorted(self.levels, u, "left")
+        # The levels are spent, so u's buffer takes the row offsets and
+        # the block holds no fourth array; j is in range, and mode "clip"
+        # writes straight to `out` where "raise" would buffer it.
+        rows = u.view(np.int64)
+        np.take(self._row_start, j, out=rows, mode="clip")
+        idx += rows
+        return idx
+
     def G(self, x):
         """Harvest depth reached at x: positive side for x > 0, negative
         side (accumulated outward from zero) for x < 0, zero at zero."""
@@ -91,45 +156,38 @@ class ReciprocatingMap:
             return float(out)
         return out
 
-    def x_plus(self, h):
-        """Positive atom whose harvest interval contains level h."""
+    def _at_level(self, h, row: int):
         ha = np.asarray(h, dtype=float)
-        idx = np.minimum(np.searchsorted(self.pos_h, ha, side="left"),
-                         self.pos_h.size - 1)
-        out = self.pos_x[idx]
+        out = self._partners[row, np.searchsorted(self.levels, ha, side="left")]
         if np.isscalar(h) or ha.ndim == 0:
             return float(out)
         return out
 
+    def x_plus(self, h):
+        """Positive atom whose harvest interval contains level h."""
+        return self._at_level(h, 0)
+
     def x_minus(self, h):
         """Negative atom whose harvest interval contains level h."""
-        ha = np.asarray(h, dtype=float)
-        idx = np.minimum(np.searchsorted(self.neg_h, ha, side="left"),
-                         self.neg_h.size - 1)
-        out = self.neg_x[idx]
-        if np.isscalar(h) or ha.ndim == 0:
-            return float(out)
-        return out
+        return self._at_level(h, 2)
 
     def reciprocate(self, x, u):
         """r(x, u): the opposite-side partner at the harvest level picked
         uniformly (by u in [0,1)) inside x's own interval; r(0, u) = 0."""
-        xa = np.asarray(x, dtype=float)
-        ua = np.asarray(u, dtype=float)
-        xa, ua = np.broadcast_arrays(xa, ua)
-        out = np.zeros(xa.shape)
-        pos = xa > self._ztol
-        neg = xa < -self._ztol
-        if np.any(pos):
-            idx = np.searchsorted(self.pos_x, xa[pos], side="left")
-            h0 = self.pos_h[idx] - self.pos_span[idx]
-            h = h0 + ua[pos] * self.pos_span[idx]
-            out[pos] = self.x_minus(np.clip(h, 0.0, self.g_total))
-        if np.any(neg):
-            idx = np.searchsorted(-self.neg_x, -xa[neg], side="left")
-            h0 = self.neg_h[idx] - self.neg_span[idx]
-            h = h0 + ua[neg] * self.neg_span[idx]
-            out[neg] = self.x_plus(np.clip(h, 0.0, self.g_total))
+        xa, ua = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                     np.asarray(u, dtype=float))
+        # a positive x belongs to the first atom at or above it, a
+        # negative x to the last atom at or below it
+        v = self.dist.values
+        xf = xa.ravel()
+        zero = np.abs(xf) <= self._ztol
+        j = np.where(xf < 0.0, np.searchsorted(v, xf, side="right") - 1,
+                     np.searchsorted(v, xf, side="left"))
+        j[zero] = 0
+        if np.any((j < 0) | (j >= v.size)):
+            raise SelfNormError("x lies outside the law's support")
+        idx = self._slice_index(j, np.array(ua.ravel(), dtype=float))
+        out = np.where(zero, 0.0, self._partners.take(idx)).reshape(xa.shape)
         if np.isscalar(x) and np.isscalar(u):
             return float(out)
         return out
@@ -175,21 +233,15 @@ def two_point_decomposition(d: FiniteDist) -> TwoPointDecomposition:
     rm = ReciprocatingMap(d)
     if rm.g_total <= 0.0:
         return TwoPointDecomposition(components=(), zero_mass=rm.zero_mass)
-    levels = np.unique(np.concatenate((rm.pos_h, rm.neg_h)))
-    levels = levels[levels <= rm.g_total * (1.0 + 1e-15)]
-    comps = []
-    h0 = 0.0
-    for h1 in levels:
-        dh = h1 - h0
-        if dh <= 1e-15 * rm.g_total:
-            h0 = h1
-            continue
-        mid = 0.5 * (h0 + h1)
-        b = rm.x_plus(mid)
-        a = -rm.x_minus(mid)
-        comps.append(TwoPointComponent(a=a, b=b, weight=dh * (a + b) / (a * b)))
-        h0 = h1
-    return TwoPointDecomposition(components=tuple(comps), zero_mass=rm.zero_mass)
+    # slice s of the map is (levels[s-1], levels[s]]; thinner ones are dropped
+    dh = np.diff(rm.levels[rm.levels <= rm.g_total * (1.0 + 1e-15)], prepend=0.0)
+    slices = np.flatnonzero(dh > 1e-15 * rm.g_total)
+    b = rm._partners[0, slices]
+    a = -rm._partners[2, slices]
+    weight = dh[slices] * (a + b) / (a * b)
+    comps = tuple(TwoPointComponent(a=float(ai), b=float(bi), weight=float(wi))
+                  for ai, bi, wi in zip(a, b, weight))
+    return TwoPointDecomposition(components=comps, zero_mass=rm.zero_mass)
 
 
 def recombine(decomp: TwoPointDecomposition) -> FiniteDist:
@@ -251,10 +303,39 @@ def var_identity_check(d: FiniteDist, g: Callable[[np.ndarray], np.ndarray]) -> 
 # ---------------------------------------------------------------------------
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    out = np.zeros(num.shape)
-    ok = den > 0
-    out[ok] = num[ok] / den[ok]
-    return out
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+
+
+# One helper per kind.  They leave their arguments untouched and hold at
+# most one temporary of the sample's size, because the Monte Carlo blocks
+# call them on two threads at once.
+
+def _vw(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    w = x - r
+    np.abs(w, out=w)
+    w *= w
+    return _safe_ratio(x.sum(axis=1), 0.5 * np.sqrt(w.sum(axis=1)))
+
+
+def _vym(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
+    y = x * r
+    np.abs(y, out=y)
+    y **= m
+    return _safe_ratio(x.sum(axis=1), y.sum(axis=1) ** (1.0 / (2.0 * m)))
+
+
+def _vsymm(x: np.ndarray, multipliers: np.ndarray, m: float) -> np.ndarray:
+    t = multipliers * x
+    num = t.sum(axis=1)
+    np.abs(x, out=t)
+    t **= 2.0 * m
+    return _safe_ratio(num, t.sum(axis=1) ** (1.0 / (2.0 * m)))
+
+
+def _vhatsymm(x: np.ndarray, hat_abs: np.ndarray, m: float, p: float) -> np.ndarray:
+    t = hat_abs ** (2.0 * m)
+    return _safe_ratio(x.sum(axis=1),
+                       math.sqrt(p) * t.sum(axis=1) ** (1.0 / (2.0 * m)))
 
 
 def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
@@ -275,27 +356,19 @@ def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
         raise SelfNormError("sample must be (paths, n)")
     if kind == "v":
         return _safe_ratio(x.sum(axis=1), np.sqrt((x * x).sum(axis=1)))
-    if kind == "vw":
+    if kind in ("vw", "vym"):
         if r is None:
-            raise SelfNormError("vw needs the reciprocated values r")
-        w = np.abs(x - r)
-        return _safe_ratio(x.sum(axis=1), 0.5 * np.sqrt((w * w).sum(axis=1)))
-    if kind == "vym":
-        if r is None:
-            raise SelfNormError("vym needs the reciprocated values r")
-        y = np.abs(x * r)
-        return _safe_ratio(x.sum(axis=1),
-                           (y ** m).sum(axis=1) ** (1.0 / (2.0 * m)))
+            raise SelfNormError(f"{kind} needs the reciprocated values r")
+        r = np.asarray(r, dtype=float)
+        return _vw(x, r) if kind == "vw" else _vym(x, r, m)
     if kind == "vsymm":
         if multipliers is None:
             raise SelfNormError("vsymm needs the symmetric multipliers")
-        den = (np.abs(x) ** (2.0 * m)).sum(axis=1) ** (1.0 / (2.0 * m))
-        return _safe_ratio((multipliers * x).sum(axis=1), den)
+        return _vsymm(x, np.asarray(multipliers, dtype=float), m)
     if kind == "vhatsymm":
         if hat_abs is None or p is None:
             raise SelfNormError("vhatsymm needs hat_abs and p")
-        den = math.sqrt(p) * (hat_abs ** (2.0 * m)).sum(axis=1) ** (1.0 / (2.0 * m))
-        return _safe_ratio(x.sum(axis=1), den)
+        return _vhatsymm(x, np.asarray(hat_abs, dtype=float), m, p)
     raise SelfNormError(f"unknown statistic kind {kind!r}")
 
 
@@ -329,6 +402,9 @@ class SelfNormReport:
     mc: McConfig
     n_paths: int
     rows: list
+    seed: int
+    blocks: int
+    workers: int
 
     @property
     def all_ok(self) -> bool:
@@ -366,9 +442,62 @@ def _bound_curve(cfg: SelfNormConfig) -> Callable[[float], float]:
     raise SelfNormError(f"no bound family for kind {cfg.kind!r}")
 
 
+def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
+                     hat: FiniteDist | None):
+    """`simulate(rng, size)` for `tail_counts`: the statistic on `size` paths.
+
+    It draws what `sample` would draw, in the same order, so the counts
+    match a value-level simulation bit for bit.  It runs on pool threads,
+    so it calls only private helpers, and it drops each (size, n) array
+    as soon as it is used: two blocks are in flight at once.
+    """
+    values, cum = cfg.base.values, np.cumsum(cfg.base.masses)
+
+    if rm is not None:
+        stat = _vw if cfg.kind == "vw" else (lambda x, r: _vym(x, r, cfg.m))
+
+        def simulate(rng, size):
+            u = rng.random((size, cfg.n))
+            j = _atom_index(cum, u)
+            rng.random(out=u)
+            idx = rm._slice_index(j, u)
+            del u
+            x = values.take(j)
+            del j
+            r = rm._partners.take(idx)
+            del idx
+            return stat(x, r), None
+    elif cfg.kind == "vsymm":
+        mult_law = st(cfg.p)
+        mult_values, mult_cum = mult_law.values, np.cumsum(mult_law.masses)
+
+        def simulate(rng, size):
+            u = rng.random((size, cfg.n))
+            x = values.take(_atom_index(cum, u))
+            rng.random(out=u)
+            j = _atom_index(mult_cum, u)
+            del u
+            mult = mult_values.take(j)
+            del j
+            return _vsymm(x, mult, cfg.m), None
+    else:
+        hat_values, hat_cum = hat.values, np.cumsum(hat.masses)
+
+        def simulate(rng, size):
+            x = values.take(_atom_index(cum, rng.random((size, cfg.n))))
+            habs = np.abs(x)
+            zeros = habs <= 1e-12
+            if np.any(zeros):
+                u = rng.random(int(np.sum(zeros)))
+                habs[zeros] = np.abs(hat_values.take(_atom_index(hat_cum, u)))
+            return _vhatsymm(x, habs, cfg.m, cfg.p), None
+    return simulate
+
+
 def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> SelfNormReport:
     """Simulate the statistic and compare its tail with the bound curve
-    at Clopper-Pearson confidence, blockwise and reproducibly."""
+    at Clopper-Pearson confidence.  The paths are counted by
+    `tail_counts`, so the counts do not depend on the worker count."""
     if cfg.kind not in ("vw", "vym", "vsymm", "vhatsymm"):
         raise SelfNormError(f"unknown check kind {cfg.kind!r}")
     rm = None
@@ -393,36 +522,12 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> SelfNormReport:
         xs = np.linspace(0.5, 3.0, 6)
     bounds = np.array([curve(float(x)) for x in xs])
 
-    n_blocks = (mc.n_paths + mc.block - 1) // mc.block
-    sizes = [min(mc.block, mc.n_paths - i * mc.block) for i in range(n_blocks)]
-    spec = RngSpec(mc.seed)
-    mult_dist = st(cfg.p) if cfg.kind == "vsymm" else None
-
-    def run_block(i: int) -> np.ndarray:
-        rng = spec.substream(i).generator()
-        size = sizes[i]
-        x = sample(cfg.base, rng, (size, cfg.n))
-        if cfg.kind in ("vw", "vym"):
-            u = rng.random((size, cfg.n))
-            r = rm.reciprocate(x, u)
-            v = selfnorm_stat(cfg.kind, x, r=r, m=cfg.m)
-        elif cfg.kind == "vsymm":
-            mult = sample(mult_dist, rng, (size, cfg.n))
-            v = selfnorm_stat("vsymm", x, multipliers=mult, m=cfg.m)
-        else:
-            habs = np.abs(x)
-            zeros = habs <= 1e-12
-            if np.any(zeros):
-                habs[zeros] = np.abs(sample(hat, rng, int(np.sum(zeros))))
-            v = selfnorm_stat("vhatsymm", x, hat_abs=habs, m=cfg.m, p=cfg.p)
-        return np.array([np.count_nonzero(v >= xx) for xx in xs])
-
-    counts = sum(run_block(i) for i in range(n_blocks))
-    total = sum(sizes)
+    tc = tail_counts(_block_simulator(cfg, rm, hat), xs, mc)
     rows = []
-    for x, k, b in zip(xs, counts, bounds):
+    for x, k, b in zip(xs, tc.counts, bounds):
         k = int(k)
-        lo = float(beta_dist.ppf(1.0 - mc.confidence, k, total - k + 1)) if k else 0.0
-        rows.append(SelfNormRow(x=float(x), count=k, empirical=k / total,
+        lo = float(beta_dist.ppf(1.0 - mc.confidence, k, tc.n_paths - k + 1)) if k else 0.0
+        rows.append(SelfNormRow(x=float(x), count=k, empirical=k / tc.n_paths,
                                 cp_lower=lo, bound=float(b), ok=lo <= b))
-    return SelfNormReport(config=cfg, mc=mc, n_paths=total, rows=rows)
+    return SelfNormReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,
+                          seed=mc.seed, blocks=tc.blocks, workers=tc.workers)

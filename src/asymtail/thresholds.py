@@ -203,10 +203,14 @@ def m_exp_up(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 def r_sym(p: float) -> float:
-    """Asymmetry parameter of the bs pair whose sum carries st(p): r (1-r) = p/2."""
+    """Asymmetry parameter of the bs pair whose sum carries st(p): r (1-r) = p/2.
+
+    The root (1 - sqrt(1-2p)) / 2, written as p / (1 + sqrt(1-2p)): the
+    direct form cancels for small p and returns 0 below p ~ 1e-17.
+    """
     if not 0.0 < p <= 0.5:
         raise ThresholdError("r_sym requires p in (0, 1/2]")
-    return (1.0 - math.sqrt(1.0 - 2.0 * p)) / 2.0
+    return p / (1.0 + math.sqrt(1.0 - 2.0 * p))
 
 
 def m_st_high(p: float) -> float:

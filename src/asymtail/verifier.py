@@ -13,6 +13,13 @@ confidence guard:
   sharp (below it the direction reverses);
 - supermartingale increment rules simulated at scale and compared with
   the bound family at Clopper-Pearson confidence.
+
+`tail_counts` is the one Monte Carlo harness: it splits the paths into
+blocks, gives block i child stream i of the seed, spreads the blocks
+over at most ASYMTAIL_THREADS threads and counts the tail per block.
+The supermartingale check here and the self-normalized checks in
+`selfnorm` both run on it, so their counts are the same at any thread
+count.
 """
 from __future__ import annotations
 
@@ -371,6 +378,44 @@ class McConfig:
 
 
 @dataclass(frozen=True)
+class TailCounts:
+    counts: np.ndarray   # paths with stat >= x, one entry per x
+    n_paths: int
+    blocks: int
+    workers: int         # threads actually used: 1 when there is one block
+    extras: list         # simulate's per-block extra, in block order
+
+
+def tail_counts(simulate, xs, mc: McConfig) -> TailCounts:
+    """Count stat >= x over mc.n_paths simulated paths, block by block.
+
+    `simulate(rng, size)` returns `(stat, extra)`: one statistic per
+    path, and any per-block value the caller wants back.  Block i draws
+    from child stream i of mc.seed, so the counts do not depend on how
+    the blocks are spread over threads.  ASYMTAIL_THREADS caps the
+    thread count; it is read here and nowhere else.  A simulation runs
+    on a pool thread, so it must call only what may run concurrently.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n_blocks = (mc.n_paths + mc.block - 1) // mc.block
+    sizes = [min(mc.block, mc.n_paths - i * mc.block) for i in range(n_blocks)]
+    spec = RngSpec(mc.seed)
+
+    def run_block(i: int) -> tuple[np.ndarray, object]:
+        stat, extra = simulate(spec.substream(i).generator(), sizes[i])
+        return np.array([np.count_nonzero(stat >= x) for x in xs]), extra
+
+    workers = min(n_blocks, max(1, int(os.environ.get("ASYMTAIL_THREADS", "1") or "1")))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            blocks = list(ex.map(run_block, range(n_blocks)))
+    else:
+        blocks = [run_block(i) for i in range(n_blocks)]
+    return TailCounts(counts=sum(c for c, _ in blocks), n_paths=mc.n_paths,
+                      blocks=n_blocks, workers=workers, extras=[e for _, e in blocks])
+
+
+@dataclass(frozen=True)
 class SupermartingaleConfig:
     n: int
     p: float
@@ -435,6 +480,9 @@ class SupermartingaleReport:
     n_paths: int
     rows: list
     max_sqrtab_excess: float
+    seed: int
+    blocks: int
+    workers: int
 
     @property
     def all_ok(self) -> bool:
@@ -446,9 +494,9 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
 
     The empirical tail at each grid point gets a one-sided lower
     confidence limit (Clopper-Pearson at mc.confidence); the check
-    passes while that limit stays at or below the hybrid bound.  Blocks
-    use independent child streams of the seed, so the result does not
-    depend on the worker count; ASYMTAIL_THREADS caps the pool.
+    passes while that limit stays at or below the hybrid bound.  The
+    paths are counted by `tail_counts`, so the result does not depend on
+    the worker count.
     """
     if cfg.rule not in _RULES:
         raise VerifyError(f"rule must be one of {_RULES}")
@@ -469,37 +517,20 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
         xs = np.linspace(0.5 * sig, min(3.5 * sig, 0.98 * top), 8)
 
     reports = combined_bound_grid(cfg.p, cfg.m, xs, coeffs=c)
-
-    n_blocks = (mc.n_paths + mc.block - 1) // mc.block
-    sizes = [min(mc.block, mc.n_paths - i * mc.block) for i in range(n_blocks)]
-    spec = RngSpec(mc.seed)
-
-    def run_block(i: int) -> tuple[np.ndarray, float]:
-        rng = spec.substream(i).generator()
-        S, excess = _simulate_block(cfg, rng, sizes[i])
-        return np.array([np.count_nonzero(S >= x) for x in xs]), excess
-
-    workers = max(1, int(os.environ.get("ASYMTAIL_THREADS", "1") or "1"))
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            blocks = list(ex.map(run_block, range(n_blocks)))
-    else:
-        blocks = [run_block(i) for i in range(n_blocks)]
-    counts = sum(c for c, _ in blocks)
-
-    total = sum(sizes)
+    tc = tail_counts(lambda rng, size: _simulate_block(cfg, rng, size), xs, mc)
     rows = []
-    for x, k, rep in zip(xs, counts, reports):
+    for x, k, rep in zip(xs, tc.counts, reports):
         k = int(k)
         if k > 0:
-            lo = float(beta_dist.ppf(1.0 - mc.confidence, k, total - k + 1))
+            lo = float(beta_dist.ppf(1.0 - mc.confidence, k, tc.n_paths - k + 1))
         else:
             lo = 0.0
-        rows.append(McRow(x=float(x), count=k, empirical=k / total,
+        rows.append(McRow(x=float(x), count=k, empirical=k / tc.n_paths,
                           cp_lower=lo, bound=rep.minimum,
                           bound_name=rep.argmin, ok=lo <= rep.minimum))
-    return SupermartingaleReport(config=cfg, mc=mc, n_paths=total, rows=rows,
-                                 max_sqrtab_excess=max(e for _, e in blocks))
+    return SupermartingaleReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,
+                                 max_sqrtab_excess=max(tc.extras), seed=mc.seed,
+                                 blocks=tc.blocks, workers=tc.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +630,8 @@ def run_supermartingale_suite(seed: int = 0, n_paths: int = 200_000) -> list[Che
         out.append(CheckResult(
             name=f"supermartingale_{cfg.rule}_p{cfg.p:g}", passed=rep.all_ok,
             metric=worst, threshold=0.0,
-            details={"n_paths": rep.n_paths,
+            details={"n_paths": rep.n_paths, "seed": rep.seed, "blocks": rep.blocks,
+                     "workers": rep.workers,
                      "rows": [{"x": r.x, "emp": r.empirical, "bound": r.bound,
                                "cp_lower": r.cp_lower} for r in rep.rows]}))
     return out

@@ -188,6 +188,8 @@ class TestSelfnormCommand:
         body = json.loads(proc.stdout)
         load_validator("selfnorm_report.schema.json").validate(body)
         assert body["all_ok"] is True
+        # 20000 paths fit one default block, which runs on one thread
+        assert (body["seed"], body["blocks"], body["workers"]) == (5, 1, 1)
 
     def test_deterministic_stdout(self):
         # everything but the measured timings repeats exactly

@@ -2,9 +2,12 @@
 decomposition, the conditioned-law variance identity, and the
 Monte Carlo tail checks against the moment-constant bounds."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from asymtail.dist import FiniteDist, from_pairs
 from asymtail.selfnorm import (
@@ -246,3 +249,175 @@ class TestGuards:
     def test_map_rejects_nonzero_mean(self):
         with pytest.raises(SelfNormError):
             two_point_decomposition(from_pairs([(0.0, 0.5), (1.0, 0.5)]))
+
+
+# ---------------------------------------------------------------------------
+# the slice-table pairing against the masked value-level pairing
+# ---------------------------------------------------------------------------
+
+def masked_reciprocate(d: FiniteDist, x, u):
+    """r(x, u) as computed before the slice table: split x by sign with
+    masks, search each value back to its atom, scatter the partners."""
+    scale_v = max(1.0, abs(d.min_value), abs(d.max_value))
+    ztol = 1e-12 * scale_v
+    v, w = d.values, d.masses
+    pos, neg = v > ztol, v < -ztol
+    pos_x = v[pos]
+    pos_span = pos_x * w[pos]
+    pos_h = np.cumsum(pos_span)
+    order = np.argsort(-v[neg])
+    neg_x = v[neg][order]
+    neg_span = -neg_x * w[neg][order]
+    neg_h = np.cumsum(neg_span)
+    g_total = 0.5 * (float(pos_h[-1]) + float(neg_h[-1]))
+    xa, ua = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
+    out = np.zeros(xa.shape)
+    px, nx = xa > ztol, xa < -ztol
+    if np.any(px):
+        idx = np.searchsorted(pos_x, xa[px], side="left")
+        h = np.clip(pos_h[idx] - pos_span[idx] + ua[px] * pos_span[idx], 0.0, g_total)
+        out[px] = neg_x[np.minimum(np.searchsorted(neg_h, h, side="left"), neg_h.size - 1)]
+    if np.any(nx):
+        idx = np.searchsorted(-neg_x, -xa[nx], side="left")
+        h = np.clip(neg_h[idx] - neg_span[idx] + ua[nx] * neg_span[idx], 0.0, g_total)
+        out[nx] = pos_x[np.minimum(np.searchsorted(pos_h, h, side="left"), pos_h.size - 1)]
+    return out
+
+
+@hst.composite
+def zero_mean_laws(draw):
+    """2-8 atoms on both sides of zero, sometimes one at zero, with the
+    positive masses rescaled so that the mean is zero."""
+    n_neg = draw(hst.integers(1, 4))
+    n_pos = draw(hst.integers(1, 4))
+    with_zero = draw(hst.booleans()) and n_neg + n_pos < 8
+    mag = hst.floats(0.05, 5.0)
+    mass = hst.floats(0.01, 1.0)
+    neg = -np.array(draw(hst.lists(mag, min_size=n_neg, max_size=n_neg, unique=True)))
+    pos = np.array(draw(hst.lists(mag, min_size=n_pos, max_size=n_pos, unique=True)))
+    wn = np.array(draw(hst.lists(mass, min_size=n_neg, max_size=n_neg)))
+    wp = np.array(draw(hst.lists(mass, min_size=n_pos, max_size=n_pos)))
+    wp *= float(np.dot(wn, -neg)) / float(np.dot(wp, pos))
+    w0 = draw(mass) if with_zero else 0.0
+    total = wn.sum() + wp.sum() + w0
+    pairs = list(zip(np.concatenate((neg, pos)), np.concatenate((wn, wp)) / total))
+    if with_zero:
+        pairs.append((0.0, w0 / total))
+    return from_pairs(pairs)
+
+
+U_EDGES = [0.0, 1.0 - 2.0 ** -53]
+
+
+class TestSliceTablePairing:
+    @given(d=zero_mean_laws(), us=hst.lists(hst.sampled_from(U_EDGES) | hst.floats(0.0, 1.0,
+                                                                                  exclude_max=True),
+                                            min_size=1, max_size=12),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_masked_pairing(self, d, us, seed):
+        try:
+            rm = ReciprocatingMap(d)
+        except SelfNormError:
+            return  # the rescaled masses missed zero mean by more than 1e-12
+        rng = np.random.default_rng(seed)
+        x = rng.choice(np.concatenate((d.values, [0.0])), size=(3, len(us)))
+        u = np.broadcast_to(np.asarray(us), x.shape)
+        got = rm.reciprocate(x, u)
+        assert np.array_equal(got, masked_reciprocate(d, x, u))
+        for xi, ui in zip(x[0], us):
+            assert rm.reciprocate(float(xi), float(ui)) == masked_reciprocate(d, xi, ui)
+
+    def test_bit_equal_on_a_long_law(self):
+        # more levels than the comparison sweep handles: the searchsorted path
+        rng = np.random.default_rng(4)
+        neg, pos = -rng.uniform(0.1, 3.0, 25), rng.uniform(0.1, 3.0, 25)
+        wn, wp = rng.uniform(0.1, 1.0, 25), rng.uniform(0.1, 1.0, 25)
+        wp *= float(np.dot(wn, -neg)) / float(np.dot(wp, pos))
+        total = wn.sum() + wp.sum()
+        d = from_pairs(zip(np.concatenate((neg, pos)), np.concatenate((wn, wp)) / total))
+        rm = ReciprocatingMap(d)
+        assert rm.levels.size > 16
+        x = rng.choice(d.values, size=(200, 7))
+        u = rng.random((200, 7))
+        u[0] = U_EDGES[0]
+        u[1] = U_EDGES[1]
+        assert np.array_equal(rm.reciprocate(x, u), masked_reciprocate(d, x, u))
+
+    def test_outside_support_raises(self):
+        rm = ReciprocatingMap(ASYM3)
+        with pytest.raises(SelfNormError):
+            rm.reciprocate(3.5, 0.5)
+        with pytest.raises(SelfNormError):
+            rm.reciprocate(-1.5, 0.5)
+
+
+class TestSampledBlocks:
+    """The checks draw atom indices and pair them through the slice
+    table; their counts must not move from the value-level simulation
+    (`sample`, masked pairing), nor with the thread count."""
+
+    # rows frozen from the value-level implementation (sample, masked
+    # pairing, out-of-place statistics)
+    FROZEN = {
+        "vym": [(7532, 0.3686295852569684), (4181, 0.20239405307559125),
+                (2178, 0.10382833401459841), (1158, 0.054120720157915726),
+                (585, 0.026546340633117168), (194, 0.00815986802692408)],
+        "vsymm": [(6326, 0.3086622694040404), (3125, 0.15032060427671787),
+                  (1246, 0.05838587109999739), (377, 0.016683188298276176),
+                  (87, 0.0033406692487458144), (5, 6.395965486278428e-05)],
+        "vhatsymm": [(7903, 0.3871043743654771), (3964, 0.19167756013106282),
+                     (1477, 0.06960746468886354), (398, 0.0176727495006008),
+                     (65, 0.0023872474755905686), (6, 8.927139916815099e-05)],
+    }
+
+    @staticmethod
+    def _cfg(kind, n=6):
+        if kind == "vw":
+            return SelfNormConfig(base=ASYM3, n=n, kind="vw")
+        if kind == "vym":
+            return SelfNormConfig(base=ASYM3, n=n, kind="vym", m=m_star(0.25), p=0.25)
+        if kind == "vsymm":
+            sym = from_pairs([(-2.0, 0.2), (-0.5, 0.3), (0.5, 0.3), (2.0, 0.2)])
+            return SelfNormConfig(base=sym, n=n, kind="vsymm", p=0.45)
+        base = from_pairs([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
+        return SelfNormConfig(base=base, n=n, kind="vhatsymm", p=0.5)
+
+    @pytest.mark.parametrize("kind", sorted(FROZEN))
+    def test_report_frozen(self, kind):
+        rep = selfnorm_bound_check(self._cfg(kind),
+                                   McConfig(seed=9, n_paths=20_000, block=4_096))
+        assert [(r.count, r.cp_lower) for r in rep.rows] == self.FROZEN[kind]
+
+    @pytest.mark.parametrize("kind", ["vw", "vym", "vsymm", "vhatsymm"])
+    def test_counts_independent_of_thread_split(self, kind, monkeypatch):
+        mc = McConfig(seed=11, n_paths=20_000, block=4_096)
+        reps = []
+        for threads in (1, 2, 4):
+            monkeypatch.setenv("ASYMTAIL_THREADS", str(threads))
+            reps.append(selfnorm_bound_check(self._cfg(kind), mc))
+        rows = [[(r.count, r.cp_lower) for r in rep.rows] for rep in reps]
+        assert rows[0] == rows[1] == rows[2]
+        assert [(rep.seed, rep.blocks, rep.workers) for rep in reps] == [
+            (11, 5, 1), (11, 5, 2), (11, 5, 4)]
+
+    def test_one_block_reports_one_worker(self, monkeypatch):
+        monkeypatch.setenv("ASYMTAIL_THREADS", "4")
+        rep = selfnorm_bound_check(self._cfg("vw"), McConfig(seed=1, n_paths=1_000))
+        assert (rep.blocks, rep.workers) == (1, 1)
+
+    def test_two_blocks_in_flight_stay_small(self, monkeypatch):
+        # each block holds at most three (paths, n) arrays at once: 7.5 MiB
+        # at 32768 x 10, so two threads stay under 24 MiB (the masked
+        # value-level block code peaked at 36 MiB on two threads)
+        monkeypatch.setenv("ASYMTAIL_THREADS", "2")
+        cfg = self._cfg("vw", n=10)
+        mc = McConfig(seed=2, n_paths=4 * 32_768, block=32_768)
+        tracemalloc.start()
+        try:
+            rep = selfnorm_bound_check(cfg, mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.workers == 2
+        assert peak <= 24 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

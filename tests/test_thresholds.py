@@ -6,6 +6,7 @@ oracles (mpmath root-finding and quadrature) and pinned here.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,18 @@ class TestSymmetricThresholds:
         assert r_sym(1e-8) == pytest.approx(5e-9, rel=1e-6)
         with pytest.raises(ThresholdError):
             r_sym(0.0)
+
+    def test_r_sym_matches_mpmath(self):
+        # the smaller root of r^2 - r + p/2 = 0 in the direct form
+        # (1 - sqrt(1 - 2p))/2, which in floats returns 0 below p ~ 1e-17;
+        # 360 digits leave 60 after its cancellation at p = 1e-300
+        ps = np.concatenate((np.geomspace(1e-300, 0.5, 400), [1e-17, 1e-16, 0.25, 0.5]))
+        worst = 0.0
+        with mpmath.workdps(360):
+            for p in ps:
+                ref = (1 - mpmath.sqrt(1 - 2 * mpmath.mpf(p))) / 2
+                worst = max(worst, float(abs(mpmath.mpf(r_sym(float(p))) - ref) / ref))
+        assert worst <= 4e-16
 
     def test_m_one_frozen(self):
         # (1/2) sqrt((2 - p)/p) at p = 0.2

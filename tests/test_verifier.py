@@ -256,6 +256,16 @@ class TestSupermartingaleMC:
                 os.environ["ASYMTAIL_THREADS"] = old
         assert [r.count for r in a.rows] == [r.count for r in b.rows]
         assert a.max_sqrtab_excess == b.max_sqrtab_excess
+        assert [(rep.seed, rep.blocks, rep.workers) for rep in (a, b)] == [
+            (11, 7, 1), (11, 7, 4)]
+
+    def test_tail_counts_returns_extras_in_block_order(self, monkeypatch):
+        monkeypatch.setenv("ASYMTAIL_THREADS", "3")
+        tc = verifier.tail_counts(lambda rng, size: (rng.random(size), size),
+                                  [0.0, 0.5, 2.0], McConfig(seed=4, n_paths=10_000, block=4_096))
+        assert tc.extras == [4_096, 4_096, 1_808]
+        assert (tc.n_paths, tc.blocks, tc.workers) == (10_000, 3, 3)
+        assert tc.counts[0] == 10_000 and tc.counts[2] == 0
 
     def test_guards(self):
         with pytest.raises(VerifyError):
