@@ -35,7 +35,7 @@ import numpy as np
 
 from .bounds import normal_tail
 # `sample` stays importable here: perfbench/tracer.py wraps selfnorm.sample
-from .dist import (FiniteDist, _atom_index, _searchsorted, bs, from_pairs,  # noqa: F401
+from .dist import (FiniteDist, _atom_index, bs, from_pairs,  # noqa: F401
                    iid_sum, sample, scale, st)
 from .majorant import lc_majorant
 from .thresholds import SQRT2_MINUS_1, c_const, m_star
@@ -130,7 +130,7 @@ class ReciprocatingMap:
         u *= self._span.take(j)
         u += self._h0.take(j)
         np.clip(u, 0.0, self.g_total, out=u)
-        idx = _searchsorted(self.levels, u, "left")
+        idx = np.searchsorted(self.levels, u, side="left")
         # The levels are spent, so u's buffer takes the row offsets and
         # the block holds no fourth array; j is in range, and mode "clip"
         # writes straight to `out` where "raise" would buffer it.

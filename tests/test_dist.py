@@ -11,7 +11,6 @@ from hypothesis import strategies as hst
 
 from asymtail.bounds import baseline_two_point
 from asymtail.dist import (
-    _SWEEP_EDGES,
     MIN_MASS,
     DistError,
     FiniteDist,
@@ -30,7 +29,7 @@ from asymtail.dist import (
     tail,
     weighted_bs_sum,
 )
-from asymtail.dist import _atom_index, _searchsorted
+from asymtail.dist import _atom_index
 
 
 def brute_weighted_sum(p, coeffs):
@@ -266,20 +265,6 @@ def test_sampling_is_deterministic_and_unbiased():
     assert abs(np.mean(xs)) <= 4e-3  # sd of the mean is ~0.0039
     zs = sample(d, RngSpec(seed=1234, stream=8), 1000)
     assert not np.array_equal(xs[:1000], zs)
-
-
-@pytest.mark.parametrize("n_edges", [1, 2, 5, _SWEEP_EDGES, _SWEEP_EDGES + 1, 40])
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_searchsorted_matches_numpy_on_both_paths(n_edges, side):
-    rng = np.random.default_rng(n_edges)
-    edges = np.sort(rng.random(n_edges))
-    if n_edges > 2:
-        edges[1] = edges[2]  # a tie
-    # keys at every edge exactly, below and above all of them
-    keys = np.concatenate((rng.random(300), edges, [0.0, 1.0])).reshape(-1, 1)
-    got = _searchsorted(edges, keys, side)
-    assert got.dtype == np.intp
-    assert np.array_equal(got, np.searchsorted(edges, keys, side=side))
 
 
 @pytest.mark.parametrize("law", [bs(0.3), st(0.4), weighted_bs_sum(0.3, [1.0, 0.7, 1.4, 0.2, 0.9])])
