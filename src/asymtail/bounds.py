@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import FiniteDist, bs, from_pairs, iid_sum, scale
+from .dist import FiniteDist, _shifted_suffix_moments, bs, from_pairs, iid_sum, scale
 # lattice_params is not called here; perfbench/tracer.py wraps it under this name
 from .majorant import TailMajorant, lattice_params, lc_majorant, lin_lc_majorant  # noqa: F401
 from .optimize import golden_section
@@ -58,26 +58,6 @@ class BOptResult:
     value: float | np.ndarray
     t_opt: float | np.ndarray
     raw: float | np.ndarray
-
-
-def _shifted_suffix_moments(d: FiniteDist) -> np.ndarray:
-    """P[j, k] = sum over i >= k of m_i (v_i - v_k)^j for j = 0..3.
-
-    One backward pass: shifting the origin from v_{k+1} down to v_k is a
-    binomial expansion in the nonnegative gap, so every term added is
-    nonnegative and nothing cancels."""
-    v = d.values.tolist()
-    m = d.masses.tolist()
-    p0, p1, p2, p3 = m[-1], 0.0, 0.0, 0.0
-    rows = [(p0, p1, p2, p3)]
-    for k in range(len(v) - 2, -1, -1):
-        h = v[k + 1] - v[k]
-        p3 += h * (3.0 * p2 + h * (3.0 * p1 + h * p0))
-        p2 += h * (2.0 * p1 + h * p0)
-        p1 += h * p0
-        p0 += m[k]
-        rows.append((p0, p1, p2, p3))
-    return np.array(rows[::-1]).T
 
 
 def b_opt(d: FiniteDist, alpha: float, x) -> BOptResult:

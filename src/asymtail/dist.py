@@ -325,6 +325,49 @@ def expect(d: FiniteDist, f: Callable[[np.ndarray], np.ndarray]) -> float:
     return math.fsum(fx * d.masses)
 
 
+def _shifted_suffix_moments(d: FiniteDist) -> np.ndarray:
+    """P[j, k] = sum over i >= k of m_i (v_i - v_k)^j for j = 0..3.
+
+    One backward pass: shifting the origin from v_{k+1} down to v_k is a
+    binomial expansion in the nonnegative gap h = v_{k+1} - v_k,
+
+        P0(k) = P0(k+1) + m_k
+        P1(k) = P1(k+1) + h P0(k+1)
+        P2(k) = P2(k+1) + h (2 P1(k+1) + h P0(k+1))
+        P3(k) = P3(k+1) + h (3 P2(k+1) + h (3 P1(k+1) + h P0(k+1)))
+
+    so every term added is nonnegative and nothing cancels.  A row's
+    increments need only the rows below it, so each row is one running
+    sum from the top atom down; np.cumsum adds in sequence, in the order
+    of a loop over k."""
+    def from_top(inc):
+        return np.append(np.cumsum(inc[::-1])[::-1], 0.0)
+
+    h = np.diff(d.values)
+    p0 = np.cumsum(d.masses[::-1])[::-1]
+    hp0 = h * p0[1:]
+    p1 = from_top(hp0)
+    p2 = from_top(h * (2.0 * p1[1:] + hp0))
+    p3 = from_top(h * (3.0 * p2[1:] + h * (3.0 * p1[1:] + hp0)))
+    return np.stack([p0, p1, p2, p3])
+
+
+def _cube_plus(d: FiniteDist, t) -> np.ndarray:
+    """E (D - t)_+^3 at each t of a 1-d array, in O(atoms + thresholds).
+
+    With k the first atom >= t and u = v_k - t >= 0 the moment is
+    P3 + 3u P2 + 3u^2 P1 + u^3 P0 in the shifted suffix moments at k,
+    a sum of nonnegative terms.  Above the top atom k is the top atom
+    and u is clipped to 0, so the value there is P3 = 0 exactly.
+    """
+    t = np.asarray(t, dtype=float)
+    v = d.values
+    p0, p1, p2, p3 = _shifted_suffix_moments(d)
+    k = np.minimum(np.searchsorted(v, t, side="left"), len(v) - 1)
+    u = np.maximum(v[k] - t, 0.0)
+    return p3[k] + u * (3.0 * p2[k] + u * (3.0 * p1[k] + u * p0[k]))
+
+
 def _atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF atom indices of uniforms u, with cum = cumsum(masses).
 

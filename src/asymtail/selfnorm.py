@@ -393,6 +393,7 @@ class SelfNormRow:
     empirical: float
     cp_lower: float
     bound: float
+    margin: float        # bound - cp_lower: the check passes while it is >= 0
     ok: bool
 
 
@@ -528,6 +529,7 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> SelfNormReport:
         k = int(k)
         lo = float(beta_dist.ppf(1.0 - mc.confidence, k, tc.n_paths - k + 1)) if k else 0.0
         rows.append(SelfNormRow(x=float(x), count=k, empirical=k / tc.n_paths,
-                                cp_lower=lo, bound=float(b), ok=lo <= b))
+                                cp_lower=lo, bound=float(b), margin=float(b) - lo,
+                                ok=lo <= b))
     return SelfNormReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,
                           seed=mc.seed, blocks=tc.blocks, workers=tc.workers)

@@ -7,7 +7,10 @@ confidence guard:
 - the quadratic certificate polynomials delta_1..delta_4 and their
   piecewise identity with the four-term positive-part expression;
 - moment comparison between a weighted sum of asymmetric two-point
-  laws and its equalized carrier, over a grid of test functions;
+  laws and its equalized carrier, over a grid of test functions: the
+  cubes E (D - t)_+^3 in closed form from the shifted suffix moments
+  that b_opt also uses (O(atoms + thresholds) per law), the
+  exponential moments by log-sum-exp so that none overflows;
 - Schur-direction sweeps along the constant-(2m)-norm coefficient path,
   including the two-coefficient witness that the moment threshold is
   sharp (below it the direction reverses);
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import combined_bound_grid
-from .dist import FiniteDist, RngSpec, bs, iid_sum, scale, weighted_bs_sum
+from .dist import FiniteDist, RngSpec, _cube_plus, bs, iid_sum, scale, weighted_bs_sum
 from .thresholds import m_star
 
 
@@ -213,43 +216,41 @@ class EnumCheck:
         return self.max_violation <= DEFAULT_TOL
 
 
-def _family_moments(lhs: FiniteDist, rhs: FiniteDist, t_grid, lam_grid,
-                    two_sided: bool):
-    """Yield (family, param, E_lhs, E_rhs) over the test function grids."""
-    vl, ml = lhs.values[None, :], lhs.masses[None, :]
-    vr, mr = rhs.values[None, :], rhs.masses[None, :]
-    t = np.asarray(t_grid, dtype=float)[:, None]
-    el = np.sum(np.clip(vl - t, 0.0, None) ** 3 * ml, axis=1)
-    er = np.sum(np.clip(vr - t, 0.0, None) ** 3 * mr, axis=1)
-    for i, tv in enumerate(t_grid):
-        yield "cube_plus", float(tv), float(el[i]), float(er[i])
-    lam = np.asarray(lam_grid, dtype=float)[:, None]
-    with np.errstate(over="ignore"):
-        eel = np.sum(np.exp(lam * vl) * ml, axis=1)
-        eer = np.sum(np.exp(lam * vr) * mr, axis=1)
-    for i, lv in enumerate(lam_grid):
-        yield "exp", float(lv), float(eel[i]), float(eer[i])
-    if two_sided:
-        al = np.sum(np.abs(vl - t) ** 3 * ml, axis=1)
-        ar = np.sum(np.abs(vr - t) ** 3 * mr, axis=1)
-        for i, tv in enumerate(t_grid):
-            yield "abs_cube", float(tv), float(al[i]), float(ar[i])
-        with np.errstate(over="ignore"):
-            cl = np.sum(np.cosh(lam * vl) * ml, axis=1)
-            cr = np.sum(np.cosh(lam * vr) * mr, axis=1)
-        for i, lv in enumerate(lam_grid):
-            yield "cosh", float(lv), float(cl[i]), float(cr[i])
+def _log_mgf(d: FiniteDist, lam: np.ndarray) -> np.ndarray:
+    """log E exp(lam D) at each lam, by log-sum-exp over lam v + log m.
+
+    The largest exponent is shifted to 0, so no term overflows and the
+    log is finite wherever lam and the law are."""
+    a = lam[:, None] * d.values
+    a += np.log(d.masses)
+    top = a.max(axis=1)
+    a -= top[:, None]
+    np.exp(a, out=a)
+    return top + np.log(a.sum(axis=1))
 
 
 def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False,
                       left_tail: bool = False) -> EnumCheck:
     """Exact-enumeration comparison of E f(sum c_i X_i) vs the carrier.
 
-    Violations are normalized by max(1, |E f(carrier)|) so that the
+    The families, in tie-break order: cube_plus (t -> E (D - t)_+^3 at
+    401 thresholds t spanning both supports), exp (lambda -> E e^{lambda D}
+    at 20 rates in [0.1, 5]), and for two_sided also abs_cube
+    (E |D - t|^3) and cosh.  The cubes come in closed form from the
+    shifted suffix moments (`dist._cube_plus`), O(atoms + thresholds)
+    per side; |D - t|^3 adds the same moment of -D at -t.
+
+    Violations are normalized by max(1, E f(carrier)) so that the
     exponential families, whose raw moments span many orders, report on
-    the same scale as the cubes.  For left_tail the sum is reflected,
-    which swaps the roles of p and q; the caller is responsible for
-    choosing m against m_star(q) in that case.
+    the same scale as the cubes.  Both laws have mean 0, so their
+    exponential moments are >= 1 and the normalized violation is
+    expm1(log E f(sum) - log E f(carrier)), with the logs taken by
+    log-sum-exp: no moment overflows.  The worst point is the first
+    maximum in family order; a NaN comparison raises VerifyError.
+
+    For left_tail the sum is reflected, which swaps the roles of p and
+    q; the caller is responsible for choosing m against m_star(q) in
+    that case.
     """
     c = np.asarray(coeffs, dtype=float)
     n = len(c)
@@ -265,11 +266,27 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False,
     hi = max(lhs.max_value, rhs.max_value) + 1.0
     t_grid = np.linspace(lo, hi, _ENUM_T_COUNT)
     lam_grid = np.geomspace(0.1, 5.0, _ENUM_LAM_COUNT)
+    # E cosh(lam D) = (E e^{lam D} + E e^{-lam D}) / 2, so two_sided also
+    # takes the negative rates; the halving cancels in the log ratio
+    lams = np.concatenate((lam_grid, -lam_grid)) if two_sided else lam_grid
+    gl, gr = _log_mgf(lhs, lams), _log_mgf(rhs, lams)
+    k = _ENUM_LAM_COUNT
+    el, er = _cube_plus(lhs, t_grid), _cube_plus(rhs, t_grid)
+    families = [("cube_plus", t_grid, (el - er) / np.maximum(1.0, er)),
+                ("exp", lam_grid, np.expm1(gl[:k] - gr[:k]))]
+    if two_sided:
+        al = el + _cube_plus(scale(lhs, -1.0), -t_grid)
+        ar = er + _cube_plus(scale(rhs, -1.0), -t_grid)
+        families += [("abs_cube", t_grid, (al - ar) / np.maximum(1.0, ar)),
+                     ("cosh", lam_grid, np.expm1(np.logaddexp(gl[:k], gl[k:])
+                                                 - np.logaddexp(gr[:k], gr[k:])))]
     worst = (-math.inf, "", math.nan)
-    for fam, prm, el, er in _family_moments(lhs, rhs, t_grid, lam_grid, two_sided):
-        viol = (el - er) / max(1.0, abs(er))
-        if viol > worst[0]:
-            worst = (viol, fam, prm)
+    for fam, params, viol in families:
+        if np.any(np.isnan(viol)):
+            raise VerifyError(f"the {fam} comparison is NaN")
+        i = int(np.argmax(viol))
+        if viol[i] > worst[0]:
+            worst = (float(viol[i]), fam, float(params[i]))
     mode = "two_sided" if two_sided else ("left_tail" if left_tail else "right_tail")
     return EnumCheck(p=p, m=m, coeffs=tuple(float(x) for x in c), n=n,
                      max_violation=worst[0], worst_family=worst[1],
@@ -469,6 +486,7 @@ class McRow:
     empirical: float
     cp_lower: float
     bound: float
+    margin: float        # bound - cp_lower: the check passes while it is >= 0
     bound_name: str
     ok: bool
 
@@ -526,7 +544,7 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
         else:
             lo = 0.0
         rows.append(McRow(x=float(x), count=k, empirical=k / tc.n_paths,
-                          cp_lower=lo, bound=rep.minimum,
+                          cp_lower=lo, bound=rep.minimum, margin=rep.minimum - lo,
                           bound_name=rep.argmin, ok=lo <= rep.minimum))
     return SupermartingaleReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,
                                  max_sqrtab_excess=max(tc.extras), seed=mc.seed,
@@ -626,14 +644,15 @@ def run_supermartingale_suite(seed: int = 0, n_paths: int = 200_000) -> list[Che
     ]
     for cfg in cases:
         rep = supermartingale_mc(cfg, mc)
-        worst = min((r.bound - r.cp_lower for r in rep.rows), default=0.0)
+        worst = min((r.margin for r in rep.rows), default=0.0)
         out.append(CheckResult(
             name=f"supermartingale_{cfg.rule}_p{cfg.p:g}", passed=rep.all_ok,
             metric=worst, threshold=0.0,
             details={"n_paths": rep.n_paths, "seed": rep.seed, "blocks": rep.blocks,
                      "workers": rep.workers,
                      "rows": [{"x": r.x, "emp": r.empirical, "bound": r.bound,
-                               "cp_lower": r.cp_lower} for r in rep.rows]}))
+                               "cp_lower": r.cp_lower, "margin": r.margin}
+                              for r in rep.rows]}))
     return out
 
 

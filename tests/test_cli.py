@@ -183,13 +183,18 @@ class TestSelfnormCommand:
     ARGS = ("selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "6",
             "--paths", "20000", "--seed", "5")
 
-    def test_runs_and_validates(self):
-        proc = run_cli(*self.ARGS)
+    def test_runs_and_validates(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        proc = run_cli(*self.ARGS, "--out", str(out))
         body = json.loads(proc.stdout)
         load_validator("selfnorm_report.schema.json").validate(body)
         assert body["all_ok"] is True
         # 20000 paths fit one default block, which runs on one thread
         assert (body["seed"], body["blocks"], body["workers"]) == (5, 1, 1)
+        assert all(r["margin"] == r["bound"] - r["cp_lower"] for r in body["rows"])
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["margin"]) for r in rows] == [r["margin"] for r in body["rows"]]
 
     def test_deterministic_stdout(self):
         # everything but the measured timings repeats exactly

@@ -29,7 +29,7 @@ from asymtail.dist import (
     tail,
     weighted_bs_sum,
 )
-from asymtail.dist import _atom_index
+from asymtail.dist import _atom_index, _cube_plus, _shifted_suffix_moments
 
 
 def brute_weighted_sum(p, coeffs):
@@ -282,3 +282,62 @@ def test_substream_derivation():
     assert not np.array_equal(a, b)
     again = spec.substream(0).generator().random(4)
     assert np.array_equal(a, again)
+
+
+def _suffix_moments_loop(d):
+    """The backward pass over the atoms one at a time: the reference."""
+    v = d.values.tolist()
+    m = d.masses.tolist()
+    p0, p1, p2, p3 = m[-1], 0.0, 0.0, 0.0
+    rows = [(p0, p1, p2, p3)]
+    for k in range(len(v) - 2, -1, -1):
+        h = v[k + 1] - v[k]
+        p3 += h * (3.0 * p2 + h * (3.0 * p1 + h * p0))
+        p2 += h * (2.0 * p1 + h * p0)
+        p1 += h * p0
+        p0 += m[k]
+        rows.append((p0, p1, p2, p3))
+    return np.array(rows[::-1]).T
+
+
+@pytest.mark.parametrize("law", [
+    delta(0.5), bs(0.3), st(0.4), iid_sum(st(0.2), 6),
+    scale(iid_sum(bs(0.1), 400), 0.7),
+    weighted_bs_sum(0.3, np.random.default_rng(1).uniform(0.2, 2.0, 12)),
+])
+def test_shifted_suffix_moments_equal_the_loop_bit_for_bit(law):
+    # b_opt reads these moments, so its bits hang on this equality
+    assert np.array_equal(_shifted_suffix_moments(law), _suffix_moments_loop(law))
+
+
+@hst.composite
+def cube_cases(draw):
+    """A law with 1-64 atoms, Dirichlet(1) masses (some scaled to about
+    1e-300), and thresholds at, between, below and above its atoms."""
+    n = draw(hst.integers(1, 64))
+    gaps = draw(hst.lists(hst.floats(0.01, 10.0), min_size=n, max_size=n))
+    values = draw(hst.floats(-100.0, 100.0)) + np.cumsum(gaps)
+    w = -np.log(draw(hst.lists(hst.floats(1e-6, 0.999), min_size=n, max_size=n)))
+    tiny = draw(hst.lists(hst.booleans(), min_size=n, max_size=n))
+    w[np.array(tiny)] *= 1e-300
+    law = FiniteDist(values, w / w.sum())
+    v = law.values
+    fracs = np.array(draw(hst.lists(hst.floats(0.01, 0.99), min_size=n - 1, max_size=n - 1)))
+    ts = np.concatenate((
+        v, v[:-1] + fracs * np.diff(v),
+        [v[0] - draw(hst.floats(0.1, 50.0)), v[-1] + draw(hst.floats(0.0, 50.0))]))
+    return law, ts
+
+
+@given(case=cube_cases())
+@settings(max_examples=100, deadline=None)
+def test_cube_plus_matches_fsum(case):
+    law, ts = case
+    got = _cube_plus(law, ts)
+    for t, g in zip(ts.tolist(), got.tolist()):
+        if t >= law.max_value:
+            assert g == 0.0
+            continue
+        ref = math.fsum(m * (v - t) ** 3 for v, m in law.atoms() if v > t)
+        # below the smallest normal double no float has 4e-15 relative precision
+        assert abs(g - ref) <= 4e-15 * ref + MIN_MASS, (t, g, ref)

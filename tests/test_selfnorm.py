@@ -387,6 +387,7 @@ class TestSampledBlocks:
         rep = selfnorm_bound_check(self._cfg(kind),
                                    McConfig(seed=9, n_paths=20_000, block=4_096))
         assert [(r.count, r.cp_lower) for r in rep.rows] == self.FROZEN[kind]
+        assert [r.margin for r in rep.rows] == [r.bound - r.cp_lower for r in rep.rows]
 
     @pytest.mark.parametrize("kind", ["vw", "vym", "vsymm", "vhatsymm"])
     def test_counts_independent_of_thread_split(self, kind, monkeypatch):

@@ -2,13 +2,14 @@
 exactness witnesses, and the supermartingale Monte Carlo harness."""
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import beta as scipy_beta
 
 from asymtail import selfnorm, verifier
-from asymtail.dist import from_pairs
+from asymtail.dist import bs, from_pairs, iid_sum, scale, weighted_bs_sum
 from asymtail.thresholds import m_star, p_star
 from asymtail.verifier import (
     McConfig,
@@ -186,6 +187,132 @@ class TestEnumeration:
         assert np.isfinite(res.worst_param)
 
 
+def _family_moments(lhs, rhs, t_grid, lam_grid, two_sided):
+    """Yield (family, param, E_lhs, E_rhs) from dense (grid x atoms) sums."""
+    vl, ml = lhs.values[None, :], lhs.masses[None, :]
+    vr, mr = rhs.values[None, :], rhs.masses[None, :]
+    t = np.asarray(t_grid, dtype=float)[:, None]
+    el = np.sum(np.clip(vl - t, 0.0, None) ** 3 * ml, axis=1)
+    er = np.sum(np.clip(vr - t, 0.0, None) ** 3 * mr, axis=1)
+    for i, tv in enumerate(t_grid):
+        yield "cube_plus", float(tv), float(el[i]), float(er[i])
+    lam = np.asarray(lam_grid, dtype=float)[:, None]
+    eel = np.sum(np.exp(lam * vl) * ml, axis=1)
+    eer = np.sum(np.exp(lam * vr) * mr, axis=1)
+    for i, lv in enumerate(lam_grid):
+        yield "exp", float(lv), float(eel[i]), float(eer[i])
+    if two_sided:
+        al = np.sum(np.abs(vl - t) ** 3 * ml, axis=1)
+        ar = np.sum(np.abs(vr - t) ** 3 * mr, axis=1)
+        for i, tv in enumerate(t_grid):
+            yield "abs_cube", float(tv), float(al[i]), float(ar[i])
+        cl = np.sum(np.cosh(lam * vl) * ml, axis=1)
+        cr = np.sum(np.cosh(lam * vr) * mr, axis=1)
+        for i, lv in enumerate(lam_grid):
+            yield "cosh", float(lv), float(cl[i]), float(cr[i])
+
+
+def _dense_worst(p, m, coeffs, two_sided=False, left_tail=False):
+    """(max_violation, worst_family) of the enumeration, point by point
+    over dense sums: the reference for enumeration_check."""
+    c = np.asarray(coeffs, dtype=float)
+    p_eff = 1.0 - p if left_tail else p
+    lhs = weighted_bs_sum(p_eff, c)
+    s_m = float(np.mean(c ** (2.0 * m)) ** (1.0 / (2.0 * m)))
+    rhs = scale(iid_sum(bs(p_eff), len(c)), s_m)
+    t_grid = np.linspace(min(lhs.min_value, rhs.min_value) - 1.0,
+                         max(lhs.max_value, rhs.max_value) + 1.0, 401)
+    lam_grid = np.geomspace(0.1, 5.0, 20)
+    worst = (-math.inf, "")
+    for fam, _, el, er in _family_moments(lhs, rhs, t_grid, lam_grid, two_sided):
+        viol = (el - er) / max(1.0, abs(er))
+        if viol > worst[0]:
+            worst = (viol, fam)
+    return worst
+
+
+def _acceptance_5_configs():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4, 6):
+        for coeffs in rng.uniform(0.2, 2.0, size=(25, n)):
+            for p in (0.1, 0.3, 0.5, 0.7):
+                yield p, list(coeffs)
+
+
+class TestEnumerationAgainstDenseSums:
+    @pytest.mark.parametrize("mode", ["right_tail", "two_sided", "left_tail"])
+    def test_acceptance_5_configurations(self, mode):
+        kw = {"two_sided": mode == "two_sided", "left_tail": mode == "left_tail"}
+        for p, coeffs in _acceptance_5_configs():
+            m = m_star(1.0 - p if kw["left_tail"] else p)
+            res = enumeration_check(p, m, coeffs, **kw)
+            ref_viol, ref_fam = _dense_worst(p, m, coeffs, **kw)
+            assert res.mode == mode
+            # at p = 1/2, m_star = 1: both sides have the same variance and
+            # odd moments, so E |D - t|^3 ties exactly beyond the supports,
+            # and roundoff picks the family that holds the largest violation
+            tie = kw["two_sided"] and p == 0.5 and abs(ref_viol) <= 1e-14
+            assert tie or res.worst_family == ref_fam, (p, coeffs)
+            assert abs(res.max_violation - ref_viol) <= 1e-14, (p, coeffs)
+
+    def test_violations_below_the_threshold_agree(self):
+        # m = 1 < m_star(p): real violations, where the cubes cancel least
+        for p, coeffs in [(0.1, [1.0, 2.0, 0.5]), (0.2, [1.0, 1.7, 0.3, 0.9])]:
+            for kw in ({}, {"two_sided": True}, {"left_tail": True}):
+                res = enumeration_check(p, 1.0, coeffs, **kw)
+                ref_viol, ref_fam = _dense_worst(p, 1.0, coeffs, **kw)
+                assert res.worst_family == ref_fam
+                assert abs(res.max_violation - ref_viol) <= 1e-14
+
+
+class TestEnumerationOverflow:
+    LAM = np.geomspace(0.1, 5.0, 20)
+
+    def test_log_mgf_matches_mpmath_where_the_moment_overflows(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        # E e^{5 D} is about e^{2290}: a double overflows, and the dense
+        # sums took inf - inf = NaN at 7 of the 421 points and skipped them
+        law = weighted_bs_sum(0.3, [200.0, 100.0])
+        got = verifier._log_mgf(law, self.LAM)
+        assert np.all(np.isfinite(got))
+        for lam, g in zip(self.LAM.tolist(), got.tolist()):
+            ref = mpmath.log(mpmath.fsum(mpmath.mpf(m) * mpmath.exp(mpmath.mpf(lam) * v)
+                                         for v, m in law.atoms()))
+            assert abs(g - float(ref)) <= 1e-15 * abs(float(ref)) + 1e-15
+
+    def test_large_coefficients_compare_every_rate(self):
+        p = 0.3
+        res = enumeration_check(p, m_star(p), [200.0, 100.0], two_sided=True)
+        assert res.passed
+        lhs = weighted_bs_sum(p, [200.0, 100.0])
+        c = np.array([200.0, 100.0])
+        s_m = float(np.mean(c ** (2.0 * m_star(p))) ** (1.0 / (2.0 * m_star(p))))
+        rhs = scale(iid_sum(bs(p), 2), s_m)
+        viol = np.expm1(verifier._log_mgf(lhs, self.LAM) - verifier._log_mgf(rhs, self.LAM))
+        assert np.all(np.isfinite(viol))
+        assert viol.max() == pytest.approx(-0.9593211272822461, rel=1e-12)
+
+    def test_nan_comparison_raises(self):
+        # cubes of values near 1e103 overflow, and inf - inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(VerifyError, match="NaN"):
+                enumeration_check(0.3, m_star(0.3), [1e103, 2e103])
+
+
+def test_twelve_term_enumeration_peaks_under_4_mib():
+    # the dense (401 x 4096) sums peaked at 25.2 MiB here
+    coeffs = np.random.default_rng(1).uniform(0.2, 2.0, 12)
+    enumeration_check(0.3, m_star(0.3), coeffs)
+    tracemalloc.start()
+    try:
+        enumeration_check(0.3, m_star(0.3), coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 class TestSchurSweep:
     @pytest.mark.parametrize("p", [0.05, 0.2, 0.45])
     def test_monotone_along_equalizing_path(self, p):
@@ -236,6 +363,7 @@ class TestSupermartingaleMC:
         rep = supermartingale_mc(self._cfg(rule),
                                  McConfig(seed=7, n_paths=60_000))
         assert rep.all_ok
+        assert all(r.margin == r.bound - r.cp_lower >= 0.0 for r in rep.rows)
         # every rule meets sqrt(A B) = c_i on some step
         assert abs(rep.max_sqrtab_excess) <= 1e-12
         assert rep.n_paths == 60_000
@@ -346,6 +474,13 @@ class TestSuiteRunner:
             results = run_suite(name, seed=0)
             assert results, name
             assert all(r.passed for r in results), name
+
+    def test_supermartingale_rows_carry_the_margin(self):
+        results = verifier.run_supermartingale_suite(seed=0, n_paths=5_000)
+        for res in results:
+            rows = res.details["rows"]
+            assert all(r["margin"] == r["bound"] - r["cp_lower"] for r in rows)
+            assert res.metric == min(r["margin"] for r in rows)
 
     def test_unknown_suite_raises(self):
         with pytest.raises(VerifyError):
