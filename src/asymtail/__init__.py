@@ -8,8 +8,8 @@ and Monte Carlo (`verifier`), and self-normalized statistics
 (`selfnorm`).  `cli` exposes all of it as the `asymtail` command.
 
 Importing the package loads numpy only; scipy is imported inside the
-two functions that use it (the quadrature in `k1_const` and the
-Clopper-Pearson quantile), the first time they run.  Roots come from
+one function that uses it (the Clopper-Pearson quantile of the Monte
+Carlo checks), the first time it runs.  Roots come from
 `optimize.brent_root`, a port of scipy's brentq.
 """
 from time import perf_counter as _perf_counter
@@ -39,12 +39,8 @@ from .dist import (
 )
 from .thresholds import (
     ConjecturalValue,
-    SymThresholds,
     ThresholdError,
     c_const,
-    k_const,
-    k1_const,
-    k_max_consts,
     k_tilde,
     m_conj,
     m_exp,
@@ -56,7 +52,6 @@ from .thresholds import (
     p_star,
     p_star_upper,
     p_tilde,
-    sym_thresholds,
     threshold_row,
     threshold_table,
 )
@@ -72,12 +67,10 @@ from .bounds import (
     BoundError,
     BoundReport,
     b_opt,
-    baseline_binom_bound,
     carrier_sum,
     combined_bound,
     combined_bound_grid,
     hoeffding_bound,
-    normal_opt_bound,
     normal_tail,
     partial_moment,
 )

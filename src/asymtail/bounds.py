@@ -26,10 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import FiniteDist, _shifted_suffix_moments, bs, from_pairs, iid_sum, scale
+from .dist import FiniteDist, _shifted_suffix_moments, bs, iid_sum, scale
 # lattice_params is not called here; perfbench/tracer.py wraps it under this name
-from .majorant import TailMajorant, lattice_params, lc_majorant, lin_lc_majorant  # noqa: F401
-from .optimize import golden_section
+from .majorant import lattice_params, lc_majorant, lin_lc_majorant  # noqa: F401
+# golden_section is not called here; perfbench/tracer.py wraps it under this name
+from .optimize import golden_section  # noqa: F401
 from .thresholds import c_const, m_star
 
 _SNAP_RTOL = 1e-12
@@ -171,26 +172,8 @@ def hoeffding_bound(p: float, n: int, s_m: float, x) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# standard normal partial moments and tail
+# standard normal tail
 # ---------------------------------------------------------------------------
-
-def normal_partial_moment(alpha: int, t: float) -> float:
-    """E (Z - t)_+^alpha for standard normal Z and integer alpha in 0..5.
-
-    M_0 = Q(t), M_1 = phi(t) - t Q(t), and upward the three-term
-    recurrence M_alpha = (alpha - 1) M_{alpha-2} - t M_{alpha-1}.
-    """
-    if not 0 <= alpha <= 5:
-        raise BoundError("normal_partial_moment covers integer alpha 0..5")
-    Q = _q(float(t))
-    phi = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    m_prev, m_cur = Q, phi - t * Q
-    if alpha == 0:
-        return float(Q)
-    for a in range(2, alpha + 1):
-        m_prev, m_cur = m_cur, (a - 1) * m_prev - t * m_cur
-    return float(m_cur)
-
 
 # 1/sqrt(2) as a double plus the rest (1/sqrt(2) minus that double, from
 # mpmath), and the double split in two 26-bit halves for Veltkamp's exact
@@ -222,45 +205,6 @@ def normal_tail(z) -> float | np.ndarray:
     """Q(z) = P(Z >= z); z a scalar or an array, evaluated elementwise."""
     z = np.asarray(z, dtype=float)
     return _float_or_array(np.array([_q(v) for v in z.ravel().tolist()]).reshape(z.shape))
-
-
-def normal_opt_bound(x: float, sigma: float, alpha: int = 5) -> float:
-    """inf over t of sigma^alpha M_alpha(t/sigma) / (x - t)^alpha."""
-    if sigma <= 0:
-        raise BoundError("sigma must be positive")
-
-    def objective(t: float) -> float:
-        return sigma ** alpha * normal_partial_moment(alpha, t / sigma) / (x - t) ** alpha
-
-    lo = x - 60.0 * sigma
-    hi = x - 1e-9 * sigma
-    t_g, val = golden_section(objective, lo, hi)
-    return min(val, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# two-point baseline for (b, c)-bounded martingale increments
-# ---------------------------------------------------------------------------
-
-def baseline_two_point(b: float, c: float) -> FiniteDist:
-    """Zero-mean two-point law with maximum b and variance c^2."""
-    if b <= 0 or c <= 0:
-        raise BoundError("baseline_two_point needs b > 0 and c > 0")
-    denom = b * b + c * c
-    return from_pairs([(-c * c / b, b * b / denom), (b, c * c / denom)])
-
-
-def baseline_binom_bound(b: float, c: float, n: int, y: float) -> dict:
-    """c_{2,0} P_LinLC(sum of n baseline two-point laws >= y + h/2)."""
-    z = baseline_two_point(b, c)
-    carrier = iid_sum(z, n)
-    maj = lin_lc_majorant(carrier)
-    h = b + c * c / b
-    raw = c_const(2.0) * float(maj.value(y + 0.5 * h))
-    return {
-        "b": b, "c": c, "n": n, "y": y, "h": h,
-        "raw": raw, "bound": min(raw, 1.0),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ moment-index boundaries, `bound` evaluates the tail bound family,
 check suites, and `selfnorm` runs the self-normalized Monte Carlo
 checks.  Results go to stdout as JSON (or to a CSV file with --out);
 timing goes to stderr so stdout stays machine-readable.  Exit status is
-0 on success, 1 when a verification check fails, 2 on usage errors; a
-reader that closes stdout early (`| head`) does not change it.
+0 on success, 1 when a verification check fails, 2 on usage errors and
+on running out of memory; a reader closing stdout early (`| head`) does
+not change it.
 
 Times are measured, never estimated.  The manifest's `timings` holds
 `import_s`, from the first line of the package's `__init__` to the end
@@ -284,6 +285,9 @@ def main(argv=None) -> int:
         code = args.func(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         code = 2
     finally:
         dt = _IMPORT_S + (time.perf_counter() - t0)

@@ -1,7 +1,8 @@
 """Scalar optimization helpers shared across the package.
 
-Golden-section minimization on a closed interval, and Brent's bracketed
-root finder.  `brent_root` is a line-by-line port of scipy's brentq
+Golden-section minimization on a closed interval (no library caller is
+left; perfbench/tracer.py still wraps it), and Brent's bracketed root
+finder.  `brent_root` is a line-by-line port of scipy's brentq
 (scipy/optimize/Zeros/brentq.c), so it returns the same bits; it spares
 the callers in `thresholds` the import of `scipy.optimize`, which pulls
 in `scipy.linalg`, `scipy.sparse` and `scipy.spatial`.

@@ -46,6 +46,11 @@ class SelfNormError(ValueError):
     pass
 
 
+def _zero_tol(d: FiniteDist) -> float:
+    """Atoms of d within this of 0 count as the atom at zero."""
+    return 1e-12 * max(1.0, abs(d.min_value), abs(d.max_value))
+
+
 # ---------------------------------------------------------------------------
 # reciprocating map
 # ---------------------------------------------------------------------------
@@ -61,11 +66,10 @@ class ReciprocatingMap:
     """
 
     def __init__(self, d: FiniteDist):
-        scale_v = max(1.0, abs(d.min_value), abs(d.max_value))
-        if abs(d.mean()) > 1e-12 * scale_v:
+        ztol = _zero_tol(d)
+        if abs(d.mean()) > ztol:
             raise SelfNormError("reciprocating map needs a zero-mean law")
         self.dist = d
-        ztol = 1e-12 * scale_v
         v, w = d.values, d.masses
         pos = v > ztol
         neg = v < -ztol
@@ -263,8 +267,7 @@ def recombine(decomp: TwoPointDecomposition) -> FiniteDist:
 
 def hat_dist(d: FiniteDist) -> FiniteDist:
     """The law of X given X != 0."""
-    scale_v = max(1.0, abs(d.min_value), abs(d.max_value))
-    keep = np.abs(d.values) > 1e-12 * scale_v
+    keep = np.abs(d.values) > _zero_tol(d)
     if not np.any(keep):
         raise SelfNormError("law is concentrated at zero")
     w = d.masses[keep]
@@ -279,8 +282,7 @@ def var_identity_check(d: FiniteDist, g: Callable[[np.ndarray], np.ndarray]) -> 
     Returns both sides and their difference.
     """
     gv = np.asarray(g(d.values), dtype=float)
-    scale_v = max(1.0, abs(d.min_value), abs(d.max_value))
-    zero = np.abs(d.values) <= 1e-12 * scale_v
+    zero = np.abs(d.values) <= _zero_tol(d)
     if np.any(zero) and np.max(np.abs(gv[zero])) > 1e-12:
         raise SelfNormError("the identity needs g(0) = 0")
     p = 1.0 - float(np.sum(d.masses[zero]))
@@ -487,7 +489,7 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
         def simulate(rng, size):
             x = values.take(_atom_index(cum, rng.random((size, cfg.n))))
             habs = np.abs(x)
-            zeros = habs <= 1e-12
+            zeros = habs <= _zero_tol(cfg.base)
             if np.any(zeros):
                 u = rng.random(int(np.sum(zeros)))
                 habs[zeros] = np.abs(hat_values.take(_atom_index(hat_cum, u)))
@@ -510,8 +512,7 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> SelfNormReport:
         if not cfg.base.is_symmetric():
             raise SelfNormError("vhatsymm needs a symmetric base law")
         hat = hat_dist(cfg.base)
-        scale_v = max(1.0, abs(cfg.base.min_value), abs(cfg.base.max_value))
-        zero = np.abs(cfg.base.values) <= 1e-12 * scale_v
+        zero = np.abs(cfg.base.values) <= _zero_tol(cfg.base)
         nonzero_p = 1.0 - float(np.sum(cfg.base.masses[zero]))
         if cfg.p is None or cfg.p < max(nonzero_p, SQRT2_MINUS_1) - 1e-12:
             raise SelfNormError("vhatsymm needs p >= max(P(X != 0), sqrt(2)-1)")

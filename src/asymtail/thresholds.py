@@ -31,13 +31,10 @@ partially known; this module exposes the proven envelope
 m_one(p) = sqrt((2-p)/p)/2 and the root m_zero(p) of a degree-6
 polynomial (flagged conjectured; nothing downstream consumes it).
 
-Optimized tail constants:
+The optimized tail constant:
 
     c_const(alpha, beta) = Gamma(alpha+1) (e/alpha)^alpha
-                           / (Gamma(beta+1) (e/beta)^beta),   c_{alpha,0} drops the denominator;
-    k_const(alpha, beta) = beta^beta (alpha-beta)^(alpha-beta) / alpha^alpha;
-    k1_const(alpha, beta) = sup_{sigma>0} sigma^{-beta (alpha-1)}
-                            (int_0^sigma beta s^{beta-1} / (1+s) ds)^alpha.
+                           / (Gamma(beta+1) (e/beta)^beta),   c_{alpha,0} drops the denominator.
 """
 from __future__ import annotations
 
@@ -48,10 +45,9 @@ from functools import lru_cache
 
 import numpy as np
 
-# Roots come from optimize.brent_root, a port of scipy's brentq; scipy's
-# quad is imported inside _tail_integral, so importing this module, and
-# every threshold but k1_const, costs numpy alone.
-from .optimize import brent_root, golden_section
+# Roots come from brent_root, a port of scipy's brentq, so this module costs
+# numpy alone; golden_section is not called here, perfbench/tracer.py wraps it.
+from .optimize import brent_root, golden_section  # noqa: F401
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 # The smaller root in p of the quartic _z_poly(p, sqrt(2)); the larger is
@@ -315,24 +311,8 @@ def m_conj(p: float) -> ConjecturalValue:
     return m_zero(p)
 
 
-@dataclass(frozen=True)
-class SymThresholds:
-    """Envelope (and conjecture) for the symmetric three-point threshold."""
-    p: float
-    m_low: float
-    m_high: float
-    m_conj: float | None = None
-    conjectured: bool = True
-
-
-def sym_thresholds(p: float) -> SymThresholds:
-    conj = m_conj(p)
-    return SymThresholds(p=p, m_low=m_st_low(p), m_high=m_st_high(p),
-                         m_conj=conj.value, conjectured=conj.conjectured)
-
-
 # ---------------------------------------------------------------------------
-# optimized constants
+# optimized constant
 # ---------------------------------------------------------------------------
 
 def _log_c0(a: float) -> float:
@@ -349,76 +329,6 @@ def c_const(alpha: float, beta: float = 0.0) -> float:
     if beta == alpha:
         return 1.0
     return math.exp(_log_c0(alpha) - _log_c0(beta))
-
-
-def k_const(alpha: float, beta: float) -> float:
-    """Maximal-function constant beta^beta (alpha-beta)^(alpha-beta) / alpha^alpha."""
-    if not 0.0 < beta < alpha:
-        raise ThresholdError("k_const requires 0 < beta < alpha")
-    return math.exp(beta * math.log(beta)
-                    + (alpha - beta) * math.log(alpha - beta)
-                    - alpha * math.log(alpha))
-
-
-def _tail_integral(sigma: float, beta: float) -> float:
-    # int_0^sigma beta s^{beta-1} / (1+s) ds, split so the beta < 1
-    # endpoint singularity is removed by the substitution u = s^beta.
-    if sigma <= 0:
-        return 0.0
-    from scipy.integrate import quad
-    total = 0.0
-    head = min(1.0, sigma)
-    if beta < 1.0:
-        val, _ = quad(lambda u: 1.0 / (1.0 + u ** (1.0 / beta)), 0.0, head ** beta,
-                      epsabs=5e-11, epsrel=1e-12, limit=200)
-        total += val
-    else:
-        val, _ = quad(lambda s: beta * s ** (beta - 1.0) / (1.0 + s), 0.0, head,
-                      epsabs=5e-11, epsrel=1e-12, limit=200)
-        total += val
-    if sigma > 1.0:
-        val, _ = quad(lambda s: beta * s ** (beta - 1.0) / (1.0 + s), 1.0, sigma,
-                      epsabs=5e-11, epsrel=1e-12, limit=200)
-        total += val
-    return total
-
-
-def k1_const(alpha: float, beta: float) -> float:
-    """sup_sigma sigma^{-beta (alpha-1)} (int_0^sigma beta s^{beta-1}/(1+s) ds)^alpha.
-
-    Golden-section over log sigma in [-12, 12]; the integrand is handled
-    by adaptive quadrature at absolute tolerance 1e-10.
-    """
-    if not 0.0 < beta < alpha:
-        raise ThresholdError("k1_const requires 0 < beta < alpha")
-
-    def neg_log_obj(w: float) -> float:
-        sigma = math.exp(w)
-        integral = _tail_integral(sigma, beta)
-        if integral <= 0:
-            return math.inf
-        return -(alpha * math.log(integral) - beta * (alpha - 1.0) * w)
-
-    w_star, neg = golden_section(neg_log_obj, -12.0, 12.0)
-    return math.exp(-neg)
-
-
-@dataclass(frozen=True)
-class KMaxConsts:
-    """Closed-form k, optimized k1, and their ratio k1/k (>= 1)."""
-    alpha: float
-    beta: float
-    k: float
-    k1: float
-
-    @property
-    def ratio(self) -> float:
-        return self.k1 / self.k
-
-
-def k_max_consts(alpha: float, beta: float) -> KMaxConsts:
-    return KMaxConsts(alpha=alpha, beta=beta, k=k_const(alpha, beta),
-                      k1=k1_const(alpha, beta))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import combined_bound_grid
+from .bounds import combined_bound_grid, resolve_s_m
 from .dist import FiniteDist, RngSpec, _cube_plus, bs, iid_sum, scale, weighted_bs_sum
 from .thresholds import m_star
 
@@ -258,7 +258,7 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False,
     if left_tail:
         p_eff = 1.0 - p
     lhs = weighted_bs_sum(p_eff, c)
-    s_m = float(np.mean(c ** (2.0 * m)) ** (1.0 / (2.0 * m))) if np.any(c > 0) else 0.0
+    _, s_m, _ = resolve_s_m(m, coeffs=c)
     if s_m <= 0:
         raise VerifyError("coefficients are all zero")
     rhs = scale(iid_sum(bs(p_eff), n), s_m)
@@ -422,7 +422,14 @@ def tail_counts(simulate, xs, mc: McConfig) -> TailCounts:
         stat, extra = simulate(spec.substream(i).generator(), sizes[i])
         return np.array([np.count_nonzero(stat >= x) for x in xs]), extra
 
-    workers = min(n_blocks, max(1, int(os.environ.get("ASYMTAIL_THREADS", "1") or "1")))
+    threads = os.environ.get("ASYMTAIL_THREADS", "") or "1"
+    try:
+        cap = int(threads)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise VerifyError(f"ASYMTAIL_THREADS must be a positive integer, got {threads!r}")
+    workers = min(n_blocks, cap)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             blocks = list(ex.map(run_block, range(n_blocks)))
@@ -530,8 +537,8 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
         xs = np.asarray(cfg.x_grid, dtype=float)
     else:
         sig = math.sqrt(float(np.sum(c * c)))
-        top = cfg.n * float(np.mean(c ** (2 * cfg.m)) ** (1 / (2 * cfg.m))) \
-            * math.sqrt((1 - cfg.p) / cfg.p)
+        _, s_m, _ = resolve_s_m(cfg.m, coeffs=c)
+        top = cfg.n * s_m * math.sqrt((1 - cfg.p) / cfg.p)
         xs = np.linspace(0.5 * sig, min(3.5 * sig, 0.98 * top), 8)
 
     reports = combined_bound_grid(cfg.p, cfg.m, xs, coeffs=c)

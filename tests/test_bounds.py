@@ -7,20 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
-from scipy.integrate import quad
 
 from asymtail.bounds import (
     BoundError,
     b_opt,
-    baseline_binom_bound,
-    baseline_two_point,
     carrier_sum,
     combined_bound,
     combined_bound_grid,
     hoeffding_H,
     hoeffding_bound,
-    normal_opt_bound,
-    normal_partial_moment,
     normal_tail,
     partial_moment,
 )
@@ -41,18 +36,6 @@ class TestPartialMoments:
             assert partial_moment(d, 0.0, t) == pytest.approx(
                 tail(d, t + 1e-12), rel=1e-12)
 
-    def test_normal_density_value(self):
-        assert normal_partial_moment(1, 0.0) == pytest.approx(
-            0.3989422804014327, rel=1e-13)
-
-    @pytest.mark.parametrize("alpha", [0, 1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("t", [-2.0, -0.5, 0.0, 0.8, 2.5])
-    def test_normal_recurrence_vs_quadrature(self, alpha, t):
-        val = normal_partial_moment(alpha, t)
-        ref, _ = quad(lambda z: (z - t) ** alpha * math.exp(-z * z / 2)
-                      / math.sqrt(2 * math.pi), t, t + 40)
-        assert val == pytest.approx(ref, rel=1e-9, abs=1e-12)
-
 
 class TestNormalTail:
     """Q is computed with math.erfc, elementwise, with the rounding of
@@ -64,8 +47,7 @@ class TestNormalTail:
         with mpmath.workdps(40):
             return mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)) / 2
 
-    @pytest.mark.parametrize("fn", [normal_tail, lambda z: normal_partial_moment(0, z)],
-                             ids=["normal_tail", "normal_partial_moment_0"])
+    @pytest.mark.parametrize("fn", [normal_tail], ids=["normal_tail"])
     def test_within_1e_15_of_mpmath(self, fn):
         worst = 0.0
         for z in self.ZS.tolist():
@@ -228,32 +210,6 @@ class TestHoeffding:
         ys = np.linspace(0.01, 0.69, 50)
         hs = [hoeffding_H(0.3, float(y)) for y in ys]
         assert all(b > a for a, b in zip(hs, hs[1:]))
-
-
-class TestNormalBounds:
-    def test_opt_bound_below_scaled_tail(self):
-        for x in (0.5, 1.0, 2.0, 4.0):
-            assert normal_opt_bound(x, 1.0) <= c_const(5, 0) * normal_tail(x) + 1e-15
-
-    def test_opt_bound_scale_invariance(self):
-        a = normal_opt_bound(2.0, 1.0)
-        b = normal_opt_bound(4.0, 2.0)
-        assert a == pytest.approx(b, rel=1e-10)
-
-
-class TestBaseline:
-    def test_two_point_is_standardized(self):
-        d = baseline_two_point(2.0, 1.0)
-        assert d.mean() == pytest.approx(0.0, abs=1e-14)
-        assert d.max_value == 2.0
-        assert d.var() == pytest.approx(1.0, rel=1e-13)
-
-    def test_binom_bound_keys_and_monotone(self):
-        r1 = baseline_binom_bound(1.0, 1.0, 6, 2.0)
-        r2 = baseline_binom_bound(1.0, 1.0, 6, 3.0)
-        assert set(r1) == {"b", "c", "n", "y", "h", "raw", "bound"}
-        assert r2["bound"] <= r1["bound"]
-        assert 0.0 <= r1["bound"] <= 1.0
 
 
 class TestCombinedBound:

@@ -3,6 +3,7 @@ schemas, exit codes, determinism, and CSV side channel."""
 import csv
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -110,6 +111,21 @@ class TestBoundCommand:
                        check=False)
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    def test_out_of_memory_exit_2(self):
+        # a carrier of 10^8 + 1 atoms does not fit in a 1.5 GiB address space
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "asymtail.cli", "bound", "--p", "0.3",
+             "--n", "100000000", "--s-m", "1", "--x", "1"],
+            capture_output=True, text=True, preexec_fn=cap_address_space)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert err[0].startswith("error: out of memory")
+        assert len(err) == 2 and err[1].startswith("wall time")
 
 
 class TestMajorantCommand:
@@ -282,4 +298,17 @@ class TestBadInputExit2:
         assert out.out == ""
         err = out.err.splitlines()
         assert err[0].startswith("error: ")
+        assert len(err) == 2 and err[1].startswith("wall time")
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "2.5"])
+    def test_malformed_thread_count(self, threads, monkeypatch, capsys):
+        monkeypatch.setenv("ASYMTAIL_THREADS", threads)
+        argv = ["selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "4",
+                "--paths", "1000"]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = out.err.splitlines()
+        assert err[0] == ("error: ASYMTAIL_THREADS must be a positive integer, "
+                          f"got {threads!r}")
         assert len(err) == 2 and err[1].startswith("wall time")

@@ -1,12 +1,14 @@
-"""Import hygiene: the package, bound queries, thresholds and the
-verifier certificates load no scipy module.
+"""Import hygiene: the package, bound queries, thresholds, the verifier
+certificates and the CLI commands that run them load no scipy module.
 
-scipy is imported inside the few functions that use it (the quadrature
-in `k1_const`, the Clopper-Pearson quantile), so a process that only
-imports asymtail, evaluates bounds, tabulates thresholds or runs the
-certificate checks pays for numpy alone.  Roots come from
-`optimize.brent_root`, not `scipy.optimize`.  Each check runs in a fresh
-interpreter, since this test process has scipy loaded already.
+scipy is imported inside the one function that uses it (the
+Clopper-Pearson quantile of the Monte Carlo checks), so a process that
+only imports asymtail, evaluates bounds, builds hulls, tabulates
+thresholds or runs the certificate checks pays for numpy alone, and a
+Monte Carlo check loads `scipy.special` but not `scipy.integrate`.
+Roots come from `optimize.brent_root`, not `scipy.optimize`.  The checks
+run in a fresh interpreter, since this test process has scipy loaded
+already.
 """
 import json
 import subprocess
@@ -40,9 +42,17 @@ verifier.enumeration_check(p, m, [1.0, 0.7, 0.4])
 verifier.exactness_witness(0.2, 0.9 * asymtail.m_star(0.2))
 verifier.schur_sweep(p, m, 1.5)
 seen["certificates"] = scipy_modules()
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    seen["cli exit"] = asymtail.cli.main(["thresholds", "--p", "0.3"])
-seen["cli thresholds"] = scipy_modules()
+
+def cli(name, *argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        seen[f"cli {name} exit"] = asymtail.cli.main([name, *argv])
+    seen[f"cli {name}"] = scipy_modules()
+
+cli("thresholds", "--p", "0.3")
+cli("bound", "--p", "0.3", "--n", "10", "--s-m", "1", "--x", "2")
+cli("majorant", "--p", "0.3", "--n", "10", "--kind", "linlc", "--eval", "1,2")
+cli("verify", "--suite", "delta")
+cli("selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "4", "--paths", "1000")
 print(json.dumps(seen))
 """
 
@@ -78,5 +88,19 @@ def test_certificates_load_no_scipy(probe):
 
 
 def test_cli_thresholds_loads_no_scipy(probe):
-    assert probe["cli exit"] == 0
+    assert probe["cli thresholds exit"] == 0
     assert probe["cli thresholds"] == []
+
+
+@pytest.mark.parametrize("command", ["bound", "majorant", "verify"])
+def test_cli_command_loads_no_scipy(probe, command):
+    assert probe[f"cli {command} exit"] == 0
+    assert probe[f"cli {command}"] == []
+
+
+def test_monte_carlo_loads_scipy_special_only(probe):
+    assert probe["cli selfnorm exit"] == 0
+    loaded = probe["cli selfnorm"]
+    assert "scipy.special" in loaded
+    assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.")
+                   for m in loaded)

@@ -203,6 +203,19 @@ class TestBoundChecks:
         rep = selfnorm_bound_check(cfg, self.MC)
         assert rep.all_ok
 
+    def test_vhatsymm_atoms_near_zero_count_as_zero(self):
+        # on this law's scale the atoms at +-5e-10 are zero, for hat_dist
+        # and for the simulated paths alike, so the counts match the law
+        # that holds their mass at exactly 0
+        near = from_pairs([(-1e3, 0.3), (-5e-10, 0.2), (5e-10, 0.2), (1e3, 0.3)])
+        exact = from_pairs([(-1e3, 0.3), (0.0, 0.4), (1e3, 0.3)])
+        mc = McConfig(seed=3, n_paths=20_000)
+        near_rep, exact_rep = (
+            selfnorm_bound_check(SelfNormConfig(base=b, n=4, kind="vhatsymm", p=0.7), mc)
+            for b in (near, exact))
+        assert [r.count for r in near_rep.rows] == [r.count for r in exact_rep.rows]
+        assert exact_rep.rows[0].count > 0
+
     def test_deterministic_counts(self):
         cfg = SelfNormConfig(base=ASYM3, n=6, kind="vw")
         mc = McConfig(seed=9, n_paths=20_000, block=4_096)

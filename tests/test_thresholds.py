@@ -1,7 +1,7 @@
-"""Threshold curves, their inverses, and the optimized constants.
+"""Threshold curves, their inverses, and the optimized constant.
 
 Frozen reference values were computed with independent high-precision
-oracles (mpmath root-finding and quadrature) and pinned here.
+oracles (mpmath) and pinned here.
 """
 import math
 import time
@@ -19,9 +19,6 @@ from asymtail.thresholds import (
     _p_zero_one,
     _z_poly,
     c_const,
-    k1_const,
-    k_const,
-    k_max_consts,
     k_tilde,
     m_conj,
     m_exp,
@@ -36,7 +33,6 @@ from asymtail.thresholds import (
     p_star_upper,
     p_tilde,
     r_sym,
-    sym_thresholds,
     threshold_row,
 )
 
@@ -181,8 +177,7 @@ class TestSymmetricThresholds:
 
     def test_envelope_ordering(self):
         for p in np.linspace(0.01, 0.5, 30):
-            s = sym_thresholds(float(p))
-            assert 1.0 <= s.m_low <= s.m_high + 1e-12
+            assert 1.0 <= m_st_low(float(p)) <= m_st_high(float(p)) + 1e-12
 
     def test_conjectured_switch(self):
         p01 = _p_zero_one()
@@ -224,17 +219,6 @@ class TestConstants:
     def test_c_diagonal_is_one(self):
         for a in (0.5, 1.0, 3.0, 7.5):
             assert c_const(a, a) == 1.0
-
-    def test_k_const_frozen(self):
-        assert k_const(3, 1) == pytest.approx(4.0 / 27.0, rel=1e-14)
-
-    def test_k_const_degenerates_to_one(self):
-        assert k_const(3, 3 - 1e-6) == pytest.approx(1.0, abs=1e-4)
-
-    def test_k1_and_ratio_frozen(self):
-        assert k1_const(3, 1) == pytest.approx(0.34234686424616867, rel=1e-10)
-        km = k_max_consts(3, 1)
-        assert km.ratio == pytest.approx(2.3108413336616387, rel=1e-10)
 
     def test_c_const_rejects_bad_orders(self):
         with pytest.raises(ThresholdError):
