@@ -35,7 +35,7 @@ from .bounds import BoundError, combined_bound_grid
 from .dist import DistError, FiniteDist, from_pairs
 from .majorant import MajorantError, lc_majorant, lin_lc_majorant
 from .selfnorm import SelfNormConfig, SelfNormError, selfnorm_bound_check
-from .thresholds import THRESHOLD_COLUMNS, ThresholdError, threshold_table
+from .thresholds import ThresholdError, threshold_table
 from .verifier import McConfig, VerifyError, run_suite
 
 _ERRORS = (BoundError, DistError, MajorantError, SelfNormError,

@@ -279,7 +279,12 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
     """Exact law of sum_i c_i * BS_i with BS_i iid bs(p).
 
     Guarded at 24 terms: the construction enumerates up to 2^n sign
-    patterns through repeated convolution.
+    patterns through repeated convolution.  The fold runs on raw arrays
+    with one `_canonicalize` (sort and merge) per term, the same sorts
+    and merges as folding `convolve(out, scale(bs(p), c))`, so the law is
+    bit for bit that fold's; only the final law is built and validated
+    as a FiniteDist.  Merging keeps the atom count at n + 1 for equal
+    coefficients.
     """
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) == 0:
@@ -289,10 +294,28 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
     if any(c < 0 for c in coeffs):
         raise DistError("coefficients must be >= 0")
     base = bs(p)
-    out = scale(base, coeffs[0])
+
+    def scaled(c: float) -> tuple[np.ndarray, np.ndarray]:
+        # the raw atoms of scale(base, c)
+        if not math.isfinite(c):
+            raise DistError("scale factor must be finite")
+        if c == 0.0:
+            return np.zeros(1), np.ones(1)
+        sv = base.values * c
+        if not np.all(np.isfinite(sv)):
+            raise DistError("atoms must be finite")
+        return sv, base.masses
+
+    v, m = scaled(coeffs[0])
     for c in coeffs[1:]:
-        out = convolve(out, scale(base, c))
-    return out
+        v, m = _canonicalize(v, m)
+        sv, sm = _canonicalize(*scaled(c))
+        # both are sorted, so the extreme sums are the sums of the extremes
+        if not (math.isfinite(float(v[0]) + float(sv[0]))
+                and math.isfinite(float(v[-1]) + float(sv[-1]))):
+            raise DistError("atoms must be finite")
+        v, m = np.add.outer(v, sv).ravel(), np.multiply.outer(m, sm).ravel()
+    return FiniteDist(v, m)
 
 
 def tail(d: FiniteDist, x) -> float | np.ndarray:

@@ -335,9 +335,10 @@ def _vsymm(x: np.ndarray, multipliers: np.ndarray, m: float) -> np.ndarray:
 
 
 def _vhatsymm(x: np.ndarray, hat_abs: np.ndarray, m: float, p: float) -> np.ndarray:
-    t = hat_abs ** (2.0 * m)
+    # raises hat_abs to 2m in place: callers pass an array they own
+    hat_abs **= 2.0 * m
     return _safe_ratio(x.sum(axis=1),
-                       math.sqrt(p) * t.sum(axis=1) ** (1.0 / (2.0 * m)))
+                       math.sqrt(p) * hat_abs.sum(axis=1) ** (1.0 / (2.0 * m)))
 
 
 def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
@@ -370,7 +371,7 @@ def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
     if kind == "vhatsymm":
         if hat_abs is None or p is None:
             raise SelfNormError("vhatsymm needs hat_abs and p")
-        return _vhatsymm(x, np.asarray(hat_abs, dtype=float), m, p)
+        return _vhatsymm(x, np.array(hat_abs, dtype=float), m, p)
     raise SelfNormError(f"unknown statistic kind {kind!r}")
 
 

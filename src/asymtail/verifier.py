@@ -13,7 +13,10 @@ confidence guard:
   exponential moments by log-sum-exp so that none overflows;
 - Schur-direction sweeps along the constant-(2m)-norm coefficient path,
   including the two-coefficient witness that the moment threshold is
-  sharp (below it the direction reverses);
+  sharp (below it the direction reverses), found by exact maximization:
+  the window splits at the <= 4 angles where a term of the pair moment
+  switches on, and each piece's maximum lies at its ends or at a root
+  of the derivative;
 - supermartingale increment rules simulated at scale and compared with
   the bound family at Clopper-Pearson confidence.
 
@@ -35,6 +38,7 @@ import numpy as np
 
 from .bounds import combined_bound_grid, resolve_s_m
 from .dist import FiniteDist, RngSpec, _cube_plus, bs, iid_sum, scale, weighted_bs_sum
+from .optimize import brent_root
 from .thresholds import m_star
 
 
@@ -58,8 +62,9 @@ DEFAULT_TOL = 1e-12
 _ENUM_T_COUNT = 401      # cube_plus / abs_cube thresholds t
 _ENUM_LAM_COUNT = 20     # exp / cosh rates lambda in [0.1, 5]
 _SCHUR_THETAS = 64       # angles on (0, pi/4] per Schur sweep
-_WITNESS_WINDOW = 0.2    # witness scan covers theta in [pi/4 - 0.2, pi/4]
-_WITNESS_SCAN = 10_000   # steps of that scan
+_WITNESS_WINDOW = 0.2    # the witness maximizes over theta in [pi/4 - 0.2, pi/4]
+_WITNESS_PIECE = 32      # derivative samples per piece of that window
+_WITNESS_EDGE = 1e-9     # the derivative is sampled up to pi/4 minus this
 
 
 class VerifyError(ValueError):
@@ -159,7 +164,8 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
       region 4, the square (1-C) p (1+c+u)^2:        u in {-1-c, -1}.
 
     identity_max_err compares the piecewise table with the
-    positive-part form at the same points.
+    positive-part form at the same points, all regions' points stacked
+    into one (resolution, 9) grid.
     """
     if not 0.0 < p < 1.0:
         raise VerifyError("p must be in (0, 1)")
@@ -179,15 +185,16 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
     }
 
     best = (math.inf, 0, math.nan, math.nan)
-    ident_err = 0.0
     for region, ug in grids.items():
         vals = delta(region, ug, cs, p, m)
         flat = int(np.argmin(vals))
         ci, ui = divmod(flat, vals.shape[1])
         if vals[ci, ui] < best[0]:
             best = (float(vals[ci, ui]), region, float(cs[ci, 0]), float(ug[ci, ui]))
-        resid = delta_piecewise(ug, cs, p, m) - delta_positive_part_form(ug, cs, p, m)
-        ident_err = max(ident_err, float(np.max(np.abs(resid))))
+    # the identity residual over all regions' points in one pass
+    ug = np.hstack(list(grids.values()))
+    resid = delta_piecewise(ug, cs, p, m) - delta_positive_part_form(ug, cs, p, m)
+    ident_err = float(np.max(np.abs(resid)))
     return DeltaGridResult(p=p, m=m, resolution=resolution,
                            min_value=best[0], argmin_region=best[1],
                            argmin_c=best[2], argmin_u=best[3],
@@ -346,13 +353,44 @@ class ViolationWitness:
     gap: float
 
 
+def _pair_terms(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four terms of the pair moment: (v_i, v_j, w_i w_j) over i, j."""
+    base = bs(p)
+    v, w = base.values, base.masses
+    return np.repeat(v, 2), np.tile(v, 2), np.outer(w, w).ravel()
+
+
+def _pair_slope(terms, m: float, t: float, thetas: np.ndarray) -> np.ndarray:
+    """d/dtheta of E (a BS_1 + b BS_2 - t)_+^3, divided by 3, at each angle.
+
+    a = cos^(1/m), so a' = -a tan / m, and b' = b cot / m."""
+    vi, vj, w = terms
+    e = 1.0 / m
+    c, s = np.cos(thetas), np.sin(thetas)
+    a, b = c ** e, s ** e
+    da, db = -e * a * s / c, e * b * c / s
+    y = np.clip(a[:, None] * vi + b[:, None] * vj - t, 0.0, None)
+    return np.sum(w * y * y * (da[:, None] * vi + db[:, None] * vj), axis=1)
+
+
 def exactness_witness(p: float, m: float) -> ViolationWitness | None:
-    """Search for a two-coefficient violation near the equal point.
+    """The two-coefficient violation near the equal point, if there is one.
 
     At the witness threshold t the equalized pair is strictly worse than
     a nearby unequal pair whenever m < m_star(p); the returned gap
-    g(pi/4) - max g(theta) is then negative.  Returns None when no
-    violation beyond -1e-12 shows up, as happens for m >= m_star(p).
+    g(pi/4) - sup g(theta) over [pi/4 - 0.2, pi/4) is then negative.
+    Returns None when the gap is not below -1e-12, as happens for
+    m >= m_star(p).
+
+    The supremum is found exactly, not sampled.  For m >= 1 each of the
+    four arguments a v_i + b v_j is monotone on the window (a + b rises
+    towards pi/4, a falls and b rises), so each term of g switches on at
+    most once; brent_root finds those <= 4 breakpoints.  Between them g
+    is smooth: its derivative is sampled 32 times per piece, every
+    + to - sign change is polished by brent_root, and g is evaluated at
+    those roots and the piece ends.  The derivative vanishes at pi/4 by
+    symmetry, so it is sampled only up to pi/4 - 1e-9, and the limit at
+    pi/4 is g(pi/4) itself: the gap is never positive.
     """
     if not 0.0 < p < 0.5:
         raise VerifyError("witness construction needs p in (0, 1/2)")
@@ -363,10 +401,35 @@ def exactness_witness(p: float, m: float) -> ViolationWitness | None:
     u_p = -pow2 * (m - 1.0) / ((2.0 * m - 1.0) * q)
     t_p = -u_p - pow2 * p
     t = t_p / math.sqrt(p * q)
-    th = np.linspace(math.pi / 4.0 - _WITNESS_WINDOW, math.pi / 4.0, _WITNESS_SCAN + 1)
+    terms = _pair_terms(p)
+    e = 1.0 / m
+    lo, top = math.pi / 4.0 - _WITNESS_WINDOW, math.pi / 4.0 - _WITNESS_EDGE
+    ends = {lo, top}
+    for vi, vj in zip(terms[0].tolist(), terms[1].tolist()):
+        def arg(th, vi=vi, vj=vj):
+            return math.cos(th) ** e * vi + math.sin(th) ** e * vj - t
+        if (arg(lo) < 0.0) != (arg(top) < 0.0):
+            ends.add(brent_root(arg, lo, top))
+    ends = sorted(ends)
+    grid = np.concatenate([np.linspace(x0, x1, _WITNESS_PIECE + 1)[:-1]
+                           for x0, x1 in zip(ends[:-1], ends[1:])] + [[top]])
+
+    def slope(th):
+        return float(_pair_slope(terms, m, t, np.array([th]))[0])
+
+    cands = list(ends)
+    d = _pair_slope(terms, m, t, grid)
+    for k in np.flatnonzero((d[:-1] > 0.0) & (d[1:] <= 0.0)).tolist():
+        x0, x1 = float(grid[k]), float(grid[k + 1])
+        if slope(x1) <= 0.0 < slope(x0):
+            cands.append(brent_root(slope, x0, x1))
+        else:
+            # a derivative within roundoff of 0 changed sign on re-evaluation
+            cands += [x0, x1]
+    th = np.array(cands + [math.pi / 4.0])
     g = _pair_moment(p, m, th, t)
     g_eq = float(g[-1])
-    j = int(np.argmax(g[:-1]))
+    j = int(np.argmax(g))
     gap = g_eq - float(g[j])
     if gap < -DEFAULT_TOL:
         return ViolationWitness(p=p, m=m, t=t, theta_star=float(th[j]),

@@ -58,6 +58,59 @@ def test_weighted_bs_sum_matches_bruteforce(p, coeffs):
         assert got[v] == pytest.approx(w, rel=1e-12, abs=1e-15)
 
 
+def convolve_fold(p, coeffs):
+    """weighted_bs_sum as a fold of validated laws, one convolve per term."""
+    base = bs(p)
+    out = scale(base, coeffs[0])
+    for c in coeffs[1:]:
+        out = convolve(out, scale(base, c))
+    return out
+
+
+def _assert_bit_equal(d, ref):
+    assert np.array_equal(d.values, ref.values)
+    assert np.array_equal(d.masses, ref.masses)
+
+
+def test_weighted_bs_sum_equals_the_convolve_fold_on_random_laws():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        coeffs = rng.uniform(0.0, 3.0, n)
+        if rng.random() < 0.3:
+            coeffs = np.round(coeffs, 1)  # repeated values make atoms merge
+        if rng.random() < 0.1:
+            coeffs[rng.integers(n)] = 0.0
+        p = float(rng.uniform(0.005, 0.995))
+        _assert_bit_equal(weighted_bs_sum(p, coeffs), convolve_fold(p, coeffs))
+
+
+@pytest.mark.parametrize("p,coeffs", [
+    (0.3, [1e-14, 1.0]),     # the first term's two atoms merge
+    (0.5, [0.0, 0.0]),
+    *((0.3, [1.0] * n) for n in (2, 5, 13, 24)),
+])
+def test_weighted_bs_sum_equals_the_convolve_fold(p, coeffs):
+    _assert_bit_equal(weighted_bs_sum(p, coeffs), convolve_fold(p, coeffs))
+
+
+def test_weighted_bs_sum_merges_equal_coefficients_every_step():
+    # 24 equal terms are the binomial lattice: 25 atoms, not 2^24
+    assert weighted_bs_sum(0.3, [1.0] * 24).n_atoms == 25
+
+
+@pytest.mark.parametrize("coeffs,msg", [
+    ([math.inf, 1.0], "scale factor must be finite"),
+    ([1.0, math.nan], "scale factor must be finite"),
+    ([1e308, 1e308], "atoms must be finite"),
+])
+def test_weighted_bs_sum_rejects_overflow_like_the_fold(coeffs, msg):
+    for build in (weighted_bs_sum, convolve_fold):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DistError, match=msg):
+            build(0.3, coeffs)
+
+
 def test_bs_frozen_atoms():
     d = bs(0.2)
     assert d.values == pytest.approx([-0.5, 2.0])

@@ -26,6 +26,8 @@ from asymtail.verifier import McConfig
 
 RADEMACHER = from_pairs([(-1.0, 0.5), (1.0, 0.5)])
 ASYM3 = from_pairs([(-1.0, 2 / 3), (1.0, 1 / 6), (3.0, 1 / 6)])
+# the CLI's symm5 preset: half its mass sits at 0
+SYMM5 = from_pairs([(-2.0, 0.1), (-1.0, 0.15), (0.0, 0.5), (1.0, 0.15), (2.0, 0.1)])
 
 
 def dist_close(a: FiniteDist, b: FiniteDist, tol=1e-12):
@@ -89,6 +91,17 @@ class TestTwoPointDecomposition:
         for c in dec.components:
             assert c.dist().mean() == pytest.approx(0.0, abs=1e-15)
 
+    @staticmethod
+    def _check_roundtrip(d: FiniteDist):
+        dec = two_point_decomposition(d)
+        # total_weight counts the zero atom's mass too
+        assert dec.total_weight == pytest.approx(1.0, rel=1e-12)
+        back = recombine(dec)
+        assert back.mean() == pytest.approx(0.0, abs=1e-12)
+        for mom in (2, 3, 4):
+            assert back.moment(mom) == pytest.approx(d.moment(mom), rel=1e-10,
+                                                     abs=1e-12)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_recombine_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
@@ -97,14 +110,11 @@ class TestTwoPointDecomposition:
         w = rng.uniform(0.05, 1.0, size=k)
         w /= w.sum()
         d = from_pairs(zip(v, w))
-        d = from_pairs(zip(d.values - d.mean(), d.masses))  # recenter
-        dec = two_point_decomposition(d)
-        assert dec.total_weight + dec.zero_mass == pytest.approx(1.0, rel=1e-12)
-        back = recombine(dec)
-        assert back.mean() == pytest.approx(0.0, abs=1e-12)
-        for mom in (2, 3, 4):
-            assert back.moment(mom) == pytest.approx(d.moment(mom), rel=1e-10,
-                                                     abs=1e-12)
+        self._check_roundtrip(from_pairs(zip(d.values - d.mean(), d.masses)))  # recentered
+
+    def test_recombine_roundtrip_with_zero_mass(self):
+        assert two_point_decomposition(SYMM5).zero_mass == 0.5
+        self._check_roundtrip(SYMM5)
 
     def test_roundtrip_exact_on_lattice(self):
         dec = two_point_decomposition(ASYM3)
@@ -165,6 +175,18 @@ class TestStatistics:
         x = np.ones((1, n))
         out = selfnorm_stat("vhatsymm", x, hat_abs=np.abs(x), p=p)
         assert out[0] == pytest.approx(math.sqrt(n / p), rel=1e-14)
+
+    @pytest.mark.parametrize("m", [1.0, 1.37])
+    def test_vhatsymm_leaves_the_callers_hat_abs_alone(self, m):
+        # the statistic raises its own copy of hat_abs to 2m in place
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(50, 7))
+        habs = np.abs(rng.normal(size=(50, 7)))
+        before = habs.copy()
+        out = selfnorm_stat("vhatsymm", x, hat_abs=habs, p=0.4, m=m)
+        assert np.array_equal(habs, before)
+        den = math.sqrt(0.4) * (habs ** (2.0 * m)).sum(axis=1) ** (1.0 / (2.0 * m))
+        assert np.array_equal(out, x.sum(axis=1) / den)
 
     def test_unknown_kind_raises(self):
         with pytest.raises(SelfNormError):

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 from scipy.stats import beta as scipy_beta
 
 from asymtail import selfnorm, verifier
@@ -156,6 +158,40 @@ class TestDeltaPolynomials:
         p = 0.1
         assert delta_grid_check(p, m_star(p) * 1.001, resolution=150).nonnegative
         assert not delta_grid_check(p, m_star(p) * 0.98, resolution=150).nonnegative
+
+    @staticmethod
+    def _per_region_check(p, m, resolution):
+        """delta_grid_check with the identity residual taken region by
+        region, as it was before the four grids were stacked."""
+        cs = np.linspace(0.0, 1.0, resolution + 2)[1:-1][:, None]
+        C = cs ** (2.0 * m - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_star = -cs * (1.0 - cs ** (2.0 * m - 2.0)) / ((1.0 - C) * (1.0 - p))
+        u_star = np.clip(np.where(np.isfinite(u_star), u_star, 0.0), -cs, 0.0)
+        zero = np.zeros_like(cs)
+        grids = {1: np.hstack([zero, zero + 3.0]), 2: np.hstack([-cs, zero, u_star]),
+                 3: np.hstack([zero - 1.0, -cs]), 4: np.hstack([-1.0 - cs, zero - 1.0])}
+        best = (math.inf, 0, math.nan, math.nan)
+        ident_err = 0.0
+        for region, ug in grids.items():
+            vals = delta(region, ug, cs, p, m)
+            ci, ui = divmod(int(np.argmin(vals)), vals.shape[1])
+            if vals[ci, ui] < best[0]:
+                best = (float(vals[ci, ui]), region, float(cs[ci, 0]), float(ug[ci, ui]))
+            resid = delta_piecewise(ug, cs, p, m) - delta_positive_part_form(ug, cs, p, m)
+            ident_err = max(ident_err, float(np.max(np.abs(resid))))
+        return verifier.DeltaGridResult(
+            p=p, m=m, resolution=resolution, min_value=best[0], argmin_region=best[1],
+            argmin_c=best[2], argmin_u=best[3], identity_max_err=ident_err)
+
+    def test_one_pass_identity_equals_the_per_region_check(self):
+        # ACCEPTANCE 4's (p, m) pairs, every fourth m
+        for m in np.linspace(1.0, 50.0, 40)[::4]:
+            for p in np.linspace(0.02, 0.98, 40):
+                if p < p_star(float(m)):
+                    continue
+                args = (float(p), float(m), 200)
+                assert delta_grid_check(*args) == self._per_region_check(*args), args
 
 
 class TestEnumeration:
@@ -341,6 +377,57 @@ class TestExactnessWitness:
         assert w is not None
         assert w.gap == pytest.approx(gap, rel=1e-5)
         assert w.gap < -1e-12
+
+    @staticmethod
+    def _scanned(p, m):
+        """The 10 001-angle scan the exact maximization replaced:
+        (gap, g_equal), or None when the gap is not below -1e-12."""
+        q = 1.0 - p
+        pow2 = 2.0 ** (1.0 - 1.0 / (2.0 * m))
+        u_p = -pow2 * (m - 1.0) / ((2.0 * m - 1.0) * q)
+        t = (-u_p - pow2 * p) / math.sqrt(p * q)
+        th = np.linspace(math.pi / 4.0 - 0.2, math.pi / 4.0, 10_001)
+        g = verifier._pair_moment(p, m, th, t)
+        gap = float(g[-1]) - float(np.max(g[:-1]))
+        return (gap, float(g[-1])) if gap < -1e-12 else None
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=hst.floats(0.005, 0.5, exclude_max=True),
+           frac=hst.floats(0.0, 1.0, exclude_min=True))
+    def test_verdict_and_gap_match_the_scan(self, p, frac):
+        # m runs over (1, 1.5 m_star(p)]
+        top = 1.5 * m_star(p)
+        assume(top > 1.0)
+        m = 1.0 + frac * (top - 1.0)
+        assume(m > 1.0)
+        w, ref = exactness_witness(p, m), self._scanned(p, m)
+        assert (w is None) == (ref is None), (p, m, w, ref)
+        if w is not None:
+            assert w.gap <= ref[0] + 2e-15 * abs(ref[1])
+            assert w.g_equal == ref[1]
+            assert w.gap < 0.0
+
+    def test_witness_point_attains_the_gap(self):
+        p, m = 0.2, 0.9 * m_star(0.2)
+        w = exactness_witness(p, m)
+        lo = math.pi / 4.0 - 0.2
+        assert lo <= w.theta_star < math.pi / 4.0
+        g = verifier._pair_moment(p, m, [w.theta_star, math.pi / 4.0], w.t)
+        assert (float(g[0]), float(g[1])) == (w.g_star, w.g_equal)
+        assert w.gap == w.g_equal - w.g_star
+
+    @pytest.mark.parametrize("p,m", [(0.1, 1.74), (0.2, 1.33), (0.05, 2.36)])
+    def test_interior_maximum_is_a_root_of_the_slope(self, p, m):
+        # here the maximum lies inside the window, not at its edge
+        w = exactness_witness(p, m)
+        ref = self._scanned(p, m)
+        assert math.pi / 4.0 - 0.2 + 1e-3 < w.theta_star < math.pi / 4.0 - 1e-3
+        h = 1e-4
+        th = np.array([w.theta_star - h, w.theta_star, w.theta_star + h])
+        left, mid, right = verifier._pair_slope(verifier._pair_terms(p), m, w.t, th)
+        assert left > 0.0 > right
+        assert abs(mid) <= 1e-8 * min(left, -right)
+        assert w.gap <= ref[0] + 2e-15 * abs(ref[1])
 
     def test_no_witness_at_threshold(self):
         assert exactness_witness(0.1, m_star(0.1)) is None
