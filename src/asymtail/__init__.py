@@ -23,16 +23,13 @@ from .dist import (
     DistError,
     FiniteDist,
     RngSpec,
-    bc,
     bs,
     convolve,
     delta,
-    expect,
     from_pairs,
     iid_sum,
     sample,
     scale,
-    shift,
     st,
     tail,
     weighted_bs_sum,

@@ -3,7 +3,7 @@
 The family, for a sum S dominated by the carrier eta in the
 cube-positive-part ordering:
 
-    P(S >= x) <= b_opt(eta, 3, x)                  optimized moment ratio
+    P(S >= x) <= b_opt(eta, x)                     optimized moment ratio
               <= c_{3,0} * P_LinLC_eta(x + h/2)    interpolated majorant
               <= c_{3,0} * P_LC_eta(x)             point-hull majorant
     and       <= exp(-n H(p, y))                   Hoeffding form
@@ -13,7 +13,7 @@ closed forms), plus, for p >= 1/2, straight normal domination
 c_{3,0} Q(x / (s sqrt n)).  combined_bound evaluates every member and
 reports which one wins.
 
-b_opt(eta, 3, x) = inf over t < x of E (eta - t)_+^3 / (x - t)^3 has a
+b_opt(eta, x) = inf over t < x of E (eta - t)_+^3 / (x - t)^3 has a
 closed form: the ratio is quasi-convex in t, and on each interval
 between atoms its first-order condition is a quadratic in t.  One
 backward pass over the carrier's atoms gives the coefficients, and the
@@ -61,11 +61,11 @@ class BOptResult:
     raw: float | np.ndarray
 
 
-def b_opt(d: FiniteDist, alpha: float, x) -> BOptResult:
+def b_opt(d: FiniteDist, x) -> BOptResult:
     """inf over t < x of E (D - t)_+^3 / (x - t)^3, clamped to [0, 1].
 
-    alpha must be 3, the cube-positive-part ordering the carriers obey.
-    With A_j(t) = E (D - t)_+^j, the t-derivative of the ratio is
+    The cube is the positive-part ordering the carriers obey.  With
+    A_j(t) = E (D - t)_+^j, the t-derivative of the ratio is
     3 g(t) / (x - t)^4 where g(t) = A_3(t) - (x - t) A_2(t) =
     A_2(t) (r(t) - x) and r(t) = t + A_3(t) / A_2(t) is nondecreasing
     (Cauchy-Schwarz: A_2^2 <= A_1 A_3).  So the ratio is quasi-convex in
@@ -85,8 +85,6 @@ def b_opt(d: FiniteDist, alpha: float, x) -> BOptResult:
     t_opt = min - 10 range.  Any t < x gives an upper bound, so a root
     clipped to its interval by roundoff still yields a valid bound.
     """
-    if alpha != 3:
-        raise BoundError("b_opt is implemented for alpha = 3 only")
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.ndim != 1:
@@ -230,19 +228,6 @@ class BoundReport:
     below_threshold: bool
     raw: dict = field(default_factory=dict)
 
-    def to_obj(self) -> dict:
-        out = {
-            "p": self.p, "m": self.m, "n": self.n, "s_m": self.s_m,
-            "x": self.x, "h": self.h,
-            "b_opt": self.b_opt, "b_opt_t": self.b_opt_t,
-            "lc": self.lc, "lin_lc": self.lin_lc,
-            "hoeffding": self.hoeffding, "normal_dom": self.normal_dom,
-            "minimum": self.minimum, "argmin": self.argmin,
-            "below_threshold": self.below_threshold,
-            "raw": dict(self.raw),
-        }
-        return out
-
 
 def resolve_s_m(m: float, coeffs=None, s_m: float | None = None,
                 n: int | None = None) -> tuple[int, float, float | None]:
@@ -284,7 +269,7 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     linlc = lin_lc_majorant(carrier)
     h = linlc.step
     c30 = c_const(3.0)
-    bo = b_opt(carrier, 3.0, xs)
+    bo = b_opt(carrier, xs)
     # members in tie-break order: argmin keeps the first of equal minima
     raw = {
         "b_opt": bo.raw,

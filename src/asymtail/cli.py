@@ -146,7 +146,7 @@ def _cmd_bound(args) -> int:
     coeffs = _floats(args.coeffs) if args.coeffs else None
     reports = combined_bound_grid(args.p, args.m, xs, n=args.n,
                                   coeffs=coeffs, s_m=args.s_m)
-    rows = [r.to_obj() for r in reports]
+    rows = [dataclasses.asdict(r) for r in reports]
     csv_rows = [{k: r[k] for k in ("x", "b_opt", "lc", "lin_lc", "hoeffding",
                                    "normal_dom", "minimum", "argmin",
                                    "below_threshold")} for r in rows]

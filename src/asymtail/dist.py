@@ -21,8 +21,6 @@ Conventions used throughout the package:
 
 - tail(d, x) = P(D >= x), the left-continuous step function; an atom
   within merge tolerance of x counts as >= x.
-- expect(d, f) sums mass * f(value) with math.fsum; overflowing
-  exponential moments come back as +inf rather than raising.
 - sampling is inverse-CDF driven by a named (seed, stream) pair, so any
   consumer can reproduce a draw bit for bit.
 """
@@ -31,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -125,16 +123,6 @@ class FiniteDist:
     def mean(self) -> float:
         return math.fsum(self.values * self.masses)
 
-    def var(self) -> float:
-        mu = self.mean()
-        return math.fsum(self.masses * (self.values - mu) ** 2)
-
-    def moment(self, k: int) -> float:
-        return math.fsum(self.masses * self.values ** k)
-
-    def atoms(self) -> list[tuple[float, float]]:
-        return [(float(v), float(m)) for v, m in zip(self.values, self.masses)]
-
     def is_symmetric(self, rtol: float = 1e-12) -> bool:
         v, m = self.values, self.masses
         w, u = _canonicalize(-v, m)
@@ -144,12 +132,6 @@ class FiniteDist:
         return bool(np.all(np.abs(w - v) <= rtol * scale) and np.all(np.abs(u - m) <= rtol))
 
     # -- serialization -----------------------------------------------------
-    def to_obj(self) -> dict:
-        return {"atoms": [{"v": float(v), "p": float(m)} for v, m in zip(self.values, self.masses)]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
-
     @staticmethod
     def from_obj(obj: dict) -> "FiniteDist":
         try:
@@ -201,16 +183,6 @@ def st(p: float) -> FiniteDist:
     return FiniteDist(np.array([-r, 0.0, r]), np.array([p / 2, 1.0 - p, p / 2]))
 
 
-def bc(p: float) -> FiniteDist:
-    """Centered Bernoulli: -p w.p. q, 1-p w.p. p.
-
-    Zero mean, variance pq; bs(p) = scale(bc(p), 1/sqrt(pq)).
-    """
-    if not 0.0 < p < 1.0:
-        raise DistError("bc requires p in (0, 1)")
-    return FiniteDist(np.array([-p, 1.0 - p]), np.array([1.0 - p, p]))
-
-
 # -- operations --------------------------------------------------------------
 
 def scale(d: FiniteDist, c: float) -> FiniteDist:
@@ -220,11 +192,6 @@ def scale(d: FiniteDist, c: float) -> FiniteDist:
     if c == 0.0:
         return delta(0.0)
     return FiniteDist(d.values * c, d.masses)
-
-
-def shift(d: FiniteDist, a: float) -> FiniteDist:
-    """Law of D + a."""
-    return FiniteDist(d.values + a, d.masses)
 
 
 def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:
@@ -334,18 +301,6 @@ def tail(d: FiniteDist, x) -> float | np.ndarray:
     if np.isscalar(x) or xa.ndim == 0:
         return float(out)
     return out
-
-
-def expect(d: FiniteDist, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """E f(D), exact up to summation roundoff (fsum).  Overflow -> +inf."""
-    fx = np.asarray(f(d.values), dtype=float)
-    if np.any(np.isnan(fx)):
-        raise DistError("moment function returned NaN on the support")
-    if np.any(np.isinf(fx)):
-        if np.any(fx[d.masses > 0] == -np.inf):
-            return -math.inf
-        return math.inf
-    return math.fsum(fx * d.masses)
 
 
 def _shifted_suffix_moments(d: FiniteDist) -> np.ndarray:

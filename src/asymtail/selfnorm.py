@@ -74,17 +74,15 @@ class ReciprocatingMap:
         pos = v > ztol
         neg = v < -ztol
         self.zero_mass = float(np.sum(w[~pos & ~neg]))
-        self.pos_x = v[pos]
-        self.pos_w = w[pos]
-        self.pos_span = self.pos_x * self.pos_w
-        self.pos_h = np.cumsum(self.pos_span)
+        pos_x = v[pos]
+        pos_span = pos_x * w[pos]
+        pos_h = np.cumsum(pos_span)
         order = np.argsort(-v[neg])  # closest to zero first
-        self.neg_x = v[neg][order]
-        self.neg_w = w[neg][order]
-        self.neg_span = -self.neg_x * self.neg_w
-        self.neg_h = np.cumsum(self.neg_span)
-        gp = float(self.pos_h[-1]) if self.pos_h.size else 0.0
-        gn = float(self.neg_h[-1]) if self.neg_h.size else 0.0
+        neg_x = v[neg][order]
+        neg_span = -neg_x * w[neg][order]
+        neg_h = np.cumsum(neg_span)
+        gp = float(pos_h[-1]) if pos_h.size else 0.0
+        gn = float(neg_h[-1]) if neg_h.size else 0.0
         if abs(gp - gn) > 1e-12 * max(1.0, gp, gn):
             raise SelfNormError("harvest totals disagree; law is not zero-mean")
         self.g_total = 0.5 * (gp + gn)
@@ -94,23 +92,23 @@ class ReciprocatingMap:
         # interval.  Negative atoms come first and zero atoms keep width 0.
         k = v.size
         n_neg = int(np.count_nonzero(neg))
-        first_pos = k - self.pos_x.size
+        first_pos = k - pos_x.size
         self._h0 = np.zeros(k)
         self._span = np.zeros(k)
-        self._h0[first_pos:] = self.pos_h - self.pos_span
-        self._span[first_pos:] = self.pos_span
-        self._h0[:n_neg] = (self.neg_h - self.neg_span)[::-1]
-        self._span[:n_neg] = self.neg_span[::-1]
+        self._h0[first_pos:] = pos_h - pos_span
+        self._span[first_pos:] = pos_span
+        self._h0[:n_neg] = (neg_h - neg_span)[::-1]
+        self._span[:n_neg] = neg_span[::-1]
         # Slice s holds the levels in (levels[s-1], levels[s]], with
         # levels[-1] = -inf and levels[S] = +inf.  The partner table has
         # one row of S + 1 slices per side of the drawn atom: row 0 for
         # negative atoms holds x_plus, row 1 for zero atoms holds 0, and
         # row 2 for positive atoms holds x_minus.
-        self.levels = np.unique(np.concatenate((self.pos_h, self.neg_h)))
+        self.levels = np.unique(np.concatenate((pos_h, neg_h)))
         self._partners = np.stack((
-            self._slice_atoms(self.pos_h, self.pos_x),
+            self._slice_atoms(pos_h, pos_x),
             np.zeros(self.levels.size + 1),
-            self._slice_atoms(self.neg_h, self.neg_x)))
+            self._slice_atoms(neg_h, neg_x)))
         stride = self.levels.size + 1
         self._row_start = np.full(k, stride, dtype=np.int64)
         self._row_start[:n_neg] = 0
@@ -142,23 +140,6 @@ class ReciprocatingMap:
         np.take(self._row_start, j, out=rows, mode="clip")
         idx += rows
         return idx
-
-    def G(self, x):
-        """Harvest depth reached at x: positive side for x > 0, negative
-        side (accumulated outward from zero) for x < 0, zero at zero."""
-        xa = np.asarray(x, dtype=float)
-        out = np.zeros(xa.shape)
-        pos = xa > self._ztol
-        neg = xa < -self._ztol
-        if np.any(pos):
-            cum = np.concatenate(([0.0], self.pos_h))
-            out[pos] = cum[np.searchsorted(self.pos_x, xa[pos], side="right")]
-        if np.any(neg):
-            cum = np.concatenate(([0.0], self.neg_h))
-            out[neg] = cum[np.searchsorted(-self.neg_x, -xa[neg], side="right")]
-        if np.isscalar(x) or xa.ndim == 0:
-            return float(out)
-        return out
 
     def _at_level(self, h, row: int):
         ha = np.asarray(h, dtype=float)
@@ -203,10 +184,6 @@ class TwoPointComponent:
     b: float        # positive atom
     weight: float
 
-    def dist(self) -> FiniteDist:
-        s = self.a + self.b
-        return from_pairs([(-self.a, self.b / s), (self.b, self.a / s)])
-
     @property
     def asymmetry(self) -> float:
         return self.b / self.a
@@ -216,10 +193,6 @@ class TwoPointComponent:
 class TwoPointDecomposition:
     components: tuple
     zero_mass: float
-
-    @property
-    def total_weight(self) -> float:
-        return self.zero_mass + sum(c.weight for c in self.components)
 
     @property
     def max_asymmetry(self) -> float:
@@ -240,8 +213,9 @@ def two_point_decomposition(d: FiniteDist) -> TwoPointDecomposition:
     # slice s of the map is (levels[s-1], levels[s]]; thinner ones are dropped
     dh = np.diff(rm.levels[rm.levels <= rm.g_total * (1.0 + 1e-15)], prepend=0.0)
     slices = np.flatnonzero(dh > 1e-15 * rm.g_total)
-    b = rm._partners[0, slices]
-    a = -rm._partners[2, slices]
+    # each slice's own top level lies in that slice
+    b = rm.x_plus(rm.levels[slices])
+    a = -rm.x_minus(rm.levels[slices])
     weight = dh[slices] * (a + b) / (a * b)
     comps = tuple(TwoPointComponent(a=float(ai), b=float(bi), weight=float(wi))
                   for ai, bi, wi in zip(a, b, weight))

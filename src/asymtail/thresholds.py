@@ -198,19 +198,9 @@ def m_exp_up(p: float) -> float:
 # symmetric three-point thresholds
 # ---------------------------------------------------------------------------
 
-def r_sym(p: float) -> float:
-    """Asymmetry parameter of the bs pair whose sum carries st(p): r (1-r) = p/2.
-
-    The root (1 - sqrt(1-2p)) / 2, written as p / (1 + sqrt(1-2p)): the
-    direct form cancels for small p and returns 0 below p ~ 1e-17.
-    """
-    if not 0.0 < p <= 0.5:
-        raise ThresholdError("r_sym requires p in (0, 1/2]")
-    return p / (1.0 + math.sqrt(1.0 - 2.0 * p))
-
-
 def m_st_high(p: float) -> float:
-    """Proven upper envelope for the symmetric threshold: m_star(r_sym(p))."""
+    """Proven upper envelope for the symmetric threshold: m_star(r) at the
+    r with r (1 - r) = p/2, for which bs(r) + bs(1 - r) carries st(p)."""
     if not 0.0 < p <= 1.0:
         raise ThresholdError("m_st_high requires p in (0, 1]")
     if p > 0.5:

@@ -164,8 +164,9 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
       region 4, the square (1-C) p (1+c+u)^2:        u in {-1-c, -1}.
 
     identity_max_err compares the piecewise table with the
-    positive-part form at the same points, all regions' points stacked
-    into one (resolution, 9) grid.
+    positive-part form region by region: each polynomial is checked on
+    its own closed region, at the points and on the values the minimum
+    used, so delta is evaluated once per region.
     """
     if not 0.0 < p < 1.0:
         raise VerifyError("p must be in (0, 1)")
@@ -185,15 +186,17 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
     }
 
     best = (math.inf, 0, math.nan, math.nan)
+    region_vals = []
     for region, ug in grids.items():
         vals = delta(region, ug, cs, p, m)
+        region_vals.append(vals)
         flat = int(np.argmin(vals))
         ci, ui = divmod(flat, vals.shape[1])
         if vals[ci, ui] < best[0]:
             best = (float(vals[ci, ui]), region, float(cs[ci, 0]), float(ug[ci, ui]))
     # the identity residual over all regions' points in one pass
     ug = np.hstack(list(grids.values()))
-    resid = delta_piecewise(ug, cs, p, m) - delta_positive_part_form(ug, cs, p, m)
+    resid = np.hstack(region_vals) - delta_positive_part_form(ug, cs, p, m)
     ident_err = float(np.max(np.abs(resid)))
     return DeltaGridResult(p=p, m=m, resolution=resolution,
                            min_value=best[0], argmin_region=best[1],
@@ -305,17 +308,22 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False,
 # Schur-direction sweep and the sharpness witness
 # ---------------------------------------------------------------------------
 
-def _pair_moment(p: float, m: float, thetas, t: float) -> np.ndarray:
-    """E (a BS_1 + b BS_2 - t)_+^3 along a = cos^(1/m), b = sin^(1/m)."""
-    th = np.asarray(thetas, dtype=float)
+def _pair_terms(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four terms of the pair moment: (v_i, v_j, w_i w_j) over i, j."""
     base = bs(p)
     v, w = base.values, base.masses
+    return np.repeat(v, 2), np.tile(v, 2), np.outer(w, w).ravel()
+
+
+def _pair_moment(terms, m: float, thetas, t: float) -> np.ndarray:
+    """E (a BS_1 + b BS_2 - t)_+^3 along a = cos^(1/m), b = sin^(1/m),
+    with terms = _pair_terms(p)."""
+    vi, vj, w = terms
+    th = np.asarray(thetas, dtype=float)
     a = np.cos(th) ** (1.0 / m)
     b = np.sin(th) ** (1.0 / m)
-    combo = (a[:, None, None] * v[None, :, None]
-             + b[:, None, None] * v[None, None, :])
-    mass = (w[:, None] * w[None, :])[None, :, :]
-    return np.sum(np.clip(combo - t, 0.0, None) ** 3 * mass, axis=(1, 2))
+    return np.sum(np.clip(a[:, None] * vi + b[:, None] * vj - t, 0.0, None) ** 3 * w,
+                  axis=1)
 
 
 @dataclass(frozen=True)
@@ -336,7 +344,7 @@ def schur_sweep(p: float, m: float, t: float) -> SchurSweep:
     """g(theta) along the equalizing path; monotone iff the comparison
     respects majorization at this (p, m, t)."""
     th = np.linspace(1e-9, math.pi / 4.0, _SCHUR_THETAS)
-    g = _pair_moment(p, m, th, t)
+    g = _pair_moment(_pair_terms(p), m, th, t)
     fd = np.diff(g)
     return SchurSweep(p=p, m=m, t=t, thetas=th, values=g,
                       min_forward_diff=float(np.min(fd)))
@@ -351,13 +359,6 @@ class ViolationWitness:
     g_star: float
     g_equal: float
     gap: float
-
-
-def _pair_terms(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The four terms of the pair moment: (v_i, v_j, w_i w_j) over i, j."""
-    base = bs(p)
-    v, w = base.values, base.masses
-    return np.repeat(v, 2), np.tile(v, 2), np.outer(w, w).ravel()
 
 
 def _pair_slope(terms, m: float, t: float, thetas: np.ndarray) -> np.ndarray:
@@ -427,7 +428,7 @@ def exactness_witness(p: float, m: float) -> ViolationWitness | None:
             # a derivative within roundoff of 0 changed sign on re-evaluation
             cands += [x0, x1]
     th = np.array(cands + [math.pi / 4.0])
-    g = _pair_moment(p, m, th, t)
+    g = _pair_moment(terms, m, th, t)
     g_eq = float(g[-1])
     j = int(np.argmax(g))
     gap = g_eq - float(g[j])

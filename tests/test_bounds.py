@@ -74,7 +74,7 @@ class TestBOpt:
     def test_beats_dense_parameter_scan(self):
         d = carrier_sum(0.3, 5, 1.0)
         for x in (1.0, 2.5, 4.0):
-            res = b_opt(d, 3.0, x)
+            res = b_opt(d, x)
             ts = np.linspace(d.min_value - 5.0, x - 1e-9, 200_001)
             num = np.array([partial_moment(d, 3.0, float(t)) for t in ts[::500]])
             dense = np.min(num / (x - ts[::500]) ** 3)
@@ -82,23 +82,23 @@ class TestBOpt:
 
     def test_past_support_is_zero(self):
         d = bs(0.4)
-        assert b_opt(d, 3.0, d.max_value + 1e-6).value == 0.0
+        assert b_opt(d, d.max_value + 1e-6).value == 0.0
 
     def test_just_above_top_counts_as_top_atom(self):
         # within merge tolerance above the top atom, `tail` counts that atom
         d = carrier_sum(0.3, 6, 1.0)
         x = d.max_value * (1.0 + 1e-13)
         assert tail(d, x) == d.masses[-1]
-        assert b_opt(d, 3.0, x).value == pytest.approx(d.masses[-1], rel=1e-12)
+        assert b_opt(d, x).value == pytest.approx(d.masses[-1], rel=1e-12)
 
     def test_trivial_when_target_too_low(self):
         d = bs(0.4)
-        assert b_opt(d, 3.0, d.min_value - 1.0).value == 1.0
+        assert b_opt(d, d.min_value - 1.0).value == 1.0
 
     def test_dominates_exact_tail(self):
         d = carrier_sum(0.25, 4, 1.0)
         for x in np.linspace(d.min_value, d.max_value, 23):
-            assert b_opt(d, 3.0, float(x)).value >= tail(d, float(x)) - 1e-12
+            assert b_opt(d, float(x)).value >= tail(d, float(x)) - 1e-12
 
     @staticmethod
     def brute_min(d, x, points=2048, chunk=256):
@@ -121,7 +121,7 @@ class TestBOpt:
         d = carrier_sum(p, n, 1.0)
         xs = np.concatenate((np.linspace(d.mean() - 1.0, d.max_value, 9),
                              d.values[-3:]))
-        res = b_opt(d, 3.0, xs)
+        res = b_opt(d, xs)
         for x, value in zip(xs, res.value):
             assert value <= min(self.brute_min(d, float(x)), 1.0) * (1.0 + 1e-12)
             assert value >= tail(d, float(x)) * (1.0 - 1e-12)
@@ -129,9 +129,9 @@ class TestBOpt:
     def test_array_matches_scalar_calls_bitwise(self):
         for d in (carrier_sum(0.3, 40, 1.3), carrier_sum(0.9, 7, 1.0), bs(0.4)):
             xs = np.linspace(d.min_value - 1.0, d.max_value + 1.0, 57)
-            res = b_opt(d, 3.0, xs)
+            res = b_opt(d, xs)
             for i, x in enumerate(xs):
-                one = b_opt(d, 3.0, float(x))
+                one = b_opt(d, float(x))
                 assert isinstance(one.value, float)
                 assert (one.value, one.t_opt, one.raw) == (
                     res.value[i], res.t_opt[i], res.raw[i])
@@ -141,7 +141,7 @@ class TestBOpt:
         # g(t) = E (D - t)_+^3 - (x - t) E (D - t)_+^2 vanishes at t_opt
         d = carrier_sum(p, n, 1.0)
         for x in np.linspace(d.mean(), d.max_value, 14)[1:-1]:
-            t = b_opt(d, 3.0, float(x)).t_opt
+            t = b_opt(d, float(x)).t_opt
             a3 = partial_moment(d, 3.0, t)
             a2 = (x - t) * partial_moment(d, 2.0, t)
             assert abs(a3 - a2) <= 1e-10 * max(a3, a2)
@@ -158,21 +158,19 @@ class TestBOpt:
         assume(not top < x <= top + 1e-12 * max(1.0, abs(top)))
         t = x - gap
         objective = partial_moment(d, 3.0, t) / (x - t) ** 3
-        assert b_opt(d, 3.0, x).value <= min(objective, 1.0) * (1.0 + 1e-12) + 1e-300
+        assert b_opt(d, x).value <= min(objective, 1.0) * (1.0 + 1e-12) + 1e-300
 
     def test_below_mean_is_trivial(self):
         d = carrier_sum(0.2, 12, 1.0)
-        res = b_opt(d, 3.0, np.array([d.min_value - 3.0, d.mean()]))
+        res = b_opt(d, np.array([d.min_value - 3.0, d.mean()]))
         assert list(res.raw) == [1.0, 1.0]
         assert np.all(np.isfinite(res.t_opt)) and np.all(res.t_opt < d.min_value)
 
-    def test_rejects_other_alpha_and_bad_x(self):
+    def test_rejects_bad_x(self):
         d = bs(0.4)
-        with pytest.raises(BoundError):
-            b_opt(d, 2.0, 0.5)
         for x in (math.nan, math.inf, [0.5, -math.inf]):
             with pytest.raises(BoundError):
-                b_opt(d, 3.0, x)
+                b_opt(d, x)
 
 
 class TestHoeffding:
@@ -235,7 +233,7 @@ class TestCombinedBound:
             linlc = lin_lc_majorant(carrier)
             xs = np.linspace(0.0, carrier.max_value, 15)
             for x in xs:
-                bo = b_opt(carrier, 3.0, float(x)).value
+                bo = b_opt(carrier, float(x)).value
                 mid = c30 * float(linlc.value(float(x) + 0.5 * h))
                 top = c30 * float(lc.value(float(x)))
                 assert bo <= mid * (1.0 + 1e-10) + 1e-15

@@ -1,6 +1,7 @@
 """Exact distribution arithmetic against brute-force enumeration."""
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -14,21 +15,30 @@ from asymtail.dist import (
     DistError,
     FiniteDist,
     RngSpec,
-    bc,
     bs,
     convolve,
     delta,
-    expect,
     from_pairs,
     iid_sum,
     sample,
     scale,
-    shift,
     st,
     tail,
     weighted_bs_sum,
 )
 from asymtail.dist import _atom_index, _cube_plus, _shifted_suffix_moments
+
+
+def atoms(d):
+    return list(zip(d.values.tolist(), d.masses.tolist()))
+
+
+def moment(d, k):
+    return math.fsum(d.masses * d.values ** k)
+
+
+def var(d):
+    return math.fsum(d.masses * (d.values - d.mean()) ** 2)
 
 
 def brute_weighted_sum(p, coeffs):
@@ -52,7 +62,7 @@ def brute_weighted_sum(p, coeffs):
 def test_weighted_bs_sum_matches_bruteforce(p, coeffs):
     d = weighted_bs_sum(p, coeffs)
     ref = brute_weighted_sum(p, coeffs)
-    got = {round(v, 9): m for v, m in d.atoms()}
+    got = {round(v, 9): m for v, m in atoms(d)}
     assert len(got) == len(ref)
     for v, w in ref:
         assert got[v] == pytest.approx(w, rel=1e-12, abs=1e-15)
@@ -116,23 +126,16 @@ def test_bs_frozen_atoms():
     assert d.values == pytest.approx([-0.5, 2.0])
     assert d.masses == pytest.approx([0.8, 0.2])
     assert d.mean() == pytest.approx(0.0, abs=1e-15)
-    assert d.var() == pytest.approx(1.0, rel=1e-14)
+    assert var(d) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_st_is_standardized_three_point():
     d = st(0.25)
     assert d.values == pytest.approx([-2.0, 0.0, 2.0])
     assert d.masses == pytest.approx([0.125, 0.75, 0.125])
-    assert d.var() == pytest.approx(1.0, rel=1e-14)
-    assert d.moment(4) == pytest.approx(1 / 0.25, rel=1e-14)  # kurtosis 1/p
+    assert var(d) == pytest.approx(1.0, rel=1e-14)
+    assert moment(d, 4) == pytest.approx(1 / 0.25, rel=1e-14)  # kurtosis 1/p
     assert d.is_symmetric()
-
-
-def test_bc_centered_bernoulli():
-    d = bc(0.3)
-    assert d.values == pytest.approx([-0.3, 0.7])
-    assert d.masses == pytest.approx([0.7, 0.3])
-    assert d.var() == pytest.approx(0.21, rel=1e-14)
 
 
 def test_iid_sum_coin_flips():
@@ -158,7 +161,8 @@ def test_convolve_of_mirrored_bs_is_scaled_st():
 
 def test_json_roundtrip_is_exact():
     d = weighted_bs_sum(0.17, [1.0, 0.6, 2.2])
-    back = FiniteDist.from_json(d.to_json())
+    text = json.dumps({"atoms": [{"v": v, "p": m} for v, m in atoms(d)]})
+    back = FiniteDist.from_json(text)
     assert np.array_equal(back.values, d.values)
     assert np.array_equal(back.masses, d.masses)
 
@@ -189,16 +193,9 @@ def test_invalid_masses_rejected():
 
 def test_delta_point_mass():
     d = delta(3.0)
-    assert d.atoms() == [(3.0, 1.0)]
+    assert atoms(d) == [(3.0, 1.0)]
     assert d.mean() == 3.0
-    assert d.var() == 0.0
-
-
-def test_shift_and_scale_compose():
-    d = bs(0.4)
-    e = shift(scale(d, 2.0), 1.0)
-    assert e.mean() == pytest.approx(1.0, abs=1e-14)
-    assert e.var() == pytest.approx(4.0, rel=1e-13)
+    assert var(d) == 0.0
 
 
 @given(p=hst.floats(0.01, 0.99), n=hst.integers(1, 8))
@@ -208,7 +205,7 @@ def test_iid_sum_mass_and_moments(p, n):
     assert math.fsum(d.masses) == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(d.values) > 0)
     assert d.mean() == pytest.approx(0.0, abs=1e-9)
-    assert d.var() == pytest.approx(n, rel=1e-9)
+    assert var(d) == pytest.approx(n, rel=1e-9)
 
 
 def zero_mean_two_point(b, c):
@@ -220,7 +217,8 @@ def zero_mean_two_point(b, c):
 def two_atom_laws():
     return hst.one_of(
         hst.floats(0.01, 0.99).map(bs),
-        hst.floats(0.01, 0.99).map(bc),
+        # the centered Bernoulli law: -p w.p. 1 - p, 1 - p w.p. p
+        hst.floats(0.01, 0.99).map(lambda p: from_pairs([(-p, 1.0 - p), (1.0 - p, p)])),
         hst.builds(zero_mean_two_point, hst.floats(0.1, 10.0), hst.floats(0.1, 10.0)),
     )
 
@@ -282,36 +280,6 @@ def test_from_pairs_normalizable(pairs):
     d = from_pairs([(v, w / total) for v, w in pairs])
     assert math.fsum(d.masses) == pytest.approx(1.0, abs=1e-12)
     assert d.n_atoms <= len(pairs)
-
-
-def test_expect_matches_moment_functions():
-    d = weighted_bs_sum(0.3, [1.0, 1.5])
-
-    def f(x):
-        return np.clip(x - 0.5, 0.0, None) ** 3
-
-    direct = sum(m * max(v - 0.5, 0.0) ** 3 for v, m in d.atoms())
-    assert expect(d, f) == pytest.approx(direct, rel=1e-14)
-
-    def g(x):
-        return np.exp(0.7 * x)
-
-    direct = sum(m * math.exp(0.7 * v) for v, m in d.atoms())
-    assert expect(d, g) == pytest.approx(direct, rel=1e-14)
-
-    def h(x):
-        return 1.0 - 0.25 * x + 2.0 * f(x) + 0.5 * g(x)
-
-    direct = 1.0 - 0.25 * d.mean() + 2.0 * expect(d, f) + 0.5 * expect(d, g)
-    assert expect(d, h) == pytest.approx(direct, rel=1e-13)
-
-
-def test_abs_power_and_cosh_agree_with_definitions():
-    d = st(0.4)
-    assert expect(d, lambda x: np.abs(x - 0.1) ** 3) == pytest.approx(
-        sum(m * abs(v - 0.1) ** 3 for v, m in d.atoms()), rel=1e-14)
-    assert expect(d, lambda x: np.cosh(1.2 * x)) == pytest.approx(
-        sum(m * math.cosh(1.2 * v) for v, m in d.atoms()), rel=1e-14)
 
 
 def test_sampling_is_deterministic_and_unbiased():
@@ -396,6 +364,6 @@ def test_cube_plus_matches_fsum(case):
         if t >= law.max_value:
             assert g == 0.0
             continue
-        ref = math.fsum(m * (v - t) ** 3 for v, m in law.atoms() if v > t)
+        ref = math.fsum(m * (v - t) ** 3 for v, m in atoms(law) if v > t)
         # below the smallest normal double no float has 4e-15 relative precision
         assert abs(g - ref) <= 4e-15 * ref + MIN_MASS, (t, g, ref)

@@ -32,7 +32,6 @@ from asymtail.thresholds import (
     p_star,
     p_star_upper,
     p_tilde,
-    r_sym,
     threshold_row,
 )
 
@@ -152,25 +151,6 @@ class TestExponentialClass:
 
 
 class TestSymmetricThresholds:
-    def test_r_sym_fixed_points(self):
-        assert r_sym(0.5) == pytest.approx(0.5)
-        # r(1-r) = p/2 pins r ~ p/2 for small p
-        assert r_sym(1e-8) == pytest.approx(5e-9, rel=1e-6)
-        with pytest.raises(ThresholdError):
-            r_sym(0.0)
-
-    def test_r_sym_matches_mpmath(self):
-        # the smaller root of r^2 - r + p/2 = 0 in the direct form
-        # (1 - sqrt(1 - 2p))/2, which in floats returns 0 below p ~ 1e-17;
-        # 360 digits leave 60 after its cancellation at p = 1e-300
-        ps = np.concatenate((np.geomspace(1e-300, 0.5, 400), [1e-17, 1e-16, 0.25, 0.5]))
-        worst = 0.0
-        with mpmath.workdps(360):
-            for p in ps:
-                ref = (1 - mpmath.sqrt(1 - 2 * mpmath.mpf(p))) / 2
-                worst = max(worst, float(abs(mpmath.mpf(r_sym(float(p))) - ref) / ref))
-        assert worst <= 4e-16
-
     def test_m_one_frozen(self):
         # (1/2) sqrt((2 - p)/p) at p = 0.2
         assert m_one(0.2) == pytest.approx(1.5, rel=1e-13)
@@ -245,7 +225,7 @@ def test_threshold_row_at_tiny_p(p):
     row = threshold_row(p)
     assert all(math.isfinite(v) and v > 0 for v in row.values())
     assert row["p_star_inverse"] == pytest.approx(p, rel=1e-12)
-    # m_st_high = m_star(r_sym(p)), with 1 - s written as 2p / (1 + s)
+    # m_st_high = m_star(r) at r (1 - r) = p/2, with 1 - s written as 2p / (1 + s)
     with mpmath.workdps(40):
         q = mpmath.mpf(p)
         s = mpmath.sqrt(1 - 2 * q)
