@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import FiniteDist, _shifted_suffix_moments, bs, iid_sum, scale
+from .dist import MERGE_RTOL, FiniteDist, _shifted_suffix_moments, bs, iid_sum, scale
 # lattice_params is not called here; perfbench/tracer.py wraps it under this name
 from .majorant import lattice_params, lc_majorant, lin_lc_majorant  # noqa: F401
 # golden_section is not called here; perfbench/tracer.py wraps it under this name
@@ -89,7 +89,7 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.ndim != 1:
         raise BoundError("x must be a scalar or a 1-d array")
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise BoundError("x must be finite")
     v = d.values
     vmax = d.max_value
@@ -157,7 +157,7 @@ def hoeffding_H(p: float, y) -> float | np.ndarray:
     yi = np.where(inside, y, 0.0)
     rate = (p + yi) * np.log((p + yi) / p) + (q - yi) * np.log((q - yi) / q)
     snap = np.abs(y - q) <= _SNAP_RTOL * max(1.0, q)
-    rate = np.select([y <= 0.0, snap, y > q], [0.0, -math.log(p), math.inf], rate)
+    rate = np.where(y <= 0.0, 0.0, np.where(snap, -math.log(p), np.where(y > q, math.inf, rate)))
     return _float_or_array(rate)
 
 
@@ -250,8 +250,18 @@ def resolve_s_m(m: float, coeffs=None, s_m: float | None = None,
 
 
 def carrier_sum(p: float, n: int, s_m: float) -> FiniteDist:
-    """The comparison carrier: s_m times a sum of n iid bs(p) laws."""
-    return scale(iid_sum(bs(p), n), s_m)
+    """The comparison carrier: s_m times a sum of n iid bs(p) laws.
+
+    Built on its lattice (see dist.scale); raises BoundError where s_m is
+    so small that neighbouring atoms fall within the merge tolerance,
+    since merged atoms are no longer the carrier."""
+    base = iid_sum(bs(p), n)
+    d = scale(base, s_m)
+    if d.n_atoms < base.n_atoms:
+        raise BoundError(
+            f"s_m = {s_m!r} puts neighbouring carrier atoms within the merge tolerance "
+            f"{MERGE_RTOL:g} * max(1, |atom|) of each other")
+    return d
 
 
 def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
@@ -280,7 +290,7 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     if p >= 0.5 and s1 is not None:
         raw["normal_dom"] = c30 * normal_tail(xs / (s1 * math.sqrt(n)))
     names = list(raw)
-    rows = np.stack(list(raw.values()))
+    rows = np.array(list(raw.values()))
     clamped = np.minimum(rows, 1.0)
     best = np.argmin(clamped, axis=0).tolist()
     return [BoundReport(

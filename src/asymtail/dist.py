@@ -17,6 +17,15 @@ iid_sum of a two-atom law {a: q, b: p} is the binomial lattice
 n a + k (b - a), k = 0..n, in closed form (O(n)); laws with more atoms
 are convolved by binary powering.
 
+A law knows its lattice when it is built on one.  `bs`,
+`_binomial_lattice` (so iid_sum of a two-atom law) and `scale` of such a
+law by c > 0 set `FiniteDist.lattice` to (top atom, smallest gap), the
+(origin, step) that `majorant.lattice_params` would infer.  They skip
+the sort and merge, which would do nothing, where the smallest gap
+clears the merge tolerance; where it does not, they build the law the
+general way, with no lattice.  Every other constructor leaves `lattice`
+None.
+
 Conventions used throughout the package:
 
 - tail(d, x) = P(D >= x), the left-continuous step function; an atom
@@ -28,7 +37,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,9 +91,16 @@ def _canonicalize(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class FiniteDist:
-    """Finite discrete distribution over the reals."""
+    """Finite discrete distribution over the reals.
+
+    `lattice` is (origin, step) = (top atom, smallest gap) for a law
+    whose consecutive atoms are consecutive points of a known affine
+    lattice (see the module docstring), and None otherwise.
+    """
     values: np.ndarray
     masses: np.ndarray
+    lattice: tuple[float, float] | None = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -120,6 +137,16 @@ class FiniteDist:
     def max_value(self) -> float:
         return float(self.values[-1])
 
+    @cached_property
+    def upper_tails(self) -> np.ndarray:
+        """P(D >= v_k) at each atom v_k: the suffix sums of the masses.
+
+        One cumsum per law, shared by every reader; unclipped, so cumsum
+        roundoff can leave the first entry a few ulps off 1."""
+        out = np.cumsum(self.masses[::-1])[::-1]
+        out.setflags(write=False)
+        return out
+
     def mean(self) -> float:
         return math.fsum(self.values * self.masses)
 
@@ -147,6 +174,46 @@ class FiniteDist:
         return FiniteDist.from_obj(json.loads(text))
 
 
+def _lattice_law(v: np.ndarray, m: np.ndarray, masses_checked: bool = False) -> FiniteDist:
+    """The law of increasing atoms v, one lattice step apart, with masses m.
+
+    Where the smallest gap clears the merge tolerance of the largest |v|,
+    so does every gap, and the general constructor's sort and merge would
+    leave the atoms as they are, so they are skipped: only masses below
+    MIN_MASS drop, and the total is checked as there.  masses_checked
+    says that m are, in order, the masses of a law that passed those
+    checks already, so they are not run again.  The law then carries its
+    lattice.  Otherwise, and on any input the general constructor
+    rejects, it is FiniteDist(v, m), with no lattice.
+    """
+    if len(v) < 2:
+        return FiniteDist(v, m)
+    step = (v[1:] - v[:-1]).min()
+    # v is sorted, so the largest |v| is at an end
+    if not (math.isfinite(v[0]) and math.isfinite(v[-1])
+            and step > MERGE_RTOL * max(1.0, -v[0], v[-1])):
+        return FiniteDist(v, m)
+    if not masses_checked:
+        if not (np.isfinite(m).all() and m.min() >= 0.0):
+            return FiniteDist(v, m)
+        keep = m >= MIN_MASS
+        if not keep.all():
+            v, m = v[keep], m[keep]
+            if len(v) < 2:
+                return FiniteDist(v, m)
+            step = (v[1:] - v[:-1]).min()
+        total = math.fsum(m)
+        if abs(total - 1.0) > MASS_ATOL:
+            raise DistError(f"total mass {total!r} is not 1 within {MASS_ATOL:g}")
+        m.setflags(write=False)
+    v.setflags(write=False)
+    d = object.__new__(FiniteDist)
+    object.__setattr__(d, "values", v)
+    object.__setattr__(d, "masses", m)
+    object.__setattr__(d, "lattice", (float(v[-1]), float(step)))
+    return d
+
+
 def from_pairs(pairs: Iterable[tuple[float, float]]) -> FiniteDist:
     vs, ms = zip(*pairs)
     return FiniteDist(np.asarray(vs, dtype=float), np.asarray(ms, dtype=float))
@@ -168,7 +235,7 @@ def bs(p: float) -> FiniteDist:
     if not 0.0 < p < 1.0:
         raise DistError("bs requires p in (0, 1)")
     q = 1.0 - p
-    return FiniteDist(np.array([-math.sqrt(p / q), math.sqrt(q / p)]), np.array([q, p]))
+    return _lattice_law(np.array([-math.sqrt(p / q), math.sqrt(q / p)]), np.array([q, p]))
 
 
 def st(p: float) -> FiniteDist:
@@ -186,11 +253,16 @@ def st(p: float) -> FiniteDist:
 # -- operations --------------------------------------------------------------
 
 def scale(d: FiniteDist, c: float) -> FiniteDist:
-    """Law of c * D.  c = 0 collapses to the point mass at 0."""
+    """Law of c * D.  c = 0 collapses to the point mass at 0.
+
+    A law on a known lattice scaled by c > 0 keeps it (see _lattice_law).
+    """
     if not math.isfinite(c):
         raise DistError("scale factor must be finite")
     if c == 0.0:
         return delta(0.0)
+    if c > 0.0 and d.lattice is not None:
+        return _lattice_law(d.values * c, d.masses, masses_checked=True)
     return FiniteDist(d.values * c, d.masses)
 
 
@@ -209,7 +281,9 @@ def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
     1 at the mode and then normalized.  Every ratio taken is <= 1, and
     the total is >= 1, so a product leaves the normal range only where
     the normalized mass is below it too and the atom is dropped anyway.
-    (lgamma differences would lose about ten times more accuracy.)
+    (lgamma differences would lose about ten times more accuracy.)  The
+    masses fall away from the mode, so the atoms kept are consecutive
+    and the law carries its lattice.
     """
     (a, b), (q, p) = d.values, d.masses
     k = np.arange(n + 1)
@@ -217,7 +291,7 @@ def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
     up = (n - k[mode:n]) * p / ((k[mode:n] + 1) * q)
     down = k[mode:0:-1] * q / ((n - k[mode:0:-1] + 1) * p)
     mass = np.concatenate((np.cumprod(down)[::-1], [1.0], np.cumprod(up)))
-    return FiniteDist(n * a + k * (b - a), mass / math.fsum(mass))
+    return _lattice_law(n * a + k * (b - a), mass / math.fsum(mass))
 
 
 def iid_sum(d: FiniteDist, n: int) -> FiniteDist:
@@ -292,7 +366,7 @@ def tail(d: FiniteDist, x) -> float | np.ndarray:
     merge tolerance, so lattice arithmetic built from convolutions never
     drops a boundary atom to roundoff.
     """
-    suffix = np.concatenate((np.cumsum(d.masses[::-1])[::-1], [0.0]))
+    suffix = np.concatenate((d.upper_tails, [0.0]))
     np.clip(suffix, 0.0, 1.0, out=suffix)  # guard cumsum roundoff
     xa = np.asarray(x, dtype=float)
     tol = MERGE_RTOL * np.maximum(1.0, np.abs(xa))
@@ -319,15 +393,16 @@ def _shifted_suffix_moments(d: FiniteDist) -> np.ndarray:
     sum from the top atom down; np.cumsum adds in sequence, in the order
     of a loop over k."""
     def from_top(inc):
-        return np.append(np.cumsum(inc[::-1])[::-1], 0.0)
+        return np.concatenate((np.cumsum(inc[::-1])[::-1], [0.0]))
 
-    h = np.diff(d.values)
-    p0 = np.cumsum(d.masses[::-1])[::-1]
+    v = d.values
+    h = v[1:] - v[:-1]
+    p0 = d.upper_tails
     hp0 = h * p0[1:]
     p1 = from_top(hp0)
     p2 = from_top(h * (2.0 * p1[1:] + hp0))
     p3 = from_top(h * (3.0 * p2[1:] + h * (3.0 * p1[1:] + hp0)))
-    return np.stack([p0, p1, p2, p3])
+    return np.array((p0, p1, p2, p3))
 
 
 def _cube_plus(d: FiniteDist, t) -> np.ndarray:

@@ -6,6 +6,9 @@ Two constructions over the tail q(x) = P(D >= x) of a FiniteDist:
   Because the constraint set is the finite family of step corners
   (x_k, log q_k), this is the upper concave hull of those points:
   log-linear between hull knots, 1 left of the support, 0 past it.
+  The hull is array code in rounds: each round drops every middle
+  point on or below the chord of its current neighbours, until none
+  drops (see _upper_hull_indices).
 
 - lin_lc_majorant: the least log-concave majorant of the *linear
   interpolation* of the tail over the carrying lattice {min + k h}.
@@ -25,6 +28,12 @@ Two constructions over the tail q(x) = P(D >= x) of a FiniteDist:
   for the bridge's slope covers every x (see _certify).  The refined
   knot sample that `to_obj` reports (refine points per lattice step) is
   built only there; the hull does not depend on it.
+
+Both read the lattice a law carries (`FiniteDist.lattice`, set by the
+constructors of the comparison carriers), and there the lattice tails
+are the law's suffix sums.  lattice_params infers a lattice only for
+laws that carry none: laws read from JSON and convolutions of laws with
+more than two atoms.
 
 Evaluation is exact on arc segments (linear in probability space),
 log-linear on bridges.
@@ -121,31 +130,25 @@ class TailMajorant:
 
     def log_value(self, x) -> float | np.ndarray:
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(xa)
         below = xa <= self.support_min + _EVAL_RTOL * max(1.0, abs(self.support_min))
         above = xa > self.zero_from + _EVAL_RTOL * max(1.0, abs(self.zero_from))
-        mid = ~(below | above)
-        out[below] = 0.0
-        out[above] = -np.inf
-        if np.any(mid):
-            xm = xa[mid]
-            idx = np.clip(np.searchsorted(self.hull_x, xm, side="right") - 1,
-                          0, len(self.hull_x) - 2)
-            res = np.empty_like(xm)
-            arc = self.seg_is_arc[idx]
-            if np.any(arc):
-                i = idx[arc]
-                val = self.seg_q[i] + self.seg_beta[i] * (xm[arc] - self.seg_x0[i])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    res[arc] = np.where(val > 0, np.log(np.maximum(val, 1e-320)), -np.inf)
-            lin = ~arc
-            if np.any(lin):
-                i = idx[lin]
-                x0, x1 = self.hull_x[i], self.hull_x[i + 1]
-                y0, y1 = self.hull_logq[i], self.hull_logq[i + 1]
-                w = (xm[lin] - x0) / (x1 - x0)
-                res[lin] = y0 + w * (y1 - y0)
-            out[mid] = res
+        if len(self.hull_x) < 2:
+            # a one-atom law: every x is below or above
+            out = np.where(below, 0.0, -np.inf)
+        else:
+            idx = np.minimum(np.maximum(np.searchsorted(self.hull_x, xa, side="right") - 1, 0),
+                             len(self.hull_x) - 2)
+            x0, x1 = self.hull_x[idx], self.hull_x[idx + 1]
+            y0, y1 = self.hull_logq[idx], self.hull_logq[idx + 1]
+            # both segment forms at every x, then the one of its segment:
+            # an arc of the interpolant (log of a linear tail) or a bridge;
+            # outside the support, where either form may overflow, x takes 0 or -inf
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                val = self.seg_q[idx] + self.seg_beta[idx] * (xa - self.seg_x0[idx])
+                seg = np.where(self.seg_is_arc[idx],
+                               np.where(val > 0, np.log(np.maximum(val, 1e-320)), -np.inf),
+                               y0 + (xa - x0) / (x1 - x0) * (y1 - y0))
+            out = np.where(below, 0.0, np.where(above, -np.inf, seg))
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(out[0])
         return out
@@ -154,8 +157,7 @@ class TailMajorant:
         lv = self.log_value(x)
         if np.isscalar(lv):
             return math.exp(lv) if lv > -math.inf else 0.0
-        with np.errstate(over="ignore"):
-            return np.where(np.isneginf(lv), 0.0, np.exp(lv))
+        return np.exp(lv)  # exp(-inf) is 0
 
     def to_obj(self) -> dict:
         return {
@@ -171,8 +173,14 @@ class TailMajorant:
         }
 
 
-def _upper_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
-    """Upper concave hull of points sorted by x (monotone chain)."""
+# Rounds of the point hull before the monotone chain finishes.  Carriers
+# need at most 3 and random general laws at most about 17; a binomial
+# tail ending in a heavy top atom needs 38 at n = 1000.
+_HULL_ROUNDS = 32
+
+
+def _monotone_chain(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """Upper concave hull of points sorted by x (Andrew's monotone chain)."""
     keep: list[int] = []
     for i in range(len(x)):
         while len(keep) >= 2:
@@ -185,16 +193,44 @@ def _upper_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
     return keep
 
 
+def _upper_hull_indices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Upper concave hull of points sorted by x, as indices, in rounds.
+
+    Each round drops every middle point whose cross product with its
+    current neighbours is >= 0 (on or below their chord), the monotone
+    chain's test.  A point on or below a chord of one point on each side
+    is no hull vertex, so no round drops a vertex; when a round drops
+    nothing the chain is strictly concave, so it is the hull.  A chain
+    can shed as little as one point a round (a concave stretch under the
+    chord to a heavy top atom), which would make the rounds quadratic, so
+    after _HULL_ROUNDS rounds the monotone chain finishes on the points
+    left.
+    """
+    keep = np.arange(len(x))
+    for _ in range(_HULL_ROUNDS):
+        if len(keep) < 3:
+            return keep
+        i1, i2, i3 = keep[:-2], keep[1:-1], keep[2:]
+        drop = (x[i2] - x[i1]) * (y[i3] - y[i1]) - (x[i3] - x[i1]) * (y[i2] - y[i1]) >= 0
+        if not drop.any():
+            return keep
+        keep = np.concatenate((keep[:1], i2[~drop], keep[-1:]))
+    return keep[_monotone_chain(x[keep], y[keep])]
+
+
 def lc_majorant(d: FiniteDist) -> TailMajorant:
-    """Least log-concave majorant of the step tail of d."""
+    """Least log-concave majorant of the step tail of d.
+
+    The lattice reported is the one d carries, else lattice_params(d),
+    else none."""
     v = d.values
-    q = np.cumsum(d.masses[::-1])[::-1]
+    q = d.upper_tails
     logq = np.log(q)
     hull = _upper_hull_indices(v, logq)
     hx, hy = v[hull], logq[hull]
     nseg = max(len(hx) - 1, 0)
     try:
-        origin, step = lattice_params(d)
+        origin, step = d.lattice or lattice_params(d)
     except LatticeError:
         origin, step = None, None
     return TailMajorant(
@@ -225,9 +261,18 @@ _MAX_EVALS = 100
 
 
 def _lattice_tails(d: FiniteDist) -> tuple[np.ndarray, np.ndarray, float]:
-    origin, h = lattice_params(d)
+    """The lattice points from the bottom atom through the top atom plus
+    one step, the tail at each (0 at the last), and the step.
+
+    The lattice is the one d carries, else lattice_params(d).  On a
+    carried lattice atom k is lattice point k, so the tails are the
+    clipped suffix sums, as `tail` reads them."""
+    origin, h = d.lattice or lattice_params(d)
     nsteps = int(round((d.max_value - d.min_value) / h))
     lat = d.min_value + h * np.arange(nsteps + 2)  # through max + h
+    if d.lattice is not None and nsteps + 1 == d.n_atoms:
+        # suffix sums of positive masses are > 0; cumsum roundoff can pass 1
+        return lat, np.minimum(np.concatenate((d.upper_tails, [0.0])), 1.0), h
     qt = tail(d, lat)
     qt[-1] = 0.0
     return lat, qt, h
@@ -260,7 +305,7 @@ def _bridges(k, lm, lq0, lq1, r, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarr
     Where psi is 0 (both arcs touch a shared corner) u stays, so such a
     bridge has no length.
     """
-    pair = np.stack((a, b))
+    pair = np.array((a, b))
     dk = (k[b] - k[a]).astype(float)
     lm, lq0, lq1, r = lm[pair], lq0[pair], lq1[pair], r[pair]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -368,13 +413,13 @@ def _certify(maj: TailMajorant, lat: np.ndarray, qt: np.ndarray) -> None:
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (hy[seg + 1] - hy[seg]) / (hx[seg + 1] - hx[seg])
         touch = np.where((beta < 0) & (s < 0) & ~arc, lat[cell] + 1.0 / s - q0 / beta, lo)
-        x = np.stack((lo, hi, np.minimum(np.maximum(touch, lo), hi)))
+        x = np.array((lo, hi, np.minimum(np.maximum(touch, lo), hi)))
         q = q0 + beta * (x - lat[cell])
         hull = np.where(arc, np.log(maj.seg_q[seg] + maj.seg_beta[seg] * (x - maj.seg_x0[seg])),
                         hy[seg] + s * (x - hx[seg]))
         # past the last lattice point both are 0
         slack = (hull - np.log(q))[(q > 0) & (x < lat[-1])]
-    if not np.all(slack >= -_CERT_TOL):
+    if not (slack >= -_CERT_TOL).all():
         raise MajorantError(f"hull fails to majorize the interpolant "
                             f"(deficit {np.min(slack):g})")
 
@@ -418,7 +463,7 @@ def lin_lc_majorant(d: FiniteDist, refine: int = 64) -> TailMajorant:
     # alternate arc and bridge; a segment shorter than roundoff gives way
     # to the next one
     ends = np.concatenate(([-np.inf], u, [np.inf]))
-    u_in_out = np.stack((ends[:-1], ends[1:]), axis=1)
+    u_in_out = np.array((ends[:-1], ends[1:])).T
     off = np.clip(r[keep, None] - np.exp(-u_in_out), 0.0, 1.0)
     dx = (x1 - x0)[keep, None]
     tx = np.where(off < 1.0, x0[keep, None] + off * dx, x1[keep, None]).ravel()

@@ -209,6 +209,25 @@ class TestHoeffding:
         hs = [hoeffding_H(0.3, float(y)) for y in ys]
         assert all(b > a for a, b in zip(hs, hs[1:]))
 
+    def test_H_equals_the_select_form_bit_for_bit(self):
+        def select_form(p, y):
+            q = 1.0 - p
+            y = np.asarray(y, dtype=float)
+            inside = (y > 0.0) & (y < q)
+            yi = np.where(inside, y, 0.0)
+            rate = (p + yi) * np.log((p + yi) / p) + (q - yi) * np.log((q - yi) / q)
+            snap = np.abs(y - q) <= 1e-12 * max(1.0, q)
+            return np.select([y <= 0.0, snap, y > q], [0.0, -math.log(p), math.inf], rate)
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            p = float(rng.uniform(1e-4, 1.0 - 1e-4))
+            q = 1.0 - p
+            ys = rng.uniform(-0.1, 1.1 * q, 100)
+            ys[:6] = [0.0, q, q * (1 + 5e-13), q * (1 - 5e-13), -0.0, 1.0]
+            assert np.array_equal(hoeffding_H(p, ys), select_form(p, ys))
+            assert hoeffding_H(p, float(ys[1])) == float(select_form(p, ys[1]))
+
 
 class TestCombinedBound:
     def test_fair_coin_top(self):

@@ -300,6 +300,15 @@ class TestBadInputExit2:
         assert err[0].startswith("error: ")
         assert len(err) == 2 and err[1].startswith("wall time")
 
+    def test_s_m_that_merges_the_carrier(self, capsys):
+        argv = ["bound", "--p", "0.3", "--n", "10", "--s-m", "4e-13", "--x", "1e-12"]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = out.err.splitlines()
+        assert err[0].startswith("error: s_m = 4e-13 ") and "merge tolerance" in err[0]
+        assert len(err) == 2 and err[1].startswith("wall time")
+
     @pytest.mark.parametrize("threads", ["abc", "0", "2.5"])
     def test_malformed_thread_count(self, threads, monkeypatch, capsys):
         monkeypatch.setenv("ASYMTAIL_THREADS", threads)

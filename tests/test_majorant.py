@@ -121,6 +121,12 @@ class TestPointHull:
         assert maj.value(d.min_value - 1.0) == 1.0
         assert maj.value(d.max_value + 1e-6) == 0.0
 
+    def test_point_mass_has_one_vertex(self):
+        maj = lc_majorant(from_pairs([(0.5, 1.0)]))
+        assert len(maj.hull_x) == 1 and maj.step is None
+        assert maj.value(np.array([0.0, 0.5, 1.0])).tolist() == [1.0, 1.0, 0.0]
+        assert maj.value(0.5 + 1e-6) == 0.0
+
 
 class TestInterpolatedHull:
     def test_hole_lattice_bridge_is_geometric(self):
