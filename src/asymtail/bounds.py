@@ -272,6 +272,8 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     if not m >= 1.0:
         raise BoundError(f"m must be >= 1, got {m!r}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.size == 0:
+        raise BoundError("need at least one x")
     n, sm, s1 = resolve_s_m(m, coeffs=coeffs, s_m=s_m, n=n)
     below = m < m_star(p) - 1e-12
     carrier = carrier_sum(p, n, sm)

@@ -19,12 +19,14 @@ are convolved by binary powering.
 
 A law knows its lattice when it is built on one.  `bs`,
 `_binomial_lattice` (so iid_sum of a two-atom law) and `scale` of such a
-law by c > 0 set `FiniteDist.lattice` to (top atom, smallest gap), the
-(origin, step) that `majorant.lattice_params` would infer.  They skip
-the sort and merge, which would do nothing, where the smallest gap
-clears the merge tolerance; where it does not, they build the law the
-general way, with no lattice.  Every other constructor leaves `lattice`
-None.
+law by c > 0 pass `on_lattice=True`: the atoms are increasing and one
+lattice step apart.  Where the smallest gap clears the merge tolerance
+of the largest |atom|, the constructor skips the sort and merge, which
+would do nothing, and sets `FiniteDist.lattice` to (top atom, smallest
+gap), the (origin, step) that `majorant.lattice_params` would infer;
+where it does not, the law is built the general way, with no lattice.
+Every other law has `lattice` None.  Either way the atoms and masses
+pass the same checks.
 
 Conventions used throughout the package:
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -47,6 +49,7 @@ MERGE_RTOL = 1e-12
 MASS_ATOL = 1e-12
 # smallest normal float: a mass below it has too few bits for hull arithmetic
 MIN_MASS = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
 
 # Hard cap for weighted_bs_sum: 2^24 outcomes is the largest enumeration
 # this module is willing to do exactly.
@@ -93,36 +96,61 @@ def _canonicalize(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, n
 class FiniteDist:
     """Finite discrete distribution over the reals.
 
-    `lattice` is (origin, step) = (top atom, smallest gap) for a law
-    whose consecutive atoms are consecutive points of a known affine
-    lattice (see the module docstring), and None otherwise.
+    `on_lattice` claims that `values` are increasing and that consecutive
+    ones are consecutive points of an affine lattice; `lattice` is then
+    (origin, step) = (top atom, smallest gap), unless the claim fails or
+    a gap is within merge tolerance (see the module docstring).  Without
+    the claim `lattice` is None.
     """
     values: np.ndarray
     masses: np.ndarray
+    on_lattice: InitVar[bool] = False
     lattice: tuple[float, float] | None = field(default=None, init=False, repr=False,
                                                 compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, on_lattice: bool):
         v = np.asarray(self.values, dtype=float)
         m = np.asarray(self.masses, dtype=float)
         if v.ndim != 1 or m.ndim != 1 or len(v) != len(m):
             raise DistError("values and masses must be 1-d arrays of equal length")
         if len(v) == 0:
             raise DistError("a distribution needs at least one atom")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(m))):
+        if not (np.isfinite(v).all() and np.isfinite(m).all()):
             raise DistError("atoms must be finite")
-        if np.any(m < 0):
+        lightest = m.min()
+        if lightest < 0.0:
             raise DistError("negative mass")
-        v, m = _canonicalize(v, m)
+        # on a claimed lattice whose smallest gap clears the merge tolerance
+        # of the largest |v| (v sorted: at an end) every gap does, and sort
+        # and merge would leave the atoms as they are
+        step = (v[1:] - v[:-1]).min() if on_lattice and len(v) > 1 else 0.0
+        if step > MERGE_RTOL * max(1.0, -v[0], v[-1]):
+            if lightest >= MIN_MASS:
+                v, m = v.copy(), m.copy()  # frozen below; the caller's stay writable
+            else:
+                keep = m >= MIN_MASS
+                v, m = v[keep], m[keep]
+                step = (v[1:] - v[:-1]).min() if len(v) > 1 else 0.0
+        else:
+            step = 0.0
+            v, m = _canonicalize(v, m)
         if len(v) == 0:
             raise DistError("all atoms had zero mass")
-        total = math.fsum(m)
+        # np.sum of n masses >= 0 is within (n - 1) eps / 2 of the exact
+        # sum, which fsum rounds correctly; a total within 1e-12 of the
+        # limit is below 2, so only a total within (n + 2) eps of the limit
+        # needs fsum to give fsum's verdict
+        total = float(m.sum())
+        if abs(abs(total - 1.0) - MASS_ATOL) <= (len(m) + 2) * _EPS:
+            total = math.fsum(m)
         if abs(total - 1.0) > MASS_ATOL:
             raise DistError(f"total mass {total!r} is not 1 within {MASS_ATOL:g}")
         v.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "masses", m)
+        if step:
+            object.__setattr__(self, "lattice", (float(v[-1]), float(step)))
 
     # -- basic descriptors -------------------------------------------------
     @property
@@ -152,11 +180,9 @@ class FiniteDist:
 
     def is_symmetric(self, rtol: float = 1e-12) -> bool:
         v, m = self.values, self.masses
-        w, u = _canonicalize(-v, m)
-        if len(w) != len(v):
-            return False
-        scale = max(1.0, float(np.max(np.abs(v))))
-        return bool(np.all(np.abs(w - v) <= rtol * scale) and np.all(np.abs(u - m) <= rtol))
+        scale = max(1.0, -v[0], v[-1])
+        return bool((np.abs(-v[::-1] - v) <= rtol * scale).all()
+                    and (np.abs(m[::-1] - m) <= rtol).all())
 
     # -- serialization -----------------------------------------------------
     @staticmethod
@@ -172,46 +198,6 @@ class FiniteDist:
     @staticmethod
     def from_json(text: str) -> "FiniteDist":
         return FiniteDist.from_obj(json.loads(text))
-
-
-def _lattice_law(v: np.ndarray, m: np.ndarray, masses_checked: bool = False) -> FiniteDist:
-    """The law of increasing atoms v, one lattice step apart, with masses m.
-
-    Where the smallest gap clears the merge tolerance of the largest |v|,
-    so does every gap, and the general constructor's sort and merge would
-    leave the atoms as they are, so they are skipped: only masses below
-    MIN_MASS drop, and the total is checked as there.  masses_checked
-    says that m are, in order, the masses of a law that passed those
-    checks already, so they are not run again.  The law then carries its
-    lattice.  Otherwise, and on any input the general constructor
-    rejects, it is FiniteDist(v, m), with no lattice.
-    """
-    if len(v) < 2:
-        return FiniteDist(v, m)
-    step = (v[1:] - v[:-1]).min()
-    # v is sorted, so the largest |v| is at an end
-    if not (math.isfinite(v[0]) and math.isfinite(v[-1])
-            and step > MERGE_RTOL * max(1.0, -v[0], v[-1])):
-        return FiniteDist(v, m)
-    if not masses_checked:
-        if not (np.isfinite(m).all() and m.min() >= 0.0):
-            return FiniteDist(v, m)
-        keep = m >= MIN_MASS
-        if not keep.all():
-            v, m = v[keep], m[keep]
-            if len(v) < 2:
-                return FiniteDist(v, m)
-            step = (v[1:] - v[:-1]).min()
-        total = math.fsum(m)
-        if abs(total - 1.0) > MASS_ATOL:
-            raise DistError(f"total mass {total!r} is not 1 within {MASS_ATOL:g}")
-        m.setflags(write=False)
-    v.setflags(write=False)
-    d = object.__new__(FiniteDist)
-    object.__setattr__(d, "values", v)
-    object.__setattr__(d, "masses", m)
-    object.__setattr__(d, "lattice", (float(v[-1]), float(step)))
-    return d
 
 
 def from_pairs(pairs: Iterable[tuple[float, float]]) -> FiniteDist:
@@ -235,7 +221,8 @@ def bs(p: float) -> FiniteDist:
     if not 0.0 < p < 1.0:
         raise DistError("bs requires p in (0, 1)")
     q = 1.0 - p
-    return _lattice_law(np.array([-math.sqrt(p / q), math.sqrt(q / p)]), np.array([q, p]))
+    return FiniteDist(np.array([-math.sqrt(p / q), math.sqrt(q / p)]), np.array([q, p]),
+                      on_lattice=True)
 
 
 def st(p: float) -> FiniteDist:
@@ -255,15 +242,14 @@ def st(p: float) -> FiniteDist:
 def scale(d: FiniteDist, c: float) -> FiniteDist:
     """Law of c * D.  c = 0 collapses to the point mass at 0.
 
-    A law on a known lattice scaled by c > 0 keeps it (see _lattice_law).
+    A law on a known lattice scaled by c > 0 keeps it, unless its gaps
+    shrink into the merge tolerance.
     """
     if not math.isfinite(c):
         raise DistError("scale factor must be finite")
     if c == 0.0:
         return delta(0.0)
-    if c > 0.0 and d.lattice is not None:
-        return _lattice_law(d.values * c, d.masses, masses_checked=True)
-    return FiniteDist(d.values * c, d.masses)
+    return FiniteDist(d.values * c, d.masses, on_lattice=c > 0.0 and d.lattice is not None)
 
 
 def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:
@@ -291,7 +277,7 @@ def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
     up = (n - k[mode:n]) * p / ((k[mode:n] + 1) * q)
     down = k[mode:0:-1] * q / ((n - k[mode:0:-1] + 1) * p)
     mass = np.concatenate((np.cumprod(down)[::-1], [1.0], np.cumprod(up)))
-    return _lattice_law(n * a + k * (b - a), mass / math.fsum(mass))
+    return FiniteDist(n * a + k * (b - a), mass / math.fsum(mass), on_lattice=True)
 
 
 def iid_sum(d: FiniteDist, n: int) -> FiniteDist:
@@ -320,12 +306,12 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
     """Exact law of sum_i c_i * BS_i with BS_i iid bs(p).
 
     Guarded at 24 terms: the construction enumerates up to 2^n sign
-    patterns through repeated convolution.  The fold runs on raw arrays
-    with one `_canonicalize` (sort and merge) per term, the same sorts
-    and merges as folding `convolve(out, scale(bs(p), c))`, so the law is
-    bit for bit that fold's; only the final law is built and validated
-    as a FiniteDist.  Merging keeps the atom count at n + 1 for equal
-    coefficients.
+    patterns through repeated convolution.  Each term is scale(bs(p),
+    c_i); the fold adds them on raw arrays with one `_canonicalize` (sort
+    and merge) per outer sum, the same sorts and merges as folding
+    `convolve(out, term)`, so the law is bit for bit that fold's; only
+    the final law is built and validated as a FiniteDist.  Merging keeps
+    the atom count at n + 1 for equal coefficients.
     """
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) == 0:
@@ -335,27 +321,17 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
     if any(c < 0 for c in coeffs):
         raise DistError("coefficients must be >= 0")
     base = bs(p)
-
-    def scaled(c: float) -> tuple[np.ndarray, np.ndarray]:
-        # the raw atoms of scale(base, c)
-        if not math.isfinite(c):
-            raise DistError("scale factor must be finite")
-        if c == 0.0:
-            return np.zeros(1), np.ones(1)
-        sv = base.values * c
-        if not np.all(np.isfinite(sv)):
-            raise DistError("atoms must be finite")
-        return sv, base.masses
-
-    v, m = scaled(coeffs[0])
-    for c in coeffs[1:]:
-        v, m = _canonicalize(v, m)
-        sv, sm = _canonicalize(*scaled(c))
+    first = scale(base, coeffs[0])
+    v, m = first.values, first.masses
+    for i, c in enumerate(coeffs[1:]):
+        if i:
+            v, m = _canonicalize(v, m)
+        term = scale(base, c)
         # both are sorted, so the extreme sums are the sums of the extremes
-        if not (math.isfinite(float(v[0]) + float(sv[0]))
-                and math.isfinite(float(v[-1]) + float(sv[-1]))):
+        if not (math.isfinite(float(v[0]) + float(term.values[0]))
+                and math.isfinite(float(v[-1]) + float(term.values[-1]))):
             raise DistError("atoms must be finite")
-        v, m = np.add.outer(v, sv).ravel(), np.multiply.outer(m, sm).ravel()
+        v, m = np.add.outer(v, term.values).ravel(), np.multiply.outer(m, term.masses).ravel()
     return FiniteDist(v, m)
 
 

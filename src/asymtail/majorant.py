@@ -30,10 +30,10 @@ Two constructions over the tail q(x) = P(D >= x) of a FiniteDist:
   built only there; the hull does not depend on it.
 
 Both read the lattice a law carries (`FiniteDist.lattice`, set by the
-constructors of the comparison carriers), and there the lattice tails
-are the law's suffix sums.  lattice_params infers a lattice only for
-laws that carry none: laws read from JSON and convolutions of laws with
-more than two atoms.
+constructors of the comparison carriers).  lattice_params infers a
+lattice only for laws that carry none: laws read from JSON and
+convolutions of laws with more than two atoms.  Either way the lattice
+tails are the law's suffix sums, read at each atom's lattice index.
 
 Evaluation is exact on arc segments (linear in probability space),
 log-linear on bridges.
@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import FiniteDist, tail
+from .dist import FiniteDist
 
 _EVAL_RTOL = 1e-12
 _LATTICE_RTOL = 1e-9
@@ -130,6 +130,8 @@ class TailMajorant:
 
     def log_value(self, x) -> float | np.ndarray:
         xa = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.isfinite(xa).all():
+            raise MajorantError("x must be finite")
         below = xa <= self.support_min + _EVAL_RTOL * max(1.0, abs(self.support_min))
         above = xa > self.zero_from + _EVAL_RTOL * max(1.0, abs(self.zero_from))
         if len(self.hull_x) < 2:
@@ -264,18 +266,20 @@ def _lattice_tails(d: FiniteDist) -> tuple[np.ndarray, np.ndarray, float]:
     """The lattice points from the bottom atom through the top atom plus
     one step, the tail at each (0 at the last), and the step.
 
-    The lattice is the one d carries, else lattice_params(d).  On a
-    carried lattice atom k is lattice point k, so the tails are the
-    clipped suffix sums, as `tail` reads them."""
+    The lattice is the one d carries, else lattice_params(d).  Each atom
+    counts at its lattice index rint((v - v_min) / h), so the tail at
+    lattice point j is the clipped suffix sum from the first atom of
+    index >= j.  On a carried lattice atom k has index k, and the tails
+    are the suffix sums themselves; on an inferred one an atom off its
+    point by up to lattice_params' tolerance still counts there.
+    """
     origin, h = d.lattice or lattice_params(d)
-    nsteps = int(round((d.max_value - d.min_value) / h))
-    lat = d.min_value + h * np.arange(nsteps + 2)  # through max + h
-    if d.lattice is not None and nsteps + 1 == d.n_atoms:
-        # suffix sums of positive masses are > 0; cumsum roundoff can pass 1
-        return lat, np.minimum(np.concatenate((d.upper_tails, [0.0])), 1.0), h
-    qt = tail(d, lat)
-    qt[-1] = 0.0
-    return lat, qt, h
+    v = d.values
+    index = np.rint((v - v[0]) / h)
+    lat = v[0] + h * np.arange(index[-1] + 2)  # through max + h
+    # suffix sums of positive masses are > 0; cumsum roundoff can pass 1
+    suffix = np.minimum(np.concatenate((d.upper_tails, [0.0])), 1.0)
+    return lat, suffix[np.searchsorted(index, np.arange(len(lat)))], h
 
 
 def _arcs(qt: np.ndarray) -> tuple[np.ndarray, ...]:

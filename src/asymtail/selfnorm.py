@@ -495,6 +495,8 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> SelfNormReport:
     curve = _bound_curve(cfg)
     if cfg.x_grid is not None:
         xs = np.asarray(cfg.x_grid, dtype=float)
+        if not np.isfinite(xs).all():
+            raise SelfNormError("x_grid must be finite")
     else:
         xs = np.linspace(0.5, 3.0, 6)
     bounds = np.array([curve(float(x)) for x in xs])

@@ -599,6 +599,8 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
 
     if cfg.x_grid is not None:
         xs = np.asarray(cfg.x_grid, dtype=float)
+        if not np.isfinite(xs).all():
+            raise VerifyError("x_grid must be finite")
     else:
         sig = math.sqrt(float(np.sum(c * c)))
         _, s_m, _ = resolve_s_m(cfg.m, coeffs=c)

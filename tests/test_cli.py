@@ -291,6 +291,10 @@ class TestBadInputExit2:
         ["bound", "--p", "0.3", "--n", "10", "--s-m", "1", "--x", "inf"],
         ["bound", "--p", "0.3", "--n", "10", "--s-m", "1", "--m", "0.5", "--x", "1"],
         ["selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "3", "--paths", "0"],
+        ["selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "3", "--x", "nan"],
+        ["selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "3", "--x", "inf"],
+        ["majorant", "--p", "0.3", "--n", "5", "--eval", "nan"],
+        ["bound", "--p", "0.3", "--n", "3", "--s-m", "1", "--x-grid", "0:1:0"],
     ])
     def test_out_of_domain_value(self, argv, capsys):
         assert cli.main(argv) == 2

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from asymtail.dist import (
+    MASS_ATOL,
     MIN_MASS,
     DistError,
     FiniteDist,
@@ -189,6 +191,35 @@ def test_invalid_masses_rejected():
         from_pairs([(0.0, 0.4), (1.0, 0.4)])  # sums to 0.8
     with pytest.raises(DistError):
         from_pairs([(0.0, 1.2), (1.0, -0.2)])
+
+
+@pytest.mark.parametrize("n_atoms", [3, 10_000])
+def test_total_mass_verdict_is_the_fsum_rule(n_atoms):
+    # totals 1 +- 1e-12 offset by up to 40 ulps, on both sides of the
+    # limit and of the band where np.sum's rounding could decide the
+    # other way; at 10^4 atoms that band covers every total near the limit
+    rest = np.full(n_atoms - 1, 0.5 / (n_atoms - 1))
+    ulp = math.ulp(0.5)
+    for sign in (-1.0, 1.0):
+        verdicts = set()
+        for k in range(-40, 41):
+            m = np.append(rest, 1.0 + sign * MASS_ATOL - math.fsum(rest) + k * ulp)
+            expect = abs(math.fsum(m) - 1.0) <= MASS_ATOL
+            try:
+                FiniteDist(np.arange(float(n_atoms)), m)
+                accepted = True
+            except DistError:
+                accepted = False
+            assert accepted == expect, (sign, k)
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
+
+
+def test_total_mass_that_overflows_is_a_dist_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in the sum
+        with pytest.raises(DistError, match="total mass inf is not 1"):
+            FiniteDist(np.array([0.0, 1.0]), np.array([1e308, 1e308]))
 
 
 def test_delta_point_mass():

@@ -1,8 +1,8 @@
 """Carriers that know their lattice, and the array point hull.
 
 `bs`, `iid_sum` of a two-atom law and `scale` by c > 0 build their laws
-on a known lattice and skip the general constructor's sort and merge.
-These tests hold the shortcut to the general path: the same atoms and
+with `FiniteDist(..., on_lattice=True)`, which skips the sort and merge.
+These tests hold that claim to the general path: the same atoms and
 masses bit for bit, the lattice `majorant.lattice_params` infers, the
 same lattice tails, and the same bound reports as the general-path
 carrier with the monotone-chain point hull.
@@ -15,8 +15,14 @@ import pytest
 
 from asymtail import bounds, majorant
 from asymtail.bounds import carrier_sum, combined_bound_grid
-from asymtail.dist import FiniteDist, _lattice_law, bs, from_pairs, iid_sum, scale, tail
-from asymtail.majorant import _lattice_tails, _upper_hull_indices, lattice_params, lc_majorant
+from asymtail.dist import FiniteDist, bs, from_pairs, iid_sum, scale, tail
+from asymtail.majorant import (
+    _lattice_tails,
+    _upper_hull_indices,
+    lattice_params,
+    lc_majorant,
+    lin_lc_majorant,
+)
 from asymtail.thresholds import m_star
 
 
@@ -90,7 +96,7 @@ class TestCarriedLattice:
         # gaps of 1e-13 sit within the merge tolerance: the atoms merge
         v = np.array([0.0, 1e-13, 2e-13, 1.0])
         m = np.array([0.25, 0.25, 0.25, 0.25])
-        d = _lattice_law(v, m)
+        d = FiniteDist(v, m, on_lattice=True)
         assert d.lattice is None
         assert_bit_equal(d, FiniteDist(v, m))
         assert d.n_atoms == 2
@@ -99,14 +105,14 @@ class TestCarriedLattice:
         # the smallest gap clears the absolute tolerance but not the one at 1e13
         v = np.array([0.0, 1.0, 1e13, 1e13 + 1.0])
         m = np.full(4, 0.25)
-        d = _lattice_law(v, m)
+        d = FiniteDist(v, m, on_lattice=True)
         assert d.lattice is None
         assert_bit_equal(d, FiniteDist(v, m))
 
     def test_shortcut_drops_subnormal_masses_like_the_general_path(self):
         v = np.arange(5.0)
         m = np.array([1e-320, 0.25, 0.5, 0.25, 0.0])
-        d = _lattice_law(v, m)
+        d = FiniteDist(v, m, on_lattice=True)
         assert_bit_equal(d, FiniteDist(v, m))
         assert d.lattice == (3.0, 1.0)
 
@@ -121,7 +127,7 @@ class TestCarriedLattice:
         with pytest.raises(ValueError) as general:
             FiniteDist(v, m)
         with pytest.raises(type(general.value), match=str(general.value)[:20]):
-            _lattice_law(v, m)
+            FiniteDist(v, m, on_lattice=True)
 
     def test_lattice_tails_equal_the_searched_tails(self):
         for p, n, s_m, d in random_carriers(3, 200):
@@ -132,6 +138,17 @@ class TestCarriedLattice:
             assert np.array_equal(lat, ref_lat)
             assert np.array_equal(qt, ref_qt)
             assert np.array_equal(qt[:-1], tail(d, lat[:-1]))
+
+    def test_inferred_lattice_counts_an_atom_off_its_point(self):
+        # lattice_params puts the top atom at 1.5 (1e-9 relative), so it
+        # counts there, and the interpolated hull is no lower than the tail,
+        # which is 0.25 up to 1.4999999999
+        d = from_pairs([(0.0, 0.5), (0.5, 0.25), (1.4999999999, 0.25)])
+        lat, qt, h = _lattice_tails(d)
+        assert h == 0.5
+        assert qt.tolist() == [1.0, 0.5, 0.25, 0.25, 0.0]
+        xs = np.concatenate((lat, [1.25, 1.4]))
+        assert (lin_lc_majorant(d).value(xs) >= tail(d, xs)).all()
 
 
 class TestCarrierSumCollapse:

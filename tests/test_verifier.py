@@ -1,5 +1,6 @@
 """Certificate checks: delta polynomials, exact enumeration, Schur sweeps,
 exactness witnesses, and the supermartingale Monte Carlo harness."""
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -509,6 +510,12 @@ class TestSupermartingaleMC:
                 SupermartingaleConfig(n=2, p=0.3, coeffs=(1.0, -1.0),
                                       rule="constant", m=2.0),
                 McConfig(n_paths=1000))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_non_finite_x_grid(self, x):
+        cfg = dataclasses.replace(self._cfg("constant"), x_grid=(1.0, x))
+        with pytest.raises(VerifyError, match="x_grid must be finite"):
+            supermartingale_mc(cfg, McConfig(n_paths=1000))
 
     @pytest.mark.parametrize("kwargs", [
         {"n_paths": 0}, {"n_paths": -5}, {"block": 0},
