@@ -7,10 +7,11 @@ tail bound family (`bounds`), empirical verification by enumeration
 and Monte Carlo (`verifier`), and self-normalized statistics
 (`selfnorm`).  `cli` exposes all of it as the `asymtail` command.
 
-Importing the package loads numpy only; scipy is imported inside the
-one function that uses it (the Clopper-Pearson quantile of the Monte
-Carlo checks), the first time it runs.  Roots come from
-`optimize.brent_root`, a port of scipy's brentq.
+numpy is the only runtime dependency: no command loads scipy.  Roots
+come from `optimize.brent_root`, a port of scipy's brentq, and the
+Clopper-Pearson limit of the Monte Carlo checks from `clopper_pearson`,
+a binomial tail sum rounded down so that it never exceeds the exact
+limit.
 """
 from time import perf_counter as _perf_counter
 

@@ -120,6 +120,11 @@ class FiniteDist:
         lightest = m.min()
         if lightest < 0.0:
             raise DistError("negative mass")
+        heaviest = float(m.max())
+        if heaviest > 1.0 + MASS_ATOL:
+            # decides the verdict before np.sum can overflow (and warn)
+            total = float((m / heaviest).sum()) * heaviest
+            raise DistError(f"total mass {total!r} is not 1 within {MASS_ATOL:g}")
         # on a claimed lattice whose smallest gap clears the merge tolerance
         # of the largest |v| (v sorted: at an end) every gap does, and sort
         # and merge would leave the atoms as they are

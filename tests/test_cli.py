@@ -313,6 +313,16 @@ class TestBadInputExit2:
         assert err[0].startswith("error: s_m = 4e-13 ") and "merge tolerance" in err[0]
         assert len(err) == 2 and err[1].startswith("wall time")
 
+    def test_overflowing_masses_print_one_error_line(self, tmp_path):
+        # a fresh interpreter, so numpy's RuntimeWarning would reach stderr
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"atoms": [{"v": 0, "p": 1e308}, {"v": 1, "p": 1e308}]}))
+        proc = run_cli("majorant", "--dist-file", str(law), check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert err[0] == "error: total mass inf is not 1 within 1e-12"
+        assert len(err) == 2 and err[1].startswith("wall time")
+
     @pytest.mark.parametrize("threads", ["abc", "0", "2.5"])
     def test_malformed_thread_count(self, threads, monkeypatch, capsys):
         monkeypatch.setenv("ASYMTAIL_THREADS", threads)

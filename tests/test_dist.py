@@ -3,7 +3,6 @@ import functools
 import itertools
 import json
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -216,10 +215,12 @@ def test_total_mass_verdict_is_the_fsum_rule(n_atoms):
 
 
 def test_total_mass_that_overflows_is_a_dist_error():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in the sum
-        with pytest.raises(DistError, match="total mass inf is not 1"):
-            FiniteDist(np.array([0.0, 1.0]), np.array([1e308, 1e308]))
+    # the suite turns RuntimeWarning into an error, so numpy's overflow
+    # warning in the mass sum would fail this test before the DistError
+    with pytest.raises(DistError, match="total mass inf is not 1"):
+        FiniteDist(np.array([0.0, 1.0]), np.array([1e308, 1e308]))
+    with pytest.raises(DistError, match="total mass 1.5 is not 1"):
+        FiniteDist(np.array([0.0, 1.0]), np.array([1.5, 0.0]))
 
 
 def test_delta_point_mass():

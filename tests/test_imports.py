@@ -1,14 +1,13 @@
-"""Import hygiene: the package, bound queries, thresholds, the verifier
-certificates and the CLI commands that run them load no scipy module.
+"""Import hygiene: no asymtail code path loads a scipy module.
 
-scipy is imported inside the one function that uses it (the
-Clopper-Pearson quantile of the Monte Carlo checks), so a process that
-only imports asymtail, evaluates bounds, builds hulls, tabulates
-thresholds or runs the certificate checks pays for numpy alone, and a
-Monte Carlo check loads `scipy.special` but not `scipy.integrate`.
-Roots come from `optimize.brent_root`, not `scipy.optimize`.  The checks
-run in a fresh interpreter, since this test process has scipy loaded
-already.
+numpy is the only runtime dependency.  The package import, bound
+queries, thresholds, the verifier certificates and every CLI command,
+the Monte Carlo ones (`verify --suite supermartingale`, `selfnorm`)
+included, pay for numpy alone: roots come from `optimize.brent_root`,
+not `scipy.optimize`, and the Clopper-Pearson limit from
+`clopper_pearson`'s binomial tail sum, not `scipy.special`; only a
+Monte Carlo check imports that module.  The checks run in a fresh
+interpreter, since this test process has scipy loaded already.
 """
 import json
 import subprocess
@@ -43,15 +42,19 @@ verifier.exactness_witness(0.2, 0.9 * asymtail.m_star(0.2))
 verifier.schur_sweep(p, m, 1.5)
 seen["certificates"] = scipy_modules()
 
-def cli(name, *argv):
+def cli(*argv, key=None):
+    key = key or argv[0]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        seen[f"cli {name} exit"] = asymtail.cli.main([name, *argv])
-    seen[f"cli {name}"] = scipy_modules()
+        seen[f"cli {key} exit"] = asymtail.cli.main(list(argv))
+    seen[f"cli {key}"] = scipy_modules()
 
 cli("thresholds", "--p", "0.3")
 cli("bound", "--p", "0.3", "--n", "10", "--s-m", "1", "--x", "2")
 cli("majorant", "--p", "0.3", "--n", "10", "--kind", "linlc", "--eval", "1,2")
 cli("verify", "--suite", "delta")
+seen["cp module before Monte Carlo"] = "asymtail.clopper_pearson" in sys.modules
+cli("verify", "--suite", "supermartingale", key="verify --suite supermartingale")
+seen["cp module after Monte Carlo"] = "asymtail.clopper_pearson" in sys.modules
 cli("selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "4", "--paths", "1000")
 print(json.dumps(seen))
 """
@@ -98,9 +101,12 @@ def test_cli_command_loads_no_scipy(probe, command):
     assert probe[f"cli {command}"] == []
 
 
-def test_monte_carlo_loads_scipy_special_only(probe):
-    assert probe["cli selfnorm exit"] == 0
-    loaded = probe["cli selfnorm"]
-    assert "scipy.special" in loaded
-    assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.")
-                   for m in loaded)
+@pytest.mark.parametrize("command", ["verify --suite supermartingale", "selfnorm"])
+def test_monte_carlo_loads_no_scipy(probe, command):
+    assert probe[f"cli {command} exit"] == 0
+    assert probe[f"cli {command}"] == []
+
+
+def test_only_monte_carlo_loads_the_cp_module(probe):
+    assert probe["cp module before Monte Carlo"] is False
+    assert probe["cp module after Monte Carlo"] is True

@@ -5,11 +5,11 @@ import math
 import os
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
-from scipy.stats import beta as scipy_beta
 
 from asymtail import selfnorm, verifier
 from asymtail.dist import bs, from_pairs, iid_sum, scale, weighted_bs_sum
@@ -542,34 +542,109 @@ def _cp_cases():
     return out
 
 
+def _exact_tail(n: int, k: int, p: float) -> mpmath.mpf:
+    """P(Bin(n, p) >= k) at the float p, to 60 digits.
+
+    Sums the binomial terms from k up when k is above the mean, else the
+    lower tail from k - 1 down; the term ratios fall along the sum, so
+    it stops once a geometric bound on the rest is below 1e-40 of it.
+    """
+    with mpmath.workdps(60):
+        p = mpmath.mpf(p)
+        q = 1 - p
+        if p == 0 or p == 1:
+            return p
+        upper = k > n * p
+        j = k if upper else k - 1
+        term = mpmath.binomial(n, j) * p ** j * q ** (n - j)
+        total = term
+        while j < n if upper else j > 0:
+            if upper:
+                ratio, j = (n - j) * p / ((j + 1) * q), j + 1
+            else:
+                ratio, j = j * q / ((n - j + 1) * p), j - 1
+            term *= ratio
+            total += term
+            if ratio < 1 and term * ratio / (1 - ratio) < total * mpmath.mpf(10) ** -40:
+                break
+        return total if upper else 1 - total
+
+
+def _check_cp(k: int, total: int, conf: float) -> float:
+    """The limit is at or below the exact quantile, and within 1e-12 of it."""
+    alpha = 1.0 - conf
+    cp = beta_dist.ppf(alpha, k, total - k + 1)
+    assert isinstance(cp, float) and 0.0 < cp < 1.0
+    assert _exact_tail(total, k, cp) <= alpha
+    assert _exact_tail(total, k, min(cp * (1.0 + 1e-12), 1.0)) >= alpha
+    return cp
+
+
 class TestClopperPearson:
-    """The one Clopper-Pearson quantile that verifier and selfnorm share."""
+    """The one Clopper-Pearson quantile that verifier and selfnorm share,
+    against the binomial tail at 60 digits."""
 
     @pytest.mark.parametrize("k,total,conf", _cp_cases())
-    def test_bit_equal_to_scipy_stats(self, k, total, conf):
-        a, b, q = k, total - k + 1, 1.0 - conf
-        assert float(beta_dist.ppf(q, a, b)) == float(scipy_beta.ppf(q, a, b))
+    def test_brackets_the_exact_quantile(self, k, total, conf):
+        _check_cp(k, total, conf)
+
+    @settings(max_examples=40, deadline=None)
+    @given(total=hst.integers(1, 1_000_000), frac=hst.floats(0.0, 1.0),
+           conf=hst.one_of(hst.floats(0.5, 0.999999), hst.floats(1e-6, 0.5),
+                           hst.just(1.0 - 1e-15)))
+    def test_brackets_the_exact_quantile_anywhere(self, total, frac, conf):
+        _check_cp(max(1, math.ceil(frac * total)), total, conf)
+
+    @pytest.mark.parametrize("total", [2, 7, 1_000, 131_072])
+    @pytest.mark.parametrize("conf", [0.5, 0.99])
+    def test_increasing_in_k(self, total, conf):
+        ks = np.unique(np.linspace(1, total, min(total, 400)).astype(int))
+        cps = [beta_dist.ppf(1.0 - conf, int(k), total - int(k) + 1) for k in ks]
+        assert all(a < b for a, b in zip(cps, cps[1:]))
+
+    @pytest.mark.parametrize("total", [1, 2, 7, 131_072, 10 ** 9])
+    @pytest.mark.parametrize("conf", [0.001, 0.5, 0.99, 0.999999])
+    def test_closed_form_ends(self, total, conf):
+        alpha = 1.0 - conf
+        one = -math.expm1(math.log1p(-alpha) / total)      # 1 - (1 - p)^N = alpha
+        every = math.exp(math.log(alpha) / total)          # p^N = alpha
+        for k, exact in ((1, one), (total, every)):
+            cp = beta_dist.ppf(alpha, k, total - k + 1)
+            assert exact * (1.0 - 1e-14) < cp < exact
+
+    def test_edges_and_bad_shapes(self):
+        assert beta_dist.ppf(0.0, 3, 4) == 0.0
+        assert beta_dist.ppf(1.0, 3, 4) == 1.0
+        for args in ((math.nan, 3, 4), (0.1, 0, 4), (0.1, 3, 0), (0.1, 2.5, 4), (0.1, math.inf, 4)):
+            with pytest.raises(VerifyError):
+                beta_dist.ppf(*args)
 
     def test_selfnorm_shares_the_object(self):
         assert selfnorm.beta_dist is verifier.beta_dist
 
+    # counts frozen exactly; limits frozen from scipy's betaincinv, which the
+    # in-house limit matches to 1e-12 relative
     def test_supermartingale_report_frozen(self):
         cfg = SupermartingaleConfig(n=6, p=0.3, coeffs=(1.0,) * 6,
                                     rule="history_scaled", m=m_star(0.3))
         rep = supermartingale_mc(cfg, McConfig(seed=7, n_paths=20_000))
-        assert [(r.count, r.cp_lower) for r in rep.rows] == [
-            (5110, 0.24834946322399223), (4733, 0.22968602938301566),
-            (1356, 0.06372518837966014), (20, 0.0005542162576428615),
-            (0, 0.0), (0, 0.0), (0, 0.0), (0, 0.0)]
+        frozen = [(5110, 0.24834946322399223), (4733, 0.22968602938301566),
+                  (1356, 0.06372518837966014), (20, 0.0005542162576428615),
+                  (0, 0.0), (0, 0.0), (0, 0.0), (0, 0.0)]
+        assert [r.count for r in rep.rows] == [k for k, _ in frozen]
+        assert [r.cp_lower for r in rep.rows] == pytest.approx([c for _, c in frozen],
+                                                               rel=1e-12, abs=0.0)
 
     def test_selfnorm_report_frozen(self):
         base = from_pairs([(-1.0, 2 / 3), (1.0, 1 / 6), (3.0, 1 / 6)])
         rep = selfnorm.selfnorm_bound_check(selfnorm.SelfNormConfig(base=base, n=6, kind="vw"),
                                             McConfig(seed=9, n_paths=20_000, block=4_096))
-        assert [(r.count, r.cp_lower) for r in rep.rows] == [
-            (5268, 0.25617658949330646), (2785, 0.13360169028657387),
-            (1160, 0.0542175884228976), (438, 0.019562135952492364),
-            (119, 0.004757796401517287), (16, 0.0004091251435945157)]
+        frozen = [(5268, 0.25617658949330646), (2785, 0.13360169028657387),
+                  (1160, 0.0542175884228976), (438, 0.019562135952492364),
+                  (119, 0.004757796401517287), (16, 0.0004091251435945157)]
+        assert [r.count for r in rep.rows] == [k for k, _ in frozen]
+        assert [r.cp_lower for r in rep.rows] == pytest.approx([c for _, c in frozen],
+                                                               rel=1e-12, abs=0.0)
 
 
 class TestSuiteRunner:
