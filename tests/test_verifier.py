@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
+from scipy.stats import beta as scipy_beta
 
 from asymtail import selfnorm, verifier
 from asymtail.dist import bs, from_pairs, iid_sum, scale, weighted_bs_sum
@@ -586,6 +587,14 @@ class TestClopperPearson:
     @pytest.mark.parametrize("k,total,conf", _cp_cases())
     def test_brackets_the_exact_quantile(self, k, total, conf):
         _check_cp(k, total, conf)
+
+    # named from when the limit was scipy's betaincinv itself; the two now
+    # agree to 1e-12 relative, and the check above says which one is right
+    @pytest.mark.parametrize("k,total,conf", _cp_cases())
+    def test_bit_equal_to_scipy_stats(self, k, total, conf):
+        a, b, q = k, total - k + 1, 1.0 - conf
+        assert beta_dist.ppf(q, a, b) == pytest.approx(float(scipy_beta.ppf(q, a, b)),
+                                                       rel=1e-12, abs=0.0)
 
     # scipy's betaincinv put the first three above the exact quantile (twice it at the first)
     @pytest.mark.parametrize("k,total,conf", [(1_000, 10 ** 9, 0.99), (1_000, 10 ** 12, 0.9),
