@@ -5,18 +5,18 @@
 Exports both commits with `git archive` under .bench_build/record/<commit>/
 and runs each one's own, unchanged perfbench/run.py there:
 
-- for every workload in the head's BENCHMARK.json and every seed in
-  --seeds, one untimed pair of --trace 0 runs of --seconds each, the
+- for every workload in the head's BENCHMARK.json and every seed 1-10,
+  one pair of --trace 0 runs of BENCHMARK.json's run_seconds each, the
   side that runs first alternating from seed to seed;
-- then, per workload, one --trace 1 run of --trace-seconds per side.
+- then, per workload, one --trace 1 run of 4 s per side, at seed 1.
 
 The record holds, per workload and side, the median and quartiles of
 each end-to-end metric over the seeds, how many pairs the head won on
 it, each run's output digest (and whether the two sides' agree at every
 seed), and the traced per-layer metrics; and the machine (nproc, CPU
 model, Python, numpy and scipy versions) and both commit ids.  The runs
-go one at a time, so the record costs about 2 x workloads x seeds x
-(--seconds + 5 s of cold starts).
+go one at a time, so the record costs about 2 x workloads x 10 x
+(run_seconds + 5 s of cold starts).
 """
 from __future__ import annotations
 
@@ -36,6 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BUILD = ROOT / ".bench_build" / "record"
 RUN_TIMEOUT_S = 1800
+SEEDS = list(range(1, 11))
+TRACE_SECONDS = 4
 
 
 def git(*args: str) -> str:
@@ -75,8 +77,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> d
 
 
 def quartiles(values: list[float]) -> dict:
-    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                   if len(values) > 1 else values * 3)
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
@@ -101,18 +102,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD~1", help="the commit before the change")
     ap.add_argument("--head", default="HEAD", help="the commit with the change")
-    ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    ap.add_argument("--seconds", type=int, default=None,
-                    help="seconds per timed run (default: BENCHMARK.json's run_seconds)")
-    ap.add_argument("--trace-seconds", type=int, default=4)
-    ap.add_argument("--workloads", nargs="+", default=None)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
     sides = dict(zip(("base", "head"), (export(args.base), export(args.head))))
     spec = json.loads((sides["head"][1] / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     record = {
@@ -121,13 +116,13 @@ def main(argv=None) -> int:
         "machine": {"nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu_model(),
                     "python": platform.python_version(), "numpy": version("numpy"),
                     "scipy": version("scipy")},
-        "seeds": args.seeds, "seconds": seconds, "trace_seconds": args.trace_seconds,
+        "seeds": SEEDS, "seconds": seconds, "trace_seconds": TRACE_SECONDS,
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
     }
-    for wl in workloads:
+    for wl in (w["name"] for w in spec["workloads"]):
         runs: dict[str, list[dict]] = {"base": [], "head": []}
-        for i, seed in enumerate(args.seeds):
+        for i, seed in enumerate(SEEDS):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
                 runs[side].append(run(sides[side][1], wl, seed, seconds, 0))
@@ -143,14 +138,14 @@ def main(argv=None) -> int:
                 "head": quartiles(vals["head"]),
                 "head_better_pairs": sum(sign * (h - b) > 0
                                          for b, h in zip(vals["base"], vals["head"])),
-                "pairs": len(args.seeds)}
+                "pairs": len(SEEDS)}
         for side in runs:
             entry["digests"][side] = [r["digest"] for r in runs[side]]
             entry["correct"][side] = all(r["correct"] for r in runs[side])
         entry["digests_match"] = entry["digests"]["base"] == entry["digests"]["head"]
         entry["traced"] = {}
         for side in ("base", "head"):
-            traced = run(sides[side][1], wl, args.seeds[0], args.trace_seconds, 1)
+            traced = run(sides[side][1], wl, SEEDS[0], TRACE_SECONDS, 1)
             entry["traced"][side] = {k: v["value"] for k, v in traced["metrics"].items()}
             print(f"{wl} traced {side}: done", flush=True)
         record["workloads"][wl] = entry
