@@ -649,6 +649,21 @@ class TestClopperPearson:
         assert [r.cp_lower for r in rep.rows] == pytest.approx([c for _, c in frozen],
                                                                rel=1e-12, abs=0.0)
 
+    # frozen from the rule's full-size A and B arrays; unequal coefficients,
+    # so each step's c_i shows in the counts
+    def test_constant_rule_report_frozen(self):
+        cfg = SupermartingaleConfig(n=5, p=0.2, coeffs=(0.7, 1.3, 1.0, 0.6, 1.1),
+                                    rule="constant", m=m_star(0.2))
+        rep = supermartingale_mc(cfg, McConfig(seed=3, n_paths=20_000, block=8_192))
+        frozen = [(6769, 0.33067382506479587), (4290, 0.20777973559712043),
+                  (1826, 0.08661799237562624), (626, 0.028503478539119883),
+                  (0, 0.0), (0, 0.0), (0, 0.0), (0, 0.0)]
+        assert [r.count for r in rep.rows] == [k for k, _ in frozen]
+        assert [r.cp_lower for r in rep.rows] == pytest.approx([c for _, c in frozen],
+                                                               rel=1e-12, abs=0.0)
+        assert rep.max_sqrtab_excess == 0.0
+        assert rep.blocks == 3
+
     def test_selfnorm_report_frozen(self):
         base = from_pairs([(-1.0, 2 / 3), (1.0, 1 / 6), (3.0, 1 / 6)])
         rep = selfnorm.selfnorm_bound_check(selfnorm.SelfNormConfig(base=base, n=6, kind="vw"),
