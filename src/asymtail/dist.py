@@ -33,7 +33,12 @@ Conventions used throughout the package:
 - tail(d, x) = P(D >= x), the left-continuous step function; an atom
   within merge tolerance of x counts as >= x.
 - sampling is inverse-CDF driven by a named (seed, stream) pair, so any
-  consumer can reproduce a draw bit for bit.
+  consumer can reproduce a draw bit for bit.  The inverse CDF is read
+  from a guide table (`_GuideTable`) that cuts [0, 1] into at least
+  max(4096, 16 atoms) buckets: a bucket that holds no cumulative mass
+  stores its atom, and only a uniform in one of the few buckets that do
+  is placed by binary search, so the atom drawn is exactly the one
+  `np.searchsorted` on the cumulative masses picks.
 """
 from __future__ import annotations
 
@@ -402,13 +407,72 @@ def _cube_plus(d: FiniteDist, t) -> np.ndarray:
     return p3[k] + u * (3.0 * p2[k] + u * (3.0 * p1[k] + u * p0[k]))
 
 
-def _atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF atom indices of uniforms u, with cum = cumsum(masses).
+class _GuideTable:
+    """`np.searchsorted(edges, u, side)` for keys u in [0, top], by table.
 
-    The first atom whose cumulative mass exceeds u; a u at or above the
-    rounded total lands on the last atom.
+    A guide table for inverse-CDF sampling (Chen & Asau, 1974), made
+    exact.  Bucket b holds the keys whose product u 2^s lies in
+    [b, b + 1), with s the smallest power that spreads [0, top] over at
+    least max(4096, 16 edges) buckets (and at most twice that).  A
+    bucket that no scaled edge falls in has one answer for every key in
+    it, the number of edges scaled below b: the product is monotone in
+    u, so an edge below or above the bucket is below or above every key
+    in it.  The table stores that answer; a bucket that an edge falls in
+    stores -1, and so does the sentinel past the last bucket, onto which
+    `take(..., mode="clip")` maps every larger product.  Only keys that
+    read -1 go to `np.searchsorted`, with the original keys and edges,
+    so the answer is exact for any spacing of the edges, and at most
+    one bucket in 16 holds an edge.
+
+    A call allocates the index array and a mask of the keys that read
+    -1, and leaves u as it is.  The table is built once per law and
+    only read after that, so threads may share it.
     """
-    return np.searchsorted(cum[:-1], u, side="right")
+
+    def __init__(self, edges: np.ndarray, top: float, side: str):
+        self.edges = np.asarray(edges, dtype=float)
+        self.side = side
+        least = max(4096, 16 * len(self.edges))
+        # top 2^s lands in [least, 2 least), unless 2^s would overflow
+        s = math.frexp(least)[1] - math.frexp(top)[1]
+        if math.ldexp(top, s) < least:
+            s += 1
+        self._factor = math.ldexp(1.0, min(s, 1023))
+        nb = math.floor(top * self._factor) + 1
+        bucket = np.floor(self.edges * self._factor)
+        inside = bucket[(bucket >= 0.0) & (bucket < nb)].astype(np.intp)
+        # table[b] = edges scaled below b: those below 0, then a running
+        # count of the buckets below b
+        counts = np.bincount(inside + 1, minlength=nb + 1)
+        counts[0] = np.count_nonzero(bucket < 0.0)
+        table = np.cumsum(counts)
+        table[inside] = -1
+        table[nb] = -1
+        table.setflags(write=False)
+        self._table = table
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        idx = np.empty(u.shape, dtype=np.intp)
+        np.multiply(u, self._factor, out=idx, casting="unsafe")
+        self._table.take(idx, out=idx, mode="clip")
+        flat = idx.reshape(-1)
+        miss = np.flatnonzero(flat < 0)
+        flat[miss] = np.searchsorted(self.edges, u.take(miss), side=self.side)
+        return idx
+
+
+def _inverse_cdf(cum: np.ndarray) -> _GuideTable:
+    """Inverse-CDF atom lookup for uniforms, with cum = cumsum(masses).
+
+    It maps u to the first atom whose cumulative mass exceeds u; a u at
+    or above the rounded total lands on the last atom.
+    """
+    return _GuideTable(cum[:-1], 1.0, "right")
+
+
+def _atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF atom indices of uniforms u: `_inverse_cdf(cum)(u)`."""
+    return _inverse_cdf(cum)(u)
 
 
 def sample(d: FiniteDist, rng: RngSpec | np.random.Generator, size: int) -> np.ndarray:

@@ -16,14 +16,19 @@ either exact (decomposition, recombination, variance identity) or a
 Monte Carlo check with a one-sided Clopper-Pearson guard.
 
 The Monte Carlo checks work on atom indices rather than values.  A draw
-is the index j of an atom (inverse CDF, as `dist.sample` does), and the
-pairing is a table lookup: the harvest level h0[j] + u span[j] falls in
-one slice between consecutive harvest levels, and a (side, slice) table
-holds the partner atom.  `ReciprocatingMap.reciprocate` and
-`selfnorm_stat` are thin wrappers over the same private helpers.  The
-blocks run on `verifier.tail_counts`, so they share the supermartingale
-check's thread pool and per-block streams, and the counts are the same
-at any ASYMTAIL_THREADS.
+is the index j of an atom, read from the law's inverse-CDF guide table
+as `dist.sample` reads it (`dist._GuideTable`: one table read per draw,
+and a binary search only for the few uniforms whose bucket holds a
+cumulative mass).  The pairing is a table lookup too: the harvest level
+h0[j] + u span[j] falls in one slice between consecutive harvest
+levels, which a guide table over [0, g_total] finds the same way, and a
+(side, slice) table holds the partner atom.  A check builds its guide
+tables once, and the pool threads share them read-only.
+`ReciprocatingMap.reciprocate` and `selfnorm_stat` are thin wrappers
+over the same private helpers.  The blocks run on
+`verifier.tail_counts`, so they share the supermartingale check's
+thread pool and per-block streams, and the counts are the same at any
+ASYMTAIL_THREADS.
 """
 from __future__ import annotations
 
@@ -35,8 +40,8 @@ import numpy as np
 
 from .bounds import normal_tail
 # `sample` stays importable here: perfbench/tracer.py wraps selfnorm.sample
-from .dist import (FiniteDist, _atom_index, bs, from_pairs,  # noqa: F401
-                   iid_sum, sample, scale, st)
+from .dist import (FiniteDist, _GuideTable, _inverse_cdf, bs,  # noqa: F401
+                   from_pairs, iid_sum, sample, scale, st)
 from .majorant import lc_majorant
 from .thresholds import SQRT2_MINUS_1, c_const, m_star
 from .verifier import McConfig, beta_dist, tail_counts
@@ -113,6 +118,7 @@ class ReciprocatingMap:
         self._row_start = np.full(k, stride, dtype=np.int64)
         self._row_start[:n_neg] = 0
         self._row_start[first_pos:] = 2 * stride
+        self._slices = _GuideTable(self.levels, self.g_total, "left")
 
     def _slice_atoms(self, side_h, side_x) -> np.ndarray:
         """The atom of one side met by each slice: side_x at the number of
@@ -132,7 +138,7 @@ class ReciprocatingMap:
         u *= self._span.take(j)
         u += self._h0.take(j)
         np.clip(u, 0.0, self.g_total, out=u)
-        idx = np.searchsorted(self.levels, u, side="left")
+        idx = self._slices(u)
         # The levels are spent, so u's buffer takes the row offsets and
         # the block holds no fourth array; j is in range, and mode "clip"
         # writes straight to `out` where "raise" would buffer it.
@@ -288,7 +294,6 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _vw(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     w = x - r
-    np.abs(w, out=w)
     w *= w
     return _safe_ratio(x.sum(axis=1), 0.5 * np.sqrt(w.sum(axis=1)))
 
@@ -429,14 +434,14 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     so it calls only private helpers, and it drops each (size, n) array
     as soon as it is used: two blocks are in flight at once.
     """
-    values, cum = cfg.base.values, np.cumsum(cfg.base.masses)
+    values, atoms = cfg.base.values, _inverse_cdf(np.cumsum(cfg.base.masses))
 
     if rm is not None:
         stat = _vw if cfg.kind == "vw" else (lambda x, r: _vym(x, r, cfg.m))
 
         def simulate(rng, size):
             u = rng.random((size, cfg.n))
-            j = _atom_index(cum, u)
+            j = atoms(u)
             rng.random(out=u)
             idx = rm._slice_index(j, u)
             del u
@@ -447,27 +452,27 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
             return stat(x, r), None
     elif cfg.kind == "vsymm":
         mult_law = st(cfg.p)
-        mult_values, mult_cum = mult_law.values, np.cumsum(mult_law.masses)
+        mult_values, mults = mult_law.values, _inverse_cdf(np.cumsum(mult_law.masses))
 
         def simulate(rng, size):
             u = rng.random((size, cfg.n))
-            x = values.take(_atom_index(cum, u))
+            x = values.take(atoms(u))
             rng.random(out=u)
-            j = _atom_index(mult_cum, u)
+            j = mults(u)
             del u
             mult = mult_values.take(j)
             del j
             return _vsymm(x, mult, cfg.m), None
     else:
-        hat_values, hat_cum = hat.values, np.cumsum(hat.masses)
+        hat_values, hat_atoms = hat.values, _inverse_cdf(np.cumsum(hat.masses))
 
         def simulate(rng, size):
-            x = values.take(_atom_index(cum, rng.random((size, cfg.n))))
+            x = values.take(atoms(rng.random((size, cfg.n))))
             habs = np.abs(x)
             zeros = habs <= _zero_tol(cfg.base)
             if np.any(zeros):
                 u = rng.random(int(np.sum(zeros)))
-                habs[zeros] = np.abs(hat_values.take(_atom_index(hat_cum, u)))
+                habs[zeros] = np.abs(hat_values.take(hat_atoms(u)))
             return _vhatsymm(x, habs, cfg.m, cfg.p), None
     return simulate
 

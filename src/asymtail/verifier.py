@@ -546,8 +546,8 @@ def _simulate_block(cfg: SupermartingaleConfig, rng: np.random.Generator,
     for i in range(cfg.n):
         ci = c[i]
         if cfg.rule == "constant":
-            A = np.full(size, ci)
-            B = A
+            # scalars: the checks and the step below broadcast them
+            A = B = ci
         elif cfg.rule == "history_scaled":
             sigma = 1.0 / (1.0 + (S / sref) ** 2)
             B = ci * math.sqrt(ratio) * sigma

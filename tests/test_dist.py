@@ -27,7 +27,7 @@ from asymtail.dist import (
     tail,
     weighted_bs_sum,
 )
-from asymtail.dist import _atom_index, _cube_plus, _shifted_suffix_moments
+from asymtail.dist import _atom_index, _cube_plus, _GuideTable, _shifted_suffix_moments
 
 
 def atoms(d):
@@ -331,6 +331,72 @@ def test_atom_index_is_the_clipped_inverse_cdf(law):
     u = np.concatenate((np.random.default_rng(0).random(500), cum, [0.0, 1.0 - 2.0 ** -53]))
     ref = np.minimum(np.searchsorted(cum, u, side="right"), law.n_atoms - 1)
     assert np.array_equal(_atom_index(cum, u), ref)
+
+
+def guide_keys(table, edges, top, rng):
+    """Keys in [0, top] where a guide table could go wrong: 0, top and
+    the ulps beside them, 1 - 2^-53, every edge and its neighbours, the
+    bucket boundaries b / 2^s around every edge, and uniform keys."""
+    f = table._factor
+    b = np.floor(edges * f)
+    near = np.concatenate([(b + k) / f for k in (-1, 0, 1, 2)])
+    keys = np.concatenate((
+        [0.0, 5e-324, top, np.nextafter(top, 0.0), 1.0 - 2.0 ** -53],
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        near, np.nextafter(near, -np.inf), rng.random(2000) * top))
+    return keys[(keys >= 0.0) & (keys <= top)]
+
+
+def assert_guide_table_is_searchsorted(edges, top):
+    rng = np.random.default_rng(len(edges))
+    for side in ("left", "right"):
+        table = _GuideTable(edges, top, side)
+        if top > 0.0:  # [0, top] spreads over more than least buckets, at most 2 least
+            least = max(4096, 16 * len(edges))
+            assert least < len(table._table) - 1 <= 2 * least
+        keys = guide_keys(table, edges, top, rng)
+        assert np.array_equal(table(keys), np.searchsorted(edges, keys, side=side))
+        block = rng.random((64, 5)) * top
+        assert np.array_equal(table(block), np.searchsorted(edges, block, side=side))
+
+
+@hst.composite
+def guide_edges(draw):
+    """Sorted edges in [0, top], cut from masses with an optional cluster
+    of masses near 1e-9, which lands in a single bucket."""
+    weights = draw(hst.lists(hst.floats(1e-3, 1.0), min_size=1, max_size=40))
+    cluster = draw(hst.lists(hst.floats(0.5e-9, 2e-9), max_size=12))
+    at = draw(hst.integers(0, len(weights)))
+    w = np.array(weights[:at] + cluster + weights[at:])
+    top = draw(hst.one_of(hst.just(1.0), hst.floats(1e-6, 1e6)))
+    return np.minimum(np.cumsum(w / w.sum())[:-1] * top, top), top
+
+
+@given(guide_edges())
+@settings(max_examples=150, deadline=None)
+def test_guide_table_is_searchsorted(case):
+    assert_guide_table_is_searchsorted(*case)
+
+
+@pytest.mark.parametrize("edges, top", [
+    (np.arange(1, 8) / 8.0, 1.0),                   # every edge on a bucket boundary
+    (np.array([0.0, 0.0, 0.5, 0.5, 1.0]), 1.0),     # repeated edges, edges at 0 and top
+    (np.array([]), 1.0),                            # one atom: no edges
+    (np.array([0.3, 2.0]), 0.0),                    # a zero top takes the key 0 only
+    (np.array([1e-300, 2e-300, 1.0]), 1.0),         # edges far below one bucket
+    (np.array([-1.0, -0.5, 0.25]), 1.0),            # edges below every key
+], ids=["dyadic", "repeated", "empty", "zero-top", "tiny", "negative"])
+def test_guide_table_corner_edges(edges, top):
+    assert_guide_table_is_searchsorted(edges, top)
+
+
+def test_guide_table_on_a_large_law():
+    masses = np.random.default_rng(5).random(10_000)
+    cum = np.cumsum(masses / masses.sum())
+    assert_guide_table_is_searchsorted(cum[:-1], 1.0)
+    u = np.random.default_rng(6).random(100_000)
+    assert np.array_equal(_atom_index(cum, u),
+                          np.minimum(np.searchsorted(cum, u, side="right"), 9_999))
 
 
 def test_substream_derivation():

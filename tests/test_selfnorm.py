@@ -380,6 +380,24 @@ class TestSliceTablePairing:
         u[1] = U_EDGES[1]
         assert np.array_equal(rm.reciprocate(x, u), masked_reciprocate(d, x, u))
 
+    @given(d=zero_mean_laws() | hst.sampled_from([ASYM3, SYMM5]),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_slice_lookup_is_searchsorted_up_to_g_total(self, d, seed):
+        # the slice lookup's top is g_total, which is not a power of two
+        try:
+            rm = ReciprocatingMap(d)
+        except SelfNormError:
+            return
+        top = rm.g_total
+        f = rm._slices._factor
+        near = np.concatenate([(np.floor(rm.levels * f) + k) / f for k in (-1, 0, 1)])
+        h = np.concatenate(([0.0, top, np.nextafter(top, 0.0)], rm.levels,
+                            np.nextafter(rm.levels, 0.0), np.nextafter(rm.levels, np.inf),
+                            near, np.random.default_rng(seed).random(500) * top))
+        h = h[(h >= 0.0) & (h <= top)]
+        assert np.array_equal(rm._slices(h), np.searchsorted(rm.levels, h, side="left"))
+
     def test_outside_support_raises(self):
         rm = ReciprocatingMap(ASYM3)
         with pytest.raises(SelfNormError):
