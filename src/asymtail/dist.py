@@ -454,6 +454,7 @@ class _GuideTable:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         idx = np.empty(u.shape, dtype=np.intp)
         np.multiply(u, self._factor, out=idx, casting="unsafe")
+        # in place: each index is read before its own slot is written
         self._table.take(idx, out=idx, mode="clip")
         flat = idx.reshape(-1)
         miss = np.flatnonzero(flat < 0)
