@@ -108,26 +108,27 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
         r = np.maximum.accumulate(np.fmax(v[:-1] + P[3, :-1] / P[2, :-1], v[1:]))
         k = np.searchsorted(r, xs_in)
         # conditional moments given D >= v_k: the squares below stay normal
-        mass = P[0, k]
-        q1, q2, q3 = P[1:, k] / mass
-        dx = xs_in - v[k]
+        pk = P[:, k]
+        mass = pk[0]
+        q1, q2, q3 = pk[1:] / mass
+        vk = v[k]
+        dx = xs_in - vk
         a = q1 - dx
         b = 2.0 * (q2 - dx * q1)
         c = q3 - dx * q2
         s = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
         # the root where g falls through zero, in its cancellation-free form
         u = np.where(b > 0.0, (-b - s) / (2.0 * a), 2.0 * c / (s - b))
-        width = np.where(k > 0, v[k] - v[np.maximum(k - 1, 0)], np.inf)
-        u = np.clip(np.where(np.isnan(u), 0.0, u), 0.0, width)
+        # the gap below v_k, infinite below the bottom atom
+        width = np.concatenate(([np.inf], v[1:] - v[:-1]))[k]
+        u = np.minimum(np.maximum(np.where(np.isnan(u), 0.0, u), 0.0), width)
         w = dx + u
         # one division per power: w^3 can underflow where the ratio does not
         raw = mass * (q3 + u * (3.0 * q2 + u * (3.0 * q1 + u))) / w / w / w
-    t_opt = v[k] - u
+    t_opt = vk - u
     no_root = (k == 0) & (a >= 0.0)
-    raw = np.where(no_root, 1.0, raw)
-    t_opt = np.where(no_root, t_low, t_opt)
-    raw = np.where(past, 0.0, raw)
-    t_opt = np.where(past, 0.5 * (vmax + xs), t_opt)
+    raw = np.where(past, 0.0, np.where(no_root, 1.0, raw))
+    t_opt = np.where(past, 0.5 * (vmax + xs), np.where(no_root, t_low, t_opt))
     value = np.minimum(raw, 1.0)
     if scalar:
         return BOptResult(float(value[0]), float(t_opt[0]), float(raw[0]))
@@ -155,7 +156,8 @@ def hoeffding_H(p: float, y) -> float | np.ndarray:
     y = np.asarray(y, dtype=float)
     inside = (y > 0.0) & (y < q)
     yi = np.where(inside, y, 0.0)
-    rate = (p + yi) * np.log((p + yi) / p) + (q - yi) * np.log((q - yi) / q)
+    py, qy = p + yi, q - yi
+    rate = py * np.log(py / p) + qy * np.log(qy / q)
     snap = np.abs(y - q) <= _SNAP_RTOL * max(1.0, q)
     rate = np.where(y <= 0.0, 0.0, np.where(snap, -math.log(p), np.where(y > q, math.inf, rate)))
     return _float_or_array(rate)

@@ -14,8 +14,10 @@ construction:
   arithmetic downstream, so tails below about 2.2e-308 read as 0.
 
 iid_sum of a two-atom law {a: q, b: p} is the binomial lattice
-n a + k (b - a), k = 0..n, in closed form (O(n)); laws with more atoms
-are convolved by binary powering.
+n a + k (b - a) in closed form, built only where its masses do not
+underflow: about 37.6 standard deviations each side of the mode, so its
+cost is that window, not O(n) (see _binomial_lattice); laws with more
+atoms are convolved by binary powering.
 
 A law knows its lattice when it is built on one.  `bs`,
 `_binomial_lattice` (so iid_sum of a two-atom law) and `scale` of such a
@@ -42,11 +44,12 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,12 +123,15 @@ class FiniteDist:
             raise DistError("values and masses must be 1-d arrays of equal length")
         if len(v) == 0:
             raise DistError("a distribution needs at least one atom")
-        if not (np.isfinite(v).all() and np.isfinite(m).all()):
+        # ufunc reductions cost half the ndarray methods on small laws; min
+        # and max propagate NaN, so the extremes are finite only if every
+        # mass is
+        lightest = float(np.minimum.reduce(m))
+        heaviest = float(np.maximum.reduce(m))
+        if not (math.isfinite(lightest) and math.isfinite(heaviest) and np.isfinite(v).all()):
             raise DistError("atoms must be finite")
-        lightest = m.min()
         if lightest < 0.0:
             raise DistError("negative mass")
-        heaviest = float(m.max())
         if heaviest > 1.0 + MASS_ATOL:
             # decides the verdict before np.sum can overflow (and warn)
             total = float((m / heaviest).sum()) * heaviest
@@ -133,14 +139,14 @@ class FiniteDist:
         # on a claimed lattice whose smallest gap clears the merge tolerance
         # of the largest |v| (v sorted: at an end) every gap does, and sort
         # and merge would leave the atoms as they are
-        step = (v[1:] - v[:-1]).min() if on_lattice and len(v) > 1 else 0.0
+        step = float(np.minimum.reduce(v[1:] - v[:-1])) if on_lattice and len(v) > 1 else 0.0
         if step > MERGE_RTOL * max(1.0, -v[0], v[-1]):
             if lightest >= MIN_MASS:
                 v, m = v.copy(), m.copy()  # frozen below; the caller's stay writable
             else:
                 keep = m >= MIN_MASS
                 v, m = v[keep], m[keep]
-                step = (v[1:] - v[:-1]).min() if len(v) > 1 else 0.0
+                step = float(np.minimum.reduce(v[1:] - v[:-1])) if len(v) > 1 else 0.0
         else:
             step = 0.0
             v, m = _canonicalize(v, m)
@@ -150,9 +156,9 @@ class FiniteDist:
         # sum, which fsum rounds correctly; a total within 1e-12 of the
         # limit is below 2, so only a total within (n + 2) eps of the limit
         # needs fsum to give fsum's verdict
-        total = float(m.sum())
+        total = float(np.add.reduce(m))
         if abs(abs(total - 1.0) - MASS_ATOL) <= (len(m) + 2) * _EPS:
-            total = math.fsum(m)
+            total = math.fsum(m.tolist())
         if abs(total - 1.0) > MASS_ATOL:
             raise DistError(f"total mass {total!r} is not 1 within {MASS_ATOL:g}")
         v.setflags(write=False)
@@ -160,7 +166,7 @@ class FiniteDist:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "masses", m)
         if step:
-            object.__setattr__(self, "lattice", (float(v[-1]), float(step)))
+            object.__setattr__(self, "lattice", (float(v[-1]), step))
 
     # -- basic descriptors -------------------------------------------------
     @property
@@ -269,25 +275,90 @@ def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:
     return FiniteDist(v, m)
 
 
+# The ratio products come in chunks: the first of this many, each later
+# one twice the one before, up to _MAX_CHUNK, so n up to a few thousand
+# takes one chunk and a window of w atoms O(log w) chunks.
+_FIRST_CHUNK = 4096
+_MAX_CHUNK = 1 << 20
+
+
+def _falling_products(ratio, start: int, stop: int, step: int) -> Iterator[np.ndarray]:
+    """The running products of ratio(j) for j = start, start + step, ...
+    short of stop, in chunks, up to the first product that is 0.
+
+    Every ratio is <= 1, so once a product underflows to 0 every later one
+    is 0.  Each chunk's first ratio is multiplied by the product before it,
+    so the chunks are one np.cumprod run bit for bit."""
+    j, last, size = start, 1.0, _FIRST_CHUNK
+    while j != stop:
+        end = min(j + size, stop) if step > 0 else max(j - size, stop)
+        prod = ratio(np.arange(j, end, step))
+        prod[0] *= last
+        np.multiply.accumulate(prod, out=prod)
+        if prod[-1] == 0.0:
+            yield prod[:np.count_nonzero(prod)]
+            return
+        yield prod
+        j, last, size = end, prod[-1], min(2 * size, _MAX_CHUNK)
+
+
+def _normal_run(chunks: Iterator[np.ndarray]) -> tuple[np.ndarray, np.ndarray, Iterator]:
+    """The falling products that are >= MIN_MASS, those below it in the
+    same chunk, and the chunks after it, not yet computed."""
+    normal = []
+    for prod in chunks:
+        cut = np.count_nonzero(prod >= MIN_MASS)
+        normal.append(prod[:cut])
+        if cut < len(prod):
+            return np.concatenate(normal), prod[cut:], chunks
+    return (np.concatenate(normal) if normal else np.empty(0)), np.empty(0), chunks
+
+
+def _exact_total(terms: list[float], more: Iterator[np.ndarray], bound: float) -> float:
+    """math.fsum of the terms and of every entry of the arrays in more,
+    given that those entries are >= 0 and sum to less than bound.
+
+    Rounding is monotone, so where adding bound to the terms leaves their
+    correctly rounded sum as it is, adding the entries of more does too,
+    and only their first array is computed; otherwise all are summed."""
+    first = next(more, None)
+    total = math.fsum(terms)
+    if first is None or math.fsum(terms + [bound]) == total:
+        return total
+    return math.fsum(itertools.chain(terms, first.tolist(), *(c.tolist() for c in more)))
+
+
 def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
     """Sum of n iid draws from the two-atom law {a: q, b: p}, in closed form.
 
-    Atoms n a + k (b - a), k = 0..n, with binomial masses from the ratio
-    recurrence P(k+1) / P(k) = (n - k) p / ((k + 1) q), run outward from
-    1 at the mode and then normalized.  Every ratio taken is <= 1, and
-    the total is >= 1, so a product leaves the normal range only where
-    the normalized mass is below it too and the atom is dropped anyway.
-    (lgamma differences would lose about ten times more accuracy.)  The
-    masses fall away from the mode, so the atoms kept are consecutive
-    and the law carries its lattice.
+    Atoms n a + k (b - a) with binomial masses from the ratio recurrence
+    P(k+1) / P(k) = (n - k) p / ((k + 1) q), run outward from 1 at the
+    mode and then normalized.  Every ratio taken is <= 1, and the total
+    is >= 1, so a product leaves the normal range only where the
+    normalized mass is below it too and the atom is dropped anyway.
+    (lgamma differences would lose about ten times more accuracy.)  So
+    atoms are built only for the window of products >= MIN_MASS, about
+    37.6 standard deviations each side of the mode, and the cost is that
+    window, not n.  The normalization is math.fsum of every product, as
+    if all n + 1 were built.  The products computed so far are summed;
+    those not yet computed are fewer than n, each below MIN_MASS, and
+    are computed (in chunks, up to the first 0) only where n MIN_MASS
+    could move the rounded total (see _exact_total).  The masses fall
+    away from the mode, so the atoms kept are consecutive and the law
+    carries its lattice.
     """
     (a, b), (q, p) = d.values, d.masses
-    k = np.arange(n + 1)
     mode = min(int((n + 1) * p), n)
-    up = (n - k[mode:n]) * p / ((k[mode:n] + 1) * q)
-    down = k[mode:0:-1] * q / ((n - k[mode:0:-1] + 1) * p)
-    mass = np.concatenate((np.cumprod(down)[::-1], [1.0], np.cumprod(up)))
-    return FiniteDist(n * a + k * (b - a), mass / math.fsum(mass), on_lattice=True)
+    up, up_low, up_more = _normal_run(
+        _falling_products(lambda j: (n - j) * p / ((j + 1) * q), mode, n, 1))
+    down, down_low, down_more = _normal_run(
+        _falling_products(lambda j: j * q / ((n - j + 1) * p), mode, 0, -1))
+    mass = np.concatenate((down[::-1], [1.0], up))
+    # fsum keeps few partials, and is fast, when the terms fall in size
+    terms = np.sort(np.concatenate((mass, down_low, up_low)))[::-1].tolist()
+    total = _exact_total(terms, itertools.chain(down_more, up_more), n * MIN_MASS)
+    k = np.arange(mode - len(down), mode + len(up) + 1)
+    return FiniteDist(n * a + k * (b - a), mass / total, on_lattice=True)
 
 
 def iid_sum(d: FiniteDist, n: int) -> FiniteDist:
@@ -376,19 +447,19 @@ def _shifted_suffix_moments(d: FiniteDist) -> np.ndarray:
 
     so every term added is nonnegative and nothing cancels.  A row's
     increments need only the rows below it, so each row is one running
-    sum from the top atom down; np.cumsum adds in sequence, in the order
-    of a loop over k."""
-    def from_top(inc):
-        return np.concatenate((np.cumsum(inc[::-1])[::-1], [0.0]))
-
+    sum from the top atom down, written into the row back to front;
+    np.add.accumulate adds in sequence, in the order of a loop over k."""
     v = d.values
     h = v[1:] - v[:-1]
-    p0 = d.upper_tails
+    out = np.empty((4, len(v)))
+    p0, p1, p2, p3 = out
+    p0[:] = d.upper_tails
+    out[1:, -1] = 0.0
     hp0 = h * p0[1:]
-    p1 = from_top(hp0)
-    p2 = from_top(h * (2.0 * p1[1:] + hp0))
-    p3 = from_top(h * (3.0 * p2[1:] + h * (3.0 * p1[1:] + hp0)))
-    return np.array((p0, p1, p2, p3))
+    np.add.accumulate(hp0[::-1], out=p1[-2::-1])
+    np.add.accumulate((h * (2.0 * p1[1:] + hp0))[::-1], out=p2[-2::-1])
+    np.add.accumulate((h * (3.0 * p2[1:] + h * (3.0 * p1[1:] + hp0)))[::-1], out=p3[-2::-1])
+    return out
 
 
 def _cube_plus(d: FiniteDist, t) -> np.ndarray:

@@ -120,6 +120,13 @@ class TailMajorant:
         live = knot_q > 0
         return knot_x[live], np.log(knot_q[live])
 
+    @cached_property
+    def _segments(self) -> np.ndarray:
+        """The per-segment fields that log_value reads, one row each, so
+        that one gather serves them all."""
+        hx, hy = self.hull_x, self.hull_logq
+        return np.array((hx[:-1], hx[1:], hy[:-1], hy[1:], self.seg_q, self.seg_beta, self.seg_x0))
+
     @property
     def knot_x(self) -> np.ndarray:
         return self._knots[0]
@@ -138,18 +145,20 @@ class TailMajorant:
             # a one-atom law: every x is below or above
             out = np.where(below, 0.0, -np.inf)
         else:
-            idx = np.minimum(np.maximum(np.searchsorted(self.hull_x, xa, side="right") - 1, 0),
-                             len(self.hull_x) - 2)
-            x0, x1 = self.hull_x[idx], self.hull_x[idx + 1]
-            y0, y1 = self.hull_logq[idx], self.hull_logq[idx + 1]
+            # the segment of each x: the last vertex at or below it, but at
+            # least the first and at most the last segment
+            idx = np.searchsorted(self.hull_x[1:-1], xa, side="right")
+            x0, x1, y0, y1, q, beta, a0 = self._segments.take(idx, axis=1)
             # both segment forms at every x, then the one of its segment:
             # an arc of the interpolant (log of a linear tail) or a bridge;
             # outside the support, where either form may overflow, x takes 0 or -inf
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                val = self.seg_q[idx] + self.seg_beta[idx] * (xa - self.seg_x0[idx])
-                seg = np.where(self.seg_is_arc[idx],
-                               np.where(val > 0, np.log(np.maximum(val, 1e-320)), -np.inf),
-                               y0 + (xa - x0) / (x1 - x0) * (y1 - y0))
+                seg = y0 + (xa - x0) / (x1 - x0) * (y1 - y0)
+                arc = self.seg_is_arc[idx]
+                if arc.any():
+                    val = q + beta * (xa - a0)
+                    seg = np.where(arc, np.where(val > 0, np.log(np.maximum(val, 1e-320)),
+                                                 -np.inf), seg)
             out = np.where(below, 0.0, np.where(above, -np.inf, seg))
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(out[0])
@@ -273,22 +282,43 @@ def _lattice_tails(d: FiniteDist) -> tuple[np.ndarray, np.ndarray, float]:
     are the suffix sums themselves; on an inferred one an atom off its
     point by up to lattice_params' tolerance still counts there.
     """
-    origin, h = d.lattice or lattice_params(d)
     v = d.values
-    index = np.rint((v - v[0]) / h)
-    lat = v[0] + h * np.arange(index[-1] + 2)  # through max + h
     # suffix sums of positive masses are > 0; cumsum roundoff can pass 1
-    suffix = np.minimum(np.concatenate((d.upper_tails, [0.0])), 1.0)
+    suffix = np.concatenate((d.upper_tails, [0.0]))
+    np.minimum(suffix, 1.0, out=suffix)
+    if d.lattice is not None:
+        h = d.lattice[1]
+        return v[0] + h * np.arange(len(suffix)), suffix, h  # through max + h
+    _, h = lattice_params(d)
+    index = np.rint((v - v[0]) / h)
+    lat = v[0] + h * np.arange(index[-1] + 2)
     return lat, suffix[np.searchsorted(index, np.arange(len(lat)))], h
 
 
+def _at_arcs(k: np.ndarray, *cells: np.ndarray) -> list[np.ndarray]:
+    """Each per-lattice-point array at the arcs' left and right corners,
+    k and k + 1; where every cell is an arc these are views, not gathers."""
+    if len(k) == len(cells[0]) - 1:
+        return [c for a in cells for c in (a[:-1], a[1:])]
+    k1 = k + 1
+    return [c for a in cells for c in (a[k], a[k1])]
+
+
 def _arcs(qt: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(k, log m, log q0, log q1, r) of each lattice cell k where the tail
-    decreases, with mass m = q0 - q1 and r = q0 / m."""
-    k = np.flatnonzero(qt[:-1] > qt[1:])
-    q0, q1 = qt[k], qt[k + 1]
-    with np.errstate(divide="ignore"):
-        return k, np.log(q0 - q1), np.log(q0), np.log(q1), q0 / (q0 - q1)
+    """The arc table (k, log m, log q0, log q1, r): one entry per lattice
+    cell k where the tail decreases, with mass m = q0 - q1 and r = q0 / m.
+
+    The tail is > 0 up to its last point, where it is 0, so log q1 of
+    the last arc is -inf.  Where every cell decreases (each atom's mass
+    shows in the tail sums), the per-arc fields are the cells' own, and
+    no gather is made."""
+    k = (qt[:-1] > qt[1:]).nonzero()[0]
+    lq = np.empty(len(qt))
+    np.log(qt[:-1], out=lq[:-1])
+    lq[-1] = -np.inf
+    q0, q1, lq0, lq1 = _at_arcs(k, qt, lq)
+    m = q0 - q1
+    return k, np.log(m), lq0, lq1, q0 / m
 
 
 def _bridges(k, lm, lq0, lq1, r, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -310,43 +340,63 @@ def _bridges(k, lm, lq0, lq1, r, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarr
     bridge has no length.
     """
     pair = np.array((a, b))
-    dk = (k[b] - k[a]).astype(float)
+    kp = k[pair]
+    dk = (kp[1] - kp[0]).astype(float)
     lm, lq0, lq1, r = lm[pair], lq0[pair], lq1[pair], r[pair]
+    neighbours = dk == 1
+    d = lm[0] - lm[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         # neighbour cells share q1_a = q0_b, so the closed form is
         # log(m_a m_b / (q0_b L)) with L the logarithmic mean of m_a, m_b:
         # no cancellation, and exact where the masses are equal (a double
         # root of psi)
-        d = lm[0] - lm[1]
-        log_mean = np.where(d != 0, np.log(-np.expm1(-np.abs(d)) / np.abs(d)), 0.0)
-        u = np.where(dk == 1, lm[0] - lq0[1] - log_mean - np.maximum(d, 0.0),
-                     np.log(d / (dk + r[1] - r[0])))
-        mid = np.logaddexp(lq0, lq1)
-        u = np.where((u > _U_FLAT) & (u < _U_STEEP), u,
-                     np.clip(np.log((mid[0] - mid[1]) / dk), _U_FLAT, _U_STEEP))
-    lo = np.full(len(a), _U_FLAT)
-    hi = np.full(len(a), _U_STEEP)
-    act = np.arange(len(a))
+        nad = -np.abs(d)
+        log_mean = np.where(d != 0, np.log(np.expm1(nad) / nad), 0.0)
+        u = lm[0] - lq0[1] - log_mean - np.maximum(d, 0.0)
+        if not neighbours.all():
+            u = np.where(neighbours, u, np.log(d / (dk + r[1] - r[0])))
+        inside = (u > _U_FLAT) & (u < _U_STEEP)
+        if not inside.all():
+            mid = np.logaddexp(lq0, lq1)
+            chord = np.log((mid[0] - mid[1]) / dk)
+            u = np.where(inside, u, np.minimum(np.maximum(chord, _U_FLAT), _U_STEEP))
+    # the first pass takes every pair; after it act, lo and hi exist, and
+    # dk and the pair fields hold only the pairs in act
+    act = lo = hi = None
+    ua = u
     evals = 0
-    while len(act) and evals < _MAX_EVALS:
+    while len(ua) and evals < _MAX_EVALS:
         evals += 1
-        ua = u[act]
+        if act is not None:
+            ua = u[act]
         g = np.exp(-ua)
-        log_i = np.minimum(np.maximum(lm[:, act] - ua, lq1[:, act]), lq0[:, act])
-        off = r[:, act] - g
+        log_i = np.minimum(np.maximum(lm - ua, lq1), lq0)
+        off = r - g
         t = np.minimum(np.maximum(off, 0.0), 1.0)
-        drop = (dk[act] + t[1] - t[0]) / g  # -psi'
+        drop = (dk + t[1] - t[0]) / g  # -psi'
         psi = (log_i[0] - log_i[1]) - drop
         # rounding level: the logs, psi' times the float spacing at u, and
         # e^u times the rounding of each touch offset that is not clipped
-        # by more than that rounding
-        off_err = 4.0 * _EPS * (r[:, act] + g)
-        near = (off > -off_err) & (off < 1.0 + off_err)
-        busy = np.abs(psi) > (
-            4.0 * _EPS * (np.abs(log_i[0]) + np.abs(log_i[1])
-                          + (dk[act] + 1.0) * (1.0 + np.abs(ua)) / g)
-            + np.where(near, off_err, 0.0).sum(axis=0) / g)
-        act, ua, psi, drop = act[busy], ua[busy], psi[busy], drop[busy]
+        # by more than that rounding.  The last term is >= 0, so it is
+        # added only if some |psi| is above the level without it
+        abs_i = np.abs(log_i)
+        abs_psi = np.abs(psi)
+        level = 4.0 * _EPS * (abs_i[0] + abs_i[1] + (dk + 1.0) * (1.0 + np.abs(ua)) / g)
+        busy = abs_psi > level
+        if busy.any():
+            off_err = 4.0 * _EPS * (r + g)
+            near = (off > -off_err) & (off < 1.0 + off_err)
+            near_err = np.where(near, off_err, 0.0)
+            busy = abs_psi > level + (near_err[0] + near_err[1]) / g
+        if not busy.any():
+            break
+        if act is None:
+            act = np.arange(len(a))
+            lo = np.full(len(a), _U_FLAT)
+            hi = np.full(len(a), _U_STEEP)
+        still = busy.nonzero()[0]
+        act, ua, psi, drop = act[still], ua[still], psi[still], drop[still]
+        dk, lm, lq0, lq1, r = dk[still], lm[:, still], lq0[:, still], lq1[:, still], r[:, still]
         lo[act] = np.where(psi > 0, ua, lo[act])
         hi[act] = np.where(psi < 0, ua, hi[act])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -362,10 +412,11 @@ def _kept_arcs(arcs) -> tuple[np.ndarray, np.ndarray]:
     keep = np.arange(len(arcs[0]))
     u, _ = _bridges(*arcs, keep[:-1], keep[1:])
     while True:
-        bad = np.zeros(len(keep), dtype=bool)
-        bad[1:-1] = u[:-1] > u[1:]
-        if not bad.any():
+        steeper = u[:-1] > u[1:]
+        if not steeper.any():
             return keep, u
+        bad = np.zeros(len(keep), dtype=bool)
+        bad[1:-1] = steeper
         # bridge every arc of the stretch before each bad run to the arc
         # after the run; the stretch keeps its arcs up to the last one whose
         # incoming bridge is no steeper than that bridge (its first arc,
@@ -404,23 +455,29 @@ def _certify(maj: TailMajorant, lat: np.ndarray, qt: np.ndarray) -> None:
     h = maj.step
     hx, hy = maj.hull_x, maj.hull_logq
     ncell = len(lat) - 1
-    first = np.minimum(np.maximum(np.floor((hx[:-1] - lat[0]) / h), 0), ncell - 1)
-    last = np.minimum(np.maximum(np.ceil((hx[1:] - lat[0]) / h) - 1, first), ncell - 1)
+    pos = (hx - lat[0]) / h
+    first = np.minimum(np.maximum(np.floor(pos[:-1]), 0), ncell - 1)
+    last = np.minimum(np.maximum(np.ceil(pos[1:]) - 1, first), ncell - 1)
     count = (last - first + 1).astype(int)
     seg = np.repeat(np.arange(len(count)), count)
     cell = np.arange(len(seg)) + np.repeat(first.astype(int) - np.cumsum(count) + count, count)
-    lo = np.maximum(lat[cell], hx[seg])
-    hi = np.minimum(lat[cell + 1], hx[seg + 1])
-    q0 = qt[cell]
-    beta = (qt[cell + 1] - q0) / h
-    arc = maj.seg_is_arc[seg]
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = (hy[seg + 1] - hy[seg]) / (hx[seg + 1] - hx[seg])
-        touch = np.where((beta < 0) & (s < 0) & ~arc, lat[cell] + 1.0 / s - q0 / beta, lo)
+        # each segment's and each cell's fields, gathered once per overlap
+        s = (hy[1:] - hy[:-1]) / (hx[1:] - hx[:-1])
+        hx0, hx1, hy0, s, sq, sb, sx0 = np.array(
+            (hx[:-1], hx[1:], hy[:-1], s, maj.seg_q, maj.seg_beta, maj.seg_x0)).take(seg, axis=1)
+        x0, x1, q0, beta = np.array(
+            (lat[:-1], lat[1:], qt[:-1], (qt[1:] - qt[:-1]) / h)).take(cell, axis=1)
+        arc = maj.seg_is_arc[seg]
+        lo = np.maximum(x0, hx0)
+        hi = np.minimum(x1, hx1)
+        # the touch point is taken on every overlap: elsewhere than under a
+        # bridge on a decreasing cell it is another point of the overlap,
+        # checked to no harm, or NaN, which the comparison skips
+        touch = x0 + 1.0 / s - q0 / beta
         x = np.array((lo, hi, np.minimum(np.maximum(touch, lo), hi)))
-        q = q0 + beta * (x - lat[cell])
-        hull = np.where(arc, np.log(maj.seg_q[seg] + maj.seg_beta[seg] * (x - maj.seg_x0[seg])),
-                        hy[seg] + s * (x - hx[seg]))
+        q = q0 + beta * (x - x0)
+        hull = np.where(arc, np.log(sq + sb * (x - sx0)), hy0 + s * (x - hx0))
         # past the last lattice point both are 0
         slack = (hull - np.log(q))[(q > 0) & (x < lat[-1])]
     if not (slack >= -_CERT_TOL).all():
@@ -459,33 +516,34 @@ def lin_lc_majorant(d: FiniteDist, refine: int = 64) -> TailMajorant:
     k, *_, r = arcs
     if len(k) == 0:
         raise MajorantError("tail has no decreasing segment")
-    x0, x1, q0, q1 = lat[k], lat[k + 1], qt[k], qt[k + 1]
-    beta = (q1 - q0) / (x1 - x0)
+    x0, x1, q0, q1 = _at_arcs(k, lat, qt)
+    dx = x1 - x0
+    # the fields of the arcs on the hull, one row each
+    table = np.array((q0, (q1 - q0) / dx, x0, x1, dx, r))
     keep, u = _kept_arcs(arcs)
+    if len(keep) < len(k):
+        table = table.take(keep, axis=1)
+    q0, beta, x0, x1, dx, r = table
 
-    # vertices: each kept arc's in and out touch points, then segments
-    # alternate arc and bridge; a segment shorter than roundoff gives way
-    # to the next one
-    ends = np.concatenate(([-np.inf], u, [np.inf]))
-    u_in_out = np.array((ends[:-1], ends[1:])).T
-    off = np.clip(r[keep, None] - np.exp(-u_in_out), 0.0, 1.0)
-    dx = (x1 - x0)[keep, None]
-    tx = np.where(off < 1.0, x0[keep, None] + off * dx, x1[keep, None]).ravel()
-    owner = np.repeat(keep, 2)
+    # vertices: each kept arc's in and out touch points (rows), where e^-u
+    # is +inf before the first arc and 0 after the last; then segments
+    # alternate arc and bridge, and one shorter than roundoff gives way to
+    # the next one
+    g = np.exp(-np.concatenate(([-np.inf], u, [np.inf])))
+    off = np.minimum(np.maximum(r - np.array((g[:-1], g[1:])), 0.0), 1.0)
+    tx = np.where(off < 1.0, x0 + off * dx, x1)
     with np.errstate(divide="ignore"):
-        ty = np.log(np.maximum(q0[owner] + beta[owner] * (tx - x0[owner]), 0.0))
-    seg = np.flatnonzero(tx[1:] > tx[:-1] + 1e-15 * np.maximum(1.0, np.abs(tx[1:])))
+        ty = np.log(np.maximum(q0 + beta * (tx - x0), 0.0))
+    tx, ty = tx.T.ravel(), ty.T.ravel()
+    seg = (tx[1:] > tx[:-1] + 1e-15 * np.maximum(1.0, np.abs(tx[1:]))).nonzero()[0]
     vert = np.concatenate(([0], seg + 1))
     seg_is_arc = seg % 2 == 0
-    seg_arc = keep[seg // 2]
+    seg_q, seg_beta, seg_x0 = np.where(seg_is_arc, table[:3].take(seg // 2, axis=1), np.nan)
 
     maj = TailMajorant(
         kind="linlc", node_x=lat, node_q=qt,
-        hull_x=tx[vert], hull_logq=ty[vert],
-        seg_is_arc=seg_is_arc,
-        seg_q=np.where(seg_is_arc, q0[seg_arc], np.nan),
-        seg_beta=np.where(seg_is_arc, beta[seg_arc], np.nan),
-        seg_x0=np.where(seg_is_arc, x0[seg_arc], np.nan),
+        hull_x=tx[vert], hull_logq=ty[vert], seg_is_arc=seg_is_arc,
+        seg_q=seg_q, seg_beta=seg_beta, seg_x0=seg_x0,
         support_min=float(lat[0]), zero_from=float(lat[-1]),
         step=h, origin=float(d.max_value), refine=refine)
     _certify(maj, lat, qt)

@@ -113,13 +113,15 @@ class TestBoundCommand:
         assert "error:" in proc.stderr
 
     def test_out_of_memory_exit_2(self):
-        # a carrier of 10^8 + 1 atoms does not fit in a 1.5 GiB address space
+        # the carrier's atoms above the float range, about 37.6 standard
+        # deviations each side of the mode (1.2e9 atoms at n = 10^15 and
+        # p = 1/2), do not fit in a 1.5 GiB address space
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
         proc = subprocess.run(
-            [sys.executable, "-m", "asymtail.cli", "bound", "--p", "0.3",
-             "--n", "100000000", "--s-m", "1", "--x", "1"],
+            [sys.executable, "-m", "asymtail.cli", "bound", "--p", "0.5",
+             "--n", "1000000000000000", "--s-m", "1", "--x", "1"],
             capture_output=True, text=True, preexec_fn=cap_address_space)
         assert proc.returncode == 2
         assert proc.stdout == ""
