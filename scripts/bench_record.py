@@ -12,9 +12,12 @@ and runs each one's own, unchanged perfbench/run.py there:
 
 The record holds, per workload and side, the median and quartiles of
 each end-to-end metric over the seeds, how many pairs the head won on
-it, each run's output digest (and whether the two sides' agree at every
-seed), and the traced per-layer metrics; and the machine (nproc, CPU
-model, Python, numpy and scipy versions) and both commit ids.  The runs
+it and whether the claim rule is met (claim_rule_met: the head better
+in at least nine tenths of the pairs, ties counting for neither, and its
+median better than the base's by more than the base's quartile spread
+q3 - q1), each run's output digest (and whether the two sides' agree at
+every seed), and the traced per-layer metrics; and the machine (nproc,
+CPU model, Python, numpy and scipy versions) and both commit ids.  The runs
 go one at a time, so the record costs about 2 x workloads x 10 x
 (run_seconds + 5 s of cold starts).
 """
@@ -81,6 +84,18 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
+def claim_rule_met(base: list[float], head: list[float], better: str) -> bool:
+    """Whether a gain may be claimed from paired runs base[i], head[i]:
+    the head is better in at least nine tenths of the pairs (ties count
+    for neither), and the medians differ in the head's favour by more
+    than the base's quartile spread q3 - q1."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    q = quartiles(base)
+    gain = sign * (quartiles(head)["median"] - q["median"])
+    return 10 * wins >= 9 * len(base) and gain > q["q3"] - q["q1"]
+
+
 def cpu_model() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -138,7 +153,8 @@ def main(argv=None) -> int:
                 "head": quartiles(vals["head"]),
                 "head_better_pairs": sum(sign * (h - b) > 0
                                          for b, h in zip(vals["base"], vals["head"])),
-                "pairs": len(SEEDS)}
+                "pairs": len(SEEDS),
+                "claim_rule_met": claim_rule_met(vals["base"], vals["head"], direction)}
         for side in runs:
             entry["digests"][side] = [r["digest"] for r in runs[side]]
             entry["correct"][side] = all(r["correct"] for r in runs[side])
@@ -156,7 +172,8 @@ def main(argv=None) -> int:
         for name, m in entry["end_to_end"].items():
             print(f"{wl:<12} {name:<12} base {m['base']['median']:<12.5g} "
                   f"head {m['head']['median']:<12.5g} head better in "
-                  f"{m['head_better_pairs']}/{m['pairs']} pairs")
+                  f"{m['head_better_pairs']}/{m['pairs']} pairs, claim rule "
+                  f"{'met' if m['claim_rule_met'] else 'not met'}")
         print(f"{wl:<12} digests {'identical' if entry['digests_match'] else 'DIFFER'}")
     return 0
 

@@ -74,10 +74,18 @@ class RngSpec:
 
     Two RngSpecs with the same (seed, stream) always yield identical
     draws; distinct streams under one seed are independent for all
-    practical purposes (SeedSequence spawn keys).
+    practical purposes (SeedSequence spawn keys).  Both must be
+    nonnegative integers, as SeedSequence requires; anything else is a
+    DistError.
     """
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise DistError(f"{name} must be a nonnegative integer, got {value!r}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

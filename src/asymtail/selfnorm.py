@@ -483,6 +483,8 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> SelfNormReport:
     `tail_counts`, so the counts do not depend on the worker count."""
     if cfg.kind not in ("vw", "vym", "vsymm", "vhatsymm"):
         raise SelfNormError(f"unknown check kind {cfg.kind!r}")
+    if not cfg.n >= 1:
+        raise SelfNormError(f"n must be >= 1, got {cfg.n!r}")
     rm = None
     hat = None
     nonzero_p = None

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import combined_bound_grid, resolve_s_m
-from .dist import FiniteDist, RngSpec, _cube_plus, bs, iid_sum, scale, weighted_bs_sum
+from .dist import DistError, FiniteDist, RngSpec, _cube_plus, bs, iid_sum, scale, weighted_bs_sum
 from .optimize import brent_root
 from .thresholds import m_star
 
@@ -468,6 +468,10 @@ class McConfig:
     confidence: float = 0.99
 
     def __post_init__(self):
+        try:
+            RngSpec(self.seed)
+        except DistError as exc:
+            raise VerifyError(str(exc)) from None
         if not self.n_paths >= 1:
             raise VerifyError(f"n_paths must be >= 1, got {self.n_paths!r}")
         if not self.block >= 1:

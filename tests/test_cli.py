@@ -130,6 +130,23 @@ class TestBoundCommand:
         assert len(err) == 2 and err[1].startswith("wall time")
 
 
+    def test_large_n_builds_only_the_mass_window(self):
+        # the binomial carrier is built where its masses do not underflow,
+        # about 5e5 of the 2e8 + 1 atoms, so it fits the benchmark's cap
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "asymtail.cli", "bound", "--p", "0.3",
+             "--n", "200000000", "--s-m", "1", "--x", "1"],
+            capture_output=True, text=True, preexec_fn=cap_address_space)
+        assert proc.returncode == 0, proc.stderr
+        body = json.loads(proc.stdout)
+        load_validator("bound_report.schema.json").validate(body)
+        row = body["rows"][0]
+        assert row["n"] == 200_000_000 and 0.0 < row["minimum"] <= 1.0
+
+
 class TestMajorantCommand:
     def test_carrier_hull_json(self):
         proc = run_cli("majorant", "--p", "0.5", "--n", "4", "--s-m", "1.0",
@@ -304,6 +321,30 @@ class TestBadInputExit2:
         assert out.out == ""
         err = out.err.splitlines()
         assert err[0].startswith("error: ")
+        assert len(err) == 2 and err[1].startswith("wall time")
+
+    @pytest.mark.parametrize("argv", [
+        ["selfnorm", "--preset", "asym3", "--kind", "vw", "--n", "4", "--paths", "1000",
+         "--seed", "-1"],
+        ["verify", "--suite", "supermartingale", "--seed", "-5"],
+        ["verify", "--suite", "enumeration", "--seed", "-1"],
+    ], ids=["selfnorm", "supermartingale", "enumeration"])
+    def test_negative_seed(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = out.err.splitlines()
+        assert err[0] == f"error: seed must be a nonnegative integer, got {argv[-1]}"
+        assert len(err) == 2 and err[1].startswith("wall time")
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_selfnorm_needs_a_term(self, n, capsys):
+        argv = ["selfnorm", "--preset", "asym3", "--kind", "vw", "--n", n, "--paths", "1000"]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = out.err.splitlines()
+        assert err[0] == f"error: n must be >= 1, got {n}"
         assert len(err) == 2 and err[1].startswith("wall time")
 
     def test_s_m_that_merges_the_carrier(self, capsys):

@@ -27,7 +27,13 @@ from asymtail.dist import (
     tail,
     weighted_bs_sum,
 )
-from asymtail.dist import _atom_index, _cube_plus, _GuideTable, _shifted_suffix_moments
+from asymtail.dist import (
+    _atom_index,
+    _cube_plus,
+    _exact_total,
+    _GuideTable,
+    _shifted_suffix_moments,
+)
 
 
 def atoms(d):
@@ -287,6 +293,48 @@ def test_two_atom_iid_sum_matches_scipy_binomial(p, n):
     assert np.all(d.masses >= MIN_MASS)
 
 
+def full_binomial_lattice(d, n):
+    """All n + 1 atoms of iid_sum(d, n) for a two-atom law: the ratio
+    products over the whole range in one np.cumprod each side of the mode,
+    normalized by math.fsum of all of them (the reference)."""
+    (a, b), (q, p) = d.values, d.masses
+    k = np.arange(n + 1)
+    mode = min(int((n + 1) * p), n)
+    up = (n - k[mode:n]) * p / ((k[mode:n] + 1) * q)
+    down = k[mode:0:-1] * q / ((n - k[mode:0:-1] + 1) * p)
+    mass = np.concatenate((np.cumprod(down)[::-1], [1.0], np.cumprod(up)))
+    return FiniteDist(n * a + k * (b - a), mass / math.fsum(mass), on_lattice=True)
+
+
+def test_binomial_window_equals_the_full_lattice_bit_for_bit():
+    # n up to 10^4 at random, and up to 2 10^5 where the products run
+    # over several chunks and far below the float range
+    rng = np.random.default_rng(18)
+    cases = [(float(rng.uniform(0.001, 0.999)), int(np.exp(rng.uniform(0.0, math.log(1e4)))))
+             for _ in range(60)]
+    cases += [(0.5, 10_000), (0.02, 10_000), (0.999, 10_000), (0.5, 200_000), (0.3, 50_000)]
+    for p, n in cases:
+        got, want = iid_sum(bs(p), n), full_binomial_lattice(bs(p), n)
+        assert got.values.tobytes() == want.values.tobytes(), (p, n)
+        assert got.masses.tobytes() == want.masses.tobytes(), (p, n)
+        assert got.lattice == want.lattice, (p, n)
+    # the window is the atoms above the float range, not all n + 1
+    assert iid_sum(bs(0.5), 200_000).n_atoms < 20_000
+
+
+def test_exact_total_adds_the_rest_where_it_moves_the_rounding():
+    # 1 + 2^-53 is a tie that rounds to 1; any positive rest breaks it up
+    terms = [1.0, 2.0 ** -53]
+    rest = [np.array([2.0 ** -1074, 0.0])]
+    assert math.fsum(terms) == 1.0
+    assert _exact_total(terms, iter(rest), 2.0 ** -1000) == 1.0 + 2.0 ** -52
+    # where the bound cannot move it, the rest is not summed (a NaN would
+    # show) and only its first array is computed
+    unread = iter([np.array([math.nan]), np.array([math.nan])])
+    assert _exact_total([1.0, 2.0 ** -60], unread, 2.0 ** -1000) == 1.0
+    assert next(unread, None) is not None
+
+
 def test_three_atom_iid_sum_still_convolves():
     d = iid_sum(st(0.4), 5)
     ref = functools.reduce(convolve, [st(0.4)] * 5)
@@ -406,6 +454,19 @@ def test_substream_derivation():
     assert not np.array_equal(a, b)
     again = spec.substream(0).generator().random(4)
     assert np.array_equal(a, again)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"}, {"seed": 2, "stream": -1},
+])
+def test_rng_spec_rejects_what_seed_sequence_cannot_take(kwargs):
+    with pytest.raises(DistError, match="must be a nonnegative integer"):
+        RngSpec(**kwargs)
+
+
+def test_rng_spec_takes_numpy_integers():
+    a = RngSpec(np.int64(9), np.uint32(1)).generator().random(4)
+    assert np.array_equal(a, RngSpec(9).substream(1).generator().random(4))
 
 
 def _suffix_moments_loop(d):

@@ -521,6 +521,7 @@ class TestSupermartingaleMC:
     @pytest.mark.parametrize("kwargs", [
         {"n_paths": 0}, {"n_paths": -5}, {"block": 0},
         {"confidence": 0.0}, {"confidence": 1.0}, {"confidence": math.nan},
+        {"seed": -1},
     ])
     def test_mc_config_rejects_out_of_range(self, kwargs):
         with pytest.raises(VerifyError):
