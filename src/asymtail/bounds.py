@@ -34,6 +34,7 @@ from .optimize import golden_section  # noqa: F401
 from .thresholds import c_const, m_star
 
 _SNAP_RTOL = 1e-12
+_C30 = c_const(3.0)
 
 
 class BoundError(ValueError):
@@ -236,13 +237,14 @@ def resolve_s_m(m: float, coeffs=None, s_m: float | None = None,
     """Return (n, s_m, s_1) from either explicit coefficients or s_m."""
     if coeffs is not None:
         c = np.asarray(coeffs, dtype=float)
-        if c.ndim != 1 or len(c) == 0 or np.any(c < 0):
+        if c.ndim != 1 or len(c) == 0 or (c < 0).any():
             raise BoundError("coeffs must be a nonempty 1-d array of nonnegatives")
         nn = len(c)
         if n is not None and n != nn:
             raise BoundError("n disagrees with len(coeffs)")
-        sm = float(np.mean(c ** (2.0 * m)) ** (1.0 / (2.0 * m)))
-        s1 = float(math.sqrt(np.mean(c ** 2)))
+        # np.mean is np.add.reduce over the count, without its wrapper
+        sm = float((np.add.reduce(c ** (2.0 * m)) / nn) ** (1.0 / (2.0 * m)))
+        s1 = float(math.sqrt(np.add.reduce(c ** 2) / nn))
         return nn, sm, s1
     if s_m is None or n is None:
         raise BoundError("need coeffs, or both s_m and n")
@@ -282,21 +284,20 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     lc = lc_majorant(carrier)
     linlc = lin_lc_majorant(carrier)
     h = linlc.step
-    c30 = c_const(3.0)
     bo = b_opt(carrier, xs)
     # members in tie-break order: argmin keeps the first of equal minima
     raw = {
         "b_opt": bo.raw,
-        "lc": c30 * lc.value(xs),
-        "lin_lc": c30 * linlc.value(xs + 0.5 * h),
+        "lc": _C30 * lc.value(xs),
+        "lin_lc": _C30 * linlc.value(xs + 0.5 * h),
         "hoeffding": hoeffding_bound(p, n, sm, xs),
     }
     if p >= 0.5 and s1 is not None:
-        raw["normal_dom"] = c30 * normal_tail(xs / (s1 * math.sqrt(n)))
+        raw["normal_dom"] = _C30 * normal_tail(xs / (s1 * math.sqrt(n)))
     names = list(raw)
     rows = np.array(list(raw.values()))
     clamped = np.minimum(rows, 1.0)
-    best = np.argmin(clamped, axis=0).tolist()
+    best = clamped.argmin(axis=0).tolist()
     return [BoundReport(
         p=p, m=m, n=n, s_m=sm, x=x, h=h, b_opt=c[0], b_opt_t=t, lc=c[1], lin_lc=c[2],
         hoeffding=c[3], normal_dom=c[4] if len(c) == 5 else None,

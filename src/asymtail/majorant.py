@@ -33,7 +33,19 @@ Both read the lattice a law carries (`FiniteDist.lattice`, set by the
 constructors of the comparison carriers).  lattice_params infers a
 lattice only for laws that carry none: laws read from JSON and
 convolutions of laws with more than two atoms.  Either way the lattice
-tails are the law's suffix sums, read at each atom's lattice index.
+tails are the law's suffix sums, read at each atom's lattice index; on
+a carried lattice atom k has index k, so they are the suffix sums
+themselves, with no search.
+
+lin_lc_majorant works from an arc table (see _arcs): per arc its cell k,
+log m, log q0, log q1 and r = q0 / m, and, for the vertex build, q0,
+beta, x0, x1, the cell width and r stacked in one array.  At the sizes
+of a bound query the cost is the count of numpy calls more than the
+arithmetic, so the path makes as few as it can: where every cell is an
+arc the per-arc fields are views of the per-cell arrays, where every
+arc is kept the vertex build gathers nothing (otherwise one take serves
+every field), and the bridge solve stops after its first pass where
+every pair has converged.
 
 Evaluation is exact on arc segments (linear in probability space),
 log-linear on bridges.
@@ -221,12 +233,14 @@ def _upper_hull_indices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for _ in range(_HULL_ROUNDS):
         if len(keep) < 3:
             return keep
-        i1, i2, i3 = keep[:-2], keep[1:-1], keep[2:]
-        drop = (x[i2] - x[i1]) * (y[i3] - y[i1]) - (x[i3] - x[i1]) * (y[i2] - y[i1]) >= 0
+        # the points left, x[keep] and y[keep], as they shrink
+        x1, x2, x3, y1, y2, y3 = x[:-2], x[1:-1], x[2:], y[:-2], y[1:-1], y[2:]
+        drop = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) >= 0
         if not drop.any():
             return keep
-        keep = np.concatenate((keep[:1], i2[~drop], keep[-1:]))
-    return keep[_monotone_chain(x[keep], y[keep])]
+        stay = np.concatenate(([True], ~drop, [True]))
+        keep, x, y = keep[stay], x[stay], y[stay]
+    return keep[_monotone_chain(x, y)]
 
 
 def lc_majorant(d: FiniteDist) -> TailMajorant:
@@ -463,9 +477,10 @@ def _certify(maj: TailMajorant, lat: np.ndarray, qt: np.ndarray) -> None:
     cell = np.arange(len(seg)) + np.repeat(first.astype(int) - np.cumsum(count) + count, count)
     with np.errstate(divide="ignore", invalid="ignore"):
         # each segment's and each cell's fields, gathered once per overlap
-        s = (hy[1:] - hy[:-1]) / (hx[1:] - hx[:-1])
+        slope = (hy[1:] - hy[:-1]) / (hx[1:] - hx[:-1])
         hx0, hx1, hy0, s, sq, sb, sx0 = np.array(
-            (hx[:-1], hx[1:], hy[:-1], s, maj.seg_q, maj.seg_beta, maj.seg_x0)).take(seg, axis=1)
+            (hx[:-1], hx[1:], hy[:-1], slope, maj.seg_q, maj.seg_beta, maj.seg_x0)
+        ).take(seg, axis=1)
         x0, x1, q0, beta = np.array(
             (lat[:-1], lat[1:], qt[:-1], (qt[1:] - qt[:-1]) / h)).take(cell, axis=1)
         arc = maj.seg_is_arc[seg]
@@ -508,6 +523,12 @@ def lin_lc_majorant(d: FiniteDist, refine: int = 64) -> TailMajorant:
     bridges.  The rounds stop when nothing drops.  The result is checked
     exactly against the interpolant (_certify).  `refine` only sets the
     density of the knot sample that `to_obj` reports, not the hull.
+
+    The arcs' q0, beta = (q1 - q0) / (x1 - x0), x0, x1, x1 - x0 and r are
+    one stacked table, cut to the kept arcs by a single take (none when
+    every arc is kept); the touch points of each kept arc's incoming and
+    outgoing bridge are its two rows of every vertex array, and the
+    arc segments' fields are one more take of the table's first rows.
     """
     if refine < 2:
         raise MajorantError("refine must be >= 2")
