@@ -196,7 +196,7 @@ class FiniteDist:
 
         One cumsum per law, shared by every reader; unclipped, so cumsum
         roundoff can leave the first entry a few ulps off 1."""
-        out = np.cumsum(self.masses[::-1])[::-1]
+        out = np.add.accumulate(self.masses[::-1])[::-1]
         out.setflags(write=False)
         return out
 

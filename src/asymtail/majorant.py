@@ -148,7 +148,10 @@ class TailMajorant:
         return self._knots[1]
 
     def log_value(self, x) -> float | np.ndarray:
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
+        xa = np.asarray(x, dtype=float)
+        scalar = xa.ndim == 0
+        if scalar:
+            xa = xa.reshape(1)
         if not np.isfinite(xa).all():
             raise MajorantError("x must be finite")
         below = xa <= self.support_min + _EVAL_RTOL * max(1.0, abs(self.support_min))
@@ -172,13 +175,13 @@ class TailMajorant:
                     seg = np.where(arc, np.where(val > 0, np.log(np.maximum(val, 1e-320)),
                                                  -np.inf), seg)
             out = np.where(below, 0.0, np.where(above, -np.inf, seg))
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
+        if scalar:
             return float(out[0])
         return out
 
     def value(self, x) -> float | np.ndarray:
         lv = self.log_value(x)
-        if np.isscalar(lv):
+        if isinstance(lv, float):
             return math.exp(lv) if lv > -math.inf else 0.0
         return np.exp(lv)  # exp(-inf) is 0
 
