@@ -84,16 +84,23 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
-def claim_rule_met(base: list[float], head: list[float], better: str) -> bool:
-    """Whether a gain may be claimed from paired runs base[i], head[i]:
-    the head is better in at least nine tenths of the pairs (ties count
-    for neither), and the medians differ in the head's favour by more
-    than the base's quartile spread q3 - q1."""
+def head_better_pairs(base: list[float], head: list[float], better: str) -> int:
+    """The pairs base[i], head[i] where the head is better; ties count
+    for neither side."""
     sign = 1.0 if better == "higher" else -1.0
-    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    return sum(sign * (h - b) > 0 for b, h in zip(base, head))
+
+
+def claim_rule_met(base: list[float], head: list[float], better: str) -> bool:
+    """Whether a gain may be claimed from paired runs: the head is better
+    in at least nine tenths of the pairs, and the medians differ in the
+    head's favour by more than the base's quartile spread q3 - q1."""
     q = quartiles(base)
-    gain = sign * (quartiles(head)["median"] - q["median"])
-    return 10 * wins >= 9 * len(base) and gain > q["q3"] - q["q1"]
+    gain = quartiles(head)["median"] - q["median"]
+    if better != "higher":
+        gain = -gain
+    return (10 * head_better_pairs(base, head, better) >= 9 * len(base)
+            and gain > q["q3"] - q["q1"])
 
 
 def cpu_model() -> str:
@@ -147,12 +154,10 @@ def main(argv=None) -> int:
         entry = {"end_to_end": {}, "digests": {}, "correct": {}}
         for name, direction in better.items():
             vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-            sign = 1.0 if direction == "higher" else -1.0
             entry["end_to_end"][name] = {
                 "better": direction, "base": quartiles(vals["base"]),
                 "head": quartiles(vals["head"]),
-                "head_better_pairs": sum(sign * (h - b) > 0
-                                         for b, h in zip(vals["base"], vals["head"])),
+                "head_better_pairs": head_better_pairs(vals["base"], vals["head"], direction),
                 "pairs": len(SEEDS),
                 "claim_rule_met": claim_rule_met(vals["base"], vals["head"], direction)}
         for side in runs:

@@ -315,13 +315,17 @@ def _normal_run(chunks: Iterator[np.ndarray]) -> tuple[np.ndarray, np.ndarray, I
     """The falling products that are >= MIN_MASS, those below it in the
     same chunk, and the chunks after it, not yet computed."""
     normal = []
+    low = np.empty(0)
     for prod in chunks:
         # the products fall, so those >= MIN_MASS lead the chunk
         cut = len(prod) if prod[-1] >= MIN_MASS else np.count_nonzero(prod >= MIN_MASS)
         normal.append(prod[:cut])
         if cut < len(prod):
-            return np.concatenate(normal), prod[cut:], chunks
-    return (np.concatenate(normal) if normal else np.empty(0)), np.empty(0), chunks
+            low = prod[cut:]
+            break
+    if len(normal) == 1:
+        return normal[0], low, chunks
+    return (np.concatenate(normal) if normal else np.empty(0)), low, chunks
 
 
 def _exact_total(terms: list[float], more: Iterator[np.ndarray], bound: float) -> float:
@@ -363,11 +367,12 @@ def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
         _falling_products(lambda j: (n - j) * p / ((j + 1) * q), mode, n, 1))
     down, down_low, down_more = _normal_run(
         _falling_products(lambda j: j * q / ((n - j + 1) * p), mode, 0, -1))
-    mass = np.concatenate((down[::-1], [1.0], up))
+    products = np.concatenate((down_low[::-1], down[::-1], [1.0], up, up_low))
     # fsum keeps few partials, and is fast, when the terms fall in size;
-    # in the order of the atoms it took 20 times longer at n = 600
-    terms = np.sort(np.concatenate((mass, down_low, up_low)))[::-1].tolist()
-    total = _exact_total(terms, itertools.chain(down_more, up_more), n * MIN_MASS)
+    # in the order of the atoms it is 20 times slower at n = 600
+    total = _exact_total(np.sort(products)[::-1].tolist(),
+                         itertools.chain(down_more, up_more), n * MIN_MASS)
+    mass = products[len(down_low):len(products) - len(up_low)]
     k = np.arange(mode - len(down), mode + len(up) + 1)
     return FiniteDist(n * a + k * (b - a), mass / total, on_lattice=True)
 

@@ -438,21 +438,21 @@ def _kept_arcs(arcs) -> tuple[np.ndarray, np.ndarray]:
         # after the run; the stretch keeps its arcs up to the last one whose
         # incoming bridge is no steeper than that bridge (its first arc,
         # whose incoming bridge is not known yet, always stays)
-        runs = np.flatnonzero(bad)
+        runs = bad.nonzero()[0]
         grp = np.searchsorted(runs, np.arange(len(keep)))
-        back = np.flatnonzero(~bad & (grp < len(runs)))
+        back = (~bad & (grp < len(runs))).nonzero()[0]
         grp = grp[back]
-        good = np.flatnonzero(~bad)
+        good = (~bad).nonzero()[0]
         to = good[np.searchsorted(good, runs[grp])]
         w, _ = _bridges(*arcs, keep[back], keep[to])
-        stay = np.flatnonzero((back == 0) | bad[back - 1] | (u[back - 1] <= w))
+        stay = ((back == 0) | bad[back - 1] | (u[back - 1] <= w)).nonzero()[0]
         stay = stay[np.append(grp[stay[1:]] != grp[stay[:-1]], True)]
         gone = bad.copy()
         gone[back[back > back[stay][np.searchsorted(grp[stay], grp)]]] = True
         # the new neighbours of each run's successor were bridged just now
-        kept = np.flatnonzero(~gone)
+        kept = (~gone).nonzero()[0]
         u = u[kept[:-1]]
-        joined = np.flatnonzero(np.diff(kept) > 1)
+        joined = (np.diff(kept) > 1).nonzero()[0]
         u[joined] = w[np.searchsorted(back, kept[joined])]
         keep = keep[kept]
 

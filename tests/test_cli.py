@@ -129,7 +129,6 @@ class TestBoundCommand:
         assert err[0].startswith("error: out of memory")
         assert len(err) == 2 and err[1].startswith("wall time")
 
-
     def test_large_n_builds_only_the_mass_window(self):
         # the binomial carrier is built where its masses do not underflow,
         # about 5e5 of the 2e8 + 1 atoms, so it fits the benchmark's cap
