@@ -305,7 +305,9 @@ def _falling_products(ratio, start: int, stop: int, step: int) -> Iterator[np.nd
         prod[0] *= last
         np.multiply.accumulate(prod, out=prod)
         if prod[-1] == 0.0:
-            yield prod[:np.count_nonzero(prod)]
+            nonzero = np.count_nonzero(prod)
+            if nonzero:
+                yield prod[:nonzero]
             return
         yield prod
         j, last, size = end, prod[-1], min(2 * size, _MAX_CHUNK)
