@@ -28,7 +28,10 @@ tables once, and the pool threads share them read-only.
 over the same private helpers.  The blocks run on
 `verifier.tail_counts`, so they share the supermartingale check's
 thread pool and per-block streams, and the counts are the same at any
-ASYMTAIL_THREADS.
+ASYMTAIL_THREADS.  The rows and the report come from `verifier` too:
+`verifier.mc_rows` adds the Clopper-Pearson limits, and a check returns
+a `verifier.McReport` whose rows name their bound curve ("normal" for
+vw, "lc" for the point-hull kinds).
 """
 from __future__ import annotations
 
@@ -44,7 +47,9 @@ from .dist import (FiniteDist, _GuideTable, _inverse_cdf, bs,  # noqa: F401
                    from_pairs, iid_sum, sample, scale, st)
 from .majorant import lc_majorant
 from .thresholds import SQRT2_MINUS_1, c_const, m_star
-from .verifier import McConfig, beta_dist, tail_counts
+# `beta_dist` stays importable here: perfbench/tracer.py patches selfnorm.beta_dist
+from .verifier import beta_dist  # noqa: F401
+from .verifier import McConfig, McReport, mc_rows, tail_counts
 
 
 class SelfNormError(ValueError):
@@ -368,30 +373,9 @@ class SelfNormConfig:
     x_grid: tuple | None = None
 
 
-@dataclass(frozen=True)
-class SelfNormRow:
-    x: float
-    count: int
-    empirical: float
-    cp_lower: float
-    bound: float
-    margin: float        # bound - cp_lower: the check passes while it is >= 0
-    ok: bool
-
-
-@dataclass(frozen=True)
-class SelfNormReport:
-    config: SelfNormConfig
-    mc: McConfig
-    n_paths: int
-    rows: list
-    seed: int
-    blocks: int
-    workers: int
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.rows)
+# The bound curve of each kind, by its name in the bound family:
+# c_{5,0} times the normal tail, or c_{3,0} times the point hull.
+_CURVE_NAMES = {"vw": "normal", "vym": "lc", "vsymm": "lc", "vhatsymm": "lc"}
 
 
 def _bound_curve(cfg: SelfNormConfig) -> Callable[[float], float]:
@@ -411,18 +395,17 @@ def _bound_curve(cfg: SelfNormConfig) -> Callable[[float], float]:
         maj = lc_majorant(carrier)
         c30 = c_const(3, 0)
         return lambda x: min(1.0, c30 * maj.value(x))
-    if cfg.kind in ("vsymm", "vhatsymm"):
-        if cfg.p is None:
-            raise SelfNormError(f"{cfg.kind} needs the multiplier mass p")
-        if cfg.m != 1.0:
-            raise SelfNormError("symmetric checks are pinned at m = 1")
-        if cfg.p < SQRT2_MINUS_1 - 1e-12:
-            raise SelfNormError("symmetric comparison needs p >= sqrt(2) - 1")
-        carrier = scale(iid_sum(st(cfg.p), cfg.n), cfg.n ** -0.5)
-        maj = lc_majorant(carrier)
-        c30 = c_const(3, 0)
-        return lambda x: min(1.0, c30 * maj.value(x))
-    raise SelfNormError(f"no bound family for kind {cfg.kind!r}")
+    # vsymm and vhatsymm
+    if cfg.p is None:
+        raise SelfNormError(f"{cfg.kind} needs the multiplier mass p")
+    if cfg.m != 1.0:
+        raise SelfNormError("symmetric checks are pinned at m = 1")
+    if cfg.p < SQRT2_MINUS_1 - 1e-12:
+        raise SelfNormError("symmetric comparison needs p >= sqrt(2) - 1")
+    carrier = scale(iid_sum(st(cfg.p), cfg.n), cfg.n ** -0.5)
+    maj = lc_majorant(carrier)
+    c30 = c_const(3, 0)
+    return lambda x: min(1.0, c30 * maj.value(x))
 
 
 def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
@@ -477,14 +460,21 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     return simulate
 
 
-def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> SelfNormReport:
+def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> McReport:
     """Simulate the statistic and compare its tail with the bound curve
     at Clopper-Pearson confidence.  The paths are counted by
-    `tail_counts`, so the counts do not depend on the worker count."""
-    if cfg.kind not in ("vw", "vym", "vsymm", "vhatsymm"):
+    `tail_counts` and the rows built by `mc_rows`, so the counts do not
+    depend on the worker count."""
+    if cfg.kind not in _CURVE_NAMES:
         raise SelfNormError(f"unknown check kind {cfg.kind!r}")
     if not cfg.n >= 1:
         raise SelfNormError(f"n must be >= 1, got {cfg.n!r}")
+    if cfg.x_grid is not None:
+        xs = np.asarray(cfg.x_grid, dtype=float)
+        if not np.isfinite(xs).all():
+            raise SelfNormError("x_grid must be finite")
+    else:
+        xs = np.linspace(0.5, 3.0, 6)
     rm = None
     hat = None
     nonzero_p = None
@@ -500,21 +490,8 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> SelfNormReport:
             raise SelfNormError("vhatsymm needs p >= max(P(X != 0), sqrt(2)-1)")
 
     curve = _bound_curve(cfg)
-    if cfg.x_grid is not None:
-        xs = np.asarray(cfg.x_grid, dtype=float)
-        if not np.isfinite(xs).all():
-            raise SelfNormError("x_grid must be finite")
-    else:
-        xs = np.linspace(0.5, 3.0, 6)
-    bounds = np.array([curve(float(x)) for x in xs])
-
+    bounds = [curve(float(x)) for x in xs]
     tc = tail_counts(_block_simulator(cfg, rm, hat), xs, mc)
-    rows = []
-    for x, k, b in zip(xs, tc.counts, bounds):
-        k = int(k)
-        lo = float(beta_dist.ppf(1.0 - mc.confidence, k, tc.n_paths - k + 1)) if k else 0.0
-        rows.append(SelfNormRow(x=float(x), count=k, empirical=k / tc.n_paths,
-                                cp_lower=lo, bound=float(b), margin=float(b) - lo,
-                                ok=lo <= b))
-    return SelfNormReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,
-                          seed=mc.seed, blocks=tc.blocks, workers=tc.workers)
+    rows = mc_rows(xs, tc, bounds, [_CURVE_NAMES[cfg.kind]] * len(xs), mc.confidence)
+    return McReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,
+                    seed=mc.seed, blocks=tc.blocks, workers=tc.workers)

@@ -325,10 +325,6 @@ def c_const(alpha: float, beta: float = 0.0) -> float:
 # table emission
 # ---------------------------------------------------------------------------
 
-THRESHOLD_COLUMNS = ("p", "m_star", "p_star_inverse", "m_exp", "m_exp_up",
-                     "m_st_low", "m_st_high", "m_conj")
-
-
 def threshold_row(p: float) -> dict:
     """One row of the threshold table at asymmetry p (None = out of domain)."""
     ms = m_star(p)

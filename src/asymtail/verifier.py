@@ -26,12 +26,14 @@ binomial tail, summed over a window of terms from Loader's saddle-point
 pmf, and rounded down by the sum's error bound, so the limit never lies
 above the exact one.
 
-`tail_counts` is the one Monte Carlo harness: it splits the paths into
-blocks, gives block i child stream i of the seed, spreads the blocks
-over at most ASYMTAIL_THREADS threads and counts the tail per block.
-The supermartingale check here and the self-normalized checks in
-`selfnorm` both run on it, so their counts are the same at any thread
-count.
+`tail_counts` and `mc_rows` are the one Monte Carlo path.
+`tail_counts` splits the paths into blocks, gives block i child stream
+i of the seed, spreads the blocks over at most ASYMTAIL_THREADS threads
+and counts the tail per block.  `mc_rows` turns the counts into one
+`McRow` per x: the Clopper-Pearson lower limit, the bound, its name and
+the margin between them.  The supermartingale check here and the
+self-normalized checks in `selfnorm` both run on them and report an
+`McReport`, so their counts are the same at any thread count.
 """
 from __future__ import annotations
 
@@ -56,7 +58,8 @@ class _BetaQuantile:
     P(Bin(a + b - 1, x) >= a) is certified <= q after allowing for its
     rounding error, so it never lies above the exact quantile, and which
     is within about 1e-13 relative of it (`clopper_pearson.cp_lower`,
-    imported on the first call).  `selfnorm` shares this object.
+    imported on the first call).  `mc_rows` makes every Monte Carlo
+    check's call.
     """
 
     @staticmethod
@@ -556,12 +559,10 @@ def _simulate_block(cfg: SupermartingaleConfig, rng: np.random.Generator,
             sigma = 1.0 / (1.0 + (S / sref) ** 2)
             B = ci * math.sqrt(ratio) * sigma
             A = ci / math.sqrt(ratio) * sigma
-        elif cfg.rule == "random_modulated":
+        else:  # random_modulated
             U = rng.random(size)
             B = ci * ratio ** (0.5 * U)
             A = ci * ratio ** (-0.5 * U)
-        else:
-            raise VerifyError(f"unknown rule {cfg.rule!r}")
         sqrtab_excess = max(sqrtab_excess, float(np.max(np.sqrt(A * B))) / ci - 1.0)
         if sqrtab_excess > 1e-12:
             raise VerifyError("rule breaks sqrt(A B) <= c_i")
@@ -585,12 +586,11 @@ class McRow:
 
 
 @dataclass(frozen=True)
-class SupermartingaleReport:
-    config: SupermartingaleConfig
+class McReport:
+    config: object
     mc: McConfig
     n_paths: int
     rows: list
-    max_sqrtab_excess: float
     seed: int
     blocks: int
     workers: int
@@ -598,6 +598,23 @@ class SupermartingaleReport:
     @property
     def all_ok(self) -> bool:
         return all(r.ok for r in self.rows)
+
+
+@dataclass(frozen=True)
+class SupermartingaleReport(McReport):
+    max_sqrtab_excess: float
+
+
+def mc_rows(xs, tc: TailCounts, bounds, names, confidence: float) -> list[McRow]:
+    """One row per x: the tail count, its one-sided Clopper-Pearson lower
+    limit at `confidence`, and the bound it is checked against."""
+    rows = []
+    for x, k, b, name in zip(xs, tc.counts, bounds, names):
+        k, b = int(k), float(b)
+        lo = float(beta_dist.ppf(1.0 - confidence, k, tc.n_paths - k + 1)) if k else 0.0
+        rows.append(McRow(x=float(x), count=k, empirical=k / tc.n_paths, cp_lower=lo,
+                          bound=b, margin=b - lo, bound_name=name, ok=lo <= b))
+    return rows
 
 
 def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> SupermartingaleReport:
@@ -631,19 +648,11 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
 
     reports = combined_bound_grid(cfg.p, cfg.m, xs, coeffs=c)
     tc = tail_counts(lambda rng, size: _simulate_block(cfg, rng, size), xs, mc)
-    rows = []
-    for x, k, rep in zip(xs, tc.counts, reports):
-        k = int(k)
-        if k > 0:
-            lo = float(beta_dist.ppf(1.0 - mc.confidence, k, tc.n_paths - k + 1))
-        else:
-            lo = 0.0
-        rows.append(McRow(x=float(x), count=k, empirical=k / tc.n_paths,
-                          cp_lower=lo, bound=rep.minimum, margin=rep.minimum - lo,
-                          bound_name=rep.argmin, ok=lo <= rep.minimum))
+    rows = mc_rows(xs, tc, [r.minimum for r in reports], [r.argmin for r in reports],
+                   mc.confidence)
     return SupermartingaleReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,
-                                 max_sqrtab_excess=max(tc.extras), seed=mc.seed,
-                                 blocks=tc.blocks, workers=tc.workers)
+                                 seed=mc.seed, blocks=tc.blocks, workers=tc.workers,
+                                 max_sqrtab_excess=max(tc.extras))
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +755,8 @@ def run_supermartingale_suite(seed: int = 0, n_paths: int = 200_000) -> list[Che
             details={"n_paths": rep.n_paths, "seed": rep.seed, "blocks": rep.blocks,
                      "workers": rep.workers,
                      "rows": [{"x": r.x, "emp": r.empirical, "bound": r.bound,
-                               "cp_lower": r.cp_lower, "margin": r.margin}
+                               "cp_lower": r.cp_lower, "margin": r.margin,
+                               "bound_name": r.bound_name}
                               for r in rep.rows]}))
     return out
 

@@ -1,7 +1,8 @@
 """Every public name in the package has a caller.
 
 An AST scan of `src/asymtail` lists the public module-level functions
-and classes, and the public methods of those classes.  Each must be
+and classes, the public methods of those classes, and the module-level
+UPPER_CASE constants (a single name assigned at module level).  Each must be
 referenced somewhere in the library (outside its own definition and
 outside `__init__.py`, which re-exports everything), in `scripts/` or
 in `perfbench/`.  Prose (docstrings, messages) does not count, and
@@ -46,6 +47,7 @@ ALLOWED = {
 
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+_CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 # receiver types: a frozenset of package class names, plus UNTYPED where the
 # scan cannot tell; OTHER (empty) is typed, but as no package class
@@ -287,10 +289,27 @@ def _package_trees() -> dict[str, ast.Module]:
     return {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
 
 
+def _constant_name(node) -> str | None:
+    """The name a module-level statement binds as an UPPER_CASE constant."""
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        target = node.targets[0]
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        target = node.target
+    else:
+        return None
+    if isinstance(target, ast.Name) and _CONSTANT.fullmatch(target.id):
+        return target.id
+    return None
+
+
 def _public_definitions(trees):
     """(module, qualified name, name, owner class, first line, last line)."""
     for module, tree in trees.items():
         for node in tree.body:
+            constant = _constant_name(node)
+            if constant is not None:
+                yield module, constant, constant, None, node.lineno, node.end_lineno
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("_"):
@@ -371,7 +390,8 @@ def test_scan_sees_definitions_and_string_references():
     trees = _package_trees()
     defined = {qual for _, qual, *_ in _public_definitions(trees)}
     assert {"b_opt", "FiniteDist", "FiniteDist.from_json",
-            "ReciprocatingMap.reciprocate"} <= defined
+            "ReciprocatingMap.reciprocate", "DEFAULT_TOL", "SQRT2_MINUS_1"} <= defined
+    assert not {"_RULES", "_ENUM_T_COUNT"} & defined
     # perfbench/tracer.py names the functions it wraps only as strings
     tracer = _parse(ROOT / "perfbench" / "tracer.py")
     assert {"reciprocate", "selfnorm_stat", "golden_section"} <= {w for w, _ in
@@ -456,3 +476,28 @@ def test_typed_and_untyped_receivers():
     """
     # law.to_obj() calls Law.atoms through self; dead_helper stays uncalled
     assert _scan_source(PACKAGE_SOURCE, caller) == ["Hull.to_obj", "dead_helper"]
+
+
+def test_module_constants_need_a_reader():
+    package = """
+        LIMIT = 3
+        COLUMNS: tuple = ("a", "b")
+        ORPHAN_COLUMNS = ("a", "b")
+        DEAD_LIMIT = 4
+        _PRIVATE = 1
+        lowercase = 2
+
+        def limit():
+            return LIMIT
+
+        def dead():
+            return DEAD_LIMIT
+    """
+    caller = """
+        import mod
+
+        def main():
+            return mod.limit(), mod.COLUMNS
+    """
+    # a constant that only an uncalled function reads is dead with it
+    assert _scan_source(package, caller) == ["DEAD_LIMIT", "ORPHAN_COLUMNS", "dead"]

@@ -226,9 +226,11 @@ class TestSelfnormCommand:
         # 20000 paths fit one default block, which runs on one thread
         assert (body["seed"], body["blocks"], body["workers"]) == (5, 1, 1)
         assert all(r["margin"] == r["bound"] - r["cp_lower"] for r in body["rows"])
+        assert [r["bound_name"] for r in body["rows"]] == ["normal"] * len(body["rows"])
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["margin"]) for r in rows] == [r["margin"] for r in body["rows"]]
+        assert [r["bound_name"] for r in rows] == ["normal"] * len(rows)
 
     def test_deterministic_stdout(self):
         # everything but the measured timings repeats exactly

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from asymtail import selfnorm
 from asymtail.dist import FiniteDist, from_pairs
 from asymtail.selfnorm import (
     ReciprocatingMap,
@@ -256,6 +257,16 @@ class TestGuards:
         with pytest.raises(SelfNormError):
             selfnorm_bound_check(cfg, McConfig(n_paths=1000))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_x_grid_before_any_bound(self, x, monkeypatch):
+        def no_curve(cfg):
+            raise AssertionError("the bound curve was built before the x grid was checked")
+        monkeypatch.setattr(selfnorm, "_bound_curve", no_curve)
+        cfg = SelfNormConfig(base=ASYM3, n=4, kind="vym", m=m_star(0.25), p=0.25,
+                             x_grid=(1.0, x))
+        with pytest.raises(SelfNormError, match="x_grid must be finite"):
+            selfnorm_bound_check(cfg, McConfig(n_paths=1000))
+
     def test_vym_rejects_m_below_threshold(self):
         cfg = SelfNormConfig(base=ASYM3, n=4, kind="vym", m=1.0, p=0.25)
         with pytest.raises(SelfNormError):
@@ -446,6 +457,12 @@ class TestSampledBlocks:
         assert [r.cp_lower for r in rep.rows] == pytest.approx(
             [c for _, c in self.FROZEN[kind]], rel=1e-12, abs=0.0)
         assert [r.margin for r in rep.rows] == [r.bound - r.cp_lower for r in rep.rows]
+
+    @pytest.mark.parametrize("kind,name", [("vw", "normal"), ("vym", "lc"),
+                                           ("vsymm", "lc"), ("vhatsymm", "lc")])
+    def test_rows_name_their_bound_curve(self, kind, name):
+        rep = selfnorm_bound_check(self._cfg(kind), McConfig(seed=1, n_paths=2_000))
+        assert [r.bound_name for r in rep.rows] == [name] * 6
 
     @pytest.mark.parametrize("kind", ["vw", "vym", "vsymm", "vhatsymm"])
     def test_counts_independent_of_thread_split(self, kind, monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import strategies as hst
 from scipy.stats import beta as scipy_beta
 
 from asymtail import selfnorm, verifier
+from asymtail.bounds import combined_bound_grid
 from asymtail.dist import bs, from_pairs, iid_sum, scale, weighted_bs_sum
 from asymtail.thresholds import m_star, p_star
 from asymtail.verifier import (
@@ -512,6 +513,13 @@ class TestSupermartingaleMC:
                                       rule="constant", m=2.0),
                 McConfig(n_paths=1000))
 
+    def test_rows_name_the_bound_family_argmin(self):
+        cfg = dataclasses.replace(self._cfg("constant", p=0.2, n=8), x_grid=(0.5, 2.0, 4.0, 6.0))
+        rep = supermartingale_mc(cfg, McConfig(seed=3, n_paths=5_000))
+        reports = combined_bound_grid(cfg.p, cfg.m, cfg.x_grid, coeffs=cfg.coeffs)
+        assert [(r.bound, r.bound_name) for r in rep.rows] == [
+            (b.minimum, b.argmin) for b in reports]
+
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_rejects_non_finite_x_grid(self, x):
         cfg = dataclasses.replace(self._cfg("constant"), x_grid=(1.0, x))
@@ -690,6 +698,9 @@ class TestSuiteRunner:
             rows = res.details["rows"]
             assert all(r["margin"] == r["bound"] - r["cp_lower"] for r in rows)
             assert res.metric == min(r["margin"] for r in rows)
+            # each row names the member of the bound family that won
+            assert {r["bound_name"] for r in rows} <= {"b_opt", "lc", "lin_lc", "hoeffding",
+                                                       "normal_dom"}
 
     def test_unknown_suite_raises(self):
         with pytest.raises(VerifyError):
