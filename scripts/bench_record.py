@@ -16,8 +16,10 @@ it and whether the claim rule is met (claim_rule_met: the head better
 in at least nine tenths of the pairs, ties counting for neither, and its
 median better than the base's by more than the base's quartile spread
 q3 - q1), each run's output digest (and whether the two sides' agree at
-every seed), and the traced per-layer metrics; and the machine (nproc,
-CPU model, Python, numpy and scipy versions) and both commit ids.  The runs
+every seed), the quartiles of each side's minor page faults per run
+(information only: no claim rule reads them), and the traced per-layer
+metrics; and the machine (nproc, CPU model, Python, numpy and scipy
+versions) and both commit ids.  The runs
 go one at a time, so the record costs about 2 x workloads x 10 x
 (run_seconds + 5 s of cold starts).
 """
@@ -29,6 +31,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -62,12 +65,16 @@ def export(rev: str) -> tuple[str, Path]:
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One perfbench run: its result line, plus the provenance line's digest."""
+    """One perfbench run: its result line, plus the provenance line's
+    digest and the minor page faults of the run and the processes it
+    waited for."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
@@ -76,6 +83,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> d
                 if line.startswith("provenance "))
     out = json.loads(lines[-1])
     out["digest"] = prov["digest"]
+    out["minor_faults"] = faults
     return out
 
 
@@ -151,7 +159,9 @@ def main(argv=None) -> int:
                 print(f"{wl} seed {seed} {side}: " + ", ".join(
                     f"{k}={v['value']:.5g}" for k, v in runs[side][-1]["metrics"].items()),
                     flush=True)
-        entry = {"end_to_end": {}, "digests": {}, "correct": {}}
+        entry = {"end_to_end": {}, "digests": {}, "correct": {},
+                 "minor_faults": {side: quartiles([r["minor_faults"] for r in runs[side]])
+                                  for side in runs}}
         for name, direction in better.items():
             vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
             entry["end_to_end"][name] = {
@@ -179,7 +189,9 @@ def main(argv=None) -> int:
                   f"head {m['head']['median']:<12.5g} head better in "
                   f"{m['head_better_pairs']}/{m['pairs']} pairs, claim rule "
                   f"{'met' if m['claim_rule_met'] else 'not met'}")
-        print(f"{wl:<12} digests {'identical' if entry['digests_match'] else 'DIFFER'}")
+        print(f"{wl:<12} digests {'identical' if entry['digests_match'] else 'DIFFER'}, "
+              f"minor faults per run base {entry['minor_faults']['base']['median']:.0f} "
+              f"head {entry['minor_faults']['head']['median']:.0f}")
     return 0
 
 

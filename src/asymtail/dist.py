@@ -40,10 +40,16 @@ Conventions used throughout the package:
   max(4096, 16 atoms) buckets: a bucket that holds no cumulative mass
   stores its atom, and only a uniform in one of the few buckets that do
   is placed by binary search, so the atom drawn is exactly the one
-  `np.searchsorted` on the cumulative masses picks.
+  `np.searchsorted` on the cumulative masses picks.  A consumer that
+  reads a stream in two phases (the Monte Carlo blocks: the atoms of
+  every path, then a second draw per coordinate) may read the second
+  phase from `_advanced`, a copy of the generator moved past the first
+  phase's draws, and so interleave the two phases tile by tile with the
+  same draws.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -160,13 +166,23 @@ class FiniteDist:
             v, m = _canonicalize(v, m)
         if len(v) == 0:
             raise DistError("all atoms had zero mass")
-        # np.sum of n masses >= 0 is within (n - 1) eps / 2 of the exact
-        # sum, which fsum rounds correctly; a total within 1e-12 of the
-        # limit is below 2, so only a total within (n + 2) eps of the limit
-        # needs fsum to give fsum's verdict (fed the masses largest first,
-        # so that it keeps few partials)
+        # np.add.reduce of the contiguous masses (>= 0) is numpy's blocked
+        # pairwise sum: a run of fewer than 8 terms is summed in sequence;
+        # a run of up to 128 goes to 8 accumulators of at most 16 terms
+        # each, which add as a 3-level tree before the last (n % 8) terms
+        # join in sequence, so each term passes at most 15 + 3 + 7 = 25
+        # additions; a longer run splits in two (at a multiple of 8) and
+        # adds the halves' sums, and after s splits a run has at most
+        # n / 2^s + 15 terms, so s <= n.bit_length() splits reach 128.  No
+        # term passes more than k = min(n - 1, 25 + n.bit_length())
+        # additions (any order passes at most n - 1), and the total is within
+        # k eps / 2 of the exact sum, which fsum rounds correctly.  A total
+        # within 1e-12 of the limit is below 2, so only a total within
+        # (k + 2) eps of the limit needs fsum to give fsum's verdict (fed
+        # the masses largest first, so that it keeps few partials).
         total = float(np.add.reduce(m))
-        if abs(abs(total - 1.0) - MASS_ATOL) <= (len(m) + 2) * _EPS:
+        depth = min(len(m) - 1, 25 + len(m).bit_length())
+        if abs(abs(total - 1.0) - MASS_ATOL) <= (depth + 2) * _EPS:
             total = math.fsum(np.sort(m)[::-1].tolist())
         if abs(total - 1.0) > MASS_ATOL:
             raise DistError(f"total mass {total!r} is not 1 within {MASS_ATOL:g}")
@@ -513,8 +529,9 @@ class _GuideTable:
     so the answer is exact for any spacing of the edges, and at most
     one bucket in 16 holds an edge.
 
-    A call allocates the index array and a mask of the keys that read
-    -1, and leaves u as it is.  The table is built once per law and
+    A call writes the indices into `out` (a C-contiguous intp array of
+    u's shape), or a new array, and leaves u as it is; it allocates a
+    mask of the keys that read -1.  The table is built once per law and
     only read after that, so threads may share it.
     """
 
@@ -540,8 +557,8 @@ class _GuideTable:
         table.setflags(write=False)
         self._table = table
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        idx = np.empty(u.shape, dtype=np.intp)
+    def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        idx = np.empty(u.shape, dtype=np.intp) if out is None else out
         np.multiply(u, self._factor, out=idx, casting="unsafe")
         # in place: each index is read before its own slot is written
         self._table.take(idx, out=idx, mode="clip")
@@ -569,3 +586,15 @@ def sample(d: FiniteDist, rng: RngSpec | np.random.Generator, size: int) -> np.n
     """size iid draws via inverse CDF; deterministic per RngSpec."""
     gen = rng.generator() if isinstance(rng, RngSpec) else rng
     return d.values[_atom_index(np.cumsum(d.masses), gen.random(size))]
+
+
+def _advanced(gen: np.random.Generator, k: int) -> np.random.Generator:
+    """A copy of gen that starts k doubles on: it draws what gen draws
+    after k doubles are drawn and discarded.  gen is left as it is.
+
+    `Generator.random` takes one 64-bit output per double, and
+    `PCG64.advance` skips outputs in O(log k) steps, so nothing is drawn.
+    """
+    bits = copy.deepcopy(gen.bit_generator)
+    bits.advance(k)
+    return np.random.Generator(bits)

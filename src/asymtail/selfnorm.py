@@ -25,7 +25,12 @@ levels, which a guide table over [0, g_total] finds the same way, and a
 (side, slice) table holds the partner atom.  A check builds its guide
 tables once, and the pool threads share them read-only.
 `ReciprocatingMap.reciprocate` and `selfnorm_stat` are thin wrappers
-over the same private helpers.  The blocks run on
+over the same private helpers.  A block of paths runs in tiles of at
+most 2^15 coordinates, in four buffers of one tile that it reuses: a
+tile reads its atom draws from the block's generator, and its second
+draws from a copy of that generator advanced past the block's atom
+draws (`dist._advanced`), so every path draws what an untiled block
+would.  The blocks run on
 `verifier.tail_counts`, so they share the supermartingale check's
 thread pool and per-block streams, and the counts are the same at any
 ASYMTAIL_THREADS.  The rows and the report come from `verifier` too:
@@ -43,7 +48,7 @@ import numpy as np
 
 from .bounds import normal_tail
 # `sample` stays importable here: perfbench/tracer.py wraps selfnorm.sample
-from .dist import (FiniteDist, _GuideTable, _inverse_cdf, bs,  # noqa: F401
+from .dist import (FiniteDist, _advanced, _GuideTable, _inverse_cdf, bs,  # noqa: F401
                    from_pairs, iid_sum, sample, scale, st)
 from .majorant import lc_majorant
 from .thresholds import SQRT2_MINUS_1, c_const, m_star
@@ -133,24 +138,27 @@ class ReciprocatingMap:
         below = np.searchsorted(side_h, self.levels, side="right")
         return side_x[np.minimum(np.concatenate(([0], below)), side_x.size - 1)]
 
-    def _slice_index(self, j: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Flat index into the partner table for atoms j at uniforms u.
+    def _slice_index(self, j: np.ndarray, u: np.ndarray, work: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+        """Flat index into the partner table for atoms j at uniforms u,
+        written into out (intp) and returned.
 
         The level h0[j] + u span[j], clipped to [0, g_total], picks the
-        slice; the side of atom j picks the row.  u must be a C-contiguous
-        float64 array of j's shape, and is overwritten.
+        slice; the side of atom j picks the row.  u and work must be
+        C-contiguous float64 arrays of j's shape, and both are
+        overwritten.
         """
-        u *= self._span.take(j)
-        u += self._h0.take(j)
+        # j is in range, and mode "clip" writes straight to `out` where
+        # "raise" would buffer it
+        u *= self._span.take(j, out=work, mode="clip")
+        u += self._h0.take(j, out=work, mode="clip")
         np.clip(u, 0.0, self.g_total, out=u)
-        idx = self._slices(u)
-        # The levels are spent, so u's buffer takes the row offsets and
-        # the block holds no fourth array; j is in range, and mode "clip"
-        # writes straight to `out` where "raise" would buffer it.
+        self._slices(u, out=out)
+        # the levels are spent, so u's buffer takes the row offsets
         rows = u.view(np.int64)
         np.take(self._row_start, j, out=rows, mode="clip")
-        idx += rows
-        return idx
+        out += rows
+        return out
 
     def _at_level(self, h, row: int):
         ha = np.asarray(h, dtype=float)
@@ -182,7 +190,8 @@ class ReciprocatingMap:
         j[zero] = 0
         if np.any((j < 0) | (j >= v.size)):
             raise SelfNormError("x lies outside the law's support")
-        idx = self._slice_index(j, np.array(ua.ravel(), dtype=float))
+        uf = np.array(ua.ravel(), dtype=float)
+        idx = self._slice_index(j, uf, np.empty_like(uf), np.empty_like(j))
         out = np.where(zero, 0.0, self._partners.take(idx)).reshape(xa.shape)
         if np.isscalar(x) and np.isscalar(u):
             return float(out)
@@ -293,25 +302,25 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
 
-# One helper per kind.  They leave their arguments untouched and hold at
-# most one temporary of the sample's size, because the Monte Carlo blocks
-# call them on two threads at once.
+# One helper per kind.  Each overwrites its second argument and leaves
+# the first alone, so the Monte Carlo blocks run them in buffers they own;
+# a row's statistic depends on that row alone.
 
 def _vw(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    w = x - r
+    w = np.subtract(x, r, out=r)
     w *= w
     return _safe_ratio(x.sum(axis=1), 0.5 * np.sqrt(w.sum(axis=1)))
 
 
 def _vym(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
-    y = x * r
+    y = np.multiply(x, r, out=r)
     np.abs(y, out=y)
     y **= m
     return _safe_ratio(x.sum(axis=1), y.sum(axis=1) ** (1.0 / (2.0 * m)))
 
 
 def _vsymm(x: np.ndarray, multipliers: np.ndarray, m: float) -> np.ndarray:
-    t = multipliers * x
+    t = np.multiply(multipliers, x, out=multipliers)
     num = t.sum(axis=1)
     np.abs(x, out=t)
     t **= 2.0 * m
@@ -319,10 +328,14 @@ def _vsymm(x: np.ndarray, multipliers: np.ndarray, m: float) -> np.ndarray:
 
 
 def _vhatsymm(x: np.ndarray, hat_abs: np.ndarray, m: float, p: float) -> np.ndarray:
-    # raises hat_abs to 2m in place: callers pass an array they own
     hat_abs **= 2.0 * m
     return _safe_ratio(x.sum(axis=1),
                        math.sqrt(p) * hat_abs.sum(axis=1) ** (1.0 / (2.0 * m)))
+
+
+def _own(a, shape) -> np.ndarray:
+    """A float copy of a, broadcast to shape, for a helper to overwrite."""
+    return np.array(np.broadcast_to(np.asarray(a, dtype=float), shape))
 
 
 def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
@@ -346,16 +359,16 @@ def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
     if kind in ("vw", "vym"):
         if r is None:
             raise SelfNormError(f"{kind} needs the reciprocated values r")
-        r = np.asarray(r, dtype=float)
+        r = _own(r, x.shape)
         return _vw(x, r) if kind == "vw" else _vym(x, r, m)
     if kind == "vsymm":
         if multipliers is None:
             raise SelfNormError("vsymm needs the symmetric multipliers")
-        return _vsymm(x, np.asarray(multipliers, dtype=float), m)
+        return _vsymm(x, _own(multipliers, x.shape), m)
     if kind == "vhatsymm":
         if hat_abs is None or p is None:
             raise SelfNormError("vhatsymm needs hat_abs and p")
-        return _vhatsymm(x, np.array(hat_abs, dtype=float), m, p)
+        return _vhatsymm(x, _own(hat_abs, x.shape), m, p)
     raise SelfNormError(f"unknown statistic kind {kind!r}")
 
 
@@ -408,55 +421,77 @@ def _bound_curve(cfg: SelfNormConfig) -> Callable[[float], float]:
     return lambda x: min(1.0, c30 * maj.value(x))
 
 
+# Uniforms per tile of a Monte Carlo block: each of a tile's arrays stays
+# at 256 KiB, and smaller tiles pay more per-tile dispatch (on 2 vCPUs the
+# self-normalized checks of mc_check took 2.5 times as long at 2^12; 2^15
+# and 2^16 tied).
+_TILE = 1 << 15
+
+
 def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
                      hat: FiniteDist | None):
     """`simulate(rng, size)` for `tail_counts`: the statistic on `size` paths.
 
     It draws what `sample` would draw, in the same order, so the counts
-    match a value-level simulation bit for bit.  It runs on pool threads,
-    so it calls only private helpers, and it drops each (size, n) array
-    as soon as it is used: two blocks are in flight at once.
+    match a value-level simulation bit for bit: first the atoms of all
+    size x n coordinates, then a second draw per coordinate (the harvest
+    uniform, the multiplier, or for vhatsymm the conditioned draw of each
+    zero coordinate in row-major order).  The paths go in tiles of
+    max(1, _TILE // n) rows.  A tile reads its atoms from rng and its
+    second draws from `dist._advanced(rng, size * n)`, a copy of rng
+    that starts after the first phase, and writes its statistic into the
+    block's (size,) array, so a block holds one tile's arrays at a time.
+    It runs on pool threads, so it calls only private helpers.
     """
+    n = cfg.n
+    rows = max(1, _TILE // n)
     values, atoms = cfg.base.values, _inverse_cdf(np.cumsum(cfg.base.masses))
 
+    # A tile gets u, its first-phase uniforms (t, n), and three buffers of
+    # that shape: f (float), k and j (intp; j takes the atom indices).  It
+    # overwrites all four.  The takes run in mode "clip", which writes
+    # straight to `out`: every index is in range.
     if rm is not None:
         stat = _vw if cfg.kind == "vw" else (lambda x, r: _vym(x, r, cfg.m))
 
-        def simulate(rng, size):
-            u = rng.random((size, cfg.n))
-            j = atoms(u)
-            rng.random(out=u)
-            idx = rm._slice_index(j, u)
-            del u
-            x = values.take(j)
-            del j
-            r = rm._partners.take(idx)
-            del idx
-            return stat(x, r), None
+        def tile(u, second, f, k, j):
+            atoms(u, out=j)
+            second.random(out=u)
+            idx = rm._slice_index(j, u, f, k)
+            x = values.take(j, out=u, mode="clip")
+            return stat(x, rm._partners.take(idx, out=f, mode="clip"))
     elif cfg.kind == "vsymm":
         mult_law = st(cfg.p)
         mult_values, mults = mult_law.values, _inverse_cdf(np.cumsum(mult_law.masses))
 
-        def simulate(rng, size):
-            u = rng.random((size, cfg.n))
-            x = values.take(atoms(u))
-            rng.random(out=u)
-            j = mults(u)
-            del u
-            mult = mult_values.take(j)
-            del j
-            return _vsymm(x, mult, cfg.m), None
+        def tile(u, second, f, k, j):
+            x = values.take(atoms(u, out=j), out=f, mode="clip")
+            second.random(out=u)
+            return _vsymm(x, mult_values.take(mults(u, out=j), out=u, mode="clip"), cfg.m)
     else:
         hat_values, hat_atoms = hat.values, _inverse_cdf(np.cumsum(hat.masses))
+        ztol = _zero_tol(cfg.base)
 
-        def simulate(rng, size):
-            x = values.take(atoms(rng.random((size, cfg.n))))
-            habs = np.abs(x)
-            zeros = habs <= _zero_tol(cfg.base)
+        def tile(u, second, f, k, j):
+            x = values.take(atoms(u, out=j), out=f, mode="clip")
+            habs = np.abs(x, out=u)
+            zeros = habs <= ztol
             if np.any(zeros):
-                u = rng.random(int(np.sum(zeros)))
-                habs[zeros] = np.abs(hat_values.take(hat_atoms(u)))
-            return _vhatsymm(x, habs, cfg.m, cfg.p), None
+                habs[zeros] = np.abs(hat_values.take(hat_atoms(
+                    second.random(int(np.count_nonzero(zeros))))))
+            return _vhatsymm(x, habs, cfg.m, cfg.p)
+
+    def simulate(rng, size):
+        second = _advanced(rng, size * n)
+        out = np.empty(size)
+        shape = (min(rows, size), n)
+        u, f = np.empty(shape), np.empty(shape)
+        k, j = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
+        for start in range(0, size, rows):
+            t = min(rows, size - start)
+            rng.random(out=u[:t])
+            out[start:start + t] = tile(u[:t], second, f[:t], k[:t], j[:t])
+        return out, None
     return simulate
 
 

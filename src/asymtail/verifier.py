@@ -501,6 +501,11 @@ def tail_counts(simulate, xs, mc: McConfig) -> TailCounts:
     the blocks are spread over threads.  ASYMTAIL_THREADS caps the
     thread count; it is read here and nowhere else.  A simulation runs
     on a pool thread, so it must call only what may run concurrently.
+    Up to ASYMTAIL_THREADS blocks are in flight at once, each with its
+    own working set: the statistic of its paths, and the arrays it
+    reuses from step to step or tile to tile (six arrays of the block's
+    size for a supermartingale block; four of one tile, at most 2^15
+    entries each, for a self-normalized one).
     """
     xs = np.asarray(xs, dtype=float)
     n_blocks = (mc.n_paths + mc.block - 1) // mc.block
@@ -543,33 +548,61 @@ _RULES = ("constant", "history_scaled", "random_modulated")
 
 def _simulate_block(cfg: SupermartingaleConfig, rng: np.random.Generator,
                     size: int) -> tuple[np.ndarray, float]:
-    """Final sums of `size` paths, and the largest sqrt(A B) / c_i - 1 seen."""
+    """Final sums of `size` paths, and the largest sqrt(A B) / c_i - 1 seen.
+
+    The block's working set is allocated once: the sums S, the uniforms,
+    A, B, one work array and the take-up mask, each of `size` entries.
+    Every step writes into them with `out=` ufuncs, and adds B or takes
+    away A by multiplying with the mask (exact: the other term is 0.0),
+    which is the step S + where(take_up, B, -A) bit for bit.
+    """
     p, q = cfg.p, 1.0 - cfg.p
     ratio = q / p
     c = np.asarray(cfg.coeffs, dtype=float)
     sref = math.sqrt(float(np.sum(c * c)))
     S = np.zeros(size)
+    U, A, B, work = (np.empty(size) for _ in range(4))
+    take_up = np.empty(size, dtype=bool)
     sqrtab_excess = -math.inf
     for i in range(cfg.n):
         ci = c[i]
         if cfg.rule == "constant":
             # scalars: the checks and the step below broadcast them
-            A = B = ci
-        elif cfg.rule == "history_scaled":
-            sigma = 1.0 / (1.0 + (S / sref) ** 2)
-            B = ci * math.sqrt(ratio) * sigma
-            A = ci / math.sqrt(ratio) * sigma
-        else:  # random_modulated
-            U = rng.random(size)
-            B = ci * ratio ** (0.5 * U)
-            A = ci * ratio ** (-0.5 * U)
-        sqrtab_excess = max(sqrtab_excess, float(np.max(np.sqrt(A * B))) / ci - 1.0)
+            a = b = ci
+            top_ab, top_ba = np.sqrt(ci * ci), ci / ci
+        else:
+            if cfg.rule == "history_scaled":
+                # sigma = 1 / (1 + (S / sref)^2)
+                sigma = np.divide(S, sref, out=work)
+                np.square(sigma, out=sigma)
+                sigma += 1.0
+                np.divide(1.0, sigma, out=sigma)
+                np.multiply(sigma, ci * math.sqrt(ratio), out=B)
+                np.multiply(sigma, ci / math.sqrt(ratio), out=A)
+            else:  # random_modulated: B = c_i ratio^(U/2), A = c_i ratio^(-U/2)
+                rng.random(out=U)
+                np.power(ratio, np.multiply(U, 0.5, out=work), out=B)
+                B *= ci
+                np.power(ratio, np.multiply(U, -0.5, out=work), out=A)
+                A *= ci
+            a, b = A, B
+            # sqrt is monotone and correctly rounded: the root of the
+            # largest product is the largest root
+            top_ab = np.sqrt(np.max(np.multiply(A, B, out=work)))
+            top_ba = np.max(np.divide(B, A, out=work))
+        sqrtab_excess = max(sqrtab_excess, float(top_ab) / ci - 1.0)
         if sqrtab_excess > 1e-12:
             raise VerifyError("rule breaks sqrt(A B) <= c_i")
-        if np.max(B / A) > ratio * (1.0 + 1e-12):
+        if top_ba > ratio * (1.0 + 1e-12):
             raise VerifyError("rule breaks B/A <= q/p")
-        take_up = rng.random(size) < A / (A + B)
-        S = S + np.where(take_up, B, -A)
+        rng.random(out=U)
+        if cfg.rule == "constant":
+            up = a / (a + b)
+        else:
+            up = np.divide(A, np.add(A, B, out=work), out=work)
+        np.less(U, up, out=take_up)
+        S += np.multiply(take_up, b, out=work)
+        S -= np.multiply(np.logical_not(take_up, out=take_up), a, out=work)
     return S, sqrtab_excess
 
 

@@ -28,6 +28,7 @@ from asymtail.dist import (
     weighted_bs_sum,
 )
 from asymtail.dist import (
+    _advanced,
     _atom_index,
     _cube_plus,
     _exact_total,
@@ -198,20 +199,35 @@ def test_invalid_masses_rejected():
         from_pairs([(0.0, 1.2), (1.0, -0.2)])
 
 
-@pytest.mark.parametrize("n_atoms", [3, 10_000])
-def test_total_mass_verdict_is_the_fsum_rule(n_atoms):
-    # totals 1 +- 1e-12 offset by up to 40 ulps, on both sides of the
+@pytest.mark.parametrize("n_atoms,offsets", [
+    (3, range(-40, 41)),
+    (10_000, range(-40, 41)),
+    # np.add.reduce sums these pairwise, so only totals within
+    # (27 + n.bit_length()) eps of the limit go to fsum: 88 ulps of 0.5 at
+    # 10^5 atoms and 94 at 10^6; the offsets fall inside and outside it
+    (100_000, (-400, -120, -97, -80, -40, -3, -1, 0, 1, 3, 40, 80, 97, 120, 400)),
+    (1_000_000, (-400, -100, -60, -1, 0, 1, 60, 100, 400)),
+])
+def test_total_mass_verdict_is_the_fsum_rule(n_atoms, offsets):
+    # totals 1 +- 1e-12 offset by k ulps of 0.5, on both sides of the
     # limit and of the band where np.sum's rounding could decide the
-    # other way; at 10^4 atoms that band covers every total near the limit
-    rest = np.full(n_atoms - 1, 0.5 / (n_atoms - 1))
+    # other way.  The masses take two values, so their exact sum, which
+    # fsum rounds correctly, is known without fsum
+    share = 0.5 / (n_atoms - 1)
+    rest = np.full(n_atoms - 1, share * 0.7)
+    rest[::2] = share * 1.3
+    big = (n_atoms - 1 + 1) // 2
+    rest_sum = Fraction(share * 1.3) * big + Fraction(share * 0.7) * (n_atoms - 1 - big)
     ulp = math.ulp(0.5)
+    values = np.arange(float(n_atoms))
     for sign in (-1.0, 1.0):
         verdicts = set()
-        for k in range(-40, 41):
-            m = np.append(rest, 1.0 + sign * MASS_ATOL - math.fsum(rest) + k * ulp)
-            expect = abs(math.fsum(m) - 1.0) <= MASS_ATOL
+        for k in offsets:
+            last = 1.0 + sign * MASS_ATOL - float(rest_sum) + k * ulp
+            m = np.append(rest, last)
+            expect = abs(float(rest_sum + Fraction(last)) - 1.0) <= MASS_ATOL
             try:
-                FiniteDist(np.arange(float(n_atoms)), m)
+                FiniteDist(values, m, on_lattice=True)
                 accepted = True
             except DistError:
                 accepted = False
@@ -371,6 +387,20 @@ def test_sampling_is_deterministic_and_unbiased():
     assert abs(np.mean(xs)) <= 4e-3  # sd of the mean is ~0.0039
     zs = sample(d, RngSpec(seed=1234, stream=8), 1000)
     assert not np.array_equal(xs[:1000], zs)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 4096, 123_457])
+def test_advanced_draws_what_follows_k_discarded_doubles(k):
+    gen = RngSpec(12, 3).generator()
+    gen.random(5)
+    ref = RngSpec(12, 3).generator()
+    ref.random(5 + k)
+    ahead = _advanced(gen, k)
+    assert ahead.random(1000).tobytes() == ref.random(1000).tobytes()
+    # gen is left where it was
+    again = RngSpec(12, 3).generator()
+    again.random(5)
+    assert gen.random(10).tobytes() == again.random(10).tobytes()
 
 
 @pytest.mark.parametrize("law", [bs(0.3), st(0.4), weighted_bs_sum(0.3, [1.0, 0.7, 1.4, 0.2, 0.9])])

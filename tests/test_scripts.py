@@ -1,7 +1,11 @@
 """Tests for scripts/bench_record.py: the claim rule it records per
-workload and metric."""
+workload and metric, and the minor page faults it records per run."""
+import json
 import pathlib
+import resource
 import runpy
+import subprocess
+import types
 
 import pytest
 
@@ -31,3 +35,38 @@ BASE = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]  # q3
 ])
 def test_claim_rule(bench_record, head, better, met):
     assert bench_record["claim_rule_met"](BASE, head, better) is met
+
+
+def test_record_keeps_each_runs_minor_faults(bench_record, tmp_path, monkeypatch):
+    # fake checkouts and perfbench children: a child of the head checkout
+    # takes 100 faults per seed, one of the base 1000 more; the traced
+    # runs take 7, which the record must not count
+    spec = {"run_seconds": 1, "workloads": [{"name": "wl"}],
+            "end_to_end": [{"name": "work_per_s", "better": "higher"}]}
+    sides = {}
+    for side in ("base", "head"):
+        sides[side] = tmp_path / side
+        sides[side].mkdir()
+        (sides[side] / "BENCHMARK.json").write_text(json.dumps(spec))
+    faults = [0]
+
+    def fake_run(cmd, cwd, **kwargs):
+        seed, trace = int(cmd[cmd.index("--seed") + 1]), int(cmd[cmd.index("--trace") + 1])
+        faults[0] += 7 if trace else 100 * seed + (1000 if cwd == sides["base"] else 0)
+        result = {"metrics": {"work_per_s": {"value": float(seed)}}, "correct": True}
+        out = f'provenance {{"digest": "d{seed}"}}\n' + json.dumps(result) + "\n"
+        return types.SimpleNamespace(returncode=0, stdout=out, stderr="")
+
+    main = bench_record["main"]
+    monkeypatch.setitem(main.__globals__, "export", lambda rev: (rev, sides[rev]))
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(resource, "getrusage",
+                        lambda who: types.SimpleNamespace(ru_minflt=faults[0]))
+    out = tmp_path / "BENCH.json"
+    assert main(["--base", "base", "--head", "head", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["wl"]
+    seeds = bench_record["SEEDS"]
+    assert entry["minor_faults"]["head"]["values"] == [100 * s for s in seeds]
+    assert entry["minor_faults"]["base"]["values"] == [100 * s + 1000 for s in seeds]
+    assert entry["minor_faults"]["head"]["median"] == 550.0
+    assert entry["digests_match"]

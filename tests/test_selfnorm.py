@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from asymtail import selfnorm
-from asymtail.dist import FiniteDist, from_pairs
+from asymtail.dist import FiniteDist, RngSpec, from_pairs
 from asymtail.selfnorm import (
     ReciprocatingMap,
     TwoPointDecomposition,
@@ -481,12 +481,16 @@ class TestSampledBlocks:
         rep = selfnorm_bound_check(self._cfg("vw"), McConfig(seed=1, n_paths=1_000))
         assert (rep.blocks, rep.workers) == (1, 1)
 
-    def test_two_blocks_in_flight_stay_small(self, monkeypatch):
-        # each block holds at most three (paths, n) arrays at once: 7.5 MiB
-        # at 32768 x 10, so two threads stay under 24 MiB (the masked
-        # value-level block code peaked at 36 MiB on two threads)
+    @pytest.mark.parametrize("kind", ["vw", "vym", "vsymm", "vhatsymm"])
+    def test_two_blocks_in_flight_stay_small(self, kind, monkeypatch):
+        # a block holds its (paths,) statistic and four arrays of one tile,
+        # 2^15 entries each: about 1.3 MiB, so two threads stay under 4 MiB
+        # (blocks that built whole (paths, n) arrays peaked at 16-17 MiB);
+        # a small check first, so that the lazy imports and caches of a
+        # first check are not counted
         monkeypatch.setenv("ASYMTAIL_THREADS", "2")
-        cfg = self._cfg("vw", n=10)
+        cfg = self._cfg(kind, n=10)
+        selfnorm_bound_check(cfg, McConfig(seed=1, n_paths=1_000))
         mc = McConfig(seed=2, n_paths=4 * 32_768, block=32_768)
         tracemalloc.start()
         try:
@@ -495,4 +499,139 @@ class TestSampledBlocks:
         finally:
             tracemalloc.stop()
         assert rep.workers == 2
-        assert peak <= 24 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert peak <= 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# tiled blocks against the whole-block simulation
+# ---------------------------------------------------------------------------
+
+def _whole_block_simulator(cfg, rm, hat):
+    """The block simulator as it was before tiling: every (size, n) array
+    at once, the second phase read from rng after the first."""
+    from asymtail.dist import _inverse_cdf, st
+
+    def vw(x, r):
+        w = x - r
+        w *= w
+        return selfnorm._safe_ratio(x.sum(axis=1), 0.5 * np.sqrt(w.sum(axis=1)))
+
+    def vym(x, r):
+        y = x * r
+        np.abs(y, out=y)
+        y **= cfg.m
+        return selfnorm._safe_ratio(x.sum(axis=1), y.sum(axis=1) ** (1.0 / (2.0 * cfg.m)))
+
+    def vsymm(x, multipliers):
+        t = multipliers * x
+        num = t.sum(axis=1)
+        np.abs(x, out=t)
+        t **= 2.0 * cfg.m
+        return selfnorm._safe_ratio(num, t.sum(axis=1) ** (1.0 / (2.0 * cfg.m)))
+
+    def vhatsymm(x, hat_abs):
+        hat_abs **= 2.0 * cfg.m
+        return selfnorm._safe_ratio(
+            x.sum(axis=1), math.sqrt(cfg.p) * hat_abs.sum(axis=1) ** (1.0 / (2.0 * cfg.m)))
+
+    def slice_index(j, u):
+        u *= rm._span.take(j)
+        u += rm._h0.take(j)
+        np.clip(u, 0.0, rm.g_total, out=u)
+        return rm._slices(u) + rm._row_start.take(j)
+
+    values, atoms = cfg.base.values, _inverse_cdf(np.cumsum(cfg.base.masses))
+    if rm is not None:
+        stat = vw if cfg.kind == "vw" else vym
+
+        def simulate(rng, size):
+            u = rng.random((size, cfg.n))
+            j = atoms(u)
+            rng.random(out=u)
+            idx = slice_index(j, u)
+            return stat(values.take(j), rm._partners.take(idx)), None
+    elif cfg.kind == "vsymm":
+        mult_law = st(cfg.p)
+        mult_values, mults = mult_law.values, _inverse_cdf(np.cumsum(mult_law.masses))
+
+        def simulate(rng, size):
+            u = rng.random((size, cfg.n))
+            x = values.take(atoms(u))
+            rng.random(out=u)
+            return vsymm(x, mult_values.take(mults(u))), None
+    else:
+        hat_values, hat_atoms = hat.values, _inverse_cdf(np.cumsum(hat.masses))
+
+        def simulate(rng, size):
+            x = values.take(atoms(rng.random((size, cfg.n))))
+            habs = np.abs(x)
+            zeros = habs <= selfnorm._zero_tol(cfg.base)
+            if np.any(zeros):
+                u = rng.random(int(np.sum(zeros)))
+                habs[zeros] = np.abs(hat_values.take(hat_atoms(u)))
+            return vhatsymm(x, habs), None
+    return simulate
+
+
+# zero-mean, with an atom at zero and a slice split on both sides
+ZERO4 = from_pairs([(-1.5, 0.2), (-0.5, 0.3), (0.0, 0.2), (1.0, 0.15), (2.0, 0.15)])
+SYM_ZERO = from_pairs([(-2.0, 0.15), (-0.5, 0.2), (0.0, 0.3), (0.5, 0.2), (2.0, 0.15)])
+TILE_CFGS = {
+    "vw": lambda n: SelfNormConfig(base=ZERO4, n=n, kind="vw"),
+    "vym": lambda n: SelfNormConfig(base=ZERO4, n=n, kind="vym", m=m_star(0.25), p=0.25),
+    "vsymm": lambda n: SelfNormConfig(base=SYM_ZERO, n=n, kind="vsymm", p=0.8),
+    "vhatsymm": lambda n: SelfNormConfig(base=SYM_ZERO, n=n, kind="vhatsymm", p=0.7),
+}
+
+
+def _simulators(cfg):
+    rm = ReciprocatingMap(cfg.base) if cfg.kind in ("vw", "vym") else None
+    hat = hat_dist(cfg.base) if cfg.kind == "vhatsymm" else None
+    return (selfnorm._block_simulator(cfg, rm, hat), _whole_block_simulator(cfg, rm, hat))
+
+
+def _tile_sizes(n):
+    rows = max(1, selfnorm._TILE // n)
+    if rows == 1:
+        return [1, 2, 3]   # 32768 paths of over 2^15 coordinates are too many here
+    return sorted({1, rows - 1, rows, rows + 1, 32_768, 40_000})
+
+
+class TestTiledBlocks:
+    """Tiles read the same uniforms as the whole-block simulation, and
+    each row's statistic depends on that row alone, so the statistic is
+    the same bit for bit at any tile boundary."""
+
+    @pytest.mark.parametrize("kind", sorted(TILE_CFGS))
+    @pytest.mark.parametrize("n", [1, 4, 10, 40_000])
+    def test_statistic_bytes_match_the_whole_block(self, kind, n):
+        tiled, whole = _simulators(TILE_CFGS[kind](n))
+        for size in _tile_sizes(n):
+            for seed in (1, 2, 3):
+                got, _ = tiled(RngSpec(seed, 5).generator(), size)
+                want, _ = whole(RngSpec(seed, 5).generator(), size)
+                assert got.tobytes() == want.tobytes(), (size, seed)
+
+    @pytest.mark.parametrize("kind", sorted(TILE_CFGS))
+    def test_tiles_leave_the_block_generator_after_the_first_phase(self, kind):
+        # the second phase reads a copy, so rng has drawn size * n doubles
+        tiled, _ = _simulators(TILE_CFGS[kind](4))
+        rng = RngSpec(8, 1).generator()
+        tiled(rng, 10_000)
+        ref = RngSpec(8, 1).generator()
+        ref.random(40_000)
+        assert rng.random(5).tobytes() == ref.random(5).tobytes()
+
+    @pytest.mark.parametrize("kind,arg", [("vw", "r"), ("vym", "r"), ("vsymm", "multipliers")])
+    def test_stat_leaves_the_callers_arrays_alone(self, kind, arg):
+        # the helpers overwrite their second argument; selfnorm_stat
+        # passes them a copy, broadcast to the sample's shape
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(40, 5))
+        second = rng.normal(size=(40, 5))
+        before = second.copy()
+        out = selfnorm_stat(kind, x, m=1.3, **{arg: second})
+        assert np.array_equal(second, before)
+        row = selfnorm_stat(kind, x, m=1.3, **{arg: second[0]})
+        assert np.array_equal(row, selfnorm_stat(kind, x, m=1.3, **{arg: np.tile(second[0], (40, 1))}))
+        assert out.shape == row.shape == (40,)

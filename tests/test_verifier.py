@@ -14,7 +14,7 @@ from scipy.stats import beta as scipy_beta
 
 from asymtail import selfnorm, verifier
 from asymtail.bounds import combined_bound_grid
-from asymtail.dist import bs, from_pairs, iid_sum, scale, weighted_bs_sum
+from asymtail.dist import RngSpec, bs, from_pairs, iid_sum, scale, weighted_bs_sum
 from asymtail.thresholds import m_star, p_star
 from asymtail.verifier import (
     McConfig,
@@ -539,6 +539,65 @@ class TestSupermartingaleMC:
         rep = supermartingale_mc(self._cfg("history_scaled", p=0.65, n=4),
                                  McConfig(seed=3, n_paths=30_000))
         assert rep.all_ok
+
+
+def _whole_step_block(cfg, rng, size):
+    """The supermartingale block as it was before its buffers: fresh
+    arrays at every step."""
+    p, q = cfg.p, 1.0 - cfg.p
+    ratio = q / p
+    c = np.asarray(cfg.coeffs, dtype=float)
+    sref = math.sqrt(float(np.sum(c * c)))
+    S = np.zeros(size)
+    sqrtab_excess = -math.inf
+    for i in range(cfg.n):
+        ci = c[i]
+        if cfg.rule == "constant":
+            A = B = ci
+        elif cfg.rule == "history_scaled":
+            sigma = 1.0 / (1.0 + (S / sref) ** 2)
+            B = ci * math.sqrt(ratio) * sigma
+            A = ci / math.sqrt(ratio) * sigma
+        else:
+            U = rng.random(size)
+            B = ci * ratio ** (0.5 * U)
+            A = ci * ratio ** (-0.5 * U)
+        sqrtab_excess = max(sqrtab_excess, float(np.max(np.sqrt(A * B))) / ci - 1.0)
+        take_up = rng.random(size) < A / (A + B)
+        S = S + np.where(take_up, B, -A)
+    return S, sqrtab_excess
+
+
+class TestBufferedBlock:
+    """`_simulate_block` writes every step into buffers it allocates once;
+    the sums and the sqrt(A B) excess must not move by a bit."""
+
+    @pytest.mark.parametrize("rule", ["constant", "history_scaled", "random_modulated"])
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_sums_match_the_fresh_array_steps(self, rule, n):
+        coeffs = tuple(np.random.default_rng(n).uniform(0.5, 1.5, size=n))
+        for p in (0.15, 0.5) + ((0.8,) if rule == "history_scaled" else ()):
+            cfg = SupermartingaleConfig(n=n, p=p, coeffs=coeffs, rule=rule)
+            for size in (1, 4095, 4096, 4097, 32_768, 40_000):
+                for seed in (1, 2, 3):
+                    got, got_ex = verifier._simulate_block(cfg, RngSpec(seed, 2).generator(), size)
+                    want, want_ex = _whole_step_block(cfg, RngSpec(seed, 2).generator(), size)
+                    assert got.tobytes() == want.tobytes(), (p, size, seed)
+                    assert got_ex == want_ex and type(got_ex) is type(want_ex)
+
+    @pytest.mark.parametrize("rule", ["constant", "random_modulated"])
+    def test_rule_guard_inside_the_block(self, rule):
+        # supermartingale_mc turns these rules away above p = 1/2 before
+        # any block runs, so only a direct call reaches the block's guard
+        cfg = SupermartingaleConfig(n=3, p=0.7, coeffs=(1.0, 0.8, 1.2), rule=rule)
+        with pytest.raises(VerifyError, match=r"B/A <= q/p"):
+            verifier._simulate_block(cfg, RngSpec(1).generator(), 100)
+
+    def test_history_scaled_passes_the_guard_above_one_half(self):
+        # its B/A is q/p at every step, so the guard lets it through
+        cfg = SupermartingaleConfig(n=3, p=0.7, coeffs=(1.0, 0.8, 1.2), rule="history_scaled")
+        S, excess = verifier._simulate_block(cfg, RngSpec(1).generator(), 100)
+        assert S.shape == (100,) and abs(excess) <= 1e-12
 
 
 def _cp_cases():
