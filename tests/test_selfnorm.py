@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from asymtail import selfnorm
-from asymtail.dist import FiniteDist, RngSpec, from_pairs
+from asymtail.dist import FiniteDist, RngSpec, _inverse_cdf, from_pairs, st
 from asymtail.selfnorm import (
     ReciprocatingMap,
     TwoPointDecomposition,
@@ -509,8 +509,6 @@ class TestSampledBlocks:
 def _whole_block_simulator(cfg, rm, hat):
     """The block simulator as it was before tiling: every (size, n) array
     at once, the second phase read from rng after the first."""
-    from asymtail.dist import _inverse_cdf, st
-
     def vw(x, r):
         w = x - r
         w *= w
