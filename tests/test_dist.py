@@ -200,13 +200,14 @@ def test_invalid_masses_rejected():
 
 
 @pytest.mark.parametrize("n_atoms,offsets", [
-    (3, range(-40, 41)),
-    (10_000, range(-40, 41)),
+    pytest.param(3, range(-40, 41), id="3"),
+    pytest.param(10_000, range(-40, 41), id="10000"),
     # np.add.reduce sums these pairwise, so only totals within
     # (27 + n.bit_length()) eps of the limit go to fsum: 88 ulps of 0.5 at
     # 10^5 atoms and 94 at 10^6; the offsets fall inside and outside it
-    (100_000, (-400, -120, -97, -80, -40, -3, -1, 0, 1, 3, 40, 80, 97, 120, 400)),
-    (1_000_000, (-400, -100, -60, -1, 0, 1, 60, 100, 400)),
+    pytest.param(100_000, (-400, -120, -97, -80, -40, -3, -1, 0, 1, 3, 40, 80, 97, 120, 400),
+                 id="100000"),
+    pytest.param(1_000_000, (-400, -100, -60, -1, 0, 1, 60, 100, 400), id="1000000"),
 ])
 def test_total_mass_verdict_is_the_fsum_rule(n_atoms, offsets):
     # totals 1 +- 1e-12 offset by k ulps of 0.5, on both sides of the

@@ -481,25 +481,25 @@ class TestSampledBlocks:
         rep = selfnorm_bound_check(self._cfg("vw"), McConfig(seed=1, n_paths=1_000))
         assert (rep.blocks, rep.workers) == (1, 1)
 
-    @pytest.mark.parametrize("kind", ["vw", "vym", "vsymm", "vhatsymm"])
-    def test_two_blocks_in_flight_stay_small(self, kind, monkeypatch):
+    def test_two_blocks_in_flight_stay_small(self, monkeypatch):
         # a block holds its (paths,) statistic and four arrays of one tile,
         # 2^15 entries each: about 1.3 MiB, so two threads stay under 4 MiB
         # (blocks that built whole (paths, n) arrays peaked at 16-17 MiB);
         # a small check first, so that the lazy imports and caches of a
         # first check are not counted
         monkeypatch.setenv("ASYMTAIL_THREADS", "2")
-        cfg = self._cfg(kind, n=10)
-        selfnorm_bound_check(cfg, McConfig(seed=1, n_paths=1_000))
         mc = McConfig(seed=2, n_paths=4 * 32_768, block=32_768)
-        tracemalloc.start()
-        try:
-            rep = selfnorm_bound_check(cfg, mc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.workers == 2
-        assert peak <= 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        for kind in ("vw", "vym", "vsymm", "vhatsymm"):
+            cfg = self._cfg(kind, n=10)
+            selfnorm_bound_check(cfg, McConfig(seed=1, n_paths=1_000))
+            tracemalloc.start()
+            try:
+                rep = selfnorm_bound_check(cfg, mc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.workers == 2
+            assert peak <= 4 * 2 ** 20, f"{kind}: peak {peak / 2 ** 20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
