@@ -8,20 +8,31 @@ and runs each one's own, unchanged perfbench/run.py there:
 - for every workload in the head's BENCHMARK.json and every seed 1-10,
   one pair of --trace 0 runs of BENCHMARK.json's run_seconds each, the
   side that runs first alternating from seed to seed;
-- then, per workload, one --trace 1 run of 4 s per side, at seed 1.
+- for every workload where the head meets the claim rule on some
+  metric, a control: ten more pairs in the same protocol, the base
+  against itself;
+- then, per workload, three --trace 1 runs of 4 s per side, at seeds
+  1-3, alternating which side runs first.
 
 The record holds, per workload and side, the median and quartiles of
 each end-to-end metric over the seeds, how many pairs the head won on
 it and whether the claim rule is met (claim_rule_met: the head better
 in at least nine tenths of the pairs, ties counting for neither, and its
 median better than the base's by more than the base's quartile spread
-q3 - q1), each run's output digest (and whether the two sides' agree at
-every seed), the quartiles of each side's minor page faults per run
-(information only: no claim rule reads them), and the traced per-layer
-metrics; and the machine (nproc, CPU model, Python, numpy and scipy
-versions) and both commit ids.  The runs
-go one at a time, so the record costs about 2 x workloads x 10 x
-(run_seconds + 5 s of cold starts).
+q3 - q1).  A metric that meets the rule carries its control, with the
+control's own head_better_pairs and claim_rule_met, and its `claim`
+reads "shown" only when the control does not meet the rule as well:
+otherwise drift alone could have met it, and the claim is
+"unresolved".  A metric that does not meet the rule reads "not met".
+The record also holds each run's output digest (and whether the two
+sides' agree at every seed), the quartiles of each side's minor page
+faults per run (information only: no claim rule reads them), and per
+traced per-layer metric each side's median, range and values, with
+`changed` true only where the two ranges do not overlap; and the
+machine (nproc, CPU model, Python, numpy and scipy versions), both
+commit ids and the record's wall time.  The runs go one at a time, so
+the record costs about 2 x workloads x 10 x (run_seconds + 5 s of cold
+starts), and as much again for each workload that claims.
 """
 from __future__ import annotations
 
@@ -43,6 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BUILD = ROOT / ".bench_build" / "record"
 RUN_TIMEOUT_S = 1800
 SEEDS = list(range(1, 11))
+TRACE_SEEDS = [1, 2, 3]
 TRACE_SECONDS = 4
 
 
@@ -128,15 +140,70 @@ def version(dist: str) -> str | None:
         return None
 
 
+def paired_runs(checkouts: dict[str, Path], wl: str, seconds: int, label: str) -> dict:
+    """The --trace 0 runs of one workload at every seed, per side, with
+    the side that runs first alternating from seed to seed."""
+    runs: dict[str, list[dict]] = {"base": [], "head": []}
+    for i, seed in enumerate(SEEDS):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        for side in order:
+            runs[side].append(run(checkouts[side], wl, seed, seconds, 0))
+            print(f"{wl} {label}seed {seed} {side}: " + ", ".join(
+                f"{k}={v['value']:.5g}" for k, v in runs[side][-1]["metrics"].items()),
+                flush=True)
+    return runs
+
+
+def compare(runs: dict, name: str, direction: str) -> dict:
+    vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+    return {"better": direction, "base": quartiles(vals["base"]),
+            "head": quartiles(vals["head"]),
+            "head_better_pairs": head_better_pairs(vals["base"], vals["head"], direction),
+            "pairs": len(SEEDS),
+            "claim_rule_met": claim_rule_met(vals["base"], vals["head"], direction)}
+
+
+def claim(metric: dict) -> str:
+    """"shown" where the head meets the claim rule and its base-against-
+    base control does not, "unresolved" where both do, else "not met"."""
+    if not metric["claim_rule_met"]:
+        return "not met"
+    return "unresolved" if metric["control"]["claim_rule_met"] else "shown"
+
+
+def spread(values: list[float]) -> dict:
+    return {"median": statistics.median(values), "min": min(values), "max": max(values),
+            "values": values}
+
+
+def traced_runs(checkouts: dict[str, Path], wl: str) -> dict:
+    """Per traced metric, each side's spread over TRACE_SEEDS, and whether
+    the two ranges are disjoint."""
+    runs: dict[str, list[dict]] = {"base": [], "head": []}
+    for i, seed in enumerate(TRACE_SEEDS):
+        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+            runs[side].append(run(checkouts[side], wl, seed, TRACE_SECONDS, 1)["metrics"])
+            print(f"{wl} traced seed {seed} {side}: done", flush=True)
+    out = {}
+    for name in dict.fromkeys(k for side in runs for r in runs[side] for k in r):
+        sides = {side: [r[name]["value"] for r in runs[side] if name in r] for side in runs}
+        out[name] = {side: spread(v) if v else None for side, v in sides.items()}
+        b, h = out[name]["base"], out[name]["head"]
+        out[name]["changed"] = bool(b and h and (h["max"] < b["min"] or h["min"] > b["max"]))
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD~1", help="the commit before the change")
     ap.add_argument("--head", default="HEAD", help="the commit with the change")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    started = time.monotonic()
 
     sides = dict(zip(("base", "head"), (export(args.base), export(args.head))))
-    spec = json.loads((sides["head"][1] / "BENCHMARK.json").read_text())
+    checkouts = {side: path for side, (_, path) in sides.items()}
+    spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
@@ -146,52 +213,47 @@ def main(argv=None) -> int:
         "machine": {"nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu_model(),
                     "python": platform.python_version(), "numpy": version("numpy"),
                     "scipy": version("scipy")},
-        "seeds": SEEDS, "seconds": seconds, "trace_seconds": TRACE_SECONDS,
+        "seeds": SEEDS, "seconds": seconds, "trace_seeds": TRACE_SEEDS,
+        "trace_seconds": TRACE_SECONDS,
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
     }
     for wl in (w["name"] for w in spec["workloads"]):
-        runs: dict[str, list[dict]] = {"base": [], "head": []}
-        for i, seed in enumerate(SEEDS):
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            for side in order:
-                runs[side].append(run(sides[side][1], wl, seed, seconds, 0))
-                print(f"{wl} seed {seed} {side}: " + ", ".join(
-                    f"{k}={v['value']:.5g}" for k, v in runs[side][-1]["metrics"].items()),
-                    flush=True)
-        entry = {"end_to_end": {}, "digests": {}, "correct": {},
+        runs = paired_runs(checkouts, wl, seconds, "")
+        entry = {"end_to_end": {name: compare(runs, name, direction)
+                                for name, direction in better.items()},
+                 "digests": {side: [r["digest"] for r in runs[side]] for side in runs},
+                 "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
                  "minor_faults": {side: quartiles([r["minor_faults"] for r in runs[side]])
                                   for side in runs}}
-        for name, direction in better.items():
-            vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-            entry["end_to_end"][name] = {
-                "better": direction, "base": quartiles(vals["base"]),
-                "head": quartiles(vals["head"]),
-                "head_better_pairs": head_better_pairs(vals["base"], vals["head"], direction),
-                "pairs": len(SEEDS),
-                "claim_rule_met": claim_rule_met(vals["base"], vals["head"], direction)}
-        for side in runs:
-            entry["digests"][side] = [r["digest"] for r in runs[side]]
-            entry["correct"][side] = all(r["correct"] for r in runs[side])
         entry["digests_match"] = entry["digests"]["base"] == entry["digests"]["head"]
-        entry["traced"] = {}
-        for side in ("base", "head"):
-            traced = run(sides[side][1], wl, SEEDS[0], TRACE_SECONDS, 1)
-            entry["traced"][side] = {k: v["value"] for k, v in traced["metrics"].items()}
-            print(f"{wl} traced {side}: done", flush=True)
+        claiming = [name for name, m in entry["end_to_end"].items() if m["claim_rule_met"]]
+        if claiming:
+            control = paired_runs({"base": checkouts["base"], "head": checkouts["base"]},
+                                  wl, seconds, "control ")
+            for name in claiming:
+                entry["end_to_end"][name]["control"] = compare(control, name, better[name])
+        for m in entry["end_to_end"].values():
+            m["claim"] = claim(m)
+        entry["traced"] = traced_runs(checkouts, wl)
         record["workloads"][wl] = entry
         args.out.write_text(json.dumps(record, indent=1) + "\n")   # partial results survive
     record["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    record["wall_s"] = round(time.monotonic() - started, 1)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for wl, entry in record["workloads"].items():
         for name, m in entry["end_to_end"].items():
+            control = (f", control {m['control']['head_better_pairs']}/{m['pairs']}"
+                       if "control" in m else "")
             print(f"{wl:<12} {name:<12} base {m['base']['median']:<12.5g} "
                   f"head {m['head']['median']:<12.5g} head better in "
-                  f"{m['head_better_pairs']}/{m['pairs']} pairs, claim rule "
-                  f"{'met' if m['claim_rule_met'] else 'not met'}")
+                  f"{m['head_better_pairs']}/{m['pairs']} pairs{control}, claim {m['claim']}")
+        changed = [name for name, t in entry["traced"].items() if t["changed"]]
         print(f"{wl:<12} digests {'identical' if entry['digests_match'] else 'DIFFER'}, "
               f"minor faults per run base {entry['minor_faults']['base']['median']:.0f} "
-              f"head {entry['minor_faults']['head']['median']:.0f}")
+              f"head {entry['minor_faults']['head']['median']:.0f}, traced ranges apart on "
+              f"{', '.join(changed) or 'none'}")
+    print(f"record took {record['wall_s']:.0f} s")
     return 0
 
 

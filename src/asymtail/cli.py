@@ -206,6 +206,7 @@ def _cmd_selfnorm(args) -> int:
         "seed": rep.seed,
         "blocks": rep.blocks,
         "workers": rep.workers,
+        "paths_per_s": rep.paths_per_s,
         "all_ok": rep.all_ok,
         "rows": [dataclasses.asdict(r) for r in rep.rows],
     }

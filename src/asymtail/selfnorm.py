@@ -26,14 +26,18 @@ levels, which a guide table over [0, g_total] finds the same way, and a
 tables once, and the pool threads share them read-only.
 `ReciprocatingMap.reciprocate` and `selfnorm_stat` are thin wrappers
 over the same private helpers.  A block of paths runs in tiles of at
-most 2^15 coordinates, in four buffers of one tile that it reuses: a
-tile reads its atom draws from the block's generator, and its second
-draws from a copy of that generator advanced past the block's atom
-draws (`dist._advanced`), so every path draws what an untiled block
-would.  The blocks run on
-`verifier.tail_counts`, so they share the supermartingale check's
-thread pool and per-block streams, and the counts are the same at any
-ASYMTAIL_THREADS.  The rows and the report come from `verifier` too:
+most 2^15 coordinates, in four buffers of one tile that its thread
+lends it from block to block: a tile reads its atom draws from the
+block's generator, and its second draws from a copy of that generator
+advanced past the block's atom draws (`dist._advanced`), so every path
+draws what an untiled block would.  For vw and vym a coordinate's
+denominator term, (x - r)^2 or |x r|^m, depends only on its atom and
+its harvest slice, so a check tabulates the terms once, one row of
+slices per atom, with the same ufuncs, and a tile takes its terms from
+that table.  The blocks run on `verifier.tail_counts`, so they share
+the supermartingale check's thread pool and per-block streams, and the
+counts are the same at any ASYMTAIL_THREADS.  The rows and the report
+come from `verifier` too:
 `verifier.mc_rows` adds the Clopper-Pearson limits, and a check returns
 a `verifier.McReport` whose rows name their bound curve ("normal" for
 vw, "lc" for the point-hull kinds).
@@ -54,7 +58,7 @@ from .majorant import lc_majorant
 from .thresholds import SQRT2_MINUS_1, c_const, m_star
 # `beta_dist` stays importable here: perfbench/tracer.py patches selfnorm.beta_dist
 from .verifier import beta_dist  # noqa: F401
-from .verifier import McConfig, McReport, mc_rows, tail_counts
+from .verifier import McConfig, McReport, _block_buffers, mc_rows, tail_counts
 
 
 class SelfNormError(ValueError):
@@ -139,14 +143,16 @@ class ReciprocatingMap:
         return side_x[np.minimum(np.concatenate(([0], below)), side_x.size - 1)]
 
     def _slice_index(self, j: np.ndarray, u: np.ndarray, work: np.ndarray,
-                     out: np.ndarray) -> np.ndarray:
+                     out: np.ndarray, row_start: np.ndarray | None = None) -> np.ndarray:
         """Flat index into the partner table for atoms j at uniforms u,
         written into out (intp) and returned.
 
         The level h0[j] + u span[j], clipped to [0, g_total], picks the
-        slice; the side of atom j picks the row.  u and work must be
-        C-contiguous float64 arrays of j's shape, and both are
-        overwritten.
+        slice; the side of atom j picks the row.  With row_start (int64,
+        one entry per atom) the row of atom j starts at row_start[j]
+        instead, which indexes a table of levels.size + 1 slices per
+        atom.  u and work must be C-contiguous float64 arrays of j's
+        shape, and both are overwritten.
         """
         # j is in range, and mode "clip" writes straight to `out` where
         # "raise" would buffer it
@@ -156,7 +162,7 @@ class ReciprocatingMap:
         self._slices(u, out=out)
         # the levels are spent, so u's buffer takes the row offsets
         rows = u.view(np.int64)
-        np.take(self._row_start, j, out=rows, mode="clip")
+        np.take(self._row_start if row_start is None else row_start, j, out=rows, mode="clip")
         out += rows
         return out
 
@@ -304,18 +310,28 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 # One helper per kind.  Each overwrites its second argument and leaves
 # the first alone, so the Monte Carlo blocks run them in buffers they own;
-# a row's statistic depends on that row alone.
+# a row's statistic depends on that row alone.  vw and vym split in two:
+# the denominator term of each coordinate (`_vw_terms`, `_vym_terms`),
+# which the blocks tabulate once per law, and the row's ratio.
 
-def _vw(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _vw_terms(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     w = np.subtract(x, r, out=r)
     w *= w
+    return w
+
+
+def _vw(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _safe_ratio(x.sum(axis=1), 0.5 * np.sqrt(w.sum(axis=1)))
 
 
-def _vym(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
+def _vym_terms(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
     y = np.multiply(x, r, out=r)
     np.abs(y, out=y)
     y **= m
+    return y
+
+
+def _vym(x: np.ndarray, y: np.ndarray, m: float) -> np.ndarray:
     return _safe_ratio(x.sum(axis=1), y.sum(axis=1) ** (1.0 / (2.0 * m)))
 
 
@@ -360,7 +376,7 @@ def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
         if r is None:
             raise SelfNormError(f"{kind} needs the reciprocated values r")
         r = _own(r, x.shape)
-        return _vw(x, r) if kind == "vw" else _vym(x, r, m)
+        return _vw(x, _vw_terms(x, r)) if kind == "vw" else _vym(x, _vym_terms(x, r, m), m)
     if kind == "vsymm":
         if multipliers is None:
             raise SelfNormError("vsymm needs the symmetric multipliers")
@@ -440,8 +456,17 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     max(1, _TILE // n) rows.  A tile reads its atoms from rng and its
     second draws from `dist._advanced(rng, size * n)`, a copy of rng
     that starts after the first phase, and writes its statistic into the
-    block's (size,) array, so a block holds one tile's arrays at a time.
-    It runs on pool threads, so it calls only private helpers.
+    block's (size,) array.  Its four arrays are borrowed for the block
+    from the thread's last block (`verifier._block_buffers`), so a
+    thread holds one tile's arrays from block to block.
+
+    For vw and vym a coordinate's denominator term depends only on its
+    atom and its slice, so the simulator tabulates it once per check,
+    with the ufuncs of `_vw_terms` or `_vym_terms`: entry
+    atom * (slices + 1) + slice holds (x - partner)^2 or
+    |x partner|^m.  A tile then takes its terms from the table in one
+    `take`, and every term is the one the ufuncs give on the tile, bit
+    for bit.  It runs on pool threads, so it calls only private helpers.
     """
     n = cfg.n
     rows = max(1, _TILE // n)
@@ -452,14 +477,23 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     # overwrites all four.  The takes run in mode "clip", which writes
     # straight to `out`: every index is in range.
     if rm is not None:
-        stat = _vw if cfg.kind == "vw" else (lambda x, r: _vym(x, r, cfg.m))
+        stride = rm.levels.size + 1
+        # each atom's row of partners, one per slice, made into its terms
+        partners = rm._partners[rm._row_start // stride]
+        atom_x = np.broadcast_to(values[:, None], partners.shape)
+        if cfg.kind == "vw":
+            terms, ratio = _vw_terms(atom_x, partners), _vw
+        else:
+            terms, ratio = _vym_terms(atom_x, partners, cfg.m), lambda x, y: _vym(x, y, cfg.m)
+        terms = terms.ravel()
+        term_start = np.arange(values.size, dtype=np.int64) * stride
 
         def tile(u, second, f, k, j):
             atoms(u, out=j)
             second.random(out=u)
-            idx = rm._slice_index(j, u, f, k)
+            idx = rm._slice_index(j, u, f, k, term_start)
             x = values.take(j, out=u, mode="clip")
-            return stat(x, rm._partners.take(idx, out=f, mode="clip"))
+            return ratio(x, terms.take(idx, out=f, mode="clip"))
     elif cfg.kind == "vsymm":
         mult_law = st(cfg.p)
         mult_values, mults = mult_law.values, _inverse_cdf(np.cumsum(mult_law.masses))
@@ -485,12 +519,12 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
         second = _advanced(rng, size * n)
         out = np.empty(size)
         shape = (min(rows, size), n)
-        u, f = np.empty(shape), np.empty(shape)
-        k, j = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
-        for start in range(0, size, rows):
-            t = min(rows, size - start)
-            rng.random(out=u[:t])
-            out[start:start + t] = tile(u[:t], second, f[:t], k[:t], j[:t])
+        with _block_buffers((shape, float), (shape, float), (shape, np.intp),
+                            (shape, np.intp)) as (u, f, k, j):
+            for start in range(0, size, rows):
+                t = min(rows, size - start)
+                rng.random(out=u[:t])
+                out[start:start + t] = tile(u[:t], second, f[:t], k[:t], j[:t])
         return out, None
     return simulate
 
@@ -529,4 +563,5 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> McReport:
     tc = tail_counts(_block_simulator(cfg, rm, hat), xs, mc)
     rows = mc_rows(xs, tc, bounds, [_CURVE_NAMES[cfg.kind]] * len(xs), mc.confidence)
     return McReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,
-                    seed=mc.seed, blocks=tc.blocks, workers=tc.workers)
+                    seed=mc.seed, blocks=tc.blocks, workers=tc.workers,
+                    paths_per_s=tc.paths_per_s)

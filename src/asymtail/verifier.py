@@ -29,17 +29,26 @@ above the exact one.
 `tail_counts` and `mc_rows` are the one Monte Carlo path.
 `tail_counts` splits the paths into blocks, gives block i child stream
 i of the seed, spreads the blocks over at most ASYMTAIL_THREADS threads
-and counts the tail per block.  `mc_rows` turns the counts into one
-`McRow` per x: the Clopper-Pearson lower limit, the bound, its name and
-the margin between them.  The supermartingale check here and the
-self-normalized checks in `selfnorm` both run on them and report an
-`McReport`, so their counts are the same at any thread count.
+and counts the tail per block.  The threads are the process's one pool
+(`_BlockPool`): built on first use, kept from check to check, rebuilt
+when ASYMTAIL_THREADS changes and forgotten in a forked child.  A
+thread lends each block it runs the same scratch buffer
+(`_block_buffers`), so a check's blocks take turns with one working set
+per thread.  `mc_rows` turns the counts into one `McRow` per x: the
+Clopper-Pearson lower limit, the bound, its name and the margin between
+them.  The supermartingale check here and the self-normalized checks in
+`selfnorm` both run on them and report an `McReport`, with the paths
+per second of the `tail_counts` call, so their counts are the same at
+any thread count.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -490,6 +499,90 @@ class TailCounts:
     blocks: int
     workers: int         # threads actually used: 1 when there is one block
     extras: list         # simulate's per-block extra, in block order
+    paths_per_s: float   # n_paths over the wall time of the tail_counts call
+
+
+class _BlockPool:
+    """The process's one pool of Monte Carlo worker threads.
+
+    It is built on first use with `size` threads (ASYMTAIL_THREADS) and
+    kept for the next check; a call with another size shuts the old pool
+    down, once its queued blocks have run, and builds a new one.  The
+    threads mark themselves, so a block that calls `tail_counts` runs
+    that call's blocks inline instead of waiting on its own pool.  A
+    forked child inherits the pool's object but none of its threads, so
+    it forgets the pool and builds its own.
+    """
+
+    def __init__(self):
+        self._forget()
+        if hasattr(os, "register_at_fork"):   # POSIX only; elsewhere nothing forks
+            os.register_at_fork(after_in_child=self._forget)
+
+    def _forget(self) -> None:
+        self._lock = threading.Lock()
+        self._executor: ThreadPoolExecutor | None = None
+        self._size = 0
+        self._marks = threading.local()
+
+    def in_worker(self) -> bool:
+        return getattr(self._marks, "worker", False)
+
+    def _mark(self) -> None:
+        self._marks.worker = True
+
+    def map(self, fn, n: int, size: int) -> list:
+        """[fn(0), ..., fn(n - 1)] run on the pool, once every call is done;
+        the first call that raised raises here."""
+        with self._lock:
+            if self._size != size:
+                if self._executor is not None:
+                    self._executor.shutdown(wait=False)
+                self._executor = ThreadPoolExecutor(
+                    max_workers=size, thread_name_prefix="asymtail-mc", initializer=self._mark)
+                self._size = size
+            futures = [self._executor.submit(fn, i) for i in range(n)]
+        wait(futures)
+        return [f.result() for f in futures]
+
+
+_pool = _BlockPool()
+
+
+class _Spares(threading.local):
+    def __init__(self):
+        self.buffers: list[np.ndarray] = []
+
+
+_spares = _Spares()
+# A thread keeps a block's buffer for its next block up to this size; a
+# larger one (a self-normalized tile row of over 2^17 coordinates) is freed.
+_KEEP_BYTES = 1 << 22
+
+
+@contextmanager
+def _block_buffers(*specs):
+    """Arrays of the given (shape, dtype) specs, uninitialized, carved
+    from one buffer that the calling thread keeps for its next block.
+
+    A thread's blocks run one after another, so they take turns with one
+    working set, and the heap is not grown and trimmed again for each
+    block; a nested call (a block that runs `tail_counts`) finds the
+    thread's buffer taken and makes another.  The arrays are valid only
+    inside the `with` body.
+    """
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    starts = np.cumsum([0] + [-(-b // 64) * 64 for b in sizes])   # 64-byte aligned
+    spare = _spares.buffers
+    buf = spare.pop() if spare else None
+    if buf is None or buf.nbytes < starts[-1]:
+        buf = np.empty(int(starts[-1]), dtype=np.uint8)
+    try:
+        yield [buf[a:a + b].view(dtype).reshape(shape)
+               for a, b, (shape, dtype) in zip(starts.tolist(), sizes, specs)]
+    finally:
+        if buf.nbytes <= _KEEP_BYTES:
+            spare.append(buf)
 
 
 def tail_counts(simulate, xs, mc: McConfig) -> TailCounts:
@@ -499,14 +592,19 @@ def tail_counts(simulate, xs, mc: McConfig) -> TailCounts:
     path, and any per-block value the caller wants back.  Block i draws
     from child stream i of mc.seed, so the counts do not depend on how
     the blocks are spread over threads.  ASYMTAIL_THREADS caps the
-    thread count; it is read here and nowhere else.  A simulation runs
-    on a pool thread, so it must call only what may run concurrently.
-    Up to ASYMTAIL_THREADS blocks are in flight at once, each with its
-    own working set: the statistic of its paths, and the arrays it
-    reuses from step to step or tile to tile (six arrays of the block's
-    size for a supermartingale block; four of one tile, at most 2^15
-    entries each, for a self-normalized one).
+    thread count; it is read here and nowhere else.  With one block, or
+    a cap of 1, the blocks run on the calling thread; otherwise they run
+    on the process's one pool of ASYMTAIL_THREADS worker threads, which
+    persists from check to check (a call made from inside a block runs
+    inline).  A simulation runs on a pool thread, so it must call only
+    what may run concurrently.  Up to ASYMTAIL_THREADS blocks are in
+    flight at once, each with its own working set: the statistic of its
+    paths, and the arrays it reuses from step to step or tile to tile
+    (five arrays of the block's size for a supermartingale block; four
+    of one tile, at most 2^15 entries each, for a self-normalized one),
+    which `_block_buffers` lends it from its thread's last block.
     """
+    start = time.perf_counter()
     xs = np.asarray(xs, dtype=float)
     n_blocks = (mc.n_paths + mc.block - 1) // mc.block
     sizes = [min(mc.block, mc.n_paths - i * mc.block) for i in range(n_blocks)]
@@ -524,13 +622,13 @@ def tail_counts(simulate, xs, mc: McConfig) -> TailCounts:
     if cap < 1:
         raise VerifyError(f"ASYMTAIL_THREADS must be a positive integer, got {threads!r}")
     workers = min(n_blocks, cap)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            blocks = list(ex.map(run_block, range(n_blocks)))
+    if workers > 1 and not _pool.in_worker():
+        blocks = _pool.map(run_block, n_blocks, cap)
     else:
         blocks = [run_block(i) for i in range(n_blocks)]
     return TailCounts(counts=sum(c for c, _ in blocks), n_paths=mc.n_paths,
-                      blocks=n_blocks, workers=workers, extras=[e for _, e in blocks])
+                      blocks=n_blocks, workers=workers, extras=[e for _, e in blocks],
+                      paths_per_s=mc.n_paths / (time.perf_counter() - start))
 
 
 @dataclass(frozen=True)
@@ -550,59 +648,60 @@ def _simulate_block(cfg: SupermartingaleConfig, rng: np.random.Generator,
                     size: int) -> tuple[np.ndarray, float]:
     """Final sums of `size` paths, and the largest sqrt(A B) / c_i - 1 seen.
 
-    The block's working set is allocated once: the sums S, the uniforms,
-    A, B, one work array and the take-up mask, each of `size` entries.
-    Every step writes into them with `out=` ufuncs, and adds B or takes
-    away A by multiplying with the mask (exact: the other term is 0.0),
-    which is the step S + where(take_up, B, -A) bit for bit.
+    The block's working set is the sums S, which it returns, and five
+    arrays of `size` entries that it borrows from its thread's last block
+    (`_block_buffers`): the uniforms, A, B, one work array and the
+    take-up mask.  Every step writes into them with `out=` ufuncs, and
+    adds B or takes away A by multiplying with the mask (exact: the
+    other term is 0.0), which is the step S + where(take_up, B, -A) bit
+    for bit.
     """
     p, q = cfg.p, 1.0 - cfg.p
     ratio = q / p
     c = np.asarray(cfg.coeffs, dtype=float)
     sref = math.sqrt(float(np.sum(c * c)))
     S = np.zeros(size)
-    U, A, B, work = (np.empty(size) for _ in range(4))
-    take_up = np.empty(size, dtype=bool)
     sqrtab_excess = -math.inf
-    for i in range(cfg.n):
-        ci = c[i]
-        if cfg.rule == "constant":
-            # scalars: the checks and the step below broadcast them
-            a = b = ci
-            top_ab, top_ba = np.sqrt(ci * ci), ci / ci
-        else:
-            if cfg.rule == "history_scaled":
-                # sigma = 1 / (1 + (S / sref)^2)
-                sigma = np.divide(S, sref, out=work)
-                np.square(sigma, out=sigma)
-                sigma += 1.0
-                np.divide(1.0, sigma, out=sigma)
-                np.multiply(sigma, ci * math.sqrt(ratio), out=B)
-                np.multiply(sigma, ci / math.sqrt(ratio), out=A)
-            else:  # random_modulated: B = c_i ratio^(U/2), A = c_i ratio^(-U/2)
-                rng.random(out=U)
-                np.power(ratio, np.multiply(U, 0.5, out=work), out=B)
-                B *= ci
-                np.power(ratio, np.multiply(U, -0.5, out=work), out=A)
-                A *= ci
-            a, b = A, B
-            # sqrt is monotone and correctly rounded: the root of the
-            # largest product is the largest root
-            top_ab = np.sqrt(np.max(np.multiply(A, B, out=work)))
-            top_ba = np.max(np.divide(B, A, out=work))
-        sqrtab_excess = max(sqrtab_excess, float(top_ab) / ci - 1.0)
-        if sqrtab_excess > 1e-12:
-            raise VerifyError("rule breaks sqrt(A B) <= c_i")
-        if top_ba > ratio * (1.0 + 1e-12):
-            raise VerifyError("rule breaks B/A <= q/p")
-        rng.random(out=U)
-        if cfg.rule == "constant":
-            up = a / (a + b)
-        else:
-            up = np.divide(A, np.add(A, B, out=work), out=work)
-        np.less(U, up, out=take_up)
-        S += np.multiply(take_up, b, out=work)
-        S -= np.multiply(np.logical_not(take_up, out=take_up), a, out=work)
+    with _block_buffers(*[((size,), float)] * 4, ((size,), bool)) as (U, A, B, work, take_up):
+        for i in range(cfg.n):
+            ci = c[i]
+            if cfg.rule == "constant":
+                # scalars: the checks and the step below broadcast them
+                a = b = ci
+                top_ab, top_ba = np.sqrt(ci * ci), ci / ci
+            else:
+                if cfg.rule == "history_scaled":
+                    # sigma = 1 / (1 + (S / sref)^2)
+                    sigma = np.divide(S, sref, out=work)
+                    np.square(sigma, out=sigma)
+                    sigma += 1.0
+                    np.divide(1.0, sigma, out=sigma)
+                    np.multiply(sigma, ci * math.sqrt(ratio), out=B)
+                    np.multiply(sigma, ci / math.sqrt(ratio), out=A)
+                else:  # random_modulated: B = c_i ratio^(U/2), A = c_i ratio^(-U/2)
+                    rng.random(out=U)
+                    np.power(ratio, np.multiply(U, 0.5, out=work), out=B)
+                    B *= ci
+                    np.power(ratio, np.multiply(U, -0.5, out=work), out=A)
+                    A *= ci
+                a, b = A, B
+                # sqrt is monotone and correctly rounded: the root of the
+                # largest product is the largest root
+                top_ab = np.sqrt(np.max(np.multiply(A, B, out=work)))
+                top_ba = np.max(np.divide(B, A, out=work))
+            sqrtab_excess = max(sqrtab_excess, float(top_ab) / ci - 1.0)
+            if sqrtab_excess > 1e-12:
+                raise VerifyError("rule breaks sqrt(A B) <= c_i")
+            if top_ba > ratio * (1.0 + 1e-12):
+                raise VerifyError("rule breaks B/A <= q/p")
+            rng.random(out=U)
+            if cfg.rule == "constant":
+                up = a / (a + b)
+            else:
+                up = np.divide(A, np.add(A, B, out=work), out=work)
+            np.less(U, up, out=take_up)
+            S += np.multiply(take_up, b, out=work)
+            S -= np.multiply(np.logical_not(take_up, out=take_up), a, out=work)
     return S, sqrtab_excess
 
 
@@ -627,6 +726,7 @@ class McReport:
     seed: int
     blocks: int
     workers: int
+    paths_per_s: float   # measured: it varies from run to run
 
     @property
     def all_ok(self) -> bool:
@@ -685,7 +785,7 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
                    mc.confidence)
     return SupermartingaleReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,
                                  seed=mc.seed, blocks=tc.blocks, workers=tc.workers,
-                                 max_sqrtab_excess=max(tc.extras))
+                                 paths_per_s=tc.paths_per_s, max_sqrtab_excess=max(tc.extras))
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +886,7 @@ def run_supermartingale_suite(seed: int = 0, n_paths: int = 200_000) -> list[Che
             name=f"supermartingale_{cfg.rule}_p{cfg.p:g}", passed=rep.all_ok,
             metric=worst, threshold=0.0,
             details={"n_paths": rep.n_paths, "seed": rep.seed, "blocks": rep.blocks,
-                     "workers": rep.workers,
+                     "workers": rep.workers, "paths_per_s": rep.paths_per_s,
                      "rows": [{"x": r.x, "emp": r.empirical, "bound": r.bound,
                                "cp_lower": r.cp_lower, "margin": r.margin,
                                "bound_name": r.bound_name}

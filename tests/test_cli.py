@@ -233,10 +233,11 @@ class TestSelfnormCommand:
         assert [r["bound_name"] for r in rows] == ["normal"] * len(rows)
 
     def test_deterministic_stdout(self):
-        # everything but the measured timings repeats exactly
+        # everything but the measured timings and path rate repeats exactly
         a, b = (json.loads(run_cli(*self.ARGS).stdout) for _ in range(2))
         for body in (a, b):
             del body["manifest"]["timings"]
+            assert body.pop("paths_per_s") > 0.0
         assert a == b
 
     def test_bad_config_exit_2(self):

@@ -70,3 +70,77 @@ def test_record_keeps_each_runs_minor_faults(bench_record, tmp_path, monkeypatch
     assert entry["minor_faults"]["base"]["values"] == [100 * s + 1000 for s in seeds]
     assert entry["minor_faults"]["head"]["median"] == 550.0
     assert entry["digests_match"]
+
+
+def test_record_controls_each_claim_and_compares_three_traced_runs(bench_record, tmp_path,
+                                                                    monkeypatch):
+    # fake checkouts and perfbench children for two workloads:
+    # - "gain": the head checkout is 50 faster at every seed, so the
+    #   base-against-base control shows nothing and the claim is shown;
+    # - "drift": each pair's run in the head's slot is 50 faster, whatever
+    #   the checkout, so the control meets the rule too: unresolved.
+    # The traced runs give layer.a ranges that do not overlap and layer.b
+    # ranges that do.
+    spec = {"run_seconds": 1, "workloads": [{"name": "gain"}, {"name": "drift"}],
+            "end_to_end": [{"name": "work_per_s", "better": "higher"},
+                           {"name": "setup_s", "better": "lower"}]}
+    sides = {}
+    for side in ("base", "head"):
+        sides[side] = tmp_path / side
+        sides[side].mkdir()
+        (sides[side] / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = {"untraced": 0, "traced": []}
+
+    def fake_run(cmd, cwd, **kwargs):
+        wl = cmd[cmd.index("--workload") + 1]
+        seed, trace = int(cmd[cmd.index("--seed") + 1]), int(cmd[cmd.index("--trace") + 1])
+        head = cwd == sides["head"]
+        if trace:
+            calls["traced"].append((wl, seed, "head" if head else "base"))
+            metrics = {"layer.a.busy_s": 1.0 + 0.1 * seed - (0.5 if head else 0.0),
+                       "layer.b.busy_s": 1.0 + 0.1 * seed - (0.05 if head else 0.0)}
+        else:
+            # pairs alternate which side runs first, so the head's slot
+            # is the second run of an even pair and the first of an odd one
+            k = calls["untraced"]
+            calls["untraced"] += 1
+            head_slot = (k % 2 == 1) == ((k // 2) % 2 == 0)
+            faster = head if wl == "gain" else head_slot
+            metrics = {"work_per_s": 100.0 + seed + (50.0 if faster else 0.0), "setup_s": 0.5}
+        result = {"metrics": {k: {"value": v} for k, v in metrics.items()}, "correct": True}
+        out = f'provenance {{"digest": "d{seed}"}}\n' + json.dumps(result) + "\n"
+        return types.SimpleNamespace(returncode=0, stdout=out, stderr="")
+
+    main = bench_record["main"]
+    monkeypatch.setitem(main.__globals__, "export", lambda rev: (rev, sides[rev]))
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert main(["--base", "base", "--head", "head", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    pairs = len(bench_record["SEEDS"])
+    # two workloads of ten pairs, and one control of ten pairs each
+    assert calls["untraced"] == 2 * 2 * 2 * pairs
+    assert record["wall_s"] >= 0.0
+    for wl, verdict in (("gain", "shown"), ("drift", "unresolved")):
+        e2e = record["workloads"][wl]["end_to_end"]
+        work = e2e["work_per_s"]
+        assert (work["head_better_pairs"], work["claim_rule_met"]) == (pairs, True)
+        assert work["claim"] == verdict
+        assert work["control"]["pairs"] == pairs
+        # setup_s ties in every pair: no claim, so no control
+        assert e2e["setup_s"]["claim"] == "not met" and "control" not in e2e["setup_s"]
+    control = record["workloads"]["gain"]["end_to_end"]["work_per_s"]["control"]
+    assert (control["head_better_pairs"], control["claim_rule_met"]) == (0, False)
+    assert record["workloads"]["drift"]["end_to_end"]["work_per_s"]["control"][
+        "head_better_pairs"] == pairs
+    # three traced runs per side, at seeds 1-3, alternating which runs first
+    assert calls["traced"][:6] == [("gain", 1, "base"), ("gain", 1, "head"),
+                                   ("gain", 2, "head"), ("gain", 2, "base"),
+                                   ("gain", 3, "base"), ("gain", 3, "head")]
+    traced = record["workloads"]["gain"]["traced"]
+    a = traced["layer.a.busy_s"]
+    assert a["base"]["values"] == pytest.approx([1.1, 1.2, 1.3])
+    assert (a["head"]["median"], a["head"]["min"], a["head"]["max"]) == pytest.approx(
+        (0.7, 0.6, 0.8))
+    assert a["changed"] is True
+    assert traced["layer.b.busy_s"]["changed"] is False

@@ -574,9 +574,25 @@ def _whole_block_simulator(cfg, rm, hat):
 # zero-mean, with an atom at zero and a slice split on both sides
 ZERO4 = from_pairs([(-1.5, 0.2), (-0.5, 0.3), (0.0, 0.2), (1.0, 0.15), (2.0, 0.15)])
 SYM_ZERO = from_pairs([(-2.0, 0.15), (-0.5, 0.2), (0.0, 0.3), (0.5, 0.2), (2.0, 0.15)])
+
+
+def _many_slices():
+    """Zero-mean, four negative atoms, an atom at zero and three positive
+    atoms: the harvest levels cut it into 8 slices."""
+    neg, wn = np.array([-2.0, -1.2, -0.7, -0.3]), np.array([0.1, 0.15, 0.1, 0.12])
+    pos, wp = np.array([0.4, 1.1, 2.5]), np.array([0.2, 0.1, 0.08])
+    wp *= (wn @ -neg) / (wp @ pos)
+    total = wn.sum() + wp.sum() + 0.1
+    return from_pairs(zip(np.r_[neg, 0.0, pos], np.r_[wn, 0.1, wp] / total))
+
+
+MANY_SLICES = _many_slices()
 TILE_CFGS = {
     "vw": lambda n: SelfNormConfig(base=ZERO4, n=n, kind="vw"),
     "vym": lambda n: SelfNormConfig(base=ZERO4, n=n, kind="vym", m=m_star(0.25), p=0.25),
+    # the term table has one row of 8 slices per atom; m is not an integer
+    "vym_many_slices": lambda n: SelfNormConfig(base=MANY_SLICES, n=n, kind="vym", m=1.37,
+                                                p=0.2),
     "vsymm": lambda n: SelfNormConfig(base=SYM_ZERO, n=n, kind="vsymm", p=0.8),
     "vhatsymm": lambda n: SelfNormConfig(base=SYM_ZERO, n=n, kind="vhatsymm", p=0.7),
 }
@@ -599,6 +615,9 @@ class TestTiledBlocks:
     """Tiles read the same uniforms as the whole-block simulation, and
     each row's statistic depends on that row alone, so the statistic is
     the same bit for bit at any tile boundary."""
+
+    def test_many_slices_law_has_six_or_more_slices(self):
+        assert ReciprocatingMap(MANY_SLICES).levels.size + 1 >= 6
 
     @pytest.mark.parametrize("kind", sorted(TILE_CFGS))
     @pytest.mark.parametrize("n", [1, 4, 10, 40_000])

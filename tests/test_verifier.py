@@ -1,8 +1,12 @@
 """Certificate checks: delta polynomials, exact enumeration, Schur sweeps,
 exactness witnesses, and the supermartingale Monte Carlo harness."""
 import dataclasses
+import json
 import math
 import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import mpmath
@@ -495,6 +499,10 @@ class TestSupermartingaleMC:
         assert (tc.n_paths, tc.blocks, tc.workers) == (10_000, 3, 3)
         assert tc.counts[0] == 10_000 and tc.counts[2] == 0
 
+    def test_reports_carry_a_measured_path_rate(self):
+        rep = supermartingale_mc(self._cfg("constant"), McConfig(seed=2, n_paths=5_000))
+        assert math.isfinite(rep.paths_per_s) and rep.paths_per_s > 0.0
+
     def test_guards(self):
         with pytest.raises(VerifyError):
             supermartingale_mc(self._cfg("constant", p=0.7),
@@ -744,6 +752,147 @@ class TestClopperPearson:
                                                                rel=1e-12, abs=0.0)
 
 
+def _block_threads(rng, size):
+    """A block whose extra is the thread that ran it."""
+    return rng.random(size), threading.get_ident()
+
+
+def _paired_blocks(inner=None):
+    """Blocks that wait for each other two by two, so two threads run
+    them; each returns its thread, after calling inner() if given."""
+    barrier = threading.Barrier(2, timeout=30)
+
+    def simulate(rng, size):
+        barrier.wait()
+        extra = inner() if inner is not None else None
+        return rng.random(size), (extra, threading.get_ident())
+    return simulate
+
+
+class TestBlockPool:
+    """The Monte Carlo blocks run on one process-wide pool of threads."""
+
+    MC = McConfig(seed=4, n_paths=16_384, block=4_096)   # four blocks
+
+    def test_pool_is_reused_across_checks(self, monkeypatch):
+        monkeypatch.setenv("ASYMTAIL_THREADS", "2")
+        first = verifier.tail_counts(_paired_blocks(), [0.5], self.MC)
+        pool = verifier._pool._executor
+        second = verifier.tail_counts(_paired_blocks(), [0.5], self.MC)
+        assert verifier._pool._executor is pool
+        assert first.workers == second.workers == 2
+        # the same two threads ran both checks, and neither was this one
+        threads = {t for _, t in first.extras}
+        assert {t for _, t in second.extras} == threads
+        assert len(threads) == 2 and threading.get_ident() not in threads
+        assert list(first.counts) == list(second.counts)
+
+    def test_pool_is_rebuilt_when_the_thread_cap_changes(self, monkeypatch):
+        monkeypatch.setenv("ASYMTAIL_THREADS", "2")
+        verifier.tail_counts(_block_threads, [0.5], self.MC)
+        old = verifier._pool._executor
+        monkeypatch.setenv("ASYMTAIL_THREADS", "3")
+        tc = verifier.tail_counts(_block_threads, [0.5], self.MC)
+        new = verifier._pool._executor
+        assert new is not old and old._shutdown and not new._shutdown
+        assert new._max_workers == 3 and tc.workers == 3
+        # a cap of 1 runs on the calling thread and leaves the pool alone
+        monkeypatch.setenv("ASYMTAIL_THREADS", "1")
+        tc = verifier.tail_counts(_block_threads, [0.5], self.MC)
+        assert set(tc.extras) == {threading.get_ident()}
+        assert verifier._pool._executor is new
+
+    def test_a_block_that_runs_tail_counts_finishes(self, monkeypatch):
+        # the inner call runs inline on the worker; on the pool it would
+        # wait for workers that are all busy with outer blocks
+        monkeypatch.setenv("ASYMTAIL_THREADS", "2")
+        inner_mc = McConfig(seed=9, n_paths=3_000, block=1_000)
+
+        def inner():
+            tc = verifier.tail_counts(lambda r, k: (r.random(k), None), [0.5], inner_mc)
+            return int(tc.counts[0]), tc.workers
+
+        done = []
+        worker = threading.Thread(
+            target=lambda: done.append(verifier.tail_counts(_paired_blocks(inner), [0.5],
+                                                            self.MC)), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive(), "nested tail_counts did not finish"
+        assert {e for e, _ in done[0].extras} == {inner()}
+        assert len({t for _, t in done[0].extras}) == 2
+
+    def test_concurrent_checks_share_the_pool_and_keep_their_counts(self, monkeypatch):
+        # four callers at once on three workers (more than this box's
+        # cores), switching threads often: each caller's counts are the
+        # ones it gets alone, so no block reads another's buffers
+        cfg = SupermartingaleConfig(n=5, p=0.3, coeffs=(1.0, 0.8, 1.2, 1.0, 0.9),
+                                    rule="random_modulated", m=m_star(0.3))
+        mcs = [McConfig(seed=s, n_paths=12_000, block=2_000) for s in range(4)]
+        monkeypatch.setenv("ASYMTAIL_THREADS", "1")
+        want = [[r.count for r in supermartingale_mc(cfg, mc).rows] for mc in mcs]
+        monkeypatch.setenv("ASYMTAIL_THREADS", "3")
+        got = [None] * len(mcs)
+
+        def check(i):
+            got[i] = [r.count for r in supermartingale_mc(cfg, mcs[i]).rows]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=check, args=(i,), daemon=True)
+                       for i in range(len(mcs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == want
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_builds_its_own_pool(self, monkeypatch):
+        monkeypatch.setenv("ASYMTAIL_THREADS", "2")
+        parent = verifier.tail_counts(_paired_blocks(), [0.5], self.MC)
+        assert verifier._pool._executor is not None
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:   # the child: report, then leave without running pytest's exit
+            try:
+                fresh = verifier._pool._executor is None
+                tc = verifier.tail_counts(_paired_blocks(), [0.5], self.MC)
+                os.write(write, json.dumps([fresh, int(tc.counts[0]), tc.workers,
+                                            len({t for _, t in tc.extras})]).encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 60
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish")
+            time.sleep(0.01)
+        with os.fdopen(read) as fh:
+            got = json.loads(fh.read())
+        assert got == [True, int(parent.counts[0]), 2, 2]
+
+
+class TestBlockBuffers:
+    def test_a_thread_reuses_its_buffer_and_a_nested_call_gets_another(self):
+        specs = (((100, 3), float), ((100, 3), np.intp), ((7,), bool))
+        with verifier._block_buffers(*specs) as first:
+            assert [(a.shape, a.dtype) for a in first] == [(s, np.dtype(d)) for s, d in specs]
+            assert all(a.flags.c_contiguous and a.flags.aligned for a in first)
+            with verifier._block_buffers(*specs) as nested:
+                assert not any(np.shares_memory(a, b) for a in first for b in nested)
+            # the arrays of one call do not overlap
+            assert not np.shares_memory(first[0], first[1])
+        with verifier._block_buffers(((50,), float)) as (again,):
+            assert np.shares_memory(again, first[0]) or np.shares_memory(again, nested[0])
+
+
 class TestSuiteRunner:
     def test_fast_suites_pass(self):
         for name in ("delta", "enumeration", "schur", "exactness"):
@@ -757,6 +906,7 @@ class TestSuiteRunner:
             rows = res.details["rows"]
             assert all(r["margin"] == r["bound"] - r["cp_lower"] for r in rows)
             assert res.metric == min(r["margin"] for r in rows)
+            assert res.details["paths_per_s"] > 0.0
             # each row names the member of the bound family that won
             assert {r["bound_name"] for r in rows} <= {"b_opt", "lc", "lin_lc", "hoeffding",
                                                        "normal_dom"}
