@@ -30,11 +30,14 @@ most 2^15 coordinates, in four buffers of one tile that its thread
 lends it from block to block: a tile reads its atom draws from the
 block's generator, and its second draws from a copy of that generator
 advanced past the block's atom draws (`dist._advanced`), so every path
-draws what an untiled block would.  For vw and vym a coordinate's
-denominator term, (x - r)^2 or |x r|^m, depends only on its atom and
-its harvest slice, so a check tabulates the terms once, one row of
-slices per atom, with the same ufuncs, and a tile takes its terms from
-that table.  The blocks run on `verifier.tail_counts`, so they share
+draws what an untiled block would.  For vym a coordinate's
+denominator term |x r|^m depends only on its atom and its harvest
+slice, so a check tabulates the term of every (atom, slice) pair that a
+draw can meet, with the same ufuncs, and a tile takes its terms from
+that table instead of raising each coordinate to the power m.  An atom
+meets only the slices its harvest interval covers, so the table grows
+with the atoms plus the slices, not with their product.  The blocks
+run on `verifier.tail_counts`, so they share
 the supermartingale check's thread pool and per-block streams, and the
 counts are the same at any ASYMTAIL_THREADS.  The rows and the report
 come from `verifier` too:
@@ -148,11 +151,11 @@ class ReciprocatingMap:
         written into out (intp) and returned.
 
         The level h0[j] + u span[j], clipped to [0, g_total], picks the
-        slice; the side of atom j picks the row.  With row_start (int64,
-        one entry per atom) the row of atom j starts at row_start[j]
-        instead, which indexes a table of levels.size + 1 slices per
-        atom.  u and work must be C-contiguous float64 arrays of j's
-        shape, and both are overwritten.
+        slice s; the side of atom j picks the row.  With row_start (int64,
+        one entry per atom) the index is row_start[j] + s instead, which
+        indexes the table of `_reachable_pairs`.  u and work must be
+        C-contiguous float64 arrays of j's shape, and both are
+        overwritten.
         """
         # j is in range, and mode "clip" writes straight to `out` where
         # "raise" would buffer it
@@ -165,6 +168,28 @@ class ReciprocatingMap:
         np.take(self._row_start if row_start is None else row_start, j, out=rows, mode="clip")
         out += rows
         return out
+
+    def _reachable_pairs(self):
+        """The (atom, slice) pairs that a draw can meet, atom by atom.
+
+        Atom j's level h0[j] + u span[j] for u in [0, 1), computed as
+        `_slice_index` computes it, lies between its values at u = 0 and
+        u = 1, since each step rounds monotonically, so its slices run
+        from lo[j] to hi[j].  Returns the atom and the partner of each
+        pair, atom 0's run first, and start (int64, one entry per atom):
+        the pair of atom j and slice s is entry start[j] + s, so start
+        serves as `_slice_index`'s row_start.  A side's harvest
+        intervals follow one another, so the runs hold about
+        atoms + 2 (levels.size + 1) pairs, where every pair would be
+        atoms (levels.size + 1).
+        """
+        ends = np.clip(np.multiply.outer((0.0, 1.0), self._span) + self._h0, 0.0, self.g_total)
+        lo, hi = np.searchsorted(self.levels, ends, side="left")
+        runs = hi - lo + 1
+        start = np.cumsum(runs) - runs - lo
+        atom = np.repeat(np.arange(runs.size), runs)
+        slices = np.arange(atom.size) - start.take(atom)
+        return atom, self._partners.take(self._row_start.take(atom) + slices), start
 
     def _at_level(self, h, row: int):
         ha = np.asarray(h, dtype=float)
@@ -310,17 +335,13 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 # One helper per kind.  Each overwrites its second argument and leaves
 # the first alone, so the Monte Carlo blocks run them in buffers they own;
-# a row's statistic depends on that row alone.  vw and vym split in two:
-# the denominator term of each coordinate (`_vw_terms`, `_vym_terms`),
-# which the blocks tabulate once per law, and the row's ratio.
+# a row's statistic depends on that row alone.  vym splits in two: the
+# denominator term of each coordinate (`_vym_terms`), which the blocks
+# tabulate once per law, and the row's ratio.
 
-def _vw_terms(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _vw(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     w = np.subtract(x, r, out=r)
     w *= w
-    return w
-
-
-def _vw(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _safe_ratio(x.sum(axis=1), 0.5 * np.sqrt(w.sum(axis=1)))
 
 
@@ -376,7 +397,7 @@ def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
         if r is None:
             raise SelfNormError(f"{kind} needs the reciprocated values r")
         r = _own(r, x.shape)
-        return _vw(x, _vw_terms(x, r)) if kind == "vw" else _vym(x, _vym_terms(x, r, m), m)
+        return _vw(x, r) if kind == "vw" else _vym(x, _vym_terms(x, r, m), m)
     if kind == "vsymm":
         if multipliers is None:
             raise SelfNormError("vsymm needs the symmetric multipliers")
@@ -460,13 +481,13 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     from the thread's last block (`verifier._block_buffers`), so a
     thread holds one tile's arrays from block to block.
 
-    For vw and vym a coordinate's denominator term depends only on its
-    atom and its slice, so the simulator tabulates it once per check,
-    with the ufuncs of `_vw_terms` or `_vym_terms`: entry
-    atom * (slices + 1) + slice holds (x - partner)^2 or
-    |x partner|^m.  A tile then takes its terms from the table in one
-    `take`, and every term is the one the ufuncs give on the tile, bit
-    for bit.  It runs on pool threads, so it calls only private helpers.
+    For vym a coordinate's term |x partner|^m depends only on its atom
+    and its slice, so the simulator tabulates it once per check, with
+    the ufuncs of `_vym_terms`, for each pair of
+    `ReciprocatingMap._reachable_pairs`.  A tile then takes its terms
+    from the table in one `take`, and every term is the one the ufuncs
+    give on the tile, bit for bit.  It runs on pool threads, so it
+    calls only private helpers.
     """
     n = cfg.n
     rows = max(1, _TILE // n)
@@ -477,23 +498,22 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     # overwrites all four.  The takes run in mode "clip", which writes
     # straight to `out`: every index is in range.
     if rm is not None:
-        stride = rm.levels.size + 1
-        # each atom's row of partners, one per slice, made into its terms
-        partners = rm._partners[rm._row_start // stride]
-        atom_x = np.broadcast_to(values[:, None], partners.shape)
+        # vw takes each coordinate's partner, vym its term
         if cfg.kind == "vw":
-            terms, ratio = _vw_terms(atom_x, partners), _vw
+            table, row_start, stat = rm._partners, None, _vw
         else:
-            terms, ratio = _vym_terms(atom_x, partners, cfg.m), lambda x, y: _vym(x, y, cfg.m)
-        terms = terms.ravel()
-        term_start = np.arange(values.size, dtype=np.int64) * stride
+            atom, partner, row_start = rm._reachable_pairs()
+            table = _vym_terms(values.take(atom), partner, cfg.m)
+
+            def stat(x, y):
+                return _vym(x, y, cfg.m)
 
         def tile(u, second, f, k, j):
             atoms(u, out=j)
             second.random(out=u)
-            idx = rm._slice_index(j, u, f, k, term_start)
+            idx = rm._slice_index(j, u, f, k, row_start)
             x = values.take(j, out=u, mode="clip")
-            return ratio(x, terms.take(idx, out=f, mode="clip"))
+            return stat(x, table.take(idx, out=f, mode="clip"))
     elif cfg.kind == "vsymm":
         mult_law = st(cfg.p)
         mult_values, mults = mult_law.values, _inverse_cdf(np.cumsum(mult_law.masses))

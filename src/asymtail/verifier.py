@@ -497,7 +497,7 @@ class TailCounts:
     counts: np.ndarray   # paths with stat >= x, one entry per x
     n_paths: int
     blocks: int
-    workers: int         # threads actually used: 1 when there is one block
+    workers: int         # threads that ran the blocks: 1 for one block or a nested call
     extras: list         # simulate's per-block extra, in block order
     paths_per_s: float   # n_paths over the wall time of the tail_counts call
 
@@ -596,13 +596,14 @@ def tail_counts(simulate, xs, mc: McConfig) -> TailCounts:
     a cap of 1, the blocks run on the calling thread; otherwise they run
     on the process's one pool of ASYMTAIL_THREADS worker threads, which
     persists from check to check (a call made from inside a block runs
-    inline).  A simulation runs on a pool thread, so it must call only
-    what may run concurrently.  Up to ASYMTAIL_THREADS blocks are in
-    flight at once, each with its own working set: the statistic of its
-    paths, and the arrays it reuses from step to step or tile to tile
-    (five arrays of the block's size for a supermartingale block; four
-    of one tile, at most 2^15 entries each, for a self-normalized one),
-    which `_block_buffers` lends it from its thread's last block.
+    its blocks inline and reports one worker).  A simulation runs on a
+    pool thread, so it must call only what may run concurrently.  Up to
+    ASYMTAIL_THREADS blocks are in flight at once, each with its own
+    working set: the statistic of its paths, and the arrays it reuses
+    from step to step or tile to tile (five arrays of the block's size
+    for a supermartingale block; four of one tile, at most 2^15 entries
+    each, for a self-normalized one), which `_block_buffers` lends it
+    from its thread's last block.
     """
     start = time.perf_counter()
     xs = np.asarray(xs, dtype=float)
@@ -621,8 +622,9 @@ def tail_counts(simulate, xs, mc: McConfig) -> TailCounts:
         cap = 0
     if cap < 1:
         raise VerifyError(f"ASYMTAIL_THREADS must be a positive integer, got {threads!r}")
-    workers = min(n_blocks, cap)
-    if workers > 1 and not _pool.in_worker():
+    # a call from a pool thread runs its blocks there, on one thread
+    workers = 1 if _pool.in_worker() else min(n_blocks, cap)
+    if workers > 1:
         blocks = _pool.map(run_block, n_blocks, cap)
     else:
         blocks = [run_block(i) for i in range(n_blocks)]

@@ -409,6 +409,28 @@ class TestSliceTablePairing:
         h = h[(h >= 0.0) & (h <= top)]
         assert np.array_equal(rm._slices(h), np.searchsorted(rm.levels, h, side="left"))
 
+    @given(d=zero_mean_laws() | hst.sampled_from([ASYM3, SYMM5]),
+           us=hst.lists(hst.sampled_from(U_EDGES) | hst.floats(0.0, 1.0, exclude_max=True),
+                        min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_reachable_pairs_hold_every_pair_a_draw_meets(self, d, us):
+        # the vym term table keeps only these pairs: each (atom, u) lands
+        # in its atom's run, on the partner the full table gives
+        try:
+            rm = ReciprocatingMap(d)
+        except SelfNormError:
+            return
+        atom, partner, start = rm._reachable_pairs()
+        k = d.values.size
+        assert atom.size <= k + 2 * (rm.levels.size + 1)
+        j = np.repeat(np.arange(k), len(us))
+        u = np.tile(np.asarray(us, dtype=float), k)
+        idx = rm._slice_index(j, u.copy(), np.empty(j.shape), np.empty(j.shape, np.intp), start)
+        full = rm._slice_index(j, u.copy(), np.empty(j.shape), np.empty(j.shape, np.intp))
+        assert ((idx >= 0) & (idx < atom.size)).all()
+        assert np.array_equal(atom[idx], j)
+        assert np.array_equal(partner[idx], rm._partners.ravel()[full])
+
     def test_outside_support_raises(self):
         rm = ReciprocatingMap(ASYM3)
         with pytest.raises(SelfNormError):
@@ -501,6 +523,23 @@ class TestSampledBlocks:
             assert rep.workers == 2
             assert peak <= 4 * 2 ** 20, f"{kind}: peak {peak / 2 ** 20:.1f} MiB"
 
+    @pytest.mark.parametrize("kind", ["vw", "vym"])
+    def test_a_many_atom_law_stays_small(self, kind, monkeypatch):
+        # 2000 atoms, 2001 slices: the vym term table holds about 6000
+        # (atom, slice) pairs, where a row of slices per atom would be
+        # 4 million doubles (31 MiB); a check peaks at about 1.3 MiB
+        monkeypatch.setenv("ASYMTAIL_THREADS", "1")
+        cfg = SelfNormConfig(base=MANY_ATOMS, n=10, kind=kind, m=m_star(0.2), p=0.2)
+        selfnorm_bound_check(dataclasses.replace(cfg, base=MANY_SLICES), McConfig(seed=1, n_paths=1_000))
+        tracemalloc.start()
+        try:
+            rep = selfnorm_bound_check(cfg, McConfig(seed=2, n_paths=4_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.n_paths == 4_000
+        assert peak <= 4 * 2 ** 20, f"{kind}: peak {peak / 2 ** 20:.1f} MiB"
+
 
 # ---------------------------------------------------------------------------
 # tiled blocks against the whole-block simulation
@@ -587,10 +626,25 @@ def _many_slices():
 
 
 MANY_SLICES = _many_slices()
+
+
+def _many_atoms(k, seed=0):
+    """Zero-mean, k atoms with |x| in [0.5, 2], half on each side: about
+    k harvest slices, and no two-point component more asymmetric than 4."""
+    rng = np.random.default_rng(seed)
+    neg = -np.sort(rng.uniform(0.5, 2.0, k // 2))
+    pos = np.sort(rng.uniform(0.5, 2.0, k - k // 2))
+    wn, wp = rng.uniform(1.0, 2.0, neg.size), rng.uniform(1.0, 2.0, pos.size)
+    wp *= (wn @ -neg) / (wp @ pos)
+    total = wn.sum() + wp.sum()
+    return from_pairs(zip(np.r_[neg, pos], np.r_[wn, wp] / total))
+
+
+MANY_ATOMS = _many_atoms(2000)
 TILE_CFGS = {
     "vw": lambda n: SelfNormConfig(base=ZERO4, n=n, kind="vw"),
     "vym": lambda n: SelfNormConfig(base=ZERO4, n=n, kind="vym", m=m_star(0.25), p=0.25),
-    # the term table has one row of 8 slices per atom; m is not an integer
+    # a law of 8 slices, and m is not an integer
     "vym_many_slices": lambda n: SelfNormConfig(base=MANY_SLICES, n=n, kind="vym", m=1.37,
                                                 p=0.2),
     "vsymm": lambda n: SelfNormConfig(base=SYM_ZERO, n=n, kind="vsymm", p=0.8),

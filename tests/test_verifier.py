@@ -819,7 +819,11 @@ class TestBlockPool:
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive(), "nested tail_counts did not finish"
-        assert {e for e, _ in done[0].extras} == {inner()}
+        # the nested calls ran on one thread each, and count what a
+        # top-level call counts on two
+        count, workers = inner()
+        assert workers == 2
+        assert {e for e, _ in done[0].extras} == {(count, 1)}
         assert len({t for _, t in done[0].extras}) == 2
 
     def test_concurrent_checks_share_the_pool_and_keep_their_counts(self, monkeypatch):
