@@ -100,7 +100,12 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    """argparse type for comma-separated number lists."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _read_dist(path: str) -> FiniteDist:
@@ -143,7 +148,7 @@ def _cmd_bound(args) -> int:
         xs = list(args.x_grid)
     else:
         raise BoundError("need --x or --x-grid")
-    coeffs = _floats(args.coeffs) if args.coeffs else None
+    coeffs = args.coeffs or None
     reports = combined_bound_grid(args.p, args.m, xs, n=args.n,
                                   coeffs=coeffs, s_m=args.s_m)
     rows = [dataclasses.asdict(r) for r in reports]
@@ -168,7 +173,7 @@ def _cmd_majorant(args) -> int:
     csv_rows = [{"hull_x": v["x"], "hull_logq": v["logq"]}
                 for v in body["majorant"]["hull"]]
     if args.eval is not None:
-        xs = _floats(args.eval)
+        xs = args.eval
         vals = [float(v) for v in np.atleast_1d(maj.value(np.asarray(xs)))]
         body["eval"] = [{"x": x, "value": v} for x, v in zip(xs, vals)]
     _emit(args, body, csv_rows)
@@ -235,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=float, required=True)
     b.add_argument("--m", type=float, default=1.0)
     b.add_argument("--n", type=int)
-    b.add_argument("--coeffs", help="comma-separated coefficients")
+    b.add_argument("--coeffs", type=_floats, help="comma-separated coefficients")
     b.add_argument("--s-m", type=float, default=None, dest="s_m")
     b.add_argument("--x", type=float, action="append")
     b.add_argument("--x-grid", type=_parse_grid, help="lo:hi:count")
@@ -249,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     mj.add_argument("--s-m", type=float, default=1.0, dest="s_m")
     mj.add_argument("--kind", choices=("lc", "linlc"), default="lc")
     mj.add_argument("--refine", type=int, default=64)
-    mj.add_argument("--eval", help="comma-separated points to evaluate")
+    mj.add_argument("--eval", type=_floats, help="comma-separated points to evaluate")
     mj.add_argument("--out", help="also write hull vertices to this CSV file")
     mj.set_defaults(func=_cmd_majorant)
 

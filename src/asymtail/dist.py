@@ -576,15 +576,10 @@ def _inverse_cdf(cum: np.ndarray) -> _GuideTable:
     return _GuideTable(cum[:-1], 1.0, "right")
 
 
-def _atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF atom indices of uniforms u: `_inverse_cdf(cum)(u)`."""
-    return _inverse_cdf(cum)(u)
-
-
 def sample(d: FiniteDist, rng: RngSpec | np.random.Generator, size: int) -> np.ndarray:
     """size iid draws via inverse CDF; deterministic per RngSpec."""
     gen = rng.generator() if isinstance(rng, RngSpec) else rng
-    return d.values[_atom_index(np.cumsum(d.masses), gen.random(size))]
+    return d.values[_inverse_cdf(np.cumsum(d.masses))(gen.random(size))]
 
 
 def _advanced(gen: np.random.Generator, k: int) -> np.random.Generator:

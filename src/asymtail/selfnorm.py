@@ -19,31 +19,30 @@ The Monte Carlo checks work on atom indices rather than values.  A draw
 is the index j of an atom, read from the law's inverse-CDF guide table
 as `dist.sample` reads it (`dist._GuideTable`: one table read per draw,
 and a binary search only for the few uniforms whose bucket holds a
-cumulative mass).  The pairing is a table lookup too: the harvest level
-h0[j] + u span[j] falls in one slice between consecutive harvest
-levels, which a guide table over [0, g_total] finds the same way, and a
-(side, slice) table holds the partner atom.  A check builds its guide
-tables once, and the pool threads share them read-only.
-`ReciprocatingMap.reciprocate` and `selfnorm_stat` are thin wrappers
-over the same private helpers.  A block of paths runs in tiles of at
-most 2^15 coordinates, in four buffers of one tile that its thread
+cumulative mass).  The pairing is a table lookup too.  A draw's partner
+depends only on its atom and its harvest slice: the level
+h0[j] + u span[j] falls in one slice between consecutive harvest levels,
+which a guide table over [0, g_total] finds the same way, and one table
+of (atom, slice) pairs holds the partner of each pair a draw can meet.
+An atom meets only the slices its harvest interval covers, so the table
+grows with the atoms plus the slices, not with their product.  A check
+builds its guide tables once, and the pool threads share them
+read-only.  `ReciprocatingMap.reciprocate` and `selfnorm_stat` are thin
+wrappers over the same private helpers.  A block of paths runs in tiles
+of at most 2^15 coordinates, in four buffers of one tile that its thread
 lends it from block to block: a tile reads its atom draws from the
 block's generator, and its second draws from a copy of that generator
 advanced past the block's atom draws (`dist._advanced`), so every path
-draws what an untiled block would.  For vym a coordinate's
-denominator term |x r|^m depends only on its atom and its harvest
-slice, so a check tabulates the term of every (atom, slice) pair that a
-draw can meet, with the same ufuncs, and a tile takes its terms from
-that table instead of raising each coordinate to the power m.  An atom
-meets only the slices its harvest interval covers, so the table grows
-with the atoms plus the slices, not with their product.  The blocks
-run on `verifier.tail_counts`, so they share
-the supermartingale check's thread pool and per-block streams, and the
+draws what an untiled block would.  For vw and vym a coordinate's
+denominator term, (x - r)^2 or |x r|^m, depends only on its pair, so a
+check tabulates the term of every pair with the same ufuncs, and a tile
+takes its terms from that table instead of computing them per
+coordinate.  The blocks run on `verifier.tail_counts`, so they share the
+supermartingale check's thread pool and per-block streams, and the
 counts are the same at any ASYMTAIL_THREADS.  The rows and the report
-come from `verifier` too:
-`verifier.mc_rows` adds the Clopper-Pearson limits, and a check returns
-a `verifier.McReport` whose rows name their bound curve ("normal" for
-vw, "lc" for the point-hull kinds).
+come from `verifier` too: `verifier.mc_rows` adds the Clopper-Pearson
+limits, and a check returns a `verifier.McReport` whose rows name their
+bound curve ("normal" for vw, "lc" for the point-hull kinds).
 """
 from __future__ import annotations
 
@@ -122,20 +121,31 @@ class ReciprocatingMap:
         self._h0[:n_neg] = (neg_h - neg_span)[::-1]
         self._span[:n_neg] = neg_span[::-1]
         # Slice s holds the levels in (levels[s-1], levels[s]], with
-        # levels[-1] = -inf and levels[S] = +inf.  The partner table has
-        # one row of S + 1 slices per side of the drawn atom: row 0 for
-        # negative atoms holds x_plus, row 1 for zero atoms holds 0, and
-        # row 2 for positive atoms holds x_minus.
+        # levels[-1] = -inf and levels[S] = +inf; a slice meets one atom
+        # on each side, _plus[s] and _minus[s].
         self.levels = np.unique(np.concatenate((pos_h, neg_h)))
-        self._partners = np.stack((
-            self._slice_atoms(pos_h, pos_x),
-            np.zeros(self.levels.size + 1),
-            self._slice_atoms(neg_h, neg_x)))
-        stride = self.levels.size + 1
-        self._row_start = np.full(k, stride, dtype=np.int64)
-        self._row_start[:n_neg] = 0
-        self._row_start[first_pos:] = 2 * stride
+        self._plus = self._slice_atoms(pos_h, pos_x)
+        self._minus = self._slice_atoms(neg_h, neg_x)
         self._slices = _GuideTable(self.levels, self.g_total, "left")
+
+        # The pair table.  Atom j's level h0[j] + u span[j] for u in
+        # [0, 1), computed as `_slice_index` computes it, lies between
+        # its values at u = 0 and u = 1, since each step rounds
+        # monotonically, so its slices run from lo[j] to hi[j].  Entry
+        # _start[j] + s holds the pair of atom j and slice s: its atom
+        # and its partner, which is 0 for a zero atom.  A side's harvest
+        # intervals follow one another, so the runs hold about
+        # atoms + 2 (levels.size + 1) pairs, where every pair would be
+        # atoms (levels.size + 1).
+        ends = np.clip(np.multiply.outer((0.0, 1.0), self._span) + self._h0, 0.0, self.g_total)
+        lo, hi = np.searchsorted(self.levels, ends, side="left")
+        runs = hi - lo + 1
+        self._start = (np.cumsum(runs) - runs - lo).astype(np.int64)
+        self._pair_atom = np.repeat(np.arange(k), runs)
+        slices = np.arange(self._pair_atom.size) - self._start.take(self._pair_atom)
+        self._pair_partner = np.select(
+            (self._pair_atom < n_neg, self._pair_atom >= first_pos),
+            (self._plus.take(slices), self._minus.take(slices)))
 
     def _slice_atoms(self, side_h, side_x) -> np.ndarray:
         """The atom of one side met by each slice: side_x at the number of
@@ -146,14 +156,12 @@ class ReciprocatingMap:
         return side_x[np.minimum(np.concatenate(([0], below)), side_x.size - 1)]
 
     def _slice_index(self, j: np.ndarray, u: np.ndarray, work: np.ndarray,
-                     out: np.ndarray, row_start: np.ndarray | None = None) -> np.ndarray:
-        """Flat index into the partner table for atoms j at uniforms u,
-        written into out (intp) and returned.
+                     out: np.ndarray) -> np.ndarray:
+        """Index into the pair table for atoms j at uniforms u, written
+        into out (intp) and returned.
 
         The level h0[j] + u span[j], clipped to [0, g_total], picks the
-        slice s; the side of atom j picks the row.  With row_start (int64,
-        one entry per atom) the index is row_start[j] + s instead, which
-        indexes the table of `_reachable_pairs`.  u and work must be
+        slice s, and the index is _start[j] + s.  u and work must be
         C-contiguous float64 arrays of j's shape, and both are
         overwritten.
         """
@@ -163,48 +171,26 @@ class ReciprocatingMap:
         u += self._h0.take(j, out=work, mode="clip")
         np.clip(u, 0.0, self.g_total, out=u)
         self._slices(u, out=out)
-        # the levels are spent, so u's buffer takes the row offsets
-        rows = u.view(np.int64)
-        np.take(self._row_start if row_start is None else row_start, j, out=rows, mode="clip")
-        out += rows
+        # the levels are spent, so u's buffer takes the run starts
+        starts = u.view(np.int64)
+        np.take(self._start, j, out=starts, mode="clip")
+        out += starts
         return out
 
-    def _reachable_pairs(self):
-        """The (atom, slice) pairs that a draw can meet, atom by atom.
-
-        Atom j's level h0[j] + u span[j] for u in [0, 1), computed as
-        `_slice_index` computes it, lies between its values at u = 0 and
-        u = 1, since each step rounds monotonically, so its slices run
-        from lo[j] to hi[j].  Returns the atom and the partner of each
-        pair, atom 0's run first, and start (int64, one entry per atom):
-        the pair of atom j and slice s is entry start[j] + s, so start
-        serves as `_slice_index`'s row_start.  A side's harvest
-        intervals follow one another, so the runs hold about
-        atoms + 2 (levels.size + 1) pairs, where every pair would be
-        atoms (levels.size + 1).
-        """
-        ends = np.clip(np.multiply.outer((0.0, 1.0), self._span) + self._h0, 0.0, self.g_total)
-        lo, hi = np.searchsorted(self.levels, ends, side="left")
-        runs = hi - lo + 1
-        start = np.cumsum(runs) - runs - lo
-        atom = np.repeat(np.arange(runs.size), runs)
-        slices = np.arange(atom.size) - start.take(atom)
-        return atom, self._partners.take(self._row_start.take(atom) + slices), start
-
-    def _at_level(self, h, row: int):
+    def _at_level(self, h, side: np.ndarray):
         ha = np.asarray(h, dtype=float)
-        out = self._partners[row, np.searchsorted(self.levels, ha, side="left")]
+        out = side[np.searchsorted(self.levels, ha, side="left")]
         if np.isscalar(h) or ha.ndim == 0:
             return float(out)
         return out
 
     def x_plus(self, h):
         """Positive atom whose harvest interval contains level h."""
-        return self._at_level(h, 0)
+        return self._at_level(h, self._plus)
 
     def x_minus(self, h):
         """Negative atom whose harvest interval contains level h."""
-        return self._at_level(h, 2)
+        return self._at_level(h, self._minus)
 
     def reciprocate(self, x, u):
         """r(x, u): the opposite-side partner at the harvest level picked
@@ -223,7 +209,7 @@ class ReciprocatingMap:
             raise SelfNormError("x lies outside the law's support")
         uf = np.array(ua.ravel(), dtype=float)
         idx = self._slice_index(j, uf, np.empty_like(uf), np.empty_like(j))
-        out = np.where(zero, 0.0, self._partners.take(idx)).reshape(xa.shape)
+        out = np.where(zero, 0.0, self._pair_partner.take(idx)).reshape(xa.shape)
         if np.isscalar(x) and np.isscalar(u):
             return float(out)
         return out
@@ -335,13 +321,18 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 # One helper per kind.  Each overwrites its second argument and leaves
 # the first alone, so the Monte Carlo blocks run them in buffers they own;
-# a row's statistic depends on that row alone.  vym splits in two: the
-# denominator term of each coordinate (`_vym_terms`), which the blocks
-# tabulate once per law, and the row's ratio.
+# a row's statistic depends on that row alone.  vw and vym split in two:
+# the denominator term of each coordinate, which depends only on the
+# coordinate and its partner, and the row's ratio.  `_PAIRED` holds the
+# two for each kind; the blocks tabulate the terms once per law.
 
-def _vw(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _vw_terms(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
     w = np.subtract(x, r, out=r)
     w *= w
+    return w
+
+
+def _vw(x: np.ndarray, w: np.ndarray, m: float) -> np.ndarray:
     return _safe_ratio(x.sum(axis=1), 0.5 * np.sqrt(w.sum(axis=1)))
 
 
@@ -354,6 +345,10 @@ def _vym_terms(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
 
 def _vym(x: np.ndarray, y: np.ndarray, m: float) -> np.ndarray:
     return _safe_ratio(x.sum(axis=1), y.sum(axis=1) ** (1.0 / (2.0 * m)))
+
+
+# (terms, ratio) of each kind that pairs a coordinate with its partner
+_PAIRED = {"vw": (_vw_terms, _vw), "vym": (_vym_terms, _vym)}
 
 
 def _vsymm(x: np.ndarray, multipliers: np.ndarray, m: float) -> np.ndarray:
@@ -393,11 +388,11 @@ def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
         raise SelfNormError("sample must be (paths, n)")
     if kind == "v":
         return _safe_ratio(x.sum(axis=1), np.sqrt((x * x).sum(axis=1)))
-    if kind in ("vw", "vym"):
+    if kind in _PAIRED:
         if r is None:
             raise SelfNormError(f"{kind} needs the reciprocated values r")
-        r = _own(r, x.shape)
-        return _vw(x, r) if kind == "vw" else _vym(x, _vym_terms(x, r, m), m)
+        terms, ratio = _PAIRED[kind]
+        return ratio(x, terms(x, _own(r, x.shape), m), m)
     if kind == "vsymm":
         if multipliers is None:
             raise SelfNormError("vsymm needs the symmetric multipliers")
@@ -481,13 +476,12 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     from the thread's last block (`verifier._block_buffers`), so a
     thread holds one tile's arrays from block to block.
 
-    For vym a coordinate's term |x partner|^m depends only on its atom
-    and its slice, so the simulator tabulates it once per check, with
-    the ufuncs of `_vym_terms`, for each pair of
-    `ReciprocatingMap._reachable_pairs`.  A tile then takes its terms
-    from the table in one `take`, and every term is the one the ufuncs
-    give on the tile, bit for bit.  It runs on pool threads, so it
-    calls only private helpers.
+    For vw and vym a coordinate's term depends only on its (atom, slice)
+    pair, so the simulator tabulates it once per check, with the kind's
+    `_PAIRED` ufuncs, for each pair of the map's table.  A tile then takes
+    its terms from the table in one `take` and applies the kind's ratio,
+    and every term is the one the ufuncs give on the tile, bit for bit.
+    It runs on pool threads, so it calls only private helpers.
     """
     n = cfg.n
     rows = max(1, _TILE // n)
@@ -498,22 +492,15 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     # overwrites all four.  The takes run in mode "clip", which writes
     # straight to `out`: every index is in range.
     if rm is not None:
-        # vw takes each coordinate's partner, vym its term
-        if cfg.kind == "vw":
-            table, row_start, stat = rm._partners, None, _vw
-        else:
-            atom, partner, row_start = rm._reachable_pairs()
-            table = _vym_terms(values.take(atom), partner, cfg.m)
-
-            def stat(x, y):
-                return _vym(x, y, cfg.m)
+        terms, ratio = _PAIRED[cfg.kind]
+        table = terms(values.take(rm._pair_atom), rm._pair_partner.copy(), cfg.m)
 
         def tile(u, second, f, k, j):
             atoms(u, out=j)
             second.random(out=u)
-            idx = rm._slice_index(j, u, f, k, row_start)
+            idx = rm._slice_index(j, u, f, k)
             x = values.take(j, out=u, mode="clip")
-            return stat(x, table.take(idx, out=f, mode="clip"))
+            return ratio(x, table.take(idx, out=f, mode="clip"), cfg.m)
     elif cfg.kind == "vsymm":
         mult_law = st(cfg.p)
         mult_values, mults = mult_law.values, _inverse_cdf(np.cumsum(mult_law.masses))
@@ -567,7 +554,7 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> McReport:
     rm = None
     hat = None
     nonzero_p = None
-    if cfg.kind in ("vw", "vym"):
+    if cfg.kind in _PAIRED:
         rm = ReciprocatingMap(cfg.base)
     if cfg.kind == "vhatsymm":
         if not cfg.base.is_symmetric():

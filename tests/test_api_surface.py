@@ -1,4 +1,5 @@
-"""Every public name in the package has a caller.
+"""Every public name in the package has a caller, and every private
+name a reference.
 
 An AST scan of `src/asymtail` lists the public module-level functions
 and classes, the public methods of those classes, and the module-level
@@ -7,9 +8,15 @@ referenced somewhere in the library (outside its own definition and
 outside `__init__.py`, which re-exports everything), in `scripts/` or
 in `perfbench/`.  Prose (docstrings, messages) does not count, and
 neither do tests, so a name that only tests call fails here unless the
-allowlist below says why it stays.  A reference from inside a public
+allowlist below says why it stays.  A reference from inside a
 definition that itself has no caller does not count either, so dead
 code cannot keep other dead code alive.
+
+The private (single-underscore) module-level functions and classes, and
+the private methods of every module-level class, need a reference in
+the same places by the same rule; a private method counts as referenced
+by an attribute of its name on any receiver.  So a refactor that stops
+calling a helper fails here until the helper is deleted.
 
 A module-level name is referenced by a name, an attribute, or a part of
 a dotted-identifier string constant such as "asymtail.bounds" or
@@ -302,8 +309,14 @@ def _constant_name(node) -> str | None:
     return None
 
 
-def _public_definitions(trees):
-    """(module, qualified name, name, owner class, first line, last line)."""
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _definitions(trees):
+    """(module, qualified name, name, owner class, first line, last line)
+    of the public and private definitions; a private method has no owner
+    class, so that any attribute of its name counts."""
     for module, tree in trees.items():
         for node in tree.body:
             constant = _constant_name(node)
@@ -312,14 +325,17 @@ def _public_definitions(trees):
                 continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_"):
-                continue
-            yield module, node.name, node.name, None, node.lineno, node.end_lineno
+            if not node.name.startswith("_") or _is_private(node.name):
+                yield module, node.name, node.name, None, node.lineno, node.end_lineno
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield (module, f"{node.name}.{item.name}", item.name, node.name,
-                               item.lineno, item.end_lineno)
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    qual = f"{node.name}.{item.name}"
+                    if _is_private(item.name):
+                        yield module, qual, item.name, None, item.lineno, item.end_lineno
+                    elif not item.name.startswith("_") and not node.name.startswith("_"):
+                        yield module, qual, item.name, node.name, item.lineno, item.end_lineno
 
 
 def _caller_files():
@@ -330,7 +346,7 @@ def _caller_files():
 
 
 def scan(trees, callers, allowed=ALLOWED):
-    """Qualified public names of the package trees with no reference in
+    """Qualified names of the package trees with no reference in
     the caller trees ({key: module tree}) outside their own definition
     and outside the definitions found uncalled; a package module's key is
     its stem, so its references fall in its definitions' spans."""
@@ -339,7 +355,7 @@ def scan(trees, callers, allowed=ALLOWED):
     for key, tree in callers.items():
         words += [(key, w, line) for w, line in _references(tree)]
         methods += [(key, t, attr, line) for t, attr, line in MethodReferences(index, tree).out]
-    defs = list(_public_definitions(trees))
+    defs = list(_definitions(trees))
     spans = {qual: (module, first, last) for module, qual, _, _, first, last in defs}
 
     def counts(types: frozenset, attr: str, owner: str) -> bool:
@@ -376,9 +392,15 @@ def uncalled():
 
 
 def test_every_public_name_has_a_caller(uncalled):
-    assert [q for q in uncalled if q.rpartition(".")[2] not in ALLOWED] == [], (
+    public = [q for q in uncalled if not _is_private(q.rpartition(".")[2])]
+    assert [q for q in public if q.rpartition(".")[2] not in ALLOWED] == [], (
         "public names that only tests call; delete them, or add each to "
         "ALLOWED with the reason it stays")
+
+
+def test_every_private_name_has_a_reference(uncalled):
+    assert [q for q in uncalled if _is_private(q.rpartition(".")[2])] == [], (
+        "private names that nothing outside the tests references; delete them")
 
 
 def test_allowlist_names_exist_and_lack_a_caller(uncalled):
@@ -388,10 +410,11 @@ def test_allowlist_names_exist_and_lack_a_caller(uncalled):
 
 def test_scan_sees_definitions_and_string_references():
     trees = _package_trees()
-    defined = {qual for _, qual, *_ in _public_definitions(trees)}
+    defined = {qual for _, qual, *_ in _definitions(trees)}
     assert {"b_opt", "FiniteDist", "FiniteDist.from_json",
-            "ReciprocatingMap.reciprocate", "DEFAULT_TOL", "SQRT2_MINUS_1"} <= defined
-    assert not {"_RULES", "_ENUM_T_COUNT"} & defined
+            "ReciprocatingMap.reciprocate", "DEFAULT_TOL", "SQRT2_MINUS_1",
+            "_block_simulator", "_GuideTable", "ReciprocatingMap._slice_index"} <= defined
+    assert not {"_RULES", "_ENUM_T_COUNT", "ReciprocatingMap.__init__"} & defined
     # perfbench/tracer.py names the functions it wraps only as strings
     tracer = _parse(ROOT / "perfbench" / "tracer.py")
     assert {"reciprocate", "selfnorm_stat", "golden_section"} <= {w for w, _ in
@@ -501,3 +524,35 @@ def test_module_constants_need_a_reader():
     """
     # a constant that only an uncalled function reads is dead with it
     assert _scan_source(package, caller) == ["DEAD_LIMIT", "ORPHAN_COLUMNS", "dead"]
+
+
+def test_private_names_need_a_reference():
+    package = """
+        def _used():
+            return 1
+
+        def _left_behind():
+            return _used()
+
+        class Map:
+            def _pairs(self):
+                return self._start()
+
+            def _start(self):
+                return 0
+
+        class _Table:
+            def __call__(self):
+                return 0
+
+        def build():
+            return _used(), _Table()
+    """
+    caller = """
+        import mod
+
+        def main():
+            return mod.build(), mod.Map()
+    """
+    # _start's only reference is in the unreferenced _pairs
+    assert _scan_source(package, caller) == ["Map._pairs", "Map._start", "_left_behind"]

@@ -296,6 +296,18 @@ class TestBadInputExit2:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
+        ["bound", "--p", "0.3", "--n", "4", "--coeffs", "1,a", "--x", "1"],
+        ["majorant", "--p", "0.3", "--n", "4", "--eval", "0,x"],
+    ])
+    def test_malformed_number_list(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument" in err and "comma-separated numbers" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
         ["majorant", "--dist-file", "missing.json"],
         ["selfnorm", "--kind", "vym", "--base-file", "missing.json",
          "--n", "4", "--p", "0.3"],

@@ -414,22 +414,21 @@ class TestSliceTablePairing:
                         min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_reachable_pairs_hold_every_pair_a_draw_meets(self, d, us):
-        # the vym term table keeps only these pairs: each (atom, u) lands
-        # in its atom's run, on the partner the full table gives
+        # the one pair table: each (atom, u) lands in its atom's own run,
+        # on the partner of the masked pairing
         try:
             rm = ReciprocatingMap(d)
         except SelfNormError:
             return
-        atom, partner, start = rm._reachable_pairs()
         k = d.values.size
-        assert atom.size <= k + 2 * (rm.levels.size + 1)
-        j = np.repeat(np.arange(k), len(us))
-        u = np.tile(np.asarray(us, dtype=float), k)
-        idx = rm._slice_index(j, u.copy(), np.empty(j.shape), np.empty(j.shape, np.intp), start)
-        full = rm._slice_index(j, u.copy(), np.empty(j.shape), np.empty(j.shape, np.intp))
-        assert ((idx >= 0) & (idx < atom.size)).all()
-        assert np.array_equal(atom[idx], j)
-        assert np.array_equal(partner[idx], rm._partners.ravel()[full])
+        size = rm._pair_atom.size
+        assert rm._pair_partner.size == size <= k + 2 * (rm.levels.size + 1)
+        j = np.repeat(np.arange(k), len(us) + len(U_EDGES))
+        u = np.tile(np.asarray(us + U_EDGES, dtype=float), k)
+        idx = rm._slice_index(j, u.copy(), np.empty(j.shape), np.empty(j.shape, np.intp))
+        assert ((idx >= 0) & (idx < size)).all()
+        assert np.array_equal(rm._pair_atom[idx], j)
+        assert np.array_equal(rm._pair_partner[idx], masked_reciprocate(d, d.values[j], u))
 
     def test_outside_support_raises(self):
         rm = ReciprocatingMap(ASYM3)
@@ -525,8 +524,8 @@ class TestSampledBlocks:
 
     @pytest.mark.parametrize("kind", ["vw", "vym"])
     def test_a_many_atom_law_stays_small(self, kind, monkeypatch):
-        # 2000 atoms, 2001 slices: the vym term table holds about 6000
-        # (atom, slice) pairs, where a row of slices per atom would be
+        # 2000 atoms, 2001 slices: the vw and vym term tables hold about
+        # 6000 (atom, slice) pairs, where a row of slices per atom would be
         # 4 million doubles (31 MiB); a check peaks at about 1.3 MiB
         monkeypatch.setenv("ASYMTAIL_THREADS", "1")
         cfg = SelfNormConfig(base=MANY_ATOMS, n=10, kind=kind, m=m_star(0.2), p=0.2)
@@ -571,22 +570,15 @@ def _whole_block_simulator(cfg, rm, hat):
         return selfnorm._safe_ratio(
             x.sum(axis=1), math.sqrt(cfg.p) * hat_abs.sum(axis=1) ** (1.0 / (2.0 * cfg.m)))
 
-    def slice_index(j, u):
-        u *= rm._span.take(j)
-        u += rm._h0.take(j)
-        np.clip(u, 0.0, rm.g_total, out=u)
-        return rm._slices(u) + rm._row_start.take(j)
-
     values, atoms = cfg.base.values, _inverse_cdf(np.cumsum(cfg.base.masses))
     if rm is not None:
         stat = vw if cfg.kind == "vw" else vym
 
         def simulate(rng, size):
             u = rng.random((size, cfg.n))
-            j = atoms(u)
+            x = values.take(atoms(u))
             rng.random(out=u)
-            idx = slice_index(j, u)
-            return stat(values.take(j), rm._partners.take(idx)), None
+            return stat(x, rm.reciprocate(x, u)), None
     elif cfg.kind == "vsymm":
         mult_law = st(cfg.p)
         mult_values, mults = mult_law.values, _inverse_cdf(np.cumsum(mult_law.masses))
