@@ -22,6 +22,7 @@ whole x grid is then evaluated at once, one root per x (see b_opt).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,8 +243,16 @@ def resolve_s_m(m: float, coeffs=None, s_m: float | None = None,
         nn = len(c)
         if n is not None and n != nn:
             raise BoundError("n disagrees with len(coeffs)")
-        # np.mean is np.add.reduce over the count, without its wrapper
-        sm = float((np.add.reduce(c ** (2.0 * m)) / nn) ** (1.0 / (2.0 * m)))
+        # np.mean is np.add.reduce over the count, without its wrapper.  Where
+        # the mean of c^{2m} overflows or is not a normal float (m_star(p) ~
+        # 1/(2 sqrt p) is large at small p), s_m comes from c / max(c)
+        top = 1.0
+        with np.errstate(over="ignore", under="ignore"):
+            ms = np.add.reduce(c ** (2.0 * m)) / nn
+            if not sys.float_info.min <= ms < math.inf and 0.0 < c.max() < math.inf:
+                top = float(c.max())
+                ms = np.add.reduce((c / top) ** (2.0 * m)) / nn
+        sm = top * float(ms ** (1.0 / (2.0 * m)))
         s1 = float(math.sqrt(np.add.reduce(c ** 2) / nn))
         return nn, sm, s1
     if s_m is None or n is None:
@@ -273,8 +282,8 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     """Evaluate the whole bound family at each x, sharing one carrier."""
     if not 0.0 < p < 1.0:
         raise BoundError(f"p must lie in (0, 1), got {p!r}")
-    if not m >= 1.0:
-        raise BoundError(f"m must be >= 1, got {m!r}")
+    if not 1.0 <= m < math.inf:
+        raise BoundError(f"m must be finite and >= 1, got {m!r}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
         raise BoundError("need at least one x")

@@ -1,7 +1,7 @@
 """One-sided Clopper-Pearson lower limits, with numpy and `math` only.
 
-The lower limit for k successes in n trials at confidence 1 - alpha is
-the largest p with P(Bin(n, p) >= k) <= alpha, the alpha-quantile of
+The lower limit for k successes in n trials at confidence 1 - alpha >= 1/2
+is the largest p with P(Bin(n, p) >= k) <= alpha, the alpha-quantile of
 Beta(k, n - k + 1).  `cp_lower` sums the binomial tail over a window of
 terms that starts from Loader's saddle-point pmf, with a bound on the
 sum's rounding error, and takes Halley steps in logit(p); the limit is
@@ -142,9 +142,7 @@ def _upper_normal_quantile(alpha: float) -> float:
 def _cp_start(k: int, n: int, alpha: float) -> float:
     """The limit from Paulson's cube-root normal approximation to the F
     quantile: the limit is k / (k + (n - k + 1) F), F ~ F(2(n - k + 1), 2k)."""
-    z = _upper_normal_quantile(min(alpha, 1.0 - alpha))
-    if alpha > 0.5:
-        z = -z
+    z = _upper_normal_quantile(alpha)
     ga, gb = 2.0 / (18.0 * (n - k + 1)), 2.0 / (18.0 * k)
     qa = (1.0 - gb) ** 2 - z * z * gb
     qb = (1.0 - ga) * (1.0 - gb)
@@ -152,22 +150,20 @@ def _cp_start(k: int, n: int, alpha: float) -> float:
     disc = qb * qb - qa * qc
     if qa <= 0.0 or disc < 0.0:
         return k / (n + 1.0)
-    f = ((qb + math.copysign(math.sqrt(disc), z)) / qa) ** 3
+    f = ((qb + math.sqrt(disc)) / qa) ** 3
     return min(max(k / (k + (n - k + 1) * f), 1e-300), 1.0 - _U)
 
 
 def cp_lower(k: int, n: int, alpha: float) -> float:
     """A p whose P(Bin(n, p) >= k) is certified <= alpha, within about 1e-13
-    relative of the exact limit, for 1 <= k <= n and 0 < alpha < 1.
+    relative of the exact limit, for 1 <= k <= n and 0 < alpha <= 1/2.
 
     k = 1 and k = n have closed forms.  Otherwise Halley steps in
     logit(p) solve log P(Bin(n, p) >= k) = log(alpha) - 2.5 err, err the
     evaluation's error bound, and p is accepted once the computed log
-    tail lies in [log(alpha) - 4 err, log(alpha) - err].  For alpha > 1/2
-    the lower tail P(Bin(n, p) <= k - 1) = 1 - alpha is solved instead,
-    as the upper tail of Bin(n, 1 - p) at n - k + 1.  The upper tail's
-    log is concave in logit(p), so there a Newton step from a nearby point
-    stays at or below its tangent's target and is accepted without another
+    tail lies in [log(alpha) - 4 err, log(alpha) - err].  The tail's log
+    is concave in logit(p), so a Newton step from a nearby point stays at
+    or below its tangent's target and is accepted without another
     evaluation, stepped down one ulp for its rounding.  Where the steps
     stall at float resolution, the largest p certified so far is returned.
     """
@@ -176,46 +172,37 @@ def cp_lower(k: int, n: int, alpha: float) -> float:
     if k == n:   # p^n = alpha
         y = math.log(alpha) / n
         return math.exp(y) * (1.0 - (4.0 * abs(y) + 6.0) * _U)
-    upper = alpha <= 0.5
-    if upper:
-        tail, target = _BinomTail(k, n), math.log(alpha)
-    else:
-        tail, target = _BinomTail(n - k + 1, n), math.log1p(-alpha)
+    tail, target = _BinomTail(k, n), math.log(alpha)
     p = _cp_start(k, n, alpha)
     lo, hi = 0.0, 1.0     # largest p certified below alpha, smallest p not
     f_lo = f_hi = 0.0
     for _ in range(_CP_MAXITER):
         q = 1.0 - p
-        res = tail(p, q) if upper else tail(q, p)
-        if res is None:   # the tail evaluated is >= 1/2
-            if upper:
-                hi, f_hi = p, 0.0
-            else:
-                lo, f_lo = p, 0.0
+        res = tail(p, q)
+        if res is None:   # the tail is >= 1/2
+            hi, f_hi = p, 0.0
             p = 0.5 * (lo + hi)
             continue
         g, slope, m1, err = res
         # h <= -err certifies the limit; Halley aims at f = h + 2.5 err = 0
-        h = g - target if upper else target - g
+        h = g - target
         f = h + 2.5 * err
         if abs(f) <= 1.5 * err:
             return p
-        # h's derivatives in logit(p): slope, and curv = slope (a + m1) with
-        # sign - for the upper tail (concave) and + for the lower (convex)
-        curv = slope * ((p if upper else q) + m1)
+        # h is concave in logit(p), with derivatives slope and -curv
+        curv = slope * (p + m1)
         step = -f / slope
-        if (upper and abs(f) < 1e-3 and abs(step) < 1e-3
-                and curv * step * step <= max(err, 1e-13 * slope / q)):
-            # concave h: Newton lands at or below its tangent's target, and
-            # short of it by at most curv step^2 / 2, so by 1e-13 in log p
-            # or one err; step down past the rounding of the step
+        if abs(f) < 1e-3 and abs(step) < 1e-3 and curv * step * step <= max(err, 1e-13 * slope / q):
+            # Newton lands at or below its tangent's target, and short of
+            # it by at most curv step^2 / 2, so by 1e-13 in log p or one
+            # err; step down past the rounding of the step
             e = math.exp(step)
             return math.nextafter(p + p * q * math.expm1(step) / (q + p * e), 0.0)
         if f < 0.0:
             lo, f_lo = p, f
         else:
             hi, f_hi = p, f
-        den = 1.0 + (0.5 if upper else -0.5) * f * curv / (slope * slope)
+        den = 1.0 + 0.5 * f * curv / (slope * slope)
         if den > 0.5:
             step /= den
         step = max(-20.0, min(20.0, step))

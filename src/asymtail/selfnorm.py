@@ -424,7 +424,11 @@ _CURVE_NAMES = {"vw": "normal", "vym": "lc", "vsymm": "lc", "vhatsymm": "lc"}
 
 
 def _bound_curve(cfg: SelfNormConfig) -> Callable[[float], float]:
+    if cfg.kind != "vym" and cfg.m != 1.0:
+        raise SelfNormError(f"{cfg.kind} is pinned at m = 1")
     if cfg.kind == "vw":
+        if cfg.p is not None:
+            raise SelfNormError("vw takes no p")
         c50 = c_const(5, 0)
         return lambda x: min(1.0, c50 * normal_tail(x))
     if cfg.kind == "vym":
@@ -443,8 +447,6 @@ def _bound_curve(cfg: SelfNormConfig) -> Callable[[float], float]:
     # vsymm and vhatsymm
     if cfg.p is None:
         raise SelfNormError(f"{cfg.kind} needs the multiplier mass p")
-    if cfg.m != 1.0:
-        raise SelfNormError("symmetric checks are pinned at m = 1")
     if cfg.p < SQRT2_MINUS_1 - 1e-12:
         raise SelfNormError("symmetric comparison needs p >= sqrt(2) - 1")
     carrier = scale(iid_sum(st(cfg.p), cfg.n), cfg.n ** -0.5)
@@ -538,11 +540,13 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
 
 def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> McReport:
     """Simulate the statistic and compare its tail with the bound curve
-    at Clopper-Pearson confidence.  The paths are counted by
+    at 99% Clopper-Pearson confidence.  The paths are counted by
     `tail_counts` and the rows built by `mc_rows`, so the counts do not
     depend on the worker count."""
     if cfg.kind not in _CURVE_NAMES:
         raise SelfNormError(f"unknown check kind {cfg.kind!r}")
+    if not math.isfinite(cfg.m):
+        raise SelfNormError(f"m must be finite, got {cfg.m!r}")
     if not cfg.n >= 1:
         raise SelfNormError(f"n must be >= 1, got {cfg.n!r}")
     if cfg.x_grid is not None:
@@ -568,7 +572,7 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> McReport:
     curve = _bound_curve(cfg)
     bounds = [curve(float(x)) for x in xs]
     tc = tail_counts(_block_simulator(cfg, rm, hat), xs, mc)
-    rows = mc_rows(xs, tc, bounds, [_CURVE_NAMES[cfg.kind]] * len(xs), mc.confidence)
+    rows = mc_rows(xs, tc, bounds, [_CURVE_NAMES[cfg.kind]] * len(xs))
     return McReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,
                     seed=mc.seed, blocks=tc.blocks, workers=tc.workers,
                     paths_per_s=tc.paths_per_s)

@@ -342,4 +342,6 @@ def threshold_row(p: float) -> dict:
 
 
 def threshold_table(ps) -> list[dict]:
+    if len(ps) == 0:
+        raise ThresholdError("need at least one p")
     return [threshold_row(float(p)) for p in ps]

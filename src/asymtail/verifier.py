@@ -18,9 +18,9 @@ confidence guard:
   switches on, and each piece's maximum lies at its ends or at a root
   of the derivative;
 - supermartingale increment rules simulated at scale and compared with
-  the bound family at Clopper-Pearson confidence.
+  the bound family through a one-sided 99% Clopper-Pearson limit.
 
-The Clopper-Pearson lower limit (`beta_dist.ppf`) comes from
+The one-sided 99% Clopper-Pearson lower limit (`beta_dist.ppf`) comes from
 `clopper_pearson`, with numpy and `math` alone: Halley steps on the
 binomial tail, summed over a window of terms from Loader's saddle-point
 pmf, and rounded down by the sum's error bound, so the limit never lies
@@ -35,7 +35,7 @@ when ASYMTAIL_THREADS changes and forgotten in a forked child.  A
 thread lends each block it runs the same scratch buffer
 (`_block_buffers`), so a check's blocks take turns with one working set
 per thread.  `mc_rows` turns the counts into one `McRow` per x: the
-Clopper-Pearson lower limit, the bound, its name and the margin between
+99% Clopper-Pearson lower limit, the bound, its name and the margin between
 them.  The supermartingale check here and the self-normalized checks in
 `selfnorm` both run on them and report an `McReport`, with the paths
 per second of the `tail_counts` call, so their counts are the same at
@@ -63,24 +63,20 @@ class _BetaQuantile:
     """Quantile function of the Beta(a, b) law for integer a, b >= 1: the
     Clopper-Pearson lower limit for a successes in a + b - 1 trials.
 
-    `beta_dist.ppf(q, a, b)` returns an x at which the binomial tail
-    P(Bin(a + b - 1, x) >= a) is certified <= q after allowing for its
-    rounding error, so it never lies above the exact quantile, and which
+    `beta_dist.ppf(q, a, b)`, 0 < q <= 1/2, returns an x at which the
+    tail P(Bin(a + b - 1, x) >= a) is certified <= q after allowing for
+    its rounding error, so it never lies above the exact quantile, and
     is within about 1e-13 relative of it (`clopper_pearson.cp_lower`,
     imported on the first call).  `mc_rows` makes every Monte Carlo
-    check's call.
+    check's call, at q = 1 - 0.99.
     """
 
     @staticmethod
     def ppf(q, a, b) -> float:
         if not (math.isfinite(a) and math.isfinite(b) and a == int(a) >= 1 and b == int(b) >= 1):
             raise VerifyError(f"Beta quantile needs integer shapes >= 1, got a={a!r}, b={b!r}")
-        if math.isnan(q):
-            raise VerifyError("Beta quantile of NaN")
-        if q <= 0.0:
-            return 0.0
-        if q >= 1.0:
-            return 1.0
+        if not 0.0 < q <= 0.5:
+            raise VerifyError(f"Beta quantile needs q in (0, 1/2], got {q!r}")
         from .clopper_pearson import cp_lower
         a, b = int(a), int(b)
         return cp_lower(a, a + b - 1, float(q))
@@ -472,12 +468,15 @@ def exactness_witness(p: float, m: float) -> ViolationWitness | None:
 # supermartingale Monte Carlo
 # ---------------------------------------------------------------------------
 
+# every Monte Carlo limit's confidence; q = 1 - 0.99 is not the double 0.01
+_MC_CONFIDENCE = 0.99
+
+
 @dataclass(frozen=True)
 class McConfig:
     seed: int = 0
     n_paths: int = 200_000
     block: int = 65_536
-    confidence: float = 0.99
 
     def __post_init__(self):
         try:
@@ -488,8 +487,6 @@ class McConfig:
             raise VerifyError(f"n_paths must be >= 1, got {self.n_paths!r}")
         if not self.block >= 1:
             raise VerifyError(f"block must be >= 1, got {self.block!r}")
-        if not 0.0 < self.confidence < 1.0:
-            raise VerifyError(f"confidence must lie in (0, 1), got {self.confidence!r}")
 
 
 @dataclass(frozen=True)
@@ -740,13 +737,13 @@ class SupermartingaleReport(McReport):
     max_sqrtab_excess: float
 
 
-def mc_rows(xs, tc: TailCounts, bounds, names, confidence: float) -> list[McRow]:
+def mc_rows(xs, tc: TailCounts, bounds, names) -> list[McRow]:
     """One row per x: the tail count, its one-sided Clopper-Pearson lower
-    limit at `confidence`, and the bound it is checked against."""
+    limit at 99%, and the bound it is checked against."""
     rows = []
     for x, k, b, name in zip(xs, tc.counts, bounds, names):
         k, b = int(k), float(b)
-        lo = float(beta_dist.ppf(1.0 - confidence, k, tc.n_paths - k + 1)) if k else 0.0
+        lo = float(beta_dist.ppf(1.0 - _MC_CONFIDENCE, k, tc.n_paths - k + 1)) if k else 0.0
         rows.append(McRow(x=float(x), count=k, empirical=k / tc.n_paths, cp_lower=lo,
                           bound=b, margin=b - lo, bound_name=name, ok=lo <= b))
     return rows
@@ -756,7 +753,7 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
     """Simulate the increment rule and compare tails with the bounds.
 
     The empirical tail at each grid point gets a one-sided lower
-    confidence limit (Clopper-Pearson at mc.confidence); the check
+    confidence limit (Clopper-Pearson at 99%); the check
     passes while that limit stays at or below the hybrid bound.  The
     paths are counted by `tail_counts`, so the result does not depend on
     the worker count.
@@ -783,8 +780,7 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
 
     reports = combined_bound_grid(cfg.p, cfg.m, xs, coeffs=c)
     tc = tail_counts(lambda rng, size: _simulate_block(cfg, rng, size), xs, mc)
-    rows = mc_rows(xs, tc, [r.minimum for r in reports], [r.argmin for r in reports],
-                   mc.confidence)
+    rows = mc_rows(xs, tc, [r.minimum for r in reports], [r.argmin for r in reports])
     return SupermartingaleReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,
                                  seed=mc.seed, blocks=tc.blocks, workers=tc.workers,
                                  paths_per_s=tc.paths_per_s, max_sqrtab_excess=max(tc.extras))

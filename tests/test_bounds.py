@@ -18,6 +18,7 @@ from asymtail.bounds import (
     hoeffding_bound,
     normal_tail,
     partial_moment,
+    resolve_s_m,
 )
 from asymtail.dist import bs, from_pairs, tail, weighted_bs_sum
 from asymtail.majorant import lattice_params, lc_majorant, lin_lc_majorant
@@ -300,7 +301,7 @@ class TestCombinedBound:
     @pytest.mark.parametrize("p,m,x", [
         (0.3, 1.0, math.nan), (0.3, 1.0, math.inf), (0.3, 1.0, -math.inf),
         (0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (math.nan, 1.0, 1.0),
-        (0.3, 0.5, 1.0), (0.3, math.nan, 1.0),
+        (0.3, 0.5, 1.0), (0.3, math.nan, 1.0), (0.3, math.inf, 1.0),
     ])
     def test_rejects_out_of_domain_inputs(self, p, m, x):
         with pytest.raises(BoundError):
@@ -312,6 +313,32 @@ class TestCombinedBound:
         monkeypatch.setattr("asymtail.bounds.golden_section", refuse)
         reports = combined_bound_grid(0.3, 1.2, np.linspace(1.0, 20.0, 20), n=50, s_m=1.0)
         assert all(0.0 <= r.b_opt <= 1.0 for r in reports)
+
+
+class TestResolveSM:
+    """s_m = (mean c^{2m})^{1/(2m)} where the powers c^{2m} leave the
+    normal floats: m_star(p) grows like 1/(2 sqrt p), so small p asks
+    for large m."""
+
+    @staticmethod
+    def exact(m, coeffs):
+        with mpmath.workdps(40):
+            c = [mpmath.mpf(v) for v in coeffs]
+            e = 2 * mpmath.mpf(m)
+            return float((mpmath.fsum(v ** e for v in c) / len(c)) ** (1 / e))
+
+    # the overflow at m = 501 and the underflow at m = 50.5 are
+    # TestBoundCommand::test_s_m_at_large_m in tests/test_cli.py
+    @pytest.mark.parametrize("m,coeffs", [
+        (1.0, [1e-160, 3e-160, 0.0]),        # the mean square is subnormal
+        (1e4, [1e-8, 1e8, 0.0, 7.0, 1e8]),   # 1e8^20000 overflows
+    ])
+    def test_matches_the_exact_power_mean(self, m, coeffs):
+        _, s_m, _ = resolve_s_m(m, coeffs=coeffs)
+        assert s_m == pytest.approx(self.exact(m, coeffs), rel=1e-15, abs=0.0)
+
+    def test_all_zero_coefficients_stay_zero(self):
+        assert resolve_s_m(60.0, coeffs=[0.0, 0.0])[1] == 0.0
 
 
 def log_binomial_tail(p, n, s_m, x):

@@ -1,6 +1,9 @@
 """End-to-end checks of the command line tool: JSON output against the
 schemas, exit codes, determinism, and CSV side channel."""
+import contextlib
 import csv
+import functools
+import io
 import json
 import pathlib
 import resource
@@ -8,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
@@ -27,6 +32,7 @@ def run_cli(*args, check=True):
     return proc
 
 
+@functools.lru_cache(maxsize=None)
 def load_validator(name):
     registry = Registry()
     for path in SCHEMA_DIR.glob("*.schema.json"):
@@ -144,6 +150,24 @@ class TestBoundCommand:
         load_validator("bound_report.schema.json").validate(body)
         row = body["rows"][0]
         assert row["n"] == 200_000_000 and 0.0 < row["minimum"] <= 1.0
+
+    # m_star(p) grows like 1/(2 sqrt p), so at small p the powers c^{2m}
+    # of s_m = (mean c^{2m})^{1/(2m)} overflow (3^1002) or underflow
+    # ((1e-5)^101); s_m is exact to 40 digits
+    @pytest.mark.parametrize("argv,s_m", [
+        (["bound", "--p", "1e-6", "--m", "501", "--coeffs", "1,3", "--x", "1"],
+         2.99792542668017901),
+        (["bound", "--p", "1e-4", "--m", "50.5", "--coeffs", "1e-5,2e-5", "--x", "0.00005"],
+         1.98632130431650682e-5),
+    ], ids=["overflow", "underflow"])
+    def test_s_m_at_large_m(self, argv, s_m, capsys):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr()
+        body = json.loads(out.out)
+        load_validator("bound_report.schema.json").validate(body)
+        assert body["rows"][0]["s_m"] == pytest.approx(s_m, rel=1e-15, abs=0.0)
+        err = out.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("wall time")
 
 
 class TestMajorantCommand:
@@ -328,6 +352,14 @@ class TestBadInputExit2:
         ["selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "3", "--x", "inf"],
         ["majorant", "--p", "0.3", "--n", "5", "--eval", "nan"],
         ["bound", "--p", "0.3", "--n", "3", "--s-m", "1", "--x-grid", "0:1:0"],
+        ["bound", "--p", "0.3", "--m", "inf", "--coeffs", "1,2", "--x", "1"],
+        ["selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "4", "--m", "nan",
+         "--paths", "1000"],
+        ["selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "4", "--p", "0.3",
+         "--paths", "1000"],
+        ["selfnorm", "--kind", "vym", "--preset", "asym3", "--n", "4", "--p", "0.25",
+         "--m", "inf", "--paths", "1000"],
+        ["thresholds", "--p-grid", "0.1:0.2:0"],
     ])
     def test_out_of_domain_value(self, argv, capsys):
         assert cli.main(argv) == 2
@@ -392,3 +424,50 @@ class TestBadInputExit2:
         assert err[0] == ("error: ASYMTAIL_THREADS must be a positive integer, "
                           f"got {threads!r}")
         assert len(err) == 2 and err[1].startswith("wall time")
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract over generated argument vectors
+# ---------------------------------------------------------------------------
+
+@hst.composite
+def _bound_argv(draw):
+    """`bound` at p in (0, 1) with both ends' 1e-9, m in [1, 1e4], x in
+    [-5, 1e6], and up to 60 coefficients (each 0 or in [1e-8, 1e8]) or
+    n <= 300 with s_m in [1e-6, 1e6]."""
+    p = draw(hst.one_of(hst.sampled_from([1e-9, 1.0 - 1e-9]), hst.floats(1e-9, 1.0 - 1e-9)))
+    argv = ["bound", "--p", repr(p), "--m", repr(draw(hst.floats(1.0, 1e4)))]
+    if draw(hst.booleans()):
+        coeffs = draw(hst.lists(hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e8)),
+                                min_size=1, max_size=60))
+        argv += ["--coeffs", ",".join(map(repr, coeffs))]
+    else:
+        argv += ["--n", str(draw(hst.integers(1, 300))),
+                 "--s-m", repr(draw(hst.floats(1e-6, 1e6)))]
+    # one token, since argparse reads "-1e-05" after --x as an option
+    return argv + [f"--x={draw(hst.floats(-5.0, 1e6))!r}"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_bound_argv())
+def test_bound_keeps_the_cli_contract(argv):
+    """Exit 2 with only the error and wall-time lines, or exit 0 with
+    schema-valid JSON and no null s_m, m or member.  In-process, so a
+    numpy RuntimeWarning fails the test (pyproject makes it an error);
+    capsys is per test function, so the streams are redirected here."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(lines) == 2 and lines[0].startswith("error: "), lines
+        assert lines[1].startswith("wall time")
+        return
+    assert code == 0
+    assert len(lines) == 1 and lines[0].startswith("wall time"), lines
+    body = json.loads(out.getvalue())
+    load_validator("bound_report.schema.json").validate(body)
+    for row in body["rows"]:
+        for name in ("s_m", "m", "b_opt", "lc", "lin_lc", "hoeffding", "minimum"):
+            assert row[name] is not None, name

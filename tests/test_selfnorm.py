@@ -283,6 +283,11 @@ class TestGuards:
         with pytest.raises(SelfNormError):
             selfnorm_bound_check(cfg, McConfig(n_paths=1000))
 
+    def test_vw_rejects_m_not_one(self):
+        cfg = SelfNormConfig(base=ASYM3, n=4, kind="vw", m=1.5)
+        with pytest.raises(SelfNormError):
+            selfnorm_bound_check(cfg, McConfig(n_paths=1000))
+
     def test_vhatsymm_rejects_asymmetric_base(self):
         cfg = SelfNormConfig(base=ASYM3, n=4, kind="vhatsymm", m=1.0, p=0.5)
         with pytest.raises(SelfNormError):
@@ -528,7 +533,8 @@ class TestSampledBlocks:
         # 6000 (atom, slice) pairs, where a row of slices per atom would be
         # 4 million doubles (31 MiB); a check peaks at about 1.3 MiB
         monkeypatch.setenv("ASYMTAIL_THREADS", "1")
-        cfg = SelfNormConfig(base=MANY_ATOMS, n=10, kind=kind, m=m_star(0.2), p=0.2)
+        cfg = (SelfNormConfig(base=MANY_ATOMS, n=10, kind="vw") if kind == "vw" else
+               SelfNormConfig(base=MANY_ATOMS, n=10, kind="vym", m=m_star(0.2), p=0.2))
         selfnorm_bound_check(dataclasses.replace(cfg, base=MANY_SLICES), McConfig(seed=1, n_paths=1_000))
         tracemalloc.start()
         try:
