@@ -541,7 +541,9 @@ class TestSupermartingaleMC:
             supermartingale_mc(cfg, McConfig(n_paths=1000))
 
     @pytest.mark.parametrize("kwargs", [
-        {"n_paths": 0}, {"n_paths": -5}, {"block": 0}, {"seed": -1},
+        {"n_paths": 0}, {"n_paths": -5}, {"block": 0},
+        {"block": -3}, {"n_paths": math.nan}, {"block": math.nan},
+        {"seed": -1},
     ])
     def test_mc_config_rejects_out_of_range(self, kwargs):
         with pytest.raises(VerifyError):
