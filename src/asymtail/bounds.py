@@ -85,7 +85,10 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
     Past the top atom the value is 0.  For x <= E D the ratio is
     nondecreasing in t with limit 1 at t = -inf, so the value is 1, with
     t_opt = min - 10 range.  Any t < x gives an upper bound, so a root
-    clipped to its interval by roundoff still yields a valid bound.
+    clipped to its interval by roundoff still yields a valid bound.  Every
+    other x needs the root, and a BoundError is raised where its
+    discriminant is not finite: the moments overflow once the atoms pass
+    about 1e77, and no bound is returned from them.
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -97,14 +100,15 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
     vmax = d.max_value
     rng = vmax - d.min_value
     t_low = d.min_value - 10.0 * (rng if rng > 0 else max(1.0, abs(vmax)))
-    P = _shifted_suffix_moments(d)
     # x within merge tolerance above the top atom counts as the top atom,
     # as in dist.tail; further up the value is 0
     past = xs > vmax + 1e-12 * max(1.0, abs(vmax))
     xs_in = np.minimum(xs, vmax)
     # non-finite intermediates are all resolved below: by fmax, by the
-    # NaN-to-0 and clip of u, or where the two overrides replace the ratio
+    # NaN-to-0 and clip of u, where the two overrides replace the ratio, or
+    # by the error on a discriminant that is not finite
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        P = _shifted_suffix_moments(d)
         # r_k >= v_{k+1} holds exactly; fmax and the running max restore
         # it, and the order, where roundoff or underflow broke them
         r = np.maximum.accumulate(np.fmax(v[:-1] + P[3, :-1] / P[2, :-1], v[1:]))
@@ -118,7 +122,8 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
         a = q1 - dx
         b = 2.0 * (q2 - dx * q1)
         c = q3 - dx * q2
-        s = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+        disc = b * b - 4.0 * a * c
+        s = np.sqrt(np.maximum(disc, 0.0))
         # the root where g falls through zero, in its cancellation-free form
         u = np.where(b > 0.0, (-b - s) / (2.0 * a), 2.0 * c / (s - b))
         # the gap below v_k, infinite below the bottom atom
@@ -129,6 +134,11 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
         raw = mass * (q3 + u * (3.0 * q2 + u * (3.0 * q1 + u))) / w / w / w
     t_opt = vk - u
     no_root = (k == 0) & (a >= 0.0)
+    overflow = ~(np.isfinite(disc) | past | no_root)
+    if overflow.any():
+        raise BoundError(
+            f"b_opt overflows at x = {float(xs[overflow.argmax()])!r}: the carrier's atoms, "
+            f"up to {max(-d.min_value, vmax):g} in size, are too large for its moments")
     raw = np.where(past, 0.0, np.where(no_root, 1.0, raw))
     t_opt = np.where(past, 0.5 * (vmax + xs), np.where(no_root, t_low, t_opt))
     value = np.minimum(raw, 1.0)
@@ -229,7 +239,6 @@ class BoundReport:
     normal_dom: float | None
     minimum: float
     argmin: str
-    below_threshold: bool
     raw: dict = field(default_factory=dict)
 
 
@@ -246,14 +255,19 @@ def resolve_s_m(m: float, coeffs=None, s_m: float | None = None,
         # np.mean is np.add.reduce over the count, without its wrapper.  Where
         # the mean of c^{2m} overflows or is not a normal float (m_star(p) ~
         # 1/(2 sqrt p) is large at small p), s_m comes from c / max(c)
-        top = 1.0
+        top = top1 = 1.0
         with np.errstate(over="ignore", under="ignore"):
             ms = np.add.reduce(c ** (2.0 * m)) / nn
             if not sys.float_info.min <= ms < math.inf and 0.0 < c.max() < math.inf:
                 top = float(c.max())
                 ms = np.add.reduce((c / top) ** (2.0 * m)) / nn
+            # s_1 the same way, but only where c^2 overflows
+            ms1 = np.add.reduce(c ** 2) / nn
+            if ms1 == math.inf and 0.0 < c.max() < math.inf:
+                top1 = float(c.max())
+                ms1 = np.add.reduce((c / top1) ** 2) / nn
         sm = top * float(ms ** (1.0 / (2.0 * m)))
-        s1 = float(math.sqrt(np.add.reduce(c ** 2) / nn))
+        s1 = top1 * math.sqrt(ms1)
         return nn, sm, s1
     if s_m is None or n is None:
         raise BoundError("need coeffs, or both s_m and n")
@@ -279,7 +293,12 @@ def carrier_sum(p: float, n: int, s_m: float) -> FiniteDist:
 
 def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
                         coeffs=None, s_m: float | None = None) -> list[BoundReport]:
-    """Evaluate the whole bound family at each x, sharing one carrier."""
+    """Evaluate the whole bound family at each x, sharing one carrier.
+
+    The carrier dominates only at m >= m_star(p).  Below it, an s_m is a
+    BoundError; coefficients are taken at m = m_star(p) instead, which the
+    reports give as their m: s_m of given coefficients rises with m, so
+    that carrier's bounds hold.  Anywhere else m is used as given."""
     if not 0.0 < p < 1.0:
         raise BoundError(f"p must lie in (0, 1), got {p!r}")
     if not 1.0 <= m < math.inf:
@@ -287,8 +306,13 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
         raise BoundError("need at least one x")
+    threshold = m_star(p)
+    if m < threshold - 1e-12:
+        if coeffs is None:
+            raise BoundError(f"m = {m!r} is below the threshold m_star(p) = {threshold!r} "
+                             "for this p")
+        m = threshold
     n, sm, s1 = resolve_s_m(m, coeffs=coeffs, s_m=s_m, n=n)
-    below = m < m_star(p) - 1e-12
     carrier = carrier_sum(p, n, sm)
     lc = lc_majorant(carrier)
     linlc = lin_lc_majorant(carrier)
@@ -310,7 +334,7 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     return [BoundReport(
         p=p, m=m, n=n, s_m=sm, x=x, h=h, b_opt=c[0], b_opt_t=t, lc=c[1], lin_lc=c[2],
         hoeffding=c[3], normal_dom=c[4] if len(c) == 5 else None,
-        minimum=c[k], argmin=names[k], below_threshold=below, raw=dict(zip(names, r)))
+        minimum=c[k], argmin=names[k], raw=dict(zip(names, r)))
         for x, t, r, c, k in zip(xs.tolist(), bo.t_opt.tolist(), rows.T.tolist(),
                                  clamped.T.tolist(), best)]
 

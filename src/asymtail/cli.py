@@ -25,6 +25,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -153,8 +154,7 @@ def _cmd_bound(args) -> int:
                                   coeffs=coeffs, s_m=args.s_m)
     rows = [dataclasses.asdict(r) for r in reports]
     csv_rows = [{k: r[k] for k in ("x", "b_opt", "lc", "lin_lc", "hoeffding",
-                                   "normal_dom", "minimum", "argmin",
-                                   "below_threshold")} for r in rows]
+                                   "normal_dom", "minimum", "argmin")} for r in rows]
     _emit(args, {"rows": rows}, csv_rows)
     return 0
 
@@ -279,6 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", type=float, action="append")
     s.add_argument("--out", help="also write rows to this CSV file")
     s.set_defaults(func=_cmd_selfnorm)
+    # argparse reads "-1e-05" or "-1,2" as an option unless it matches its
+    # negative-number pattern, which knows neither; no option starts with
+    # "-" and a digit, so every such token is a value
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(r"-\.?\d")
     return ap
 
 

@@ -14,10 +14,10 @@ construction:
   arithmetic downstream, so tails below about 2.2e-308 read as 0.
 
 iid_sum of a two-atom law {a: q, b: p} is the binomial lattice
-n a + k (b - a) in closed form, built only where its masses do not
-underflow: about 37.6 standard deviations each side of the mode, so its
-cost is that window, not O(n) (see _binomial_lattice); laws with more
-atoms are convolved by binary powering.
+n a + k (b - a) in closed form, built and normalized only where its
+masses do not underflow: about 37.6 standard deviations each side of the
+mode, so its cost is that window, not O(n) (see _binomial_lattice); laws
+with more atoms are convolved by binary powering.
 
 A law knows its lattice when it is built on one.  `bs`,
 `_binomial_lattice` (so iid_sum of a two-atom law) and `scale` of such a
@@ -49,12 +49,11 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -306,57 +305,27 @@ _FIRST_CHUNK = 4096
 _MAX_CHUNK = 1 << 20
 
 
-def _falling_products(ratio, start: int, stop: int, step: int) -> Iterator[np.ndarray]:
+def _normal_products(ratio, start: int, stop: int, step: int) -> np.ndarray:
     """The running products of ratio(j) for j = start, start + step, ...
-    short of stop, in chunks, up to the first product that is 0.
+    short of stop that are >= MIN_MASS.
 
-    Every ratio is <= 1, so once a product underflows to 0 every later one
-    is 0.  Each chunk's first ratio is multiplied by the product before it,
-    so the chunks are one np.cumprod run bit for bit."""
+    Every ratio is <= 1, so the products fall and those >= MIN_MASS lead;
+    they are computed in chunks, up to the first chunk that ends below
+    MIN_MASS.  Each chunk's first ratio is multiplied by the product
+    before it, so the chunks are one np.cumprod run bit for bit."""
+    chunks = [np.empty(0)]
     j, last, size = start, 1.0, _FIRST_CHUNK
     while j != stop:
         end = min(j + size, stop) if step > 0 else max(j - size, stop)
         prod = ratio(np.arange(j, end, step))
         prod[0] *= last
         np.multiply.accumulate(prod, out=prod)
-        if prod[-1] == 0.0:
-            nonzero = np.count_nonzero(prod)
-            if nonzero:
-                yield prod[:nonzero]
-            return
-        yield prod
-        j, last, size = end, prod[-1], min(2 * size, _MAX_CHUNK)
-
-
-def _normal_run(chunks: Iterator[np.ndarray]) -> tuple[np.ndarray, np.ndarray, Iterator]:
-    """The falling products that are >= MIN_MASS, those below it in the
-    same chunk, and the chunks after it, not yet computed."""
-    normal = []
-    low = np.empty(0)
-    for prod in chunks:
-        # the products fall, so those >= MIN_MASS lead the chunk
-        cut = len(prod) if prod[-1] >= MIN_MASS else np.count_nonzero(prod >= MIN_MASS)
-        normal.append(prod[:cut])
-        if cut < len(prod):
-            low = prod[cut:]
+        if prod[-1] < MIN_MASS:
+            chunks.append(prod[:np.count_nonzero(prod >= MIN_MASS)])
             break
-    if len(normal) == 1:
-        return normal[0], low, chunks
-    return (np.concatenate(normal) if normal else np.empty(0)), low, chunks
-
-
-def _exact_total(terms: list[float], more: Iterator[np.ndarray], bound: float) -> float:
-    """math.fsum of the terms and of every entry of the arrays in more,
-    given that those entries are >= 0 and sum to less than bound.
-
-    Rounding is monotone, so where adding bound to the terms leaves their
-    correctly rounded sum as it is, adding the entries of more does too,
-    and only their first array is computed; otherwise all are summed."""
-    first = next(more, None)
-    total = math.fsum(terms)
-    if first is None or math.fsum(terms + [bound]) == total:
-        return total
-    return math.fsum(itertools.chain(terms, first.tolist(), *(c.tolist() for c in more)))
+        chunks.append(prod)
+        j, last, size = end, prod[-1], min(2 * size, _MAX_CHUNK)
+    return np.concatenate(chunks)
 
 
 def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
@@ -370,26 +339,22 @@ def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
     (lgamma differences would lose about ten times more accuracy.)  So
     atoms are built only for the window of products >= MIN_MASS, about
     37.6 standard deviations each side of the mode, and the cost is that
-    window, not n.  The normalization is math.fsum of every product, as
-    if all n + 1 were built.  The products computed so far are summed;
-    those not yet computed are fewer than n, each below MIN_MASS, and
-    are computed (in chunks, up to the first 0) only where n MIN_MASS
-    could move the rounded total (see _exact_total).  The masses fall
+    window, not n.  The normalization is math.fsum of the window: the
+    products left out are fewer than n, each below MIN_MASS, so they add
+    less than n MIN_MASS (< 1e-290) to a total >= 1, which moves its
+    rounding only where the window's exact sum lies that close below a
+    rounding boundary, and then by one ulp.  The masses fall
     away from the mode, so the atoms kept are consecutive and the law
     carries its lattice.
     """
     (a, b), (q, p) = d.values, d.masses
     mode = min(int((n + 1) * p), n)
-    up, up_low, up_more = _normal_run(
-        _falling_products(lambda j: (n - j) * p / ((j + 1) * q), mode, n, 1))
-    down, down_low, down_more = _normal_run(
-        _falling_products(lambda j: j * q / ((n - j + 1) * p), mode, 0, -1))
-    products = np.concatenate((down_low[::-1], down[::-1], [1.0], up, up_low))
+    up = _normal_products(lambda j: (n - j) * p / ((j + 1) * q), mode, n, 1)
+    down = _normal_products(lambda j: j * q / ((n - j + 1) * p), mode, 0, -1)
+    mass = np.concatenate((down[::-1], [1.0], up))
     # fsum keeps few partials, and is fast, when the terms fall in size;
     # in the order of the atoms it is 20 times slower at n = 600
-    total = _exact_total(np.sort(products)[::-1].tolist(),
-                         itertools.chain(down_more, up_more), n * MIN_MASS)
-    mass = products[len(down_low):len(products) - len(up_low)]
+    total = math.fsum(np.sort(mass)[::-1].tolist())
     k = np.arange(mode - len(down), mode + len(up) + 1)
     return FiniteDist(n * a + k * (b - a), mass / total, on_lattice=True)
 

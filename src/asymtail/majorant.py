@@ -252,7 +252,8 @@ def lc_majorant(d: FiniteDist) -> TailMajorant:
     The lattice reported is the one d carries, else lattice_params(d),
     else none."""
     v = d.values
-    q = d.upper_tails
+    # cumsum roundoff can pass 1, as in _lattice_tails
+    q = np.minimum(d.upper_tails, 1.0)
     logq = np.log(q)
     hull = _upper_hull_indices(v, logq)
     hx, hy = v[hull], logq[hull]
@@ -478,7 +479,7 @@ def _certify(maj: TailMajorant, lat: np.ndarray, qt: np.ndarray) -> None:
     count = (last - first + 1).astype(int)
     seg = np.repeat(np.arange(len(count)), count)
     cell = np.arange(len(seg)) + np.repeat(first.astype(int) - np.cumsum(count) + count, count)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # each segment's and each cell's fields, gathered once per overlap
         slope = (hy[1:] - hy[:-1]) / (hx[1:] - hx[:-1])
         hx0, hx1, hy0, s, sq, sb, sx0 = np.array(
@@ -491,7 +492,8 @@ def _certify(maj: TailMajorant, lat: np.ndarray, qt: np.ndarray) -> None:
         hi = np.minimum(x1, hx1)
         # the touch point is taken on every overlap: elsewhere than under a
         # bridge on a decreasing cell it is another point of the overlap,
-        # checked to no harm, or NaN, which the comparison skips
+        # checked to no harm, or NaN, which the comparison skips; one past
+        # the float range (a slope or a beta near 0) clips to an end
         touch = x0 + 1.0 / s - q0 / beta
         x = np.array((lo, hi, np.minimum(np.maximum(touch, lo), hi)))
         q = q0 + beta * (x - x0)

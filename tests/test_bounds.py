@@ -173,6 +173,14 @@ class TestBOpt:
             with pytest.raises(BoundError):
                 b_opt(d, x)
 
+    def test_overflowing_root_is_an_error(self):
+        # past about 1e77 the quadratic's discriminant overflows; x past
+        # the top atom and x <= E D need no root
+        d = carrier_sum(0.5, 4, 1e80)
+        with pytest.raises(BoundError, match="overflows at x = 4e\\+79"):
+            b_opt(d, [d.min_value - 1.0, 4e79])
+        assert b_opt(d, [d.min_value - 1.0, 2.0 * d.max_value]).raw.tolist() == [1.0, 0.0]
+
 
 class TestHoeffding:
     def test_arrays_match_scalar_calls(self):
@@ -235,7 +243,6 @@ class TestCombinedBound:
         rep = combined_bound(0.5, 1.0, 4.0, n=4, s_m=1.0)
         assert rep.minimum == pytest.approx(0.0625, rel=1e-9)
         assert rep.hoeffding == pytest.approx(0.0625, rel=1e-12)
-        assert not rep.below_threshold
 
     def test_chain_order_on_ten_configs(self):
         # b_opt <= c30 LinLC(x + h/2) <= c30 LC(x), every config, every x
@@ -282,13 +289,21 @@ class TestCombinedBound:
             min(1.0, c_const(3, 0) * normal_tail(1.0 / math.sqrt(3.0))), rel=1e-12)
 
     def test_below_threshold_flag(self):
-        rep = combined_bound(0.1, 1.2, 1.0, n=4, s_m=1.0)  # m_star(0.1) = 1.75
-        assert rep.below_threshold
+        """Below m_star(p) an s_m is an error, and coefficients are taken
+        at m_star(p), the m their reports give; within 1e-12 below it m is
+        used as given."""
+        with pytest.raises(BoundError, match="below the threshold"):
+            combined_bound(0.1, 1.2, 1.0, n=4, s_m=1.0)  # m_star(0.1) = 1.75
+        lifted = combined_bound(0.1, 1.0, 3.0, coeffs=[1.0, 2.0, 3.0])
+        assert lifted == combined_bound(0.1, m_star(0.1), 3.0, coeffs=[1.0, 2.0, 3.0])
+        assert lifted.m == m_star(0.1) and lifted.minimum == pytest.approx(0.718, abs=5e-4)
+        near = m_star(0.1) - 5e-13
+        assert combined_bound(0.1, near, 1.0, n=4, s_m=1.0).m == near
 
     def test_coeffs_and_s_m_agree(self):
         xs = [0.5, 1.5, 2.5]
-        via_coeffs = combined_bound_grid(0.3, 1.0, xs, coeffs=[1.0, 1.0, 1.0, 1.0])
-        via_sm = combined_bound_grid(0.3, 1.0, xs, n=4, s_m=1.0)
+        via_coeffs = combined_bound_grid(0.3, m_star(0.3), xs, coeffs=[1.0, 1.0, 1.0, 1.0])
+        via_sm = combined_bound_grid(0.3, m_star(0.3), xs, n=4, s_m=1.0)
         for a, b in zip(via_coeffs, via_sm):
             assert a.minimum == pytest.approx(b.minimum, rel=1e-12)
 
@@ -336,6 +351,11 @@ class TestResolveSM:
     def test_matches_the_exact_power_mean(self, m, coeffs):
         _, s_m, _ = resolve_s_m(m, coeffs=coeffs)
         assert s_m == pytest.approx(self.exact(m, coeffs), rel=1e-15, abs=0.0)
+
+    def test_s_1_where_the_squares_overflow(self):
+        coeffs = [1e200, 3e200, 0.0]
+        _, _, s_1 = resolve_s_m(2.0, coeffs=coeffs)
+        assert s_1 == pytest.approx(self.exact(1.0, coeffs), rel=1e-15, abs=0.0)
 
     def test_all_zero_coefficients_stay_zero(self):
         assert resolve_s_m(60.0, coeffs=[0.0, 0.0])[1] == 0.0

@@ -17,6 +17,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from asymtail import cli
+from asymtail.thresholds import m_star
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA_DIR = ROOT / "schemas"
@@ -143,7 +144,7 @@ class TestBoundCommand:
 
         proc = subprocess.run(
             [sys.executable, "-m", "asymtail.cli", "bound", "--p", "0.3",
-             "--n", "200000000", "--s-m", "1", "--x", "1"],
+             "--m", repr(m_star(0.3)), "--n", "200000000", "--s-m", "1", "--x", "1"],
             capture_output=True, text=True, preexec_fn=cap_address_space)
         assert proc.returncode == 0, proc.stderr
         body = json.loads(proc.stdout)
@@ -394,7 +395,7 @@ class TestBadInputExit2:
         assert len(err) == 2 and err[1].startswith("wall time")
 
     def test_s_m_that_merges_the_carrier(self, capsys):
-        argv = ["bound", "--p", "0.3", "--n", "10", "--s-m", "4e-13", "--x", "1e-12"]
+        argv = ["bound", "--p", "0.5", "--n", "10", "--s-m", "4e-13", "--x", "1e-12"]
         assert cli.main(argv) == 2
         out = capsys.readouterr()
         assert out.out == ""
@@ -430,44 +431,96 @@ class TestBadInputExit2:
 # the CLI contract over generated argument vectors
 # ---------------------------------------------------------------------------
 
+def _keeps_the_contract(argv, schema):
+    """Exit 2 with only the error and wall-time lines, or exit 0 with
+    JSON that `schema` accepts and only the wall-time line; the body, or
+    None on exit 2.  In-process, so a numpy RuntimeWarning fails the test
+    (pyproject makes it an error); capsys is per test function, so the
+    streams are redirected here."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, lines = out.getvalue(), err.getvalue().splitlines()
+    if code == 2:
+        assert out == ""
+        assert len(lines) == 2 and lines[0].startswith("error: "), lines
+        assert lines[1].startswith("wall time")
+        return None
+    assert code == 0
+    assert len(lines) == 1 and lines[0].startswith("wall time"), lines
+    body = json.loads(out)
+    load_validator(schema).validate(body)
+    return body
+
+
+def _p_values():
+    return hst.one_of(hst.sampled_from([1e-9, 1.0 - 1e-9]), hst.floats(1e-9, 1.0 - 1e-9))
+
+
 @hst.composite
 def _bound_argv(draw):
     """`bound` at p in (0, 1) with both ends' 1e-9, m in [1, 1e4], x in
-    [-5, 1e6], and up to 60 coefficients (each 0 or in [1e-8, 1e8]) or
-    n <= 300 with s_m in [1e-6, 1e6]."""
-    p = draw(hst.one_of(hst.sampled_from([1e-9, 1.0 - 1e-9]), hst.floats(1e-9, 1.0 - 1e-9)))
-    argv = ["bound", "--p", repr(p), "--m", repr(draw(hst.floats(1.0, 1e4)))]
+    [-5, 1e6] or in [-1e300, 1e300], and up to 60 coefficients (each 0 or
+    in [1e-8, 1e300]) or n <= 300 with s_m in [1e-6, 1e300]; x is its
+    own token, so a negative one must not read as an option."""
+    argv = ["bound", "--p", repr(draw(_p_values())), "--m", repr(draw(hst.floats(1.0, 1e4)))]
     if draw(hst.booleans()):
-        coeffs = draw(hst.lists(hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e8)),
+        coeffs = draw(hst.lists(hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e300)),
                                 min_size=1, max_size=60))
         argv += ["--coeffs", ",".join(map(repr, coeffs))]
     else:
         argv += ["--n", str(draw(hst.integers(1, 300))),
-                 "--s-m", repr(draw(hst.floats(1e-6, 1e6)))]
-    # one token, since argparse reads "-1e-05" after --x as an option
-    return argv + [f"--x={draw(hst.floats(-5.0, 1e6))!r}"]
+                 "--s-m", repr(draw(hst.floats(1e-6, 1e300)))]
+    x = draw(hst.one_of(hst.floats(-5.0, 1e6), hst.floats(-1e300, 1e300)))
+    return argv + ["--x", repr(x)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(argv=_bound_argv())
 def test_bound_keeps_the_cli_contract(argv):
-    """Exit 2 with only the error and wall-time lines, or exit 0 with
-    schema-valid JSON and no null s_m, m or member.  In-process, so a
-    numpy RuntimeWarning fails the test (pyproject makes it an error);
-    capsys is per test function, so the streams are redirected here."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    lines = err.getvalue().splitlines()
-    if code == 2:
-        assert out.getvalue() == ""
-        assert len(lines) == 2 and lines[0].startswith("error: "), lines
-        assert lines[1].startswith("wall time")
-        return
-    assert code == 0
-    assert len(lines) == 1 and lines[0].startswith("wall time"), lines
-    body = json.loads(out.getvalue())
-    load_validator("bound_report.schema.json").validate(body)
-    for row in body["rows"]:
+    """The contract, with no null s_m, m or member in a row."""
+    body = _keeps_the_contract(argv, "bound_report.schema.json")
+    for row in body["rows"] if body else []:
         for name in ("s_m", "m", "b_opt", "lc", "lin_lc", "hoeffding", "minimum"):
             assert row[name] is not None, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(ps=hst.lists(hst.one_of(hst.sampled_from([5e-324, 1e-300, 1.0 - 1e-16]),
+                               hst.floats(-0.5, 1.5)), min_size=1, max_size=3))
+def test_thresholds_keeps_the_cli_contract(ps):
+    """`thresholds` at the smallest subnormal p, at 1e-300, at the largest
+    p below 1, and at random p in and out of (0, 1), each its own token."""
+    argv = ["thresholds"]
+    for p in ps:
+        argv += ["--p", repr(p)]
+    body = _keeps_the_contract(argv, "thresholds.schema.json")
+    if body:
+        assert [row["p"] for row in body["rows"]] == ps
+
+
+@hst.composite
+def _majorant_argv(draw):
+    """`majorant` of either kind on the carrier at p in (0, 1) with both
+    ends' 1e-9, n <= 3000 and s_m in [1e-6, 1e6], with an --eval list
+    that may hold negative entries, passed as its own token.  --refine is
+    at most 8 (below 2 an error): the knots it samples per lattice step
+    only add to the output, which at the default 64 and n = 3000 is 9 MB
+    and takes 5 s to validate."""
+    argv = ["majorant", "--kind", draw(hst.sampled_from(["lc", "linlc"])),
+            "--p", repr(draw(_p_values())), "--n", str(draw(hst.integers(1, 3000))),
+            "--s-m", repr(draw(hst.floats(1e-6, 1e6))),
+            "--refine", str(draw(hst.integers(-1, 8)))]
+    xs = draw(hst.lists(hst.floats(-1e4, 1e4), min_size=1, max_size=5))
+    return argv + ["--eval", ",".join(map(repr, xs))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_majorant_argv())
+def test_majorant_keeps_the_cli_contract(argv):
+    """The contract, with a value at every --eval point and a finite log
+    tail at every hull vertex but the last, where the tail is 0."""
+    body = _keeps_the_contract(argv, "majorant.schema.json")
+    if body:
+        assert all(v["logq"] is not None for v in body["majorant"]["hull"][:-1])
+        assert len(body["eval"]) == len(argv[-1].split(","))

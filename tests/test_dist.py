@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from asymtail.dist import (
@@ -30,9 +30,9 @@ from asymtail.dist import (
 from asymtail.dist import (
     _advanced,
     _cube_plus,
-    _exact_total,
     _GuideTable,
     _inverse_cdf,
+    _normal_products,
     _shifted_suffix_moments,
 )
 
@@ -339,17 +339,30 @@ def test_binomial_window_equals_the_full_lattice_bit_for_bit():
     assert iid_sum(bs(0.5), 200_000).n_atoms < 20_000
 
 
-def test_exact_total_adds_the_rest_where_it_moves_the_rounding():
-    # 1 + 2^-53 is a tie that rounds to 1; any positive rest breaks it up
-    terms = [1.0, 2.0 ** -53]
-    rest = [np.array([2.0 ** -1074, 0.0])]
-    assert math.fsum(terms) == 1.0
-    assert _exact_total(terms, iter(rest), 2.0 ** -1000) == 1.0 + 2.0 ** -52
-    # where the bound cannot move it, the rest is not summed (a NaN would
-    # show) and only its first array is computed
-    unread = iter([np.array([math.nan]), np.array([math.nan])])
-    assert _exact_total([1.0, 2.0 ** -60], unread, 2.0 ** -1000) == 1.0
-    assert next(unread, None) is not None
+def binomial_window(p, n):
+    """The unnormalized masses iid_sum(bs(p), n) keeps: 1 at the mode and
+    the ratio products >= MIN_MASS each side of it."""
+    q, p = bs(p).masses
+    mode = min(int((n + 1) * p), n)
+    up = _normal_products(lambda j: (n - j) * p / ((j + 1) * q), mode, n, 1)
+    down = _normal_products(lambda j: j * q / ((n - j + 1) * p), mode, 0, -1)
+    return np.concatenate((down[::-1], [1.0], up)).tolist()
+
+
+@given(p=hst.one_of(hst.floats(-300.0, 0.0).map(lambda e: 10.0 ** e),
+                    hst.floats(1.2e-16, 1e-15).map(lambda u: 1.0 - u)),
+       n=hst.integers(1, 200_000))
+@settings(max_examples=300, deadline=None)
+def test_products_left_out_cannot_move_the_total(p, n):
+    """The window's masses are normalized by the window's fsum.  The
+    products left out, fewer than n and each below MIN_MASS, would add less
+    than n MIN_MASS; adding that much leaves the rounded total as it is.
+    Asserted only where something is left out: at small n a sum of two or
+    three products is often an exact tie, which any addition breaks."""
+    assume(0.0 < p < 1.0)
+    window = binomial_window(p, n)
+    if len(window) < n + 1:
+        assert math.fsum(window) == math.fsum(window + [n * MIN_MASS]), (p, n)
 
 
 def test_three_atom_iid_sum_still_convolves():

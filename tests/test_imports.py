@@ -49,7 +49,7 @@ def cli(*argv, key=None):
     seen[f"cli {key}"] = scipy_modules()
 
 cli("thresholds", "--p", "0.3")
-cli("bound", "--p", "0.3", "--n", "10", "--s-m", "1", "--x", "2")
+cli("bound", "--p", "0.3", "--m", repr(m), "--n", "10", "--s-m", "1", "--x", "2")
 cli("majorant", "--p", "0.3", "--n", "10", "--kind", "linlc", "--eval", "1,2")
 cli("verify", "--suite", "delta")
 seen["cp module before Monte Carlo"] = "asymtail.clopper_pearson" in sys.modules

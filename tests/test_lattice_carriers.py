@@ -212,7 +212,7 @@ def test_bound_reports_bit_equal_to_the_general_path(monkeypatch):
     for i in range(120):
         p = float(rng.uniform(0.02, 0.98))
         n = int(np.exp(rng.uniform(0.0, math.log(600))))
-        m = m_star(p) if i % 2 else 1.0 + float(rng.random())
+        m = m_star(p) if i % 2 else max(m_star(p), 1.0 + float(rng.random()))
         xs = np.sort(rng.uniform(-0.5, 5.5, 6)) * math.sqrt(n)
         if i % 3 == 0:
             kw = {"coeffs": rng.uniform(0.2, 2.0, n)}

@@ -121,6 +121,14 @@ class TestPointHull:
         assert maj.value(d.min_value - 1.0) == 1.0
         assert maj.value(d.max_value + 1e-6) == 0.0
 
+    def test_log_tails_are_at_most_0(self):
+        # the suffix sums' roundoff puts the first of them above 1 here
+        d = carrier_sum(0.990234375, 2, 1.0)
+        assert d.upper_tails[0] > 1.0
+        maj = lc_majorant(d)
+        assert maj.hull_logq[0] == 0.0 and (maj.knot_logq <= 0.0).all()
+        assert maj.value(float(d.values[1])) <= 1.0
+
     def test_point_mass_has_one_vertex(self):
         maj = lc_majorant(from_pairs([(0.5, 1.0)]))
         assert len(maj.hull_x) == 1 and maj.step is None
@@ -403,6 +411,12 @@ class TestCertificate:
         "weighted": lambda: weighted_bs_sum(0.3, [1.0, 1.3]),
         "hole": lambda: from_pairs(TestInterpolatedHull.HOLE_LAW),
     }
+
+    def test_touch_points_past_the_float_range(self):
+        # on atoms near 1e302 some bridge slopes are sub-normal and 1 / slope
+        # overflows, quietly: the certificate's verdict is the only report
+        with pytest.raises(MajorantError, match="fails to majorize"):
+            lin_lc_majorant(carrier_sum(0.6, 300, 1e300))
 
     @pytest.mark.parametrize("law", LAWS)
     def test_rejects_any_lowered_bridge_vertex(self, law):
