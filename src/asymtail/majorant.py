@@ -164,6 +164,10 @@ class TailMajorant:
             # least the first and at most the last segment
             idx = np.searchsorted(self.hull_x[1:-1], xa, side="right")
             x0, x1, y0, y1, q, beta, a0 = self._segments.take(idx, axis=1)
+            # before the first vertex (the flat cells ahead of the first
+            # arc of linlc) the tail is that vertex's: the first segment,
+            # extended there, would rise past 1
+            xa = np.maximum(xa, self.hull_x[0])
             # both segment forms at every x, then the one of its segment:
             # an arc of the interpolant (log of a linear tail) or a bridge;
             # outside the support, where either form may overflow, x takes 0 or -inf

@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
@@ -517,6 +517,10 @@ def _majorant_argv(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(argv=_majorant_argv())
+# linlc's first vertex is its first arc, two flat cells above support_min:
+# -124 lies between them, where the value must stay at 1
+@example(argv=["majorant", "--kind", "linlc", "--p", "0.999999999", "--n", "2",
+               "--s-m", "0.00390625", "--refine", "2", "--eval", "-124.0"])
 def test_majorant_keeps_the_cli_contract(argv):
     """The contract, with a value at every --eval point and a finite log
     tail at every hull vertex but the last, where the tail is 0."""
