@@ -13,6 +13,10 @@ construction:
   zero masses are: a sub-normal mass has too few bits for the hull
   arithmetic downstream, so tails below about 2.2e-308 read as 0.
 
+The atoms are sorted once; the merge runs only where some gap is within
+tolerance, and the drop only where some mass is below MIN_MASS
+(`_canonicalize`).
+
 iid_sum of a two-atom law {a: q, b: p} is the binomial lattice
 n a + k (b - a) in closed form, built and normalized only where its
 masses do not underflow: about 37.6 standard deviations each side of the
@@ -100,16 +104,30 @@ class RngSpec:
 
 
 def _canonicalize(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms sorted (stably), merged and stripped of sub-normal masses,
+    in new arrays; the caller's are left as they are.
+
+    Merging and dropping are tested once each, and skipped where no gap
+    is within the merge tolerance or no mass is below MIN_MASS: the
+    sorted arrays, fresh and contiguous, are then the result as they are.
+    """
     order = np.argsort(values, kind="stable")
     v = values[order]
     m = masses[order]
     if len(v) > 1:
-        gaps = np.diff(v)
-        tol = MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
-        firsts = np.flatnonzero(np.concatenate(([True], gaps > tol)))
-        v, m = v[firsts], np.add.reduceat(m, firsts)
-    keep = m >= MIN_MASS
-    return np.ascontiguousarray(v[keep]), np.ascontiguousarray(m[keep])
+        gaps = v[1:] - v[:-1]
+        size = np.abs(v)
+        tol = np.maximum(size[:-1], size[1:])
+        np.maximum(tol, 1.0, out=tol)
+        tol *= MERGE_RTOL
+        apart = gaps > tol
+        if not apart.all():
+            firsts = np.flatnonzero(np.concatenate(([True], apart)))
+            v, m = v[firsts], np.add.reduceat(m, firsts)
+    if np.minimum.reduce(m) < MIN_MASS:
+        keep = m >= MIN_MASS
+        v, m = v[keep], m[keep]
+    return v, m
 
 
 @dataclass(frozen=True)
@@ -381,16 +399,39 @@ def iid_sum(d: FiniteDist, n: int) -> FiniteDist:
     return result
 
 
+def _scaled_atoms(d: FiniteDist, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms and masses of scale(d, c), c >= 0, on raw arrays.
+
+    The same errors and the same arrays as that law's: c = 0 gives the
+    atom 0 with mass 1; two atoms within merge tolerance merge through
+    `_canonicalize`, as the constructor merges them.  d is `bs(p)`, so
+    its masses are normal, and where it has two atoms they clear the
+    merge tolerance and the law carries its lattice."""
+    if not math.isfinite(c):
+        raise DistError("scale factor must be finite")
+    if c == 0.0:
+        return np.array([0.0]), np.array([1.0])
+    v = d.values * c
+    # c > 0: the atoms stay sorted, and each is finite or infinite
+    if not (math.isfinite(v[0]) and math.isfinite(v[-1])):
+        raise DistError("atoms must be finite")
+    if len(v) == 2 and v[1] - v[0] > MERGE_RTOL * max(1.0, -v[0], v[1]):
+        return v, d.masses
+    return _canonicalize(v, d.masses)
+
+
 def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
     """Exact law of sum_i c_i * BS_i with BS_i iid bs(p).
 
     Guarded at 24 terms: the construction enumerates up to 2^n sign
-    patterns through repeated convolution.  Each term is scale(bs(p),
-    c_i); the fold adds them on raw arrays with one `_canonicalize` (sort
-    and merge) per outer sum, the same sorts and merges as folding
-    `convolve(out, term)`, so the law is bit for bit that fold's; only
-    the final law is built and validated as a FiniteDist.  Merging keeps
-    the atom count at n + 1 for equal coefficients.
+    patterns through repeated convolution.  Each term's atoms are bs(p)'s
+    times c_i, checked and merged as scale(bs(p), c_i) would be
+    (`_scaled_atoms`), with no law built per term; the fold adds them on
+    raw arrays with one `_canonicalize` (sort and merge) per outer sum,
+    the same sorts and merges as folding `convolve(out, scale(bs(p),
+    c_i))`, so the law is bit for bit that fold's; only the final law is
+    built and validated as a FiniteDist.  Merging keeps the atom count at
+    n + 1 for equal coefficients.
     """
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) == 0:
@@ -400,17 +441,16 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
     if any(c < 0 for c in coeffs):
         raise DistError("coefficients must be >= 0")
     base = bs(p)
-    first = scale(base, coeffs[0])
-    v, m = first.values, first.masses
+    v, m = _scaled_atoms(base, coeffs[0])
     for i, c in enumerate(coeffs[1:]):
         if i:
             v, m = _canonicalize(v, m)
-        term = scale(base, c)
+        tv, tm = _scaled_atoms(base, c)
         # both are sorted, so the extreme sums are the sums of the extremes
-        if not (math.isfinite(float(v[0]) + float(term.values[0]))
-                and math.isfinite(float(v[-1]) + float(term.values[-1]))):
+        if not (math.isfinite(float(v[0]) + float(tv[0]))
+                and math.isfinite(float(v[-1]) + float(tv[-1]))):
             raise DistError("atoms must be finite")
-        v, m = np.add.outer(v, term.values).ravel(), np.multiply.outer(m, term.masses).ravel()
+        v, m = np.add.outer(v, tv).ravel(), np.multiply.outer(m, tm).ravel()
     return FiniteDist(v, m)
 
 

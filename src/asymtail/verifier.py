@@ -87,6 +87,8 @@ beta_dist = _BetaQuantile()
 DEFAULT_TOL = 1e-12
 _ENUM_T_COUNT = 401      # cube_plus / abs_cube thresholds t
 _ENUM_LAM_COUNT = 20     # exp / cosh rates lambda in [0.1, 5]
+_ENUM_LAMS = np.geomspace(0.1, 5.0, _ENUM_LAM_COUNT)
+_ENUM_LAMS.setflags(write=False)
 _SCHUR_THETAS = 64       # angles on (0, pi/4] per Schur sweep
 _WITNESS_WINDOW = 0.2    # the witness maximizes over theta in [pi/4 - 0.2, pi/4]
 _WITNESS_PIECE = 32      # derivative samples per piece of that window
@@ -301,7 +303,7 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False,
     lo = min(lhs.min_value, rhs.min_value) - 1.0
     hi = max(lhs.max_value, rhs.max_value) + 1.0
     t_grid = np.linspace(lo, hi, _ENUM_T_COUNT)
-    lam_grid = np.geomspace(0.1, 5.0, _ENUM_LAM_COUNT)
+    lam_grid = _ENUM_LAMS
     # E cosh(lam D) = (E e^{lam D} + E e^{-lam D}) / 2, so two_sided also
     # takes the negative rates; the halving cancels in the log ratio
     lams = np.concatenate((lam_grid, -lam_grid)) if two_sided else lam_grid
@@ -893,21 +895,25 @@ def run_supermartingale_suite(seed: int = 0, n_paths: int = 200_000) -> list[Che
 
 
 _SUITES = {
-    "delta": lambda seed: run_delta_suite(),
+    "delta": run_delta_suite,
     "enumeration": run_enumeration_suite,
-    "schur": lambda seed: run_schur_suite(),
-    "exactness": lambda seed: run_exactness_suite(),
+    "schur": run_schur_suite,
+    "exactness": run_exactness_suite,
     "supermartingale": run_supermartingale_suite,
 }
+# the suites that draw from the seed; the others take none
+SEEDED_SUITES = ("enumeration", "supermartingale")
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
-    if name == "all":
-        out = []
-        for key in _SUITES:
-            out.extend(run_suite(key, seed))
-        return out
-    if name not in _SUITES:
+    """The checks of one suite, or of every suite for "all".
+
+    The seed must be a nonnegative integer, as RngSpec requires, for
+    every suite: those that draw nothing reject a bad one too."""
+    if name != "all" and name not in _SUITES:
         raise VerifyError(f"unknown suite {name!r}; choose from "
                           f"{tuple(_SUITES)} or 'all'")
-    return _SUITES[name](seed)
+    RngSpec(seed)
+    if name == "all":
+        return [r for key in _SUITES for r in run_suite(key, seed)]
+    return _SUITES[name](seed) if name in SEEDED_SUITES else _SUITES[name]()
