@@ -901,8 +901,8 @@ _SUITES = {
     "exactness": run_exactness_suite,
     "supermartingale": run_supermartingale_suite,
 }
-# the suites that draw from the seed; the others take none
-SEEDED_SUITES = ("enumeration", "supermartingale")
+# the suites that draw from the seed ("all" runs them); the others take none
+SEEDED_SUITES = ("enumeration", "supermartingale", "all")
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:

@@ -375,7 +375,10 @@ class TestBadInputExit2:
          "--seed", "-1"],
         ["verify", "--suite", "supermartingale", "--seed", "-5"],
         ["verify", "--suite", "enumeration", "--seed", "-1"],
-    ], ids=["selfnorm", "supermartingale", "enumeration"])
+        ["verify", "--suite", "delta", "--seed", "-3"],
+        ["verify", "--suite", "schur", "--seed", "-3"],
+        ["verify", "--suite", "exactness", "--seed", "-3"],
+    ], ids=["selfnorm", "supermartingale", "enumeration", "delta", "schur", "exactness"])
     def test_negative_seed(self, argv, capsys):
         assert cli.main(argv) == 2
         out = capsys.readouterr()
@@ -431,12 +434,13 @@ class TestBadInputExit2:
 # the CLI contract over generated argument vectors
 # ---------------------------------------------------------------------------
 
-def _keeps_the_contract(argv, schema):
-    """Exit 2 with only the error and wall-time lines, or exit 0 with
-    JSON that `schema` accepts and only the wall-time line; the body, or
-    None on exit 2.  In-process, so a numpy RuntimeWarning fails the test
-    (pyproject makes it an error); capsys is per test function, so the
-    streams are redirected here."""
+def _keeps_the_contract(argv, schema, may_fail=False):
+    """Exit 2 with only the error and wall-time lines, or exit 0 (or, if
+    `may_fail`, exit 1: a failed check) with JSON that `schema` accepts
+    and only the wall-time line; the body, or None on exit 2.
+    In-process, so a numpy RuntimeWarning fails the test (pyproject
+    makes it an error); capsys is per test function, so the streams are
+    redirected here."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -446,7 +450,7 @@ def _keeps_the_contract(argv, schema):
         assert len(lines) == 2 and lines[0].startswith("error: "), lines
         assert lines[1].startswith("wall time")
         return None
-    assert code == 0
+    assert code in ((0, 1) if may_fail else (0,))
     assert len(lines) == 1 and lines[0].startswith("wall time"), lines
     body = json.loads(out)
     load_validator(schema).validate(body)
@@ -528,3 +532,28 @@ def test_majorant_keeps_the_cli_contract(argv):
     if body:
         assert all(v["logq"] is not None for v in body["majorant"]["hull"][:-1])
         assert len(body["eval"]) == len(argv[-1].split(","))
+
+
+# each example runs a whole suite (all five for "all", 0.1 s in-process)
+@settings(max_examples=24, deadline=None)
+@given(suite=hst.sampled_from(["delta", "enumeration", "schur", "exactness",
+                                "supermartingale", "all"]),
+       seed=hst.one_of(hst.integers(max_value=-1), hst.just(0), hst.integers(0, 2**64),
+                       hst.just(2**64 + 1)))
+@example(suite="delta", seed=-3)
+@example(suite="schur", seed=7)
+@example(suite="exactness", seed=2**64)
+@example(suite="enumeration", seed=0)
+@example(suite="supermartingale", seed=7)
+@example(suite="all", seed=2**64 + 1)
+def test_verify_keeps_the_cli_contract(suite, seed):
+    """`verify` of each suite at a negative seed, 0, seeds up to 2^64 and
+    one above: exit 2 exactly for a negative seed; otherwise a report
+    that carries the seed only for the suites that draw from it."""
+    body = _keeps_the_contract(["verify", "--suite", suite, "--seed", str(seed)],
+                               "verify_report.schema.json", may_fail=True)
+    assert (body is None) == (seed < 0)
+    if body:
+        assert body["suite"] == suite
+        seeded = suite in ("enumeration", "supermartingale", "all")
+        assert body.get("seed") == (seed if seeded else None), body.keys()

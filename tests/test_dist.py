@@ -28,7 +28,9 @@ from asymtail.dist import (
     weighted_bs_sum,
 )
 from asymtail.dist import (
+    MERGE_RTOL,
     _advanced,
+    _canonicalize,
     _cube_plus,
     _GuideTable,
     _inverse_cdf,
@@ -127,6 +129,79 @@ def test_weighted_bs_sum_rejects_overflow_like_the_fold(coeffs, msg):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DistError, match=msg):
             build(0.3, coeffs)
+
+
+@pytest.mark.parametrize("p,coeffs", [
+    (0.3, [-0.0, 1.0]),      # -0.0 is a zero coefficient: the atom 0.0
+    (0.3, [1.0, -0.0, 2.0]),
+    (0.45, [1e-14, 1.0]),    # a term's two atoms merge (at p = 0.3 the sums
+    (0.45, [1.0, 1e-14]),    # would round as if they did not)
+    (0.45, [1.3, 1e-14, 0.4]),
+    (0.3, [5e-324, 1.0]),    # both atoms underflow toward 0 and merge
+    (1e-308, [1.0, 2.0]),    # bs(p) drops its sub-normal mass: one atom
+    (1e-308, [0.5]),
+])
+def test_weighted_bs_sum_keeps_the_scale_rules(p, coeffs):
+    _assert_bit_equal(weighted_bs_sum(p, coeffs), convolve_fold(p, coeffs))
+
+
+def _canonicalize_reference(values, masses):
+    """_canonicalize as it was before it skipped the merge and the drop:
+    every step on every law."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    m = masses[order]
+    if len(v) > 1:
+        gaps = np.diff(v)
+        tol = MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
+        firsts = np.flatnonzero(np.concatenate(([True], gaps > tol)))
+        v, m = v[firsts], np.add.reduceat(m, firsts)
+    keep = m >= MIN_MASS
+    return np.ascontiguousarray(v[keep]), np.ascontiguousarray(m[keep])
+
+
+def _random_law(rng):
+    """Shuffled atoms with merge groups of two and three atoms, gaps just
+    inside and just outside the merge tolerance, exact ties and sub-normal
+    masses, each in some of the laws."""
+    n = int(rng.integers(1, 40))
+    v = rng.normal(size=n) * 10.0 ** rng.integers(-3, 6)
+    m = rng.random(n)
+    if n > 1 and rng.random() < 0.4:  # exact ties
+        v[rng.integers(n, size=n // 3)] = v[rng.integers(n)]
+    if n > 2 and rng.random() < 0.4:  # groups of two and three within tolerance
+        step = 0.4 * MERGE_RTOL * max(1.0, abs(v[0]))
+        v[1], v[2] = v[0] + step, v[0] + 2 * step
+    if n > 4 and rng.random() < 0.5:  # a gap just inside or just outside the tolerance
+        v[4] = v[3] - rng.choice([0.5, 0.99, 1.01, 1.5]) * MERGE_RTOL * max(1.0, abs(v[3]))
+    if rng.random() < 0.3:
+        m[rng.integers(n, size=max(1, n // 4))] = rng.choice([0.0, 5e-324, 1e-310])
+    return rng.permutation(v), m
+
+
+def test_canonicalize_equals_every_step_bit_for_bit():
+    rng = np.random.default_rng(25)
+    seen = {"merge": 0, "no merge": 0, "drop": 0, "neither": 0, "single": 0}
+    for _ in range(3000):
+        v, m = _random_law(rng)
+        v0, m0 = v.copy(), m.copy()
+        got, ref = _canonicalize(v, m), _canonicalize_reference(v, m)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert not np.shares_memory(a, v) and not np.shares_memory(a, m)
+        # the caller's arrays are left as they were, and writable
+        assert v.tobytes() == v0.tobytes() and m.tobytes() == m0.tobytes()
+        assert v.flags.writeable and m.flags.writeable
+        sv = np.sort(v)
+        tol = MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(sv[:-1]), np.abs(sv[1:])))
+        merged = bool((np.diff(sv) <= tol).any())
+        dropped = bool((m < MIN_MASS).any())
+        seen["merge" if merged else "no merge"] += 1
+        seen["drop"] += dropped
+        seen["neither"] += not (merged or dropped)
+        seen["single"] += len(v) == 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_bs_frozen_atoms():

@@ -18,7 +18,7 @@ from scipy.stats import beta as scipy_beta
 
 from asymtail import selfnorm, verifier
 from asymtail.bounds import combined_bound_grid
-from asymtail.dist import RngSpec, bs, from_pairs, iid_sum, scale, weighted_bs_sum
+from asymtail.dist import RngSpec, bs, convolve, from_pairs, iid_sum, scale, weighted_bs_sum
 from asymtail.thresholds import m_star, p_star
 from asymtail.verifier import (
     McConfig,
@@ -314,6 +314,38 @@ class TestEnumerationAgainstDenseSums:
                 ref_viol, ref_fam = _dense_worst(p, 1.0, coeffs, **kw)
                 assert res.worst_family == ref_fam
                 assert abs(res.max_violation - ref_viol) <= 1e-14
+
+
+def _scale_convolve_fold(p, coeffs):
+    """weighted_bs_sum as a fold of laws: scale(bs(p), c) per term, one
+    convolve per sum."""
+    base = bs(p)
+    out = scale(base, float(coeffs[0]))
+    for c in coeffs[1:]:
+        out = convolve(out, scale(base, float(c)))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["right_tail", "two_sided", "left_tail"])
+def test_enumeration_check_equals_the_fold_of_laws_field_for_field(mode, monkeypatch):
+    """Certify's draws (2-12 terms, p in [0.02, 0.98], coefficients in
+    [0.2, 2]) give the same EnumCheck, every field bit for bit, whether
+    the left side is folded on raw arrays or as laws, and whether the
+    rates come from the module's grid or a fresh geomspace."""
+    rng = np.random.default_rng(25)
+    draws = [(float(rng.uniform(0.02, 0.98)), rng.uniform(0.2, 2.0, int(rng.integers(2, 13))))
+             for _ in range(40)]
+    kw = {"two_sided": mode == "two_sided", "left_tail": mode == "left_tail"}
+
+    def checks():
+        return [repr(dataclasses.astuple(enumeration_check(
+                    p, m_star(1.0 - p if kw["left_tail"] else p), c, **kw)))
+                for p, c in draws]
+
+    got = checks()
+    monkeypatch.setattr(verifier, "weighted_bs_sum", _scale_convolve_fold)
+    monkeypatch.setattr(verifier, "_ENUM_LAMS", np.geomspace(0.1, 5.0, 20))
+    assert got == checks()
 
 
 class TestEnumerationOverflow:
