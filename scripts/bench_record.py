@@ -2,8 +2,13 @@
 
     python3 scripts/bench_record.py --base HEAD~1 --head HEAD --out BENCH_16.json
 
-Exports both commits with `git archive` under .bench_build/record/<commit>/
-and runs each one's own, unchanged perfbench/run.py there:
+Exports both commits with `git archive` under .bench_build/record/<commit>/,
+compiles each checkout's Python files once with compileall, and runs each
+one's own, unchanged perfbench/run.py there, with neither PYTHONPATH nor
+PYTHONDONTWRITEBYTECODE in its environment: its cold-start and RSS child
+processes then read the compiled files, so setup_s and peak_rss_mb do not
+grow with the length of the source (the variable's value in the calling
+environment is recorded under `machine`):
 
 - for every workload in the head's BENCHMARK.json and every seed 1-10,
   one pair of --trace 0 runs of BENCHMARK.json's run_seconds each, the
@@ -29,7 +34,8 @@ sides' agree at every seed), the quartiles of each side's minor page
 faults per run (information only: no claim rule reads them), and per
 traced per-layer metric each side's median, range and values, with
 `changed` true only where the two ranges do not overlap; and the
-machine (nproc, CPU model, Python, numpy and scipy versions), both
+machine (nproc, CPU model, Python, numpy and scipy versions, and
+PYTHONDONTWRITEBYTECODE as the caller had it), both
 commit ids and the record's wall time.  The runs go one at a time, so
 the record costs about 2 x workloads x 10 x (run_seconds + 5 s of cold
 starts), and as much again for each workload that claims.
@@ -63,8 +69,15 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+# kept out of the children's environment: PYTHONPATH would mix in other
+# sources, and PYTHONDONTWRITEBYTECODE would have every cold start compile
+# what compileall compiled once
+CHILD_ENV_DROP = ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")
+
+
 def export(rev: str) -> tuple[str, Path]:
-    """The commit id of rev and a checkout of it under BUILD."""
+    """The commit id of rev and a checkout of it under BUILD, with its
+    Python files compiled (compileall skips those already compiled)."""
     commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
     dest = BUILD / commit
     if not (dest / "perfbench" / "run.py").is_file():
@@ -73,6 +86,8 @@ def export(rev: str) -> tuple[str, Path]:
                              capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
             tf.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(dest)], check=True,
+                   capture_output=True)
     return commit, dest
 
 
@@ -82,7 +97,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> d
     waited for."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env = {k: v for k, v in os.environ.items() if k not in CHILD_ENV_DROP}
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
@@ -212,7 +227,8 @@ def main(argv=None) -> int:
         "commits": {side: commit for side, (commit, _) in sides.items()},
         "machine": {"nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu_model(),
                     "python": platform.python_version(), "numpy": version("numpy"),
-                    "scipy": version("scipy")},
+                    "scipy": version("scipy"),
+                    "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "seeds": SEEDS, "seconds": seconds, "trace_seeds": TRACE_SEEDS,
         "trace_seconds": TRACE_SECONDS,
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

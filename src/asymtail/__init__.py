@@ -25,7 +25,6 @@ from .dist import (
     FiniteDist,
     RngSpec,
     bs,
-    convolve,
     delta,
     from_pairs,
     iid_sum,

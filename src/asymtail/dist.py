@@ -20,19 +20,22 @@ tolerance, and the drop only where some mass is below MIN_MASS
 iid_sum of a two-atom law {a: q, b: p} is the binomial lattice
 n a + k (b - a) in closed form, built and normalized only where its
 masses do not underflow: about 37.6 standard deviations each side of the
-mode, so its cost is that window, not O(n) (see _binomial_lattice); laws
-with more atoms are convolved by binary powering.
+mode, so its cost is that window, not O(n) (see _binomial_lattice).  A
+law with more atoms must carry its lattice: its mass vector is raised to
+the n-th convolution power on that lattice (see _lattice_power).
 
-A law knows its lattice when it is built on one.  `bs`,
-`_binomial_lattice` (so iid_sum of a two-atom law) and `scale` of such a
-law by c > 0 pass `on_lattice=True`: the atoms are increasing and one
-lattice step apart.  Where the smallest gap clears the merge tolerance
-of the largest |atom|, the constructor skips the sort and merge, which
-would do nothing, and sets `FiniteDist.lattice` to (top atom, smallest
-gap), the (origin, step) that `majorant.lattice_params` would infer;
-where it does not, the law is built the general way, with no lattice.
-Every other law has `lattice` None.  Either way the atoms and masses
-pass the same checks.
+A law knows its lattice when it is built on one.  `bs`, `st`, iid_sum
+and `scale` of such a law by c > 0 pass `on_lattice=True`: the atoms are
+increasing and one lattice step apart.  Where the smallest gap clears
+the merge tolerance of the largest |atom|, the constructor skips the
+sort and merge, which would do nothing, and sets `FiniteDist.lattice` to
+(top atom, smallest gap), the (origin, step) that
+`majorant.lattice_params` would infer; where it does not, the law is
+built the general way, with no lattice.  A sub-normal mass is dropped
+either way; where one is dropped between kept atoms, those are no longer
+consecutive lattice points, and `lattice` is None.  Every other law
+(`weighted_bs_sum`, laws read from JSON) has `lattice` None.  Either way
+the atoms and masses pass the same checks.
 
 Conventions used throughout the package:
 
@@ -136,9 +139,10 @@ class FiniteDist:
 
     `on_lattice` claims that `values` are increasing and that consecutive
     ones are consecutive points of an affine lattice; `lattice` is then
-    (origin, step) = (top atom, smallest gap), unless the claim fails or
-    a gap is within merge tolerance (see the module docstring).  Without
-    the claim `lattice` is None.
+    (origin, step) = (top atom, smallest gap), unless the claim fails, a
+    gap is within merge tolerance or an atom between two kept ones is
+    dropped (see the module docstring).  Without the claim `lattice` is
+    None.
     """
     values: np.ndarray
     masses: np.ndarray
@@ -174,9 +178,12 @@ class FiniteDist:
             if lightest >= MIN_MASS:
                 v, m = v.copy(), m.copy()  # frozen below; the caller's stay writable
             else:
-                keep = m >= MIN_MASS
-                v, m = v[keep], m[keep]
-                step = float(np.minimum.reduce(v[1:] - v[:-1])) if len(v) > 1 else 0.0
+                kept = np.flatnonzero(m >= MIN_MASS)
+                v, m = v[kept], m[kept]
+                # the atoms left are consecutive lattice points only where
+                # the drop took atoms at the ends and none between
+                step = (float(np.minimum.reduce(v[1:] - v[:-1]))
+                        if len(kept) > 1 and kept[-1] - kept[0] == len(kept) - 1 else 0.0)
         else:
             step = 0.0
             v, m = _canonicalize(v, m)
@@ -246,15 +253,19 @@ class FiniteDist:
     def from_obj(obj: dict) -> "FiniteDist":
         try:
             atoms = obj["atoms"]
-            vals = [a["v"] for a in atoms]
-            mass = [a["p"] for a in atoms]
-        except (KeyError, TypeError) as exc:
+            vals = np.asarray([a["v"] for a in atoms], dtype=float)
+            mass = np.asarray([a["p"] for a in atoms], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
             raise DistError(f"malformed distribution object: {exc}") from exc
-        return FiniteDist(np.asarray(vals, dtype=float), np.asarray(mass, dtype=float))
+        return FiniteDist(vals, mass)
 
     @staticmethod
     def from_json(text: str) -> "FiniteDist":
-        return FiniteDist.from_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise DistError(f"malformed distribution JSON: {exc}") from exc
+        return FiniteDist.from_obj(obj)
 
 
 def from_pairs(pairs: Iterable[tuple[float, float]]) -> FiniteDist:
@@ -285,13 +296,17 @@ def bs(p: float) -> FiniteDist:
 def st(p: float) -> FiniteDist:
     """Symmetric three-point law: +-1/sqrt(p) w.p. p/2 each, 0 w.p. 1-p.
 
-    Zero mean, unit variance, fourth moment 1/p.  p = 1 degenerates to
-    the Rademacher law (the zero atom has no mass and is dropped).
+    Zero mean, unit variance, fourth moment 1/p.  The atoms are one
+    lattice step r = 1/sqrt(p) apart; p = 1 degenerates to the Rademacher
+    law, whose two atoms are one step 2r apart.
     """
     if not 0.0 < p <= 1.0:
         raise DistError("st requires p in (0, 1]")
     r = 1.0 / math.sqrt(p)
-    return FiniteDist(np.array([-r, 0.0, r]), np.array([p / 2, 1.0 - p, p / 2]))
+    if p == 1.0:
+        return FiniteDist(np.array([-r, r]), np.array([0.5, 0.5]), on_lattice=True)
+    return FiniteDist(np.array([-r, 0.0, r]), np.array([p / 2, 1.0 - p, p / 2]),
+                      on_lattice=True)
 
 
 # -- operations --------------------------------------------------------------
@@ -307,13 +322,6 @@ def scale(d: FiniteDist, c: float) -> FiniteDist:
     if c == 0.0:
         return delta(0.0)
     return FiniteDist(d.values * c, d.masses, on_lattice=c > 0.0 and d.lattice is not None)
-
-
-def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:
-    """Law of the sum of independent draws from d1 and d2."""
-    v = np.add.outer(d1.values, d2.values).ravel()
-    m = np.multiply.outer(d1.masses, d2.masses).ravel()
-    return FiniteDist(v, m)
 
 
 # The ratio products come in chunks: the first of this many, each later
@@ -377,26 +385,62 @@ def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
     return FiniteDist(n * a + k * (b - a), mass / total, on_lattice=True)
 
 
+def _trimmed(mass: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
+    """mass with the entries below MIN_MASS at either end cut off, and
+    the lattice index of its first entry, which was lo."""
+    big = np.flatnonzero(mass >= MIN_MASS)
+    return mass[big[0]:big[-1] + 1], lo + int(big[0])
+
+
+def _lattice_power(d: FiniteDist, n: int) -> FiniteDist:
+    """Sum of n iid draws from a law that carries its lattice.
+
+    Atom k of d sits at lattice index k, so the masses of the sum are
+    the n-th convolution power of d's mass vector, taken by binary
+    powering with np.convolve.  Each product is a sum of nonnegative
+    terms, so nothing cancels, and its ends below MIN_MASS are cut off,
+    as the constructor would drop them: the powers stay as short as the
+    window of masses that can be kept, and a mass cut off moves no later
+    mass by more than MIN_MASS times the masses it meets, which sum to
+    at most 1 per product.  Sub-normal masses between kept ones stay, and
+    the constructor drops them.  The masses are normalized once, by
+    math.fsum, and the atoms are n v_0 + k h, with h d's step, at the
+    lattice indices k kept."""
+    result, lo = None, 0
+    power, power_lo = d.masses, 0
+    bits = n
+    while True:
+        if bits & 1:
+            if result is None:
+                result, lo = power, power_lo
+            else:
+                result, lo = _trimmed(np.convolve(result, power), lo + power_lo)
+        bits >>= 1
+        if not bits:
+            break
+        power, power_lo = _trimmed(np.convolve(power, power), 2 * power_lo)
+    total = math.fsum(np.sort(result)[::-1].tolist())
+    k = np.arange(lo, lo + len(result))
+    return FiniteDist(n * d.min_value + k * d.lattice[1], result / total, on_lattice=True)
+
+
 def iid_sum(d: FiniteDist, n: int) -> FiniteDist:
     """Law of the sum of n iid draws from d.
 
-    A two-atom law gives the binomial lattice in closed form; laws with
-    more atoms go through binary-powering convolution.
+    A one-atom law gives the point mass at n v; a two-atom law the
+    binomial lattice in closed form (`_binomial_lattice`); a law that
+    carries its lattice the convolution power of its masses on that
+    lattice (`_lattice_power`).  Any other law is a DistError.
     """
     if n < 1:
         raise DistError("n must be >= 1")
+    if d.n_atoms == 1:
+        return delta(n * d.min_value)
     if d.n_atoms == 2:
         return _binomial_lattice(d, n)
-    result = None
-    power = d
-    k = n
-    while k:
-        if k & 1:
-            result = power if result is None else convolve(result, power)
-        k >>= 1
-        if k:
-            power = convolve(power, power)
-    return result
+    if d.lattice is None:
+        raise DistError("iid_sum needs a law with at most two atoms or one on a known lattice")
+    return _lattice_power(d, n)
 
 
 def _scaled_atoms(d: FiniteDist, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -424,14 +468,15 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
     """Exact law of sum_i c_i * BS_i with BS_i iid bs(p).
 
     Guarded at 24 terms: the construction enumerates up to 2^n sign
-    patterns through repeated convolution.  Each term's atoms are bs(p)'s
-    times c_i, checked and merged as scale(bs(p), c_i) would be
-    (`_scaled_atoms`), with no law built per term; the fold adds them on
-    raw arrays with one `_canonicalize` (sort and merge) per outer sum,
-    the same sorts and merges as folding `convolve(out, scale(bs(p),
-    c_i))`, so the law is bit for bit that fold's; only the final law is
-    built and validated as a FiniteDist.  Merging keeps the atom count at
-    n + 1 for equal coefficients.
+    patterns.  Each term's atoms are bs(p)'s times c_i, checked and
+    merged as scale(bs(p), c_i) would be (`_scaled_atoms`), with no law
+    built per term; the fold adds them on raw arrays, an outer sum per
+    term with one `_canonicalize` (sort and merge) before the next, so
+    the law is bit for bit the fold of FiniteDist(outer sums, outer
+    products) over the scaled laws; only the final law is built and
+    validated as a FiniteDist.  Merging keeps the atom count at n + 1
+    for equal coefficients.  The coefficients are arbitrary, so the law
+    carries no lattice.
     """
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) == 0:
@@ -458,8 +503,8 @@ def tail(d: FiniteDist, x) -> float | np.ndarray:
     """P(D >= x); scalar in, scalar out; array in, array out.
 
     An atom within 1e-12 * max(1, |x|) of x counts as >= x, matching the
-    merge tolerance, so lattice arithmetic built from convolutions never
-    drops a boundary atom to roundoff.
+    merge tolerance, so lattice arithmetic built from sums never drops a
+    boundary atom to roundoff.
     """
     suffix = np.concatenate((d.upper_tails, [0.0]))
     np.clip(suffix, 0.0, 1.0, out=suffix)  # guard cumsum roundoff

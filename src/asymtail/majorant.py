@@ -31,11 +31,12 @@ Two constructions over the tail q(x) = P(D >= x) of a FiniteDist:
 
 Both read the lattice a law carries (`FiniteDist.lattice`, set by the
 constructors of the comparison carriers).  lattice_params infers a
-lattice only for laws that carry none: laws read from JSON and
-convolutions of laws with more than two atoms.  Either way the lattice
-tails are the law's suffix sums, read at each atom's lattice index; on
-a carried lattice atom k has index k, so they are the suffix sums
-themselves, with no search.
+lattice only for laws that carry none: laws read from JSON, and lattice
+laws that lost an atom between two others to underflow (st sums near
+p = 1, whose off-parity masses fall below MIN_MASS).  Either way the
+lattice tails are the law's suffix sums, read at each atom's lattice
+index; on a carried lattice atom k has index k, so they are the suffix
+sums themselves, with no search.
 
 lin_lc_majorant works from an arc table (see _arcs): per arc its cell k,
 log m, log q0, log q1 and r = q0 / m, and, for the vertex build, q0,

@@ -434,6 +434,8 @@ def _bound_curve(cfg: SelfNormConfig) -> Callable[[float], float]:
     if cfg.kind == "vym":
         if cfg.p is None:
             raise SelfNormError("vym needs the asymmetry parameter p")
+        if not 0.0 < cfg.p < 1.0:
+            raise SelfNormError(f"vym needs p in (0, 1), got {cfg.p!r}")
         dec = two_point_decomposition(cfg.base)
         q = 1.0 - cfg.p
         if dec.max_asymmetry > (q / cfg.p) * (1.0 + 1e-9):

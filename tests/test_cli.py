@@ -557,3 +557,90 @@ def test_verify_keeps_the_cli_contract(suite, seed):
         assert body["suite"] == suite
         seeded = suite in ("enumeration", "supermartingale", "all")
         assert body.get("seed") == (seed if seeded else None), body.keys()
+
+
+# laws for --base-file: the presets' shapes, a law that is not zero-mean,
+# one that is not symmetric, a point mass, and files that are no law
+_BASE_FILES = {
+    "symm3": json.dumps({"atoms": [{"v": -1.5, "p": 0.3}, {"v": 0.0, "p": 0.4},
+                                   {"v": 1.5, "p": 0.3}]}),
+    "asym2": json.dumps({"atoms": [{"v": -0.25, "p": 0.8}, {"v": 1.0, "p": 0.2}]}),
+    "shifted": json.dumps({"atoms": [{"v": 0.0, "p": 0.5}, {"v": 1.0, "p": 0.5}]}),
+    "point": json.dumps({"atoms": [{"v": 0.0, "p": 1.0}]}),
+    "short": json.dumps({"atoms": [{"v": -1.0, "p": 0.5}, {"v": 1.0, "p": 0.25}]}),
+    "no_atoms": json.dumps({"atoms": []}),
+    "not_json": "atoms: -1, 1",
+    "not_a_law": json.dumps([1, 2, 3]),
+    "bad_value": json.dumps({"atoms": [{"v": "a", "p": 1.0}]}),
+}
+
+
+@hst.composite
+def _selfnorm_argv(draw):
+    """`selfnorm` of each kind on a preset or a --base-file law, with n up
+    to 3000, --paths up to 2000 and an optional --x list whose entries
+    may be negative, each its own token.  p, m, --paths and --seed mostly
+    suit the kind (vym: p in (0, 1/2] and m at least m_star(p); vsymm and
+    vhatsymm: p in [sqrt(2) - 1, 1] and no m; vw: neither), and one draw
+    in eight takes any of them from outside that: p absent, 0, above 1
+    or below sqrt(2) - 1, m below 1, --paths below 1, a negative seed."""
+    kind = draw(hst.sampled_from(["vw", "vym", "vsymm", "vhatsymm"]))
+    argv = ["selfnorm", "--kind", kind]
+    if draw(hst.booleans()):
+        argv += ["--preset", draw(hst.sampled_from(["asym3", "symm5"]))]
+    else:
+        argv += ["--base-file", draw(hst.sampled_from(sorted(_BASE_FILES)))]
+    wild = draw(hst.integers(0, 7)) == 0
+    if wild:
+        p = draw(hst.one_of(hst.none(), hst.sampled_from([0.0, 1e-9, 0.4, 1.0, 1.5]),
+                            hst.floats(0.0, 1.0)))
+        m = draw(hst.one_of(hst.none(), hst.floats(0.5, 4.0)))
+    elif kind == "vym":
+        p = draw(hst.one_of(hst.just(0.5), hst.floats(1e-3, 0.5)))
+        m = m_star(p) * draw(hst.sampled_from([1.0, 1.5]))
+    else:
+        p = None if kind == "vw" else draw(
+            hst.one_of(hst.sampled_from([0.4142135623730951, 1.0]), hst.floats(0.4143, 1.0)))
+        m = None
+    if p is not None:
+        argv += ["--p", repr(p)]
+    if m is not None:
+        argv += ["--m", repr(m)]
+    paths = draw(hst.integers(-1, 2000)) if wild else draw(hst.integers(1, 2000))
+    seed = draw(hst.integers(-1, 2**32)) if wild else draw(hst.integers(0, 2**32))
+    argv += ["--n", str(draw(hst.one_of(hst.integers(1, 12), hst.integers(1, 3000)))),
+             "--paths", str(paths), "--seed", str(seed)]
+    for x in draw(hst.lists(hst.floats(-10.0, 10.0), max_size=3)):
+        argv += ["--x", repr(x)]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_selfnorm_argv())
+@example(argv=["selfnorm", "--kind", "vsymm", "--preset", "symm5", "--p", "0.999999",
+               "--n", "3000", "--paths", "50", "--seed", "1"])
+@example(argv=["selfnorm", "--kind", "vhatsymm", "--base-file", "symm3", "--p", "1.0",
+               "--n", "2999", "--paths", "20", "--seed", "0", "--x", "-1.0"])
+# each of these raised past the CLI: a file that is not JSON, an atom
+# value that is not a number, and vym at p = 0 (q / p)
+@example(argv=["selfnorm", "--kind", "vw", "--base-file", "not_json", "--n", "4",
+               "--paths", "10", "--seed", "0"])
+@example(argv=["selfnorm", "--kind", "vw", "--base-file", "bad_value", "--n", "4",
+               "--paths", "10", "--seed", "0"])
+@example(argv=["selfnorm", "--kind", "vym", "--base-file", "asym2", "--p", "0.0",
+               "--n", "1", "--paths", "1", "--seed", "0"])
+def test_selfnorm_keeps_the_cli_contract(argv, tmp_path_factory):
+    """The contract, with exit 1 allowed for a check that fails, one row
+    per --x (six by default), and the report's kind, n and seed as given."""
+    argv = list(argv)
+    if "--base-file" in argv:
+        i = argv.index("--base-file") + 1
+        path = tmp_path_factory.getbasetemp() / f"base_{argv[i]}.json"
+        path.write_text(_BASE_FILES[argv[i]])
+        argv[i] = str(path)
+    body = _keeps_the_contract(argv, "selfnorm_report.schema.json", may_fail=True)
+    if body:
+        assert len(body["rows"]) == (argv.count("--x") or 6)
+        assert body["kind"] == argv[argv.index("--kind") + 1]
+        assert body["n"] == int(argv[argv.index("--n") + 1])
+        assert body["seed"] == int(argv[argv.index("--seed") + 1])

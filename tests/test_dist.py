@@ -17,7 +17,6 @@ from asymtail.dist import (
     FiniteDist,
     RngSpec,
     bs,
-    convolve,
     delta,
     from_pairs,
     iid_sum,
@@ -37,6 +36,7 @@ from asymtail.dist import (
     _normal_products,
     _shifted_suffix_moments,
 )
+from asymtail.majorant import _lattice_tails, lattice_params, lc_majorant, lin_lc_majorant
 
 
 def atoms(d):
@@ -76,6 +76,15 @@ def test_weighted_bs_sum_matches_bruteforce(p, coeffs):
     assert len(got) == len(ref)
     for v, w in ref:
         assert got[v] == pytest.approx(w, rel=1e-12, abs=1e-15)
+
+
+def convolve(d1, d2):
+    """Law of the sum of independent draws from d1 and d2: the outer sums
+    and products, sorted and merged by the constructor.  The reference
+    that weighted_bs_sum equals bit for bit and that iid sums approach."""
+    v = np.add.outer(d1.values, d2.values).ravel()
+    m = np.multiply.outer(d1.masses, d2.masses).ravel()
+    return FiniteDist(v, m)
 
 
 def convolve_fold(p, coeffs):
@@ -440,12 +449,115 @@ def test_products_left_out_cannot_move_the_total(p, n):
         assert math.fsum(window) == math.fsum(window + [n * MIN_MASS]), (p, n)
 
 
-def test_three_atom_iid_sum_still_convolves():
-    d = iid_sum(st(0.4), 5)
-    ref = functools.reduce(convolve, [st(0.4)] * 5)
-    assert d.n_atoms == ref.n_atoms == 11
-    assert np.allclose(d.values, ref.values, rtol=1e-12, atol=1e-12)
-    assert np.allclose(d.masses, ref.masses, rtol=1e-12, atol=0.0)
+def st_lattice_index(d, p, n):
+    """The index k of each atom of a sum of n st(p) laws, at -n r + k r."""
+    r = 1.0 / math.sqrt(p)
+    k = np.rint(d.values / r + n).astype(int)
+    assert np.allclose(d.values, (k - n) * r, rtol=1e-13, atol=1e-13 * n * r)
+    return k
+
+
+def exact_st_sum(p, n):
+    """The masses of the sum of n st(p) laws at k = 0..2n, as Fractions,
+    with st(p)'s masses as the floats it is built from."""
+    fp = Fraction(p)
+    side, zero = fp / 2, 1 - fp
+    out = [Fraction(1)]
+    for _ in range(n):
+        out = [(out[k - 2] * side if k >= 2 else 0)
+               + (out[k - 1] * zero if 1 <= k <= len(out) else 0)
+               + (out[k] * side if k < len(out) else 0) for k in range(len(out) + 2)]
+    return out
+
+
+@pytest.mark.parametrize("p", [1.0, 1.0 - 1e-6, 0.9, 0.5, 0.45, 0.01, 1e-3, 1e-6])
+def test_st_sums_equal_the_exact_masses(p):
+    worst = 0.0
+    for n in (*range(1, 11), 16, 23, 30):
+        d = iid_sum(st(p), n)
+        exact = exact_st_sum(p, n)
+        total = sum(exact)
+        k = st_lattice_index(d, p, n)
+        want = [float(exact[j] / total) for j in k.tolist()]
+        # every atom of normal mass is there, and no other
+        assert len(want) == sum(e / total >= MIN_MASS for e in exact), (p, n)
+        worst = max(worst, float(np.max(np.abs(d.masses / want - 1.0))))
+    assert worst <= 1e-13, worst
+
+
+@pytest.mark.parametrize("p", [0.999, 0.9, 0.5, 0.45, 0.05])
+def test_three_atom_iid_sum_equals_the_convolve_fold(p):
+    ref = law = st(p)
+    for n in range(2, 201):
+        ref = convolve(ref, law)
+        if n not in (2, 3, 5, 8, 13, 50, 128, 200):
+            continue
+        d = iid_sum(law, n)
+        got = dict(zip(st_lattice_index(d, p, n).tolist(), d.masses.tolist()))
+        for k, m in zip(st_lattice_index(ref, p, n).tolist(), ref.masses.tolist()):
+            if m > 1e-250:
+                assert abs(got[k] / m - 1.0) <= 1e-12, (p, n, k)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.45, 0.2, 0.01])
+@pytest.mark.parametrize("n", [1, 7, 60, 1000])
+def test_st_sum_is_a_shifted_sum_of_two_binomials(p, n):
+    # for p <= 1/2, st(p) is (B + B' - 1) / sqrt(p) with B ~ Bernoulli(r)
+    # and B' ~ Bernoulli(1 - r) independent, where r (1 - r) = p / 2; so
+    # the sum of n is (X + Y - n) / sqrt(p), X ~ Bin(n, r), Y ~ Bin(n, 1 - r)
+    from scipy.stats import binom
+
+    r = (1.0 - math.sqrt(1.0 - 2.0 * p)) / 2.0
+    j = np.arange(n + 1)
+    ref = np.convolve(binom.pmf(j, n, r), binom.pmf(j, n, 1.0 - r))
+    d = iid_sum(st(p), n)
+    k = st_lattice_index(d, p, n)
+    big = ref[k] > 1e-250
+    assert np.all(np.abs(d.masses[big] / ref[k][big] - 1.0) <= 1e-12)
+    assert np.all(ref[np.setdiff1d(np.arange(2 * n + 1), k)] < 1e-300)
+
+
+def test_st_sums_carry_their_lattice():
+    for p in (1.0, 0.999, 0.9, 0.5, 0.2, 1e-3):
+        for n in (1, 2, 5, 40, 300):
+            d = iid_sum(st(p), n)
+            assert d.lattice is not None and d.lattice == lattice_params(d), (p, n)
+            twice = iid_sum(scale(d, 0.5), 3)   # a lattice law keeps it
+            assert twice.lattice == lattice_params(twice), (p, n)
+
+
+def test_st_sum_near_one_loses_its_lattice_and_keeps_its_hulls():
+    # the masses off the parity of n are about (1 - p) times the others,
+    # so some of them underflow between kept atoms
+    d = iid_sum(st(1.0 - 1e-6), 3000)
+    assert d.lattice is None
+    q = tail(d, d.values)
+    lc, linlc = lc_majorant(d), lin_lc_majorant(d)
+    assert np.all(lc.log_value(d.values) >= np.log(q))
+    # the inferred lattice puts each atom within its 1e-9 relative
+    # tolerance of a lattice point: exact there, within it at the atoms
+    lat, qt, _ = _lattice_tails(d)
+    assert np.all(linlc.log_value(lat[:-1]) >= np.log(qt[:-1]))
+    assert np.all(linlc.log_value(d.values) >= np.log(q) - 1e-9)
+
+
+def test_iid_sum_of_a_point_mass_is_a_point_mass():
+    assert atoms(iid_sum(delta(0.3), 7)) == [(7 * 0.3, 1.0)]
+    assert atoms(iid_sum(st(1e-308), 4)) == [(0.0, 1.0)]   # only the zero atom is normal
+
+
+def test_iid_sum_of_a_law_off_any_known_lattice_is_an_error():
+    law = from_pairs([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
+    with pytest.raises(DistError, match="known lattice"):
+        iid_sum(law, 3)
+    with pytest.raises(DistError, match="known lattice"):
+        iid_sum(weighted_bs_sum(0.3, [1.0, 0.5]), 2)
+
+
+def test_st_sum_builds_only_the_mass_window():
+    d = iid_sum(st(0.5), 20_000)
+    assert d.n_atoms < 10_000 and d.lattice is not None
+    assert d.masses.min() >= MIN_MASS
 
 
 @given(p=hst.floats(0.01, 0.99), x=hst.floats(-5, 5))

@@ -1,7 +1,7 @@
 """Carriers that know their lattice, and the array point hull.
 
-`bs`, `iid_sum` of a two-atom law and `scale` by c > 0 build their laws
-with `FiniteDist(..., on_lattice=True)`, which skips the sort and merge.
+`bs`, `st`, `iid_sum` and `scale` by c > 0 build their laws with
+`FiniteDist(..., on_lattice=True)`, which skips the sort and merge.
 These tests hold that claim to the general path: the same atoms and
 masses bit for bit, the lattice `majorant.lattice_params` infers, the
 same lattice tails, and the same bound reports as the general-path
@@ -115,6 +115,18 @@ class TestCarriedLattice:
         d = FiniteDist(v, m, on_lattice=True)
         assert_bit_equal(d, FiniteDist(v, m))
         assert d.lattice == (3.0, 1.0)
+
+    def test_a_drop_between_kept_atoms_leaves_no_lattice(self):
+        # the atom at 1 drops: 0 and 2 are not consecutive lattice points,
+        # and a lattice of step 1 carried on would put the tail at 2 on 1
+        v = np.arange(5.0)
+        m = np.array([0.25, 1e-320, 0.25, 0.25, 0.25])
+        d = FiniteDist(v, m, on_lattice=True)
+        assert d.lattice is None
+        assert_bit_equal(d, FiniteDist(v, m))
+        assert lin_lc_majorant(d).value(2.0) >= tail(d, 2.0) == 0.75
+        lat, qt, h = _lattice_tails(d)
+        assert (h, qt.tolist()) == (1.0, [1.0, 0.75, 0.75, 0.5, 0.25, 0.0])
 
     @pytest.mark.parametrize("v,m", [
         ([0.0, 1.0, np.inf], [0.25, 0.5, 0.25]),

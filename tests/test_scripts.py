@@ -1,10 +1,14 @@
 """Tests for scripts/bench_record.py: the claim rule it records per
-workload and metric, and the minor page faults it records per run."""
+workload and metric, the minor page faults it records per run, and the
+compiled checkouts its children run in."""
+import io
 import json
 import pathlib
 import resource
 import runpy
 import subprocess
+import sys
+import tarfile
 import types
 
 import pytest
@@ -144,3 +148,61 @@ def test_record_controls_each_claim_and_compares_three_traced_runs(bench_record,
         (0.7, 0.6, 0.8))
     assert a["changed"] is True
     assert traced["layer.b.busy_s"]["changed"] is False
+
+
+def test_export_compiles_the_checkout_once(bench_record, tmp_path, monkeypatch):
+    # a fake commit of one module, archived as `git archive` would: the
+    # checkout holds its compiled file before any child runs
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text("X = 1\n")
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tf:
+        tf.add(tree / "perfbench", arcname="perfbench")
+    real_run = subprocess.run
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd[:3])
+        if cmd[:2] == ["git", "archive"]:
+            return types.SimpleNamespace(returncode=0, stdout=buf.getvalue())
+        return real_run(cmd, **kwargs)
+
+    export = bench_record["export"]
+    monkeypatch.setitem(export.__globals__, "git", lambda *args: "c0ffee")
+    monkeypatch.setitem(export.__globals__, "BUILD", tmp_path / "build")
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    commit, dest = export("HEAD")
+    assert (commit, dest) == ("c0ffee", tmp_path / "build" / "c0ffee")
+    assert list((dest / "perfbench" / "__pycache__").glob("run.*.pyc"))
+    assert calls == [["git", "archive", "c0ffee"], [sys.executable, "-m", "compileall"]]
+
+
+def test_children_run_without_the_bytecode_switch(bench_record, tmp_path, monkeypatch):
+    # the children may write and read compiled files; the record keeps
+    # the switch as the caller had it
+    spec = {"run_seconds": 1, "workloads": [{"name": "wl"}],
+            "end_to_end": [{"name": "work_per_s", "better": "higher"}]}
+    sides = {}
+    for side in ("base", "head"):
+        sides[side] = tmp_path / side
+        sides[side].mkdir()
+        (sides[side] / "BENCHMARK.json").write_text(json.dumps(spec))
+    envs = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        envs.append(env)
+        result = {"metrics": {"work_per_s": {"value": 1.0}}, "correct": True}
+        out = 'provenance {"digest": "d"}\n' + json.dumps(result) + "\n"
+        return types.SimpleNamespace(returncode=0, stdout=out, stderr="")
+
+    main = bench_record["main"]
+    monkeypatch.setitem(main.__globals__, "export", lambda rev: (rev, sides[rev]))
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    out = tmp_path / "BENCH.json"
+    assert main(["--base", "base", "--head", "head", "--out", str(out)]) == 0
+    assert envs and all("PYTHONDONTWRITEBYTECODE" not in e and "PYTHONPATH" not in e
+                        for e in envs)
+    assert json.loads(out.read_text())["machine"]["PYTHONDONTWRITEBYTECODE"] == "1"

@@ -18,7 +18,7 @@ from scipy.stats import beta as scipy_beta
 
 from asymtail import selfnorm, verifier
 from asymtail.bounds import combined_bound_grid
-from asymtail.dist import RngSpec, bs, convolve, from_pairs, iid_sum, scale, weighted_bs_sum
+from asymtail.dist import FiniteDist, RngSpec, bs, from_pairs, iid_sum, scale, weighted_bs_sum
 from asymtail.thresholds import m_star, p_star
 from asymtail.verifier import (
     McConfig,
@@ -317,12 +317,15 @@ class TestEnumerationAgainstDenseSums:
 
 
 def _scale_convolve_fold(p, coeffs):
-    """weighted_bs_sum as a fold of laws: scale(bs(p), c) per term, one
-    convolve per sum."""
+    """weighted_bs_sum as a fold of laws: scale(bs(p), c) per term, and
+    per sum the law of the outer sums and products, which the
+    constructor sorts and merges."""
     base = bs(p)
     out = scale(base, float(coeffs[0]))
     for c in coeffs[1:]:
-        out = convolve(out, scale(base, float(c)))
+        term = scale(base, float(c))
+        out = FiniteDist(np.add.outer(out.values, term.values).ravel(),
+                         np.multiply.outer(out.masses, term.masses).ravel())
     return out
 
 
