@@ -42,7 +42,8 @@ supermartingale check's thread pool and per-block streams, and the
 counts are the same at any ASYMTAIL_THREADS.  The rows and the report
 come from `verifier` too: `verifier.mc_rows` adds the Clopper-Pearson
 limits, and a check returns a `verifier.McReport` whose rows name their
-bound curve ("normal" for vw, "lc" for the point-hull kinds).
+bound curve: "normal" for vw, and "b_opt" for the kinds compared with a
+carrier, whose bound is `bounds.b_opt` of that carrier over the x grid.
 """
 from __future__ import annotations
 
@@ -52,11 +53,12 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import normal_tail
+from .bounds import b_opt, carrier_sum, normal_tail
 # `sample` stays importable here: perfbench/tracer.py wraps selfnorm.sample
-from .dist import (FiniteDist, _advanced, _GuideTable, _inverse_cdf, bs,  # noqa: F401
+from .dist import (FiniteDist, _advanced, _GuideTable, _inverse_cdf,  # noqa: F401
                    from_pairs, iid_sum, sample, scale, st)
-from .majorant import lc_majorant
+# `lc_majorant` stays importable here: perfbench/tracer.py wraps selfnorm.lc_majorant
+from .majorant import lc_majorant  # noqa: F401
 from .thresholds import SQRT2_MINUS_1, c_const, m_star
 # `beta_dist` stays importable here: perfbench/tracer.py patches selfnorm.beta_dist
 from .verifier import beta_dist  # noqa: F401
@@ -419,18 +421,21 @@ class SelfNormConfig:
 
 
 # The bound curve of each kind, by its name in the bound family:
-# c_{5,0} times the normal tail, or c_{3,0} times the point hull.
-_CURVE_NAMES = {"vw": "normal", "vym": "lc", "vsymm": "lc", "vhatsymm": "lc"}
+# c_{5,0} times the normal tail, or b_opt of the kind's carrier.
+_CURVE_NAMES = {"vw": "normal", "vym": "b_opt", "vsymm": "b_opt", "vhatsymm": "b_opt"}
 
 
-def _bound_curve(cfg: SelfNormConfig) -> Callable[[float], float]:
+def _bound_curve(cfg: SelfNormConfig, xs: np.ndarray) -> np.ndarray:
+    """The kind's bound at each x of xs.  Every kind but vw is at most
+    its carrier eta in the cube ordering, E (V - t)_+^3 <= E (eta - t)_+^3
+    for every t, so Markov's inequality bounds P(V >= x) by b_opt(eta, x),
+    which is never above c_{3,0} times eta's point hull (Pinelis 1998)."""
     if cfg.kind != "vym" and cfg.m != 1.0:
         raise SelfNormError(f"{cfg.kind} is pinned at m = 1")
     if cfg.kind == "vw":
         if cfg.p is not None:
             raise SelfNormError("vw takes no p")
-        c50 = c_const(5, 0)
-        return lambda x: min(1.0, c50 * normal_tail(x))
+        return np.minimum(1.0, c_const(5, 0) * normal_tail(xs))
     if cfg.kind == "vym":
         if cfg.p is None:
             raise SelfNormError("vym needs the asymmetry parameter p")
@@ -442,19 +447,13 @@ def _bound_curve(cfg: SelfNormConfig) -> Callable[[float], float]:
             raise SelfNormError("a component exceeds the asymmetry q/p")
         if cfg.m < m_star(cfg.p) - 1e-12:
             raise SelfNormError("m is below the threshold for this p")
-        carrier = scale(iid_sum(bs(cfg.p), cfg.n), cfg.n ** (-1.0 / (2.0 * cfg.m)))
-        maj = lc_majorant(carrier)
-        c30 = c_const(3, 0)
-        return lambda x: min(1.0, c30 * maj.value(x))
+        return b_opt(carrier_sum(cfg.p, cfg.n, cfg.n ** (-1.0 / (2.0 * cfg.m))), xs).value
     # vsymm and vhatsymm
     if cfg.p is None:
         raise SelfNormError(f"{cfg.kind} needs the multiplier mass p")
     if cfg.p < SQRT2_MINUS_1 - 1e-12:
         raise SelfNormError("symmetric comparison needs p >= sqrt(2) - 1")
-    carrier = scale(iid_sum(st(cfg.p), cfg.n), cfg.n ** -0.5)
-    maj = lc_majorant(carrier)
-    c30 = c_const(3, 0)
-    return lambda x: min(1.0, c30 * maj.value(x))
+    return b_opt(scale(iid_sum(st(cfg.p), cfg.n), cfg.n ** -0.5), xs).value
 
 
 # Uniforms per tile of a Monte Carlo block: each of a tile's arrays stays
@@ -571,8 +570,7 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> McReport:
         if cfg.p is None or cfg.p < max(nonzero_p, SQRT2_MINUS_1) - 1e-12:
             raise SelfNormError("vhatsymm needs p >= max(P(X != 0), sqrt(2)-1)")
 
-    curve = _bound_curve(cfg)
-    bounds = [curve(float(x)) for x in xs]
+    bounds = _bound_curve(cfg, xs)
     tc = tail_counts(_block_simulator(cfg, rm, hat), xs, mc)
     rows = mc_rows(xs, tc, bounds, [_CURVE_NAMES[cfg.kind]] * len(xs))
     return McReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,

@@ -288,13 +288,14 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False,
 
     For left_tail the sum is reflected, which swaps the roles of p and
     q; the caller is responsible for choosing m against m_star(q) in
-    that case.
+    that case.  two_sided already compares both tails at p, so it takes
+    no left_tail.
     """
+    if two_sided and left_tail:
+        raise VerifyError("two_sided compares both tails; it takes no left_tail")
     c = np.asarray(coeffs, dtype=float)
     n = len(c)
-    p_eff = p
-    if left_tail:
-        p_eff = 1.0 - p
+    p_eff = 1.0 - p if left_tail else p
     lhs = weighted_bs_sum(p_eff, c)
     _, s_m, _ = resolve_s_m(m, coeffs=c)
     if s_m <= 0:

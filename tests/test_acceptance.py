@@ -282,7 +282,7 @@ def test_acceptance_10_selfnorm(capsys):
     stat = selfnorm_stat("vhatsymm", x, hat_abs=habs, p=p_sym, m=1.0)
     sup_stat = float(np.max(np.abs(stat)))
     sup_limit = math.sqrt(n / p_sym)
-    # MC tails of the asymmetric self-normalized sum against c30 * hull
+    # MC tails of the asymmetric self-normalized sum against b_opt of its carrier
     p, m = 0.25, m_star(0.25)
     mc_ok = True
     for i, law in enumerate(ASYM_LAWS):

@@ -20,7 +20,7 @@ from asymtail.bounds import (
     partial_moment,
     resolve_s_m,
 )
-from asymtail.dist import bs, from_pairs, tail, weighted_bs_sum
+from asymtail.dist import bs, from_pairs, iid_sum, scale, st, tail, weighted_bs_sum
 from asymtail.majorant import lattice_params, lc_majorant, lin_lc_majorant
 from asymtail.optimize import golden_section
 from asymtail.thresholds import c_const, m_star
@@ -410,6 +410,40 @@ def test_every_reported_member_is_a_probability(p, n, s_m, m_up, xs):
                 continue
             assert isinstance(v, float) and math.isfinite(v), (name, v)
             assert 0.0 <= v <= 1.0, (name, v)
+
+
+_LOG_X = hst.floats(-3.0, 0.1)  # x as 10^u times the carrier's top atom
+
+
+@given(p=hst.floats(0.02, 0.98), n=hst.integers(1, 60), log_s_m=hst.floats(-2.0, 2.0),
+       log_xs=hst.lists(_LOG_X, min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_b_opt_is_below_the_hull_and_hoeffding_members(p, n, log_s_m, log_xs):
+    """The theorem order on raw members: b_opt is at most c30 times
+    either hull, and at most Hoeffding.  normal_dom has no such theorem
+    and is left out."""
+    s_m = 10.0 ** log_s_m
+    xs = n * s_m * math.sqrt((1.0 - p) / p) * 10.0 ** np.array(log_xs)
+    for r in combined_bound_grid(p, m_star(p), xs, n=n, s_m=s_m):
+        for name in ("lc", "lin_lc", "hoeffding"):
+            assert r.raw["b_opt"] <= r.raw[name] * (1.0 + 1e-12), (name, r.x, r.raw)
+
+
+@given(p=hst.floats(0.02, 0.98), n=hst.integers(1, 60), m_up=hst.floats(0.0, 1.0),
+       p_st=hst.floats(math.sqrt(2.0) - 1.0, 1.0),
+       log_xs=hst.lists(_LOG_X, min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_b_opt_is_below_the_hull_on_the_self_normalized_carriers(p, n, m_up, p_st, log_xs):
+    """The carriers that `selfnorm` bounds with b_opt: n^(-1/(2m)) times
+    a sum of n bs(p) laws (vym), and n^(-1/2) times one of n st(p) laws
+    (vsymm, vhatsymm).  On both, b_opt <= c30 times the point hull."""
+    c30 = c_const(3, 0)
+    m = m_star(p) * (1.0 + m_up)
+    for carrier in (carrier_sum(p, n, n ** (-1.0 / (2.0 * m))),
+                    scale(iid_sum(st(p_st), n), n ** -0.5)):
+        xs = carrier.max_value * 10.0 ** np.array(log_xs)
+        hull = c30 * lc_majorant(carrier).value(xs)
+        assert np.all(b_opt(carrier, xs).value <= hull * (1.0 + 1e-12)), (xs, hull)
 
 
 class TestLargeCarriers:

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from asymtail import selfnorm
-from asymtail.dist import FiniteDist, RngSpec, _inverse_cdf, from_pairs, st
+from asymtail.bounds import b_opt, carrier_sum, normal_tail
+from asymtail.dist import FiniteDist, RngSpec, _inverse_cdf, from_pairs, iid_sum, scale, st
 from asymtail.selfnorm import (
     ReciprocatingMap,
     TwoPointDecomposition,
@@ -24,7 +25,7 @@ from asymtail.selfnorm import (
     two_point_decomposition,
     var_identity_check,
 )
-from asymtail.thresholds import SQRT2_MINUS_1, m_star
+from asymtail.thresholds import SQRT2_MINUS_1, c_const, m_star
 from asymtail.verifier import McConfig
 
 RADEMACHER = from_pairs([(-1.0, 0.5), (1.0, 0.5)])
@@ -259,7 +260,7 @@ class TestGuards:
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_x_grid_before_any_bound(self, x, monkeypatch):
-        def no_curve(cfg):
+        def no_curve(cfg, xs):
             raise AssertionError("the bound curve was built before the x grid was checked")
         monkeypatch.setattr(selfnorm, "_bound_curve", no_curve)
         cfg = SelfNormConfig(base=ASYM3, n=4, kind="vym", m=m_star(0.25), p=0.25,
@@ -484,11 +485,25 @@ class TestSampledBlocks:
             [c for _, c in self.FROZEN[kind]], rel=1e-12, abs=0.0)
         assert [r.margin for r in rep.rows] == [r.bound - r.cp_lower for r in rep.rows]
 
-    @pytest.mark.parametrize("kind,name", [("vw", "normal"), ("vym", "lc"),
-                                           ("vsymm", "lc"), ("vhatsymm", "lc")])
+    @pytest.mark.parametrize("kind,name", [("vw", "normal"), ("vym", "b_opt"),
+                                           ("vsymm", "b_opt"), ("vhatsymm", "b_opt")])
     def test_rows_name_their_bound_curve(self, kind, name):
         rep = selfnorm_bound_check(self._cfg(kind), McConfig(seed=1, n_paths=2_000))
         assert [r.bound_name for r in rep.rows] == [name] * 6
+
+    @pytest.mark.parametrize("kind", ["vw", "vym", "vsymm", "vhatsymm"])
+    @pytest.mark.parametrize("n", [1, 6, 40])
+    def test_rows_carry_their_bound_curve_bit_for_bit(self, kind, n):
+        cfg = self._cfg(kind, n)
+        xs = np.linspace(0.5, 3.0, 6)
+        if kind == "vw":
+            want = [min(1.0, c_const(5, 0) * normal_tail(float(x))) for x in xs]
+        elif kind == "vym":
+            want = b_opt(carrier_sum(cfg.p, n, n ** (-1.0 / (2.0 * cfg.m))), xs).value
+        else:
+            want = b_opt(scale(iid_sum(st(cfg.p), n), n ** -0.5), xs).value
+        rep = selfnorm_bound_check(cfg, McConfig(seed=1, n_paths=1_000))
+        assert [r.bound for r in rep.rows] == list(want)
 
     @pytest.mark.parametrize("kind", ["vw", "vym", "vsymm", "vhatsymm"])
     def test_counts_independent_of_thread_split(self, kind, monkeypatch):

@@ -232,6 +232,11 @@ class TestEnumeration:
                                  left_tail=True)
         assert resl.passed and resl.mode == "left_tail"
 
+    def test_two_sided_rejects_left_tail(self):
+        # computing at 1 - p would report the caller's p as "two_sided"
+        with pytest.raises(VerifyError, match="two_sided"):
+            enumeration_check(0.3, 1.0, [1.0, 0.7], two_sided=True, left_tail=True)
+
     def test_reports_worst_family(self):
         res = enumeration_check(0.2, m_star(0.2), [1.0, 1.7])
         assert res.worst_family in ("cube_plus", "exp", "abs_cube", "cosh")
