@@ -545,20 +545,34 @@ def _shifted_suffix_moments(d: FiniteDist) -> np.ndarray:
     return out
 
 
-def _cube_plus(d: FiniteDist, t) -> np.ndarray:
-    """E (D - t)_+^3 at each t of a 1-d array, in O(atoms + thresholds).
+def _suffix_moments_at(d: FiniteDist, x) -> np.ndarray:
+    """P[j, i] = sum over v >= x_i of m (v - x_i)^j for j = 0..3, at each
+    point of a 1-d array, in O(atoms + points).
 
-    With k the first atom >= t and u = v_k - t >= 0 the moment is
-    P3 + 3u P2 + 3u^2 P1 + u^3 P0 in the shifted suffix moments at k,
-    a sum of nonnegative terms.  Above the top atom k is the top atom
-    and u is clipped to 0, so the value there is P3 = 0 exactly.
+    With k the first atom >= x and u = v_k - x >= 0 these are the
+    shifted suffix moments at k moved down by u,
+
+        P0 = P0(k),  P1 = P1(k) + u P0(k),  P2 = P2(k) + u (2 P1(k) + u P0(k)),
+        P3 = P3(k) + u (3 P2(k) + u (3 P1(k) + u P0(k))),
+
+    each a sum of nonnegative terms.  Above the top atom every moment is
+    0 exactly.  P3 is E (D - x)_+^3.
     """
-    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
     v = d.values
-    p0, p1, p2, p3 = _shifted_suffix_moments(d)
-    k = np.minimum(np.searchsorted(v, t, side="left"), len(v) - 1)
-    u = np.maximum(v[k] - t, 0.0)
-    return p3[k] + u * (3.0 * p2[k] + u * (3.0 * p1[k] + u * p0[k]))
+    # column len(v), past the top atom, holds the moments 0 and the gap 0
+    moments = np.zeros((4, len(v) + 1))
+    moments[:, :-1] = _shifted_suffix_moments(d)
+    k = np.searchsorted(v, x, side="left")
+    p0, p1, p2, p3 = moments.take(k, axis=1)
+    u = np.maximum(np.append(v, -math.inf).take(k) - x, 0.0)
+    up0 = u * p0
+    out = np.empty((4, len(x)))
+    out[0] = p0
+    out[1] = p1 + up0
+    out[2] = p2 + u * (2.0 * p1 + up0)
+    out[3] = p3 + u * (3.0 * p2 + u * (3.0 * p1 + up0))
+    return out
 
 
 class _GuideTable:

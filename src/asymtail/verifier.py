@@ -7,10 +7,13 @@ confidence guard:
 - the quadratic certificate polynomials delta_1..delta_4 and their
   piecewise identity with the four-term positive-part expression;
 - moment comparison between a weighted sum of asymmetric two-point
-  laws and its equalized carrier, over a grid of test functions: the
-  cubes E (D - t)_+^3 in closed form from the shifted suffix moments
-  that b_opt also uses (O(atoms + thresholds) per law), the
-  exponential moments by log-sum-exp so that none overflows;
+  laws and its equalized carrier, certified over every threshold t: for
+  the paper's class of test functions it is the order of the cubes
+  E (D - t)_+^3, whose difference is one cubic in t between consecutive
+  atoms, from the suffix moments that b_opt also uses, so each piece's
+  maximum lies at its ends or at the root of its derivative (O(atoms)
+  per law); two-sided adds E |D - t|^3 the same way and E cosh(lam D)
+  at 20 rates by log-sum-exp, so that none overflows;
 - Schur-direction sweeps along the constant-(2m)-norm coefficient path,
   including the two-coefficient witness that the moment threshold is
   sharp (below it the direction reverses), found by exact maximization:
@@ -54,7 +57,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import combined_bound_grid, resolve_s_m
-from .dist import DistError, FiniteDist, RngSpec, _cube_plus, bs, iid_sum, scale, weighted_bs_sum
+from .dist import (DistError, FiniteDist, RngSpec, _suffix_moments_at, bs, iid_sum, scale,
+                   weighted_bs_sum)
 from .optimize import brent_root
 from .thresholds import m_star
 
@@ -85,9 +89,7 @@ class _BetaQuantile:
 beta_dist = _BetaQuantile()
 
 DEFAULT_TOL = 1e-12
-_ENUM_T_COUNT = 401      # cube_plus / abs_cube thresholds t
-_ENUM_LAM_COUNT = 20     # exp / cosh rates lambda in [0.1, 5]
-_ENUM_LAMS = np.geomspace(0.1, 5.0, _ENUM_LAM_COUNT)
+_ENUM_LAMS = np.geomspace(0.1, 5.0, 20)   # cosh rates lambda
 _ENUM_LAMS.setflags(write=False)
 _SCHUR_THETAS = 64       # angles on (0, pi/4] per Schur sweep
 _WITNESS_WINDOW = 0.2    # the witness maximizes over theta in [pi/4 - 0.2, pi/4]
@@ -267,70 +269,109 @@ def _log_mgf(d: FiniteDist, lam: np.ndarray) -> np.ndarray:
     return top + np.log(a.sum(axis=1))
 
 
-def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False,
-                      left_tail: bool = False) -> EnumCheck:
-    """Exact-enumeration comparison of E f(sum c_i X_i) vs the carrier.
+def _piece_peaks(b: np.ndarray, dp: np.ndarray, dq: np.ndarray | None = None):
+    """The candidates for the maximum of d on each piece [b_i, b_{i+1}]
+    of the breakpoints b, and their t: (values, t), each (3, pieces).
 
-    The families, in tie-break order: cube_plus (t -> E (D - t)_+^3 at
-    401 thresholds t spanning both supports), exp (lambda -> E e^{lambda D}
-    at 20 rates in [0.1, 5]), and for two_sided also abs_cube
-    (E |D - t|^3) and cosh.  The cubes come in closed form from the
-    shifted suffix moments (`dist._cube_plus`), O(atoms + thresholds)
-    per side; |D - t|^3 adds the same moment of -D at -t.
-
-    Violations are normalized by max(1, E f(carrier)) so that the
-    exponential families, whose raw moments span many orders, report on
-    the same scale as the cubes.  Both laws have mean 0, so their
-    exponential moments are >= 1 and the normalized violation is
-    expm1(log E f(sum) - log E f(carrier)), with the logs taken by
-    log-sum-exp: no moment overflows.  The worst point is the first
-    maximum in family order; a NaN comparison raises VerifyError.
-
-    For left_tail the sum is reflected, which swaps the roles of p and
-    q; the caller is responsible for choosing m against m_star(q) in
-    that case.  two_sided already compares both tails at p, so it takes
-    no left_tail.
+    dp holds the differences dP_j of the two laws' suffix moments at
+    every b_i; with u = b_{i+1} - t in [0, h], h = b_{i+1} - b_i, the
+    right cubes differ on the piece by R(u) = dP3 + 3u dP2 + 3u^2 dP1 +
+    u^3 dP0 at b_{i+1}.  dq, the differences of the reflected laws'
+    moments at every -b_i, adds the left cubes, L(w) = dQ3 + 3w dQ2 +
+    3w^2 dQ1 + w^3 dQ0 at -b_i, in w = h - u.  d = R(u) + L(h - u)
+    peaks at an end, where it is dP3 (+ dQ3) at that breakpoint, or at
+    the root of a third of its derivative, A u^2 + 2B u + C, where
+    A u + B < 0; that root is taken in the form that does not cancel,
+    and one off the piece, or none, falls back to u = 0.
     """
-    if two_sided and left_tail:
-        raise VerifyError("two_sided compares both tails; it takes no left_tail")
+    h = b[1:] - b[:-1]
+    p0, p1, p2, p3 = dp[:, 1:]
+    ends = dp[3] if dq is None else dp[3] + dq[3]
+    if dq is None:
+        qa, qb, qc = p0, p1, p2
+    else:
+        q0, q1, q2, q3 = dq[:, :-1]
+        qa, qb, qc = p0 - q0, p1 + q1 + h * q0, p2 - q2 - h * (2.0 * q1 + h * q0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
+        u = np.where(qb >= 0.0, s / qa, qc / s)
+    u[~((u > 0.0) & (u < h))] = 0.0
+    peak = p3 + u * (3.0 * p2 + u * (3.0 * p1 + u * p0))
+    if dq is not None:
+        w = h - u
+        peak += q3 + w * (3.0 * q2 + w * (3.0 * q1 + w * q0))
+    return np.stack((ends[:-1], ends[1:], peak)), np.stack((b[:-1], b[1:], b[1:] - u))
+
+
+def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) -> EnumCheck:
+    """The moment comparison of sum c_i X_i with its carrier, certified
+    over every threshold t.
+
+    A function f with f and f'' nondecreasing and convex is, on any
+    half-line, an affine term plus a nonnegative quadratic plus a mixture
+    of (x - t)_+^3.  Both sides have mean 0 and, for m >= 1, E S^2 <=
+    E eta^2, so the comparison holds for every such f exactly when
+    d(t) = E (S - t)_+^3 - E (eta - t)_+^3 <= 0 at every t.  Between
+    consecutive atoms of the two laws d is one cubic, from the suffix
+    moments at the piece's ends (`dist._suffix_moments_at`), and peaks at
+    an end or at a root of d' (`_piece_peaks`).  Above both supports d is
+    0; below them it is affine with slope -3 (E S^2 - E eta^2) >= 0, so
+    the lowest atom holds its maximum there.
+
+    The families, in tie-break order: cube_plus, and for two_sided
+    abs_cube (E |D - t|^3, the reflected left cubes added and certified
+    the same way) and cosh (E cosh(lam D) at 20 rates in [0.1, 5],
+    sampled by log-sum-exp so that none overflows; the violation is
+    expm1 of the log ratio).  A cube family's violation on a piece is its
+    peak over a lower bound of max(1, E f(carrier)) there: E (eta - t)_+^3
+    at the piece's right end, plus E (t - eta)_+^3 at its left end for
+    abs_cube.  So max_violation, the largest violation or 0, bounds the
+    normalized violation at every t, and is 0 where d <= 0 everywhere;
+    the exact maximum of the ratio would need a quartic root per piece.
+    worst_param is the t (or lam) of the winning peak, t_count the number
+    of pieces, lam_count the rates sampled (0 one-sided).  m must be
+    finite and >= 1; a NaN comparison raises VerifyError.
+    """
+    if not 1.0 <= m < math.inf:
+        raise VerifyError(f"m must be finite and >= 1, got {m!r}")
     c = np.asarray(coeffs, dtype=float)
     n = len(c)
-    p_eff = 1.0 - p if left_tail else p
-    lhs = weighted_bs_sum(p_eff, c)
+    lhs = weighted_bs_sum(p, c)
     _, s_m, _ = resolve_s_m(m, coeffs=c)
     if s_m <= 0:
         raise VerifyError("coefficients are all zero")
-    rhs = scale(iid_sum(bs(p_eff), n), s_m)
-    lo = min(lhs.min_value, rhs.min_value) - 1.0
-    hi = max(lhs.max_value, rhs.max_value) + 1.0
-    t_grid = np.linspace(lo, hi, _ENUM_T_COUNT)
-    lam_grid = _ENUM_LAMS
-    # E cosh(lam D) = (E e^{lam D} + E e^{-lam D}) / 2, so two_sided also
-    # takes the negative rates; the halving cancels in the log ratio
-    lams = np.concatenate((lam_grid, -lam_grid)) if two_sided else lam_grid
-    gl, gr = _log_mgf(lhs, lams), _log_mgf(rhs, lams)
-    k = _ENUM_LAM_COUNT
-    el, er = _cube_plus(lhs, t_grid), _cube_plus(rhs, t_grid)
-    families = [("cube_plus", t_grid, (el - er) / np.maximum(1.0, er)),
-                ("exp", lam_grid, np.expm1(gl[:k] - gr[:k]))]
+    rhs = scale(iid_sum(bs(p), n), s_m)
+    b = np.union1d(lhs.values, rhs.values)
+    if len(b) < 2:
+        raise VerifyError("the coefficients are too small: both laws are one point")
+    right = _suffix_moments_at(rhs, b)
+    dp = _suffix_moments_at(lhs, b) - right
+    vals, ts = _piece_peaks(b, dp)
+    families = [("cube_plus", vals / np.maximum(1.0, right[3, 1:]), ts)]
+    lam_count = 0
     if two_sided:
-        al = el + _cube_plus(scale(lhs, -1.0), -t_grid)
-        ar = er + _cube_plus(scale(rhs, -1.0), -t_grid)
-        families += [("abs_cube", t_grid, (al - ar) / np.maximum(1.0, ar)),
-                     ("cosh", lam_grid, np.expm1(np.logaddexp(gl[:k], gl[k:])
-                                                 - np.logaddexp(gr[:k], gr[k:])))]
+        left = _suffix_moments_at(scale(rhs, -1.0), -b)
+        dq = _suffix_moments_at(scale(lhs, -1.0), -b) - left
+        vals, ts = _piece_peaks(b, dp, dq)
+        families.append(("abs_cube", vals / np.maximum(1.0, right[3, 1:] + left[3, :-1]), ts))
+        # E cosh(lam D) = (E e^{lam D} + E e^{-lam D}) / 2; the halving
+        # cancels in the log ratio
+        lams = np.concatenate((_ENUM_LAMS, -_ENUM_LAMS))
+        gl, gr = _log_mgf(lhs, lams), _log_mgf(rhs, lams)
+        k = lam_count = len(_ENUM_LAMS)
+        viol = np.expm1(np.logaddexp(gl[:k], gl[k:]) - np.logaddexp(gr[:k], gr[k:]))
+        families.append(("cosh", viol, _ENUM_LAMS))
     worst = (-math.inf, "", math.nan)
-    for fam, params, viol in families:
+    for fam, viol, params in families:
         if np.any(np.isnan(viol)):
             raise VerifyError(f"the {fam} comparison is NaN")
         i = int(np.argmax(viol))
-        if viol[i] > worst[0]:
-            worst = (float(viol[i]), fam, float(params[i]))
-    mode = "two_sided" if two_sided else ("left_tail" if left_tail else "right_tail")
+        if viol.flat[i] > worst[0]:
+            worst = (float(viol.flat[i]), fam, float(params.flat[i]))
     return EnumCheck(p=p, m=m, coeffs=tuple(float(x) for x in c), n=n,
-                     max_violation=worst[0], worst_family=worst[1],
-                     worst_param=worst[2], t_count=_ENUM_T_COUNT,
-                     lam_count=_ENUM_LAM_COUNT, mode=mode)
+                     max_violation=max(0.0, worst[0]), worst_family=worst[1],
+                     worst_param=worst[2], t_count=len(b) - 1, lam_count=lam_count,
+                     mode="two_sided" if two_sided else "right_tail")
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +860,8 @@ def run_delta_suite(resolution: int = 80) -> list[CheckResult]:
 
 
 def run_enumeration_suite(seed: int = 0) -> list[CheckResult]:
+    """Each row's details say where the certificate peaked (worst_param)
+    and over how many pieces (t_count)."""
     rng = RngSpec(seed, stream=101).generator()
     out = []
     cases = []
@@ -826,21 +869,22 @@ def run_enumeration_suite(seed: int = 0) -> list[CheckResult]:
         for n in (2, 3, 5):
             coeffs = np.round(rng.uniform(0.2, 2.0, size=n), 3)
             cases.append((p, m_star(p), coeffs))
+
+    def row(name, chk, **details):
+        return CheckResult(name=name, passed=chk.passed, metric=chk.max_violation,
+                           threshold=DEFAULT_TOL,
+                           details={**details, "worst_param": chk.worst_param,
+                                    "t_count": chk.t_count})
+
     for p, m, coeffs in cases:
         chk = enumeration_check(p, m, coeffs)
-        out.append(CheckResult(
-            name=f"enum_p{p:g}_n{len(coeffs)}", passed=chk.passed,
-            metric=chk.max_violation, threshold=DEFAULT_TOL,
-            details={"m": m, "coeffs": list(chk.coeffs),
-                     "worst_family": chk.worst_family}))
+        out.append(row(f"enum_p{p:g}_n{len(coeffs)}", chk, m=m, coeffs=list(chk.coeffs),
+                       worst_family=chk.worst_family))
     chk = enumeration_check(0.3, m_star(0.3), [1.0, 0.7, 1.4], two_sided=True)
-    out.append(CheckResult(name="enum_two_sided_p0.3", passed=chk.passed,
-                           metric=chk.max_violation, threshold=DEFAULT_TOL,
-                           details={"mode": chk.mode}))
-    chk = enumeration_check(0.7, m_star(0.3), [1.0, 0.7, 1.4], left_tail=True)
-    out.append(CheckResult(name="enum_left_tail_p0.7", passed=chk.passed,
-                           metric=chk.max_violation, threshold=DEFAULT_TOL,
-                           details={"mode": chk.mode}))
+    out.append(row("enum_two_sided_p0.3", chk, mode=chk.mode))
+    # the left tail at p = 0.7 is the right tail at 1 - p, since -bs(p) is bs(1 - p)
+    chk = enumeration_check(0.3, m_star(0.3), [1.0, 0.7, 1.4])
+    out.append(row("enum_left_tail_p0.7", chk, mode="left_tail"))
     return out
 
 

@@ -144,7 +144,8 @@ def test_acceptance_05_enumeration(capsys):
                 checks += 1
     elapsed = time.perf_counter() - t0
     report(capsys, 5, worst <= 1e-10,
-           f"{checks} enumerations, max violation {worst:.2e} (tol 1e-10)",
+           f"{checks} enumerations certified over every t, max violation {worst:.2e} "
+           f"(tol 1e-10)",
            elapsed, 120.0)
 
 

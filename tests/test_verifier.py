@@ -211,10 +211,14 @@ class TestDeltaPolynomials:
 
 class TestEnumeration:
     def test_equal_coefficients_tie_out(self):
-        # equal weights make both sides the same distribution, any m
+        # equal weights make both sides the same distribution, any m: the
+        # binomial's 4 atoms make 3 pieces, and one-sided samples no rate
         res = enumeration_check(0.2, 1.0, [1.0, 1.0, 1.0])
         assert res.max_violation <= 1e-14
-        assert (res.t_count, res.lam_count) == (401, 20)
+        assert (res.t_count, res.lam_count) == (3, 0)
+        res = enumeration_check(0.2, 1.0, [1.0, 1.0, 1.0], two_sided=True)
+        assert res.max_violation <= 1e-14
+        assert (res.t_count, res.lam_count) == (3, 20)
 
     @pytest.mark.parametrize("coeffs", [
         [1.0, 2.0], [0.5, 1.0, 1.5], [1.0, 1.0, 3.0, 0.25],
@@ -228,62 +232,66 @@ class TestEnumeration:
         res2 = enumeration_check(0.3, m_star(0.3), [1.0, 2.0, 0.7],
                                  two_sided=True)
         assert res2.passed and res2.mode == "two_sided"
-        resl = enumeration_check(0.3, m_star(1.0 - 0.3), [1.0, 2.0, 0.7],
-                                 left_tail=True)
-        assert resl.passed and resl.mode == "left_tail"
-
-    def test_two_sided_rejects_left_tail(self):
-        # computing at 1 - p would report the caller's p as "two_sided"
-        with pytest.raises(VerifyError, match="two_sided"):
-            enumeration_check(0.3, 1.0, [1.0, 0.7], two_sided=True, left_tail=True)
+        # -bs(p) is bs(1 - p): the left tail at p is the right tail at 1 - p
+        resl = enumeration_check(1.0 - 0.3, m_star(1.0 - 0.3), [1.0, 2.0, 0.7])
+        assert resl.passed and resl.mode == "right_tail"
 
     def test_reports_worst_family(self):
-        res = enumeration_check(0.2, m_star(0.2), [1.0, 1.7])
-        assert res.worst_family in ("cube_plus", "exp", "abs_cube", "cosh")
-        assert np.isfinite(res.worst_param)
+        # m = 1 < m_star(0.2): the cubes fail, and the winning peak is a t
+        # inside the supports where d(t) > 0; no family samples exp
+        coeffs = [1.0, 1.7]
+        res = enumeration_check(0.2, 1.0, coeffs, two_sided=True)
+        assert res.worst_family in ("cube_plus", "abs_cube", "cosh")
+        res = enumeration_check(0.2, 1.0, coeffs)
+        assert res.worst_family == "cube_plus"
+        lhs, rhs = _laws(0.2, 1.0, coeffs)
+        t = res.worst_param
+        assert rhs.min_value <= t <= rhs.max_value
+        assert _cube(lhs, t) - _cube(rhs, t) > 0.0
+
+    @pytest.mark.parametrize("m", [0.9, math.nan, math.inf])
+    def test_rejects_m_below_one_or_not_finite(self, m):
+        # the certificate's treatment of t below both supports rests on
+        # E S^2 <= E eta^2, which needs m >= 1
+        with pytest.raises(VerifyError, match="m must be finite and >= 1"):
+            enumeration_check(0.3, m, [1.0, 0.7])
+
+    def test_rejects_coefficients_whose_laws_collapse_to_one_point(self):
+        # atoms 1e-300 apart merge, so each side is one point and no piece
+        # is left to certify
+        with pytest.raises(VerifyError, match="one point"):
+            enumeration_check(0.3, 1.0, [1e-300, 1e-300])
 
 
-def _family_moments(lhs, rhs, t_grid, lam_grid, two_sided):
-    """Yield (family, param, E_lhs, E_rhs) from dense (grid x atoms) sums."""
+def _laws(p, m, coeffs):
+    """The two sides of the comparison: the weighted sum and its carrier."""
+    c = np.asarray(coeffs, dtype=float)
+    s_m = float(np.mean(c ** (2.0 * m)) ** (1.0 / (2.0 * m)))
+    return weighted_bs_sum(p, c), scale(iid_sum(bs(p), len(c)), s_m)
+
+
+def _cube(law, t):
+    """E (D - t)_+^3 by math.fsum."""
+    return math.fsum(m * (v - t) ** 3 for v, m in zip(law.values.tolist(),
+                                                       law.masses.tolist()) if v > t)
+
+
+def _dense_worst(p, m, coeffs, two_sided=False):
+    """The largest normalized violation of the cube families over 401
+    thresholds t spanning both supports, by dense (grid x atoms) sums:
+    the sampled reference that enumeration_check's certificate bounds."""
+    lhs, rhs = _laws(p, m, coeffs)
     vl, ml = lhs.values[None, :], lhs.masses[None, :]
     vr, mr = rhs.values[None, :], rhs.masses[None, :]
-    t = np.asarray(t_grid, dtype=float)[:, None]
+    t = np.linspace(min(lhs.min_value, rhs.min_value) - 1.0,
+                    max(lhs.max_value, rhs.max_value) + 1.0, 401)[:, None]
     el = np.sum(np.clip(vl - t, 0.0, None) ** 3 * ml, axis=1)
     er = np.sum(np.clip(vr - t, 0.0, None) ** 3 * mr, axis=1)
-    for i, tv in enumerate(t_grid):
-        yield "cube_plus", float(tv), float(el[i]), float(er[i])
-    lam = np.asarray(lam_grid, dtype=float)[:, None]
-    eel = np.sum(np.exp(lam * vl) * ml, axis=1)
-    eer = np.sum(np.exp(lam * vr) * mr, axis=1)
-    for i, lv in enumerate(lam_grid):
-        yield "exp", float(lv), float(eel[i]), float(eer[i])
+    worst = float(np.max((el - er) / np.maximum(1.0, er)))
     if two_sided:
         al = np.sum(np.abs(vl - t) ** 3 * ml, axis=1)
         ar = np.sum(np.abs(vr - t) ** 3 * mr, axis=1)
-        for i, tv in enumerate(t_grid):
-            yield "abs_cube", float(tv), float(al[i]), float(ar[i])
-        cl = np.sum(np.cosh(lam * vl) * ml, axis=1)
-        cr = np.sum(np.cosh(lam * vr) * mr, axis=1)
-        for i, lv in enumerate(lam_grid):
-            yield "cosh", float(lv), float(cl[i]), float(cr[i])
-
-
-def _dense_worst(p, m, coeffs, two_sided=False, left_tail=False):
-    """(max_violation, worst_family) of the enumeration, point by point
-    over dense sums: the reference for enumeration_check."""
-    c = np.asarray(coeffs, dtype=float)
-    p_eff = 1.0 - p if left_tail else p
-    lhs = weighted_bs_sum(p_eff, c)
-    s_m = float(np.mean(c ** (2.0 * m)) ** (1.0 / (2.0 * m)))
-    rhs = scale(iid_sum(bs(p_eff), len(c)), s_m)
-    t_grid = np.linspace(min(lhs.min_value, rhs.min_value) - 1.0,
-                         max(lhs.max_value, rhs.max_value) + 1.0, 401)
-    lam_grid = np.geomspace(0.1, 5.0, 20)
-    worst = (-math.inf, "")
-    for fam, _, el, er in _family_moments(lhs, rhs, t_grid, lam_grid, two_sided):
-        viol = (el - er) / max(1.0, abs(er))
-        if viol > worst[0]:
-            worst = (viol, fam)
+        worst = max(worst, float(np.max((al - ar) / np.maximum(1.0, ar))))
     return worst
 
 
@@ -295,30 +303,78 @@ def _acceptance_5_configs():
                 yield p, list(coeffs)
 
 
+def _mode_call(mode, p, m, coeffs):
+    """enumeration_check in a test mode; left_tail is the right tail at
+    1 - p, since -bs(p) is bs(1 - p)."""
+    if mode == "left_tail":
+        return enumeration_check(1.0 - p, m, coeffs)
+    return enumeration_check(p, m, coeffs, two_sided=mode == "two_sided")
+
+
 class TestEnumerationAgainstDenseSums:
     @pytest.mark.parametrize("mode", ["right_tail", "two_sided", "left_tail"])
     def test_acceptance_5_configurations(self, mode):
-        kw = {"two_sided": mode == "two_sided", "left_tail": mode == "left_tail"}
         for p, coeffs in _acceptance_5_configs():
-            m = m_star(1.0 - p if kw["left_tail"] else p)
-            res = enumeration_check(p, m, coeffs, **kw)
-            ref_viol, ref_fam = _dense_worst(p, m, coeffs, **kw)
-            assert res.mode == mode
-            # at p = 1/2, m_star = 1: both sides have the same variance and
-            # odd moments, so E |D - t|^3 ties exactly beyond the supports,
-            # and roundoff picks the family that holds the largest violation
-            tie = kw["two_sided"] and p == 0.5 and abs(ref_viol) <= 1e-14
-            assert tie or res.worst_family == ref_fam, (p, coeffs)
-            assert abs(res.max_violation - ref_viol) <= 1e-14, (p, coeffs)
+            p_eff = 1.0 - p if mode == "left_tail" else p
+            m = m_star(p_eff)
+            res = _mode_call(mode, p, m, coeffs)
+            ref = _dense_worst(p_eff, m, coeffs, mode == "two_sided")
+            assert res.mode == ("two_sided" if mode == "two_sided" else "right_tail")
+            # the certificate bounds the violation at every t, so at the
+            # 401 sampled ones too
+            assert res.max_violation >= ref - 1e-15, (p, coeffs, res.max_violation, ref)
+            if m == 1.0:
+                assert res.passed == (ref <= verifier.DEFAULT_TOL), (p, coeffs)
 
     def test_violations_below_the_threshold_agree(self):
         # m = 1 < m_star(p): real violations, where the cubes cancel least
         for p, coeffs in [(0.1, [1.0, 2.0, 0.5]), (0.2, [1.0, 1.7, 0.3, 0.9])]:
-            for kw in ({}, {"two_sided": True}, {"left_tail": True}):
-                res = enumeration_check(p, 1.0, coeffs, **kw)
-                ref_viol, ref_fam = _dense_worst(p, 1.0, coeffs, **kw)
-                assert res.worst_family == ref_fam
-                assert abs(res.max_violation - ref_viol) <= 1e-14
+            for mode in ("right_tail", "two_sided", "left_tail"):
+                res = _mode_call(mode, p, 1.0, coeffs)
+                ref = _dense_worst(1.0 - p if mode == "left_tail" else p, 1.0, coeffs,
+                                   mode == "two_sided")
+                assert res.max_violation >= ref - 1e-15
+                assert res.passed == (ref <= verifier.DEFAULT_TOL), (p, mode)
+            assert not enumeration_check(p, 1.0, coeffs).passed
+
+
+def test_every_acceptance_6_witness_pair_fails_the_check():
+    """The pair (cos^{1/m} theta*, sin^{1/m} theta*) of each witness at
+    0.9 m_star(p) has d(t*) = |gap|, and its carrier is the equal point,
+    so g_equal = E (eta - t*)_+^3.  The certificate bounds d(t) over the
+    normalizer at the right end r of t's piece, the least atom >= t, at
+    every t; that normalizer is at most the one at t*.  A 401-point t grid
+    read 0.0102 at p ~ 0.29, where d(t*) / max(1, E (eta - r)_+^3) is
+    0.0221."""
+    for p in np.linspace(0.02, 0.34, 20).tolist():
+        m = 0.9 * m_star(p)
+        wit = exactness_witness(p, m)
+        coeffs = [math.cos(wit.theta_star) ** (1.0 / m), math.sin(wit.theta_star) ** (1.0 / m)]
+        res = enumeration_check(p, m, coeffs)
+        lhs, rhs = _laws(p, m, coeffs)
+        atoms = np.union1d(lhs.values, rhs.values)
+        r = float(atoms[atoms >= wit.t][0])
+        assert not res.passed, p
+        assert res.max_violation >= abs(wit.gap) / max(1.0, wit.g_equal) - 1e-15, p
+        assert res.max_violation >= abs(wit.gap) / max(1.0, _cube(rhs, r)) - 1e-15, (
+            p, res.max_violation)
+
+
+@given(p=hst.floats(0.02, 0.98), stretch=hst.floats(0.0, 1.0),
+       coeffs=hst.lists(hst.floats(0.2, 2.0), min_size=2, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_a_passing_certificate_implies_the_exp_comparison(p, stretch, coeffs):
+    """e^{lam x} is in the class, so wherever the cube order is certified
+    the exponential moments compare too: the violation of E e^{lam D},
+    by log-sum-exp at the 20 rates the exp family once sampled, is at
+    most 1e-12.  No check is lost with that family."""
+    m = m_star(p) * (1.0 + stretch)
+    res = enumeration_check(p, m, coeffs)
+    assume(res.passed)
+    lhs, rhs = _laws(p, m, coeffs)
+    lam = np.geomspace(0.1, 5.0, 20)
+    viol = np.expm1(verifier._log_mgf(lhs, lam) - verifier._log_mgf(rhs, lam))
+    assert viol.max() <= 1e-12, (viol.max(), lam[np.argmax(viol)])
 
 
 def _scale_convolve_fold(p, coeffs):
@@ -339,15 +395,14 @@ def test_enumeration_check_equals_the_fold_of_laws_field_for_field(mode, monkeyp
     """Certify's draws (2-12 terms, p in [0.02, 0.98], coefficients in
     [0.2, 2]) give the same EnumCheck, every field bit for bit, whether
     the left side is folded on raw arrays or as laws, and whether the
-    rates come from the module's grid or a fresh geomspace."""
+    cosh rates come from the module's grid or a fresh geomspace."""
     rng = np.random.default_rng(25)
     draws = [(float(rng.uniform(0.02, 0.98)), rng.uniform(0.2, 2.0, int(rng.integers(2, 13))))
              for _ in range(40)]
-    kw = {"two_sided": mode == "two_sided", "left_tail": mode == "left_tail"}
 
     def checks():
-        return [repr(dataclasses.astuple(enumeration_check(
-                    p, m_star(1.0 - p if kw["left_tail"] else p), c, **kw)))
+        return [repr(dataclasses.astuple(_mode_call(
+                    mode, p, m_star(1.0 - p if mode == "left_tail" else p), c)))
                 for p, c in draws]
 
     got = checks()
