@@ -17,7 +17,8 @@ environment is recorded under `machine`):
   metric, a control: ten more pairs in the same protocol, the base
   against itself;
 - then, per workload, three --trace 1 runs of 4 s per side, at seeds
-  1-3, alternating which side runs first.
+  1-3, and a base-against-base control of three more per side, the pair
+  and the control interleaved at each seed (see traced_runs).
 
 The record holds, per workload and side, the median and quartiles of
 each end-to-end metric over the seeds, how many pairs the head won on
@@ -32,13 +33,15 @@ otherwise drift alone could have met it, and the claim is
 The record also holds each run's output digest (and whether the two
 sides' agree at every seed), the quartiles of each side's minor page
 faults per run (information only: no claim rule reads them), and per
-traced per-layer metric each side's median, range and values, with
-`changed` true only where the two ranges do not overlap; and the
+traced per-layer metric each side's median, range and values, the
+control's, `apart` where the two sides' ranges do not overlap, and
+`changed` only where they are apart and the control's are not; and the
 machine (nproc, CPU model, Python, numpy and scipy versions, and
 PYTHONDONTWRITEBYTECODE as the caller had it), both
 commit ids and the record's wall time.  The runs go one at a time, so
 the record costs about 2 x workloads x 10 x (run_seconds + 5 s of cold
-starts), and as much again for each workload that claims.
+starts), and as much again for each workload that claims, plus 12
+traced runs per workload.
 """
 from __future__ import annotations
 
@@ -191,20 +194,40 @@ def spread(values: list[float]) -> dict:
             "values": values}
 
 
+def ranges_apart(a: dict | None, b: dict | None) -> bool:
+    """Whether two spreads exist and their [min, max] ranges do not overlap."""
+    return bool(a and b and (a["max"] < b["min"] or a["min"] > b["max"]))
+
+
+# the traced runs at one seed: the pair, then the base-against-base
+# control, each side a (label, checkout side) pair
+TRACED_SLOTS = (("base", "base"), ("head", "head"),
+                ("control_base", "base"), ("control_head", "base"))
+
+
 def traced_runs(checkouts: dict[str, Path], wl: str) -> dict:
-    """Per traced metric, each side's spread over TRACE_SEEDS, and whether
-    the two ranges are disjoint."""
-    runs: dict[str, list[dict]] = {"base": [], "head": []}
+    """Per traced metric, each side's spread over TRACE_SEEDS and that of
+    a base-against-base control, and whether the change shows in it.
+
+    At each seed the four runs go pair first, then control, and at every
+    other seed in reverse, so that the sides take turns in each slot.  A
+    metric is `changed` only where the head's range is apart from the
+    base's and the control's two ranges overlap: ranges apart in the
+    control mean the runs drift that far with no change at all."""
+    runs: dict[str, list[dict]] = {label: [] for label, _ in TRACED_SLOTS}
     for i, seed in enumerate(TRACE_SEEDS):
-        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-            runs[side].append(run(checkouts[side], wl, seed, TRACE_SECONDS, 1)["metrics"])
-            print(f"{wl} traced seed {seed} {side}: done", flush=True)
+        for label, side in (TRACED_SLOTS if i % 2 == 0 else TRACED_SLOTS[::-1]):
+            runs[label].append(run(checkouts[side], wl, seed, TRACE_SECONDS, 1)["metrics"])
+            print(f"{wl} traced seed {seed} {label}: done", flush=True)
     out = {}
-    for name in dict.fromkeys(k for side in runs for r in runs[side] for k in r):
-        sides = {side: [r[name]["value"] for r in runs[side] if name in r] for side in runs}
-        out[name] = {side: spread(v) if v else None for side, v in sides.items()}
-        b, h = out[name]["base"], out[name]["head"]
-        out[name]["changed"] = bool(b and h and (h["max"] < b["min"] or h["min"] > b["max"]))
+    for name in dict.fromkeys(k for label in runs for r in runs[label] for k in r):
+        values = {label: [r[name]["value"] for r in runs[label] if name in r] for label in runs}
+        sp = {label: spread(v) if v else None for label, v in values.items()}
+        control = {"base": sp["control_base"], "head": sp["control_head"]}
+        control["apart"] = ranges_apart(control["base"], control["head"])
+        apart = ranges_apart(sp["base"], sp["head"])
+        out[name] = {"base": sp["base"], "head": sp["head"], "apart": apart,
+                     "control": control, "changed": apart and not control["apart"]}
     return out
 
 
@@ -265,10 +288,12 @@ def main(argv=None) -> int:
                   f"head {m['head']['median']:<12.5g} head better in "
                   f"{m['head_better_pairs']}/{m['pairs']} pairs{control}, claim {m['claim']}")
         changed = [name for name, t in entry["traced"].items() if t["changed"]]
+        drift = [name for name, t in entry["traced"].items() if t["apart"] and not t["changed"]]
         print(f"{wl:<12} digests {'identical' if entry['digests_match'] else 'DIFFER'}, "
               f"minor faults per run base {entry['minor_faults']['base']['median']:.0f} "
-              f"head {entry['minor_faults']['head']['median']:.0f}, traced ranges apart on "
-              f"{', '.join(changed) or 'none'}")
+              f"head {entry['minor_faults']['head']['median']:.0f}, traced layers changed: "
+              f"{', '.join(changed) or 'none'}; apart but also apart in the control: "
+              f"{', '.join(drift) or 'none'}")
     print(f"record took {record['wall_s']:.0f} s")
     return 0
 

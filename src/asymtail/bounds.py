@@ -10,8 +10,13 @@ cube-positive-part ordering:
 
 (the half-step shift makes the interpolated hull the tighter of the two
 closed forms), plus, for p >= 1/2, straight normal domination
-c_{3,0} Q(x / (s sqrt n)).  combined_bound evaluates every member and
-reports which one wins.
+c_{3,0} Q(x / (s sqrt n)).  Two entry points evaluate every member and
+report which one wins: combined_bound_grid at each x of an array, with
+one carrier and one pair of hulls for all of them, and combined_bound
+at one x.  The latter builds the same carrier and hulls, then takes each
+member in float arithmetic, with the array path's operations in its
+order, so its report is combined_bound_grid's at [x] bit for bit while
+paying none of numpy's per-call cost on one-element arrays.
 
 b_opt(eta, x) = inf over t < x of E (eta - t)_+^3 / (x - t)^3 has a
 closed form: the ratio is quasi-convex in t, and on each interval
@@ -80,7 +85,8 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
 
     in the shifted suffix moments P_j of the atoms >= v_k, and the ratio
     is (P3 + 3u P2 + 3u^2 P1 + u^3 P0) / (dx + u)^3.  x may be a scalar
-    or a 1-d array; the whole grid is evaluated at once.
+    or a 1-d array.  An array is evaluated at once; a scalar in float
+    arithmetic (see _b_opt_at), bit for bit as the same x in an array.
 
     Past the top atom the value is 0.  For x <= E D the ratio is
     nondecreasing in t with limit 1 at t = -inf, so the value is 1, with
@@ -90,29 +96,24 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
     discriminant is not finite: the moments overflow once the atoms pass
     about 1e77, and no bound is returned from them.
     """
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.ndim(x) == 0:
+        return _b_opt_at(d, float(x))
+    xs = np.asarray(x, dtype=float)
     if xs.ndim != 1:
         raise BoundError("x must be a scalar or a 1-d array")
     if not np.isfinite(xs).all():
         raise BoundError("x must be finite")
     v = d.values
     vmax = d.max_value
-    rng = vmax - d.min_value
-    t_low = d.min_value - 10.0 * (rng if rng > 0 else max(1.0, abs(vmax)))
     # x within merge tolerance above the top atom counts as the top atom,
     # as in dist.tail; further up the value is 0
     past = xs > vmax + 1e-12 * max(1.0, abs(vmax))
     xs_in = np.minimum(xs, vmax)
-    # non-finite intermediates are all resolved below: by fmax, by the
-    # NaN-to-0 and clip of u, where the two overrides replace the ratio, or
-    # by the error on a discriminant that is not finite
+    P, k = _ratio_segment(d, xs_in)
+    # non-finite intermediates are all resolved below: by the NaN-to-0 and
+    # clip of u, where the two overrides replace the ratio, or by the error
+    # on a discriminant that is not finite
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        P = _shifted_suffix_moments(d)
-        # r_k >= v_{k+1} holds exactly; fmax and the running max restore
-        # it, and the order, where roundoff or underflow broke them
-        r = np.maximum.accumulate(np.fmax(v[:-1] + P[3, :-1] / P[2, :-1], v[1:]))
-        k = np.searchsorted(r, xs_in)
         # conditional moments given D >= v_k: the squares below stay normal
         pk = P[:, k]
         mass = pk[0]
@@ -136,15 +137,84 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
     no_root = (k == 0) & (a >= 0.0)
     overflow = ~(np.isfinite(disc) | past | no_root)
     if overflow.any():
-        raise BoundError(
-            f"b_opt overflows at x = {float(xs[overflow.argmax()])!r}: the carrier's atoms, "
-            f"up to {max(-d.min_value, vmax):g} in size, are too large for its moments")
+        raise _overflow(d, float(xs[overflow.argmax()]))
     raw = np.where(past, 0.0, np.where(no_root, 1.0, raw))
-    t_opt = np.where(past, 0.5 * (vmax + xs), np.where(no_root, t_low, t_opt))
-    value = np.minimum(raw, 1.0)
-    if scalar:
-        return BOptResult(float(value[0]), float(t_opt[0]), float(raw[0]))
-    return BOptResult(value, t_opt, raw)
+    t_opt = np.where(past, 0.5 * (vmax + xs), np.where(no_root, _t_low(d), t_opt))
+    return BOptResult(np.minimum(raw, 1.0), t_opt, raw)
+
+
+def _ratio_segment(d: FiniteDist, x):
+    """The shifted suffix moments P of d and, for each x <= max D, the k
+    of the atom interval [v_{k-1}, v_k] that holds t* (see b_opt)."""
+    v = d.values
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        P = _shifted_suffix_moments(d)
+        # r_k >= v_{k+1} holds exactly; fmax and the running max restore
+        # it, and the order, where roundoff or underflow broke them
+        r = np.maximum.accumulate(np.fmax(v[:-1] + P[3, :-1] / P[2, :-1], v[1:]))
+    return P, np.searchsorted(r, x)
+
+
+def _t_low(d: FiniteDist) -> float:
+    """t_opt where the value is 1: ten ranges below the bottom atom."""
+    rng = d.max_value - d.min_value
+    return d.min_value - 10.0 * (rng if rng > 0 else max(1.0, abs(d.max_value)))
+
+
+def _overflow(d: FiniteDist, x: float) -> BoundError:
+    return BoundError(
+        f"b_opt overflows at x = {x!r}: the carrier's atoms, up to "
+        f"{max(-d.min_value, d.max_value):g} in size, are too large for its moments")
+
+
+# np.maximum and np.minimum on floats: a where a > b (a < b) or a is NaN,
+# else b, so the second of two equal zeros wins
+def _maximum(a: float, b: float) -> float:
+    return a if a > b or a != a else b
+
+
+def _minimum(a: float, b: float) -> float:
+    return a if a < b or a != a else b
+
+
+def _div(a: float, b: float) -> float:
+    """a / b as numpy divides floats: a zero b gives +-inf or NaN, not an error."""
+    if b:
+        return a / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(a) / b)
+
+
+def _b_opt_at(d: FiniteDist, x: float) -> BOptResult:
+    """b_opt at one x: the array path's operations in its order, on
+    floats, with numpy's results where Python would raise, and each
+    override taken where the array path takes it."""
+    if not math.isfinite(x):
+        raise BoundError("x must be finite")
+    vmax = d.max_value
+    if x > vmax + 1e-12 * max(1.0, abs(vmax)):
+        return BOptResult(0.0, 0.5 * (vmax + x), 0.0)
+    x_in = x if x < vmax else vmax
+    P, k = _ratio_segment(d, x_in)
+    mass, p1, p2, p3 = P[:, k].tolist()
+    q1, q2, q3 = _div(p1, mass), _div(p2, mass), _div(p3, mass)
+    vk = float(d.values[k])
+    dx = x_in - vk
+    a = q1 - dx
+    if k == 0 and a >= 0.0:
+        return BOptResult(1.0, _t_low(d), 1.0)
+    b = 2.0 * (q2 - dx * q1)
+    c = q3 - dx * q2
+    disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc):
+        raise _overflow(d, x)
+    s = math.sqrt(_maximum(disc, 0.0))
+    u = _div(-b - s, 2.0 * a) if b > 0.0 else _div(2.0 * c, s - b)
+    width = vk - float(d.values[k - 1]) if k else math.inf
+    u = _minimum(_maximum(0.0 if u != u else u, 0.0), width)
+    w = dx + u
+    raw = _div(_div(_div(mass * (q3 + u * (3.0 * q2 + u * (3.0 * q1 + u))), w), w), w)
+    return BOptResult(_minimum(raw, 1.0), vk - u, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -155,32 +225,64 @@ def _float_or_array(a: np.ndarray) -> float | np.ndarray:
     return float(a) if a.ndim == 0 else a
 
 
+def _kl(p: float, q: float, y):
+    py, qy = p + y, q - y
+    return py * np.log(py / p) + qy * np.log(qy / q)
+
+
 def hoeffding_H(p: float, y) -> float | np.ndarray:
     """KL rate (p+y) log((p+y)/p) + (q-y) log((q-y)/q) on 0 <= y <= q.
 
-    Values within relative 1e-12 of the endpoint y = q snap to the exact
-    limit -log p; beyond it the rate is infinite (empty event).  y may
-    be a scalar or an array.
+    Values from the endpoint y = q up to 1e-12 max(1, q) above it snap to
+    the exact limit -log p; beyond them the rate is infinite (empty
+    event).  Below q the formula holds to the endpoint, and is what
+    keeps Hoeffding's bound above b_opt there.  y may be a scalar, taken
+    in float arithmetic, or an array; a scalar's rate is the array's bit
+    for bit.
     """
     if not 0.0 < p < 1.0:
         raise BoundError("hoeffding_H requires p in (0, 1)")
     q = 1.0 - p
+    snap_tol = _SNAP_RTOL * max(1.0, q)
+    if np.ndim(y) == 0:
+        y = float(y)
+        if y <= 0.0:
+            return 0.0
+        if y >= q:
+            return -math.log(p) if y - q <= snap_tol else math.inf
+        # y < q, or NaN, whose rate is the one at 0
+        return float(_kl(p, q, y if y < q else 0.0))
     y = np.asarray(y, dtype=float)
-    inside = (y > 0.0) & (y < q)
-    yi = np.where(inside, y, 0.0)
-    py, qy = p + yi, q - yi
-    rate = py * np.log(py / p) + qy * np.log(qy / q)
-    snap = np.abs(y - q) <= _SNAP_RTOL * max(1.0, q)
-    rate = np.where(y <= 0.0, 0.0, np.where(snap, -math.log(p), np.where(y > q, math.inf, rate)))
-    return _float_or_array(rate)
+    rate = _kl(p, q, np.where((y > 0.0) & (y < q), y, 0.0))
+    snap = (y >= q) & (y - q <= snap_tol)
+    return np.where(y <= 0.0, 0.0, np.where(snap, -math.log(p), np.where(y > q, math.inf, rate)))
 
 
 def hoeffding_bound(p: float, n: int, s_m: float, x) -> float | np.ndarray:
-    """exp(-n H(p, y)) with y = (x/n) sqrt(pq) / s_m; x a scalar or an array."""
+    """exp(-n H(p, y)) with y = (x/n) sqrt(pq) / s_m; x a scalar or an array.
+
+    x from the carrier's top atom n s_m sqrt(q/p) up to 1e-12 max(1, top)
+    above it counts as that atom, as in b_opt and dist.tail: y is q there,
+    and the bound p^n.  The atom is computed as carrier_sum computes it,
+    so x = carrier.max_value is in.  A scalar x is taken in float
+    arithmetic, bit for bit as the same x in an array."""
     if n < 1 or s_m <= 0:
         raise BoundError("hoeffding_bound needs n >= 1 and s_m > 0")
-    y = (np.asarray(x, dtype=float) / n) * math.sqrt(p * (1.0 - p)) / s_m
-    return _float_or_array(np.minimum(np.exp(-n * hoeffding_H(p, y)), 1.0))
+    if not 0.0 < p < 1.0:
+        raise BoundError("hoeffding_bound requires p in (0, 1)")
+    q = 1.0 - p
+    # the top atom of s_m times the n-fold sum of bs(p), as dist builds it
+    a = -math.sqrt(p / q)
+    top = (n * a + n * (math.sqrt(q / p) - a)) * s_m
+    top_end = top + _SNAP_RTOL * max(1.0, top)
+    root = math.sqrt(p * q)
+    if np.ndim(x) == 0:
+        x = float(x)
+        y = q if top <= x <= top_end else (x / n) * root / s_m
+        return min(float(np.exp(-n * hoeffding_H(p, y))), 1.0)
+    x = np.asarray(x, dtype=float)
+    y = np.where((x >= top) & (x <= top_end), q, (x / n) * root / s_m)
+    return np.minimum(np.exp(-n * hoeffding_H(p, y)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +393,14 @@ def carrier_sum(p: float, n: int, s_m: float) -> FiniteDist:
     return d
 
 
-def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
-                        coeffs=None, s_m: float | None = None) -> list[BoundReport]:
-    """Evaluate the whole bound family at each x, sharing one carrier.
-
-    The carrier dominates only at m >= m_star(p).  Below it, an s_m is a
-    BoundError; coefficients are taken at m = m_star(p) instead, which the
-    reports give as their m: s_m of given coefficients rises with m, so
-    that carrier's bounds hold.  Anywhere else m is used as given."""
+def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None):
+    """What the x of one query share: its inputs checked, m lifted to
+    m_star(p) for coefficients below it, (n, s_m, s_1), the carrier and
+    both hulls."""
     if not 0.0 < p < 1.0:
         raise BoundError(f"p must lie in (0, 1), got {p!r}")
     if not 1.0 <= m < math.inf:
         raise BoundError(f"m must be finite and >= 1, got {m!r}")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.size == 0:
-        raise BoundError("need at least one x")
     threshold = m_star(p)
     if m < threshold - 1e-12:
         if coeffs is None:
@@ -314,11 +409,36 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
         m = threshold
     n, sm, s1 = resolve_s_m(m, coeffs=coeffs, s_m=s_m, n=n)
     carrier = carrier_sum(p, n, sm)
-    lc = lc_majorant(carrier)
-    linlc = lin_lc_majorant(carrier)
+    return m, n, sm, s1, carrier, lc_majorant(carrier), lin_lc_majorant(carrier)
+
+
+def _report(p, m, n, sm, h, x: float, t: float, raw: dict) -> BoundReport:
+    """The report at one x from its raw members, in tie-break order:
+    each is clamped to 1, and argmin keeps the first of equal minima."""
+    c = [min(v, 1.0) for v in raw.values()]  # as np.minimum(v, 1.0), NaN included
+    k = c.index(min(c))
+    return BoundReport(
+        p=p, m=m, n=n, s_m=sm, x=x, h=h, b_opt=c[0], b_opt_t=t, lc=c[1], lin_lc=c[2],
+        hoeffding=c[3], normal_dom=c[4] if len(c) == 5 else None,
+        minimum=c[k], argmin=list(raw)[k], raw=raw)
+
+
+def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
+                        coeffs=None, s_m: float | None = None) -> list[BoundReport]:
+    """Evaluate the whole bound family at each x, sharing one carrier.
+
+    The carrier dominates only at m >= m_star(p).  Below it, an s_m is a
+    BoundError; coefficients are taken at m = m_star(p) instead, which the
+    reports give as their m: s_m of given coefficients rises with m, so
+    that carrier's bounds hold.  Anywhere else m is used as given.  The
+    members are evaluated on the whole x array at once."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.size == 0:
+        raise BoundError("need at least one x")
+    m, n, sm, s1, carrier, lc, linlc = _query(p, m, n, coeffs, s_m)
     h = linlc.step
     bo = b_opt(carrier, xs)
-    # members in tie-break order: argmin keeps the first of equal minima
+    # members in tie-break order
     raw = {
         "b_opt": bo.raw,
         "lc": _C30 * lc.value(xs),
@@ -328,17 +448,31 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     if p >= 0.5 and s1 is not None:
         raw["normal_dom"] = _C30 * normal_tail(xs / (s1 * math.sqrt(n)))
     names = list(raw)
-    rows = np.array(list(raw.values()))
-    clamped = np.minimum(rows, 1.0)
-    best = clamped.argmin(axis=0).tolist()
-    return [BoundReport(
-        p=p, m=m, n=n, s_m=sm, x=x, h=h, b_opt=c[0], b_opt_t=t, lc=c[1], lin_lc=c[2],
-        hoeffding=c[3], normal_dom=c[4] if len(c) == 5 else None,
-        minimum=c[k], argmin=names[k], raw=dict(zip(names, r)))
-        for x, t, r, c, k in zip(xs.tolist(), bo.t_opt.tolist(), rows.T.tolist(),
-                                 clamped.T.tolist(), best)]
+    return [_report(p, m, n, sm, h, x, t, dict(zip(names, r)))
+            for x, t, r in zip(xs.tolist(), bo.t_opt.tolist(),
+                               np.array(list(raw.values())).T.tolist())]
 
 
 def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
                    coeffs=None, s_m: float | None = None) -> BoundReport:
-    return combined_bound_grid(p, m, [x], n=n, coeffs=coeffs, s_m=s_m)[0]
+    """The bound family at one x: combined_bound_grid(p, m, [x], ...)[0],
+    field for field, raw included, and the same error where that raises.
+
+    The carrier and both hulls are built as for a grid.  Each member is
+    then evaluated at the one x in float arithmetic, with the array
+    path's operations in its order, so a query pays no per-call array
+    overhead."""
+    x = float(x)
+    m, n, sm, s1, carrier, lc, linlc = _query(p, m, n, coeffs, s_m)
+    h = linlc.step
+    bo = b_opt(carrier, x)
+    # members in tie-break order
+    raw = {
+        "b_opt": bo.raw,
+        "lc": _C30 * lc.value(x),
+        "lin_lc": _C30 * linlc.value(x + 0.5 * h),
+        "hoeffding": hoeffding_bound(p, n, sm, x),
+    }
+    if p >= 0.5 and s1 is not None:
+        raw["normal_dom"] = _C30 * _q(x / (s1 * math.sqrt(n)))
+    return _report(p, m, n, sm, h, x, bo.t_opt, raw)

@@ -149,46 +149,70 @@ class TailMajorant:
         return self._knots[1]
 
     def log_value(self, x) -> float | np.ndarray:
+        """log of the majorant at x: a float for a scalar x, else an array.
+
+        A scalar x is evaluated in float arithmetic, with the array
+        path's operations in its order, so log_value(x) is
+        log_value([x])[0] bit for bit."""
+        if np.ndim(x) == 0:
+            return self._log_value_at(float(x))
         xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        if scalar:
-            xa = xa.reshape(1)
         if not np.isfinite(xa).all():
             raise MajorantError("x must be finite")
         below = xa <= self.support_min + _EVAL_RTOL * max(1.0, abs(self.support_min))
         above = xa > self.zero_from + _EVAL_RTOL * max(1.0, abs(self.zero_from))
         if len(self.hull_x) < 2:
             # a one-atom law: every x is below or above
-            out = np.where(below, 0.0, -np.inf)
-        else:
-            # the segment of each x: the last vertex at or below it, but at
-            # least the first and at most the last segment
-            idx = np.searchsorted(self.hull_x[1:-1], xa, side="right")
-            x0, x1, y0, y1, q, beta, a0 = self._segments.take(idx, axis=1)
-            # before the first vertex (the flat cells ahead of the first
-            # arc of linlc) the tail is that vertex's: the first segment,
-            # extended there, would rise past 1
-            xa = np.maximum(xa, self.hull_x[0])
-            # both segment forms at every x, then the one of its segment:
-            # an arc of the interpolant (log of a linear tail) or a bridge;
-            # outside the support, where either form may overflow, x takes 0 or -inf
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                seg = y0 + (xa - x0) / (x1 - x0) * (y1 - y0)
-                arc = self.seg_is_arc[idx]
-                if arc.any():
-                    val = q + beta * (xa - a0)
-                    seg = np.where(arc, np.where(val > 0, np.log(np.maximum(val, 1e-320)),
-                                                 -np.inf), seg)
-            out = np.where(below, 0.0, np.where(above, -np.inf, seg))
-        if scalar:
-            return float(out[0])
-        return out
+            return np.where(below, 0.0, -np.inf)
+        # the segment of each x: the last vertex at or below it, but at
+        # least the first and at most the last segment
+        idx = np.searchsorted(self.hull_x[1:-1], xa, side="right")
+        x0, x1, y0, y1, q, beta, a0 = self._segments.take(idx, axis=1)
+        # before the first vertex (the flat cells ahead of the first
+        # arc of linlc) the tail is that vertex's: the first segment,
+        # extended there, would rise past 1
+        xa = np.maximum(xa, self.hull_x[0])
+        # both segment forms at every x, then the one of its segment:
+        # an arc of the interpolant (log of a linear tail) or a bridge;
+        # outside the support, where either form may overflow, x takes 0 or -inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            seg = y0 + (xa - x0) / (x1 - x0) * (y1 - y0)
+            arc = self.seg_is_arc[idx]
+            if arc.any():
+                val = q + beta * (xa - a0)
+                seg = np.where(arc, np.where(val > 0, np.log(np.maximum(val, 1e-320)),
+                                             -np.inf), seg)
+        return np.where(below, 0.0, np.where(above, -np.inf, seg))
+
+    def _log_value_at(self, x: float) -> float:
+        """log_value at one x: one search for the segment, whose fields
+        are read directly.  np.maximum(a, b) is a where a > b, else b."""
+        if not math.isfinite(x):
+            raise MajorantError("x must be finite")
+        if x <= self.support_min + _EVAL_RTOL * max(1.0, abs(self.support_min)):
+            return 0.0
+        hx = self.hull_x
+        if x > self.zero_from + _EVAL_RTOL * max(1.0, abs(self.zero_from)) or len(hx) < 2:
+            return -math.inf
+        i = int(np.searchsorted(hx[1:-1], x, side="right"))
+        first = float(hx[0])
+        if not x > first:
+            x = first
+        if self.seg_is_arc[i]:
+            val = float(self.seg_q[i]) + float(self.seg_beta[i]) * (x - float(self.seg_x0[i]))
+            if not val > 0:
+                return -math.inf
+            return float(np.log(val if val > 1e-320 else 1e-320))
+        x0, x1 = float(hx[i]), float(hx[i + 1])
+        y0, y1 = float(self.hull_logq[i]), float(self.hull_logq[i + 1])
+        return y0 + (x - x0) / (x1 - x0) * (y1 - y0)
 
     def value(self, x) -> float | np.ndarray:
+        """The majorant at x.  Both paths take numpy's exp, so value(x) is
+        value([x])[0] bit for bit."""
         lv = self.log_value(x)
-        if isinstance(lv, float):
-            return math.exp(lv) if lv > -math.inf else 0.0
-        return np.exp(lv)  # exp(-inf) is 0
+        out = np.exp(lv)  # exp(-inf) is 0
+        return float(out) if isinstance(lv, float) else out
 
     def to_obj(self) -> dict:
         return {

@@ -1,11 +1,14 @@
 """The tail bound family: optimized moment bounds, hull bounds,
 exponential bounds, and the normal ingredients they share."""
+import importlib.util
 import math
+import pathlib
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from asymtail.bounds import (
@@ -128,14 +131,33 @@ class TestBOpt:
             assert value >= tail(d, float(x)) * (1.0 - 1e-12)
 
     def test_array_matches_scalar_calls_bitwise(self):
-        for d in (carrier_sum(0.3, 40, 1.3), carrier_sum(0.9, 7, 1.0), bs(0.4)):
-            xs = np.linspace(d.min_value - 1.0, d.max_value + 1.0, 57)
+        # a scalar x takes the float path; a one-atom law has no interval
+        one_atom = from_pairs([(1.5, 1.0)])
+        for d in (carrier_sum(0.3, 40, 1.3), carrier_sum(0.9, 7, 1.0), bs(0.4), one_atom):
+            top = d.max_value
+            xs = np.concatenate((np.linspace(d.min_value - 1.0, top + 1.0, 57), d.values,
+                                 top * (1.0 + np.array([-1e-13, 1e-13, 2e-12])), [d.mean()]))
             res = b_opt(d, xs)
-            for i, x in enumerate(xs):
-                one = b_opt(d, float(x))
-                assert isinstance(one.value, float)
-                assert (one.value, one.t_opt, one.raw) == (
-                    res.value[i], res.t_opt[i], res.raw[i])
+            for i, x in enumerate(xs.tolist()):
+                one = b_opt(d, x)
+                assert all(type(f) is float for f in (one.value, one.t_opt, one.raw))
+                alone = b_opt(d, [x])
+                for row in (res, alone):
+                    j = i if row is res else 0
+                    assert repr((one.value, one.t_opt, one.raw)) == repr(
+                        (row.value.tolist()[j], row.t_opt.tolist()[j], row.raw.tolist()[j]))
+
+    def test_scalar_overflow_is_the_array_error(self):
+        # the carrier of coefficients 1e200 and 2e200: its root overflows
+        n, s_m, _ = resolve_s_m(1.0, coeffs=[1e200, 2e200])
+        d = carrier_sum(0.5, n, s_m)
+        x = 0.5 * d.max_value
+        with pytest.raises(BoundError) as whole:
+            b_opt(d, [x])
+        with pytest.raises(BoundError) as one:
+            b_opt(d, x)
+        assert str(one.value) == str(whole.value)
+        assert str(one.value).startswith(f"b_opt overflows at x = {x!r}")
 
     @pytest.mark.parametrize("p,n", [(0.05, 30), (0.3, 50), (0.5, 9), (0.8, 120)])
     def test_t_opt_is_first_order_root(self, p, n):
@@ -194,8 +216,29 @@ class TestHoeffding:
             assert isinstance(whole, np.ndarray) and whole.shape == arg.shape
             for i, a in enumerate(arg.tolist()):
                 one = fn(*args, a)
-                assert isinstance(one, float)
-                assert one == pytest.approx(float(whole[i]), rel=1e-15, abs=0.0)
+                assert type(one) is float
+                assert repr(one) == repr(whole.tolist()[i])
+
+    @pytest.mark.parametrize("p,n,s_m", [(0.5, 1, 0.1), (0.3, 6, 1.0), (0.05, 3, 40.0),
+                                         (0.9, 25, 0.02)])
+    def test_top_atom_rule_in_x(self, p, n, s_m):
+        # up to 1e-12 max(1, top) above the top atom x counts as that atom,
+        # as in b_opt and dist.tail, where the bound is p^n; well past it,
+        # 0; just below it, the rate's formula, a little above p^n
+        top = carrier_sum(p, n, s_m).max_value
+        tol = 1e-12 * max(1.0, top)
+        xs = {"below": [top - 0.9 * tol, top * (1.0 - 1e-15)],
+              "at": [top, top + 0.5 * tol, top + 0.9 * tol],
+              "past": [top * (1.0 + 1e-9), 2.0 * top]}
+        for where, x in xs.items():
+            whole = hoeffding_bound(p, n, s_m, np.array(x)).tolist()
+            assert [hoeffding_bound(p, n, s_m, v) for v in x] == whole
+            if where == "below":
+                assert all(p ** n <= b <= p ** n * (1.0 + 1e-9) for b in whole)
+            elif where == "at":
+                assert whole == pytest.approx([p ** n] * len(x), rel=1e-12)
+            else:
+                assert whole == [0.0, 0.0]
 
     def test_fair_coin_sixteenth(self):
         assert hoeffding_bound(0.5, 4, 1.0, 4.0) == pytest.approx(1 / 16, rel=1e-13)
@@ -225,7 +268,7 @@ class TestHoeffding:
             inside = (y > 0.0) & (y < q)
             yi = np.where(inside, y, 0.0)
             rate = (p + yi) * np.log((p + yi) / p) + (q - yi) * np.log((q - yi) / q)
-            snap = np.abs(y - q) <= 1e-12 * max(1.0, q)
+            snap = (y >= q) & (y - q <= 1e-12 * max(1.0, q))
             return np.select([y <= 0.0, snap, y > q], [0.0, -math.log(p), math.inf], rate)
 
         rng = np.random.default_rng(7)
@@ -265,6 +308,23 @@ class TestCombinedBound:
                 top = c30 * float(lc.value(float(x)))
                 assert bo <= mid * (1.0 + 1e-10) + 1e-15
                 assert mid <= top * (1.0 + 1e-10) + 1e-15
+
+    @pytest.mark.parametrize("p,n,s_m", [
+        (0.5, 1, 0.1),                                        # Hoeffding once read 0 here
+        (0.02955637837500028, 7, 0.020630993805438324),
+        (0.25, 22, 1.0), (0.3, 6, 1.0), (0.7, 40, 3.0), (0.9, 3, 20.0), (0.1, 60, 0.05),
+    ])
+    def test_minimum_is_not_below_the_tail_at_the_top_atom(self, p, n, s_m):
+        # within the merge tolerance either side of the top atom, `tail`
+        # counts that atom, so every member must stay at or above its mass
+        d = carrier_sum(p, n, s_m)
+        top = d.max_value
+        xs = [top * (1.0 + sign * j * 1e-13) for j in range(21) for sign in (1, -1)]
+        grid = combined_bound_grid(p, m_star(p), xs, n=n, s_m=s_m)
+        for x, row in zip(xs, grid):
+            rep = combined_bound(p, m_star(p), x, n=n, s_m=s_m)
+            assert rep == row
+            assert rep.minimum >= tail(d, x) * (1.0 - 1e-12), (x, rep.raw, tail(d, x))
 
     def test_b_opt_beats_hoeffding_everywhere_sampled(self):
         for p, n in ((0.1, 6), (0.3, 8), (0.5, 5)):
@@ -418,6 +478,9 @@ _LOG_X = hst.floats(-3.0, 0.1)  # x as 10^u times the carrier's top atom
 @given(p=hst.floats(0.02, 0.98), n=hst.integers(1, 60), log_s_m=hst.floats(-2.0, 2.0),
        log_xs=hst.lists(_LOG_X, min_size=1, max_size=8))
 @settings(max_examples=150, deadline=None)
+# x = 0.10000000000024706, within the merge tolerance above the top atom 0.1,
+# where Hoeffding once read 0 below b_opt's 0.5
+@example(p=0.5, n=1, log_s_m=-1.0, log_xs=[1.0729107392858623e-12])
 def test_b_opt_is_below_the_hull_and_hoeffding_members(p, n, log_s_m, log_xs):
     """The theorem order on raw members: b_opt is at most c30 times
     either hull, and at most Hoeffding.  normal_dom has no such theorem
@@ -444,6 +507,90 @@ def test_b_opt_is_below_the_hull_on_the_self_normalized_carriers(p, n, m_up, p_s
         xs = carrier.max_value * 10.0 ** np.array(log_xs)
         hull = c30 * lc_majorant(carrier).value(xs)
         assert np.all(b_opt(carrier, xs).value <= hull * (1.0 + 1e-12)), (xs, hull)
+
+
+def _outcome(call):
+    """A call's result, or its error's type and message, as a string that
+    tells every float apart (repr keeps the sign of zero and the type)."""
+    try:
+        return repr(call())
+    except Exception as err:  # the two paths must raise alike
+        return f"{type(err).__name__}: {err}"
+
+
+def _paths_agree(p, m, x, **kw):
+    one = _outcome(lambda: combined_bound(p, m, x, **kw))
+    assert one == _outcome(lambda: combined_bound_grid(p, m, [x], **kw)[0]), (p, m, x, kw)
+    return one
+
+
+_X_KINDS = ("below_support", "below_mean", "atom", "between_atoms", "top", "past_top")
+
+
+@given(p=hst.floats(0.02, 0.98), n=hst.integers(1, 60), log_s_m=hst.floats(-2.0, 2.0),
+       coeffs=hst.one_of(hst.none(), hst.lists(hst.floats(0.0, 10.0), min_size=1,
+                                               max_size=60)),
+       m_scale=hst.floats(0.8, 1.3), kind=hst.sampled_from(_X_KINDS),
+       j=hst.integers(0, 60), frac=hst.floats(0.0, 1.0), sign=hst.sampled_from((-1, 0, 1)))
+@settings(max_examples=200, deadline=None)
+def test_combined_bound_is_the_grid_at_one_x(p, n, log_s_m, coeffs, m_scale, kind, j, frac,
+                                             sign):
+    """combined_bound(x) equals combined_bound_grid([x])[0] field for
+    field, raw included, or raises the same error with the same message:
+    x below the support, below the mean, at and between atoms, at the top
+    atom and 1e-13 relative either side, and past it.  Coefficients may
+    be taken below m_star(p), where they are lifted; an s_m never is."""
+    if coeffs is None:
+        kw = {"n": n, "s_m": 10.0 ** log_s_m}
+        m = m_star(p) * max(m_scale, 1.0)
+    else:
+        kw = {"coeffs": coeffs}
+        m = m_star(p) * m_scale
+    try:
+        _, s_m, _ = resolve_s_m(max(m, m_star(p)), **kw)
+        v = carrier_sum(p, len(coeffs) if coeffs else n, s_m).values
+    except BoundError:
+        v = np.array([-1.0, 1.0])  # the query raises; any x will do
+    top = float(v[-1])
+    span = max(1.0, top - float(v[0]))
+    x = {"below_support": v[0] - frac * span - 1e-9 * span,
+         "below_mean": v[0] * frac,
+         "atom": v[j % len(v)],
+         "between_atoms": (v[j % (len(v) - 1)] + frac * (v[j % (len(v) - 1) + 1]
+                                                         - v[j % (len(v) - 1)])
+                           if len(v) > 1 else v[0]),
+         "top": top * (1.0 + sign * 1e-13),
+         "past_top": top + 1e-11 * span + frac * span}[kind]
+    _paths_agree(p, m, float(x), **kw)
+
+
+def _bound_point_workload():
+    """The bound_point workload of the benchmark, whose module imports its
+    oracle as a top-level module."""
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      bench / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look it up there
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module.BoundPoint
+
+
+def test_combined_bound_is_the_grid_on_every_bound_point_query():
+    """Every bound_point query at seeds 1-10, blocks 0-1: the scalar path
+    gives the grid path's report, or its error, bit for bit."""
+    workload = _bound_point_workload()
+    answered = 0
+    for seed in range(1, 11):
+        for block in (0, 1):
+            for q in workload(seed).block(block):
+                kw = {"coeffs": q.coeffs} if q.coeffs is not None else {"n": q.n, "s_m": q.s_m}
+                answered += _paths_agree(q.p, q.m, float(q.xs[0]), **kw).startswith("BoundReport(")
+    assert answered > 2000
 
 
 class TestLargeCarriers:

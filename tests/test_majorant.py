@@ -341,6 +341,45 @@ def contact(arcs, keep, u):
                    0.0, 1.0)
 
 
+def _evaluation_points(d, maj):
+    """Below the support, every atom and midpoint, the hull vertices, the
+    top atom and 1e-13 relative either side of it, and past the top."""
+    v = d.values
+    top = float(v[-1])
+    span = max(1.0, top - float(v[0]))
+    return np.concatenate(([v[0] - span, v[0] - 1e-13 * span], v, 0.5 * (v[:-1] + v[1:]),
+                           maj.hull_x, top * (1.0 + np.array([-1e-13, 1e-13])),
+                           [top + 1e-11 * span, top + span]))
+
+
+@given(lattice_laws())
+@settings(max_examples=100, deadline=None)
+def test_scalar_and_array_evaluations_agree_bitwise(d):
+    """value(x) and log_value(x) for a scalar x are value([x])[0] and
+    log_value([x])[0] bit for bit, on both hulls: the scalar path uses
+    numpy's log and exp as the array path does."""
+    hulls = [lc_majorant(d)]
+    try:
+        hulls.append(lin_lc_majorant(d))
+    except MajorantError:
+        pass
+    for maj in hulls:
+        xs = _evaluation_points(d, maj)
+        for method in (maj.value, maj.log_value):
+            whole = method(xs)
+            one = [method(float(x)) for x in xs]
+            assert all(type(v) is float for v in one)
+            assert [repr(v) for v in one] == [repr(v) for v in whole.tolist()], maj.kind
+
+
+def test_scalar_evaluation_of_a_point_mass_and_bad_x():
+    maj = lc_majorant(from_pairs([(0.5, 1.0)]))
+    assert [maj.value(x) for x in (0.0, 0.5, 1.0)] == maj.value([0.0, 0.5, 1.0]).tolist()
+    for x in (math.nan, math.inf):
+        with pytest.raises(MajorantError, match="x must be finite"):
+            maj.value(x)
+
+
 class TestBridgeSolver:
     """Where psi is 0 on a whole interval (two neighbour arcs touching at
     their shared corner), any u in it is a root, and the bisection keeps

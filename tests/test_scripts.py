@@ -83,8 +83,10 @@ def test_record_controls_each_claim_and_compares_three_traced_runs(bench_record,
     #   base-against-base control shows nothing and the claim is shown;
     # - "drift": each pair's run in the head's slot is 50 faster, whatever
     #   the checkout, so the control meets the rule too: unresolved.
-    # The traced runs give layer.a ranges that do not overlap and layer.b
-    # ranges that do.
+    # The traced runs give layer.a ranges that do not overlap, layer.b
+    # ranges that do, and layer.c ranges that do not overlap because the
+    # run in the head's slot is faster whatever the checkout, so that its
+    # control's ranges do not overlap either.
     spec = {"run_seconds": 1, "workloads": [{"name": "gain"}, {"name": "drift"}],
             "end_to_end": [{"name": "work_per_s", "better": "higher"},
                            {"name": "setup_s", "better": "lower"}]}
@@ -94,15 +96,22 @@ def test_record_controls_each_claim_and_compares_three_traced_runs(bench_record,
         sides[side].mkdir()
         (sides[side] / "BENCHMARK.json").write_text(json.dumps(spec))
     calls = {"untraced": 0, "traced": []}
+    # the slots of the four traced runs at each seed: pair, then control,
+    # reversed at every other seed
+    slots = [label for label, _ in bench_record["TRACED_SLOTS"]]
 
     def fake_run(cmd, cwd, **kwargs):
         wl = cmd[cmd.index("--workload") + 1]
         seed, trace = int(cmd[cmd.index("--seed") + 1]), int(cmd[cmd.index("--trace") + 1])
         head = cwd == sides["head"]
         if trace:
+            k = sum(c[0] == wl for c in calls["traced"])
+            slot = (slots if (k // 4) % 2 == 0 else slots[::-1])[k % 4]
             calls["traced"].append((wl, seed, "head" if head else "base"))
             metrics = {"layer.a.busy_s": 1.0 + 0.1 * seed - (0.5 if head else 0.0),
-                       "layer.b.busy_s": 1.0 + 0.1 * seed - (0.05 if head else 0.0)}
+                       "layer.b.busy_s": 1.0 + 0.1 * seed - (0.05 if head else 0.0),
+                       "layer.c.busy_s": 1.0 + 0.1 * seed - (0.5 if slot.endswith("head")
+                                                             else 0.0)}
         else:
             # pairs alternate which side runs first, so the head's slot
             # is the second run of an even pair and the first of an odd one
@@ -137,17 +146,37 @@ def test_record_controls_each_claim_and_compares_three_traced_runs(bench_record,
     assert (control["head_better_pairs"], control["claim_rule_met"]) == (0, False)
     assert record["workloads"]["drift"]["end_to_end"]["work_per_s"]["control"][
         "head_better_pairs"] == pairs
-    # three traced runs per side, at seeds 1-3, alternating which runs first
-    assert calls["traced"][:6] == [("gain", 1, "base"), ("gain", 1, "head"),
-                                   ("gain", 2, "head"), ("gain", 2, "base"),
-                                   ("gain", 3, "base"), ("gain", 3, "head")]
+    # three traced runs per side and three per side of the base-against-
+    # base control, at seeds 1-3, the order reversed at every other seed
+    assert calls["traced"][:12] == [
+        ("gain", 1, "base"), ("gain", 1, "head"), ("gain", 1, "base"), ("gain", 1, "base"),
+        ("gain", 2, "base"), ("gain", 2, "base"), ("gain", 2, "head"), ("gain", 2, "base"),
+        ("gain", 3, "base"), ("gain", 3, "head"), ("gain", 3, "base"), ("gain", 3, "base")]
     traced = record["workloads"]["gain"]["traced"]
     a = traced["layer.a.busy_s"]
     assert a["base"]["values"] == pytest.approx([1.1, 1.2, 1.3])
     assert (a["head"]["median"], a["head"]["min"], a["head"]["max"]) == pytest.approx(
         (0.7, 0.6, 0.8))
-    assert a["changed"] is True
-    assert traced["layer.b.busy_s"]["changed"] is False
+    assert a["control"]["base"]["values"] == a["control"]["head"]["values"] == a["base"]["values"]
+    assert (a["apart"], a["control"]["apart"], a["changed"]) == (True, False, True)
+    b = traced["layer.b.busy_s"]
+    assert (b["apart"], b["control"]["apart"], b["changed"]) == (False, False, False)
+    # apart, but as far apart in the control: drift, not a change
+    c = traced["layer.c.busy_s"]
+    assert c["control"]["head"]["values"] == pytest.approx([0.6, 0.7, 0.8])
+    assert (c["apart"], c["control"]["apart"], c["changed"]) == (True, True, False)
+
+
+@pytest.mark.parametrize("a,b,apart", [
+    ((1.0, 2.0), (2.5, 3.0), True),
+    ((2.5, 3.0), (1.0, 2.0), True),
+    ((1.0, 2.0), (2.0, 3.0), False),   # touching ranges overlap
+    ((1.0, 3.0), (1.5, 2.0), False),
+])
+def test_ranges_apart(bench_record, a, b, apart):
+    spread = bench_record["spread"]
+    assert bench_record["ranges_apart"](spread(list(a)), spread(list(b))) is apart
+    assert bench_record["ranges_apart"](spread(list(a)), None) is False
 
 
 def test_export_compiles_the_checkout_once(bench_record, tmp_path, monkeypatch):
