@@ -109,11 +109,11 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
     # as in dist.tail; further up the value is 0
     past = xs > vmax + 1e-12 * max(1.0, abs(vmax))
     xs_in = np.minimum(xs, vmax)
-    P, k = _ratio_segment(d, xs_in)
-    # non-finite intermediates are all resolved below: by the NaN-to-0 and
-    # clip of u, where the two overrides replace the ratio, or by the error
-    # on a discriminant that is not finite
+    # non-finite intermediates are all resolved below: by fmax, by the
+    # NaN-to-0 and clip of u, where the two overrides replace the ratio, or
+    # by the error on a discriminant that is not finite
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        P, k = _ratio_segment(d, xs_in)
         # conditional moments given D >= v_k: the squares below stay normal
         pk = P[:, k]
         mass = pk[0]
@@ -145,13 +145,13 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
 
 def _ratio_segment(d: FiniteDist, x):
     """The shifted suffix moments P of d and, for each x <= max D, the k
-    of the atom interval [v_{k-1}, v_k] that holds t* (see b_opt)."""
+    of the atom interval [v_{k-1}, v_k] that holds t* (see b_opt).  Its
+    callers ignore numpy's divide, invalid and overflow warnings."""
     v = d.values
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        P = _shifted_suffix_moments(d)
-        # r_k >= v_{k+1} holds exactly; fmax and the running max restore
-        # it, and the order, where roundoff or underflow broke them
-        r = np.maximum.accumulate(np.fmax(v[:-1] + P[3, :-1] / P[2, :-1], v[1:]))
+    P = _shifted_suffix_moments(d)
+    # r_k >= v_{k+1} holds exactly; fmax and the running max restore it,
+    # and the order, where roundoff or underflow broke them
+    r = np.maximum.accumulate(np.fmax(v[:-1] + P[3, :-1] / P[2, :-1], v[1:]))
     return P, np.searchsorted(r, x)
 
 
@@ -195,7 +195,8 @@ def _b_opt_at(d: FiniteDist, x: float) -> BOptResult:
     if x > vmax + 1e-12 * max(1.0, abs(vmax)):
         return BOptResult(0.0, 0.5 * (vmax + x), 0.0)
     x_in = x if x < vmax else vmax
-    P, k = _ratio_segment(d, x_in)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        P, k = _ratio_segment(d, x_in)
     mass, p1, p2, p3 = P[:, k].tolist()
     q1, q2, q3 = _div(p1, mass), _div(p2, mass), _div(p3, mass)
     vk = float(d.values[k])
@@ -412,15 +413,14 @@ def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None):
     return m, n, sm, s1, carrier, lc_majorant(carrier), lin_lc_majorant(carrier)
 
 
-def _report(p, m, n, sm, h, x: float, t: float, raw: dict) -> BoundReport:
-    """The report at one x from its raw members, in tie-break order:
-    each is clamped to 1, and argmin keeps the first of equal minima."""
-    c = [min(v, 1.0) for v in raw.values()]  # as np.minimum(v, 1.0), NaN included
-    k = c.index(min(c))
+def _report(p, m, n, sm, h, x: float, t: float, names: list[str], r: list[float],
+            c: list[float], k: int) -> BoundReport:
+    """The report at one x from its members in tie-break order: raw r,
+    clamped to 1 c, and k the first of the least clamped."""
     return BoundReport(
         p=p, m=m, n=n, s_m=sm, x=x, h=h, b_opt=c[0], b_opt_t=t, lc=c[1], lin_lc=c[2],
         hoeffding=c[3], normal_dom=c[4] if len(c) == 5 else None,
-        minimum=c[k], argmin=list(raw)[k], raw=raw)
+        minimum=c[k], argmin=names[k], raw=dict(zip(names, r)))
 
 
 def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
@@ -438,7 +438,7 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     m, n, sm, s1, carrier, lc, linlc = _query(p, m, n, coeffs, s_m)
     h = linlc.step
     bo = b_opt(carrier, xs)
-    # members in tie-break order
+    # members in tie-break order: argmin keeps the first of equal minima
     raw = {
         "b_opt": bo.raw,
         "lc": _C30 * lc.value(xs),
@@ -448,9 +448,11 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     if p >= 0.5 and s1 is not None:
         raw["normal_dom"] = _C30 * normal_tail(xs / (s1 * math.sqrt(n)))
     names = list(raw)
-    return [_report(p, m, n, sm, h, x, t, dict(zip(names, r)))
-            for x, t, r in zip(xs.tolist(), bo.t_opt.tolist(),
-                               np.array(list(raw.values())).T.tolist())]
+    rows = np.array(list(raw.values()))
+    clamped = np.minimum(rows, 1.0)
+    return [_report(p, m, n, sm, h, x, t, names, r, c, k)
+            for x, t, r, c, k in zip(xs.tolist(), bo.t_opt.tolist(), rows.T.tolist(),
+                                     clamped.T.tolist(), clamped.argmin(axis=0).tolist())]
 
 
 def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
@@ -466,7 +468,7 @@ def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
     m, n, sm, s1, carrier, lc, linlc = _query(p, m, n, coeffs, s_m)
     h = linlc.step
     bo = b_opt(carrier, x)
-    # members in tie-break order
+    # members in tie-break order: argmin keeps the first of equal minima
     raw = {
         "b_opt": bo.raw,
         "lc": _C30 * lc.value(x),
@@ -475,4 +477,6 @@ def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
     }
     if p >= 0.5 and s1 is not None:
         raw["normal_dom"] = _C30 * _q(x / (s1 * math.sqrt(n)))
-    return _report(p, m, n, sm, h, x, bo.t_opt, raw)
+    r = list(raw.values())
+    c = [min(v, 1.0) for v in r]  # np.minimum(v, 1.0), NaN included
+    return _report(p, m, n, sm, h, x, bo.t_opt, list(raw), r, c, c.index(min(c)))

@@ -310,7 +310,8 @@ class TestCombinedBound:
                 assert mid <= top * (1.0 + 1e-10) + 1e-15
 
     @pytest.mark.parametrize("p,n,s_m", [
-        (0.5, 1, 0.1),                                        # Hoeffding once read 0 here
+        (0.5, 1, 0.1),
+        # Hoeffding read 0 here at x = top (1 + 1.2e-12), where tail counts the top atom
         (0.02955637837500028, 7, 0.020630993805438324),
         (0.25, 22, 1.0), (0.3, 6, 1.0), (0.7, 40, 3.0), (0.9, 3, 20.0), (0.1, 60, 0.05),
     ])
@@ -481,6 +482,8 @@ _LOG_X = hst.floats(-3.0, 0.1)  # x as 10^u times the carrier's top atom
 # x = 0.10000000000024706, within the merge tolerance above the top atom 0.1,
 # where Hoeffding once read 0 below b_opt's 0.5
 @example(p=0.5, n=1, log_s_m=-1.0, log_xs=[1.0729107392858623e-12])
+# x = top (1 - 2.1e-14), where Hoeffding once snapped to p^n, 1e-12 below b_opt
+@example(p=0.25, n=22, log_s_m=0.0, log_xs=[-9.000845331195109e-15])
 def test_b_opt_is_below_the_hull_and_hoeffding_members(p, n, log_s_m, log_xs):
     """The theorem order on raw members: b_opt is at most c30 times
     either hull, and at most Hoeffding.  normal_dom has no such theorem
