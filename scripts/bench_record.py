@@ -14,8 +14,8 @@ environment is recorded under `machine`):
   one pair of --trace 0 runs of BENCHMARK.json's run_seconds each, the
   side that runs first alternating from seed to seed;
 - for every workload where the head meets the claim rule on some
-  metric, a control: ten more pairs in the same protocol, the base
-  against itself;
+  metric, in either direction, a control: ten more pairs in the same
+  protocol, the base against itself;
 - then, per workload, three --trace 1 runs of 4 s per side, at seeds
   1-3, and a base-against-base control of three more per side, the pair
   and the control interleaved at each seed (see traced_runs).
@@ -25,11 +25,15 @@ each end-to-end metric over the seeds, how many pairs the head won on
 it and whether the claim rule is met (claim_rule_met: the head better
 in at least nine tenths of the pairs, ties counting for neither, and its
 median better than the base's by more than the base's quartile spread
-q3 - q1).  A metric that meets the rule carries its control, with the
-control's own head_better_pairs and claim_rule_met, and its `claim`
-reads "shown" only when the control does not meet the rule as well:
-otherwise drift alone could have met it, and the claim is
-"unresolved".  A metric that does not meet the rule reads "not met".
+q3 - q1), and whether it meets the rule in the losing direction
+(loss_rule_met: the head worse in nine tenths of the pairs, its median
+worse by more than that spread).  A metric that meets either rule
+carries its control, with the control's own head_better_pairs,
+claim_rule_met and loss_rule_met.  Its `claim` reads "shown" only when
+the control does not meet the claim rule as well: otherwise drift alone
+could have met it, and the claim is "unresolved".  Its `loss` reads
+"shown" or "unresolved" by the loss rule in the same way.  A metric
+that does not meet a rule reads "not met" for it.
 The record also holds each run's output digest (and whether the two
 sides' agree at every seed), the quartiles of each side's minor page
 faults per run (information only: no claim rule reads them), and per
@@ -172,21 +176,26 @@ def paired_runs(checkouts: dict[str, Path], wl: str, seconds: int, label: str) -
     return runs
 
 
+WORSE = {"higher": "lower", "lower": "higher"}
+
+
 def compare(runs: dict, name: str, direction: str) -> dict:
     vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
     return {"better": direction, "base": quartiles(vals["base"]),
             "head": quartiles(vals["head"]),
             "head_better_pairs": head_better_pairs(vals["base"], vals["head"], direction),
             "pairs": len(SEEDS),
-            "claim_rule_met": claim_rule_met(vals["base"], vals["head"], direction)}
+            "claim_rule_met": claim_rule_met(vals["base"], vals["head"], direction),
+            "loss_rule_met": claim_rule_met(vals["base"], vals["head"], WORSE[direction])}
 
 
-def claim(metric: dict) -> str:
-    """"shown" where the head meets the claim rule and its base-against-
-    base control does not, "unresolved" where both do, else "not met"."""
-    if not metric["claim_rule_met"]:
+def verdict(metric: dict, rule: str) -> str:
+    """"shown" where the head meets `rule` (claim_rule_met or
+    loss_rule_met) and its base-against-base control does not,
+    "unresolved" where both do, else "not met"."""
+    if not metric[rule]:
         return "not met"
-    return "unresolved" if metric["control"]["claim_rule_met"] else "shown"
+    return "unresolved" if metric["control"][rule] else "shown"
 
 
 def spread(values: list[float]) -> dict:
@@ -266,14 +275,16 @@ def main(argv=None) -> int:
                  "minor_faults": {side: quartiles([r["minor_faults"] for r in runs[side]])
                                   for side in runs}}
         entry["digests_match"] = entry["digests"]["base"] == entry["digests"]["head"]
-        claiming = [name for name, m in entry["end_to_end"].items() if m["claim_rule_met"]]
+        claiming = [name for name, m in entry["end_to_end"].items()
+                    if m["claim_rule_met"] or m["loss_rule_met"]]
         if claiming:
             control = paired_runs({"base": checkouts["base"], "head": checkouts["base"]},
                                   wl, seconds, "control ")
             for name in claiming:
                 entry["end_to_end"][name]["control"] = compare(control, name, better[name])
         for m in entry["end_to_end"].values():
-            m["claim"] = claim(m)
+            m["claim"] = verdict(m, "claim_rule_met")
+            m["loss"] = verdict(m, "loss_rule_met")
         entry["traced"] = traced_runs(checkouts, wl)
         record["workloads"][wl] = entry
         args.out.write_text(json.dumps(record, indent=1) + "\n")   # partial results survive
@@ -284,9 +295,11 @@ def main(argv=None) -> int:
         for name, m in entry["end_to_end"].items():
             control = (f", control {m['control']['head_better_pairs']}/{m['pairs']}"
                        if "control" in m else "")
+            loss = f", loss {m['loss']}" if m["loss"] != "not met" else ""
             print(f"{wl:<12} {name:<12} base {m['base']['median']:<12.5g} "
                   f"head {m['head']['median']:<12.5g} head better in "
-                  f"{m['head_better_pairs']}/{m['pairs']} pairs{control}, claim {m['claim']}")
+                  f"{m['head_better_pairs']}/{m['pairs']} pairs{control}, "
+                  f"claim {m['claim']}{loss}")
         changed = [name for name, t in entry["traced"].items() if t["changed"]]
         drift = [name for name, t in entry["traced"].items() if t["apart"] and not t["changed"]]
         print(f"{wl:<12} digests {'identical' if entry['digests_match'] else 'DIFFER'}, "

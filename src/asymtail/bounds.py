@@ -10,13 +10,13 @@ cube-positive-part ordering:
 
 (the half-step shift makes the interpolated hull the tighter of the two
 closed forms), plus, for p >= 1/2, straight normal domination
-c_{3,0} Q(x / (s sqrt n)).  Two entry points evaluate every member and
-report which one wins: combined_bound_grid at each x of an array, with
-one carrier and one pair of hulls for all of them, and combined_bound
-at one x.  The latter builds the same carrier and hulls, then takes each
-member in float arithmetic, with the array path's operations in its
-order, so its report is combined_bound_grid's at [x] bit for bit while
-paying none of numpy's per-call cost on one-element arrays.
+c_{3,0} Q(x / (s sqrt n)).  Two entry points evaluate every member, from
+one table (_members), and report which one wins: combined_bound_grid at
+each x of an array, with one carrier and one pair of hulls for all of
+them, and combined_bound at one x, where each member takes its float
+path, bit for bit with the grid at [x] and free of numpy's per-call cost.
+Every member reads the top atom by dist.atom_band: x in its band is
+evaluated at the atom, and past it all but normal_dom read 0.
 
 b_opt(eta, x) = inf over t < x of E (eta - t)_+^3 / (x - t)^3 has a
 closed form: the ratio is quasi-convex in t, and on each interval
@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import MERGE_RTOL, FiniteDist, _shifted_suffix_moments, bs, iid_sum, scale
+from .dist import (MERGE_RTOL, FiniteDist, _bs_atoms, _shifted_suffix_moments, _sum_atom,
+                   atom_band, bs, iid_sum, scale)
 # lattice_params is not called here; perfbench/tracer.py wraps it under this name
 from .majorant import lattice_params, lc_majorant, lin_lc_majorant  # noqa: F401
 # golden_section is not called here; perfbench/tracer.py wraps it under this name
 from .optimize import golden_section  # noqa: F401
-from .thresholds import c_const, m_star
+from .thresholds import below_m_star, c_const, m_star
 
-_SNAP_RTOL = 1e-12
 _C30 = c_const(3.0)
 
 
@@ -88,7 +88,8 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
     or a 1-d array.  An array is evaluated at once; a scalar in float
     arithmetic (see _b_opt_at), bit for bit as the same x in an array.
 
-    Past the top atom the value is 0.  For x <= E D the ratio is
+    x in the top atom's band (dist.atom_band) is evaluated at the top
+    atom, and past that band the value is 0.  For x <= E D the ratio is
     nondecreasing in t with limit 1 at t = -inf, so the value is 1, with
     t_opt = min - 10 range.  Any t < x gives an upper bound, so a root
     clipped to its interval by roundoff still yields a valid bound.  Every
@@ -105,9 +106,7 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
         raise BoundError("x must be finite")
     v = d.values
     vmax = d.max_value
-    # x within merge tolerance above the top atom counts as the top atom,
-    # as in dist.tail; further up the value is 0
-    past = xs > vmax + 1e-12 * max(1.0, abs(vmax))
+    past = xs > atom_band(vmax)
     xs_in = np.minimum(xs, vmax)
     # non-finite intermediates are all resolved below: by fmax, by the
     # NaN-to-0 and clip of u, where the two overrides replace the ratio, or
@@ -192,7 +191,7 @@ def _b_opt_at(d: FiniteDist, x: float) -> BOptResult:
     if not math.isfinite(x):
         raise BoundError("x must be finite")
     vmax = d.max_value
-    if x > vmax + 1e-12 * max(1.0, abs(vmax)):
+    if x > atom_band(vmax):
         return BOptResult(0.0, 0.5 * (vmax + x), 0.0)
     x_in = x if x < vmax else vmax
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -222,10 +221,6 @@ def _b_opt_at(d: FiniteDist, x: float) -> BOptResult:
 # Hoeffding form
 # ---------------------------------------------------------------------------
 
-def _float_or_array(a: np.ndarray) -> float | np.ndarray:
-    return float(a) if a.ndim == 0 else a
-
-
 def _kl(p: float, q: float, y):
     py, qy = p + y, q - y
     return py * np.log(py / p) + qy * np.log(qy / q)
@@ -234,55 +229,53 @@ def _kl(p: float, q: float, y):
 def hoeffding_H(p: float, y) -> float | np.ndarray:
     """KL rate (p+y) log((p+y)/p) + (q-y) log((q-y)/q) on 0 <= y <= q.
 
-    Values from the endpoint y = q up to 1e-12 max(1, q) above it snap to
-    the exact limit -log p; beyond them the rate is infinite (empty
-    event).  Below q the formula holds to the endpoint, and is what
-    keeps Hoeffding's bound above b_opt there.  y may be a scalar, taken
-    in float arithmetic, or an array; a scalar's rate is the array's bit
-    for bit.
+    0 for y <= 0, exactly -log p at y = q (which hoeffding_bound gives an
+    x in the top atom's band, dist.atom_band), infinite above q (empty
+    event).  y may be a scalar, taken in float arithmetic, or an array;
+    a scalar's rate is the array's bit for bit.
     """
     if not 0.0 < p < 1.0:
         raise BoundError("hoeffding_H requires p in (0, 1)")
     q = 1.0 - p
-    snap_tol = _SNAP_RTOL * max(1.0, q)
     if np.ndim(y) == 0:
         y = float(y)
         if y <= 0.0:
             return 0.0
         if y >= q:
-            return -math.log(p) if y - q <= snap_tol else math.inf
+            return -math.log(p) if y == q else math.inf
         # y < q, or NaN, whose rate is the one at 0
         return float(_kl(p, q, y if y < q else 0.0))
     y = np.asarray(y, dtype=float)
+    # 0 exactly where y <= 0 or NaN: the rate at 0
     rate = _kl(p, q, np.where((y > 0.0) & (y < q), y, 0.0))
-    snap = (y >= q) & (y - q <= snap_tol)
-    return np.where(y <= 0.0, 0.0, np.where(snap, -math.log(p), np.where(y > q, math.inf, rate)))
+    return np.where(y >= q, np.where(y == q, -math.log(p), math.inf), rate)
 
 
 def hoeffding_bound(p: float, n: int, s_m: float, x) -> float | np.ndarray:
     """exp(-n H(p, y)) with y = (x/n) sqrt(pq) / s_m; x a scalar or an array.
 
-    x from the carrier's top atom n s_m sqrt(q/p) up to 1e-12 max(1, top)
-    above it counts as that atom, as in b_opt and dist.tail: y is q there,
-    and the bound p^n.  The atom is computed as carrier_sum computes it,
-    so x = carrier.max_value is in.  A scalar x is taken in float
-    arithmetic, bit for bit as the same x in an array."""
+    y = q, and the bound p^n, at the top atom n s_m sqrt(q/p) as dist
+    builds it and at any x in its band (dist.atom_band); below the atom
+    y is capped at q, which only rounding can pass, and past the band
+    the bound is 0.  A scalar x is taken in float arithmetic, bit for bit
+    as the same x in an array."""
     if n < 1 or s_m <= 0:
         raise BoundError("hoeffding_bound needs n >= 1 and s_m > 0")
     if not 0.0 < p < 1.0:
         raise BoundError("hoeffding_bound requires p in (0, 1)")
     q = 1.0 - p
-    # the top atom of s_m times the n-fold sum of bs(p), as dist builds it
-    a = -math.sqrt(p / q)
-    top = (n * a + n * (math.sqrt(q / p) - a)) * s_m
-    top_end = top + _SNAP_RTOL * max(1.0, top)
+    top = _sum_atom(*_bs_atoms(p), n, n) * s_m
+    band = atom_band(top)
     root = math.sqrt(p * q)
     if np.ndim(x) == 0:
         x = float(x)
-        y = q if top <= x <= top_end else (x / n) * root / s_m
+        y = (x / n) * root / s_m
+        if x <= band:
+            y = q if x >= top else min(y, q)
         return min(float(np.exp(-n * hoeffding_H(p, y))), 1.0)
     x = np.asarray(x, dtype=float)
-    y = np.where((x >= top) & (x <= top_end), q, (x / n) * root / s_m)
+    y = (x / n) * root / s_m
+    y = np.where(x > band, y, np.where(x >= top, q, np.minimum(y, q)))
     return np.minimum(np.exp(-n * hoeffding_H(p, y)), 1.0)
 
 
@@ -318,8 +311,10 @@ def _q(z: float) -> float:
 
 def normal_tail(z) -> float | np.ndarray:
     """Q(z) = P(Z >= z); z a scalar or an array, evaluated elementwise."""
+    if np.ndim(z) == 0:
+        return _q(float(z))
     z = np.asarray(z, dtype=float)
-    return _float_or_array(np.array([_q(v) for v in z.ravel().tolist()]).reshape(z.shape))
+    return np.array([_q(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -394,63 +389,67 @@ def carrier_sum(p: float, n: int, s_m: float) -> FiniteDist:
     return d
 
 
-def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None):
-    """What the x of one query share: its inputs checked, m lifted to
-    m_star(p) for coefficients below it, (n, s_m, s_1), the carrier and
-    both hulls."""
+def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None) -> tuple:
+    """What the x of one query share, its inputs checked and m lifted to
+    m_star(p) for coefficients below it: (p, m, n, s_m, s_1, carrier, lc, linlc)."""
     if not 0.0 < p < 1.0:
         raise BoundError(f"p must lie in (0, 1), got {p!r}")
     if not 1.0 <= m < math.inf:
         raise BoundError(f"m must be finite and >= 1, got {m!r}")
-    threshold = m_star(p)
-    if m < threshold - 1e-12:
+    if below_m_star(m, p):
         if coeffs is None:
-            raise BoundError(f"m = {m!r} is below the threshold m_star(p) = {threshold!r} "
+            raise BoundError(f"m = {m!r} is below the threshold m_star(p) = {m_star(p)!r} "
                              "for this p")
-        m = threshold
+        m = m_star(p)
     n, sm, s1 = resolve_s_m(m, coeffs=coeffs, s_m=s_m, n=n)
     carrier = carrier_sum(p, n, sm)
-    return m, n, sm, s1, carrier, lc_majorant(carrier), lin_lc_majorant(carrier)
+    return p, m, n, sm, s1, carrier, lc_majorant(carrier), lin_lc_majorant(carrier)
 
 
-def _report(p, m, n, sm, h, x: float, t: float, names: list[str], r: list[float],
+def _members(query: tuple, x) -> tuple[BOptResult, dict]:
+    """b_opt at x and the raw members in tie-break order (argmin keeps the
+    first of equal minima); each member dispatches on x, scalar or array."""
+    p, _, n, sm, s1, carrier, lc, linlc = query
+    bo = b_opt(carrier, x)
+    raw = {
+        "b_opt": bo.raw,
+        "lc": _C30 * lc.value(x),
+        "lin_lc": _C30 * linlc.value(x + 0.5 * linlc.step),
+        "hoeffding": hoeffding_bound(p, n, sm, x),
+    }
+    if p >= 0.5 and s1 is not None:
+        raw["normal_dom"] = _C30 * normal_tail(x / (s1 * math.sqrt(n)))
+    return bo, raw
+
+
+def _report(query: tuple, x: float, t: float, names: list[str], r: list[float],
             c: list[float], k: int) -> BoundReport:
     """The report at one x from its members in tie-break order: raw r,
     clamped to 1 c, and k the first of the least clamped."""
+    p, m, n, sm, _, _, _, linlc = query
     return BoundReport(
-        p=p, m=m, n=n, s_m=sm, x=x, h=h, b_opt=c[0], b_opt_t=t, lc=c[1], lin_lc=c[2],
-        hoeffding=c[3], normal_dom=c[4] if len(c) == 5 else None,
+        p=p, m=m, n=n, s_m=sm, x=x, h=linlc.step, b_opt=c[0], b_opt_t=t, lc=c[1],
+        lin_lc=c[2], hoeffding=c[3], normal_dom=c[4] if len(c) == 5 else None,
         minimum=c[k], argmin=names[k], raw=dict(zip(names, r)))
 
 
 def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
                         coeffs=None, s_m: float | None = None) -> list[BoundReport]:
-    """Evaluate the whole bound family at each x, sharing one carrier.
+    """The bound family on the whole x array at once, from one carrier.
 
     The carrier dominates only at m >= m_star(p).  Below it, an s_m is a
-    BoundError; coefficients are taken at m = m_star(p) instead, which the
-    reports give as their m: s_m of given coefficients rises with m, so
-    that carrier's bounds hold.  Anywhere else m is used as given.  The
-    members are evaluated on the whole x array at once."""
+    BoundError, and coefficients are taken at m = m_star(p), the m the
+    reports give: s_m of given coefficients rises with m, so those bounds
+    hold."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
         raise BoundError("need at least one x")
-    m, n, sm, s1, carrier, lc, linlc = _query(p, m, n, coeffs, s_m)
-    h = linlc.step
-    bo = b_opt(carrier, xs)
-    # members in tie-break order: argmin keeps the first of equal minima
-    raw = {
-        "b_opt": bo.raw,
-        "lc": _C30 * lc.value(xs),
-        "lin_lc": _C30 * linlc.value(xs + 0.5 * h),
-        "hoeffding": hoeffding_bound(p, n, sm, xs),
-    }
-    if p >= 0.5 and s1 is not None:
-        raw["normal_dom"] = _C30 * normal_tail(xs / (s1 * math.sqrt(n)))
+    query = _query(p, m, n, coeffs, s_m)
+    bo, raw = _members(query, xs)
     names = list(raw)
     rows = np.array(list(raw.values()))
     clamped = np.minimum(rows, 1.0)
-    return [_report(p, m, n, sm, h, x, t, names, r, c, k)
+    return [_report(query, x, t, names, r, c, k)
             for x, t, r, c, k in zip(xs.tolist(), bo.t_opt.tolist(), rows.T.tolist(),
                                      clamped.T.tolist(), clamped.argmin(axis=0).tolist())]
 
@@ -460,23 +459,11 @@ def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
     """The bound family at one x: combined_bound_grid(p, m, [x], ...)[0],
     field for field, raw included, and the same error where that raises.
 
-    The carrier and both hulls are built as for a grid.  Each member is
-    then evaluated at the one x in float arithmetic, with the array
-    path's operations in its order, so a query pays no per-call array
-    overhead."""
+    The carrier and both hulls are built as for a grid, and each member
+    takes its float path at the one x."""
     x = float(x)
-    m, n, sm, s1, carrier, lc, linlc = _query(p, m, n, coeffs, s_m)
-    h = linlc.step
-    bo = b_opt(carrier, x)
-    # members in tie-break order: argmin keeps the first of equal minima
-    raw = {
-        "b_opt": bo.raw,
-        "lc": _C30 * lc.value(x),
-        "lin_lc": _C30 * linlc.value(x + 0.5 * h),
-        "hoeffding": hoeffding_bound(p, n, sm, x),
-    }
-    if p >= 0.5 and s1 is not None:
-        raw["normal_dom"] = _C30 * _q(x / (s1 * math.sqrt(n)))
+    query = _query(p, m, n, coeffs, s_m)
+    bo, raw = _members(query, x)
     r = list(raw.values())
     c = [min(v, 1.0) for v in r]  # np.minimum(v, 1.0), NaN included
-    return _report(p, m, n, sm, h, x, bo.t_opt, list(raw), r, c, c.index(min(c)))
+    return _report(query, x, bo.t_opt, list(raw), r, c, c.index(min(c)))

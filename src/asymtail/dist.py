@@ -39,8 +39,9 @@ the atoms and masses pass the same checks.
 
 Conventions used throughout the package:
 
-- tail(d, x) = P(D >= x), the left-continuous step function; an atom
-  within merge tolerance of x counts as >= x.
+- tail(d, x) = P(D >= x), the left-continuous step function, where x
+  within an atom's band counts as that atom (`atom_band`, the one rule
+  every tail and bound reader uses).
 - sampling is inverse-CDF driven by a named (seed, stream) pair, so any
   consumer can reproduce a draw bit for bit.  The inverse CDF is read
   from a guide table (`_GuideTable`) that cuts [0, 1] into at least
@@ -137,12 +138,9 @@ def _canonicalize(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, n
 class FiniteDist:
     """Finite discrete distribution over the reals.
 
-    `on_lattice` claims that `values` are increasing and that consecutive
-    ones are consecutive points of an affine lattice; `lattice` is then
-    (origin, step) = (top atom, smallest gap), unless the claim fails, a
-    gap is within merge tolerance or an atom between two kept ones is
-    dropped (see the module docstring).  Without the claim `lattice` is
-    None.
+    `on_lattice` claims that `values` are consecutive points of an affine
+    lattice; `lattice` is then (top atom, smallest gap), or None where the
+    claim does not hold (see the module docstring).
     """
     values: np.ndarray
     masses: np.ndarray
@@ -280,6 +278,28 @@ def delta(x: float) -> FiniteDist:
 
 # -- canonical laws ---------------------------------------------------------
 
+def atom_band(v):
+    """v + MERGE_RTOL max(1, |v|), the top of atom v's band; v a scalar, or
+    an array taken elementwise with the same bits.  The one rule for when
+    x has reached or passed an atom: x counts as atom v while x <=
+    atom_band(v), and is then evaluated at v.  `tail` counts atoms by it;
+    b_opt, hoeffding_bound and TailMajorant evaluate x in the top atom's
+    band at the atom and read 0 past it."""
+    if isinstance(v, np.ndarray):
+        return v + MERGE_RTOL * np.maximum(1.0, np.abs(v))
+    return v + MERGE_RTOL * max(1.0, abs(v))
+
+
+def _bs_atoms(p: float) -> tuple[float, float]:
+    q = 1.0 - p
+    return -math.sqrt(p / q), math.sqrt(q / p)
+
+
+def _sum_atom(a: float, b: float, n: int, k):
+    """Atom k (an int or an int array) of the n-fold sum of {a, b}."""
+    return n * a + k * (b - a)
+
+
 def bs(p: float) -> FiniteDist:
     """Standardized Bernoulli: -sqrt(p/q) w.p. q, +sqrt(q/p) w.p. p.
 
@@ -288,9 +308,7 @@ def bs(p: float) -> FiniteDist:
     """
     if not 0.0 < p < 1.0:
         raise DistError("bs requires p in (0, 1)")
-    q = 1.0 - p
-    return FiniteDist(np.array([-math.sqrt(p / q), math.sqrt(q / p)]), np.array([q, p]),
-                      on_lattice=True)
+    return FiniteDist(np.array(_bs_atoms(p)), np.array([1.0 - p, p]), on_lattice=True)
 
 
 def st(p: float) -> FiniteDist:
@@ -382,7 +400,7 @@ def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
     # in the order of the atoms it is 20 times slower at n = 600
     total = math.fsum(np.sort(mass)[::-1].tolist())
     k = np.arange(mode - len(down), mode + len(up) + 1)
-    return FiniteDist(n * a + k * (b - a), mass / total, on_lattice=True)
+    return FiniteDist(_sum_atom(a, b, n, k), mass / total, on_lattice=True)
 
 
 def _trimmed(mass: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
@@ -502,19 +520,13 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
 def tail(d: FiniteDist, x) -> float | np.ndarray:
     """P(D >= x); scalar in, scalar out; array in, array out.
 
-    An atom within 1e-12 * max(1, |x|) of x counts as >= x, matching the
-    merge tolerance, so lattice arithmetic built from sums never drops a
-    boundary atom to roundoff.
+    An atom counts as >= x while x is within its band (`atom_band`).
     """
     suffix = np.concatenate((d.upper_tails, [0.0]))
     np.clip(suffix, 0.0, 1.0, out=suffix)  # guard cumsum roundoff
     xa = np.asarray(x, dtype=float)
-    tol = MERGE_RTOL * np.maximum(1.0, np.abs(xa))
-    idx = np.searchsorted(d.values, xa - tol, side="left")
-    out = suffix[idx]
-    if np.isscalar(x) or xa.ndim == 0:
-        return float(out)
-    return out
+    idx = np.searchsorted(atom_band(d.values), xa, side="left")
+    return float(suffix[idx]) if xa.ndim == 0 else suffix[idx]
 
 
 def _shifted_suffix_moments(d: FiniteDist) -> np.ndarray:

@@ -49,7 +49,8 @@ every field), and the bridge solve stops after its first pass where
 every pair has converged.
 
 Evaluation is exact on arc segments (linear in probability space),
-log-linear on bridges.
+log-linear on bridges.  The ends follow dist.atom_band: x up to
+support_min's band reads 1, x in zero_from's band reads zero_from's value.
 """
 from __future__ import annotations
 
@@ -59,9 +60,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import FiniteDist
+from .dist import FiniteDist, atom_band
 
-_EVAL_RTOL = 1e-12
 _LATTICE_RTOL = 1e-9
 _CERT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -159,8 +159,8 @@ class TailMajorant:
         xa = np.asarray(x, dtype=float)
         if not np.isfinite(xa).all():
             raise MajorantError("x must be finite")
-        below = xa <= self.support_min + _EVAL_RTOL * max(1.0, abs(self.support_min))
-        above = xa > self.zero_from + _EVAL_RTOL * max(1.0, abs(self.zero_from))
+        below = xa <= atom_band(self.support_min)
+        above = xa > atom_band(self.zero_from)
         if len(self.hull_x) < 2:
             # a one-atom law: every x is below or above
             return np.where(below, 0.0, -np.inf)
@@ -170,8 +170,9 @@ class TailMajorant:
         x0, x1, y0, y1, q, beta, a0 = self._segments.take(idx, axis=1)
         # before the first vertex (the flat cells ahead of the first
         # arc of linlc) the tail is that vertex's: the first segment,
-        # extended there, would rise past 1
-        xa = np.maximum(xa, self.hull_x[0])
+        # extended there, would rise past 1; x in zero_from's band is
+        # evaluated at zero_from, the last vertex
+        xa = np.minimum(np.maximum(xa, self.hull_x[0]), self.zero_from)
         # both segment forms at every x, then the one of its segment:
         # an arc of the interpolant (log of a linear tail) or a bridge;
         # outside the support, where either form may overflow, x takes 0 or -inf
@@ -186,18 +187,17 @@ class TailMajorant:
 
     def _log_value_at(self, x: float) -> float:
         """log_value at one x: one search for the segment, whose fields
-        are read directly.  np.maximum(a, b) is a where a > b, else b."""
+        are read directly.  x is clipped as np.minimum(np.maximum(x, a), b)
+        clips it, keeping a and b on ties, as max(a, x) and min(b, x) do."""
         if not math.isfinite(x):
             raise MajorantError("x must be finite")
-        if x <= self.support_min + _EVAL_RTOL * max(1.0, abs(self.support_min)):
+        if x <= atom_band(self.support_min):
             return 0.0
         hx = self.hull_x
-        if x > self.zero_from + _EVAL_RTOL * max(1.0, abs(self.zero_from)) or len(hx) < 2:
+        if x > atom_band(self.zero_from) or len(hx) < 2:
             return -math.inf
         i = int(np.searchsorted(hx[1:-1], x, side="right"))
-        first = float(hx[0])
-        if not x > first:
-            x = first
+        x = min(self.zero_from, max(float(hx[0]), x))
         if self.seg_is_arc[i]:
             val = float(self.seg_q[i]) + float(self.seg_beta[i]) * (x - float(self.seg_x0[i]))
             if not val > 0:
@@ -557,12 +557,6 @@ def lin_lc_majorant(d: FiniteDist, refine: int = 64) -> TailMajorant:
     bridges.  The rounds stop when nothing drops.  The result is checked
     exactly against the interpolant (_certify).  `refine` only sets the
     density of the knot sample that `to_obj` reports, not the hull.
-
-    The arcs' q0, beta = (q1 - q0) / (x1 - x0), x0, x1, x1 - x0 and r are
-    one stacked table, cut to the kept arcs by a single take (none when
-    every arc is kept); the touch points of each kept arc's incoming and
-    outgoing bridge are its two rows of every vertex array, and the
-    arc segments' fields are one more take of the table's first rows.
     """
     if refine < 2:
         raise MajorantError("refine must be >= 2")

@@ -59,7 +59,7 @@ from .dist import (FiniteDist, _advanced, _GuideTable, _inverse_cdf,  # noqa: F4
                    from_pairs, iid_sum, sample, scale, st)
 # `lc_majorant` stays importable here: perfbench/tracer.py wraps selfnorm.lc_majorant
 from .majorant import lc_majorant  # noqa: F401
-from .thresholds import SQRT2_MINUS_1, c_const, m_star
+from .thresholds import SQRT2_MINUS_1, below_m_star, c_const, m_star
 # `beta_dist` stays importable here: perfbench/tracer.py patches selfnorm.beta_dist
 from .verifier import beta_dist  # noqa: F401
 from .verifier import McConfig, McReport, _block_buffers, mc_rows, tail_counts
@@ -445,8 +445,8 @@ def _bound_curve(cfg: SelfNormConfig, xs: np.ndarray) -> np.ndarray:
         q = 1.0 - cfg.p
         if dec.max_asymmetry > (q / cfg.p) * (1.0 + 1e-9):
             raise SelfNormError("a component exceeds the asymmetry q/p")
-        if cfg.m < m_star(cfg.p) - 1e-12:
-            raise SelfNormError("m is below the threshold for this p")
+        if below_m_star(cfg.m, cfg.p):
+            raise SelfNormError(f"m = {cfg.m!r} is below m_star(p) = {m_star(cfg.p)!r}")
         return b_opt(carrier_sum(cfg.p, cfg.n, cfg.n ** (-1.0 / (2.0 * cfg.m))), xs).value
     # vsymm and vhatsymm
     if cfg.p is None:

@@ -73,6 +73,12 @@ def m_star(p: float) -> float:
     return (1.0 + p + 2.0 * p * p) / (2.0 * (math.sqrt(p - p * p) + 2.0 * p * p))
 
 
+def below_m_star(m: float, p: float) -> bool:
+    """Whether m is more than 1e-12 (m_star's rounding) below m_star(p),
+    where the carrier no longer dominates; the caller decides what follows."""
+    return m < m_star(p) - 1e-12
+
+
 def p_star(m: float) -> float:
     """Inverse threshold: least p for which m suffices; p_star(1) = 1/2.
 

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from asymtail.bounds import (
+    BOptResult,
     BoundError,
     b_opt,
     carrier_sum,
@@ -268,8 +269,7 @@ class TestHoeffding:
             inside = (y > 0.0) & (y < q)
             yi = np.where(inside, y, 0.0)
             rate = (p + yi) * np.log((p + yi) / p) + (q - yi) * np.log((q - yi) / q)
-            snap = (y >= q) & (y - q <= 1e-12 * max(1.0, q))
-            return np.select([y <= 0.0, snap, y > q], [0.0, -math.log(p), math.inf], rate)
+            return np.select([y <= 0.0, y == q, y > q], [0.0, -math.log(p), math.inf], rate)
 
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -527,7 +527,71 @@ def _paths_agree(p, m, x, **kw):
     return one
 
 
-_X_KINDS = ("below_support", "below_mean", "atom", "between_atoms", "top", "past_top")
+def _ulps(x: float, k: int) -> float:
+    """x moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+def _band_edges(bottom: float, top: float) -> list[float]:
+    """The top atom and the tops of the top and bottom atoms' bands (the
+    merge tolerance v + 1e-12 max(1, |v|)), each with 1-3 ulps either side."""
+    centres = (top, top + 1e-12 * max(1.0, abs(top)), bottom + 1e-12 * max(1.0, abs(bottom)))
+    return [_ulps(c, k) for c in centres for k in range(-3, 4)]
+
+
+def _fields(result) -> list:
+    """A member's result as a list of its fields, each a list of floats."""
+    if isinstance(result, BOptResult):
+        result = (result.raw, result.value, result.t_opt)
+    else:
+        result = (result,)
+    return [np.asarray(f, dtype=float).ravel().tolist() for f in result]
+
+
+@given(p=hst.floats(0.02, 0.98), n=hst.integers(1, 60), log_s_m=hst.floats(-2.0, 2.0),
+       pairs=hst.one_of(hst.none(), hst.lists(hst.tuples(hst.floats(-4, 4),
+                                                         hst.floats(0.01, 1.0)),
+                                              min_size=1, max_size=8)))
+@settings(max_examples=150, deadline=None)
+# p = 0.3, n = 5: at x = top + 9e-12, past the top atom's band, Hoeffding
+# once read 0.00243 where the other members read 0; inside the band lc
+# once fell below the tail
+@example(p=0.3, n=5, log_s_m=0.0, pairs=None)
+def test_members_agree_at_the_band_edges(p, n, log_s_m, pairs):
+    """At the band edges of a carrier (pairs None) or a general law:
+
+    (a) tail, b_opt, lc and, on carriers, Hoeffding agree on whether x
+        has passed the top atom: each reads 0 exactly past its band;
+    (b) lc is not below the tail, to 1e-13 relative;
+    (c) each member's scalar result is its [x] result bit for bit,
+        lin_lc's included (whose 0 lies a lattice step further up)."""
+    if pairs is None:
+        s_m = 10.0 ** log_s_m
+        d = carrier_sum(p, n, s_m)
+        members = {"hoeffding": lambda x: hoeffding_bound(p, n, s_m, x),
+                   "lin_lc": lin_lc_majorant(d).value}
+    else:
+        total = sum(w for _, w in pairs)
+        d = from_pairs([(v, w / total) for v, w in pairs])
+        members = {}
+    lc = lc_majorant(d)
+    members.update(lc=lc.value, b_opt=lambda x: b_opt(d, x))
+    top = d.max_value
+    xs = _band_edges(d.min_value, top) + [top + 9e-12 * max(1.0, abs(top))]
+    for x in xs:
+        t = tail(d, x)
+        for name, member in members.items():
+            one = _fields(member(x))
+            assert repr(one) == repr(_fields(member(np.array([x])))), (name, x)
+            if name != "lin_lc":
+                assert (one[0][0] == 0.0) == (t == 0.0), (name, x, one, t)
+        assert lc.value(x) >= t * (1.0 - 1e-13), (x, lc.value(x), t)
+
+
+_X_KINDS = ("below_support", "below_mean", "atom", "between_atoms", "top", "past_top",
+            "band_edge")
 
 
 @given(p=hst.floats(0.02, 0.98), n=hst.integers(1, 60), log_s_m=hst.floats(-2.0, 2.0),
@@ -541,7 +605,8 @@ def test_combined_bound_is_the_grid_at_one_x(p, n, log_s_m, coeffs, m_scale, kin
     """combined_bound(x) equals combined_bound_grid([x])[0] field for
     field, raw included, or raises the same error with the same message:
     x below the support, below the mean, at and between atoms, at the top
-    atom and 1e-13 relative either side, and past it.  Coefficients may
+    atom and 1e-13 relative either side, past it, and at the band edges
+    of the top and bottom atoms and 1-3 ulps either side.  Coefficients may
     be taken below m_star(p), where they are lifted; an s_m never is."""
     if coeffs is None:
         kw = {"n": n, "s_m": 10.0 ** log_s_m}
@@ -563,7 +628,8 @@ def test_combined_bound_is_the_grid_at_one_x(p, n, log_s_m, coeffs, m_scale, kin
                                                          - v[j % (len(v) - 1)])
                            if len(v) > 1 else v[0]),
          "top": top * (1.0 + sign * 1e-13),
-         "past_top": top + 1e-11 * span + frac * span}[kind]
+         "past_top": top + 1e-11 * span + frac * span,
+         "band_edge": _band_edges(float(v[0]), top)[j % 21]}[kind]
     _paths_agree(p, m, float(x), **kw)
 
 

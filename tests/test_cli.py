@@ -185,6 +185,15 @@ class TestMajorantCommand:
         assert body["eval"][-1]["value"] == pytest.approx(
             0.0625, rel=1e-9)
 
+    def test_lc_in_the_top_atoms_band_is_not_below_the_tail(self):
+        # 5e-12 above the top atom 5 sqrt(7/3) of p = 0.3, n = 5, inside its
+        # band, lc is evaluated at the atom; it once extrapolated its last
+        # segment to 0.0024299999999858645, below the tail p^5 there
+        proc = run_cli("majorant", "--p", "0.3", "--n", "5", "--kind", "lc",
+                       "--eval", "7.637626158264734")
+        value = json.loads(proc.stdout)["eval"][0]["value"]
+        assert value >= 0.0024300000000000007 * (1.0 - 1e-13)
+
     def test_dist_file_route(self, tmp_path):
         f = tmp_path / "d.json"
         f.write_text(json.dumps({"atoms": [

@@ -138,7 +138,7 @@ def test_record_controls_each_claim_and_compares_three_traced_runs(bench_record,
         e2e = record["workloads"][wl]["end_to_end"]
         work = e2e["work_per_s"]
         assert (work["head_better_pairs"], work["claim_rule_met"]) == (pairs, True)
-        assert work["claim"] == verdict
+        assert (work["claim"], work["loss"]) == (verdict, "not met")
         assert work["control"]["pairs"] == pairs
         # setup_s ties in every pair: no claim, so no control
         assert e2e["setup_s"]["claim"] == "not met" and "control" not in e2e["setup_s"]
@@ -165,6 +165,62 @@ def test_record_controls_each_claim_and_compares_three_traced_runs(bench_record,
     c = traced["layer.c.busy_s"]
     assert c["control"]["head"]["values"] == pytest.approx([0.6, 0.7, 0.8])
     assert (c["apart"], c["control"]["apart"], c["changed"]) == (True, True, False)
+
+
+def test_record_controls_each_loss(bench_record, tmp_path, monkeypatch, capsys):
+    # fake checkouts and perfbench children for two workloads:
+    # - "loss": the head checkout is 50 slower at every seed, so the
+    #   base-against-base control shows nothing and the loss is shown;
+    # - "slot": each pair's run in the head's slot is 50 slower, whatever
+    #   the checkout, so the control meets the loss rule too: unresolved.
+    spec = {"run_seconds": 1, "workloads": [{"name": "loss"}, {"name": "slot"}],
+            "end_to_end": [{"name": "work_per_s", "better": "higher"},
+                           {"name": "setup_s", "better": "lower"}]}
+    sides = {}
+    for side in ("base", "head"):
+        sides[side] = tmp_path / side
+        sides[side].mkdir()
+        (sides[side] / "BENCHMARK.json").write_text(json.dumps(spec))
+    untraced = [0]
+
+    def fake_run(cmd, cwd, **kwargs):
+        wl = cmd[cmd.index("--workload") + 1]
+        seed, trace = int(cmd[cmd.index("--seed") + 1]), int(cmd[cmd.index("--trace") + 1])
+        metrics = {"layer.a.busy_s": 1.0}
+        if not trace:
+            # pairs alternate which side runs first (see the claim test)
+            k = untraced[0]
+            untraced[0] += 1
+            head_slot = (k % 2 == 1) == ((k // 2) % 2 == 0)
+            slower = cwd == sides["head"] if wl == "loss" else head_slot
+            metrics = {"work_per_s": 100.0 + seed - (50.0 if slower else 0.0), "setup_s": 0.5}
+        result = {"metrics": {k: {"value": v} for k, v in metrics.items()}, "correct": True}
+        out = f'provenance {{"digest": "d{seed}"}}\n' + json.dumps(result) + "\n"
+        return types.SimpleNamespace(returncode=0, stdout=out, stderr="")
+
+    main = bench_record["main"]
+    monkeypatch.setitem(main.__globals__, "export", lambda rev: (rev, sides[rev]))
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert main(["--base", "base", "--head", "head", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    pairs = len(bench_record["SEEDS"])
+    # two workloads of ten pairs, and one control of ten pairs each
+    assert untraced[0] == 2 * 2 * 2 * pairs
+    printed = capsys.readouterr().out
+    for wl, verdict in (("loss", "shown"), ("slot", "unresolved")):
+        e2e = record["workloads"][wl]["end_to_end"]
+        work = e2e["work_per_s"]
+        assert (work["head_better_pairs"], work["claim_rule_met"]) == (0, False)
+        assert work["loss_rule_met"] and work["control"]["pairs"] == pairs
+        assert (work["claim"], work["loss"]) == ("not met", verdict)
+        assert f"claim not met, loss {verdict}" in printed
+        # setup_s ties in every pair: no rule met, so no control
+        assert e2e["setup_s"]["loss"] == "not met" and "control" not in e2e["setup_s"]
+    assert not record["workloads"]["loss"]["end_to_end"]["work_per_s"]["control"][
+        "loss_rule_met"]
+    assert record["workloads"]["slot"]["end_to_end"]["work_per_s"]["control"][
+        "loss_rule_met"]
 
 
 @pytest.mark.parametrize("a,b,apart", [
