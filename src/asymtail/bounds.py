@@ -15,6 +15,9 @@ one table (_members), and report which one wins: combined_bound_grid at
 each x of an array, with one carrier and one pair of hulls for all of
 them, and combined_bound at one x, where each member takes its float
 path, bit for bit with the grid at [x] and free of numpy's per-call cost.
+The carrier s_m (BS_1 + ... + BS_n) is one validated law, built from its
+binomial window with no law for bs(p) or the unscaled sum (carrier_sum),
+and each report is stored as one instance dict (_report).
 Every member reads the top atom by dist.atom_band: x in its band is
 evaluated at the atom, and past it all but normal_dom read 0.
 
@@ -32,8 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import (MERGE_RTOL, FiniteDist, _bs_atoms, _shifted_suffix_moments, _sum_atom,
-                   atom_band, bs, iid_sum, scale)
+from .dist import (MERGE_RTOL, FiniteDist, _bs_atoms, _bs_sum, _shifted_suffix_moments, _sum_atom,
+                   atom_band)
+# iid_sum is not called here; perfbench/tracer.py wraps it under this name
+from .dist import iid_sum  # noqa: F401
 # lattice_params is not called here; perfbench/tracer.py wraps it under this name
 from .majorant import lattice_params, lc_majorant, lin_lc_majorant  # noqa: F401
 # golden_section is not called here; perfbench/tracer.py wraps it under this name
@@ -377,12 +382,13 @@ def resolve_s_m(m: float, coeffs=None, s_m: float | None = None,
 def carrier_sum(p: float, n: int, s_m: float) -> FiniteDist:
     """The comparison carrier: s_m times a sum of n iid bs(p) laws.
 
-    Built on its lattice (see dist.scale); raises BoundError where s_m is
-    so small that neighbouring atoms fall within the merge tolerance,
-    since merged atoms are no longer the carrier."""
-    base = iid_sum(bs(p), n)
-    d = scale(base, s_m)
-    if d.n_atoms < base.n_atoms:
+    scale(iid_sum(bs(p), n), s_m) built in one construction, on its
+    lattice for s_m > 0, with that chain's DistErrors (dist._bs_sum).
+    Raises BoundError where s_m is so small that neighbouring atoms fall
+    within the merge tolerance, since merged atoms are no longer the
+    carrier."""
+    d, atoms = _bs_sum(p, n, s_m)
+    if d.n_atoms < atoms:
         raise BoundError(
             f"s_m = {s_m!r} puts neighbouring carrier atoms within the merge tolerance "
             f"{MERGE_RTOL:g} * max(1, |atom|) of each other")
@@ -422,15 +428,30 @@ def _members(query: tuple, x) -> tuple[BOptResult, dict]:
     return bo, raw
 
 
-def _report(query: tuple, x: float, t: float, names: list[str], r: list[float],
+def _report(head: tuple, x: float, t: float, names: list[str], r: list[float],
             c: list[float], k: int) -> BoundReport:
     """The report at one x from its members in tie-break order: raw r,
-    clamped to 1 c, and k the first of the least clamped."""
+    clamped to 1 c, and k the first of the least clamped; head is the
+    query's (p, m, n, s_m, h)."""
+    p, m, n, sm, h = head
+    # A frozen dataclass's __init__ stores each field through
+    # object.__setattr__; storing the instance dict once, its keys in field
+    # order, builds the same row in a third of the time.  That relies on
+    # BoundReport having no __post_init__ (none is skipped) and no
+    # __slots__ (the dict holds every field).
+    row = object.__new__(BoundReport)
+    object.__setattr__(row, "__dict__", {
+        "p": p, "m": m, "n": n, "s_m": sm, "x": x, "h": h, "b_opt": c[0], "b_opt_t": t,
+        "lc": c[1], "lin_lc": c[2], "hoeffding": c[3],
+        "normal_dom": c[4] if len(c) == 5 else None, "minimum": c[k], "argmin": names[k],
+        "raw": dict(zip(names, r))})
+    return row
+
+
+def _head(query: tuple) -> tuple:
+    """The fields every report of a query shares: (p, m, n, s_m, h)."""
     p, m, n, sm, _, _, _, linlc = query
-    return BoundReport(
-        p=p, m=m, n=n, s_m=sm, x=x, h=linlc.step, b_opt=c[0], b_opt_t=t, lc=c[1],
-        lin_lc=c[2], hoeffding=c[3], normal_dom=c[4] if len(c) == 5 else None,
-        minimum=c[k], argmin=names[k], raw=dict(zip(names, r)))
+    return p, m, n, sm, linlc.step
 
 
 def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
@@ -449,7 +470,8 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     names = list(raw)
     rows = np.array(list(raw.values()))
     clamped = np.minimum(rows, 1.0)
-    return [_report(query, x, t, names, r, c, k)
+    head = _head(query)
+    return [_report(head, x, t, names, r, c, k)
             for x, t, r, c, k in zip(xs.tolist(), bo.t_opt.tolist(), rows.T.tolist(),
                                      clamped.T.tolist(), clamped.argmin(axis=0).tolist())]
 
@@ -466,4 +488,4 @@ def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
     bo, raw = _members(query, x)
     r = list(raw.values())
     c = [min(v, 1.0) for v in r]  # np.minimum(v, 1.0), NaN included
-    return _report(query, x, bo.t_opt, list(raw), r, c, c.index(min(c)))
+    return _report(_head(query), x, bo.t_opt, list(raw), r, c, c.index(min(c)))

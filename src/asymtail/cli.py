@@ -51,8 +51,13 @@ _PRESETS = {
 
 
 def _jsonable(obj):
+    """obj as JSON values: dataclasses as dicts of their fields (walked in
+    place, not copied), arrays and tuples as lists, numpy scalars as
+    Python ones and non-finite floats as None."""
+    if type(obj) is float:
+        return obj if math.isfinite(obj) else None
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -152,10 +157,10 @@ def _cmd_bound(args) -> int:
     coeffs = args.coeffs or None
     reports = combined_bound_grid(args.p, args.m, xs, n=args.n,
                                   coeffs=coeffs, s_m=args.s_m)
-    rows = [dataclasses.asdict(r) for r in reports]
-    csv_rows = [{k: r[k] for k in ("x", "b_opt", "lc", "lin_lc", "hoeffding",
-                                   "normal_dom", "minimum", "argmin")} for r in rows]
-    _emit(args, {"rows": rows}, csv_rows)
+    csv_rows = [{k: getattr(r, k) for k in ("x", "b_opt", "lc", "lin_lc", "hoeffding",
+                                            "normal_dom", "minimum", "argmin")}
+                for r in reports]
+    _emit(args, {"rows": reports}, csv_rows)
     return 0
 
 

@@ -20,12 +20,17 @@ tolerance, and the drop only where some mass is below MIN_MASS
 iid_sum of a two-atom law {a: q, b: p} is the binomial lattice
 n a + k (b - a) in closed form, built and normalized only where its
 masses do not underflow: about 37.6 standard deviations each side of the
-mode, so its cost is that window, not O(n) (see _binomial_lattice).  A
+mode, so its cost is that window, not O(n) (see _binomial_atoms).  A
 law with more atoms must carry its lattice: its mass vector is raised to
-the n-th convolution power on that lattice (see _lattice_power).
+the n-th convolution power on that lattice (see _lattice_power).  The
+comparison carrier c (BS_1 + ... + BS_n) of `bounds.carrier_sum` and the
+enumeration check is scale(iid_sum(bs(p), n), c) built in one
+construction from the same window (`_bs_sum`), with no law built for
+bs(p) or the unscaled sum.
 
-A law knows its lattice when it is built on one.  `bs`, `st`, iid_sum
-and `scale` of such a law by c > 0 pass `on_lattice=True`: the atoms are
+A law knows its lattice when it is built on one.  `bs`, `st`, iid_sum,
+`scale` of such a law by c > 0 and `_bs_sum` by c > 0 pass
+`on_lattice=True`: the atoms are
 increasing and one lattice step apart.  Where the smallest gap clears
 the merge tolerance of the largest |atom|, the constructor skips the
 sort and merge, which would do nothing, and sets `FiniteDist.lattice` to
@@ -311,6 +316,17 @@ def bs(p: float) -> FiniteDist:
     return FiniteDist(np.array(_bs_atoms(p)), np.array([1.0 - p, p]), on_lattice=True)
 
 
+def _bs_law(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms and masses of bs(p), with its errors, and no law built
+    where p is in [MIN_MASS, 1): there both masses are normal and bs keeps
+    them as they are.  Below that, bs drops the sub-normal p with its atom
+    or rejects that atom as infinite."""
+    if not MIN_MASS <= p < 1.0:
+        d = bs(p)
+        return d.values, d.masses
+    return np.array(_bs_atoms(p)), np.array([1.0 - p, p])
+
+
 def st(p: float) -> FiniteDist:
     """Symmetric three-point law: +-1/sqrt(p) w.p. p/2 each, 0 w.p. 1-p.
 
@@ -372,8 +388,9 @@ def _normal_products(ratio, start: int, stop: int, step: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
-    """Sum of n iid draws from the two-atom law {a: q, b: p}, in closed form.
+def _binomial_atoms(atoms, masses, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms and masses of the sum of n iid draws from the two-atom
+    law {a: q, b: p}, in closed form, on raw arrays.
 
     Atoms n a + k (b - a) with binomial masses from the ratio recurrence
     P(k+1) / P(k) = (n - k) p / ((k + 1) q), run outward from 1 at the
@@ -387,11 +404,11 @@ def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
     products left out are fewer than n, each below MIN_MASS, so they add
     less than n MIN_MASS (< 1e-290) to a total >= 1, which moves its
     rounding only where the window's exact sum lies that close below a
-    rounding boundary, and then by one ulp.  The masses fall
-    away from the mode, so the atoms kept are consecutive and the law
-    carries its lattice.
+    rounding boundary, and then by one ulp.  The masses fall away from
+    the mode, so those the constructor keeps (>= MIN_MASS once
+    normalized) are consecutive and the law carries its lattice.
     """
-    (a, b), (q, p) = d.values, d.masses
+    (a, b), (q, p) = atoms, masses
     mode = min(int((n + 1) * p), n)
     up = _normal_products(lambda j: (n - j) * p / ((j + 1) * q), mode, n, 1)
     down = _normal_products(lambda j: j * q / ((n - j + 1) * p), mode, 0, -1)
@@ -400,7 +417,7 @@ def _binomial_lattice(d: FiniteDist, n: int) -> FiniteDist:
     # in the order of the atoms it is 20 times slower at n = 600
     total = math.fsum(np.sort(mass)[::-1].tolist())
     k = np.arange(mode - len(down), mode + len(up) + 1)
-    return FiniteDist(_sum_atom(a, b, n, k), mass / total, on_lattice=True)
+    return _sum_atom(a, b, n, k), mass / total
 
 
 def _trimmed(mass: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
@@ -446,7 +463,7 @@ def iid_sum(d: FiniteDist, n: int) -> FiniteDist:
     """Law of the sum of n iid draws from d.
 
     A one-atom law gives the point mass at n v; a two-atom law the
-    binomial lattice in closed form (`_binomial_lattice`); a law that
+    binomial lattice in closed form (`_binomial_atoms`); a law that
     carries its lattice the convolution power of its masses on that
     lattice (`_lattice_power`).  Any other law is a DistError.
     """
@@ -455,31 +472,68 @@ def iid_sum(d: FiniteDist, n: int) -> FiniteDist:
     if d.n_atoms == 1:
         return delta(n * d.min_value)
     if d.n_atoms == 2:
-        return _binomial_lattice(d, n)
+        return FiniteDist(*_binomial_atoms(d.values, d.masses, n), on_lattice=True)
     if d.lattice is None:
         raise DistError("iid_sum needs a law with at most two atoms or one on a known lattice")
     return _lattice_power(d, n)
 
 
-def _scaled_atoms(d: FiniteDist, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms and masses of scale(d, c), c >= 0, on raw arrays.
+def _bs_sum(p: float, n: int, c: float) -> tuple[FiniteDist, int]:
+    """scale(iid_sum(bs(p), n), c) in one construction, and the atom count
+    of iid_sum(bs(p), n); the law has fewer atoms only where c merged some.
 
-    The same errors and the same arrays as that law's: c = 0 gives the
-    atom 0 with mass 1; two atoms within merge tolerance merge through
-    `_canonicalize`, as the constructor merges them.  d is `bs(p)`, so
-    its masses are normal, and where it has two atoms they clear the
-    merge tolerance and the law carries its lattice."""
+    The same errors as that chain, in its order: p, then n, then c.  The
+    sum is iid_sum's binomial window (`_binomial_atoms`) with the ends
+    whose masses the constructor drops cut off, so the atoms scaled are
+    the sum's as built and the law is scale's bit for bit: on the lattice
+    for c > 0, through sort and merge otherwise, and the point mass at 0
+    for c = 0.  That holds wherever the sum carries its lattice, that is
+    wherever its float atoms stay apart: they are b - a >= max(|a|, b)
+    apart, and only the rounding of n a + k (b - a) at n near 1e16, with
+    p within about 1e-15 of 1, brings neighbours within the merge
+    tolerance.  There iid_sum merges them into the sum it builds; here
+    they merge in the one construction and the count is of the atoms
+    before the merge.
+    """
+    values, masses = _bs_law(p)
+    if n < 1:
+        raise DistError("n must be >= 1")
+    if not math.isfinite(c):
+        raise DistError("scale factor must be finite")
+    if len(values) == 1:
+        values, masses = np.array([n * float(values[0])]), np.array([1.0])
+    else:
+        values, masses = _binomial_atoms(values, masses, n)
+        kept = np.flatnonzero(masses >= MIN_MASS)
+        lo, hi = kept[0], kept[-1] + 1
+        values, masses = values[lo:hi], masses[lo:hi]
+    atoms = len(values)
+    if c == 0.0:
+        return delta(0.0), atoms
+    return FiniteDist(values * c, masses, on_lattice=c > 0.0 and atoms > 1), atoms
+
+
+def _scaled_atoms(values: np.ndarray, masses: np.ndarray,
+                  c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms and masses of c times the law of bs(p)'s atoms and
+    masses (`_bs_law`), c >= 0, on raw arrays.
+
+    The same errors and the same arrays as scale(bs(p), c): c = 0 gives
+    the atom 0 with mass 1; two atoms within merge tolerance merge
+    through `_canonicalize`, as the constructor merges them.  bs(p)'s
+    masses are normal, and where it has two atoms they clear the merge
+    tolerance and the law carries its lattice."""
     if not math.isfinite(c):
         raise DistError("scale factor must be finite")
     if c == 0.0:
         return np.array([0.0]), np.array([1.0])
-    v = d.values * c
+    v = values * c
     # c > 0: the atoms stay sorted, and each is finite or infinite
     if not (math.isfinite(v[0]) and math.isfinite(v[-1])):
         raise DistError("atoms must be finite")
     if len(v) == 2 and v[1] - v[0] > MERGE_RTOL * max(1.0, -v[0], v[1]):
-        return v, d.masses
-    return _canonicalize(v, d.masses)
+        return v, masses
+    return _canonicalize(v, masses)
 
 
 def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
@@ -503,12 +557,12 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
         raise DistError(f"refusing {len(coeffs)} terms (enumeration guard is {MAX_BS_TERMS})")
     if any(c < 0 for c in coeffs):
         raise DistError("coefficients must be >= 0")
-    base = bs(p)
-    v, m = _scaled_atoms(base, coeffs[0])
+    base = _bs_law(p)
+    v, m = _scaled_atoms(*base, coeffs[0])
     for i, c in enumerate(coeffs[1:]):
         if i:
             v, m = _canonicalize(v, m)
-        tv, tm = _scaled_atoms(base, c)
+        tv, tm = _scaled_atoms(*base, c)
         # both are sorted, so the extreme sums are the sums of the extremes
         if not (math.isfinite(float(v[0]) + float(tv[0]))
                 and math.isfinite(float(v[-1]) + float(tv[-1]))):

@@ -57,8 +57,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import combined_bound_grid, resolve_s_m
-from .dist import (DistError, FiniteDist, RngSpec, _suffix_moments_at, bs, iid_sum, scale,
-                   weighted_bs_sum)
+from .dist import (DistError, FiniteDist, RngSpec, _bs_atoms, _bs_law, _bs_sum,
+                   _suffix_moments_at, _sum_atom, scale, weighted_bs_sum)
+# iid_sum is not called here; perfbench/tracer.py wraps it under this name
+from .dist import iid_sum  # noqa: F401
 from .optimize import brent_root
 from .thresholds import m_star
 
@@ -340,7 +342,7 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) ->
     _, s_m, _ = resolve_s_m(m, coeffs=c)
     if s_m <= 0:
         raise VerifyError("coefficients are all zero")
-    rhs = scale(iid_sum(bs(p), n), s_m)
+    rhs, _ = _bs_sum(p, n, s_m)
     b = np.union1d(lhs.values, rhs.values)
     if len(b) < 2:
         raise VerifyError("the coefficients are too small: both laws are one point")
@@ -380,8 +382,7 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) ->
 
 def _pair_terms(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The four terms of the pair moment: (v_i, v_j, w_i w_j) over i, j."""
-    base = bs(p)
-    v, w = base.values, base.masses
+    v, w = _bs_law(p)
     return np.repeat(v, 2), np.tile(v, 2), np.outer(w, w).ravel()
 
 
@@ -819,7 +820,7 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
     else:
         sig = math.sqrt(float(np.sum(c * c)))
         _, s_m, _ = resolve_s_m(cfg.m, coeffs=c)
-        top = cfg.n * s_m * math.sqrt((1 - cfg.p) / cfg.p)
+        top = _sum_atom(*_bs_atoms(cfg.p), cfg.n, cfg.n) * s_m
         xs = np.linspace(0.5 * sig, min(3.5 * sig, 0.98 * top), 8)
 
     reports = combined_bound_grid(cfg.p, cfg.m, xs, coeffs=c)

@@ -1,8 +1,10 @@
 """The tail bound family: optimized moment bounds, hull bounds,
 exponential bounds, and the normal ingredients they share."""
+import dataclasses
 import importlib.util
 import math
 import pathlib
+import pickle
 import sys
 
 import mpmath
@@ -14,6 +16,7 @@ from hypothesis import strategies as hst
 from asymtail.bounds import (
     BOptResult,
     BoundError,
+    BoundReport,
     b_opt,
     carrier_sum,
     combined_bound,
@@ -281,6 +284,21 @@ class TestHoeffding:
             assert hoeffding_H(p, float(ys[1])) == float(select_form(p, ys[1]))
 
 
+def _assert_keyword_built(row):
+    """row, stored as one instance dict, is the BoundReport the keyword
+    constructor builds from its fields: the same ==, repr, asdict and
+    pickle round trip, its dict in field order, and frozen."""
+    names = [f.name for f in dataclasses.fields(BoundReport)]
+    twin = BoundReport(**{name: getattr(row, name) for name in names})
+    assert list(vars(row)) == names
+    assert row == twin and repr(row) == repr(twin)
+    assert dataclasses.asdict(row) == dataclasses.asdict(twin)
+    back = pickle.loads(pickle.dumps(row))
+    assert back == row and repr(back) == repr(row)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.minimum = 0.0
+
+
 class TestCombinedBound:
     def test_fair_coin_top(self):
         rep = combined_bound(0.5, 1.0, 4.0, n=4, s_m=1.0)
@@ -326,6 +344,8 @@ class TestCombinedBound:
             rep = combined_bound(p, m_star(p), x, n=n, s_m=s_m)
             assert rep == row
             assert rep.minimum >= tail(d, x) * (1.0 - 1e-12), (x, rep.raw, tail(d, x))
+            _assert_keyword_built(row)
+            _assert_keyword_built(rep)
 
     def test_b_opt_beats_hoeffding_everywhere_sampled(self):
         for p, n in ((0.1, 6), (0.3, 8), (0.5, 5)):

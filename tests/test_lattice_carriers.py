@@ -12,10 +12,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from asymtail import bounds, majorant
 from asymtail.bounds import carrier_sum, combined_bound_grid
-from asymtail.dist import FiniteDist, bs, from_pairs, iid_sum, scale, tail
+from asymtail.dist import DistError, FiniteDist, bs, from_pairs, iid_sum, scale, tail
 from asymtail.majorant import (
     _lattice_tails,
     _upper_hull_indices,
@@ -164,13 +166,68 @@ class TestCarriedLattice:
 
 
 class TestCarrierSumCollapse:
-    def test_tiny_s_m_is_a_bound_error(self):
-        with pytest.raises(bounds.BoundError, match="s_m = 4e-13.*merge tolerance 1e-12"):
-            carrier_sum(0.3, 10, 4e-13)
+    """carrier_sum, built in one construction, keeps every outcome of
+    scale(iid_sum(bs(p), n), s_m): its errors, in the chain's order, and
+    its law; merged atoms are a BoundError."""
 
-    def test_smallest_s_m_that_keeps_every_atom(self):
-        d = carrier_sum(0.3, 10, 1e-12)
-        assert d.n_atoms == 11 and d.lattice is not None
+    @pytest.mark.parametrize("p,n,s_m,error,match", [
+        pytest.param(0.3, 10, 0.0, bounds.BoundError, "s_m = 0.0 puts", id="zero_s_m"),
+        pytest.param(0.3, 10, 4e-13, bounds.BoundError, "s_m = 4e-13.*merge tolerance 1e-12",
+                     id="tiny_s_m"),
+        pytest.param(0.3, 10, math.inf, DistError, "scale factor must be finite", id="inf_s_m"),
+        pytest.param(0.3, 10, math.nan, DistError, "scale factor must be finite", id="nan_s_m"),
+        pytest.param(0.0, 10, 1.0, DistError, "bs requires p", id="p_0"),
+        pytest.param(1.0, 10, 1.0, DistError, "bs requires p", id="p_1"),
+        pytest.param(0.3, 0, 1.0, DistError, "n must be >= 1", id="n_0"),
+        pytest.param(0.0, 0, math.nan, DistError, "bs requires p", id="p_before_n"),
+        pytest.param(0.3, 0, math.nan, DistError, "n must be >= 1", id="n_before_s_m"),
+        # rounding of n a + k (b - a) puts the sum's own atoms within the
+        # merge tolerance; the chain returned the law iid_sum had merged
+        pytest.param(1.0 - 1e-16, 10 ** 16, 1.0, bounds.BoundError, "s_m = 1.0 puts",
+                     id="sum_merges"),
+    ])
+    def test_errors(self, p, n, s_m, error, match):
+        with pytest.raises(error, match=match):
+            carrier_sum(p, n, s_m)
+
+    @pytest.mark.parametrize("s_m,on_lattice", [
+        pytest.param(-1.0, False, id="reflected"),  # sorted and merged the general way
+        pytest.param(1e306, True, id="huge_s_m"),   # atoms near the float limit
+        pytest.param(1e-12, True, id="smallest_s_m"),  # keeps every atom at n = 10
+    ])
+    def test_law_is_the_chain_s(self, s_m, on_lattice):
+        d = carrier_sum(0.3, 10, s_m)
+        ref = scale(iid_sum(bs(0.3), 10), s_m)
+        assert_bit_equal(d, ref)
+        assert d.n_atoms == 11 and d.lattice == ref.lattice
+        assert (d.lattice is not None) == on_lattice
+
+    def test_one_construction_per_carrier(self, monkeypatch):
+        built = []
+        post_init = FiniteDist.__post_init__
+        monkeypatch.setattr(FiniteDist, "__post_init__",
+                            lambda d, on_lattice: built.append(post_init(d, on_lattice)))
+        carrier_sum(0.3, 200, 1.3)
+        assert len(built) == 1
+
+
+@given(p=hst.floats(0.02, 0.98),
+       n=hst.one_of(hst.integers(1, 600), hst.sampled_from((2_000, 30_000, 200_000))),
+       log_s_m=hst.floats(-14.0, 6.0))
+@settings(max_examples=300, deadline=None)
+def test_carrier_is_the_scaled_iid_sum(p, n, log_s_m):
+    """carrier_sum is scale(iid_sum(bs(p), n), s_m) bit for bit, lattice
+    included, or a BoundError exactly where that law merged atoms."""
+    s_m = 10.0 ** log_s_m
+    base = iid_sum(bs(p), n)
+    ref = scale(base, s_m)
+    try:
+        d = carrier_sum(p, n, s_m)
+    except bounds.BoundError:
+        assert ref.n_atoms < base.n_atoms
+        return
+    assert_bit_equal(d, ref)
+    assert d.lattice == ref.lattice
 
 
 class TestArrayPointHull:
