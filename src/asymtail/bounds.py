@@ -43,6 +43,7 @@ from .dist import iid_sum  # noqa: F401
 from .majorant import lattice_params, lc_majorant, lin_lc_majorant  # noqa: F401
 # golden_section is not called here; perfbench/tracer.py wraps it under this name
 from .optimize import golden_section  # noqa: F401
+from .optimize import _div, _falling_root, _maximum, _minimum
 from .thresholds import below_m_star, c_const, m_star
 
 _C30 = c_const(3.0)
@@ -88,8 +89,10 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
 
         (P3 - dx P2) + 2 u (P2 - dx P1) + u^2 (P1 - dx P0)
 
-    in the shifted suffix moments P_j of the atoms >= v_k, and the ratio
-    is (P3 + 3u P2 + 3u^2 P1 + u^3 P0) / (dx + u)^3.  x may be a scalar
+    in the shifted suffix moments P_j of the atoms >= v_k, whose root
+    where it falls through zero is taken by optimize._falling_root, in
+    the form that does not cancel, and the ratio is
+    (P3 + 3u P2 + 3u^2 P1 + u^3 P0) / (dx + u)^3.  x may be a scalar
     or a 1-d array.  An array is evaluated at once; a scalar in float
     arithmetic (see _b_opt_at), bit for bit as the same x in an array.
 
@@ -125,12 +128,7 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
         vk = v[k]
         dx = xs_in - vk
         a = q1 - dx
-        b = 2.0 * (q2 - dx * q1)
-        c = q3 - dx * q2
-        disc = b * b - 4.0 * a * c
-        s = np.sqrt(np.maximum(disc, 0.0))
-        # the root where g falls through zero, in its cancellation-free form
-        u = np.where(b > 0.0, (-b - s) / (2.0 * a), 2.0 * c / (s - b))
+        u, disc = _falling_root(a, q2 - dx * q1, q3 - dx * q2)
         # the gap below v_k, infinite below the bottom atom
         width = np.concatenate(([np.inf], v[1:] - v[:-1]))[k]
         u = np.minimum(np.maximum(np.where(np.isnan(u), 0.0, u), 0.0), width)
@@ -171,24 +169,6 @@ def _overflow(d: FiniteDist, x: float) -> BoundError:
         f"{max(-d.min_value, d.max_value):g} in size, are too large for its moments")
 
 
-# np.maximum and np.minimum on floats: a where a > b (a < b) or a is NaN,
-# else b, so the second of two equal zeros wins
-def _maximum(a: float, b: float) -> float:
-    return a if a > b or a != a else b
-
-
-def _minimum(a: float, b: float) -> float:
-    return a if a < b or a != a else b
-
-
-def _div(a: float, b: float) -> float:
-    """a / b as numpy divides floats: a zero b gives +-inf or NaN, not an error."""
-    if b:
-        return a / b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.float64(a) / b)
-
-
 def _b_opt_at(d: FiniteDist, x: float) -> BOptResult:
     """b_opt at one x: the array path's operations in its order, on
     floats, with numpy's results where Python would raise, and each
@@ -208,13 +188,9 @@ def _b_opt_at(d: FiniteDist, x: float) -> BOptResult:
     a = q1 - dx
     if k == 0 and a >= 0.0:
         return BOptResult(1.0, _t_low(d), 1.0)
-    b = 2.0 * (q2 - dx * q1)
-    c = q3 - dx * q2
-    disc = b * b - 4.0 * a * c
+    u, disc = _falling_root(a, q2 - dx * q1, q3 - dx * q2)
     if not math.isfinite(disc):
         raise _overflow(d, x)
-    s = math.sqrt(_maximum(disc, 0.0))
-    u = _div(-b - s, 2.0 * a) if b > 0.0 else _div(2.0 * c, s - b)
     width = vk - float(d.values[k - 1]) if k else math.inf
     u = _minimum(_maximum(0.0 if u != u else u, 0.0), width)
     w = dx + u

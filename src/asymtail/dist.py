@@ -245,11 +245,13 @@ class FiniteDist:
     def mean(self) -> float:
         return math.fsum(self.values * self.masses)
 
-    def is_symmetric(self, rtol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
+        """Whether -D has D's law: the atoms mirror each other to 1e-12
+        max(1, largest |atom|), and the masses to 1e-12."""
         v, m = self.values, self.masses
         scale = max(1.0, -v[0], v[-1])
-        return bool((np.abs(-v[::-1] - v) <= rtol * scale).all()
-                    and (np.abs(m[::-1] - m) <= rtol).all())
+        return bool((np.abs(-v[::-1] - v) <= 1e-12 * scale).all()
+                    and (np.abs(m[::-1] - m) <= 1e-12).all())
 
     # -- serialization -----------------------------------------------------
     @staticmethod
@@ -583,8 +585,10 @@ def tail(d: FiniteDist, x) -> float | np.ndarray:
     return float(suffix[idx]) if xa.ndim == 0 else suffix[idx]
 
 
-def _shifted_suffix_moments(d: FiniteDist) -> np.ndarray:
-    """P[j, k] = sum over i >= k of m_i (v_i - v_k)^j for j = 0..3.
+def _shifted_suffix_moments(d: FiniteDist, left: bool = False) -> np.ndarray:
+    """P[j, k] = sum over i >= k of m_i (v_i - v_k)^j for j = 0..3; for
+    left, the same of -D, whose atoms are d's negated in reverse order,
+    with d's prefix sums of the masses, reversed, as their upper tails.
 
     One backward pass: shifting the origin from v_{k+1} down to v_k is a
     binomial expansion in the nonnegative gap h = v_{k+1} - v_k,
@@ -598,11 +602,14 @@ def _shifted_suffix_moments(d: FiniteDist) -> np.ndarray:
     increments need only the rows below it, so each row is one running
     sum from the top atom down, written into the row back to front;
     np.add.accumulate adds in sequence, in the order of a loop over k."""
-    v = d.values
+    if left:
+        v, tails = -d.values[::-1], np.add.accumulate(d.masses)[::-1]
+    else:
+        v, tails = d.values, d.upper_tails
     h = v[1:] - v[:-1]
     out = np.empty((4, len(v)))
     p0, p1, p2, p3 = out
-    p0[:] = d.upper_tails
+    p0[:] = tails
     out[1:, -1] = 0.0
     hp0 = h * p0[1:]
     np.add.accumulate(hp0[::-1], out=p1[-2::-1])
@@ -611,9 +618,10 @@ def _shifted_suffix_moments(d: FiniteDist) -> np.ndarray:
     return out
 
 
-def _suffix_moments_at(d: FiniteDist, x) -> np.ndarray:
+def _suffix_moments_at(d: FiniteDist, x, left: bool = False) -> np.ndarray:
     """P[j, i] = sum over v >= x_i of m (v - x_i)^j for j = 0..3, at each
-    point of a 1-d array, in O(atoms + points).
+    point of a 1-d array, in O(atoms + points); for left, sum over
+    v <= x_i of m (x_i - v)^j, read as the moments of -D at -x_i.
 
     With k the first atom >= x and u = v_k - x >= 0 these are the
     shifted suffix moments at k moved down by u,
@@ -626,9 +634,11 @@ def _suffix_moments_at(d: FiniteDist, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     v = d.values
+    if left:
+        x, v = -x, -v[::-1]
     # column len(v), past the top atom, holds the moments 0 and the gap 0
     moments = np.zeros((4, len(v) + 1))
-    moments[:, :-1] = _shifted_suffix_moments(d)
+    moments[:, :-1] = _shifted_suffix_moments(d, left)
     k = np.searchsorted(v, x, side="left")
     p0, p1, p2, p3 = moments.take(k, axis=1)
     u = np.maximum(np.append(v, -math.inf).take(k) - x, 0.0)

@@ -51,6 +51,7 @@ every pair has converged.
 Evaluation is exact on arc segments (linear in probability space),
 log-linear on bridges.  The ends follow dist.atom_band: x up to
 support_min's band reads 1, x in zero_from's band reads zero_from's value.
+lc reads x in any atom's band at that atom, as `tail` counts it.
 """
 from __future__ import annotations
 
@@ -134,6 +135,11 @@ class TailMajorant:
         return knot_x[live], np.log(knot_q[live])
 
     @cached_property
+    def _bands(self) -> np.ndarray:
+        """The top of each step corner's band (dist.atom_band)."""
+        return atom_band(self.node_x)
+
+    @cached_property
     def _segments(self) -> np.ndarray:
         """The per-segment fields that log_value reads, one row each, so
         that one gather serves them all."""
@@ -164,6 +170,11 @@ class TailMajorant:
         if len(self.hull_x) < 2:
             # a one-atom law: every x is below or above
             return np.where(below, 0.0, -np.inf)
+        if self.refine is None:
+            # x in a step corner's band is read at the corner: the first
+            # corner whose band reaches x, where x passed it
+            xa = np.minimum(xa, self.node_x[np.minimum(
+                np.searchsorted(self._bands, xa), len(self.node_x) - 1)])
         # the segment of each x: the last vertex at or below it, but at
         # least the first and at most the last segment
         idx = np.searchsorted(self.hull_x[1:-1], xa, side="right")
@@ -196,6 +207,9 @@ class TailMajorant:
         hx = self.hull_x
         if x > atom_band(self.zero_from) or len(hx) < 2:
             return -math.inf
+        if self.refine is None:
+            # x is within zero_from's band, so some corner's band reaches it
+            x = min(x, float(self.node_x[np.searchsorted(self._bands, x)]))
         i = int(np.searchsorted(hx[1:-1], x, side="right"))
         x = min(self.zero_from, max(float(hx[0]), x))
         if self.seg_is_arc[i]:

@@ -1,17 +1,23 @@
 """Scalar optimization helpers shared across the package.
 
 Golden-section minimization on a closed interval (no library caller is
-left; perfbench/tracer.py still wraps it), and Brent's bracketed root
-finder.  `brent_root` is a line-by-line port of scipy's brentq
+left; perfbench/tracer.py still wraps it), Brent's bracketed root
+finder, and the cancellation-free root of a quadratic piece.
+`brent_root` is a line-by-line port of scipy's brentq
 (scipy/optimize/Zeros/brentq.c), so it returns the same bits; it spares
 the callers in `thresholds` the import of `scipy.optimize`, which pulls
-in `scipy.linalg`, `scipy.sparse` and `scipy.spatial`.
+in `scipy.linalg`, `scipy.sparse` and `scipy.spatial`.  `_falling_root`
+is the one root that `bounds.b_opt` and the verifier's cube certificate
+take on each piece, on floats or arrays, with numpy's division and clamp
+semantics on both (`_div`, `_maximum`, `_minimum`).
 """
 from __future__ import annotations
 
 import math
 import sys
 from typing import Callable
+
+import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -130,3 +136,42 @@ def _value(f: Callable[[float], float], x: float) -> float:
     if fx != fx:
         raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
     return fx
+
+
+# np.maximum and np.minimum on floats: a where a > b (a < b) or a is NaN,
+# else b, so the second of two equal zeros wins
+def _maximum(a: float, b: float) -> float:
+    return a if a > b or a != a else b
+
+
+def _minimum(a: float, b: float) -> float:
+    return a if a < b or a != a else b
+
+
+def _div(a: float, b: float) -> float:
+    """a / b as numpy divides floats: a zero b gives +-inf or NaN, not an error."""
+    if b:
+        return a / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(a) / b)
+
+
+def _falling_root(a, b, c):
+    """The root at which A u^2 + 2B u + C falls through zero, and B^2 - AC.
+
+    A, B and C are floats, or arrays taken elementwise with the same
+    bits.  With s = sqrt(max(B^2 - AC, 0)) the root is -(B + s) / A for
+    B > 0, else C / (s - B): the forms of (-B - s) / A in which B and s
+    never cancel.  A negative discriminant is taken as 0, which gives
+    -B / A or -C / B, a point that callers clip to the piece.  A = 0 gives the line's root -C / 2B for B < 0 and an infinite or NaN
+    one for B >= 0, and B = C = 0 gives NaN: callers clip or replace
+    those, and array callers silence numpy's warnings for them.  The
+    discriminant comes back unclamped, so a caller can tell where it
+    overflowed.
+    """
+    disc = b * b - a * c
+    if isinstance(disc, float):
+        s = math.sqrt(_maximum(disc, 0.0))
+        return (_div(-(b + s), a) if b > 0.0 else _div(c, s - b)), disc
+    s = np.sqrt(np.maximum(disc, 0.0))
+    return np.where(b > 0.0, -(b + s) / a, c / (s - b)), disc

@@ -11,9 +11,10 @@ confidence guard:
   the paper's class of test functions it is the order of the cubes
   E (D - t)_+^3, whose difference is one cubic in t between consecutive
   atoms, from the suffix moments that b_opt also uses, so each piece's
-  maximum lies at its ends or at the root of its derivative (O(atoms)
-  per law); two-sided adds E |D - t|^3 the same way and E cosh(lam D)
-  at 20 rates by log-sum-exp, so that none overflows;
+  maximum lies at its ends or at the root of its derivative, taken by
+  b_opt's root kernel (O(atoms) per law); two-sided adds E |D - t|^3
+  the same way and E cosh(lam D) at 20 rates by log-sum-exp, so that
+  none overflows;
 - Schur-direction sweeps along the constant-(2m)-norm coefficient path,
   including the two-coefficient witness that the moment threshold is
   sharp (below it the direction reverses), found by exact maximization:
@@ -58,10 +59,10 @@ import numpy as np
 
 from .bounds import combined_bound_grid, resolve_s_m
 from .dist import (DistError, FiniteDist, RngSpec, _bs_atoms, _bs_law, _bs_sum,
-                   _suffix_moments_at, _sum_atom, scale, weighted_bs_sum)
+                   _suffix_moments_at, _sum_atom, weighted_bs_sum)
 # iid_sum is not called here; perfbench/tracer.py wraps it under this name
 from .dist import iid_sum  # noqa: F401
-from .optimize import brent_root
+from .optimize import _falling_root, brent_root
 from .thresholds import m_star
 
 
@@ -198,10 +199,15 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
     identity_max_err compares the piecewise table with the
     positive-part form region by region: each polynomial is checked on
     its own closed region, at the points and on the values the minimum
-    used, so delta is evaluated once per region.
+    used, so delta is evaluated once per region.  m must be finite (any
+    m, below 1 included) and resolution at least 1.
     """
     if not 0.0 < p < 1.0:
         raise VerifyError("p must be in (0, 1)")
+    if not math.isfinite(m):
+        raise VerifyError(f"m must be finite, got {m!r}")
+    if not resolution >= 1:
+        raise VerifyError(f"resolution must be >= 1, got {resolution!r}")
     cs = np.linspace(0.0, 1.0, resolution + 2)[1:-1][:, None]
     # vertex of the region-2 parabola
     C = cs ** (2.0 * m - 1.0)
@@ -278,13 +284,14 @@ def _piece_peaks(b: np.ndarray, dp: np.ndarray, dq: np.ndarray | None = None):
     dp holds the differences dP_j of the two laws' suffix moments at
     every b_i; with u = b_{i+1} - t in [0, h], h = b_{i+1} - b_i, the
     right cubes differ on the piece by R(u) = dP3 + 3u dP2 + 3u^2 dP1 +
-    u^3 dP0 at b_{i+1}.  dq, the differences of the reflected laws'
-    moments at every -b_i, adds the left cubes, L(w) = dQ3 + 3w dQ2 +
-    3w^2 dQ1 + w^3 dQ0 at -b_i, in w = h - u.  d = R(u) + L(h - u)
-    peaks at an end, where it is dP3 (+ dQ3) at that breakpoint, or at
-    the root of a third of its derivative, A u^2 + 2B u + C, where
-    A u + B < 0; that root is taken in the form that does not cancel,
-    and one off the piece, or none, falls back to u = 0.
+    u^3 dP0 at b_{i+1}.  dq, the differences of the two laws' prefix
+    moments at every b_i (`_suffix_moments_at(..., left=True)`), adds
+    the left cubes, L(w) = dQ3 + 3w dQ2 + 3w^2 dQ1 + w^3 dQ0 at b_i, in
+    w = h - u.  d = R(u) + L(h - u) peaks at an end, where it is dP3
+    (+ dQ3) at that breakpoint, or at the root of a third of its
+    derivative, A u^2 + 2B u + C, where A u + B < 0: optimize's
+    _falling_root, in the form that does not cancel, its discriminant
+    clamped at 0.  A root off the piece, or none, falls back to u = 0.
     """
     h = b[1:] - b[:-1]
     p0, p1, p2, p3 = dp[:, 1:]
@@ -295,8 +302,7 @@ def _piece_peaks(b: np.ndarray, dp: np.ndarray, dq: np.ndarray | None = None):
         q0, q1, q2, q3 = dq[:, :-1]
         qa, qb, qc = p0 - q0, p1 + q1 + h * q0, p2 - q2 - h * (2.0 * q1 + h * q0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
-        u = np.where(qb >= 0.0, s / qa, qc / s)
+        u, _ = _falling_root(qa, qb, qc)
     u[~((u > 0.0) & (u < h))] = 0.0
     peak = p3 + u * (3.0 * p2 + u * (3.0 * p1 + u * p0))
     if dq is not None:
@@ -321,15 +327,17 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) ->
     the lowest atom holds its maximum there.
 
     The families, in tie-break order: cube_plus, and for two_sided
-    abs_cube (E |D - t|^3, the reflected left cubes added and certified
-    the same way) and cosh (E cosh(lam D) at 20 rates in [0.1, 5],
-    sampled by log-sum-exp so that none overflows; the violation is
-    expm1 of the log ratio).  A cube family's violation on a piece is its
-    peak over a lower bound of max(1, E f(carrier)) there: E (eta - t)_+^3
-    at the piece's right end, plus E (t - eta)_+^3 at its left end for
-    abs_cube.  So max_violation, the largest violation or 0, bounds the
-    normalized violation at every t, and is 0 where d <= 0 everywhere;
-    the exact maximum of the ratio would need a quartic root per piece.
+    abs_cube (E |D - t|^3, the left cubes E (t - D)_+^3 added from each
+    law's prefix moments, read off its atoms and masses in reverse
+    order with no reflected law built, and certified the same way) and
+    cosh (E cosh(lam D) at 20 rates in [0.1, 5], sampled by log-sum-exp
+    so that none overflows; the violation is expm1 of the log ratio).
+    A cube family's violation on a piece is its peak over a lower bound
+    of max(1, E f(carrier)) there: E (eta - t)_+^3 at the piece's right
+    end, plus E (t - eta)_+^3 at its left end for abs_cube.  So
+    max_violation, the largest violation or 0, bounds the normalized
+    violation at every t, and is 0 where d <= 0 everywhere; the exact
+    maximum of the ratio would need a quartic root per piece.
     worst_param is the t (or lam) of the winning peak, t_count the number
     of pieces, lam_count the rates sampled (0 one-sided).  m must be
     finite and >= 1; a NaN comparison raises VerifyError.
@@ -352,8 +360,8 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) ->
     families = [("cube_plus", vals / np.maximum(1.0, right[3, 1:]), ts)]
     lam_count = 0
     if two_sided:
-        left = _suffix_moments_at(scale(rhs, -1.0), -b)
-        dq = _suffix_moments_at(scale(lhs, -1.0), -b) - left
+        left = _suffix_moments_at(rhs, b, left=True)
+        dq = _suffix_moments_at(lhs, b, left=True) - left
         vals, ts = _piece_peaks(b, dp, dq)
         families.append(("abs_cube", vals / np.maximum(1.0, right[3, 1:] + left[3, :-1]), ts))
         # E cosh(lam D) = (E e^{lam D} + E e^{-lam D}) / 2; the halving
@@ -413,7 +421,12 @@ class SchurSweep:
 
 def schur_sweep(p: float, m: float, t: float) -> SchurSweep:
     """g(theta) along the equalizing path; monotone iff the comparison
-    respects majorization at this (p, m, t)."""
+    respects majorization at this (p, m, t).  m must be finite and > 0,
+    and t finite."""
+    if not 0.0 < m < math.inf:
+        raise VerifyError(f"m must be finite and > 0, got {m!r}")
+    if not math.isfinite(t):
+        raise VerifyError(f"t must be finite, got {t!r}")
     th = np.linspace(1e-9, math.pi / 4.0, _SCHUR_THETAS)
     g = _pair_moment(_pair_terms(p), m, th, t)
     fd = np.diff(g)
@@ -466,8 +479,8 @@ def exactness_witness(p: float, m: float) -> ViolationWitness | None:
     """
     if not 0.0 < p < 0.5:
         raise VerifyError("witness construction needs p in (0, 1/2)")
-    if m <= 1.0:
-        raise VerifyError("witness construction needs m > 1")
+    if not 1.0 < m < math.inf:
+        raise VerifyError(f"witness construction needs a finite m > 1, got {m!r}")
     q = 1.0 - p
     pow2 = 2.0 ** (1.0 - 1.0 / (2.0 * m))
     u_p = -pow2 * (m - 1.0) / ((2.0 * m - 1.0) * q)
@@ -844,11 +857,12 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def run_delta_suite(resolution: int = 80) -> list[CheckResult]:
+def run_delta_suite() -> list[CheckResult]:
+    """The delta certificate at m_star(p) for five p, on 80 values of c."""
     out = []
     for p in (0.05, 0.2, 0.35, 0.5, 0.8):
         m = m_star(p)
-        res = delta_grid_check(p, m, resolution)
+        res = delta_grid_check(p, m, 80)
         out.append(CheckResult(
             name=f"delta_grid_p{p:g}_at_threshold", passed=res.nonnegative,
             metric=res.min_value, threshold=-DEFAULT_TOL,

@@ -579,12 +579,16 @@ def _fields(result) -> list:
 # once read 0.00243 where the other members read 0; inside the band lc
 # once fell below the tail
 @example(p=0.3, n=5, log_s_m=0.0, pairs=None)
+# p = 0.3, n = 20: lc once read x in an interior atom's band past the atom,
+# below the tail there
+@example(p=0.3, n=20, log_s_m=0.0, pairs=None)
 def test_members_agree_at_the_band_edges(p, n, log_s_m, pairs):
     """At the band edges of a carrier (pairs None) or a general law:
 
     (a) tail, b_opt, lc and, on carriers, Hoeffding agree on whether x
         has passed the top atom: each reads 0 exactly past its band;
-    (b) lc is not below the tail, to 1e-13 relative;
+    (b) lc is not below the tail, to 1e-13 relative, there and at every
+        interior atom's band edge, where it reads the atom;
     (c) each member's scalar result is its [x] result bit for bit,
         lin_lc's included (whose 0 lies a lattice step further up)."""
     if pairs is None:
@@ -608,6 +612,14 @@ def test_members_agree_at_the_band_edges(p, n, log_s_m, pairs):
             if name != "lin_lc":
                 assert (one[0][0] == 0.0) == (t == 0.0), (name, x, one, t)
         assert lc.value(x) >= t * (1.0 - 1e-13), (x, lc.value(x), t)
+    for v in d.values.tolist():
+        band = v + 1e-12 * max(1.0, abs(v))
+        for x in [_ulps(band, k) for k in range(-3, 4)]:
+            one = lc.value(x)
+            assert repr(one) == repr(lc.value(np.array([x]))[0].item()), (v, x)
+            assert one >= tail(d, x) * (1.0 - 1e-13), (v, x, one, tail(d, x))
+            if v < x <= band:
+                assert one == lc.value(v), (v, x)
 
 
 _X_KINDS = ("below_support", "below_mean", "atom", "between_atoms", "top", "past_top",

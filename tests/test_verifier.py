@@ -1019,3 +1019,35 @@ class TestSuiteRunner:
     def test_unknown_suite_raises(self):
         with pytest.raises(VerifyError):
             run_suite("nonsense", seed=0)
+
+
+class TestCertificateInputs:
+    """Non-finite inputs to the certificate checks raise VerifyError; none
+    passes as a verdict (an infinite minimum, a None witness, a NaN
+    difference)."""
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_delta_grid_rejects_a_non_finite_m(self, m):
+        with pytest.raises(VerifyError, match="m must be finite"):
+            delta_grid_check(0.3, m)
+
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_delta_grid_rejects_an_empty_grid(self, resolution):
+        with pytest.raises(VerifyError, match="resolution must be >= 1"):
+            delta_grid_check(0.3, 1.5, resolution)
+
+    def test_delta_grid_keeps_m_below_1(self):
+        # 0.9 m_star(p) at p >= 1/2, where m_star is 1
+        assert not delta_grid_check(0.7, 0.9, 20).nonnegative
+        assert delta_grid_check(0.3, 1.5, 1).resolution == 1
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_witness_rejects_a_non_finite_m(self, m):
+        with pytest.raises(VerifyError, match="finite m > 1"):
+            exactness_witness(0.2, m)
+
+    @pytest.mark.parametrize("m,t", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0),
+                                     (1.5, math.nan), (1.5, -math.inf)])
+    def test_schur_sweep_rejects_a_non_finite_m_or_t(self, m, t):
+        with pytest.raises(VerifyError, match="must be finite"):
+            schur_sweep(0.3, m, t)
