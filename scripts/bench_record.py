@@ -39,10 +39,11 @@ sides' agree at every seed), the quartiles of each side's minor page
 faults per run (information only: no claim rule reads them), and per
 traced per-layer metric each side's median, range and values, the
 control's, `apart` where the two sides' ranges do not overlap, and
-`changed` only where they are apart and the control's are not; and the
-machine (nproc, CPU model, Python, numpy and scipy versions, and
-PYTHONDONTWRITEBYTECODE as the caller had it), both
-commit ids and the record's wall time.  The runs go one at a time, so
+`changed` only where they are apart, the control's are not, and the
+base-to-head median gap exceeds the control's own (see traced_change);
+and the machine (nproc, CPU model, Python, numpy and scipy versions, and
+PYTHONDONTWRITEBYTECODE as the caller had it), both commit ids and the
+record's wall time.  The runs go one at a time, so
 the record costs about 2 x workloads x 10 x (run_seconds + 5 s of cold
 starts), and as much again for each workload that claims, plus 12
 traced runs per workload.
@@ -221,8 +222,10 @@ def traced_runs(checkouts: dict[str, Path], wl: str) -> dict:
     At each seed the four runs go pair first, then control, and at every
     other seed in reverse, so that the sides take turns in each slot.  A
     metric is `changed` only where the head's range is apart from the
-    base's and the control's two ranges overlap: ranges apart in the
-    control mean the runs drift that far with no change at all."""
+    base's, the control's two ranges overlap, and the medians moved
+    further than the control's (traced_change): ranges apart in the
+    control, or a median gap no larger than its, mean the runs drift that
+    far with no change at all."""
     runs: dict[str, list[dict]] = {label: [] for label, _ in TRACED_SLOTS}
     for i, seed in enumerate(TRACE_SEEDS):
         for label, side in (TRACED_SLOTS if i % 2 == 0 else TRACED_SLOTS[::-1]):
@@ -231,13 +234,32 @@ def traced_runs(checkouts: dict[str, Path], wl: str) -> dict:
     out = {}
     for name in dict.fromkeys(k for label in runs for r in runs[label] for k in r):
         values = {label: [r[name]["value"] for r in runs[label] if name in r] for label in runs}
-        sp = {label: spread(v) if v else None for label, v in values.items()}
-        control = {"base": sp["control_base"], "head": sp["control_head"]}
-        control["apart"] = ranges_apart(control["base"], control["head"])
-        apart = ranges_apart(sp["base"], sp["head"])
-        out[name] = {"base": sp["base"], "head": sp["head"], "apart": apart,
-                     "control": control, "changed": apart and not control["apart"]}
+        out[name] = traced_change({label: spread(v) if v else None
+                                   for label, v in values.items()})
     return out
+
+
+def median_gap(a: dict | None, b: dict | None) -> float | None:
+    """|median b - median a| where both spreads exist."""
+    return abs(b["median"] - a["median"]) if a and b else None
+
+
+def traced_change(sp: dict) -> dict:
+    """One traced metric from its spreads per TRACED_SLOTS label: the
+    pair's, the control's, whether each pair of ranges is apart, each
+    base-to-head median gap, and `changed`: the head's range apart from
+    the base's, the control's ranges not apart, and the pair's median gap
+    larger than the control's.  Three-point ranges can fall apart by
+    drift alone; a change must also move the medians further than the
+    same drift moved the control's."""
+    control = {"base": sp["control_base"], "head": sp["control_head"]}
+    control["apart"] = ranges_apart(control["base"], control["head"])
+    control["gap"] = median_gap(control["base"], control["head"])
+    apart = ranges_apart(sp["base"], sp["head"])
+    gap = median_gap(sp["base"], sp["head"])
+    changed = apart and not control["apart"] and (control["gap"] is None or gap > control["gap"])
+    return {"base": sp["base"], "head": sp["head"], "apart": apart, "gap": gap,
+            "control": control, "changed": changed}
 
 
 def main(argv=None) -> int:

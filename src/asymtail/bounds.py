@@ -15,6 +15,10 @@ one table (_members), and report which one wins: combined_bound_grid at
 each x of an array, with one carrier and one pair of hulls for all of
 them, and combined_bound at one x, where each member takes its float
 path, bit for bit with the grid at [x] and free of numpy's per-call cost.
+At one x the lin_lc member builds no whole hull: it reads the hull
+segment at x and certifies that value by its supporting line
+(majorant._lin_lc_at), and builds the whole hull only where that
+declines.
 The carrier s_m (BS_1 + ... + BS_n) is one validated law, built from its
 binomial window with no law for bs(p) or the unscaled sum (carrier_sum),
 and each report is stored as one instance dict (_report).
@@ -40,7 +44,8 @@ from .dist import (MERGE_RTOL, FiniteDist, _bs_atoms, _bs_sum, _shifted_suffix_m
 # iid_sum is not called here; perfbench/tracer.py wraps it under this name
 from .dist import iid_sum  # noqa: F401
 # lattice_params is not called here; perfbench/tracer.py wraps it under this name
-from .majorant import lattice_params, lc_majorant, lin_lc_majorant  # noqa: F401
+from .majorant import lattice_params  # noqa: F401
+from .majorant import _lin_lc_at, _step, lc_majorant, lin_lc_majorant
 # golden_section is not called here; perfbench/tracer.py wraps it under this name
 from .optimize import golden_section  # noqa: F401
 from .optimize import _div, _falling_root, _maximum, _minimum
@@ -371,9 +376,12 @@ def carrier_sum(p: float, n: int, s_m: float) -> FiniteDist:
     return d
 
 
-def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None) -> tuple:
+def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None, x) -> tuple:
     """What the x of one query share, its inputs checked and m lifted to
-    m_star(p) for coefficients below it: (p, m, n, s_m, s_1, carrier, lc, linlc)."""
+    m_star(p) for coefficients below it: (p, m, n, s_m, s_1, carrier, lc,
+    linlc, h), with h the carrier's lattice step.  The whole lin_lc hull
+    is built for an array x only: a scalar x reads its one segment
+    (_lin_lc_value), and linlc is None."""
     if not 0.0 < p < 1.0:
         raise BoundError(f"p must lie in (0, 1), got {p!r}")
     if not 1.0 <= m < math.inf:
@@ -385,18 +393,33 @@ def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None) -> tupl
         m = m_star(p)
     n, sm, s1 = resolve_s_m(m, coeffs=coeffs, s_m=s_m, n=n)
     carrier = carrier_sum(p, n, sm)
-    return p, m, n, sm, s1, carrier, lc_majorant(carrier), lin_lc_majorant(carrier)
+    lc = lc_majorant(carrier)
+    if np.ndim(x) == 0:
+        return p, m, n, sm, s1, carrier, lc, None, _step(carrier)
+    linlc = lin_lc_majorant(carrier)
+    return p, m, n, sm, s1, carrier, lc, linlc, linlc.step
+
+
+def _lin_lc_value(carrier: FiniteDist, x: float) -> float:
+    """lin_lc_majorant(carrier).value(x) at one x, from its certified
+    segment (majorant._lin_lc_at), or from the whole hull where that
+    declines; the whole hull answers, or raises, as for a grid."""
+    lv = _lin_lc_at(carrier, x)
+    if lv is None:
+        lv = lin_lc_majorant(carrier).log_value(x)
+    return float(np.exp(lv))
 
 
 def _members(query: tuple, x) -> tuple[BOptResult, dict]:
     """b_opt at x and the raw members in tie-break order (argmin keeps the
     first of equal minima); each member dispatches on x, scalar or array."""
-    p, _, n, sm, s1, carrier, lc, linlc = query
+    p, _, n, sm, s1, carrier, lc, linlc, h = query
     bo = b_opt(carrier, x)
     raw = {
         "b_opt": bo.raw,
         "lc": _C30 * lc.value(x),
-        "lin_lc": _C30 * linlc.value(x + 0.5 * linlc.step),
+        "lin_lc": _C30 * (_lin_lc_value(carrier, x + 0.5 * h) if linlc is None
+                          else linlc.value(x + 0.5 * h)),
         "hoeffding": hoeffding_bound(p, n, sm, x),
     }
     if p >= 0.5 and s1 is not None:
@@ -426,8 +449,8 @@ def _report(head: tuple, x: float, t: float, names: list[str], r: list[float],
 
 def _head(query: tuple) -> tuple:
     """The fields every report of a query shares: (p, m, n, s_m, h)."""
-    p, m, n, sm, _, _, _, linlc = query
-    return p, m, n, sm, linlc.step
+    p, m, n, sm, *_, h = query
+    return p, m, n, sm, h
 
 
 def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
@@ -441,7 +464,7 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
         raise BoundError("need at least one x")
-    query = _query(p, m, n, coeffs, s_m)
+    query = _query(p, m, n, coeffs, s_m, xs)
     bo, raw = _members(query, xs)
     names = list(raw)
     rows = np.array(list(raw.values()))
@@ -455,12 +478,19 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
 def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
                    coeffs=None, s_m: float | None = None) -> BoundReport:
     """The bound family at one x: combined_bound_grid(p, m, [x], ...)[0],
-    field for field, raw included, and the same error where that raises.
+    field for field, raw included, wherever the grid answers, and the same
+    error where that raises.
 
-    The carrier and both hulls are built as for a grid, and each member
-    takes its float path at the one x."""
+    The carrier and the lc hull are built as for a grid, and each member
+    takes its float path at the one x.  lin_lc reads only the hull segment
+    at x, certified by its supporting line against the interpolant on
+    every cell, and falls back to the whole hull where that declines
+    (_lin_lc_value).  So where the whole hull fails its own certificate
+    (atoms from about 1e256 on, past b_opt's overflow near 1e77), the
+    grid raises that MajorantError, while this can answer from a
+    certified segment, or raise b_opt's overflow first."""
     x = float(x)
-    query = _query(p, m, n, coeffs, s_m)
+    query = _query(p, m, n, coeffs, s_m, x)
     bo, raw = _members(query, x)
     r = list(raw.values())
     c = [min(v, 1.0) for v in r]  # np.minimum(v, 1.0), NaN included

@@ -48,6 +48,12 @@ arc is kept the vertex build gathers nothing (otherwise one take serves
 every field), and the bridge solve stops after its first pass where
 every pair has converged.
 
+A point query needs one segment of the hull: _lin_lc_at runs the same
+construction up to the bridge slopes, builds only the touch points of
+the kept arcs around x, and certifies the value there by its supporting
+line against every cell, as _certify checks a hull segment (see
+_least_slack), falling back to the whole hull where it cannot.
+
 Evaluation is exact on arc segments (linear in probability space),
 log-linear on bridges.  The ends follow dist.atom_band: x up to
 support_min's band reads 1, x in zero_from's band reads zero_from's value.
@@ -62,6 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from .dist import FiniteDist, atom_band
+from .optimize import _div, _maximum, _minimum
 
 _LATTICE_RTOL = 1e-9
 _CERT_TOL = 1e-9
@@ -332,6 +339,12 @@ _U_STEEP = 8.0
 _MAX_EVALS = 100
 
 
+def _step(d: FiniteDist) -> float:
+    """The lattice step of d's interpolated hull: the one d carries, else
+    lattice_params(d)'s."""
+    return d.lattice[1] if d.lattice is not None else lattice_params(d)[1]
+
+
 def _lattice_tails(d: FiniteDist) -> tuple[np.ndarray, np.ndarray, float]:
     """The lattice points from the bottom atom through the top atom plus
     one step, the tail at each (0 at the last), and the step.
@@ -347,10 +360,9 @@ def _lattice_tails(d: FiniteDist) -> tuple[np.ndarray, np.ndarray, float]:
     # suffix sums of positive masses are > 0; cumsum roundoff can pass 1
     suffix = np.concatenate((d.upper_tails, [0.0]))
     np.minimum(suffix, 1.0, out=suffix)
+    h = _step(d)
     if d.lattice is not None:
-        h = d.lattice[1]
         return v[0] + h * np.arange(len(suffix)), suffix, h  # through max + h
-    _, h = lattice_params(d)
     index = np.rint((v - v[0]) / h)
     lat = v[0] + h * np.arange(index[-1] + 2)
     return lat, suffix[np.searchsorted(index, np.arange(len(lat)))], h
@@ -501,17 +513,35 @@ def _kept_arcs(arcs) -> tuple[np.ndarray, np.ndarray]:
         keep = keep[kept]
 
 
+def _least_slack(lo, hi, x0, q0, beta, s, top: float, hull) -> float:
+    """The least of hull(x) - log(q0 + beta (x - x0)) over the ends of
+    each overlap [lo, hi] of a line or arc with a lattice cell and the
+    cell's touch point for slope s clipped to it; +inf where none counts.
+
+    On a decreasing cell a line of slope s minus the log interpolant is
+    convex, least at the touch point x0 + 1/s - q0/beta; on a flat cell
+    it is linear.  Elsewhere the touch point is another point of the
+    overlap, checked to no harm, or NaN, which the comparison skips; one
+    past the float range (a slope or a beta near 0) clips to an end.
+    Past the last lattice point, top, both are 0.  A NaN slack is
+    returned as NaN.  Its callers ignore numpy's divide, invalid and
+    overflow warnings."""
+    touch = x0 + 1.0 / s - q0 / beta
+    x = np.array((lo, hi, np.minimum(np.maximum(touch, lo), hi)))
+    q = q0 + beta * (x - x0)
+    slack = (hull(x) - np.log(q))[(q > 0) & (x < top)]
+    return float(slack.min()) if slack.size else math.inf
+
+
 def _certify(maj: TailMajorant, lat: np.ndarray, qt: np.ndarray) -> None:
     """Raise MajorantError unless maj majorizes the linear interpolant of
     the tail values qt at the lattice points lat, to within 1e-9 in log.
 
     Exact in O(cells): each hull segment is compared with the log
     interpolant on every cell it overlaps, at the ends of the overlap and,
-    under a bridge of slope s, where their difference is least.  On a
-    decreasing cell that difference is convex, least at the touch point
-    x0 + 1/s - q0/beta clipped to the overlap; on a flat cell it is
-    linear.  On an arc segment both are logs of linear functions, whose
-    difference is monotone.
+    under a bridge of slope s, where their difference is least (see
+    _least_slack).  On an arc segment both are logs of linear functions,
+    whose difference is monotone.
     """
     h = maj.step
     hx, hy = maj.hull_x, maj.hull_logq
@@ -531,21 +561,11 @@ def _certify(maj: TailMajorant, lat: np.ndarray, qt: np.ndarray) -> None:
         x0, x1, q0, beta = np.array(
             (lat[:-1], lat[1:], qt[:-1], (qt[1:] - qt[:-1]) / h)).take(cell, axis=1)
         arc = maj.seg_is_arc[seg]
-        lo = np.maximum(x0, hx0)
-        hi = np.minimum(x1, hx1)
-        # the touch point is taken on every overlap: elsewhere than under a
-        # bridge on a decreasing cell it is another point of the overlap,
-        # checked to no harm, or NaN, which the comparison skips; one past
-        # the float range (a slope or a beta near 0) clips to an end
-        touch = x0 + 1.0 / s - q0 / beta
-        x = np.array((lo, hi, np.minimum(np.maximum(touch, lo), hi)))
-        q = q0 + beta * (x - x0)
-        hull = np.where(arc, np.log(sq + sb * (x - sx0)), hy0 + s * (x - hx0))
-        # past the last lattice point both are 0
-        slack = (hull - np.log(q))[(q > 0) & (x < lat[-1])]
-    if not (slack >= -_CERT_TOL).all():
-        raise MajorantError(f"hull fails to majorize the interpolant "
-                            f"(deficit {np.min(slack):g})")
+        least = _least_slack(np.maximum(x0, hx0), np.minimum(x1, hx1), x0, q0, beta, s, lat[-1],
+                             lambda x: np.where(arc, np.log(sq + sb * (x - sx0)),
+                                                hy0 + s * (x - hx0)))
+    if not least >= -_CERT_TOL:
+        raise MajorantError(f"hull fails to majorize the interpolant (deficit {least:g})")
 
 
 def lin_lc_majorant(d: FiniteDist, refine: int = 64) -> TailMajorant:
@@ -611,3 +631,104 @@ def lin_lc_majorant(d: FiniteDist, refine: int = 64) -> TailMajorant:
         step=h, origin=float(d.max_value), refine=refine)
     _certify(maj, lat, qt)
     return maj
+
+
+def _lin_lc_at(d: FiniteDist, x: float) -> float | None:
+    """lin_lc_majorant(d).log_value(x) at one x, bit for bit, from the
+    hull segment at x alone; None where the whole hull has to answer.
+
+    The arcs, the kept arcs and the bridge slopes are lin_lc_majorant's
+    own.  Around the kept arc a whose cell starts last at or below x, the
+    in and out touch points of kept arcs a - 1, a and a + 1 are built with
+    the vertex build's expressions on floats (numpy's exp and log, as
+    log_value takes them), and its rule merges the segments shorter than
+    roundoff.  x lies at or past the out touch point of a - 1 and below
+    the in touch point of a + 1, so the hull vertices around x are those
+    of the window, and the segment at x is picked and evaluated as
+    TailMajorant._log_value_at does.  That value is certified by its
+    supporting line (the bridge's chord, or the arc's tangent at x)
+    against the interpolant on every cell (_line_majorizes): exp of the
+    line is log-concave and majorizes the interpolant, so the least such
+    majorant lies below it at x.  x in the bottom atom's band reads 0 and
+    x past the top lattice point's band -inf, with no arc built.  None
+    where the window has no vertex at or below x or none above it (every
+    segment of a stretch merged), and where the line is not finite or
+    fails.
+    """
+    if not math.isfinite(x):
+        return None
+    lat, qt, h = _lattice_tails(d)
+    if x <= atom_band(float(lat[0])):
+        return 0.0
+    top = float(lat[-1])
+    if x > atom_band(top):
+        return -math.inf
+    arcs = _arcs(qt)
+    k, r = arcs[0], arcs[-1]
+    if len(k) == 0:
+        return None
+    keep, u = _kept_arcs(arcs)
+    if len(keep) < len(k):
+        k, r = k[keep], r[keep]
+    n = len(k)
+    a = int(np.searchsorted(k, np.searchsorted(lat, x, side="right") - 1, side="right")) - 1
+    lo, hi = max(a - 1, 0), min(a + 1, n - 1)
+    # e^-u at the in touch point of each arc lo..hi and after the last:
+    # +inf before the first arc and 0 after the last
+    g = np.exp(-u[max(lo - 1, 0):min(hi + 1, n - 1)]).tolist()
+    if lo == 0:
+        g.insert(0, math.inf)
+    if hi == n - 1:
+        g.append(0.0)
+    tx, tq, fields = [], [], []
+    for b in range(lo, hi + 1):
+        j = int(k[b])
+        x0, x1, q0, q1 = float(lat[j]), float(lat[j + 1]), float(qt[j]), float(qt[j + 1])
+        dx = x1 - x0
+        beta = _div(q1 - q0, dx)
+        fields.append((q0, beta, x0))
+        for gb in g[b - lo:b - lo + 2]:
+            off = _minimum(_maximum(float(r[b]) - gb, 0.0), 1.0)
+            tx.append(x0 + off * dx if off < 1.0 else x1)
+            tq.append(q0 + beta * (tx[-1] - x0))
+    # touch point i + 1 is a hull vertex where segment i (arc i // 2, or
+    # a bridge for odd i) is longer than roundoff; the first touch point
+    # is the hull's first vertex
+    ends = [-1] if lo == 0 else []
+    ends += [i for i, (t0, t1) in enumerate(zip(tx, tx[1:]))
+             if t1 > t0 + 1e-15 * _maximum(1.0, abs(t1))]
+    vert = [tx[i + 1] for i in ends]
+    if len(vert) < 2 or not ((lo == 0 or vert[0] <= x) and (hi == n - 1 or x < vert[-1])):
+        return None
+    # the segment at x, which ends where segment `end` of the window does
+    i = sum(v <= x for v in vert[1:-1])
+    end = ends[i + 1]
+    # x clipped as log_value clips it: tx[0] is the hull's first vertex
+    # where lo is 0, and at or below x otherwise
+    xc = _minimum(top, _maximum(tx[0], x))
+    if end % 2 == 0:
+        q0, beta, x0 = fields[end // 2]
+        val = q0 + beta * (xc - x0)
+        if not val > 1e-320:
+            return None
+        lv = float(np.log(val))
+        s = beta / val
+    else:
+        with np.errstate(divide="ignore"):
+            y0, y1 = np.log((_maximum(tq[ends[i] + 1], 0.0), _maximum(tq[end + 1], 0.0)))
+        v0, v1 = vert[i], vert[i + 1]
+        lv = float(y0 + (xc - v0) / (v1 - v0) * (y1 - y0))
+        s = float((y1 - y0) / (v1 - v0))
+    return lv if _line_majorizes(lat, qt, h, xc, lv, s) else None
+
+
+def _line_majorizes(lat: np.ndarray, qt: np.ndarray, h: float, x: float, y: float,
+                    s: float) -> bool:
+    """Whether the line through (x, y) of slope s < 0, both finite, lies
+    above the log of the linear interpolant of the tail values qt at the
+    lattice points lat on every cell, to within 1e-9 (see _least_slack)."""
+    if not (math.isfinite(y) and s < 0.0):
+        return False
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _least_slack(lat[:-1], lat[1:], lat[:-1], qt[:-1], (qt[1:] - qt[:-1]) / h, s,
+                            float(lat[-1]), lambda t: y + s * (t - x)) >= -_CERT_TOL

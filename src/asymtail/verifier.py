@@ -108,6 +108,13 @@ class VerifyError(ValueError):
 # certificate polynomials
 # ---------------------------------------------------------------------------
 
+def _powers(c, m: float) -> tuple:
+    """The powers of c the certificate polynomials read: c^(2m-1) (C),
+    c^(2m-2), c^(2m-3), c^(2m) and c^(2m+1)."""
+    return (c ** (2.0 * m - 1.0), c ** (2.0 * m - 2.0), c ** (2.0 * m - 3.0),
+            c ** (2.0 * m), c ** (2.0 * m + 1.0))
+
+
 def delta(i: int, u, c, p: float, m: float):
     """Certificate polynomial delta_i(u; c, p, m), numpy-broadcastable.
 
@@ -117,21 +124,24 @@ def delta(i: int, u, c, p: float, m: float):
       delta_3 quadratic with leading -C         (region -1 <= u < -c),
       delta_4 = (1-C) p (1+c+u)^2               (region -1-c <= u < -1).
     """
-    u = np.asarray(u, dtype=float)
+    if i not in (1, 2, 3, 4):
+        raise VerifyError("delta index must be 1..4")
     c = np.asarray(c, dtype=float)
-    C = c ** (2.0 * m - 1.0)
+    return _delta(i, np.asarray(u, dtype=float), c, p, _powers(c, m))
+
+
+def _delta(i: int, u, c, p: float, pw: tuple):
+    """delta_i with the powers of c taken once (_powers)."""
+    C, c2m2, c2m3, c2m, c2m1 = pw
     if i == 1:
-        return (2.0 * c * (1.0 - c ** (2.0 * m - 2.0)) * u
-                + 2.0 * p * c * (1.0 - C) + c * c * (1.0 - c ** (2.0 * m - 3.0)))
+        return 2.0 * c * (1.0 - c2m2) * u + 2.0 * p * c * (1.0 - C) + c * c * (1.0 - c2m3)
     if i == 2:
-        return (1.0 - p) * (1.0 - C) * u * u + delta(1, u, c, p, m)
+        return (1.0 - p) * (1.0 - C) * u * u + _delta(1, u, c, p, pw)
     if i == 3:
         return (-C * u * u
-                - 2.0 * (C - c * p + c ** (2.0 * m) * p) * u
-                + ((2.0 * c + c * c - 2.0 * c ** (2.0 * m) - c ** (2.0 * m + 1.0)) * p - C))
-    if i == 4:
-        return (1.0 - C) * p * (1.0 + c + u) ** 2
-    raise VerifyError("delta index must be 1..4")
+                - 2.0 * (C - c * p + c2m * p) * u
+                + ((2.0 * c + c * c - 2.0 * c2m - c2m1) * p - C))
+    return (1.0 - C) * p * (1.0 + c + u) ** 2
 
 
 def delta_piecewise(u, c, p, m):
@@ -152,14 +162,16 @@ def delta_piecewise(u, c, p, m):
 
 def delta_positive_part_form(u, c, p: float, m: float):
     """The four-term (.)_+^2 expression the certificates tabulate."""
-    u = np.asarray(u, dtype=float)
-    c = np.asarray(c, dtype=float)
-    u, c = np.broadcast_arrays(u, c)
+    u, c = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(c, dtype=float))
+    return _positive_part_form(u, c, p, _powers(c, m)[0])
+
+
+def _positive_part_form(u, c, p: float, C):
+    """delta_positive_part_form with C = c^(2m-1) given."""
     q = 1.0 - p
-    C = c ** (2.0 * m - 1.0)
 
     def pos2(x):
-        return np.clip(x, 0.0, None) ** 2
+        return np.maximum(x, 0.0) ** 2
 
     return (-(1.0 - C) * q * pos2(u)
             - (C * q + p) * pos2(1.0 + u)
@@ -209,11 +221,11 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
     if not resolution >= 1:
         raise VerifyError(f"resolution must be >= 1, got {resolution!r}")
     cs = np.linspace(0.0, 1.0, resolution + 2)[1:-1][:, None]
+    pw = _powers(cs, m)
     # vertex of the region-2 parabola
-    C = cs ** (2.0 * m - 1.0)
-    denom = (1.0 - C) * (1.0 - p)
+    denom = (1.0 - pw[0]) * (1.0 - p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u_star = -cs * (1.0 - cs ** (2.0 * m - 2.0)) / denom
+        u_star = -cs * (1.0 - pw[1]) / denom
     u_star = np.clip(np.where(np.isfinite(u_star), u_star, 0.0), -cs, 0.0)
     zero = np.zeros_like(cs)
     grids = {
@@ -226,7 +238,7 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
     best = (math.inf, 0, math.nan, math.nan)
     region_vals = []
     for region, ug in grids.items():
-        vals = delta(region, ug, cs, p, m)
+        vals = _delta(region, ug, cs, p, pw)
         region_vals.append(vals)
         flat = int(np.argmin(vals))
         ci, ui = divmod(flat, vals.shape[1])
@@ -234,7 +246,7 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
             best = (float(vals[ci, ui]), region, float(cs[ci, 0]), float(ug[ci, ui]))
     # the identity residual over all regions' points in one pass
     ug = np.hstack(list(grids.values()))
-    resid = np.hstack(region_vals) - delta_positive_part_form(ug, cs, p, m)
+    resid = np.hstack(region_vals) - _positive_part_form(ug, cs, p, pw[0])
     ident_err = float(np.max(np.abs(resid)))
     return DeltaGridResult(p=p, m=m, resolution=resolution,
                            min_value=best[0], argmin_region=best[1],

@@ -46,6 +46,8 @@ CALLER_DIRS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 ALLOWED = {
     "delta_piecewise": "ACCEPTANCE 4 checks the region-dispatched table against "
                        "the positive-part form on random points",
+    "delta_positive_part_form": "ACCEPTANCE 4's reference for the region-dispatched table; "
+                                "delta_grid_check takes its powers of c once instead",
     "recombine": "ACCEPTANCE 10 mixes the two-point decomposition back into the law",
     "var_identity_check": "ACCEPTANCE 10 checks the conditioned-law variance identity",
     "p_tilde": "the reference that tests invert k_tilde against",

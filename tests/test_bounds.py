@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
+from asymtail import bounds, majorant
 from asymtail.bounds import (
     BOptResult,
     BoundError,
@@ -28,7 +29,7 @@ from asymtail.bounds import (
     resolve_s_m,
 )
 from asymtail.dist import bs, from_pairs, iid_sum, scale, st, tail, weighted_bs_sum
-from asymtail.majorant import lattice_params, lc_majorant, lin_lc_majorant
+from asymtail.majorant import MajorantError, lattice_params, lc_majorant, lin_lc_majorant
 from asymtail.optimize import golden_section
 from asymtail.thresholds import c_const, m_star
 
@@ -681,17 +682,57 @@ def _bound_point_workload():
     return module.BoundPoint
 
 
-def test_combined_bound_is_the_grid_on_every_bound_point_query():
+def _count_whole_hulls(monkeypatch) -> list:
+    """Record each carrier that `bounds` builds the whole lin_lc hull of."""
+    builds = []
+    whole = bounds.lin_lc_majorant
+    monkeypatch.setattr(bounds, "lin_lc_majorant", lambda d: builds.append(d) or whole(d))
+    return builds
+
+
+def test_combined_bound_is_the_grid_on_every_bound_point_query(monkeypatch):
     """Every bound_point query at seeds 1-10, blocks 0-1: the scalar path
-    gives the grid path's report, or its error, bit for bit."""
+    gives the grid path's report, or its error, bit for bit; and at most
+    5% of the answered queries build the whole lin_lc hull on the scalar
+    path, the rest reading their one certified segment."""
     workload = _bound_point_workload()
-    answered = 0
+    builds = _count_whole_hulls(monkeypatch)
+    answered = whole = 0
     for seed in range(1, 11):
         for block in (0, 1):
             for q in workload(seed).block(block):
                 kw = {"coeffs": q.coeffs} if q.coeffs is not None else {"n": q.n, "s_m": q.s_m}
-                answered += _paths_agree(q.p, q.m, float(q.xs[0]), **kw).startswith("BoundReport(")
+                before = len(builds)
+                if _paths_agree(q.p, q.m, float(q.xs[0]), **kw).startswith("BoundReport("):
+                    answered += 1
+                    whole += len(builds) - before - 1  # the grid path builds one
     assert answered > 2000
+    assert whole <= 0.05 * answered
+
+
+def test_a_failed_line_takes_the_whole_hull(monkeypatch):
+    """With every certified line lowered by 2e-9 in log, the line check
+    fails on every bound_point query of seed 1, block 0, and each answer
+    comes from the whole hull: one build per query, with the grid's
+    report bit for bit."""
+    verdicts = []
+    check = majorant._line_majorizes
+
+    def lowered(lat, qt, h, x, y, s):
+        verdicts.append(check(lat, qt, h, x, y - 2e-9, s))
+        return verdicts[-1]
+    monkeypatch.setattr(majorant, "_line_majorizes", lowered)
+    builds = _count_whole_hulls(monkeypatch)
+    answered = 0
+    for q in _bound_point_workload()(1).block(0):
+        kw = {"coeffs": q.coeffs} if q.coeffs is not None else {"n": q.n, "s_m": q.s_m}
+        before, checks = len(builds), len(verdicts)
+        one = _paths_agree(q.p, q.m, float(q.xs[0]), **kw)
+        if one.startswith("BoundReport(") and len(verdicts) > checks:
+            answered += 1
+            assert len(builds) - before == 2, (q, one)  # the scalar path's, and the grid's
+    assert answered > 50
+    assert not any(verdicts)
 
 
 class TestLargeCarriers:
@@ -731,6 +772,27 @@ class TestLargeCarriers:
             for v in (r.b_opt, r.lc, r.lin_lc, r.hoeffding):
                 assert math.isfinite(v) and 0.0 <= v <= 1.0
         assert_valid_reports(reports[:-1], p, n, 1.0)
+
+    @pytest.mark.parametrize("s_m", [1e254, 1e256, 1e260])
+    def test_point_path_past_the_whole_hulls_scale(self, s_m):
+        # from s_m = 1e254 the whole hull fails its certificate (see
+        # test_majorant's test_touch_points_past_the_float_range); the
+        # point path at one x either raises or gives a certified lin_lc
+        # value at or above the exact tail
+        p, n = 0.6, 300
+        d = carrier_sum(p, n, s_m)
+        top = d.max_value
+        for x in (0.5 * top, top * (1.0 + 1e-9), top * 1.5):
+            try:
+                value = bounds._lin_lc_value(d, x)
+            except MajorantError:
+                continue
+            exact = log_binomial_tail(p, n, s_m, x)
+            assert 0.0 <= value <= 1.0
+            assert exact == -math.inf or math.log(value) >= exact - 1e-12 * abs(exact)
+        # the scalar query raises b_opt's overflow first
+        with pytest.raises(BoundError, match="b_opt overflows"):
+            combined_bound(p, 1.0, 0.5 * top, n=n, s_m=s_m)
 
     def test_argmin_takes_first_of_equal_members(self):
         # past the top atom every member but normal_dom is 0

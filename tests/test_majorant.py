@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from asymtail import majorant
-from asymtail.bounds import carrier_sum, resolve_s_m
+from asymtail.bounds import carrier_sum, combined_bound_grid, resolve_s_m
 from asymtail.dist import bs, from_pairs, iid_sum, scale, tail, weighted_bs_sum
 from asymtail.majorant import (
     LatticeError,
@@ -453,9 +453,14 @@ class TestCertificate:
 
     def test_touch_points_past_the_float_range(self):
         # on atoms near 1e302 some bridge slopes are sub-normal and 1 / slope
-        # overflows, quietly: the certificate's verdict is the only report
-        with pytest.raises(MajorantError, match="fails to majorize"):
-            lin_lc_majorant(carrier_sum(0.6, 300, 1e300))
+        # overflows, quietly: the certificate's verdict is the only report.
+        # It fails from s_m = 1e254 on (atoms near 1e256), and the bound
+        # grid raises it, since it builds the whole hull before b_opt
+        for s_m in (1e254, 1e256, 1e260, 1e300):
+            with pytest.raises(MajorantError, match="fails to majorize"):
+                lin_lc_majorant(carrier_sum(0.6, 300, s_m))
+            with pytest.raises(MajorantError, match="fails to majorize"):
+                combined_bound_grid(0.6, 1.0, [0.0], n=300, s_m=s_m)
 
     @pytest.mark.parametrize("law", LAWS)
     def test_rejects_any_lowered_bridge_vertex(self, law):
@@ -503,6 +508,81 @@ class TestCertificate:
         assert chord.log_value(mid) < maj.log_value(mid) - 1e-8
         with pytest.raises(MajorantError, match="fails to majorize"):
             _certify(chord, lat, qt)
+
+
+class TestPointPath:
+    """majorant._lin_lc_at: the whole hull's log-value at one x, bit for
+    bit, from the hull segment at x and its supporting line, or None."""
+    LAWS = {
+        "carrier": lambda: carrier_sum(0.3, 6, 1.0),
+        "bulk": lambda: carrier_sum(0.3, 200, 1.0),
+        "symmetric": lambda: carrier_sum(0.5, 57, 0.5),
+        "skewed": lambda: carrier_sum(0.95, 80, 0.7),
+        "weighted": lambda: weighted_bs_sum(0.3, [1.0, 1.3]),
+        "hole": lambda: from_pairs(TestInterpolatedHull.HOLE_LAW),
+    }
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_is_the_whole_hull_bit_for_bit(self, law):
+        # every lattice point, cell midpoint and hull vertex, 1 ulp either
+        # side of each vertex, and the band edges of both ends; the weighted
+        # and hole laws have arcs off the hull
+        d = self.LAWS[law]()
+        maj = lin_lc_majorant(d)
+        lat = maj.node_x
+        vertices = maj.hull_x.tolist()
+        edges = [v + 1e-12 * max(1.0, abs(v)) for v in (lat[0], lat[-1])]
+        xs = (lat.tolist() + (0.5 * (lat[1:] + lat[:-1])).tolist() + vertices
+              + [math.nextafter(v, -math.inf) for v in vertices]
+              + [math.nextafter(v, math.inf) for v in vertices]
+              + [math.nextafter(e, k) for e in edges for k in (-math.inf, math.inf)]
+              + [lat[0] - 1.0, lat[-1] + 1.0])
+        answered = 0
+        for x in xs:
+            lv = majorant._lin_lc_at(d, x)
+            if lv is not None:
+                answered += 1
+                assert repr(lv) == repr(maj.log_value(x)), x
+        assert answered >= 0.9 * len(xs)
+
+    def test_bands_read_without_a_hull(self, monkeypatch):
+        # the bottom atom's band reads 0 and past the top lattice point's
+        # band -inf, before any arc is built
+        d = carrier_sum(0.3, 20, 1.0)
+        lat, _, _ = _lattice_tails(d)
+        bottom, top = (v + 1e-12 * max(1.0, abs(v)) for v in (float(lat[0]), float(lat[-1])))
+        monkeypatch.setattr(majorant, "_arcs", None)
+        assert majorant._lin_lc_at(d, bottom) == 0.0
+        assert majorant._lin_lc_at(d, math.nextafter(top, math.inf)) == -math.inf
+
+    @pytest.mark.parametrize("law", ["carrier", "bulk", "weighted", "hole"])
+    def test_lines_of_the_hull_majorize_and_lowered_ones_fail(self, law):
+        # each bridge's chord and each arc's tangent at its midpoint passes
+        # the line check; lowered by 2e-9 in log, each fails it
+        d = self.LAWS[law]()
+        lat, qt, h = _lattice_tails(d)
+        maj = lin_lc_majorant(d)
+        hx, hy = maj.hull_x, maj.hull_logq
+        checked = 0
+        for i in range(len(hx) - 1):
+            if maj.seg_is_arc[i]:
+                x = 0.5 * (hx[i] + hx[i + 1])
+                val = maj.seg_q[i] + maj.seg_beta[i] * (x - maj.seg_x0[i])
+                y, s = math.log(val), maj.seg_beta[i] / val
+            elif np.isfinite(hy[i + 1]):
+                x, y, s = hx[i], hy[i], (hy[i + 1] - hy[i]) / (hx[i + 1] - hx[i])
+            else:
+                continue
+            assert majorant._line_majorizes(lat, qt, h, x, y, s), (i, x)
+            assert not majorant._line_majorizes(lat, qt, h, x, y - 2e-9, s), (i, x)
+            checked += 1
+        assert checked >= 2
+
+    def test_no_line_for_a_flat_or_rising_slope(self):
+        d = carrier_sum(0.3, 6, 1.0)
+        lat, qt, h = _lattice_tails(d)
+        for s in (0.0, 1.0, math.nan, -math.inf):
+            assert not majorant._line_majorizes(lat, qt, h, float(lat[0]), 10.0, s)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,31 @@ def test_ranges_apart(bench_record, a, b, apart):
     assert bench_record["ranges_apart"](spread(list(a)), None) is False
 
 
+@pytest.mark.parametrize("pair,control,changed", [
+    # three-point ranges apart by drift: the control's ranges overlap, but
+    # its medians moved 0.04 and the pair's only 0.03, so no change
+    (((1.00, 1.01, 1.02), (1.03, 1.04, 1.05)), ((1.00, 1.02, 1.05), (1.04, 1.06, 1.06)),
+     False),
+    # the same pair against a control whose medians moved 0.01: a change
+    (((1.00, 1.01, 1.02), (1.03, 1.04, 1.05)), ((1.00, 1.02, 1.05), (1.01, 1.03, 1.04)),
+     True),
+    # medians far apart, but the ranges overlap: no change
+    (((1.0, 1.1, 2.0), (1.5, 2.1, 2.2)), ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)), False),
+    # the control's ranges apart: drift, whatever the medians
+    (((1.0, 1.0, 1.0), (2.0, 2.0, 2.0)), ((1.0, 1.0, 1.0), (1.1, 1.1, 1.1)), False),
+])
+def test_traced_change_reads_medians_against_the_control(bench_record, pair, control,
+                                                          changed):
+    spread = bench_record["spread"]
+    sp = {label: spread(list(v)) for label, v in zip(
+        ("base", "head", "control_base", "control_head"), pair + control)}
+    out = bench_record["traced_change"](sp)
+    assert out["changed"] is changed
+    assert out["gap"] == pytest.approx(abs(sp["head"]["median"] - sp["base"]["median"]))
+    assert out["control"]["gap"] == pytest.approx(
+        abs(sp["control_head"]["median"] - sp["control_base"]["median"]))
+
+
 def test_export_compiles_the_checkout_once(bench_record, tmp_path, monkeypatch):
     # a fake commit of one module, archived as `git archive` would: the
     # checkout holds its compiled file before any child runs
