@@ -13,12 +13,13 @@ closed forms), plus, for p >= 1/2, straight normal domination
 c_{3,0} Q(x / (s sqrt n)).  Two entry points evaluate every member, from
 one table (_members), and report which one wins: combined_bound_grid at
 each x of an array, with one carrier and one pair of hulls for all of
-them, and combined_bound at one x, where each member takes its float
-path, bit for bit with the grid at [x] and free of numpy's per-call cost.
-At one x the lin_lc member builds no whole hull: it reads the hull
-segment at x and certifies that value by its supporting line
-(majorant._lin_lc_at), and builds the whole hull only where that
-declines.
+them, and combined_bound at one x.  Each member has one body, which
+takes one x as a Python float and an x grid as an array (optimize's
+primitives), so one x agrees with the grid at [x] bit for bit and pays
+no numpy per-call cost.  At one x the lin_lc member builds no whole
+hull: it reads the hull segment at x and certifies that value by its
+supporting line (majorant._lin_lc_at), and builds the whole hull only
+where that declines.
 The carrier s_m (BS_1 + ... + BS_n) is one validated law, built from its
 binomial window with no law for bs(p) or the unscaled sum (carrier_sum),
 and each report is stored as one instance dict (_report).
@@ -39,8 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import (MERGE_RTOL, FiniteDist, _bs_atoms, _bs_sum, _shifted_suffix_moments, _sum_atom,
-                   atom_band)
+from .dist import MERGE_RTOL, FiniteDist, _bs_sum, _carrier_top, _shifted_suffix_moments, atom_band
 # iid_sum is not called here; perfbench/tracer.py wraps it under this name
 from .dist import iid_sum  # noqa: F401
 # lattice_params is not called here; perfbench/tracer.py wraps it under this name
@@ -48,7 +48,8 @@ from .majorant import lattice_params  # noqa: F401
 from .majorant import _lin_lc_at, _step, lc_majorant, lin_lc_majorant
 # golden_section is not called here; perfbench/tracer.py wraps it under this name
 from .optimize import golden_section  # noqa: F401
-from .optimize import _div, _falling_root, _maximum, _minimum
+from .optimize import (_all, _div, _exp, _falling_root, _float_or_array, _isfinite, _log, _maximum,
+                       _minimum, _search, _take, _where)
 from .thresholds import below_m_star, c_const, m_star
 
 _C30 = c_const(3.0)
@@ -97,9 +98,9 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
     in the shifted suffix moments P_j of the atoms >= v_k, whose root
     where it falls through zero is taken by optimize._falling_root, in
     the form that does not cancel, and the ratio is
-    (P3 + 3u P2 + 3u^2 P1 + u^3 P0) / (dx + u)^3.  x may be a scalar
-    or a 1-d array.  An array is evaluated at once; a scalar in float
-    arithmetic (see _b_opt_at), bit for bit as the same x in an array.
+    (P3 + 3u P2 + 3u^2 P1 + u^3 P0) / (dx + u)^3.  x may be a scalar or
+    a 1-d array, with one body for both (optimize's primitives): a scalar
+    is taken in float arithmetic, bit for bit as the same x in an array.
 
     x in the top atom's band (dist.atom_band) is evaluated at the top
     atom, and past that band the value is 0.  For x <= E D the ratio is
@@ -110,97 +111,53 @@ def b_opt(d: FiniteDist, x) -> BOptResult:
     discriminant is not finite: the moments overflow once the atoms pass
     about 1e77, and no bound is returned from them.
     """
-    if np.ndim(x) == 0:
-        return _b_opt_at(d, float(x))
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1:
+    x = _float_or_array(x)
+    if getattr(x, "ndim", 1) != 1:
         raise BoundError("x must be a scalar or a 1-d array")
-    if not np.isfinite(xs).all():
+    if not _all(_isfinite(x)):
         raise BoundError("x must be finite")
-    v = d.values
     vmax = d.max_value
-    past = xs > atom_band(vmax)
-    xs_in = np.minimum(xs, vmax)
+    past = x > atom_band(vmax)
+    if past is True:  # one x past the band needs no moments
+        return BOptResult(0.0, 0.5 * (vmax + x), 0.0)
+    v = d.values
+    x_in = _minimum(x, vmax)
     # non-finite intermediates are all resolved below: by fmax, by the
     # NaN-to-0 and clip of u, where the two overrides replace the ratio, or
     # by the error on a discriminant that is not finite
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        P, k = _ratio_segment(d, xs_in)
+        P = _shifted_suffix_moments(d)
+        # the k of the atom interval [v_{k-1}, v_k] that holds t*, from the
+        # r_k: r_k >= v_{k+1} holds exactly; fmax and the running max
+        # restore it, and the order, where roundoff or underflow broke them
+        k = _search(np.maximum.accumulate(np.fmax(v[:-1] + P[3, :-1] / P[2, :-1], v[1:])), x_in)
         # conditional moments given D >= v_k: the squares below stay normal
-        pk = P[:, k]
-        mass = pk[0]
-        q1, q2, q3 = pk[1:] / mass
-        vk = v[k]
-        dx = xs_in - vk
+        mass, p1, p2, p3 = _take(P, k)
+        # mass is a tail sum of masses >= MIN_MASS, so never 0
+        q1, q2, q3 = p1 / mass, p2 / mass, p3 / mass
+        vk = _take(v, k)
+        dx = x_in - vk
         a = q1 - dx
         u, disc = _falling_root(a, q2 - dx * q1, q3 - dx * q2)
         # the gap below v_k, infinite below the bottom atom
-        width = np.concatenate(([np.inf], v[1:] - v[:-1]))[k]
-        u = np.minimum(np.maximum(np.where(np.isnan(u), 0.0, u), 0.0), width)
+        width = _where(k > 0, vk - _take(v, k - 1), math.inf)
+        u = _minimum(_maximum(_where(u != u, 0.0, u), 0.0), width)
         w = dx + u
         # one division per power: w^3 can underflow where the ratio does not
-        raw = mass * (q3 + u * (3.0 * q2 + u * (3.0 * q1 + u))) / w / w / w
-    t_opt = vk - u
+        raw = _div(_div(_div(mass * (q3 + u * (3.0 * q2 + u * (3.0 * q1 + u))), w), w), w)
     no_root = (k == 0) & (a >= 0.0)
-    overflow = ~(np.isfinite(disc) | past | no_root)
-    if overflow.any():
-        raise _overflow(d, float(xs[overflow.argmax()]))
-    raw = np.where(past, 0.0, np.where(no_root, 1.0, raw))
-    t_opt = np.where(past, 0.5 * (vmax + xs), np.where(no_root, _t_low(d), t_opt))
-    return BOptResult(np.minimum(raw, 1.0), t_opt, raw)
-
-
-def _ratio_segment(d: FiniteDist, x):
-    """The shifted suffix moments P of d and, for each x <= max D, the k
-    of the atom interval [v_{k-1}, v_k] that holds t* (see b_opt).  Its
-    callers ignore numpy's divide, invalid and overflow warnings."""
-    v = d.values
-    P = _shifted_suffix_moments(d)
-    # r_k >= v_{k+1} holds exactly; fmax and the running max restore it,
-    # and the order, where roundoff or underflow broke them
-    r = np.maximum.accumulate(np.fmax(v[:-1] + P[3, :-1] / P[2, :-1], v[1:]))
-    return P, np.searchsorted(r, x)
-
-
-def _t_low(d: FiniteDist) -> float:
-    """t_opt where the value is 1: ten ranges below the bottom atom."""
-    rng = d.max_value - d.min_value
-    return d.min_value - 10.0 * (rng if rng > 0 else max(1.0, abs(d.max_value)))
-
-
-def _overflow(d: FiniteDist, x: float) -> BoundError:
-    return BoundError(
-        f"b_opt overflows at x = {x!r}: the carrier's atoms, up to "
-        f"{max(-d.min_value, d.max_value):g} in size, are too large for its moments")
-
-
-def _b_opt_at(d: FiniteDist, x: float) -> BOptResult:
-    """b_opt at one x: the array path's operations in its order, on
-    floats, with numpy's results where Python would raise, and each
-    override taken where the array path takes it."""
-    if not math.isfinite(x):
-        raise BoundError("x must be finite")
-    vmax = d.max_value
-    if x > atom_band(vmax):
-        return BOptResult(0.0, 0.5 * (vmax + x), 0.0)
-    x_in = x if x < vmax else vmax
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        P, k = _ratio_segment(d, x_in)
-    mass, p1, p2, p3 = P[:, k].tolist()
-    q1, q2, q3 = _div(p1, mass), _div(p2, mass), _div(p3, mass)
-    vk = float(d.values[k])
-    dx = x_in - vk
-    a = q1 - dx
-    if k == 0 and a >= 0.0:
-        return BOptResult(1.0, _t_low(d), 1.0)
-    u, disc = _falling_root(a, q2 - dx * q1, q3 - dx * q2)
-    if not math.isfinite(disc):
-        raise _overflow(d, x)
-    width = vk - float(d.values[k - 1]) if k else math.inf
-    u = _minimum(_maximum(0.0 if u != u else u, 0.0), width)
-    w = dx + u
-    raw = _div(_div(_div(mass * (q3 + u * (3.0 * q2 + u * (3.0 * q1 + u))), w), w), w)
-    return BOptResult(_minimum(raw, 1.0), vk - u, raw)
+    answered = _isfinite(disc) | past | no_root
+    if not _all(answered):
+        raise BoundError(
+            f"b_opt overflows at x = {float(np.atleast_1d(x)[np.argmin(answered)])!r}: the "
+            f"carrier's atoms, up to {max(-d.min_value, vmax):g} in size, are too large for "
+            "its moments")
+    # where the value is 1, t_opt is ten ranges below the bottom atom
+    rng = vmax - d.min_value
+    t_low = d.min_value - 10.0 * (rng if rng > 0 else max(1.0, abs(vmax)))
+    raw = _where(past, 0.0, _where(no_root, 1.0, raw))
+    t_opt = _where(past, 0.5 * (vmax + x), _where(no_root, t_low, vk - u))
+    return BOptResult(_minimum(raw, 1.0), t_opt, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +166,7 @@ def _b_opt_at(d: FiniteDist, x: float) -> BOptResult:
 
 def _kl(p: float, q: float, y):
     py, qy = p + y, q - y
-    return py * np.log(py / p) + qy * np.log(qy / q)
+    return py * _log(py / p) + qy * _log(qy / q)
 
 
 def hoeffding_H(p: float, y) -> float | np.ndarray:
@@ -217,24 +174,16 @@ def hoeffding_H(p: float, y) -> float | np.ndarray:
 
     0 for y <= 0, exactly -log p at y = q (which hoeffding_bound gives an
     x in the top atom's band, dist.atom_band), infinite above q (empty
-    event).  y may be a scalar, taken in float arithmetic, or an array;
-    a scalar's rate is the array's bit for bit.
+    event).  y may be a scalar, taken in float arithmetic, or an array,
+    with one body for both; a scalar's rate is the array's bit for bit.
     """
     if not 0.0 < p < 1.0:
         raise BoundError("hoeffding_H requires p in (0, 1)")
     q = 1.0 - p
-    if np.ndim(y) == 0:
-        y = float(y)
-        if y <= 0.0:
-            return 0.0
-        if y >= q:
-            return -math.log(p) if y == q else math.inf
-        # y < q, or NaN, whose rate is the one at 0
-        return float(_kl(p, q, y if y < q else 0.0))
-    y = np.asarray(y, dtype=float)
+    y = _float_or_array(y)
     # 0 exactly where y <= 0 or NaN: the rate at 0
-    rate = _kl(p, q, np.where((y > 0.0) & (y < q), y, 0.0))
-    return np.where(y >= q, np.where(y == q, -math.log(p), math.inf), rate)
+    rate = _kl(p, q, _where((y > 0.0) & (y < q), y, 0.0))
+    return _where(y >= q, _where(y == q, -math.log(p), math.inf), rate)
 
 
 def hoeffding_bound(p: float, n: int, s_m: float, x) -> float | np.ndarray:
@@ -243,26 +192,18 @@ def hoeffding_bound(p: float, n: int, s_m: float, x) -> float | np.ndarray:
     y = q, and the bound p^n, at the top atom n s_m sqrt(q/p) as dist
     builds it and at any x in its band (dist.atom_band); below the atom
     y is capped at q, which only rounding can pass, and past the band
-    the bound is 0.  A scalar x is taken in float arithmetic, bit for bit
-    as the same x in an array."""
+    the bound is 0.  A scalar x is taken in float arithmetic, with the
+    array's body, bit for bit as the same x in an array."""
     if n < 1 or s_m <= 0:
         raise BoundError("hoeffding_bound needs n >= 1 and s_m > 0")
     if not 0.0 < p < 1.0:
         raise BoundError("hoeffding_bound requires p in (0, 1)")
     q = 1.0 - p
-    top = _sum_atom(*_bs_atoms(p), n, n) * s_m
-    band = atom_band(top)
-    root = math.sqrt(p * q)
-    if np.ndim(x) == 0:
-        x = float(x)
-        y = (x / n) * root / s_m
-        if x <= band:
-            y = q if x >= top else min(y, q)
-        return min(float(np.exp(-n * hoeffding_H(p, y))), 1.0)
-    x = np.asarray(x, dtype=float)
-    y = (x / n) * root / s_m
-    y = np.where(x > band, y, np.where(x >= top, q, np.minimum(y, q)))
-    return np.minimum(np.exp(-n * hoeffding_H(p, y)), 1.0)
+    top = _carrier_top(p, n, s_m)
+    x = _float_or_array(x)
+    y = (x / n) * math.sqrt(p * q) / s_m
+    y = _where(x > atom_band(top), y, _where(x >= top, q, _minimum(y, q)))
+    return _minimum(_exp(-n * hoeffding_H(p, y)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +348,7 @@ def _lin_lc_value(carrier: FiniteDist, x: float) -> float:
     lv = _lin_lc_at(carrier, x)
     if lv is None:
         lv = lin_lc_majorant(carrier).log_value(x)
-    return float(np.exp(lv))
+    return _exp(lv)
 
 
 def _members(query: tuple, x) -> tuple[BOptResult, dict]:
@@ -482,13 +423,13 @@ def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
     error where that raises.
 
     The carrier and the lc hull are built as for a grid, and each member
-    takes its float path at the one x.  lin_lc reads only the hull segment
-    at x, certified by its supporting line against the interpolant on
-    every cell, and falls back to the whole hull where that declines
-    (_lin_lc_value).  So where the whole hull fails its own certificate
-    (atoms from about 1e256 on, past b_opt's overflow near 1e77), the
-    grid raises that MajorantError, while this can answer from a
-    certified segment, or raise b_opt's overflow first."""
+    runs its one body on x as a Python float.  lin_lc reads only the hull
+    segment at x, certified by its supporting line against the
+    interpolant on every cell, and falls back to the whole hull where
+    that declines (_lin_lc_value).  So where the whole hull fails its own
+    certificate (atoms from about 1e256 on, past b_opt's overflow near
+    1e77), the grid raises that MajorantError, while this can answer from
+    a certified segment, or raise b_opt's overflow first."""
     x = float(x)
     query = _query(p, m, n, coeffs, s_m, x)
     bo, raw = _members(query, x)

@@ -70,6 +70,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .optimize import _maximum
+
 MERGE_RTOL = 1e-12
 MASS_ATOL = 1e-12
 # smallest normal float: a mass below it has too few bits for hull arithmetic
@@ -292,9 +294,7 @@ def atom_band(v):
     atom_band(v), and is then evaluated at v.  `tail` counts atoms by it;
     b_opt, hoeffding_bound and TailMajorant evaluate x in the top atom's
     band at the atom and read 0 past it."""
-    if isinstance(v, np.ndarray):
-        return v + MERGE_RTOL * np.maximum(1.0, np.abs(v))
-    return v + MERGE_RTOL * max(1.0, abs(v))
+    return v + MERGE_RTOL * _maximum(1.0, abs(v))
 
 
 def _bs_atoms(p: float) -> tuple[float, float]:
@@ -305,6 +305,11 @@ def _bs_atoms(p: float) -> tuple[float, float]:
 def _sum_atom(a: float, b: float, n: int, k):
     """Atom k (an int or an int array) of the n-fold sum of {a, b}."""
     return n * a + k * (b - a)
+
+
+def _carrier_top(p: float, n: int, s_m: float) -> float:
+    """The top atom of s_m (BS_1 + ... + BS_n) in _bs_sum's arithmetic."""
+    return _sum_atom(*_bs_atoms(p), n, n) * s_m
 
 
 def bs(p: float) -> FiniteDist:

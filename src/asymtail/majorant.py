@@ -50,9 +50,10 @@ every pair has converged.
 
 A point query needs one segment of the hull: _lin_lc_at runs the same
 construction up to the bridge slopes, builds only the touch points of
-the kept arcs around x, and certifies the value there by its supporting
-line against every cell, as _certify checks a hull segment (see
-_least_slack), falling back to the whole hull where it cannot.
+the kept arcs around x, evaluates it by log_value's formulas (_arc_log,
+_bridge_log), and certifies the value by its supporting line against
+every cell, as _certify checks a hull segment (see _least_slack),
+falling back to the whole hull where it cannot.
 
 Evaluation is exact on arc segments (linear in probability space),
 log-linear on bridges.  The ends follow dist.atom_band: x up to
@@ -68,7 +69,8 @@ from functools import cached_property
 import numpy as np
 
 from .dist import FiniteDist, atom_band
-from .optimize import _div, _maximum, _minimum
+from .optimize import (_all, _div, _exp, _float_or_array, _isfinite, _log, _maximum, _minimum,
+                       _quiet, _search, _take, _where)
 
 _LATTICE_RTOL = 1e-9
 _CERT_TOL = 1e-9
@@ -101,6 +103,18 @@ def lattice_params(d: FiniteDist) -> tuple[float, float]:
         if np.all(np.abs(ratios - np.round(ratios)) * h <= _LATTICE_RTOL * scale):
             return float(v[-1]), h
     raise LatticeError("support is not an affine lattice (within 1e-9)")
+
+
+def _bridge_log(x, x0, x1, y0, y1):
+    """log of a bridge, log-linear from (x0, y0) to (x1, y1), at x."""
+    return y0 + _div(x - x0, x1 - x0) * (y1 - y0)
+
+
+def _arc_log(x, q0, beta, x0):
+    """log of an arc, the interpolant q0 + beta (x - x0), at x: -inf where
+    that is not > 0, and floored at 1e-320 above 0."""
+    val = q0 + beta * (x - x0)
+    return _where(val > 0, _log(_maximum(val, 1e-320)), -math.inf)
 
 
 @dataclass(frozen=True)
@@ -146,13 +160,6 @@ class TailMajorant:
         """The top of each step corner's band (dist.atom_band)."""
         return atom_band(self.node_x)
 
-    @cached_property
-    def _segments(self) -> np.ndarray:
-        """The per-segment fields that log_value reads, one row each, so
-        that one gather serves them all."""
-        hx, hy = self.hull_x, self.hull_logq
-        return np.array((hx[:-1], hx[1:], hy[:-1], hy[1:], self.seg_q, self.seg_beta, self.seg_x0))
-
     @property
     def knot_x(self) -> np.ndarray:
         return self._knots[0]
@@ -164,76 +171,47 @@ class TailMajorant:
     def log_value(self, x) -> float | np.ndarray:
         """log of the majorant at x: a float for a scalar x, else an array.
 
-        A scalar x is evaluated in float arithmetic, with the array
-        path's operations in its order, so log_value(x) is
-        log_value([x])[0] bit for bit."""
-        if np.ndim(x) == 0:
-            return self._log_value_at(float(x))
-        xa = np.asarray(x, dtype=float)
-        if not np.isfinite(xa).all():
+        One body for both (optimize's primitives): a scalar x is taken in
+        float arithmetic, so log_value(x) is log_value([x])[0] bit for
+        bit."""
+        x = _float_or_array(x)
+        if not _all(_isfinite(x)):
             raise MajorantError("x must be finite")
-        below = xa <= atom_band(self.support_min)
-        above = xa > atom_band(self.zero_from)
-        if len(self.hull_x) < 2:
-            # a one-atom law: every x is below or above
-            return np.where(below, 0.0, -np.inf)
+        below = x <= atom_band(self.support_min)
+        above = x > atom_band(self.zero_from)
+        # one x outside the support needs no segment; a one-atom law has
+        # every x below or above
+        if (below | above) is True or len(self.hull_x) < 2:
+            return _where(below, 0.0, -math.inf)
         if self.refine is None:
             # x in a step corner's band is read at the corner: the first
             # corner whose band reaches x, where x passed it
-            xa = np.minimum(xa, self.node_x[np.minimum(
-                np.searchsorted(self._bands, xa), len(self.node_x) - 1)])
+            x = _minimum(x, _take(self.node_x, _minimum(_search(self._bands, x),
+                                                        len(self.node_x) - 1)))
         # the segment of each x: the last vertex at or below it, but at
         # least the first and at most the last segment
-        idx = np.searchsorted(self.hull_x[1:-1], xa, side="right")
-        x0, x1, y0, y1, q, beta, a0 = self._segments.take(idx, axis=1)
+        i = _search(self.hull_x[1:-1], x, "right")
+        x0, x1 = _take(self.hull_x, i), _take(self.hull_x, i + 1)
+        y0, y1 = _take(self.hull_logq, i), _take(self.hull_logq, i + 1)
         # before the first vertex (the flat cells ahead of the first
         # arc of linlc) the tail is that vertex's: the first segment,
         # extended there, would rise past 1; x in zero_from's band is
         # evaluated at zero_from, the last vertex
-        xa = np.minimum(np.maximum(xa, self.hull_x[0]), self.zero_from)
-        # both segment forms at every x, then the one of its segment:
-        # an arc of the interpolant (log of a linear tail) or a bridge;
-        # outside the support, where either form may overflow, x takes 0 or -inf
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            seg = y0 + (xa - x0) / (x1 - x0) * (y1 - y0)
-            arc = self.seg_is_arc[idx]
-            if arc.any():
-                val = q + beta * (xa - a0)
-                seg = np.where(arc, np.where(val > 0, np.log(np.maximum(val, 1e-320)),
-                                             -np.inf), seg)
-        return np.where(below, 0.0, np.where(above, -np.inf, seg))
-
-    def _log_value_at(self, x: float) -> float:
-        """log_value at one x: one search for the segment, whose fields
-        are read directly.  x is clipped as np.minimum(np.maximum(x, a), b)
-        clips it, keeping a and b on ties, as max(a, x) and min(b, x) do."""
-        if not math.isfinite(x):
-            raise MajorantError("x must be finite")
-        if x <= atom_band(self.support_min):
-            return 0.0
-        hx = self.hull_x
-        if x > atom_band(self.zero_from) or len(hx) < 2:
-            return -math.inf
-        if self.refine is None:
-            # x is within zero_from's band, so some corner's band reaches it
-            x = min(x, float(self.node_x[np.searchsorted(self._bands, x)]))
-        i = int(np.searchsorted(hx[1:-1], x, side="right"))
-        x = min(self.zero_from, max(float(hx[0]), x))
-        if self.seg_is_arc[i]:
-            val = float(self.seg_q[i]) + float(self.seg_beta[i]) * (x - float(self.seg_x0[i]))
-            if not val > 0:
-                return -math.inf
-            return float(np.log(val if val > 1e-320 else 1e-320))
-        x0, x1 = float(hx[i]), float(hx[i + 1])
-        y0, y1 = float(self.hull_logq[i]), float(self.hull_logq[i + 1])
-        return y0 + (x - x0) / (x1 - x0) * (y1 - y0)
+        x = _minimum(_maximum(x, float(self.hull_x[0])), self.zero_from)
+        # the segment's form at each x: a bridge, or an arc of the
+        # interpolant (log of a linear tail); outside the support, where
+        # either form may overflow, x takes 0 or -inf
+        with _quiet(x):
+            seg = _bridge_log(x, x0, x1, y0, y1)
+            if self.kind == "linlc":  # lc has no arcs
+                q, beta, a0 = (_take(f, i) for f in (self.seg_q, self.seg_beta, self.seg_x0))
+                seg = _where(_take(self.seg_is_arc, i), _arc_log(x, q, beta, a0), seg)
+        return _where(below, 0.0, _where(above, -math.inf, seg))
 
     def value(self, x) -> float | np.ndarray:
-        """The majorant at x.  Both paths take numpy's exp, so value(x) is
-        value([x])[0] bit for bit."""
-        lv = self.log_value(x)
-        out = np.exp(lv)  # exp(-inf) is 0
-        return float(out) if isinstance(lv, float) else out
+        """The majorant at x, exp of log_value by numpy's exp for a scalar
+        x too, so value(x) is value([x])[0] bit for bit."""
+        return _exp(self.log_value(x))
 
     def to_obj(self) -> dict:
         return {
@@ -644,11 +622,12 @@ def _lin_lc_at(d: FiniteDist, x: float) -> float | None:
     log_value takes them), and its rule merges the segments shorter than
     roundoff.  x lies at or past the out touch point of a - 1 and below
     the in touch point of a + 1, so the hull vertices around x are those
-    of the window, and the segment at x is picked and evaluated as
-    TailMajorant._log_value_at does.  That value is certified by its
-    supporting line (the bridge's chord, or the arc's tangent at x)
-    against the interpolant on every cell (_line_majorizes): exp of the
-    line is log-concave and majorizes the interpolant, so the least such
+    of the window; the segment at x is picked as TailMajorant.log_value
+    picks it and evaluated by its formulas (_arc_log, _bridge_log), with
+    x clipped the same way.  That value is certified by its supporting
+    line (the bridge's chord, or the arc's tangent at x) against the
+    interpolant on every cell (_line_majorizes): exp of the line is
+    log-concave and majorizes the interpolant, so the least such
     majorant lies below it at x.  x in the bottom atom's band reads 0 and
     x past the top lattice point's band -inf, with no arc built.  None
     where the window has no vertex at or below x or none above it (every
@@ -671,7 +650,7 @@ def _lin_lc_at(d: FiniteDist, x: float) -> float | None:
     if len(keep) < len(k):
         k, r = k[keep], r[keep]
     n = len(k)
-    a = int(np.searchsorted(k, np.searchsorted(lat, x, side="right") - 1, side="right")) - 1
+    a = _search(k, _search(lat, x, "right") - 1, "right") - 1
     lo, hi = max(a - 1, 0), min(a + 1, n - 1)
     # e^-u at the in touch point of each arc lo..hi and after the last:
     # +inf before the first arc and 0 after the last
@@ -705,20 +684,17 @@ def _lin_lc_at(d: FiniteDist, x: float) -> float | None:
     end = ends[i + 1]
     # x clipped as log_value clips it: tx[0] is the hull's first vertex
     # where lo is 0, and at or below x otherwise
-    xc = _minimum(top, _maximum(tx[0], x))
+    xc = _minimum(_maximum(x, tx[0]), top)
     if end % 2 == 0:
         q0, beta, x0 = fields[end // 2]
-        val = q0 + beta * (xc - x0)
-        if not val > 1e-320:
-            return None
-        lv = float(np.log(val))
-        s = beta / val
+        lv = _arc_log(xc, q0, beta, x0)
+        s = _div(beta, q0 + beta * (xc - x0))
     else:
         with np.errstate(divide="ignore"):
-            y0, y1 = np.log((_maximum(tq[ends[i] + 1], 0.0), _maximum(tq[end + 1], 0.0)))
+            y0, y1 = np.log((_maximum(tq[ends[i] + 1], 0.0), _maximum(tq[end + 1], 0.0))).tolist()
         v0, v1 = vert[i], vert[i + 1]
-        lv = float(y0 + (xc - v0) / (v1 - v0) * (y1 - y0))
-        s = float((y1 - y0) / (v1 - v0))
+        lv = _bridge_log(xc, v0, v1, y0, y1)
+        s = (y1 - y0) / (v1 - v0)
     return lv if _line_majorizes(lat, qt, h, xc, lv, s) else None
 
 

@@ -8,11 +8,13 @@ finder, and the cancellation-free root of a quadratic piece.
 the callers in `thresholds` the import of `scipy.optimize`, which pulls
 in `scipy.linalg`, `scipy.sparse` and `scipy.spatial`.  `_falling_root`
 is the one root that `bounds.b_opt` and the verifier's cube certificate
-take on each piece, on floats or arrays, with numpy's division and clamp
-semantics on both (`_div`, `_maximum`, `_minimum`).
+take on each piece.  It and every bound member are written once for a
+Python float and an array, on the primitives `_maximum`, `_div`,
+`_where`, `_take` and the like, the only place where the two part ways.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from typing import Callable
@@ -138,22 +140,94 @@ def _value(f: Callable[[float], float], x: float) -> float:
     return fx
 
 
-# np.maximum and np.minimum on floats: a where a > b (a < b) or a is NaN,
-# else b, so the second of two equal zeros wins
-def _maximum(a: float, b: float) -> float:
+# The primitives: numpy's operation on arrays, and numpy's result on Python
+# floats as a Python float (a numpy scalar costs about 3x per operation),
+# so one body gives one x the bits of x in an array.  An array is told by
+# its exact type, a tenth of the cost of isinstance against np.ndarray.
+_ARRAY = np.ndarray
+
+
+def _float_or_array(x):
+    """x as a Python float if it is a scalar, else as a float array."""
+    if type(x) is float or np.ndim(x) == 0:
+        return float(x)
+    return np.asarray(x, dtype=float)
+
+
+def _all(c) -> bool:
+    """Whether the condition c holds: a bool, or at every entry of an array."""
+    return bool(c.all()) if type(c) is _ARRAY else bool(c)
+
+
+def _isfinite(a):
+    return np.isfinite(a) if type(a) is _ARRAY else math.isfinite(a)
+
+
+def _maximum(a, b):
+    """np.maximum: a where a > b or a is NaN, else b, so the second of two
+    equal zeros wins."""
+    if type(a) is _ARRAY or type(b) is _ARRAY:
+        return np.maximum(a, b)
     return a if a > b or a != a else b
 
 
-def _minimum(a: float, b: float) -> float:
+def _minimum(a, b):
+    """np.minimum: a where a < b or a is NaN, else b."""
+    if type(a) is _ARRAY or type(b) is _ARRAY:
+        return np.minimum(a, b)
     return a if a < b or a != a else b
 
 
-def _div(a: float, b: float) -> float:
-    """a / b as numpy divides floats: a zero b gives +-inf or NaN, not an error."""
-    if b:
+def _div(a, b):
+    """a / b as numpy divides: a zero b gives +-inf or NaN, not an error.
+    Array callers silence numpy's warnings for those."""
+    if type(a) is _ARRAY or type(b) is _ARRAY or b:
         return a / b
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.float64(a) / b)
+
+
+_NO_WARNINGS = contextlib.nullcontext()
+
+
+def _quiet(x):
+    """numpy's warnings off for an array x; float arithmetic raises none."""
+    if type(x) is _ARRAY:
+        return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    return _NO_WARNINGS
+
+
+def _where(c, a, b):
+    """np.where(c, a, b); for a scalar condition, a if c else b."""
+    return np.where(c, a, b) if type(c) is _ARRAY else (a if c else b)
+
+
+def _search(a: np.ndarray, x, side: str = "left"):
+    """np.searchsorted(a, x, side): an int for one x."""
+    i = np.searchsorted(a, x, side)
+    return i if type(i) is _ARRAY else int(i)
+
+
+def _take(a: np.ndarray, i):
+    """a's entries at index i of its last axis: for one index as Python
+    floats (a float, or a list of one per row)."""
+    return a.take(i, axis=-1) if type(i) is _ARRAY else a[..., i].tolist()
+
+
+def _sqrt(a):
+    # correctly rounded, so math's is numpy's where it does not raise
+    if type(a) is _ARRAY:
+        return np.sqrt(a)
+    return math.sqrt(a) if a >= 0.0 else float(np.sqrt(a))
+
+
+# numpy's exp and log on floats too: they can differ from libm's
+def _exp(a):
+    return np.exp(a) if type(a) is _ARRAY else float(np.exp(a))
+
+
+def _log(a):
+    return np.log(a) if type(a) is _ARRAY else float(np.log(a))
 
 
 def _falling_root(a, b, c):
@@ -163,15 +237,12 @@ def _falling_root(a, b, c):
     bits.  With s = sqrt(max(B^2 - AC, 0)) the root is -(B + s) / A for
     B > 0, else C / (s - B): the forms of (-B - s) / A in which B and s
     never cancel.  A negative discriminant is taken as 0, which gives
-    -B / A or -C / B, a point that callers clip to the piece.  A = 0 gives the line's root -C / 2B for B < 0 and an infinite or NaN
-    one for B >= 0, and B = C = 0 gives NaN: callers clip or replace
-    those, and array callers silence numpy's warnings for them.  The
-    discriminant comes back unclamped, so a caller can tell where it
-    overflowed.
+    -B / A or -C / B, a point that callers clip to the piece.  A = 0 gives
+    the line's root -C / 2B for B < 0 and an infinite or NaN one for
+    B >= 0, and B = C = 0 gives NaN: callers clip or replace those, and
+    array callers silence numpy's warnings for them.  The discriminant
+    comes back unclamped, so a caller can tell where it overflowed.
     """
     disc = b * b - a * c
-    if isinstance(disc, float):
-        s = math.sqrt(_maximum(disc, 0.0))
-        return (_div(-(b + s), a) if b > 0.0 else _div(c, s - b)), disc
-    s = np.sqrt(np.maximum(disc, 0.0))
-    return np.where(b > 0.0, -(b + s) / a, c / (s - b)), disc
+    s = _sqrt(_maximum(disc, 0.0))
+    return _where(b > 0.0, _div(-(b + s), a), _div(c, s - b)), disc

@@ -246,7 +246,11 @@ def two_point_decomposition(d: FiniteDist) -> TwoPointDecomposition:
     with the retained atom at zero the weights add to one exactly, and
     mixing the components back reproduces d.
     """
-    rm = ReciprocatingMap(d)
+    return _decomposition(ReciprocatingMap(d))
+
+
+def _decomposition(rm: ReciprocatingMap) -> TwoPointDecomposition:
+    """two_point_decomposition of the law of the map rm."""
     if rm.g_total <= 0.0:
         return TwoPointDecomposition(components=(), zero_mass=rm.zero_mass)
     # slice s of the map is (levels[s-1], levels[s]]; thinner ones are dropped
@@ -425,11 +429,12 @@ class SelfNormConfig:
 _CURVE_NAMES = {"vw": "normal", "vym": "b_opt", "vsymm": "b_opt", "vhatsymm": "b_opt"}
 
 
-def _bound_curve(cfg: SelfNormConfig, xs: np.ndarray) -> np.ndarray:
+def _bound_curve(cfg: SelfNormConfig, xs: np.ndarray, rm: ReciprocatingMap | None) -> np.ndarray:
     """The kind's bound at each x of xs.  Every kind but vw is at most
     its carrier eta in the cube ordering, E (V - t)_+^3 <= E (eta - t)_+^3
     for every t, so Markov's inequality bounds P(V >= x) by b_opt(eta, x),
-    which is never above c_{3,0} times eta's point hull (Pinelis 1998)."""
+    which is never above c_{3,0} times eta's point hull (Pinelis 1998).
+    vym decomposes rm, the check's map of the base law."""
     if cfg.kind != "vym" and cfg.m != 1.0:
         raise SelfNormError(f"{cfg.kind} is pinned at m = 1")
     if cfg.kind == "vw":
@@ -441,7 +446,7 @@ def _bound_curve(cfg: SelfNormConfig, xs: np.ndarray) -> np.ndarray:
             raise SelfNormError("vym needs the asymmetry parameter p")
         if not 0.0 < cfg.p < 1.0:
             raise SelfNormError(f"vym needs p in (0, 1), got {cfg.p!r}")
-        dec = two_point_decomposition(cfg.base)
+        dec = _decomposition(rm)
         q = 1.0 - cfg.p
         if dec.max_asymmetry > (q / cfg.p) * (1.0 + 1e-9):
             raise SelfNormError("a component exceeds the asymmetry q/p")
@@ -570,7 +575,7 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> McReport:
         if cfg.p is None or cfg.p < max(nonzero_p, SQRT2_MINUS_1) - 1e-12:
             raise SelfNormError("vhatsymm needs p >= max(P(X != 0), sqrt(2)-1)")
 
-    bounds = _bound_curve(cfg, xs)
+    bounds = _bound_curve(cfg, xs, rm)
     tc = tail_counts(_block_simulator(cfg, rm, hat), xs, mc)
     rows = mc_rows(xs, tc, bounds, [_CURVE_NAMES[cfg.kind]] * len(xs))
     return McReport(config=cfg, mc=mc, n_paths=tc.n_paths, rows=rows,

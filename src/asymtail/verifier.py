@@ -58,8 +58,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import combined_bound_grid, resolve_s_m
-from .dist import (DistError, FiniteDist, RngSpec, _bs_atoms, _bs_law, _bs_sum,
-                   _suffix_moments_at, _sum_atom, weighted_bs_sum)
+from .dist import (DistError, FiniteDist, RngSpec, _bs_law, _bs_sum, _carrier_top,
+                   _suffix_moments_at, weighted_bs_sum)
 # iid_sum is not called here; perfbench/tracer.py wraps it under this name
 from .dist import iid_sum  # noqa: F401
 from .optimize import _falling_root, brent_root
@@ -845,8 +845,7 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
     else:
         sig = math.sqrt(float(np.sum(c * c)))
         _, s_m, _ = resolve_s_m(cfg.m, coeffs=c)
-        top = _sum_atom(*_bs_atoms(cfg.p), cfg.n, cfg.n) * s_m
-        xs = np.linspace(0.5 * sig, min(3.5 * sig, 0.98 * top), 8)
+        xs = np.linspace(0.5 * sig, min(3.5 * sig, 0.98 * _carrier_top(cfg.p, cfg.n, s_m)), 8)
 
     reports = combined_bound_grid(cfg.p, cfg.m, xs, coeffs=c)
     tc = tail_counts(lambda rng, size: _simulate_block(cfg, rng, size), xs, mc)
@@ -941,9 +940,9 @@ def run_exactness_suite() -> list[CheckResult]:
     return out
 
 
-def run_supermartingale_suite(seed: int = 0, n_paths: int = 200_000) -> list[CheckResult]:
+def run_supermartingale_suite(seed: int = 0) -> list[CheckResult]:
     out = []
-    mc = McConfig(seed=seed, n_paths=n_paths)
+    mc = McConfig(seed=seed)
     cases = [
         SupermartingaleConfig(n=6, p=0.3, coeffs=(1.0,) * 6, rule="constant", m=m_star(0.3)),
         SupermartingaleConfig(n=5, p=0.25, coeffs=(1.0, 1.2, 0.8, 1.1, 0.9),

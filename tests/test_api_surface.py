@@ -49,6 +49,8 @@ ALLOWED = {
     "delta_positive_part_form": "ACCEPTANCE 4's reference for the region-dispatched table; "
                                 "delta_grid_check takes its powers of c once instead",
     "recombine": "ACCEPTANCE 10 mixes the two-point decomposition back into the law",
+    "two_point_decomposition": "ACCEPTANCE 10 decomposes a law to recombine it; the vym "
+                               "check decomposes the map it already built instead",
     "var_identity_check": "ACCEPTANCE 10 checks the conditioned-law variance identity",
     "p_tilde": "the reference that tests invert k_tilde against",
     "p_star_upper": "the other root of p_star's quadratic, for the Vieta check on p_star",

@@ -1006,7 +1006,7 @@ class TestSuiteRunner:
             assert all(r.passed for r in results), name
 
     def test_supermartingale_rows_carry_the_margin(self):
-        results = verifier.run_supermartingale_suite(seed=0, n_paths=5_000)
+        results = run_suite("supermartingale", seed=0)
         for res in results:
             rows = res.details["rows"]
             assert all(r["margin"] == r["bound"] - r["cp_lower"] for r in rows)
