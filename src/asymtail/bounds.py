@@ -238,7 +238,7 @@ def _q(z: float) -> float:
 
 def normal_tail(z) -> float | np.ndarray:
     """Q(z) = P(Z >= z); z a scalar or an array, evaluated elementwise."""
-    if np.ndim(z) == 0:
+    if type(z) is float or np.ndim(z) == 0:
         return _q(float(z))
     z = np.asarray(z, dtype=float)
     return np.array([_q(v) for v in z.ravel().tolist()]).reshape(z.shape)
@@ -335,7 +335,7 @@ def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None, x) -> t
     n, sm, s1 = resolve_s_m(m, coeffs=coeffs, s_m=s_m, n=n)
     carrier = carrier_sum(p, n, sm)
     lc = lc_majorant(carrier)
-    if np.ndim(x) == 0:
+    if type(x) is float or np.ndim(x) == 0:
         return p, m, n, sm, s1, carrier, lc, None, _step(carrier)
     linlc = lin_lc_majorant(carrier)
     return p, m, n, sm, s1, carrier, lc, linlc, linlc.step

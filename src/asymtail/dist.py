@@ -31,9 +31,10 @@ bs(p) or the unscaled sum.
 A law knows its lattice when it is built on one.  `bs`, `st`, iid_sum,
 `scale` of such a law by c > 0 and `_bs_sum` by c > 0 pass
 `on_lattice=True`: the atoms are
-increasing and one lattice step apart.  Where the smallest gap clears
-the merge tolerance of the largest |atom|, the constructor skips the
-sort and merge, which would do nothing, and sets `FiniteDist.lattice` to
+increasing and one lattice step apart.  Where every gap is within the
+atoms' rounding (1e-7 relative) of the smallest, and that clears the
+merge tolerance of the largest |atom|, the constructor skips the sort
+and merge, which would do nothing, and sets `FiniteDist.lattice` to
 (top atom, smallest gap), the (origin, step) that
 `majorant.lattice_params` would infer; where it does not, the law is
 built the general way, with no lattice.  A sub-normal mass is dropped
@@ -77,6 +78,10 @@ MASS_ATOL = 1e-12
 # smallest normal float: a mass below it has too few bits for hull arithmetic
 MIN_MASS = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
+# A claimed lattice holds where every gap is within this of the smallest,
+# relative: the rounding of n a + k (b - a) moves a gap of the n-fold sum
+# by up to about 1.5 n eps steps, 3.6e-8 at n = 2e8
+_GAP_RTOL = 1e-7
 
 # Hard cap for weighted_bs_sum: 2^24 outcomes is the largest enumeration
 # this module is willing to do exactly.
@@ -175,10 +180,16 @@ class FiniteDist:
             # decides the verdict before np.sum can overflow (and warn)
             total = float((m / heaviest).sum()) * heaviest
             raise DistError(f"total mass {total!r} is not 1 within {MASS_ATOL:g}")
-        # on a claimed lattice whose smallest gap clears the merge tolerance
-        # of the largest |v| (v sorted: at an end) every gap does, and sort
-        # and merge would leave the atoms as they are
-        step = float(np.minimum.reduce(v[1:] - v[:-1])) if on_lattice and len(v) > 1 else 0.0
+        # a claimed lattice holds where every gap is one step; where that
+        # step clears the merge tolerance of the largest |v| (v sorted: at
+        # an end) every gap does, and sort and merge would leave the atoms
+        # as they are
+        step = 0.0
+        if on_lattice and len(v) > 1:
+            gaps = v[1:] - v[:-1]
+            step = float(np.minimum.reduce(gaps))
+            if float(np.maximum.reduce(gaps)) - step > _GAP_RTOL * step:
+                step = 0.0
         if step > MERGE_RTOL * max(1.0, -v[0], v[-1]):
             if lightest >= MIN_MASS:
                 v, m = v.copy(), m.copy()  # frozen below; the caller's stay writable

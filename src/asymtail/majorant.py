@@ -6,9 +6,9 @@ Two constructions over the tail q(x) = P(D >= x) of a FiniteDist:
   Because the constraint set is the finite family of step corners
   (x_k, log q_k), this is the upper concave hull of those points:
   log-linear between hull knots, 1 left of the support, 0 past it.
-  The hull is array code in rounds: each round drops every middle
-  point on or below the chord of its current neighbours, until none
-  drops (see _upper_hull_indices).
+  The hull is _hull_rounds over the corners: each round drops every
+  middle point on or below the chord of its current neighbours, until
+  none drops (see _upper_hull_indices).
 
 - lin_lc_majorant: the least log-concave majorant of the *linear
   interpolation* of the tail over the carrying lattice {min + k h}.
@@ -20,8 +20,8 @@ Two constructions over the tail q(x) = P(D >= x) of a FiniteDist:
   beta / s, clipped to its cell; the slope of the bridge between two
   arcs is where their support intercepts agree, which has a closed
   form when both touch points are interior and is polished by
-  safeguarded Newton for all pairs at once; arcs that lie under a
-  bridge of two others are dropped in rounds (see lin_lc_majorant).
+  safeguarded Newton for all pairs at once; _hull_rounds drops the arcs
+  under the bridge of their neighbours (see lin_lc_majorant).
   The result is certified exactly: on a cell under a bridge, the bridge
   minus the log interpolant is convex, so comparing the two at the
   lattice points, the hull vertices and each cell's clipped touch point
@@ -89,14 +89,15 @@ def lattice_params(d: FiniteDist) -> tuple[float, float]:
     """Infer (origin, step) with origin = max atom; raise LatticeError.
 
     The step is the smallest gap, divided by a small integer if needed
-    so that every gap is an integer multiple within 1e-9 relative.
+    so that every gap is an integer multiple within 1e-9 of the largest
+    |atom|, so that the inference commutes with scaling the law.
     """
     v = d.values
     if len(v) < 2:
         raise LatticeError("lattice inference needs at least two atoms")
     gaps = np.diff(v)
     base = float(np.min(gaps))
-    scale = max(1.0, float(np.max(np.abs(v))))
+    scale = float(np.max(np.abs(v)))
     for div in range(1, 9):
         h = base / div
         ratios = gaps / h
@@ -227,51 +228,45 @@ class TailMajorant:
         }
 
 
-# Rounds of the point hull before the monotone chain finishes.  Carriers
-# need at most 3 and random general laws at most about 17; a binomial
-# tail ending in a heavy top atom needs 38 at n = 1000.
-_HULL_ROUNDS = 32
+def _hull_rounds(n: int, off, cols=(), bridge=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The pieces 0..n-1 of a chain on its upper hull, as indices, and
+    with `bridge` the bridge of each pair of consecutive ones.
 
-
-def _monotone_chain(x: np.ndarray, y: np.ndarray) -> list[int]:
-    """Upper concave hull of points sorted by x (Andrew's monotone chain)."""
-    keep: list[int] = []
-    for i in range(len(x)):
-        while len(keep) >= 2:
-            i1, i2 = keep[-2], keep[-1]
-            if (x[i2] - x[i1]) * (y[i] - y[i1]) - (x[i] - x[i1]) * (y[i2] - y[i1]) >= 0:
-                keep.pop()
-            else:
-                break
-        keep.append(i)
-    return keep
+    cols are arrays over the pieces left; bridge(a, b) bridges the pairs
+    of pieces a[i] < b[i], and w holds those of neighbours.  Each round
+    drops every interior piece that off(cols, w) marks as under (or on)
+    the bridge of its neighbours, which is off the hull whatever else is
+    removed, and bridges only the new neighbour pairs.  When a round
+    drops nothing the chain is concave, so it is the hull.  A chain can
+    shed as few as one piece a round (a concave stretch under the bridge
+    to a heavy top atom), so at worst there are as many rounds as pieces.
+    """
+    keep = np.arange(n)
+    w = None if bridge is None else bridge(keep[:-1], keep[1:])
+    while len(keep) > 2:
+        drop = off(cols, w)
+        if not drop.any():
+            break
+        stay = np.concatenate(([True], ~drop, [True]))
+        keep, cols = keep[stay], [c[stay] for c in cols]
+        if bridge is not None:
+            # pair i of the chain left joins its pieces i and i + 1; where
+            # those were neighbours before, its bridge is known
+            i = stay.nonzero()[0]
+            w = w[i[:-1]]
+            new = (np.diff(i) > 1).nonzero()[0]
+            w[new] = bridge(keep[new], keep[new + 1])
+    return keep, w
 
 
 def _upper_hull_indices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Upper concave hull of points sorted by x, as indices, in rounds.
-
-    Each round drops every middle point whose cross product with its
-    current neighbours is >= 0 (on or below their chord), the monotone
-    chain's test.  A point on or below a chord of one point on each side
-    is no hull vertex, so no round drops a vertex; when a round drops
-    nothing the chain is strictly concave, so it is the hull.  A chain
-    can shed as little as one point a round (a concave stretch under the
-    chord to a heavy top atom), which would make the rounds quadratic, so
-    after _HULL_ROUNDS rounds the monotone chain finishes on the points
-    left.
-    """
-    keep = np.arange(len(x))
-    for _ in range(_HULL_ROUNDS):
-        if len(keep) < 3:
-            return keep
-        # the points left, x[keep] and y[keep], as they shrink
-        x1, x2, x3, y1, y2, y3 = x[:-2], x[1:-1], x[2:], y[:-2], y[1:-1], y[2:]
-        drop = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) >= 0
-        if not drop.any():
-            return keep
-        stay = np.concatenate(([True], ~drop, [True]))
-        keep, x, y = keep[stay], x[stay], y[stay]
-    return keep[_monotone_chain(x, y)]
+    """Upper concave hull of points sorted by x, as indices: _hull_rounds
+    drops each middle point on or below the chord of its neighbours, whose
+    cross product is >= 0 (the monotone chain's test)."""
+    def under_chord(cols, _):
+        x, y = cols
+        return (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (x[2:] - x[:-2]) * (y[1:-1] - y[:-2]) >= 0
+    return _hull_rounds(len(x), under_chord, (x, y))[0]
 
 
 def lc_majorant(d: FiniteDist) -> TailMajorant:
@@ -459,36 +454,10 @@ def _bridges(k, lm, lq0, lq1, r, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarr
 
 def _kept_arcs(arcs) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the arcs on the hull, and the u of each bridge between
-    consecutive ones (see lin_lc_majorant for the rounds)."""
-    keep = np.arange(len(arcs[0]))
-    u, _ = _bridges(*arcs, keep[:-1], keep[1:])
-    while True:
-        steeper = u[:-1] > u[1:]
-        if not steeper.any():
-            return keep, u
-        bad = np.zeros(len(keep), dtype=bool)
-        bad[1:-1] = steeper
-        # bridge every arc of the stretch before each bad run to the arc
-        # after the run; the stretch keeps its arcs up to the last one whose
-        # incoming bridge is no steeper than that bridge (its first arc,
-        # whose incoming bridge is not known yet, always stays)
-        runs = bad.nonzero()[0]
-        grp = np.searchsorted(runs, np.arange(len(keep)))
-        back = (~bad & (grp < len(runs))).nonzero()[0]
-        grp = grp[back]
-        good = (~bad).nonzero()[0]
-        to = good[np.searchsorted(good, runs[grp])]
-        w, _ = _bridges(*arcs, keep[back], keep[to])
-        stay = ((back == 0) | bad[back - 1] | (u[back - 1] <= w)).nonzero()[0]
-        stay = stay[np.append(grp[stay[1:]] != grp[stay[:-1]], True)]
-        gone = bad.copy()
-        gone[back[back > back[stay][np.searchsorted(grp[stay], grp)]]] = True
-        # the new neighbours of each run's successor were bridged just now
-        kept = (~gone).nonzero()[0]
-        u = u[kept[:-1]]
-        joined = (np.diff(kept) > 1).nonzero()[0]
-        u[joined] = w[np.searchsorted(back, kept[joined])]
-        keep = keep[kept]
+    consecutive ones: _hull_rounds drops each arc whose incoming bridge is
+    steeper than its outgoing one (see lin_lc_majorant)."""
+    return _hull_rounds(len(arcs[0]), lambda _, u: u[:-1] > u[1:],
+                        bridge=lambda a, b: _bridges(*arcs, a, b)[0])
 
 
 def _least_slack(lo, hi, x0, q0, beta, s, top: float, hull) -> float:
@@ -557,18 +526,14 @@ def lin_lc_majorant(d: FiniteDist, refine: int = 64) -> TailMajorant:
     are taken between full cells: the hull's contact with an arc is then
     the range between the touch points of its two bridges.
 
-    An arc whose incoming bridge is steeper than its bridge to a later
-    arc lies below the bridge of those two at every slope, so it is off
-    the hull whatever else is removed.  Each round takes the bridges of
-    neighbouring arcs and drops the arcs whose incoming bridge is
-    steeper than their outgoing one.  In the same solve it bridges the
-    arc after each dropped run back to every arc since the previous run,
-    and drops those after the last one whose incoming bridge is no
-    steeper than that bridge, so a long dominated stretch goes in one
-    round; those back bridges are the next round's new neighbour
-    bridges.  The rounds stop when nothing drops.  The result is checked
-    exactly against the interpolant (_certify).  `refine` only sets the
-    density of the knot sample that `to_obj` reports, not the hull.
+    An arc whose incoming bridge is steeper than its outgoing one lies
+    under the bridge of its two neighbours at every slope, so it is off
+    the hull whatever else is removed.  The arcs are pruned by
+    _hull_rounds (_kept_arcs): each round drops every such arc at once
+    and bridges only the new neighbour pairs, until nothing drops.  The
+    result is checked exactly against the interpolant (_certify).
+    `refine` only sets the density of the knot sample that `to_obj`
+    reports, not the hull.
     """
     if refine < 2:
         raise MajorantError("refine must be >= 2")

@@ -130,6 +130,27 @@ class TestCarriedLattice:
         lat, qt, h = _lattice_tails(d)
         assert (h, qt.tolist()) == (1.0, [1.0, 0.75, 0.75, 0.5, 0.25, 0.0])
 
+    def test_a_gap_of_two_steps_leaves_no_lattice(self):
+        # the smallest gap is 1 and the next is 2: a lattice of step 1
+        # carried on would put the atom at 3 on 2, where lin_lc read 0
+        # at 3 with the tail at 0.2
+        v, m = np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.3, 0.2])
+        d = FiniteDist(v, m, on_lattice=True)
+        assert d.lattice is None
+        assert_bit_equal(d, FiniteDist(v, m))
+        for maj in (lc_majorant(d), lin_lc_majorant(d)):
+            assert (maj.value(v) >= tail(d, v)).all()
+
+    def test_a_claim_holds_up_to_the_atoms_rounding(self):
+        # n a + k (b - a) rounds each gap by up to about 1.5 n eps steps,
+        # which the claim allows at n = 2e8; a gap 1e-6 off does not pass
+        d = carrier_sum(0.9, 200_000_000, 1.0)
+        gaps = np.diff(d.values)
+        assert gaps.max() > gaps.min() and d.lattice == (d.max_value, gaps.min())
+        v = np.arange(5.0)
+        v[4] += 1e-6
+        assert FiniteDist(v, np.full(5, 0.2), on_lattice=True).lattice is None
+
     @pytest.mark.parametrize("v,m", [
         ([0.0, 1.0, np.inf], [0.25, 0.5, 0.25]),
         ([0.0, 1.0, 2.0], [0.25, np.nan, 0.25]),
@@ -248,7 +269,7 @@ class TestArrayPointHull:
 
     def test_monotone_chain_finishes_a_slow_peel(self):
         # a concave arc under the chord to a high last point sheds one
-        # point per round, more rounds than the array code runs
+        # point per round: the rounds run until the last one drops nothing
         x = np.arange(200.0)
         y = -((x / 100.0) ** 2)
         y[-1] = 10.0

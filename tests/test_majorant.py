@@ -18,7 +18,7 @@ from hypothesis import strategies as hst
 
 from asymtail import majorant
 from asymtail.bounds import carrier_sum, combined_bound_grid, resolve_s_m
-from asymtail.dist import bs, from_pairs, iid_sum, scale, tail, weighted_bs_sum
+from asymtail.dist import FiniteDist, bs, from_pairs, iid_sum, scale, tail, weighted_bs_sum
 from asymtail.majorant import (
     LatticeError,
     MajorantError,
@@ -87,6 +87,31 @@ class TestLatticeParams:
         d = from_pairs([(0.0, 0.5), (1.0, 0.3), (math.sqrt(2.0), 0.2)])
         with pytest.raises(LatticeError):
             lattice_params(d)
+
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_inference_commutes_with_scaling(self, k):
+        # the tolerance is relative to the law's own atoms, so a law and
+        # its scaled copy infer the same lattice, scaled; at k = -11 the
+        # first law is (0, 1e-10, 2.5e-10).  Every gap is >= 3, so at
+        # k = -12 the atoms stay clear of the merge tolerance, 1e-12
+        c = 10.0 ** k
+        masses = np.array([0.5, 0.3, 0.2])
+        for values, lattice in (([0.0, 10.0, 25.0], (25.0, 5.0)),
+                                ([-30.0, 5.0, 20.0], (20.0, 5.0)),
+                                ([70.0, 73.0, 78.0], (78.0, 1.0))):
+            d = FiniteDist(np.array(values) * c, masses)
+            assert lattice_params(d) == pytest.approx((lattice[0] * c, lattice[1] * c),
+                                                      rel=1e-9), values
+        with pytest.raises(LatticeError):
+            lattice_params(FiniteDist(np.array([0.0, 10.0, 10.0 * math.sqrt(2.0)]) * c, masses))
+
+    def test_small_atoms_keep_their_lattice(self):
+        # the tolerance once had a floor of 1, so atoms below 1 read as
+        # a lattice of step 1e-10 that put the top atom on 2e-10
+        d = FiniteDist(np.array([0.0, 1e-10, 2.5e-10]), np.array([0.5, 0.3, 0.2]))
+        assert lattice_params(d) == pytest.approx((2.5e-10, 5e-11), rel=1e-12)
+        for maj in (lc_majorant(d), lin_lc_majorant(d)):
+            assert (maj.value(d.values) >= tail(d, d.values)).all()
 
 
 class TestPointHull:
