@@ -22,28 +22,34 @@ and a binary search only for the few uniforms whose bucket holds a
 cumulative mass).  The pairing is a table lookup too.  A draw's partner
 depends only on its atom and its harvest slice: the level
 h0[j] + u span[j] falls in one slice between consecutive harvest levels,
-which a guide table over [0, g_total] finds the same way, and one table
-of (atom, slice) pairs holds the partner of each pair a draw can meet.
-An atom meets only the slices its harvest interval covers, so the table
-grows with the atoms plus the slices, not with their product.  A check
-builds its guide tables once, and the pool threads share them
-read-only.  `ReciprocatingMap.reciprocate` and `selfnorm_stat` are thin
-wrappers over the same private helpers.  A block of paths runs in tiles
-of at most 2^15 coordinates, in four buffers of one tile that its thread
-lends it from block to block: a tile reads its atom draws from the
-block's generator, and its second draws from a copy of that generator
-advanced past the block's atom draws (`dist._advanced`), so every path
-draws what an untiled block would.  For vw and vym a coordinate's
-denominator term, (x - r)^2 or |x r|^m, depends only on its pair, so a
-check tabulates the term of every pair with the same ufuncs, and a tile
-takes its terms from that table instead of computing them per
-coordinate.  The blocks run on `verifier.tail_counts`, so they share the
-supermartingale check's thread pool and per-block streams, and the
-counts are the same at any ASYMTAIL_THREADS.  The rows and the report
-come from `verifier` too: `verifier.mc_rows` adds the Clopper-Pearson
-limits, and a check returns a `verifier.McReport` whose rows name their
-bound curve: "normal" for vw, and "b_opt" for the kinds compared with a
-carrier, whose bound is `bounds.b_opt` of that carrier over the x grid.
+and one table of (atom, slice) pairs holds the partner of each pair a
+draw can meet.  An atom meets only the slices its harvest interval
+covers, so the table grows with the atoms plus the slices, not with
+their product.  The pair a draw meets comes from one more guide table,
+keyed on the atom and the uniform's top bits; only the few draws whose
+bucket holds a harvest level compute the level and look its slice up in
+a guide table over [0, g_total].  A check builds its guide tables once,
+and the pool threads share them read-only.
+`ReciprocatingMap.reciprocate` and `selfnorm_stat` are thin wrappers
+over the same private helpers, and the statistics sum their rows as
+whole-column adds in numpy's own order (`_row_sums`).  A block of paths
+runs in tiles of max(1, 2^15 // n) paths, so a tile holds at most 2^15
+coordinates until n passes 2^15, and then one path.  A tile works in
+four buffers that its thread lends it from block to block: it reads its
+atom draws from the block's generator, and its second draws from a copy
+of that generator advanced past the block's atom draws
+(`dist._advanced`), so every path draws what an untiled block would.
+For vw and vym a coordinate's denominator term, (x - r)^2 or |x r|^m,
+depends only on its pair, so a check tabulates the term of every pair
+with the same ufuncs, and a tile takes its terms from that table instead
+of computing them per coordinate.  The blocks run on
+`verifier.tail_counts`, so they share the supermartingale check's thread
+pool and per-block streams, and the counts are the same at any
+ASYMTAIL_THREADS.  The rows and the report come from `verifier` too:
+`verifier.mc_rows` adds the Clopper-Pearson limits, and a check returns
+a `verifier.McReport` whose rows name their bound curve: "normal" for
+vw, and "b_opt" for the kinds compared with a carrier, whose bound is
+`bounds.b_opt` of that carrier over the x grid.
 """
 from __future__ import annotations
 
@@ -148,6 +154,55 @@ class ReciprocatingMap:
         self._pair_partner = np.select(
             (self._pair_atom < n_neg, self._pair_atom >= first_pos),
             (self._plus.take(slices), self._minus.take(slices)))
+        self._guide_shift, self._guide = self._pair_guide(runs, slices)
+
+    def _pair_guide(self, runs: np.ndarray, slices: np.ndarray) -> tuple[int, np.ndarray]:
+        """The pair index by atom and uniform, as a guide table (Chen &
+        Asau, 1974): the shift s and the table of `_pair_index`.
+
+        Row j holds atom j's 2^s buckets; bucket b holds the uniforms in
+        [b 2^-s, (b + 1) 2^-s).  The level `_slice_index` computes is
+        monotone in u, so the slice at the bucket's left edge and the one
+        at its right edge bound every slice inside; where they agree the
+        bucket stores its pair index, and where a harvest level falls
+        between them it stores -1.  Each pair after the first of its
+        atom's run starts at the first edge whose level lies above the
+        pair's slice's lower level, found by bisection over the edges of
+        all such pairs at once, so the table is built by one `repeat` of
+        the pair indices and never evaluates a level per bucket.  The
+        rows get k 2^s >= max(4096, 8 pairs) buckets in all, for the
+        least such s, so the table grows with the pairs, and so with the
+        atoms plus the slices.
+        """
+        k, pairs = runs.size, slices.size
+        shift = (-(-max(4096, 8 * pairs) // k) - 1).bit_length()
+        width = 1 << shift
+        first = np.cumsum(runs) - runs
+        later = np.ones(pairs, dtype=bool)
+        later[first] = False
+        j = self._pair_atom[later]
+        below = self.levels.take(slices[later] - 1)
+        span, h0 = self._span.take(j), self._h0.take(j)
+        # edge a's level is at most `below`, edge b's above it
+        a = np.zeros(j.size, dtype=np.int64)
+        b = np.full(j.size, width, dtype=np.int64)
+        for _ in range(shift):
+            mid = (a + b) >> 1
+            u = mid * (1.0 / width)
+            u *= span
+            u += h0
+            above = np.clip(u, 0.0, self.g_total, out=u) > below
+            b = np.where(above, mid, b)
+            a = np.where(above, a, mid)
+        edges = np.zeros(pairs, dtype=np.int64)
+        edges[later] = b
+        ends = np.append(edges[1:], width)
+        ends[first[1:] - 1] = width
+        guide = np.repeat(np.arange(pairs), ends - edges)
+        # the bucket just below each pair's first edge holds a level
+        guide[j * width + b - 1] = -1
+        guide.setflags(write=False)
+        return shift, guide
 
     def _slice_atoms(self, side_h, side_x) -> np.ndarray:
         """The atom of one side met by each slice: side_x at the number of
@@ -179,6 +234,28 @@ class ReciprocatingMap:
         out += starts
         return out
 
+    def _pair_index(self, j: np.ndarray, u: np.ndarray, work: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+        """`_slice_index` for uniforms u in [0, 1), by one read of the
+        pair guide per draw, written into out (intp) and returned.
+
+        The key (j << s) + floor(u 2^s) is exact integer arithmetic.  Only
+        the draws whose bucket holds a harvest level go to `_slice_index`,
+        with their own j and u.  u and work must be C-contiguous float64
+        arrays of j's shape; work is overwritten and u is left alone.
+        """
+        np.multiply(u, float(1 << self._guide_shift), out=out, casting="unsafe")
+        out += np.left_shift(j, self._guide_shift, out=work.view(np.intp))
+        # in place: each key is read before its own slot is written
+        self._guide.take(out, out=out, mode="clip")
+        flat = out.reshape(-1)
+        miss = np.flatnonzero(flat < 0)
+        if miss.size:
+            um = u.reshape(-1).take(miss)
+            flat[miss] = self._slice_index(j.reshape(-1).take(miss), um, np.empty_like(um),
+                                           np.empty_like(miss))
+        return out
+
     def _at_level(self, h, side: np.ndarray):
         ha = np.asarray(h, dtype=float)
         out = side[np.searchsorted(self.levels, ha, side="left")]
@@ -196,7 +273,8 @@ class ReciprocatingMap:
 
     def reciprocate(self, x, u):
         """r(x, u): the opposite-side partner at the harvest level picked
-        uniformly (by u in [0,1)) inside x's own interval; r(0, u) = 0."""
+        uniformly (by u in [0,1)) inside x's own interval; r(0, u) = 0.
+        An x outside the law's support or a u outside [0, 1) raises."""
         xa, ua = np.broadcast_arrays(np.asarray(x, dtype=float),
                                      np.asarray(u, dtype=float))
         # a positive x belongs to the first atom at or above it, a
@@ -210,7 +288,9 @@ class ReciprocatingMap:
         if np.any((j < 0) | (j >= v.size)):
             raise SelfNormError("x lies outside the law's support")
         uf = np.array(ua.ravel(), dtype=float)
-        idx = self._slice_index(j, uf, np.empty_like(uf), np.empty_like(j))
+        if not ((uf >= 0.0) & (uf < 1.0)).all():
+            raise SelfNormError("u must lie in [0, 1)")
+        idx = self._pair_index(j, uf, np.empty_like(uf), np.empty_like(j))
         out = np.where(zero, 0.0, self._pair_partner.take(idx)).reshape(xa.shape)
         if np.isscalar(x) and np.isscalar(u):
             return float(out)
@@ -325,6 +405,44 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=1)` of a C-contiguous 2-d float array, bit for bit.
+
+    numpy reduces each row on its own, pairwise: fewer than 8 entries in
+    sequence, and from 8 on in eight accumulators, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before the rest is
+    added in sequence; the row's sum is then added to the identity 0,
+    which turns a -0.0 sum into +0.0.  Up to 15 columns that is at most
+    one block of eight, and the same sums go here as whole-column adds,
+    one ufunc call per add, where the reduction pays a call of its inner
+    loop per row (on (32768 // n, n) tiles, 22 against 69 us at n = 10,
+    33 against 195 us at n = 4).  The reduction is the faster of the two
+    from about 16 columns on, or below about 32 rows per column, so those
+    arrays go to it.  Where two NaNs meet, which one comes out follows the
+    operand order numpy's compiler chose, so only a NaN sum may differ
+    from numpy's in its bits, and then it is a NaN too.
+    """
+    n = a.shape[1]
+    if n >= 16 or a.shape[0] < 32 * n:
+        return np.add.reduce(a, axis=1)
+    if n < 8:
+        # the identity first: 0 + a0 + ... + a(n-1) in sequence gives the
+        # same bits as numpy's 0 + (a0 + ... + a(n-1))
+        out = np.add(a[:, 0], 0.0)
+        for i in range(1, n):
+            out += a[:, i]
+        return out
+    out = np.add(a[:, 0], a[:, 1])
+    out += np.add(a[:, 2], a[:, 3])
+    right = np.add(a[:, 4], a[:, 5])
+    right += np.add(a[:, 6], a[:, 7])
+    out += right
+    for i in range(8, n):
+        out += a[:, i]
+    out += 0.0
+    return out
+
+
 # One helper per kind.  Each overwrites its second argument and leaves
 # the first alone, so the Monte Carlo blocks run them in buffers they own;
 # a row's statistic depends on that row alone.  vw and vym split in two:
@@ -339,7 +457,7 @@ def _vw_terms(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
 
 
 def _vw(x: np.ndarray, w: np.ndarray, m: float) -> np.ndarray:
-    return _safe_ratio(x.sum(axis=1), 0.5 * np.sqrt(w.sum(axis=1)))
+    return _safe_ratio(_row_sums(x), 0.5 * np.sqrt(_row_sums(w)))
 
 
 def _vym_terms(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
@@ -350,7 +468,7 @@ def _vym_terms(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
 
 
 def _vym(x: np.ndarray, y: np.ndarray, m: float) -> np.ndarray:
-    return _safe_ratio(x.sum(axis=1), y.sum(axis=1) ** (1.0 / (2.0 * m)))
+    return _safe_ratio(_row_sums(x), _row_sums(y) ** (1.0 / (2.0 * m)))
 
 
 # (terms, ratio) of each kind that pairs a coordinate with its partner
@@ -359,16 +477,16 @@ _PAIRED = {"vw": (_vw_terms, _vw), "vym": (_vym_terms, _vym)}
 
 def _vsymm(x: np.ndarray, multipliers: np.ndarray, m: float) -> np.ndarray:
     t = np.multiply(multipliers, x, out=multipliers)
-    num = t.sum(axis=1)
+    num = _row_sums(t)
     np.abs(x, out=t)
     t **= 2.0 * m
-    return _safe_ratio(num, t.sum(axis=1) ** (1.0 / (2.0 * m)))
+    return _safe_ratio(num, _row_sums(t) ** (1.0 / (2.0 * m)))
 
 
 def _vhatsymm(x: np.ndarray, hat_abs: np.ndarray, m: float, p: float) -> np.ndarray:
     hat_abs **= 2.0 * m
-    return _safe_ratio(x.sum(axis=1),
-                       math.sqrt(p) * hat_abs.sum(axis=1) ** (1.0 / (2.0 * m)))
+    return _safe_ratio(_row_sums(x),
+                       math.sqrt(p) * _row_sums(hat_abs) ** (1.0 / (2.0 * m)))
 
 
 def _own(a, shape) -> np.ndarray:
@@ -389,11 +507,11 @@ def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
            "vhatsymm"  sum X / (sqrt(p) * 2m-norm of the conditioned row)
     Rows whose denominator vanishes give 0.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2:
         raise SelfNormError("sample must be (paths, n)")
     if kind == "v":
-        return _safe_ratio(x.sum(axis=1), np.sqrt((x * x).sum(axis=1)))
+        return _safe_ratio(_row_sums(x), np.sqrt(_row_sums(x * x)))
     if kind in _PAIRED:
         if r is None:
             raise SelfNormError(f"{kind} needs the reciprocated values r")
@@ -461,10 +579,13 @@ def _bound_curve(cfg: SelfNormConfig, xs: np.ndarray, rm: ReciprocatingMap | Non
     return b_opt(scale(iid_sum(st(cfg.p), cfg.n), cfg.n ** -0.5), xs).value
 
 
-# Uniforms per tile of a Monte Carlo block: each of a tile's arrays stays
-# at 256 KiB, and smaller tiles pay more per-tile dispatch (on 2 vCPUs the
-# self-normalized checks of mc_check took 2.5 times as long at 2^12; 2^15
-# and 2^16 tied).
+# Uniforms per tile of a Monte Carlo block.  Each of a tile's four arrays
+# stays at 256 KiB, so two blocks in flight stay under 4 MiB, and smaller
+# tiles pay more per-tile dispatch.  Timed interleaved in one process on 2
+# vCPUs at ASYMTAIL_THREADS=2 (mc_check blocks 0-1, seeds 1-3, the least
+# of 5 runs per check), 2^14 took 1.16-1.23 times as long as 2^15 and
+# 2^16 0.89-0.91 times (2^15 against itself: 0.99-1.00), but with 2^16
+# two vw blocks in flight peak at 5.0 MiB.
 _TILE = 1 << 15
 
 
@@ -484,11 +605,18 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     from the thread's last block (`verifier._block_buffers`), so a
     thread holds one tile's arrays from block to block.
 
-    For vw and vym a coordinate's term depends only on its (atom, slice)
-    pair, so the simulator tabulates it once per check, with the kind's
-    `_PAIRED` ufuncs, for each pair of the map's table.  A tile then takes
-    its terms from the table in one `take` and applies the kind's ratio,
-    and every term is the one the ufuncs give on the tile, bit for bit.
+    A tile makes a few passes over whole arrays and no reduction per
+    row: its statistic sums its rows with `_row_sums`, numpy's pairwise
+    order as whole-column adds, so every sum is the one `sum(axis=1)`
+    gives.  For vw and vym a coordinate's (atom, slice) pair comes from
+    one read of the map's pair guide (`ReciprocatingMap._pair_index`),
+    and its term depends only on that pair, so the simulator tabulates
+    the term once per check, with the kind's `_PAIRED` ufuncs, for each
+    pair of the map's table.  A tile then takes its terms from the table
+    in one `take` and applies the kind's ratio, and every term is the
+    one the ufuncs give on the tile, bit for bit.  vhatsymm finds its
+    zero coordinates as flat indices, in row-major order, and writes
+    their conditioned draws' |values|, tabulated once per check, there.
     It runs on pool threads, so it calls only private helpers.
     """
     n = cfg.n
@@ -506,7 +634,7 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
         def tile(u, second, f, k, j):
             atoms(u, out=j)
             second.random(out=u)
-            idx = rm._slice_index(j, u, f, k)
+            idx = rm._pair_index(j, u, f, k)
             x = values.take(j, out=u, mode="clip")
             return ratio(x, table.take(idx, out=f, mode="clip"), cfg.m)
     elif cfg.kind == "vsymm":
@@ -518,16 +646,16 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
             second.random(out=u)
             return _vsymm(x, mult_values.take(mults(u, out=j), out=u, mode="clip"), cfg.m)
     else:
-        hat_values, hat_atoms = hat.values, _inverse_cdf(np.cumsum(hat.masses))
+        hat_abs, hat_atoms = np.abs(hat.values), _inverse_cdf(np.cumsum(hat.masses))
         ztol = _zero_tol(cfg.base)
 
         def tile(u, second, f, k, j):
             x = values.take(atoms(u, out=j), out=f, mode="clip")
             habs = np.abs(x, out=u)
-            zeros = habs <= ztol
-            if np.any(zeros):
-                habs[zeros] = np.abs(hat_values.take(hat_atoms(
-                    second.random(int(np.count_nonzero(zeros))))))
+            # the zero coordinates in row-major order, one draw each
+            zeros = np.flatnonzero(habs <= ztol)
+            if zeros.size:
+                habs.reshape(-1)[zeros] = hat_abs.take(hat_atoms(second.random(zeros.size)))
             return _vhatsymm(x, habs, cfg.m, cfg.p)
 
     def simulate(rng, size):

@@ -668,8 +668,9 @@ def tail_counts(simulate, xs, mc: McConfig) -> TailCounts:
     ASYMTAIL_THREADS blocks are in flight at once, each with its own
     working set: the statistic of its paths, and the arrays it reuses
     from step to step or tile to tile (five arrays of the block's size
-    for a supermartingale block; four of one tile, at most 2^15 entries
-    each, for a self-normalized one), which `_block_buffers` lends it
+    for a supermartingale block; four of one tile for a self-normalized
+    one, at most 2^15 entries each up to n = 2^15 coordinates per path and
+    one path of n entries beyond), which `_block_buffers` lends it
     from its thread's last block.
     """
     start = time.perf_counter()

@@ -201,6 +201,92 @@ class TestStatistics:
             selfnorm_stat("vw", np.zeros((2, 2)))  # missing r
 
 
+# ---------------------------------------------------------------------------
+# row sums as column adds, against numpy's per-row reduction
+# ---------------------------------------------------------------------------
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.int64)
+
+
+# every kind of double: signed zeros, infinities, NaNs, subnormals, and
+# magnitudes far apart, so that the order of the adds shows in the bits
+NASTY = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308,
+         1e308, -1e308, 1.0, -1.0, 1e16, -1e16, 3.0, 1e-300]
+ENTRY = (hst.sampled_from(NASTY) | hst.floats(allow_nan=True, allow_infinity=True)
+         | hst.floats(-1e3, 1e3))
+
+
+def _row_blocks(n: int, rows: int, seed: int) -> np.ndarray:
+    """Mixed magnitudes with both signs, some signed zeros and a NaN."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-12, 12, (rows, n))
+    a.ravel()[rng.integers(0, a.size, 3)] = [0.0, -0.0, np.nan]
+    a[0] = -0.0
+    return a
+
+
+class TestRowSums:
+    """`_row_sums` is `a.sum(axis=1)` of a C-contiguous array, bit for bit.
+
+    It adds whole columns for fewer than 16 columns and at least 32 rows
+    per column, and reduces row by row otherwise, so the arrays here have
+    32 n rows below 16 columns.  A NaN sum only has to be a NaN: where two
+    NaNs meet, the one that comes out is the first operand's, and which
+    operand is first inside numpy's loop is its compiler's choice (numpy
+    2.4 on x86-64 adds r3 + r2 where its source says r2 + r3)."""
+
+    @staticmethod
+    def _same(a):
+        with np.errstate(all="ignore"):
+            got, want = selfnorm._row_sums(a), a.sum(axis=1)
+        nan = np.isnan(want)
+        return (np.array_equal(np.isnan(got), nan)
+                and np.array_equal(_bits(got)[~nan], _bits(want)[~nan]))
+
+    @given(data=hst.data(), n=hst.integers(1, 20), distinct=hst.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_the_reduction(self, data, n, distinct):
+        flat = data.draw(hst.lists(ENTRY, min_size=n * distinct, max_size=n * distinct))
+        rows = np.array(flat, dtype=float).reshape(distinct, n)
+        assert self._same(np.tile(rows, (32 * n // distinct + 1, 1)))
+
+    @pytest.mark.parametrize("n", [*range(1, 301), 8191, 8192, 8193, 40_000])
+    def test_bit_equal_at_every_width(self, n):
+        assert self._same(_row_blocks(n, 32 * n if n < 16 else 3, n))
+
+    def test_one_row_is_the_reduction_itself(self):
+        a = np.array([[np.nan, -np.nan, 1.0]])
+        assert _bits(selfnorm._row_sums(a)) == _bits(a.sum(axis=1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 10, 12, 15, 16, 17, 40, 129])
+    def test_bit_equal_on_the_rows_of_a_tile(self, n):
+        # the tiles' own shape: max(1, _TILE // n) rows, C-contiguous,
+        # read as a leading slice of a tile buffer as the blocks read it
+        rows = max(1, selfnorm._TILE // n)
+        buf = _row_blocks(n, rows, 7)
+        for t in (rows, rows - 1, 1):
+            assert self._same(buf[:t])
+
+    @pytest.mark.parametrize("n", [8, 10, 15, 40])
+    def test_fortran_order_sums_in_sequence(self, n):
+        # numpy reduces a Fortran-ordered array's rows column by column, in
+        # sequence, so from 8 columns on its last bits differ from the
+        # pairwise sum of the same rows in C order; selfnorm_stat makes the
+        # sample C-contiguous first, so its statistic is the C-order one
+        c = _row_blocks(n, 500, 3)
+        f = np.asfortranarray(c)
+        seq = np.zeros(c.shape[0])
+        for i in range(n):
+            seq += c[:, i]
+        assert np.array_equal(_bits(f.sum(axis=1)), _bits(seq))
+        assert not np.array_equal(_bits(f.sum(axis=1)), _bits(c.sum(axis=1)))
+        assert self._same(c)
+        clean = np.nan_to_num(c)
+        assert np.array_equal(_bits(selfnorm_stat("v", np.asfortranarray(clean))),
+                              _bits(selfnorm_stat("v", clean)))
+
+
 class TestBoundChecks:
     MC = McConfig(seed=42, n_paths=40_000, block=16_384)
 
@@ -435,6 +521,55 @@ class TestSliceTablePairing:
         assert ((idx >= 0) & (idx < size)).all()
         assert np.array_equal(rm._pair_atom[idx], j)
         assert np.array_equal(rm._pair_partner[idx], masked_reciprocate(d, d.values[j], u))
+
+    @given(d=zero_mean_laws() | hst.sampled_from([ASYM3, SYMM5]),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_pair_guide_reads_the_slice_index(self, d, seed):
+        # at every bucket's left edge, at the last double below its right
+        # edge, and at random uniforms, one guide read (or its fallback)
+        # gives the pair index that _slice_index computes
+        try:
+            rm = ReciprocatingMap(d)
+        except SelfNormError:
+            return
+        k, width = d.values.size, 1 << rm._guide_shift
+
+        def slice_index(u):
+            j = np.repeat(np.arange(k), u.size // k)
+            return rm._slice_index(j, u.copy(), np.empty(u.shape), np.empty(u.shape, np.intp))
+
+        edges = np.arange(width + 1) / width
+        u = np.tile(np.concatenate((edges[:-1], np.nextafter(edges[1:], 0.0),
+                                    np.random.default_rng(seed).random(width))), k)
+        j = np.repeat(np.arange(k), 3 * width)
+        got = rm._pair_index(j, u, np.empty(u.shape), np.empty(u.shape, np.intp))
+        assert np.array_equal(got, slice_index(u))
+        # a bucket stores its pair where both its edges pick that pair, and
+        # -1 where they differ
+        at_edge = slice_index(np.tile(edges, k)).reshape(k, width + 1)
+        guide = rm._guide.reshape(k, width)
+        same = at_edge[:, :-1] == at_edge[:, 1:]
+        assert np.array_equal(guide[same], at_edge[:, :-1][same])
+        assert (guide[~same] == -1).all()
+
+    def test_pair_guide_grows_with_the_pairs(self):
+        # 2000 atoms and about 6000 pairs: 32 buckets per atom, 64000 in
+        # all, where 2048 per atom would be 4 million
+        rm = ReciprocatingMap(MANY_ATOMS)
+        pairs = rm._pair_atom.size
+        assert max(4096, 8 * pairs) <= rm._guide.size < 2 * max(4096, 8 * pairs)
+        assert rm._guide.size == MANY_ATOMS.values.size << rm._guide_shift
+        # few draws miss: about one bucket per harvest level and side
+        assert np.count_nonzero(rm._guide < 0) <= 2 * (rm.levels.size + 1)
+
+    @pytest.mark.parametrize("u", [1.0, -0.25, np.nan, np.inf])
+    def test_uniform_outside_the_unit_interval_raises(self, u):
+        rm = ReciprocatingMap(ASYM3)
+        with pytest.raises(SelfNormError):
+            rm.reciprocate(1.0, u)
+        with pytest.raises(SelfNormError):
+            rm.reciprocate(np.array([1.0, -1.0]), np.array([0.5, u]))
 
     def test_outside_support_raises(self):
         rm = ReciprocatingMap(ASYM3)
