@@ -59,7 +59,10 @@ Conventions used throughout the package:
   every path, then a second draw per coordinate) may read the second
   phase from `_advanced`, a copy of the generator moved past the first
   phase's draws, and so interleave the two phases tile by tile with the
-  same draws.
+  same draws.  It may also draw the PCG64 outputs that the uniforms are
+  made of and read the guide table by their top bits
+  (`_GuideTable.from_bits`), making only the uniforms that a binary
+  search needs (`_uniforms`).
 """
 from __future__ import annotations
 
@@ -698,7 +701,8 @@ class _GuideTable:
         s = math.frexp(least)[1] - math.frexp(top)[1]
         if math.ldexp(top, s) < least:
             s += 1
-        self._factor = math.ldexp(1.0, min(s, 1023))
+        self._bits = min(s, 1023)
+        self._factor = math.ldexp(1.0, self._bits)
         nb = math.floor(top * self._factor) + 1
         bucket = np.floor(self.edges * self._factor)
         inside = bucket[(bucket >= 0.0) & (bucket < nb)].astype(np.intp)
@@ -721,6 +725,35 @@ class _GuideTable:
         miss = np.flatnonzero(flat < 0)
         flat[miss] = np.searchsorted(self.edges, u.take(miss), side=self.side)
         return idx
+
+    def from_bits(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The call's indices for the uniforms `_uniforms(raw)`, written
+        into out (a C-contiguous intp array of raw's shape), without
+        making the uniforms.
+
+        The table's factor 2^s must have 1 <= s <= 53, as it has for top
+        1: a uniform m 2^-53 then has the bucket floor(m 2^(s - 53)), the
+        top s bits of its PCG64 output.  Only the keys that read -1 make
+        their uniforms, for `np.searchsorted`.  raw (uint64) is left as it
+        is.
+        """
+        if not 1 <= self._bits <= 53:
+            raise ValueError(f"a guide table of factor 2^{self._bits} cannot be read by bits")
+        np.right_shift(raw, 64 - self._bits, out=out.view(np.uint64))
+        self._table.take(out, out=out, mode="clip")
+        flat = out.reshape(-1)
+        miss = np.flatnonzero(flat < 0)
+        flat[miss] = np.searchsorted(self.edges, _uniforms(raw.reshape(-1).take(miss)),
+                                     side=self.side)
+        return out
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """The doubles `Generator.random` makes of the PCG64 outputs raw
+    (uint64): each output's top 53 bits times 2^-53, one output per
+    double.  So a generator's `bit_generator.random_raw(k)` holds the
+    k doubles that its `random(k)` would draw, and moves it as far."""
+    return (raw >> np.uint64(11)) * 2.0 ** -53
 
 
 def _inverse_cdf(cum: np.ndarray) -> _GuideTable:

@@ -19,37 +19,41 @@ The Monte Carlo checks work on atom indices rather than values.  A draw
 is the index j of an atom, read from the law's inverse-CDF guide table
 as `dist.sample` reads it (`dist._GuideTable`: one table read per draw,
 and a binary search only for the few uniforms whose bucket holds a
-cumulative mass).  The pairing is a table lookup too.  A draw's partner
-depends only on its atom and its harvest slice: the level
-h0[j] + u span[j] falls in one slice between consecutive harvest levels,
-and one table of (atom, slice) pairs holds the partner of each pair a
-draw can meet.  An atom meets only the slices its harvest interval
-covers, so the table grows with the atoms plus the slices, not with
-their product.  The pair a draw meets comes from one more guide table,
-keyed on the atom and the uniform's top bits; only the few draws whose
-bucket holds a harvest level compute the level and look its slice up in
-a guide table over [0, g_total].  A check builds its guide tables once,
+cumulative mass).  The blocks draw each uniform as the PCG64 output that
+`Generator.random` makes it of, and a guide table reads its bucket from
+the output's top bits (`dist._uniforms`), so only the uniforms that a
+binary search needs are made.  The pairing is a table lookup too.  A
+draw's partner depends only on its atom and its harvest slice: the
+level h0[j] + u span[j] falls in one slice between consecutive harvest
+levels, and one table of (atom, slice) pairs holds the partner of each
+pair a draw can meet.  An atom meets only the slices its harvest
+interval covers, so the table grows with the atoms plus the slices, not
+with their product.  The pair a draw meets comes from one more guide
+table, keyed on the atom and the uniform's top bits; only the few draws
+whose bucket holds a harvest level compute the level and look its slice
+up among the levels by binary search.  A check builds its tables once,
 and the pool threads share them read-only.
 `ReciprocatingMap.reciprocate` and `selfnorm_stat` are thin wrappers
 over the same private helpers, and the statistics sum their rows as
 whole-column adds in numpy's own order (`_row_sums`).  A block of paths
 runs in tiles of max(1, 2^15 // n) paths, so a tile holds at most 2^15
-coordinates until n passes 2^15, and then one path.  A tile works in
-four buffers that its thread lends it from block to block: it reads its
-atom draws from the block's generator, and its second draws from a copy
-of that generator advanced past the block's atom draws
-(`dist._advanced`), so every path draws what an untiled block would.
-For vw and vym a coordinate's denominator term, (x - r)^2 or |x r|^m,
-depends only on its pair, so a check tabulates the term of every pair
-with the same ufuncs, and a tile takes its terms from that table instead
-of computing them per coordinate.  The blocks run on
-`verifier.tail_counts`, so they share the supermartingale check's thread
-pool and per-block streams, and the counts are the same at any
-ASYMTAIL_THREADS.  The rows and the report come from `verifier` too:
-`verifier.mc_rows` adds the Clopper-Pearson limits, and a check returns
-a `verifier.McReport` whose rows name their bound curve: "normal" for
-vw, and "b_opt" for the kinds compared with a carrier, whose bound is
-`bounds.b_opt` of that carrier over the x grid.
+coordinates until n passes 2^15, and then one path.  A tile works in an
+index array and a complex array that its thread lends it from block to
+block: it reads its atom draws from the block's generator, and its
+second draws from a copy of that generator advanced past the block's
+atom draws (`dist._advanced`), so every path draws what an untiled block
+would.  A coordinate's value and its denominator term depend only on its
+atom, or for vw and vym on its pair, so a check tabulates each
+(value, term) once as one complex number, with the ufuncs
+`selfnorm_stat` runs, and a tile reads a coordinate's two numbers with
+one `take` and sums both rows with one column add per column.  The
+blocks run on `verifier.tail_counts`, so they share the supermartingale
+check's thread pool and per-block streams, and the counts are the same
+at any ASYMTAIL_THREADS.  The rows and the report come from `verifier`
+too: `verifier.mc_rows` adds the Clopper-Pearson limits, and a check
+returns a `verifier.McReport` whose rows name their bound curve:
+"normal" for vw, and "b_opt" for the kinds compared with a carrier,
+whose bound is `bounds.b_opt` of that carrier over the x grid.
 """
 from __future__ import annotations
 
@@ -61,7 +65,7 @@ import numpy as np
 
 from .bounds import b_opt, carrier_sum, normal_tail
 # `sample` stays importable here: perfbench/tracer.py wraps selfnorm.sample
-from .dist import (FiniteDist, _advanced, _GuideTable, _inverse_cdf,  # noqa: F401
+from .dist import (FiniteDist, _advanced, _inverse_cdf, _uniforms,  # noqa: F401
                    from_pairs, iid_sum, sample, scale, st)
 # `lc_majorant` stays importable here: perfbench/tracer.py wraps selfnorm.lc_majorant
 from .majorant import lc_majorant  # noqa: F401
@@ -134,7 +138,6 @@ class ReciprocatingMap:
         self.levels = np.unique(np.concatenate((pos_h, neg_h)))
         self._plus = self._slice_atoms(pos_h, pos_x)
         self._minus = self._slice_atoms(neg_h, neg_x)
-        self._slices = _GuideTable(self.levels, self.g_total, "left")
 
         # The pair table.  Atom j's level h0[j] + u span[j] for u in
         # [0, 1), computed as `_slice_index` computes it, lies between
@@ -212,27 +215,17 @@ class ReciprocatingMap:
         below = np.searchsorted(side_h, self.levels, side="right")
         return side_x[np.minimum(np.concatenate(([0], below)), side_x.size - 1)]
 
-    def _slice_index(self, j: np.ndarray, u: np.ndarray, work: np.ndarray,
-                     out: np.ndarray) -> np.ndarray:
-        """Index into the pair table for atoms j at uniforms u, written
-        into out (intp) and returned.
+    def _slice_index(self, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Index into the pair table for atoms j at uniforms u.
 
         The level h0[j] + u span[j], clipped to [0, g_total], picks the
-        slice s, and the index is _start[j] + s.  u and work must be
-        C-contiguous float64 arrays of j's shape, and both are
-        overwritten.
+        slice s by one binary search over the levels, and the index is
+        _start[j] + s.  The guides send only their few misses here.
         """
-        # j is in range, and mode "clip" writes straight to `out` where
-        # "raise" would buffer it
-        u *= self._span.take(j, out=work, mode="clip")
-        u += self._h0.take(j, out=work, mode="clip")
-        np.clip(u, 0.0, self.g_total, out=u)
-        self._slices(u, out=out)
-        # the levels are spent, so u's buffer takes the run starts
-        starts = u.view(np.int64)
-        np.take(self._start, j, out=starts, mode="clip")
-        out += starts
-        return out
+        level = u * self._span.take(j)
+        level += self._h0.take(j)
+        np.clip(level, 0.0, self.g_total, out=level)
+        return self._start.take(j) + np.searchsorted(self.levels, level, side="left")
 
     def _pair_index(self, j: np.ndarray, u: np.ndarray, work: np.ndarray,
                     out: np.ndarray) -> np.ndarray:
@@ -251,10 +244,49 @@ class ReciprocatingMap:
         flat = out.reshape(-1)
         miss = np.flatnonzero(flat < 0)
         if miss.size:
-            um = u.reshape(-1).take(miss)
-            flat[miss] = self._slice_index(j.reshape(-1).take(miss), um, np.empty_like(um),
-                                           np.empty_like(miss))
+            flat[miss] = self._slice_index(j.reshape(-1).take(miss), u.reshape(-1).take(miss))
         return out
+
+    def _keyed(self, by_pair: np.ndarray) -> np.ndarray:
+        """by_pair, one complex entry per pair of the table, laid over the
+        pair guide's keys: a bucket gets its pair's entry, and a bucket
+        that holds a harvest level gets -1j.  Every entry of by_pair must
+        have an imaginary part of +0.0 or more, so that -1j marks the misses.
+        """
+        keyed = by_pair.take(self._guide, mode="clip")
+        keyed[self._guide < 0] = -1j
+        keyed.setflags(write=False)
+        return keyed
+
+    def _read_pairs(self, keyed: np.ndarray, by_pair: np.ndarray, j: np.ndarray,
+                    raw: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """by_pair's entry of the pair of each atom j at the uniform
+        `dist._uniforms(raw)`, written into z and returned: one read of
+        `_keyed(by_pair)` per draw, by the pair guide's key
+        (j << s) + floor(u 2^s), whose low bits are the top s bits of the
+        uniform's PCG64 output, and one binary search (`_slice_index`)
+        for the few draws that miss.
+
+        j (intp), raw (uint64) and z (complex128) must be C-contiguous
+        arrays of one shape; j is overwritten with the keys, raw is left
+        as it is, and only the draws that miss make their uniforms.
+        """
+        shift = self._guide_shift
+        # the key's low bits go in z's first half, which the take overwrites
+        low = z.reshape(-1).view(np.intp)[:j.size].reshape(j.shape)
+        np.right_shift(raw, 64 - shift, out=low.view(np.uint64))
+        j <<= shift
+        j += low
+        # every key is in range, and mode "clip" writes straight to z
+        keyed.take(j, out=z, mode="clip")
+        flat = z.reshape(-1)
+        # the sign bit finds the -1j: no entry's imaginary part is -0.0
+        miss = np.signbit(flat.imag).nonzero()[0]
+        if miss.size:
+            keys = j.reshape(-1).take(miss)
+            u = _uniforms(raw.reshape(-1).take(miss))
+            flat[miss] = by_pair.take(self._slice_index(keys >> shift, u))
+        return z
 
     def _at_level(self, h, side: np.ndarray):
         ha = np.asarray(h, dtype=float)
@@ -422,9 +454,33 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     operand order numpy's compiler chose, so only a NaN sum may differ
     from numpy's in its bits, and then it is a NaN too.
     """
+    return np.add.reduce(a, axis=1) if _reduces(a) else _column_sums(a)
+
+
+def _part_sums(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_row_sums` of z.real and of z.imag, as two C-contiguous arrays,
+    for a C-contiguous 2-d complex128 array z.
+
+    A complex add adds the two parts on their own, so one column add of
+    z does the adds of both parts' column sums, bit for bit.  Where
+    `_row_sums` reduces, each part is reduced on its own: numpy's complex
+    reduction pairs the entries in another order.
+    """
+    if _reduces(z):
+        return np.add.reduce(z.real, axis=1), np.add.reduce(z.imag, axis=1)
+    sums = _column_sums(z)
+    return sums.real.copy(), sums.imag.copy()
+
+
+def _reduces(a: np.ndarray) -> bool:
+    """Whether `_row_sums` leaves a to numpy's reduction."""
     n = a.shape[1]
-    if n >= 16 or a.shape[0] < 32 * n:
-        return np.add.reduce(a, axis=1)
+    return n >= 16 or a.shape[0] < 32 * n
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """numpy's row sums of a (fewer than 16 columns) as column adds."""
+    n = a.shape[1]
     if n < 8:
         # the identity first: 0 + a0 + ... + a(n-1) in sequence gives the
         # same bits as numpy's 0 + (a0 + ... + a(n-1))
@@ -443,12 +499,15 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# One helper per kind.  Each overwrites its second argument and leaves
-# the first alone, so the Monte Carlo blocks run them in buffers they own;
-# a row's statistic depends on that row alone.  vw and vym split in two:
-# the denominator term of each coordinate, which depends only on the
-# coordinate and its partner, and the row's ratio.  `_PAIRED` holds the
-# two for each kind; the blocks tabulate the terms once per law.
+# Each kind's statistic is a ratio of two row sums: of the coordinates
+# (for vsymm, of the coordinates times their multipliers) and of the
+# coordinates' denominator terms.  A term depends on its coordinate
+# alone, or for vw and vym on the coordinate and its partner, so the
+# Monte Carlo blocks tabulate the terms once per law with the same
+# ufuncs that `selfnorm_stat` runs on its sample, and sum the two rows
+# at once (`_part_sums`).  The term helpers overwrite their second
+# argument and leave the first alone.  `_PAIRED` holds the (terms, ratio)
+# of the kinds that pair a coordinate with its partner.
 
 def _vw_terms(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
     w = np.subtract(x, r, out=r)
@@ -456,8 +515,8 @@ def _vw_terms(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
     return w
 
 
-def _vw(x: np.ndarray, w: np.ndarray, m: float) -> np.ndarray:
-    return _safe_ratio(_row_sums(x), 0.5 * np.sqrt(_row_sums(w)))
+def _vw(sum_x: np.ndarray, sum_w: np.ndarray, m: float) -> np.ndarray:
+    return _safe_ratio(sum_x, 0.5 * np.sqrt(sum_w))
 
 
 def _vym_terms(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
@@ -467,26 +526,30 @@ def _vym_terms(x: np.ndarray, r: np.ndarray, m: float) -> np.ndarray:
     return y
 
 
-def _vym(x: np.ndarray, y: np.ndarray, m: float) -> np.ndarray:
-    return _safe_ratio(_row_sums(x), _row_sums(y) ** (1.0 / (2.0 * m)))
+def _norm_ratio(sum_x: np.ndarray, sum_t: np.ndarray, m: float) -> np.ndarray:
+    """The ratio of vym and vsymm: sum_x over the 2m-th root of sum_t."""
+    return _safe_ratio(sum_x, sum_t ** (1.0 / (2.0 * m)))
 
 
-# (terms, ratio) of each kind that pairs a coordinate with its partner
-_PAIRED = {"vw": (_vw_terms, _vw), "vym": (_vym_terms, _vym)}
+_PAIRED = {"vw": (_vw_terms, _vw), "vym": (_vym_terms, _norm_ratio)}
 
 
-def _vsymm(x: np.ndarray, multipliers: np.ndarray, m: float) -> np.ndarray:
-    t = np.multiply(multipliers, x, out=multipliers)
-    num = _row_sums(t)
-    np.abs(x, out=t)
-    t **= 2.0 * m
-    return _safe_ratio(num, _row_sums(t) ** (1.0 / (2.0 * m)))
+def _abs_power(x: np.ndarray, e: float) -> np.ndarray:
+    """|x|^e, the term of vsymm and vhatsymm."""
+    t = np.abs(x)
+    t **= e
+    return t
 
 
-def _vhatsymm(x: np.ndarray, hat_abs: np.ndarray, m: float, p: float) -> np.ndarray:
-    hat_abs **= 2.0 * m
-    return _safe_ratio(_row_sums(x),
-                       math.sqrt(p) * _row_sums(hat_abs) ** (1.0 / (2.0 * m)))
+def _vhatsymm(sum_x: np.ndarray, sum_t: np.ndarray, m: float, p: float) -> np.ndarray:
+    return _safe_ratio(sum_x, math.sqrt(p) * sum_t ** (1.0 / (2.0 * m)))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + 1j im, each part the given doubles."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
 
 
 def _own(a, shape) -> np.ndarray:
@@ -516,15 +579,18 @@ def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
         if r is None:
             raise SelfNormError(f"{kind} needs the reciprocated values r")
         terms, ratio = _PAIRED[kind]
-        return ratio(x, terms(x, _own(r, x.shape), m), m)
+        return ratio(_row_sums(x), _row_sums(terms(x, _own(r, x.shape), m)), m)
     if kind == "vsymm":
         if multipliers is None:
             raise SelfNormError("vsymm needs the symmetric multipliers")
-        return _vsymm(x, _own(multipliers, x.shape), m)
+        mx = np.multiply(_own(multipliers, x.shape), x)
+        return _norm_ratio(_row_sums(mx), _row_sums(_abs_power(x, 2.0 * m)), m)
     if kind == "vhatsymm":
         if hat_abs is None or p is None:
             raise SelfNormError("vhatsymm needs hat_abs and p")
-        return _vhatsymm(x, _own(hat_abs, x.shape), m, p)
+        t = _own(hat_abs, x.shape)
+        t **= 2.0 * m
+        return _vhatsymm(_row_sums(x), _row_sums(t), m, p)
     raise SelfNormError(f"unknown statistic kind {kind!r}")
 
 
@@ -579,13 +645,25 @@ def _bound_curve(cfg: SelfNormConfig, xs: np.ndarray, rm: ReciprocatingMap | Non
     return b_opt(scale(iid_sum(st(cfg.p), cfg.n), cfg.n ** -0.5), xs).value
 
 
-# Uniforms per tile of a Monte Carlo block.  Each of a tile's four arrays
-# stays at 256 KiB, so two blocks in flight stay under 4 MiB, and smaller
-# tiles pay more per-tile dispatch.  Timed interleaved in one process on 2
-# vCPUs at ASYMTAIL_THREADS=2 (mc_check blocks 0-1, seeds 1-3, the least
-# of 5 runs per check), 2^14 took 1.16-1.23 times as long as 2^15 and
-# 2^16 0.89-0.91 times (2^15 against itself: 0.99-1.00), but with 2^16
-# two vw blocks in flight peak at 5.0 MiB.
+def _pair_tables(rm: ReciprocatingMap, kind: str, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """(by_pair, keyed) of vw or vym: by_pair holds x + 1j term for each
+    pair of rm's table, x its atom and term the kind's denominator term of
+    x and its partner, and keyed lays it over the pair guide's keys
+    (`ReciprocatingMap._keyed`)."""
+    x = rm.dist.values.take(rm._pair_atom)
+    by_pair = _complex(x, _PAIRED[kind][0](x, rm._pair_partner.copy(), m))
+    return by_pair, rm._keyed(by_pair)
+
+
+# Uniforms per tile of a Monte Carlo block.  A tile's index and complex
+# arrays and the PCG64 outputs of the phase it draws take 32 bytes a
+# coordinate, 1 MiB at 2^15, so two blocks in flight stay under 4 MiB, and
+# smaller tiles pay more per-tile dispatch.  Timed interleaved in one
+# process on 2 vCPUs at ASYMTAIL_THREADS=2 with the four float and index
+# arrays tiles had before (mc_check blocks 0-1, seeds 1-3, the least of 5
+# runs per check), 2^14 took 1.16-1.23 times as long as 2^15 and 2^16
+# 0.89-0.91 times (2^15 against itself: 0.99-1.00), but with 2^16 two vw
+# blocks in flight peaked at 5.0 MiB.
 _TILE = 1 << 15
 
 
@@ -601,73 +679,82 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     max(1, _TILE // n) rows.  A tile reads its atoms from rng and its
     second draws from `dist._advanced(rng, size * n)`, a copy of rng
     that starts after the first phase, and writes its statistic into the
-    block's (size,) array.  Its four arrays are borrowed for the block
-    from the thread's last block (`verifier._block_buffers`), so a
-    thread holds one tile's arrays from block to block.
+    block's (size,) array.  Its two arrays, the atom indices and one
+    complex128 array, are borrowed for the block from the thread's last
+    block (`verifier._block_buffers`), so a thread holds one tile's
+    arrays from block to block; it draws each phase's PCG64 outputs
+    afresh, one phase at a time.
 
-    A tile makes a few passes over whole arrays and no reduction per
-    row: its statistic sums its rows with `_row_sums`, numpy's pairwise
-    order as whole-column adds, so every sum is the one `sum(axis=1)`
-    gives.  For vw and vym a coordinate's (atom, slice) pair comes from
-    one read of the map's pair guide (`ReciprocatingMap._pair_index`),
-    and its term depends only on that pair, so the simulator tabulates
-    the term once per check, with the kind's `_PAIRED` ufuncs, for each
-    pair of the map's table.  A tile then takes its terms from the table
-    in one `take` and applies the kind's ratio, and every term is the
-    one the ufuncs give on the tile, bit for bit.  vhatsymm finds its
-    zero coordinates as flat indices, in row-major order, and writes
-    their conditioned draws' |values|, tabulated once per check, there.
+    A coordinate's value and its denominator term depend only on its
+    atom, or for vw and vym on its (atom, slice) pair, so the simulator
+    tabulates each (value, term) once per check as one complex number,
+    with the ufuncs `selfnorm_stat` runs on a sample, and a tile reads
+    them with one `take` into its complex array.  For vw and vym the
+    table is laid over the pair guide's keys (`ReciprocatingMap._keyed`
+    and `_read_pairs`); vsymm then multiplies the real parts by the
+    multipliers, and vhatsymm finds its zero coordinates by the -1j that
+    marks them and writes their conditioned draws' terms there.  The tile
+    sums both parts' rows at once with `_part_sums`, numpy's pairwise
+    order as whole-column adds, and no reduction per row, so every value,
+    term and sum is the one a value-level simulation gives, bit for bit.
     It runs on pool threads, so it calls only private helpers.
     """
     n = cfg.n
     rows = max(1, _TILE // n)
     values, atoms = cfg.base.values, _inverse_cdf(np.cumsum(cfg.base.masses))
 
-    # A tile gets u, its first-phase uniforms (t, n), and three buffers of
-    # that shape: f (float), k and j (intp; j takes the atom indices).  It
-    # overwrites all four.  The takes run in mode "clip", which writes
-    # straight to `out`: every index is in range.
-    if rm is not None:
-        terms, ratio = _PAIRED[cfg.kind]
-        table = terms(values.take(rm._pair_atom), rm._pair_partner.copy(), cfg.m)
+    # A tile gets the block's generator and the second-phase copy, and j
+    # (intp) and z (complex128) of its (t, n) shape, which it overwrites.
+    # It draws each phase's t n uniforms as the PCG64 outputs they are
+    # made of (`dist._uniforms`), which the guide tables read by their top
+    # bits.  The takes run in mode "clip", which writes straight to
+    # `out`: every index is in range.
+    def bits(gen, j):
+        return gen.bit_generator.random_raw(j.size).reshape(j.shape)
 
-        def tile(u, second, f, k, j):
-            atoms(u, out=j)
-            second.random(out=u)
-            idx = rm._pair_index(j, u, f, k)
-            x = values.take(j, out=u, mode="clip")
-            return ratio(x, table.take(idx, out=f, mode="clip"), cfg.m)
+    if rm is not None:
+        ratio = _PAIRED[cfg.kind][1]
+        by_pair, keyed = _pair_tables(rm, cfg.kind, cfg.m)
+
+        def tile(rng, second, j, z):
+            atoms.from_bits(bits(rng, j), out=j)
+            return ratio(*_part_sums(rm._read_pairs(keyed, by_pair, j, bits(second, j), z)),
+                         cfg.m)
     elif cfg.kind == "vsymm":
         mult_law = st(cfg.p)
         mult_values, mults = mult_law.values, _inverse_cdf(np.cumsum(mult_law.masses))
+        by_atom = _complex(values, _abs_power(values, 2.0 * cfg.m))
 
-        def tile(u, second, f, k, j):
-            x = values.take(atoms(u, out=j), out=f, mode="clip")
-            second.random(out=u)
-            return _vsymm(x, mult_values.take(mults(u, out=j), out=u, mode="clip"), cfg.m)
+        def tile(rng, second, j, z):
+            by_atom.take(atoms.from_bits(bits(rng, j), out=j), out=z, mode="clip")
+            raw = bits(second, j)
+            # the outputs are spent once read, so their buffer takes the multipliers
+            z.real *= mult_values.take(mults.from_bits(raw, out=j), out=raw.view(float),
+                                       mode="clip")
+            return _norm_ratio(*_part_sums(z), cfg.m)
     else:
-        hat_abs, hat_atoms = np.abs(hat.values), _inverse_cdf(np.cumsum(hat.masses))
-        ztol = _zero_tol(cfg.base)
+        hat_terms = _abs_power(hat.values, 2.0 * cfg.m)
+        hat_atoms = _inverse_cdf(np.cumsum(hat.masses))
+        zero = np.abs(values) <= _zero_tol(cfg.base)
+        by_atom = _complex(values, np.where(zero, -1.0, _abs_power(values, 2.0 * cfg.m)))
 
-        def tile(u, second, f, k, j):
-            x = values.take(atoms(u, out=j), out=f, mode="clip")
-            habs = np.abs(x, out=u)
+        def tile(rng, second, j, z):
+            flat = by_atom.take(atoms.from_bits(bits(rng, j), out=j), out=z,
+                                mode="clip").reshape(-1)
             # the zero coordinates in row-major order, one draw each
-            zeros = np.flatnonzero(habs <= ztol)
+            zeros = np.signbit(flat.imag).nonzero()[0]
             if zeros.size:
-                habs.reshape(-1)[zeros] = hat_abs.take(hat_atoms(second.random(zeros.size)))
-            return _vhatsymm(x, habs, cfg.m, cfg.p)
+                flat.imag[zeros] = hat_terms.take(hat_atoms(second.random(zeros.size)))
+            return _vhatsymm(*_part_sums(z), cfg.m, cfg.p)
 
     def simulate(rng, size):
         second = _advanced(rng, size * n)
         out = np.empty(size)
         shape = (min(rows, size), n)
-        with _block_buffers((shape, float), (shape, float), (shape, np.intp),
-                            (shape, np.intp)) as (u, f, k, j):
+        with _block_buffers((shape, np.intp), (shape, complex)) as (j, z):
             for start in range(0, size, rows):
                 t = min(rows, size - start)
-                rng.random(out=u[:t])
-                out[start:start + t] = tile(u[:t], second, f[:t], k[:t], j[:t])
+                out[start:start + t] = tile(rng, second, j[:t], z[:t])
         return out, None
     return simulate
 

@@ -553,10 +553,10 @@ class McConfig:
             RngSpec(self.seed)
         except DistError as exc:
             raise VerifyError(str(exc)) from None
-        if not self.n_paths >= 1:
-            raise VerifyError(f"n_paths must be >= 1, got {self.n_paths!r}")
-        if not self.block >= 1:
-            raise VerifyError(f"block must be >= 1, got {self.block!r}")
+        for name in ("n_paths", "block"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise VerifyError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -623,7 +623,9 @@ class _Spares(threading.local):
 
 _spares = _Spares()
 # A thread keeps a block's buffer for its next block up to this size; a
-# larger one (a self-normalized tile row of over 2^17 coordinates) is freed.
+# larger one is freed: a supermartingale block's of over 127 000 paths (33
+# bytes each), or a self-normalized tile's of over 174 000 coordinates (24
+# bytes each, in one path of that many).
 _KEEP_BYTES = 1 << 22
 
 
@@ -667,11 +669,13 @@ def tail_counts(simulate, xs, mc: McConfig) -> TailCounts:
     pool thread, so it must call only what may run concurrently.  Up to
     ASYMTAIL_THREADS blocks are in flight at once, each with its own
     working set: the statistic of its paths, and the arrays it reuses
-    from step to step or tile to tile (five arrays of the block's size
-    for a supermartingale block; four of one tile for a self-normalized
-    one, at most 2^15 entries each up to n = 2^15 coordinates per path and
-    one path of n entries beyond), which `_block_buffers` lends it
-    from its thread's last block.
+    from step to step or tile to tile, which `_block_buffers` lends it
+    from its thread's last block.  A supermartingale block reuses five
+    arrays of the block's size and holds its tree of states, no more
+    than its paths.  A self-normalized block reuses an index array and
+    a complex array of one tile, at most 2^15 entries each up to
+    n = 2^15 coordinates per path and one path of n entries beyond, and
+    holds the draws of one phase of its tile as it makes them.
     """
     start = time.perf_counter()
     xs = np.asarray(xs, dtype=float)
@@ -714,65 +718,131 @@ class SupermartingaleConfig:
 _RULES = ("constant", "history_scaled", "random_modulated")
 
 
+def _increments(rule: str, ratio: float, sref: float, ci, S: np.ndarray,
+                rng: np.random.Generator, U, A, B, work) -> tuple:
+    """A, B and up = A / (A + B) of one step at the sums S.
+
+    Under the constant rule they are scalars; otherwise they are arrays
+    of S's shape, written into A, B and work (and random_modulated first
+    draws its U into U).  The same body steps a block's states and its
+    paths, so the two give the same bits.
+    """
+    if rule == "constant":
+        return ci, ci, ci / (ci + ci)
+    if rule == "history_scaled":
+        # sigma = 1 / (1 + (S / sref)^2)
+        sigma = np.divide(S, sref, out=work)
+        np.square(sigma, out=sigma)
+        sigma += 1.0
+        np.divide(1.0, sigma, out=sigma)
+        np.multiply(sigma, ci * math.sqrt(ratio), out=B)
+        np.multiply(sigma, ci / math.sqrt(ratio), out=A)
+    else:  # random_modulated: B = c_i ratio^(U/2), A = c_i ratio^(-U/2)
+        rng.random(out=U)
+        # the base as a whole array, not a broadcast scalar: numpy's power
+        # takes about half the time on it, and gives the same bits
+        B.fill(ratio)
+        np.power(B, np.multiply(U, 0.5, out=work), out=B)
+        B *= ci
+        A.fill(ratio)
+        np.power(A, np.multiply(U, -0.5, out=work), out=A)
+        A *= ci
+    return A, B, np.divide(A, np.add(A, B, out=work), out=work)
+
+
+def _guard(excess: float, ci, top_ab, top_ba, ratio: float) -> float:
+    """excess raised to the step's sqrt(A B) / c_i - 1, given the step's
+    largest A B and B / A; a step that breaks either rule raises."""
+    # sqrt is monotone and correctly rounded: the root of the largest
+    # product is the largest root
+    excess = max(excess, float(np.sqrt(top_ab)) / ci - 1.0)
+    if excess > 1e-12:
+        raise VerifyError("rule breaks sqrt(A B) <= c_i")
+    if top_ba > ratio * (1.0 + 1e-12):
+        raise VerifyError("rule breaks B/A <= q/p")
+    return excess
+
+
 def _simulate_block(cfg: SupermartingaleConfig, rng: np.random.Generator,
                     size: int) -> tuple[np.ndarray, float]:
     """Final sums of `size` paths, and the largest sqrt(A B) / c_i - 1 seen.
 
-    The block's working set is the sums S, which it returns, and five
-    arrays of `size` entries that it borrows from its thread's last block
-    (`_block_buffers`): the uniforms, A, B, one work array and the
-    take-up mask.  Every step writes into them with `out=` ufuncs, and
-    adds B or takes away A by multiplying with the mask (exact: the
-    other term is 0.0), which is the step S + where(take_up, B, -A) bit
-    for bit.
+    Under the constant and history_scaled rules a path's sum after i
+    steps depends only on its i up/down choices, so the block steps the
+    tree of those states as long as a step leaves no more states than
+    paths: state 2s is state s after a step down (X - A) and 2s + 1
+    after a step up (X + B), and each path keeps the index of its state.
+    A step runs the rule on the states and takes each path's
+    up-probability by its index.  The first step that would leave more
+    states than paths starts from each path's sum, and the block ends
+    path by path; random_modulated, whose U is continuous, runs that way
+    throughout.  Both run the rule's one body (`_increments`), and a
+    path's sum S + B - 0.0 or S + 0.0 - A (a sum is never -0.0) is the
+    state's X + B or X - A, so the sums are the same bits either way.
+    The guards take their maxima over the states some path reached, so
+    their verdicts and the excess are those of the paths.
+
+    The block's working set is the sums S, which it returns, the states,
+    and five arrays of `size` entries that it borrows from its thread's
+    last block (`_block_buffers`): the uniforms, A, B, one work array
+    and the take-up mask; on the tree the paths' state indices take B's
+    place.  A path step writes into them with `out=` ufuncs, and adds B
+    or takes away A by multiplying with the mask (exact: the other term
+    is 0.0), which is the step S + where(take_up, B, -A) bit for bit.
     """
     p, q = cfg.p, 1.0 - cfg.p
     ratio = q / p
     c = np.asarray(cfg.coeffs, dtype=float)
     sref = math.sqrt(float(np.sum(c * c)))
-    S = np.zeros(size)
-    sqrtab_excess = -math.inf
+    excess = -math.inf
+    i = 0
     with _block_buffers(*[((size,), float)] * 4, ((size,), bool)) as (U, A, B, work, take_up):
-        for i in range(cfg.n):
-            ci = c[i]
-            if cfg.rule == "constant":
-                # scalars: the checks and the step below broadcast them
-                a = b = ci
-                top_ab, top_ba = np.sqrt(ci * ci), ci / ci
+        if cfg.rule == "random_modulated":
+            S = np.zeros(size)
+        else:
+            X = np.zeros(1)
+            idx = B.view(np.intp)
+            idx[:] = 0
+            pending = []   # history_scaled's guards: (c_i, A B, B / A) per state
+            while i < cfg.n and 2 * X.size <= size:
+                ci = c[i]
+                a, b, up = _increments(cfg.rule, ratio, sref, ci, X, rng, None,
+                                       *np.empty((3, X.size)))
+                if np.ndim(a):
+                    pending.append((ci, a * b, b / a))
+                else:
+                    excess = _guard(excess, ci, a * b, b / a, ratio)
+                rng.random(out=U)
+                np.less(U, up.take(idx, out=work, mode="clip") if np.ndim(up) else up,
+                        out=take_up)
+                child = np.empty((X.size, 2))
+                np.subtract(X, a, out=child[:, 0])
+                np.add(X, b, out=child[:, 1])
+                X = child.reshape(-1)
+                idx <<= 1
+                idx += take_up
+                i += 1
+            if pending:
+                # a state was reached if one of its children is
+                r, reached = np.bincount(idx, minlength=X.size) > 0, []
+                for _ in pending:
+                    r = r.reshape(-1, 2).any(axis=1)
+                    reached.append(r)
+                for (ci, ab, ba), r in zip(pending, reversed(reached)):
+                    excess = _guard(excess, ci, np.max(ab[r]), np.max(ba[r]), ratio)
+            S = X.take(idx)
+        for ci in c[i:]:
+            a, b, up = _increments(cfg.rule, ratio, sref, ci, S, rng, U, A, B, work)
+            if np.ndim(a):
+                excess = _guard(excess, ci, np.max(np.multiply(a, b, out=U)),
+                                np.max(np.divide(b, a, out=U)), ratio)
             else:
-                if cfg.rule == "history_scaled":
-                    # sigma = 1 / (1 + (S / sref)^2)
-                    sigma = np.divide(S, sref, out=work)
-                    np.square(sigma, out=sigma)
-                    sigma += 1.0
-                    np.divide(1.0, sigma, out=sigma)
-                    np.multiply(sigma, ci * math.sqrt(ratio), out=B)
-                    np.multiply(sigma, ci / math.sqrt(ratio), out=A)
-                else:  # random_modulated: B = c_i ratio^(U/2), A = c_i ratio^(-U/2)
-                    rng.random(out=U)
-                    np.power(ratio, np.multiply(U, 0.5, out=work), out=B)
-                    B *= ci
-                    np.power(ratio, np.multiply(U, -0.5, out=work), out=A)
-                    A *= ci
-                a, b = A, B
-                # sqrt is monotone and correctly rounded: the root of the
-                # largest product is the largest root
-                top_ab = np.sqrt(np.max(np.multiply(A, B, out=work)))
-                top_ba = np.max(np.divide(B, A, out=work))
-            sqrtab_excess = max(sqrtab_excess, float(top_ab) / ci - 1.0)
-            if sqrtab_excess > 1e-12:
-                raise VerifyError("rule breaks sqrt(A B) <= c_i")
-            if top_ba > ratio * (1.0 + 1e-12):
-                raise VerifyError("rule breaks B/A <= q/p")
+                excess = _guard(excess, ci, a * b, b / a, ratio)
             rng.random(out=U)
-            if cfg.rule == "constant":
-                up = a / (a + b)
-            else:
-                up = np.divide(A, np.add(A, B, out=work), out=work)
             np.less(U, up, out=take_up)
             S += np.multiply(take_up, b, out=work)
             S -= np.multiply(np.logical_not(take_up, out=take_up), a, out=work)
-    return S, sqrtab_excess
+    return S, excess
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from asymtail.dist import (
     _canonicalize,
     _GuideTable,
     _inverse_cdf,
+    _uniforms,
     _normal_products,
     _shifted_suffix_moments,
     _suffix_moments_at,
@@ -676,6 +677,52 @@ def test_guide_table_on_a_large_law():
     u = np.random.default_rng(6).random(100_000)
     assert np.array_equal(_inverse_cdf(cum)(u),
                           np.minimum(np.searchsorted(cum, u, side="right"), 9_999))
+
+
+def test_uniforms_are_what_random_draws():
+    gen, ref = RngSpec(4, 2).generator(), RngSpec(4, 2).generator()
+    assert _uniforms(gen.bit_generator.random_raw(5000)).tobytes() == ref.random(5000).tobytes()
+    # and the generator has moved as far
+    assert gen.random(10).tobytes() == ref.random(10).tobytes()
+
+
+def bit_keys(table, edges, rng):
+    """PCG64 outputs where reading a guide table by bits could go wrong:
+    0 and 2^64 - 1, the first and last output of every bucket that holds
+    an edge and of its neighbours, the outputs beside each edge's
+    uniform, and random outputs."""
+    shift = np.uint64(64 - table._bits)
+    b = np.floor(edges[(edges >= 0.0) & (edges < 1.0)] * table._factor).astype(np.uint64)
+    b = np.concatenate([b + np.uint64(k) for k in (0, 1)] + [b[b > 0] - np.uint64(1)])
+    starts = b << shift
+    m = (np.floor(edges[(edges >= 0.0) & (edges < 1.0)] * 2.0 ** 53)).astype(np.uint64)
+    at = m << np.uint64(11)
+    return np.concatenate((
+        np.array([0, 2 ** 64 - 1], dtype=np.uint64), starts, starts - np.uint64(1),
+        at, at - np.uint64(1), at + np.uint64(2 ** 11),
+        rng.integers(0, 2 ** 64, 2000, dtype=np.uint64, endpoint=False)))
+
+
+@given(guide_edges())
+@settings(max_examples=150, deadline=None)
+def test_guide_table_reads_bits_as_their_uniforms(case):
+    edges, _ = case
+    rng = np.random.default_rng(len(edges))
+    for side in ("left", "right"):
+        table = _GuideTable(edges, 1.0, side)
+        raw = bit_keys(table, edges, rng)
+        out = np.empty(raw.shape, dtype=np.intp)
+        assert np.array_equal(table.from_bits(raw, out), table(_uniforms(raw)))
+        block = raw[:60].reshape(12, 5)
+        assert np.array_equal(table.from_bits(block, np.empty(block.shape, dtype=np.intp)),
+                              np.searchsorted(edges, _uniforms(block), side=side))
+
+
+def test_guide_table_read_by_bits_needs_a_fine_factor():
+    # [0, 1e6] over 4096 buckets: the factor is 2^-8, no top bits of an output
+    table = _GuideTable(np.array([0.5, 2.0]), 1e6, "right")
+    with pytest.raises(ValueError, match="cannot be read by bits"):
+        table.from_bits(np.zeros(3, dtype=np.uint64), np.empty(3, dtype=np.intp))
 
 
 def test_substream_derivation():

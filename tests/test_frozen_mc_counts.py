@@ -7,13 +7,17 @@ Every entry is the list of row counts of one check at seed 3:
   symm5, the symmetric one) and, for vw, on a zero-mean law of 2000
   atoms and about as many harvest slices;
 - `supermartingale_mc` for its three increment rules, the configurations
-  of `verify --suite supermartingale`.
+  of `verify --suite supermartingale`, and for the `constant` and
+  `history_scaled` rules at n = 16, where every block outgrows the state
+  tree of `verifier._simulate_block` and finishes path by path.
 
 The checks run three blocks, one of them short, and the counts are
 checked at ASYMTAIL_THREADS 1 and 2.  The file was written by the code
 before the self-normalized tiles summed their rows as column adds
 (`selfnorm._row_sums`), when every tile called `x.sum(axis=1)`; every
-count matches it.
+count matches it.  The two n = 16 entries were written later, by the
+code before the supermartingale blocks stepped on the state tree, when
+every step ran over all of a block's paths.
 
     PYTHONPATH=src python tests/test_frozen_mc_counts.py --write
 
@@ -64,6 +68,7 @@ SELFNORM = [
 ]
 SELFNORM_CASES = {f"{kind}_{law}_n{n}": SelfNormConfig(base=LAWS[law], n=n, kind=kind, p=p, m=m)
                   for kind, law, p, m in SELFNORM for n in (4, 10)}
+COEFFS_16 = tuple(0.6 + 0.05 * i for i in range(16))
 SUPERMARTINGALE_CASES = {
     "constant": SupermartingaleConfig(n=6, p=0.3, coeffs=(1.0,) * 6, rule="constant",
                                       m=m_star(0.3)),
@@ -71,6 +76,12 @@ SUPERMARTINGALE_CASES = {
                                             rule="history_scaled", m=m_star(0.25)),
     "random_modulated": SupermartingaleConfig(n=4, p=0.4, coeffs=(1.0, 0.5, 1.5, 1.0),
                                               rule="random_modulated", m=m_star(0.4)),
+    # 2^16 up/down histories: every block, the short one too, leaves the
+    # state tree for its paths part way through
+    "constant_n16": SupermartingaleConfig(n=16, p=0.3, coeffs=COEFFS_16, rule="constant",
+                                          m=m_star(0.3)),
+    "history_scaled_n16": SupermartingaleConfig(n=16, p=0.6, coeffs=COEFFS_16,
+                                                rule="history_scaled", m=m_star(0.6)),
 }
 
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as hst
 
 from asymtail import selfnorm
 from asymtail.bounds import b_opt, carrier_sum, normal_tail
-from asymtail.dist import FiniteDist, RngSpec, _inverse_cdf, from_pairs, iid_sum, scale, st
+from asymtail.dist import (FiniteDist, RngSpec, _inverse_cdf, _uniforms, from_pairs, iid_sum,
+                           scale, st)
 from asymtail.selfnorm import (
     ReciprocatingMap,
     TwoPointDecomposition,
@@ -287,6 +288,41 @@ class TestRowSums:
                               _bits(selfnorm_stat("v", clean)))
 
 
+class TestPartSums:
+    """`_part_sums` of a complex array is `_row_sums` of its real and its
+    imaginary part, bit for bit, as two C-contiguous arrays."""
+
+    @staticmethod
+    def _same(re, im):
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im
+        with np.errstate(all="ignore"):
+            got = selfnorm._part_sums(z)
+            wants = re.sum(axis=1), im.sum(axis=1)
+        for part, want in zip(got, wants):
+            assert part.flags.c_contiguous
+            nan = np.isnan(want)
+            if not (np.array_equal(np.isnan(part), nan)
+                    and np.array_equal(_bits(part)[~nan], _bits(want)[~nan])):
+                return False
+        return True
+
+    @given(data=hst.data(), n=hst.integers(1, 20), distinct=hst.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_each_part_summed(self, data, n, distinct):
+        flat = data.draw(hst.lists(ENTRY, min_size=2 * n * distinct, max_size=2 * n * distinct))
+        re, im = np.array(flat, dtype=float).reshape(2, distinct, n)
+        rows = (32 * n // distinct + 1, 1)
+        assert self._same(np.tile(re, rows), np.tile(im, rows))
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 129, 8193])
+    def test_bit_equal_at_every_width(self, n):
+        rows = 32 * n if n < 16 else 3
+        assert self._same(_row_blocks(n, rows, n), _row_blocks(n, rows, n + 1))
+        # few rows per column: both parts go to the reduction
+        assert self._same(_row_blocks(n, 5, n), _row_blocks(n, 5, n + 1))
+
+
 class TestBoundChecks:
     MC = McConfig(seed=42, n_paths=40_000, block=16_384)
 
@@ -484,24 +520,6 @@ class TestSliceTablePairing:
         assert np.array_equal(rm.reciprocate(x, u), masked_reciprocate(d, x, u))
 
     @given(d=zero_mean_laws() | hst.sampled_from([ASYM3, SYMM5]),
-           seed=hst.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_slice_lookup_is_searchsorted_up_to_g_total(self, d, seed):
-        # the slice lookup's top is g_total, which is not a power of two
-        try:
-            rm = ReciprocatingMap(d)
-        except SelfNormError:
-            return
-        top = rm.g_total
-        f = rm._slices._factor
-        near = np.concatenate([(np.floor(rm.levels * f) + k) / f for k in (-1, 0, 1)])
-        h = np.concatenate(([0.0, top, np.nextafter(top, 0.0)], rm.levels,
-                            np.nextafter(rm.levels, 0.0), np.nextafter(rm.levels, np.inf),
-                            near, np.random.default_rng(seed).random(500) * top))
-        h = h[(h >= 0.0) & (h <= top)]
-        assert np.array_equal(rm._slices(h), np.searchsorted(rm.levels, h, side="left"))
-
-    @given(d=zero_mean_laws() | hst.sampled_from([ASYM3, SYMM5]),
            us=hst.lists(hst.sampled_from(U_EDGES) | hst.floats(0.0, 1.0, exclude_max=True),
                         min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
@@ -517,7 +535,7 @@ class TestSliceTablePairing:
         assert rm._pair_partner.size == size <= k + 2 * (rm.levels.size + 1)
         j = np.repeat(np.arange(k), len(us) + len(U_EDGES))
         u = np.tile(np.asarray(us + U_EDGES, dtype=float), k)
-        idx = rm._slice_index(j, u.copy(), np.empty(j.shape), np.empty(j.shape, np.intp))
+        idx = rm._slice_index(j, u)
         assert ((idx >= 0) & (idx < size)).all()
         assert np.array_equal(rm._pair_atom[idx], j)
         assert np.array_equal(rm._pair_partner[idx], masked_reciprocate(d, d.values[j], u))
@@ -537,7 +555,7 @@ class TestSliceTablePairing:
 
         def slice_index(u):
             j = np.repeat(np.arange(k), u.size // k)
-            return rm._slice_index(j, u.copy(), np.empty(u.shape), np.empty(u.shape, np.intp))
+            return rm._slice_index(j, u)
 
         edges = np.arange(width + 1) / width
         u = np.tile(np.concatenate((edges[:-1], np.nextafter(edges[1:], 0.0),
@@ -552,6 +570,45 @@ class TestSliceTablePairing:
         same = at_edge[:, :-1] == at_edge[:, 1:]
         assert np.array_equal(guide[same], at_edge[:, :-1][same])
         assert (guide[~same] == -1).all()
+
+    @given(d=zero_mean_laws() | hst.sampled_from([ASYM3, SYMM5]),
+           kind=hst.sampled_from(["vw", "vym"]), m=hst.sampled_from([1.0, 1.37]),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_value_term_tables_read_the_pair_index(self, d, kind, m, seed):
+        # every key of the guide holds its pair's atom value and term, as
+        # the kind's term ufuncs give them at _pair_index's answer, or
+        # exactly -1j where its bucket holds a harvest level
+        try:
+            rm = ReciprocatingMap(d)
+        except SelfNormError:
+            return
+        by_pair, keyed = selfnorm._pair_tables(rm, kind, m)
+        k, width = d.values.size, 1 << rm._guide_shift
+        j = np.repeat(np.arange(k), width)
+        u = np.tile(np.arange(width) / width, k)
+        idx = rm._pair_index(j, u, np.empty(u.shape), np.empty(u.shape, np.intp))
+        x = d.values[j]
+        term = selfnorm._PAIRED[kind][0](x, rm._pair_partner[idx], m)
+        hit = rm._guide >= 0
+        assert np.array_equal(keyed.real[hit].view(np.int64), x[hit].view(np.int64))
+        assert np.array_equal(keyed.imag[hit].view(np.int64), term[hit].view(np.int64))
+        miss = keyed[~hit]
+        assert np.array_equal(miss.view(np.int64), np.full(miss.size, -1j).view(np.int64))
+        assert np.array_equal(by_pair.real, d.values[rm._pair_atom])
+        # a read through the keys, misses and all, is by_pair at the pair
+        # index of the uniforms that the PCG64 outputs make: the first and
+        # last output of every bucket, and random outputs
+        first = np.arange(width, dtype=np.uint64) << np.uint64(64 - rm._guide_shift)
+        last = first + np.uint64(2 ** (64 - rm._guide_shift) - 1)
+        rand = np.random.default_rng(seed).integers(0, 2 ** 64, width, dtype=np.uint64,
+                                                    endpoint=False)
+        raw = np.tile(np.concatenate((first, last, rand)), k).reshape(-1, 3)
+        j = np.repeat(np.arange(k), 3 * width).reshape(raw.shape)
+        u = _uniforms(raw)
+        want = by_pair[rm._pair_index(j, u, np.empty(u.shape), np.empty(u.shape, np.intp))]
+        got = rm._read_pairs(keyed, by_pair, j.copy(), raw, np.empty(raw.shape, complex))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_pair_guide_grows_with_the_pairs(self):
         # 2000 atoms and about 6000 pairs: 32 buckets per atom, 64000 in

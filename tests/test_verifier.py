@@ -644,6 +644,22 @@ class TestSupermartingaleMC:
         with pytest.raises(VerifyError):
             McConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_paths": 1000.5}, {"block": 100.5}, {"n_paths": 1000.0}, {"block": 4096.0},
+        {"n_paths": True}, {"block": True}, {"n_paths": False}, {"n_paths": "1000"},
+        {"block": None},
+    ])
+    def test_mc_config_rejects_non_integer_sizes(self, kwargs):
+        # a float size used to die inside tail_counts with a TypeError, and
+        # n_paths=True reached the report as `n_paths: True`
+        with pytest.raises(VerifyError, match="must be an integer >= 1"):
+            McConfig(**kwargs)
+
+    def test_mc_config_takes_numpy_integer_sizes(self):
+        mc = McConfig(seed=3, n_paths=np.int64(3_000), block=np.int32(1_000))
+        rep = supermartingale_mc(self._cfg("constant"), mc)
+        assert (rep.n_paths, rep.blocks) == (3_000, 3)
+
     def test_history_scaled_allows_large_p(self):
         rep = supermartingale_mc(self._cfg("history_scaled", p=0.65, n=4),
                                  McConfig(seed=3, n_paths=30_000))
@@ -675,6 +691,113 @@ def _whole_step_block(cfg, rng, size):
         take_up = rng.random(size) < A / (A + B)
         S = S + np.where(take_up, B, -A)
     return S, sqrtab_excess
+
+
+def _per_path_block(cfg, rng, size):
+    """The supermartingale block as it was before the state tree: every
+    step over all of the block's paths, in buffers of `size` entries."""
+    p, q = cfg.p, 1.0 - cfg.p
+    ratio = q / p
+    c = np.asarray(cfg.coeffs, dtype=float)
+    sref = math.sqrt(float(np.sum(c * c)))
+    S = np.zeros(size)
+    sqrtab_excess = -math.inf
+    U, A, B, work = np.empty((4, size))
+    take_up = np.empty(size, dtype=bool)
+    for i in range(cfg.n):
+        ci = c[i]
+        if cfg.rule == "constant":
+            a = b = ci
+            top_ab, top_ba = np.sqrt(ci * ci), ci / ci
+        else:
+            if cfg.rule == "history_scaled":
+                sigma = np.divide(S, sref, out=work)
+                np.square(sigma, out=sigma)
+                sigma += 1.0
+                np.divide(1.0, sigma, out=sigma)
+                np.multiply(sigma, ci * math.sqrt(ratio), out=B)
+                np.multiply(sigma, ci / math.sqrt(ratio), out=A)
+            else:
+                rng.random(out=U)
+                np.power(ratio, np.multiply(U, 0.5, out=work), out=B)
+                B *= ci
+                np.power(ratio, np.multiply(U, -0.5, out=work), out=A)
+                A *= ci
+            a, b = A, B
+            top_ab = np.sqrt(np.max(np.multiply(A, B, out=work)))
+            top_ba = np.max(np.divide(B, A, out=work))
+        sqrtab_excess = max(sqrtab_excess, float(top_ab) / ci - 1.0)
+        if sqrtab_excess > 1e-12:
+            raise VerifyError("rule breaks sqrt(A B) <= c_i")
+        if top_ba > ratio * (1.0 + 1e-12):
+            raise VerifyError("rule breaks B/A <= q/p")
+        rng.random(out=U)
+        if cfg.rule == "constant":
+            up = a / (a + b)
+        else:
+            up = np.divide(A, np.add(A, B, out=work), out=work)
+        np.less(U, up, out=take_up)
+        S += np.multiply(take_up, b, out=work)
+        S -= np.multiply(np.logical_not(take_up, out=take_up), a, out=work)
+    return S, sqrtab_excess
+
+
+def _outcome(block, cfg, seed, size):
+    """(sums as bytes, excess) of one block, or the guard's message."""
+    try:
+        S, excess = block(cfg, RngSpec(seed, 5).generator(), size)
+    except VerifyError as exc:
+        return str(exc)
+    return S.tobytes(), excess
+
+
+class TestStateTree:
+    """`_simulate_block` steps the constant and history_scaled rules on the
+    tree of up/down states while they are fewer than the paths; every
+    sum, the sqrt(A B) excess and the guards' verdicts are the per-path
+    block's."""
+
+    @given(rule=hst.sampled_from(["constant", "history_scaled", "random_modulated"]),
+           n=hst.integers(1, 20),
+           size=hst.sampled_from([1, 2, 3, 4095, 4096, 4097, 32_768]),
+           p=hst.floats(0.05, 0.95),
+           coeffs=hst.lists(hst.floats(1e-3, 1e3), min_size=20, max_size=20),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_the_tree_steps_what_the_paths_step(self, rule, n, size, p, coeffs, seed):
+        # constant and random_modulated break B/A <= q/p above p = 1/2,
+        # so both guards' verdicts are compared as well as the sums
+        cfg = SupermartingaleConfig(n=n, p=p, coeffs=tuple(coeffs[:n]), rule=rule)
+        assert _outcome(verifier._simulate_block, cfg, seed, size) == \
+            _outcome(_per_path_block, cfg, seed, size)
+
+    @pytest.mark.parametrize("rule", ["constant", "history_scaled"])
+    @pytest.mark.parametrize("n,size", [(12, 4_096), (16, 8_192), (3, 7), (20, 3)])
+    def test_blocks_that_leave_the_tree(self, rule, n, size):
+        # 2^n histories outnumber the paths, so the block switches to its
+        # paths part way (at once for one path)
+        coeffs = tuple(np.random.default_rng(n).uniform(0.5, 1.5, size=n))
+        for p in (0.2, 0.45):
+            cfg = SupermartingaleConfig(n=n, p=p, coeffs=coeffs, rule=rule)
+            for seed in (1, 2):
+                got = _outcome(verifier._simulate_block, cfg, seed, size)
+                assert got == _outcome(_per_path_block, cfg, seed, size)
+                assert isinstance(got, tuple)
+
+
+    def test_guards_read_only_the_states_some_path_reached(self):
+        # c_1 brings a step down and then up back to X = 0 as sigma sees
+        # it, and there sqrt(A B) under c_2 rounds to 2^-52 above c_2; a
+        # block of 8 paths reports that excess when a path takes that
+        # history (seeds 0-8) and 0.0 when none does (seeds 9 and 13),
+        # though the tree holds the state either way
+        cfg = SupermartingaleConfig(
+            n=3, p=0.3, coeffs=(1.1202134520153777, 0.5482040283030766, 1.495096505235324),
+            rule="history_scaled")
+        for seed, excess in [(0, 2.0 ** -52), (8, 2.0 ** -52), (9, 0.0), (13, 0.0)]:
+            got = _outcome(verifier._simulate_block, cfg, seed, 8)
+            assert got == _outcome(_per_path_block, cfg, seed, 8)
+            assert got[1] == excess
 
 
 class TestBufferedBlock:
