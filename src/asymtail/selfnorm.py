@@ -583,7 +583,8 @@ def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
     if kind == "vsymm":
         if multipliers is None:
             raise SelfNormError("vsymm needs the symmetric multipliers")
-        mx = np.multiply(_own(multipliers, x.shape), x)
+        mx = _own(multipliers, x.shape)
+        mx *= x
         return _norm_ratio(_row_sums(mx), _row_sums(_abs_power(x, 2.0 * m)), m)
     if kind == "vhatsymm":
         if hat_abs is None or p is None:
