@@ -49,20 +49,19 @@ Conventions used throughout the package:
   within an atom's band counts as that atom (`atom_band`, the one rule
   every tail and bound reader uses).
 - sampling is inverse-CDF driven by a named (seed, stream) pair, so any
-  consumer can reproduce a draw bit for bit.  The inverse CDF is read
-  from a guide table (`_GuideTable`) that cuts [0, 1] into at least
-  max(4096, 16 atoms) buckets: a bucket that holds no cumulative mass
-  stores its atom, and only a uniform in one of the few buckets that do
-  is placed by binary search, so the atom drawn is exactly the one
-  `np.searchsorted` on the cumulative masses picks.  A consumer that
-  reads a stream in two phases (the Monte Carlo blocks: the atoms of
-  every path, then a second draw per coordinate) may read the second
-  phase from `_advanced`, a copy of the generator moved past the first
-  phase's draws, and so interleave the two phases tile by tile with the
-  same draws.  It may also draw the PCG64 outputs that the uniforms are
-  made of and read the guide table by their top bits
-  (`_GuideTable.from_bits`), making only the uniforms that a binary
-  search needs (`_uniforms`).
+  consumer can reproduce a draw bit for bit.  `sample` maps each uniform
+  to its atom by `np.searchsorted` on the cumulative masses.  The Monte
+  Carlo blocks draw the PCG64 outputs that the uniforms are made of
+  (`_uniforms`) and read the same atom from a guide table by the
+  outputs' top bits (`_GuideTable`): it cuts [0, 1) into at least
+  max(4096, 16 atoms) buckets, a bucket that holds no cumulative mass
+  stores its atom, and only an output in one of the few buckets that do
+  makes its uniform, for a binary search.  A consumer that reads a
+  stream in two phases (the blocks: the atoms of every path, then a
+  second draw per coordinate) may read the second phase from
+  `_advanced`, a copy of the generator moved past the first phase's
+  draws, and so interleave the two phases tile by tile with the same
+  draws.
 """
 from __future__ import annotations
 
@@ -671,80 +670,53 @@ def _suffix_moments_at(d: FiniteDist, x, left: bool = False) -> np.ndarray:
 
 
 class _GuideTable:
-    """`np.searchsorted(edges, u, side)` for keys u in [0, top], by table.
+    """`np.searchsorted(edges, _uniforms(raw), "right")` for PCG64 outputs
+    raw, by table; with edges the cumulative masses of a law but the
+    last, the index of the atom that each uniform draws.
 
     A guide table for inverse-CDF sampling (Chen & Asau, 1974), made
-    exact.  Bucket b holds the keys whose product u 2^s lies in
-    [b, b + 1), with s the smallest power that spreads [0, top] over at
-    least max(4096, 16 edges) buckets (and at most twice that).  A
-    bucket that no scaled edge falls in has one answer for every key in
-    it, the number of edges scaled below b: the product is monotone in
-    u, so an edge below or above the bucket is below or above every key
-    in it.  The table stores that answer; a bucket that an edge falls in
-    stores -1, and so does the sentinel past the last bucket, onto which
-    `take(..., mode="clip")` maps every larger product.  Only keys that
-    read -1 go to `np.searchsorted`, with the original keys and edges,
-    so the answer is exact for any spacing of the edges, and at most
-    one bucket in 16 holds an edge.
+    exact.  Bucket b holds the uniforms u with floor(u 2^s) = b, for the
+    least s with 2^s >= max(4096, 16 edges), so 12 <= s <= 53.  A
+    uniform m 2^-53 lies in bucket floor(m 2^(s - 53)), the top s bits
+    of its output, so the bucket is read without making the uniform.  A
+    bucket that no scaled edge falls in has one answer for every uniform
+    in it, the number of edges scaled below b: the product is monotone
+    in u, so an edge below or above the bucket is below or above every
+    uniform in it.  The table stores that answer; a bucket that an edge
+    falls in stores -1.  Only outputs that read -1 make their uniforms,
+    for `np.searchsorted` with the edges, so the answer is exact for any
+    spacing of the edges, and at most one bucket in 16 holds an edge.
 
-    A call writes the indices into `out` (a C-contiguous intp array of
-    u's shape), or a new array, and leaves u as it is; it allocates a
-    mask of the keys that read -1.  The table is built once per law and
-    only read after that, so threads may share it.
+    The table is built once per law and only read after that, so
+    threads may share it.
     """
 
-    def __init__(self, edges: np.ndarray, top: float, side: str):
+    def __init__(self, edges: np.ndarray):
         self.edges = np.asarray(edges, dtype=float)
-        self.side = side
-        least = max(4096, 16 * len(self.edges))
-        # top 2^s lands in [least, 2 least), unless 2^s would overflow
-        s = math.frexp(least)[1] - math.frexp(top)[1]
-        if math.ldexp(top, s) < least:
-            s += 1
-        self._bits = min(s, 1023)
-        self._factor = math.ldexp(1.0, self._bits)
-        nb = math.floor(top * self._factor) + 1
-        bucket = np.floor(self.edges * self._factor)
-        inside = bucket[(bucket >= 0.0) & (bucket < nb)].astype(np.intp)
+        self._bits = (max(4096, 16 * len(self.edges)) - 1).bit_length()
+        width = 1 << self._bits
+        bucket = np.floor(self.edges * width)
+        inside = bucket[(bucket >= 0.0) & (bucket < width)].astype(np.intp)
         # table[b] = edges scaled below b: those below 0, then a running
         # count of the buckets below b
-        counts = np.bincount(inside + 1, minlength=nb + 1)
+        counts = np.bincount(inside + 1, minlength=width + 1)[:width]
         counts[0] = np.count_nonzero(bucket < 0.0)
         table = np.cumsum(counts)
         table[inside] = -1
-        table[nb] = -1
         table.setflags(write=False)
         self._table = table
 
-    def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        idx = np.empty(u.shape, dtype=np.intp) if out is None else out
-        np.multiply(u, self._factor, out=idx, casting="unsafe")
-        # in place: each index is read before its own slot is written
-        self._table.take(idx, out=idx, mode="clip")
-        flat = idx.reshape(-1)
-        miss = np.flatnonzero(flat < 0)
-        flat[miss] = np.searchsorted(self.edges, u.take(miss), side=self.side)
-        return idx
-
     def from_bits(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The call's indices for the uniforms `_uniforms(raw)`, written
-        into out (a C-contiguous intp array of raw's shape), without
-        making the uniforms.
-
-        The table's factor 2^s must have 1 <= s <= 53, as it has for top
-        1: a uniform m 2^-53 then has the bucket floor(m 2^(s - 53)), the
-        top s bits of its PCG64 output.  Only the keys that read -1 make
-        their uniforms, for `np.searchsorted`.  raw (uint64) is left as it
-        is.
-        """
-        if not 1 <= self._bits <= 53:
-            raise ValueError(f"a guide table of factor 2^{self._bits} cannot be read by bits")
+        """The indices for raw (uint64), written into out (a C-contiguous
+        intp array of raw's shape) and returned; raw is left as it is."""
         np.right_shift(raw, 64 - self._bits, out=out.view(np.uint64))
+        # in place, and mode "clip" writes straight to out: every bucket
+        # is in range, and each is read before its own slot is written
         self._table.take(out, out=out, mode="clip")
         flat = out.reshape(-1)
         miss = np.flatnonzero(flat < 0)
         flat[miss] = np.searchsorted(self.edges, _uniforms(raw.reshape(-1).take(miss)),
-                                     side=self.side)
+                                     side="right")
         return out
 
 
@@ -756,19 +728,14 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)) * 2.0 ** -53
 
 
-def _inverse_cdf(cum: np.ndarray) -> _GuideTable:
-    """Inverse-CDF atom lookup for uniforms, with cum = cumsum(masses).
-
-    It maps u to the first atom whose cumulative mass exceeds u; a u at
-    or above the rounded total lands on the last atom.
-    """
-    return _GuideTable(cum[:-1], 1.0, "right")
-
-
 def sample(d: FiniteDist, rng: RngSpec | np.random.Generator, size: int) -> np.ndarray:
-    """size iid draws via inverse CDF; deterministic per RngSpec."""
+    """size iid draws via inverse CDF; deterministic per RngSpec.
+
+    A uniform u draws the first atom whose cumulative mass exceeds u, and
+    a u at or above the rounded total the last atom: the index that
+    `_GuideTable` reads from the uniform's PCG64 output."""
     gen = rng.generator() if isinstance(rng, RngSpec) else rng
-    return d.values[_inverse_cdf(np.cumsum(d.masses))(gen.random(size))]
+    return d.values[np.searchsorted(np.cumsum(d.masses)[:-1], gen.random(size), "right")]
 
 
 def _advanced(gen: np.random.Generator, k: int) -> np.random.Generator:

@@ -15,28 +15,27 @@ symmetrized forms against the three-point carrier.  Everything here is
 either exact (decomposition, recombination, variance identity) or a
 Monte Carlo check with a one-sided Clopper-Pearson guard.
 
-The Monte Carlo checks work on atom indices rather than values.  A draw
-is the index j of an atom, read from the law's inverse-CDF guide table
-as `dist.sample` reads it (`dist._GuideTable`: one table read per draw,
-and a binary search only for the few uniforms whose bucket holds a
-cumulative mass).  The blocks draw each uniform as the PCG64 output that
-`Generator.random` makes it of, and a guide table reads its bucket from
-the output's top bits (`dist._uniforms`), so only the uniforms that a
-binary search needs are made.  The pairing is a table lookup too.  A
-draw's partner depends only on its atom and its harvest slice: the
-level h0[j] + u span[j] falls in one slice between consecutive harvest
+The Monte Carlo checks work on atom indices rather than values.  A
+block draws each uniform as the PCG64 output that `Generator.random`
+makes it of (`dist._uniforms`), and a draw is the index j of the atom
+that `dist.sample` draws from that uniform, read from the law's guide
+table by the output's top bits (`dist._GuideTable`: one table read per
+draw, and a binary search only for the few outputs whose bucket holds a
+cumulative mass).  The pairing is a table lookup too.  A draw's partner
+depends only on its atom and its harvest slice: the level
+h0[j] + u span[j] falls in one slice between consecutive harvest
 levels, and one table of (atom, slice) pairs holds the partner of each
 pair a draw can meet.  An atom meets only the slices its harvest
 interval covers, so the table grows with the atoms plus the slices, not
 with their product.  The pair a draw meets comes from one more guide
 table, keyed on the atom and the uniform's top bits; only the few draws
-whose bucket holds a harvest level compute the level and look its slice
-up among the levels by binary search.  A check builds its tables once,
-and the pool threads share them read-only.
-`ReciprocatingMap.reciprocate` and `selfnorm_stat` are thin wrappers
-over the same private helpers, and the statistics sum their rows as
-whole-column adds in numpy's own order (`_row_sums`).  A block of paths
-runs in tiles of max(1, 2^15 // n) paths, so a tile holds at most 2^15
+whose bucket holds a harvest level look their slice up among the levels
+by binary search (`ReciprocatingMap._slice_index`, which
+`ReciprocatingMap.reciprocate` runs on every draw).  A check builds its
+tables once, and the pool threads share them read-only.  `selfnorm_stat`
+sums its rows by `np.add.reduce(x, axis=1)`; the blocks give the same
+bits by whole-column adds (`_part_sums`).  A block of paths runs in
+tiles of max(1, 2^15 // n) paths, so a tile holds at most 2^15
 coordinates until n passes 2^15, and then one path.  A tile works in an
 index array and a complex array that its thread lends it from block to
 block: it reads its atom draws from the block's generator, and its
@@ -58,14 +57,14 @@ whose bound is `bounds.b_opt` of that carrier over the x grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .bounds import b_opt, carrier_sum, normal_tail
 # `sample` stays importable here: perfbench/tracer.py wraps selfnorm.sample
-from .dist import (FiniteDist, _advanced, _inverse_cdf, _uniforms,  # noqa: F401
+from .dist import (FiniteDist, _advanced, _GuideTable, _uniforms,  # noqa: F401
                    from_pairs, iid_sum, sample, scale, st)
 # `lc_majorant` stays importable here: perfbench/tracer.py wraps selfnorm.lc_majorant
 from .majorant import lc_majorant  # noqa: F401
@@ -161,7 +160,7 @@ class ReciprocatingMap:
 
     def _pair_guide(self, runs: np.ndarray, slices: np.ndarray) -> tuple[int, np.ndarray]:
         """The pair index by atom and uniform, as a guide table (Chen &
-        Asau, 1974): the shift s and the table of `_pair_index`.
+        Asau, 1974): the shift s and the table that `_read_pairs` reads.
 
         Row j holds atom j's 2^s buckets; bucket b holds the uniforms in
         [b 2^-s, (b + 1) 2^-s).  The level `_slice_index` computes is
@@ -220,32 +219,13 @@ class ReciprocatingMap:
 
         The level h0[j] + u span[j], clipped to [0, g_total], picks the
         slice s by one binary search over the levels, and the index is
-        _start[j] + s.  The guides send only their few misses here.
+        _start[j] + s.  `reciprocate` looks every pair up here, and
+        `_read_pairs` only its few misses.
         """
         level = u * self._span.take(j)
         level += self._h0.take(j)
         np.clip(level, 0.0, self.g_total, out=level)
         return self._start.take(j) + np.searchsorted(self.levels, level, side="left")
-
-    def _pair_index(self, j: np.ndarray, u: np.ndarray, work: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-        """`_slice_index` for uniforms u in [0, 1), by one read of the
-        pair guide per draw, written into out (intp) and returned.
-
-        The key (j << s) + floor(u 2^s) is exact integer arithmetic.  Only
-        the draws whose bucket holds a harvest level go to `_slice_index`,
-        with their own j and u.  u and work must be C-contiguous float64
-        arrays of j's shape; work is overwritten and u is left alone.
-        """
-        np.multiply(u, float(1 << self._guide_shift), out=out, casting="unsafe")
-        out += np.left_shift(j, self._guide_shift, out=work.view(np.intp))
-        # in place: each key is read before its own slot is written
-        self._guide.take(out, out=out, mode="clip")
-        flat = out.reshape(-1)
-        miss = np.flatnonzero(flat < 0)
-        if miss.size:
-            flat[miss] = self._slice_index(j.reshape(-1).take(miss), u.reshape(-1).take(miss))
-        return out
 
     def _keyed(self, by_pair: np.ndarray) -> np.ndarray:
         """by_pair, one complex entry per pair of the table, laid over the
@@ -306,7 +286,8 @@ class ReciprocatingMap:
     def reciprocate(self, x, u):
         """r(x, u): the opposite-side partner at the harvest level picked
         uniformly (by u in [0,1)) inside x's own interval; r(0, u) = 0.
-        An x outside the law's support or a u outside [0, 1) raises."""
+        An x outside the law's support or a u outside [0, 1) raises.  Each
+        pair is found by `_slice_index`, which `_read_pairs` reads by table."""
         xa, ua = np.broadcast_arrays(np.asarray(x, dtype=float),
                                      np.asarray(u, dtype=float))
         # a positive x belongs to the first atom at or above it, a
@@ -322,8 +303,8 @@ class ReciprocatingMap:
         uf = np.array(ua.ravel(), dtype=float)
         if not ((uf >= 0.0) & (uf < 1.0)).all():
             raise SelfNormError("u must lie in [0, 1)")
-        idx = self._pair_index(j, uf, np.empty_like(uf), np.empty_like(j))
-        out = np.where(zero, 0.0, self._pair_partner.take(idx)).reshape(xa.shape)
+        partner = self._pair_partner.take(self._slice_index(j, uf))
+        out = np.where(zero, 0.0, partner).reshape(xa.shape)
         if np.isscalar(x) and np.isscalar(u):
             return float(out)
         return out
@@ -437,8 +418,9 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """`a.sum(axis=1)` of a C-contiguous 2-d float array, bit for bit.
+def _part_sums(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.add.reduce(part, axis=1)` of z.real and of z.imag, bit for bit,
+    as two C-contiguous arrays, for a C-contiguous 2-d complex128 array z.
 
     numpy reduces each row on its own, pairwise: fewer than 8 entries in
     sequence, and from 8 on in eight accumulators, combined as
@@ -448,23 +430,14 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     one block of eight, and the same sums go here as whole-column adds,
     one ufunc call per add, where the reduction pays a call of its inner
     loop per row (on (32768 // n, n) tiles, 22 against 69 us at n = 10,
-    33 against 195 us at n = 4).  The reduction is the faster of the two
-    from about 16 columns on, or below about 32 rows per column, so those
-    arrays go to it.  Where two NaNs meet, which one comes out follows the
-    operand order numpy's compiler chose, so only a NaN sum may differ
-    from numpy's in its bits, and then it is a NaN too.
-    """
-    return np.add.reduce(a, axis=1) if _reduces(a) else _column_sums(a)
-
-
-def _part_sums(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_row_sums` of z.real and of z.imag, as two C-contiguous arrays,
-    for a C-contiguous 2-d complex128 array z.
-
-    A complex add adds the two parts on their own, so one column add of
-    z does the adds of both parts' column sums, bit for bit.  Where
-    `_row_sums` reduces, each part is reduced on its own: numpy's complex
-    reduction pairs the entries in another order.
+    33 against 195 us at n = 4).  A complex add adds the two parts on
+    their own, so one column add of z does the adds of both parts.  The
+    reduction is the faster of the two from about 16 columns on, or below
+    about 32 rows per column, so those arrays go to it, each part on its
+    own: numpy's complex reduction pairs the entries in another order.
+    Where two NaNs meet, which one comes out follows the operand order
+    numpy's compiler chose, so only a NaN sum may differ from numpy's in
+    its bits, and then it is a NaN too.
     """
     if _reduces(z):
         return np.add.reduce(z.real, axis=1), np.add.reduce(z.imag, axis=1)
@@ -473,7 +446,7 @@ def _part_sums(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduces(a: np.ndarray) -> bool:
-    """Whether `_row_sums` leaves a to numpy's reduction."""
+    """Whether `_part_sums` leaves a to numpy's reduction."""
     n = a.shape[1]
     return n >= 16 or a.shape[0] < 32 * n
 
@@ -573,25 +546,28 @@ def selfnorm_stat(kind: str, x: np.ndarray, *, r: np.ndarray | None = None,
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2:
         raise SelfNormError("sample must be (paths, n)")
+    # every array summed is C-contiguous, so its rows sum pairwise
     if kind == "v":
-        return _safe_ratio(_row_sums(x), np.sqrt(_row_sums(x * x)))
+        return _safe_ratio(np.add.reduce(x, axis=1), np.sqrt(np.add.reduce(x * x, axis=1)))
     if kind in _PAIRED:
         if r is None:
             raise SelfNormError(f"{kind} needs the reciprocated values r")
         terms, ratio = _PAIRED[kind]
-        return ratio(_row_sums(x), _row_sums(terms(x, _own(r, x.shape), m)), m)
+        return ratio(np.add.reduce(x, axis=1),
+                     np.add.reduce(terms(x, _own(r, x.shape), m), axis=1), m)
     if kind == "vsymm":
         if multipliers is None:
             raise SelfNormError("vsymm needs the symmetric multipliers")
         mx = _own(multipliers, x.shape)
         mx *= x
-        return _norm_ratio(_row_sums(mx), _row_sums(_abs_power(x, 2.0 * m)), m)
+        return _norm_ratio(np.add.reduce(mx, axis=1),
+                           np.add.reduce(_abs_power(x, 2.0 * m), axis=1), m)
     if kind == "vhatsymm":
         if hat_abs is None or p is None:
             raise SelfNormError("vhatsymm needs hat_abs and p")
         t = _own(hat_abs, x.shape)
         t **= 2.0 * m
-        return _vhatsymm(_row_sums(x), _row_sums(t), m, p)
+        return _vhatsymm(np.add.reduce(x, axis=1), np.add.reduce(t, axis=1), m, p)
     raise SelfNormError(f"unknown statistic kind {kind!r}")
 
 
@@ -676,11 +652,14 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     match a value-level simulation bit for bit: first the atoms of all
     size x n coordinates, then a second draw per coordinate (the harvest
     uniform, the multiplier, or for vhatsymm the conditioned draw of each
-    zero coordinate in row-major order).  The paths go in tiles of
-    max(1, _TILE // n) rows.  A tile reads its atoms from rng and its
-    second draws from `dist._advanced(rng, size * n)`, a copy of rng
-    that starts after the first phase, and writes its statistic into the
-    block's (size,) array.  Its two arrays, the atom indices and one
+    zero coordinate in row-major order).  Every draw is read as the PCG64
+    output that its uniform is made of: the atoms, the multipliers and
+    the conditioned draws by a guide table (`dist._GuideTable`), and the
+    harvest uniforms by the pair guide (`_read_pairs`).  The paths go in
+    tiles of max(1, _TILE // n) rows.  A tile reads its atoms from rng
+    and its second draws from `dist._advanced(rng, size * n)`, a copy of
+    rng that starts after the first phase, and writes its statistic into
+    the block's (size,) array.  Its two arrays, the atom indices and one
     complex128 array, are borrowed for the block from the thread's last
     block (`verifier._block_buffers`), so a thread holds one tile's
     arrays from block to block; it draws each phase's PCG64 outputs
@@ -702,14 +681,12 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     """
     n = cfg.n
     rows = max(1, _TILE // n)
-    values, atoms = cfg.base.values, _inverse_cdf(np.cumsum(cfg.base.masses))
+    values, atoms = cfg.base.values, _GuideTable(np.cumsum(cfg.base.masses)[:-1])
 
     # A tile gets the block's generator and the second-phase copy, and j
     # (intp) and z (complex128) of its (t, n) shape, which it overwrites.
-    # It draws each phase's t n uniforms as the PCG64 outputs they are
-    # made of (`dist._uniforms`), which the guide tables read by their top
-    # bits.  The takes run in mode "clip", which writes straight to
-    # `out`: every index is in range.
+    # The takes run in mode "clip", which writes straight to `out`: every
+    # index is in range.
     def bits(gen, j):
         return gen.bit_generator.random_raw(j.size).reshape(j.shape)
 
@@ -723,7 +700,7 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
                          cfg.m)
     elif cfg.kind == "vsymm":
         mult_law = st(cfg.p)
-        mult_values, mults = mult_law.values, _inverse_cdf(np.cumsum(mult_law.masses))
+        mult_values, mults = mult_law.values, _GuideTable(np.cumsum(mult_law.masses)[:-1])
         by_atom = _complex(values, _abs_power(values, 2.0 * cfg.m))
 
         def tile(rng, second, j, z):
@@ -735,7 +712,7 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
             return _norm_ratio(*_part_sums(z), cfg.m)
     else:
         hat_terms = _abs_power(hat.values, 2.0 * cfg.m)
-        hat_atoms = _inverse_cdf(np.cumsum(hat.masses))
+        hat_atoms = _GuideTable(np.cumsum(hat.masses)[:-1])
         zero = np.abs(values) <= _zero_tol(cfg.base)
         by_atom = _complex(values, np.where(zero, -1.0, _abs_power(values, 2.0 * cfg.m)))
 
@@ -745,7 +722,10 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
             # the zero coordinates in row-major order, one draw each
             zeros = np.signbit(flat.imag).nonzero()[0]
             if zeros.size:
-                flat.imag[zeros] = hat_terms.take(hat_atoms(second.random(zeros.size)))
+                # the atom indices are spent once read, so j takes the hat draws
+                raw = second.bit_generator.random_raw(zeros.size)
+                flat.imag[zeros] = hat_terms.take(
+                    hat_atoms.from_bits(raw, out=j.reshape(-1)[:zeros.size]))
             return _vhatsymm(*_part_sums(z), cfg.m, cfg.p)
 
     def simulate(rng, size):
@@ -769,8 +749,12 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> McReport:
         raise SelfNormError(f"unknown check kind {cfg.kind!r}")
     if not math.isfinite(cfg.m):
         raise SelfNormError(f"m must be finite, got {cfg.m!r}")
-    if not cfg.n >= 1:
+    if isinstance(cfg.n, bool) or not isinstance(cfg.n, (int, np.integer)):
+        raise SelfNormError(f"n must be an integer, got {cfg.n!r}")
+    if cfg.n < 1:
         raise SelfNormError(f"n must be >= 1, got {cfg.n!r}")
+    # a numpy integer runs as the int it holds: PCG64.advance takes no numpy integer
+    cfg = replace(cfg, n=int(cfg.n))
     if cfg.x_grid is not None:
         xs = np.asarray(cfg.x_grid, dtype=float)
         if not np.isfinite(xs).all():

@@ -63,7 +63,7 @@ from .dist import (DistError, FiniteDist, RngSpec, _bs_law, _bs_sum, _carrier_to
 # iid_sum is not called here; perfbench/tracer.py wraps it under this name
 from .dist import iid_sum  # noqa: F401
 from .optimize import _falling_root, brent_root
-from .thresholds import m_star
+from .thresholds import below_m_star, m_star
 
 
 class _BetaQuantile:
@@ -908,6 +908,14 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
     c = np.asarray(cfg.coeffs, dtype=float)
     if np.any(c <= 0):
         raise VerifyError("coefficients must be positive")
+    if not np.isfinite(c).all():
+        raise VerifyError(f"coefficients must be finite, got {cfg.coeffs!r}")
+    # the carrier's top atom at the m that combined_bound_grid builds it
+    # at; a p or m out of range is its BoundError
+    if 0.0 < cfg.p < 1.0 and 1.0 <= cfg.m < math.inf:
+        m = m_star(cfg.p) if below_m_star(cfg.m, cfg.p) else cfg.m
+        if not math.isfinite(_carrier_top(cfg.p, cfg.n, resolve_s_m(m, coeffs=c)[1])):
+            raise VerifyError(f"coefficients {cfg.coeffs!r} overflow the carrier's top atom")
 
     if cfg.x_grid is not None:
         xs = np.asarray(cfg.x_grid, dtype=float)

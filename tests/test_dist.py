@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,6 @@ from asymtail.dist import (
     _advanced,
     _canonicalize,
     _GuideTable,
-    _inverse_cdf,
     _uniforms,
     _normal_products,
     _shifted_suffix_moments,
@@ -605,78 +605,115 @@ def test_advanced_draws_what_follows_k_discarded_doubles(k):
     assert gen.random(10).tobytes() == again.random(10).tobytes()
 
 
-@pytest.mark.parametrize("law", [bs(0.3), st(0.4), weighted_bs_sum(0.3, [1.0, 0.7, 1.4, 0.2, 0.9])])
+LAWS = [bs(0.3), st(0.4), weighted_bs_sum(0.3, [1.0, 0.7, 1.4, 0.2, 0.9])]
+
+
+def read(table, raw):
+    return table.from_bits(raw, np.empty(raw.shape, dtype=np.intp))
+
+
+def outputs_at(keys):
+    """For each key in [0, 1), the PCG64 outputs of the largest uniform at
+    or below it and of the next uniform up: a uniform m 2^-53 is made of
+    the outputs with top 53 bits m."""
+    m = np.floor(keys[(keys >= 0.0) & (keys < 1.0)] * 2.0 ** 53).astype(np.uint64)
+    return np.concatenate((m, m[m < 2 ** 53 - 1] + np.uint64(1))) << np.uint64(11)
+
+
+@pytest.mark.parametrize("law", LAWS)
 def test_atom_index_is_the_clipped_inverse_cdf(law):
+    # the first atom whose cumulative mass exceeds the uniform, and the
+    # last atom for a uniform at or above the rounded total
     cum = np.cumsum(law.masses)
+    table = _GuideTable(cum[:-1])
+    raw = np.concatenate((bit_keys(table, cum, np.random.default_rng(0)),
+                          outputs_at(np.concatenate((cum, [0.0, 1.0 - 2.0 ** -53])))))
+    ref = np.minimum(np.searchsorted(cum, _uniforms(raw), side="right"), law.n_atoms - 1)
+    assert np.array_equal(read(table, raw), ref)
+    # sample draws the same atoms from any uniforms, the cumulative masses too
     u = np.concatenate((np.random.default_rng(0).random(500), cum, [0.0, 1.0 - 2.0 ** -53]))
     ref = np.minimum(np.searchsorted(cum, u, side="right"), law.n_atoms - 1)
-    assert np.array_equal(_inverse_cdf(cum)(u), ref)
+    fixed = types.SimpleNamespace(random=lambda size: u[:size])
+    assert np.array_equal(sample(law, fixed, u.size), law.values[ref])
 
 
-def guide_keys(table, edges, top, rng):
-    """Keys in [0, top] where a guide table could go wrong: 0, top and
-    the ulps beside them, 1 - 2^-53, every edge and its neighbours, the
-    bucket boundaries b / 2^s around every edge, and uniform keys."""
-    f = table._factor
+@pytest.mark.parametrize("law", LAWS)
+def test_sample_draws_the_guide_tables_atoms(law):
+    cum = np.cumsum(law.masses)
+    # any Generator: the searchsorted reference on the uniforms it draws
+    u = np.random.Generator(np.random.MT19937(5)).random((300, 7))
+    got = sample(law, np.random.Generator(np.random.MT19937(5)), (300, 7))
+    assert got.tobytes() == law.values[np.searchsorted(cum[:-1], u, "right")].tobytes()
+    # an RngSpec: the guide table's read of the same stream's PCG64 outputs,
+    # as the Monte Carlo blocks draw them
+    raw = RngSpec(8, 2).generator().bit_generator.random_raw(5000)
+    want = law.values[read(_GuideTable(cum[:-1]), raw)]
+    assert sample(law, RngSpec(8, 2), 5000).tobytes() == want.tobytes()
+
+
+def guide_keys(table, edges, rng):
+    """Keys in [0, 1) where a guide table could go wrong: 0 and the ulps
+    above it, 1 - 2^-53, every edge and its neighbours, the bucket
+    boundaries b / 2^s around every edge, and uniform keys."""
+    f = 2.0 ** table._bits
     b = np.floor(edges * f)
     near = np.concatenate([(b + k) / f for k in (-1, 0, 1, 2)])
-    keys = np.concatenate((
-        [0.0, 5e-324, top, np.nextafter(top, 0.0), 1.0 - 2.0 ** -53],
+    return np.concatenate((
+        [0.0, 5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53],
         edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-        near, np.nextafter(near, -np.inf), rng.random(2000) * top))
-    return keys[(keys >= 0.0) & (keys <= top)]
+        near, np.nextafter(near, -np.inf), rng.random(2000)))
 
 
-def assert_guide_table_is_searchsorted(edges, top):
+def assert_guide_table_is_searchsorted(edges):
     rng = np.random.default_rng(len(edges))
-    for side in ("left", "right"):
-        table = _GuideTable(edges, top, side)
-        if top > 0.0:  # [0, top] spreads over more than least buckets, at most 2 least
-            least = max(4096, 16 * len(edges))
-            assert least < len(table._table) - 1 <= 2 * least
-        keys = guide_keys(table, edges, top, rng)
-        assert np.array_equal(table(keys), np.searchsorted(edges, keys, side=side))
-        block = rng.random((64, 5)) * top
-        assert np.array_equal(table(block), np.searchsorted(edges, block, side=side))
+    table = _GuideTable(edges)
+    # [0, 1) spreads over at least least buckets, fewer than 2 least
+    least = max(4096, 16 * len(edges))
+    assert least <= len(table._table) < 2 * least
+    raw = np.concatenate((outputs_at(guide_keys(table, edges, rng)), bit_keys(table, edges, rng)))
+    want = np.searchsorted(edges, _uniforms(raw), side="right")
+    assert np.array_equal(read(table, raw), want)
+    block = raw[:60].reshape(12, 5)
+    assert np.array_equal(read(table, block), want[:60].reshape(12, 5))
 
 
 @hst.composite
 def guide_edges(draw):
-    """Sorted edges in [0, top], cut from masses with an optional cluster
+    """Sorted edges in [0, 1], cut from masses with an optional cluster
     of masses near 1e-9, which lands in a single bucket."""
     weights = draw(hst.lists(hst.floats(1e-3, 1.0), min_size=1, max_size=40))
     cluster = draw(hst.lists(hst.floats(0.5e-9, 2e-9), max_size=12))
     at = draw(hst.integers(0, len(weights)))
     w = np.array(weights[:at] + cluster + weights[at:])
-    top = draw(hst.one_of(hst.just(1.0), hst.floats(1e-6, 1e6)))
-    return np.minimum(np.cumsum(w / w.sum())[:-1] * top, top), top
+    return np.minimum(np.cumsum(w / w.sum())[:-1], 1.0)
 
 
 @given(guide_edges())
 @settings(max_examples=150, deadline=None)
-def test_guide_table_is_searchsorted(case):
-    assert_guide_table_is_searchsorted(*case)
+def test_guide_table_is_searchsorted(edges):
+    assert_guide_table_is_searchsorted(edges)
 
 
-@pytest.mark.parametrize("edges, top", [
-    (np.arange(1, 8) / 8.0, 1.0),                   # every edge on a bucket boundary
-    (np.array([0.0, 0.0, 0.5, 0.5, 1.0]), 1.0),     # repeated edges, edges at 0 and top
-    (np.array([]), 1.0),                            # one atom: no edges
-    (np.array([0.3, 2.0]), 0.0),                    # a zero top takes the key 0 only
-    (np.array([1e-300, 2e-300, 1.0]), 1.0),         # edges far below one bucket
-    (np.array([-1.0, -0.5, 0.25]), 1.0),            # edges below every key
-], ids=["dyadic", "repeated", "empty", "zero-top", "tiny", "negative"])
-def test_guide_table_corner_edges(edges, top):
-    assert_guide_table_is_searchsorted(edges, top)
+@pytest.mark.parametrize("edges", [
+    np.arange(1, 8) / 8.0,                  # every edge on a bucket boundary
+    np.array([0.0, 0.0, 0.5, 0.5, 1.0]),    # repeated edges, edges at 0 and 1
+    np.array([]),                           # one atom: no edges
+    np.array([1e-300, 2e-300, 1.0]),        # edges far below one bucket
+    np.array([-1.0, -0.5, 0.25]),           # edges below every uniform
+    np.array([0.5, 1.0, 2.0]),              # edges above every uniform
+], ids=["dyadic", "repeated", "empty", "tiny", "negative", "past-one"])
+def test_guide_table_corner_edges(edges):
+    assert_guide_table_is_searchsorted(edges)
 
 
 def test_guide_table_on_a_large_law():
     masses = np.random.default_rng(5).random(10_000)
     cum = np.cumsum(masses / masses.sum())
-    assert_guide_table_is_searchsorted(cum[:-1], 1.0)
-    u = np.random.default_rng(6).random(100_000)
-    assert np.array_equal(_inverse_cdf(cum)(u),
-                          np.minimum(np.searchsorted(cum, u, side="right"), 9_999))
+    assert_guide_table_is_searchsorted(cum[:-1])
+    raw = np.random.default_rng(6).integers(0, 2 ** 64, 100_000, dtype=np.uint64,
+                                            endpoint=False)
+    assert np.array_equal(read(_GuideTable(cum[:-1]), raw),
+                          np.minimum(np.searchsorted(cum, _uniforms(raw), side="right"), 9_999))
 
 
 def test_uniforms_are_what_random_draws():
@@ -692,7 +729,7 @@ def bit_keys(table, edges, rng):
     an edge and of its neighbours, the outputs beside each edge's
     uniform, and random outputs."""
     shift = np.uint64(64 - table._bits)
-    b = np.floor(edges[(edges >= 0.0) & (edges < 1.0)] * table._factor).astype(np.uint64)
+    b = np.floor(edges[(edges >= 0.0) & (edges < 1.0)] * 2.0 ** table._bits).astype(np.uint64)
     b = np.concatenate([b + np.uint64(k) for k in (0, 1)] + [b[b > 0] - np.uint64(1)])
     starts = b << shift
     m = (np.floor(edges[(edges >= 0.0) & (edges < 1.0)] * 2.0 ** 53)).astype(np.uint64)
@@ -705,24 +742,19 @@ def bit_keys(table, edges, rng):
 
 @given(guide_edges())
 @settings(max_examples=150, deadline=None)
-def test_guide_table_reads_bits_as_their_uniforms(case):
-    edges, _ = case
-    rng = np.random.default_rng(len(edges))
-    for side in ("left", "right"):
-        table = _GuideTable(edges, 1.0, side)
-        raw = bit_keys(table, edges, rng)
-        out = np.empty(raw.shape, dtype=np.intp)
-        assert np.array_equal(table.from_bits(raw, out), table(_uniforms(raw)))
-        block = raw[:60].reshape(12, 5)
-        assert np.array_equal(table.from_bits(block, np.empty(block.shape, dtype=np.intp)),
-                              np.searchsorted(edges, _uniforms(block), side=side))
-
-
-def test_guide_table_read_by_bits_needs_a_fine_factor():
-    # [0, 1e6] over 4096 buckets: the factor is 2^-8, no top bits of an output
-    table = _GuideTable(np.array([0.5, 2.0]), 1e6, "right")
-    with pytest.raises(ValueError, match="cannot be read by bits"):
-        table.from_bits(np.zeros(3, dtype=np.uint64), np.empty(3, dtype=np.intp))
+def test_guide_table_reads_bits_as_their_uniforms(edges):
+    # an output's low 11 bits make no part of its uniform and move no
+    # index; the read writes into out and leaves the outputs as they are
+    table = _GuideTable(edges)
+    raw = bit_keys(table, edges, np.random.default_rng(len(edges)))
+    kept = raw.copy()
+    out = np.empty(raw.shape, dtype=np.intp)
+    assert table.from_bits(raw, out) is out
+    assert np.array_equal(raw, kept)
+    assert np.array_equal(out, np.searchsorted(edges, _uniforms(raw), side="right"))
+    low = np.uint64(2 ** 11 - 1)
+    assert np.array_equal(read(table, raw | low), out)
+    assert np.array_equal(read(table, raw & ~low), out)
 
 
 def test_substream_derivation():

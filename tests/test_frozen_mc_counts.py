@@ -14,7 +14,7 @@ Every entry is the list of row counts of one check at seed 3:
 The checks run three blocks, one of them short, and the counts are
 checked at ASYMTAIL_THREADS 1 and 2.  The file was written by the code
 before the self-normalized tiles summed their rows as column adds
-(`selfnorm._row_sums`), when every tile called `x.sum(axis=1)`; every
+(`selfnorm._part_sums`), when every tile called `x.sum(axis=1)`; every
 count matches it.  The two n = 16 entries were written later, by the
 code before the supermartingale blocks stepped on the state tree, when
 every step ran over all of a block's paths.

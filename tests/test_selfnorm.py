@@ -12,8 +12,7 @@ from hypothesis import strategies as hst
 
 from asymtail import selfnorm
 from asymtail.bounds import b_opt, carrier_sum, normal_tail
-from asymtail.dist import (FiniteDist, RngSpec, _inverse_cdf, _uniforms, from_pairs, iid_sum,
-                           scale, st)
+from asymtail.dist import (FiniteDist, RngSpec, _uniforms, from_pairs, iid_sum, scale, st)
 from asymtail.selfnorm import (
     ReciprocatingMap,
     TwoPointDecomposition,
@@ -227,23 +226,41 @@ def _row_blocks(n: int, rows: int, seed: int) -> np.ndarray:
     return a
 
 
+def _same_sums(re, im):
+    """Whether `_part_sums` of re + 1j im gives re.sum(axis=1) and
+    im.sum(axis=1), as two C-contiguous arrays, bit for bit.
+
+    A NaN sum only has to be a NaN: where two NaNs meet, the one that
+    comes out is the first operand's, and which operand is first inside
+    numpy's loop is its compiler's choice (numpy 2.4 on x86-64 adds
+    r3 + r2 where its source says r2 + r3)."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    with np.errstate(all="ignore"):
+        got = selfnorm._part_sums(z)
+        wants = re.sum(axis=1), im.sum(axis=1)
+    for part, want in zip(got, wants):
+        assert part.flags.c_contiguous
+        nan = np.isnan(want)
+        if not (np.array_equal(np.isnan(part), nan)
+                and np.array_equal(_bits(part)[~nan], _bits(want)[~nan])):
+            return False
+    return True
+
+
 class TestRowSums:
-    """`_row_sums` is `a.sum(axis=1)` of a C-contiguous array, bit for bit.
+    """The row sums of a tile at every width and shape it meets: each part
+    of `_part_sums` is `part.sum(axis=1)` of a C-contiguous array, bit for
+    bit, with the rows of a in the real part and a's rows reversed in the
+    imaginary part.
 
     It adds whole columns for fewer than 16 columns and at least 32 rows
     per column, and reduces row by row otherwise, so the arrays here have
-    32 n rows below 16 columns.  A NaN sum only has to be a NaN: where two
-    NaNs meet, the one that comes out is the first operand's, and which
-    operand is first inside numpy's loop is its compiler's choice (numpy
-    2.4 on x86-64 adds r3 + r2 where its source says r2 + r3)."""
+    32 n rows below 16 columns."""
 
     @staticmethod
     def _same(a):
-        with np.errstate(all="ignore"):
-            got, want = selfnorm._row_sums(a), a.sum(axis=1)
-        nan = np.isnan(want)
-        return (np.array_equal(np.isnan(got), nan)
-                and np.array_equal(_bits(got)[~nan], _bits(want)[~nan]))
+        return _same_sums(a, a[::-1].copy())
 
     @given(data=hst.data(), n=hst.integers(1, 20), distinct=hst.integers(1, 4))
     @settings(max_examples=300, deadline=None)
@@ -258,7 +275,11 @@ class TestRowSums:
 
     def test_one_row_is_the_reduction_itself(self):
         a = np.array([[np.nan, -np.nan, 1.0]])
-        assert _bits(selfnorm._row_sums(a)) == _bits(a.sum(axis=1))
+        z = a + 0j
+        z.imag = a[:, ::-1]
+        re, im = selfnorm._part_sums(z)
+        assert _bits(re) == _bits(a.sum(axis=1))
+        assert _bits(im) == _bits(a[:, ::-1].sum(axis=1))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 10, 12, 15, 16, 17, 40, 129])
     def test_bit_equal_on_the_rows_of_a_tile(self, n):
@@ -289,23 +310,8 @@ class TestRowSums:
 
 
 class TestPartSums:
-    """`_part_sums` of a complex array is `_row_sums` of its real and its
-    imaginary part, bit for bit, as two C-contiguous arrays."""
-
-    @staticmethod
-    def _same(re, im):
-        z = np.empty(re.shape, dtype=complex)
-        z.real, z.imag = re, im
-        with np.errstate(all="ignore"):
-            got = selfnorm._part_sums(z)
-            wants = re.sum(axis=1), im.sum(axis=1)
-        for part, want in zip(got, wants):
-            assert part.flags.c_contiguous
-            nan = np.isnan(want)
-            if not (np.array_equal(np.isnan(part), nan)
-                    and np.array_equal(_bits(part)[~nan], _bits(want)[~nan])):
-                return False
-        return True
+    """`_part_sums` of a complex array is `part.sum(axis=1)` of its real
+    and its imaginary part, bit for bit, as two C-contiguous arrays."""
 
     @given(data=hst.data(), n=hst.integers(1, 20), distinct=hst.integers(1, 4))
     @settings(max_examples=200, deadline=None)
@@ -313,14 +319,14 @@ class TestPartSums:
         flat = data.draw(hst.lists(ENTRY, min_size=2 * n * distinct, max_size=2 * n * distinct))
         re, im = np.array(flat, dtype=float).reshape(2, distinct, n)
         rows = (32 * n // distinct + 1, 1)
-        assert self._same(np.tile(re, rows), np.tile(im, rows))
+        assert _same_sums(np.tile(re, rows), np.tile(im, rows))
 
     @pytest.mark.parametrize("n", [*range(1, 41), 129, 8193])
     def test_bit_equal_at_every_width(self, n):
         rows = 32 * n if n < 16 else 3
-        assert self._same(_row_blocks(n, rows, n), _row_blocks(n, rows, n + 1))
+        assert _same_sums(_row_blocks(n, rows, n), _row_blocks(n, rows, n + 1))
         # few rows per column: both parts go to the reduction
-        assert self._same(_row_blocks(n, 5, n), _row_blocks(n, 5, n + 1))
+        assert _same_sums(_row_blocks(n, 5, n), _row_blocks(n, 5, n + 1))
 
 
 class TestBoundChecks:
@@ -373,6 +379,18 @@ class TestBoundChecks:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("n", [4.0, 4.5, True], ids=["float", "fraction", "bool"])
+    def test_n_must_be_an_integer(self, n):
+        cfg = SelfNormConfig(base=ASYM3, n=n, kind="vw")
+        with pytest.raises(SelfNormError, match="n must be an integer"):
+            selfnorm_bound_check(cfg, McConfig(n_paths=1000))
+
+    def test_numpy_integer_n_runs_as_its_int(self):
+        mc = McConfig(seed=5, n_paths=3_000, block=1_000)
+        rows = [selfnorm_bound_check(SelfNormConfig(base=ASYM3, n=n, kind="vw"), mc).rows
+                for n in (np.int64(4), 4)]
+        assert rows[0] == rows[1]
+
     def test_vym_rejects_excess_asymmetry(self):
         # asym3 has max asymmetry 3; p=0.4 allows only q/p = 1.5
         cfg = SelfNormConfig(base=ASYM3, n=4, kind="vym",
@@ -544,9 +562,9 @@ class TestSliceTablePairing:
            seed=hst.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_pair_guide_reads_the_slice_index(self, d, seed):
-        # at every bucket's left edge, at the last double below its right
-        # edge, and at random uniforms, one guide read (or its fallback)
-        # gives the pair index that _slice_index computes
+        # at the first and last PCG64 output of every bucket and at random
+        # outputs, one guide read (or its fallback) gives the pair index
+        # that _slice_index computes from the output's uniform
         try:
             rm = ReciprocatingMap(d)
         except SelfNormError:
@@ -557,14 +575,20 @@ class TestSliceTablePairing:
             j = np.repeat(np.arange(k), u.size // k)
             return rm._slice_index(j, u)
 
-        edges = np.arange(width + 1) / width
-        u = np.tile(np.concatenate((edges[:-1], np.nextafter(edges[1:], 0.0),
-                                    np.random.default_rng(seed).random(width))), k)
+        # a table whose entry is the pair index itself reads that index
+        by_pair = np.arange(rm._pair_atom.size) + 0j
+        keyed = rm._keyed(by_pair)
+        first = np.arange(width, dtype=np.uint64) << np.uint64(64 - rm._guide_shift)
+        last = first + np.uint64(2 ** (64 - rm._guide_shift) - 1)
+        rand = np.random.default_rng(seed).integers(0, 2 ** 64, width, dtype=np.uint64,
+                                                    endpoint=False)
+        raw = np.tile(np.concatenate((first, last, rand)), k)
         j = np.repeat(np.arange(k), 3 * width)
-        got = rm._pair_index(j, u, np.empty(u.shape), np.empty(u.shape, np.intp))
-        assert np.array_equal(got, slice_index(u))
+        got = rm._read_pairs(keyed, by_pair, j, raw, np.empty(raw.shape, complex))
+        assert np.array_equal(got.real, slice_index(_uniforms(raw)))
         # a bucket stores its pair where both its edges pick that pair, and
         # -1 where they differ
+        edges = np.arange(width + 1) / width
         at_edge = slice_index(np.tile(edges, k)).reshape(k, width + 1)
         guide = rm._guide.reshape(k, width)
         same = at_edge[:, :-1] == at_edge[:, 1:]
@@ -577,8 +601,8 @@ class TestSliceTablePairing:
     @settings(max_examples=100, deadline=None)
     def test_value_term_tables_read_the_pair_index(self, d, kind, m, seed):
         # every key of the guide holds its pair's atom value and term, as
-        # the kind's term ufuncs give them at _pair_index's answer, or
-        # exactly -1j where its bucket holds a harvest level
+        # the kind's term ufuncs give them at the pair of its bucket's left
+        # edge, or exactly -1j where its bucket holds a harvest level
         try:
             rm = ReciprocatingMap(d)
         except SelfNormError:
@@ -587,7 +611,7 @@ class TestSliceTablePairing:
         k, width = d.values.size, 1 << rm._guide_shift
         j = np.repeat(np.arange(k), width)
         u = np.tile(np.arange(width) / width, k)
-        idx = rm._pair_index(j, u, np.empty(u.shape), np.empty(u.shape, np.intp))
+        idx = rm._slice_index(j, u)
         x = d.values[j]
         term = selfnorm._PAIRED[kind][0](x, rm._pair_partner[idx], m)
         hit = rm._guide >= 0
@@ -596,17 +620,16 @@ class TestSliceTablePairing:
         miss = keyed[~hit]
         assert np.array_equal(miss.view(np.int64), np.full(miss.size, -1j).view(np.int64))
         assert np.array_equal(by_pair.real, d.values[rm._pair_atom])
-        # a read through the keys, misses and all, is by_pair at the pair
-        # index of the uniforms that the PCG64 outputs make: the first and
-        # last output of every bucket, and random outputs
+        # a read through the keys, misses and all, is by_pair at the
+        # _slice_index of the uniforms that the PCG64 outputs make: the
+        # first and last output of every bucket, and random outputs
         first = np.arange(width, dtype=np.uint64) << np.uint64(64 - rm._guide_shift)
         last = first + np.uint64(2 ** (64 - rm._guide_shift) - 1)
         rand = np.random.default_rng(seed).integers(0, 2 ** 64, width, dtype=np.uint64,
                                                     endpoint=False)
         raw = np.tile(np.concatenate((first, last, rand)), k).reshape(-1, 3)
         j = np.repeat(np.arange(k), 3 * width).reshape(raw.shape)
-        u = _uniforms(raw)
-        want = by_pair[rm._pair_index(j, u, np.empty(u.shape), np.empty(u.shape, np.intp))]
+        want = by_pair[rm._slice_index(j, _uniforms(raw))]
         got = rm._read_pairs(keyed, by_pair, j.copy(), raw, np.empty(raw.shape, complex))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -783,34 +806,30 @@ def _whole_block_simulator(cfg, rm, hat):
         return selfnorm._safe_ratio(
             x.sum(axis=1), math.sqrt(cfg.p) * hat_abs.sum(axis=1) ** (1.0 / (2.0 * cfg.m)))
 
-    values, atoms = cfg.base.values, _inverse_cdf(np.cumsum(cfg.base.masses))
+    def draw(law, u):
+        return law.values.take(np.searchsorted(np.cumsum(law.masses)[:-1], u, "right"))
+
     if rm is not None:
         stat = vw if cfg.kind == "vw" else vym
 
         def simulate(rng, size):
             u = rng.random((size, cfg.n))
-            x = values.take(atoms(u))
+            x = draw(cfg.base, u)
             rng.random(out=u)
             return stat(x, rm.reciprocate(x, u)), None
     elif cfg.kind == "vsymm":
-        mult_law = st(cfg.p)
-        mult_values, mults = mult_law.values, _inverse_cdf(np.cumsum(mult_law.masses))
-
         def simulate(rng, size):
             u = rng.random((size, cfg.n))
-            x = values.take(atoms(u))
+            x = draw(cfg.base, u)
             rng.random(out=u)
-            return vsymm(x, mult_values.take(mults(u))), None
+            return vsymm(x, draw(st(cfg.p), u)), None
     else:
-        hat_values, hat_atoms = hat.values, _inverse_cdf(np.cumsum(hat.masses))
-
         def simulate(rng, size):
-            x = values.take(atoms(rng.random((size, cfg.n))))
+            x = draw(cfg.base, rng.random((size, cfg.n)))
             habs = np.abs(x)
             zeros = habs <= selfnorm._zero_tol(cfg.base)
             if np.any(zeros):
-                u = rng.random(int(np.sum(zeros)))
-                habs[zeros] = np.abs(hat_values.take(hat_atoms(u)))
+                habs[zeros] = np.abs(draw(hat, rng.random(int(np.sum(zeros)))))
             return vhatsymm(x, habs), None
     return simulate
 

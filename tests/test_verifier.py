@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -621,6 +622,20 @@ class TestSupermartingaleMC:
                 SupermartingaleConfig(n=2, p=0.3, coeffs=(1.0, -1.0),
                                       rule="constant", m=2.0),
                 McConfig(n_paths=1000))
+
+    @pytest.mark.parametrize("coeffs, match", [
+        ((math.inf, 1.0), "must be finite"),
+        ((math.nan, 1.0), "must be finite"),
+        ((1e308, 1e308), "overflow the carrier's top atom"),
+    ], ids=["inf", "nan", "overflow"])
+    def test_coefficients_the_carrier_cannot_hold(self, coeffs, match):
+        # turned away by name before any numpy warning, not by dist
+        cfg = SupermartingaleConfig(n=2, p=0.3, coeffs=coeffs, rule="constant")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VerifyError, match=match) as exc:
+                supermartingale_mc(cfg, McConfig(n_paths=1000))
+        assert repr(coeffs) in str(exc.value)
 
     def test_rows_name_the_bound_family_argmin(self):
         cfg = dataclasses.replace(self._cfg("constant", p=0.2, n=8), x_grid=(0.5, 2.0, 4.0, 6.0))
