@@ -52,12 +52,10 @@ Conventions used throughout the package:
   consumer can reproduce a draw bit for bit.  `sample` maps each uniform
   to its atom by `np.searchsorted` on the cumulative masses.  The Monte
   Carlo blocks draw the PCG64 outputs that the uniforms are made of
-  (`_uniforms`) and read the same atom from a guide table by the
-  outputs' top bits (`_GuideTable`): it cuts [0, 1) into at least
-  max(4096, 16 atoms) buckets, a bucket that holds no cumulative mass
-  stores its atom, and only an output in one of the few buckets that do
-  makes its uniform, for a binary search.  A consumer that reads a
-  stream in two phases (the blocks: the atoms of every path, then a
+  (`_uniforms`) and read the same atom by the outputs' top bits from a
+  guide table (`_atom_guide`), the one kind of table (`_GuideTable`)
+  that also reads the reciprocating map's pairs.  A consumer that reads
+  a stream in two phases (the blocks: the atoms of every path, then a
   second draw per coordinate) may read the second phase from
   `_advanced`, a copy of the generator moved past the first phase's
   draws, and so interleave the two phases tile by tile with the same
@@ -670,54 +668,66 @@ def _suffix_moments_at(d: FiniteDist, x, left: bool = False) -> np.ndarray:
 
 
 class _GuideTable:
-    """`np.searchsorted(edges, _uniforms(raw), "right")` for PCG64 outputs
-    raw, by table; with edges the cumulative masses of a law but the
-    last, the index of the atom that each uniform draws.
+    """index(rows, `_uniforms(raw)`) for PCG64 outputs raw, by table.
 
     A guide table for inverse-CDF sampling (Chen & Asau, 1974), made
-    exact.  Bucket b holds the uniforms u with floor(u 2^s) = b, for the
-    least s with 2^s >= max(4096, 16 edges), so 12 <= s <= 53.  A
-    uniform m 2^-53 lies in bucket floor(m 2^(s - 53)), the top s bits
-    of its output, so the bucket is read without making the uniform.  A
-    bucket that no scaled edge falls in has one answer for every uniform
-    in it, the number of edges scaled below b: the product is monotone
-    in u, so an edge below or above the bucket is below or above every
-    uniform in it.  The table stores that answer; a bucket that an edge
-    falls in stores -1.  Only outputs that read -1 make their uniforms,
-    for `np.searchsorted` with the edges, so the answer is exact for any
-    spacing of the edges, and at most one bucket in 16 holds an edge.
-
-    The table is built once per law and only read after that, so
-    threads may share it.
+    exact.  index(r, u) takes row indices r (intp) and uniforms u of one
+    shape, and must be exact and nondecreasing in u on each row.  Each row
+    gets 2^s buckets, for the least s with rows 2^s >= max(4096,
+    8 entries); bucket b holds the uniforms m 2^-53 in [b 2^-s,
+    (b + 1) 2^-s), whose outputs have top s bits b.  Where index at the
+    bucket's first uniform and at its last agree, the bucket stores that
+    index, which holds at every uniform between; where they differ it
+    stores -1 - r, and only outputs that read a negative entry make their
+    uniforms, for index on that row.  The table is built once and only
+    read after that, so threads may share it.
     """
 
-    def __init__(self, edges: np.ndarray):
-        self.edges = np.asarray(edges, dtype=float)
-        self._bits = (max(4096, 16 * len(self.edges)) - 1).bit_length()
+    # buckets built at a time, which bounds the build's arrays
+    _CHUNK = 8192
+
+    def __init__(self, index, entries: int, rows: int = 1):
+        self.index = index
+        self._bits = (-(-max(4096, 8 * entries) // rows) - 1).bit_length()
         width = 1 << self._bits
-        bucket = np.floor(self.edges * width)
-        inside = bucket[(bucket >= 0.0) & (bucket < width)].astype(np.intp)
-        # table[b] = edges scaled below b: those below 0, then a running
-        # count of the buckets below b
-        counts = np.bincount(inside + 1, minlength=width + 1)[:width]
-        counts[0] = np.count_nonzero(bucket < 0.0)
-        table = np.cumsum(counts)
-        table[inside] = -1
+        step = 1.0 / width
+        table = np.empty(rows * width, dtype=np.intp)
+        for start in range(0, table.size, self._CHUNK):
+            key = np.arange(start, min(start + self._CHUNK, table.size))
+            r = key >> self._bits
+            first = (key & (width - 1)) * step
+            lo = index(r, first)
+            hi = index(r, first + (step - 2.0 ** -53))
+            table[start:start + key.size] = np.where(lo == hi, lo, -1 - r)
         table.setflags(write=False)
         self._table = table
 
-    def from_bits(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The indices for raw (uint64), written into out (a C-contiguous
-        intp array of raw's shape) and returned; raw is left as it is."""
+    def from_bits(self, raw: np.ndarray, out: np.ndarray,
+                  rows: np.ndarray | None = None) -> np.ndarray:
+        """The indices for raw (uint64) on rows, written into out and
+        returned; out and rows are C-contiguous intp arrays of raw's
+        shape, and rows None reads row 0.  One `take` by the key
+        (row << s) + the output's top s bits, which is formed in out and
+        in rows: rows is overwritten, raw is left as it is."""
         np.right_shift(raw, 64 - self._bits, out=out.view(np.uint64))
-        # in place, and mode "clip" writes straight to out: every bucket
-        # is in range, and each is read before its own slot is written
+        if rows is not None:
+            rows <<= self._bits
+            out += rows
+        # in place, and mode "clip" writes straight to out: every key is
+        # in range, and each is read before its own slot is written
         self._table.take(out, out=out, mode="clip")
         flat = out.reshape(-1)
         miss = np.flatnonzero(flat < 0)
-        flat[miss] = np.searchsorted(self.edges, _uniforms(raw.reshape(-1).take(miss)),
-                                     side="right")
+        flat[miss] = self.index(-1 - flat.take(miss), _uniforms(raw.reshape(-1).take(miss)))
         return out
+
+
+def _atom_guide(d: FiniteDist) -> _GuideTable:
+    """The guide table of the atom index that `sample` draws from each
+    uniform: the first atom whose cumulative mass exceeds it, and the
+    last atom for a uniform at or above the rounded total."""
+    edges = np.cumsum(d.masses)[:-1]
+    return _GuideTable(lambda r, u: np.searchsorted(edges, u, "right"), d.n_atoms)
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
@@ -733,7 +743,7 @@ def sample(d: FiniteDist, rng: RngSpec | np.random.Generator, size: int) -> np.n
 
     A uniform u draws the first atom whose cumulative mass exceeds u, and
     a u at or above the rounded total the last atom: the index that
-    `_GuideTable` reads from the uniform's PCG64 output."""
+    `_atom_guide` reads from the uniform's PCG64 output."""
     gen = rng.generator() if isinstance(rng, RngSpec) else rng
     return d.values[np.searchsorted(np.cumsum(d.masses)[:-1], gen.random(size), "right")]
 

@@ -15,44 +15,28 @@ symmetrized forms against the three-point carrier.  Everything here is
 either exact (decomposition, recombination, variance identity) or a
 Monte Carlo check with a one-sided Clopper-Pearson guard.
 
-The Monte Carlo checks work on atom indices rather than values.  A
-block draws each uniform as the PCG64 output that `Generator.random`
-makes it of (`dist._uniforms`), and a draw is the index j of the atom
-that `dist.sample` draws from that uniform, read from the law's guide
-table by the output's top bits (`dist._GuideTable`: one table read per
-draw, and a binary search only for the few outputs whose bucket holds a
-cumulative mass).  The pairing is a table lookup too.  A draw's partner
-depends only on its atom and its harvest slice: the level
-h0[j] + u span[j] falls in one slice between consecutive harvest
-levels, and one table of (atom, slice) pairs holds the partner of each
-pair a draw can meet.  An atom meets only the slices its harvest
-interval covers, so the table grows with the atoms plus the slices, not
-with their product.  The pair a draw meets comes from one more guide
-table, keyed on the atom and the uniform's top bits; only the few draws
-whose bucket holds a harvest level look their slice up among the levels
-by binary search (`ReciprocatingMap._slice_index`, which
-`ReciprocatingMap.reciprocate` runs on every draw).  A check builds its
-tables once, and the pool threads share them read-only.  `selfnorm_stat`
-sums its rows by `np.add.reduce(x, axis=1)`; the blocks give the same
-bits by whole-column adds (`_part_sums`).  A block of paths runs in
-tiles of max(1, 2^15 // n) paths, so a tile holds at most 2^15
-coordinates until n passes 2^15, and then one path.  A tile works in an
-index array and a complex array that its thread lends it from block to
-block: it reads its atom draws from the block's generator, and its
-second draws from a copy of that generator advanced past the block's
-atom draws (`dist._advanced`), so every path draws what an untiled block
-would.  A coordinate's value and its denominator term depend only on its
-atom, or for vw and vym on its pair, so a check tabulates each
-(value, term) once as one complex number, with the ufuncs
-`selfnorm_stat` runs, and a tile reads a coordinate's two numbers with
-one `take` and sums both rows with one column add per column.  The
-blocks run on `verifier.tail_counts`, so they share the supermartingale
-check's thread pool and per-block streams, and the counts are the same
-at any ASYMTAIL_THREADS.  The rows and the report come from `verifier`
-too: `verifier.mc_rows` adds the Clopper-Pearson limits, and a check
-returns a `verifier.McReport` whose rows name their bound curve:
-"normal" for vw, and "b_opt" for the kinds compared with a carrier,
-whose bound is `bounds.b_opt` of that carrier over the x grid.
+The Monte Carlo checks work on atom indices rather than values.  A draw
+is read by a guide table (`dist._GuideTable`) from the PCG64 output
+that `Generator.random` makes its uniform of: an atom from the law's
+table (`dist._atom_guide`), and a harvest uniform's (atom, slice) pair
+from the reciprocating map's table, on its atom's row.  A draw's
+partner depends only on its atom and its harvest slice, and an atom
+meets only the slices its harvest interval covers, so the map's one
+table of pairs grows with the atoms plus the slices, not with their
+product.  `ReciprocatingMap.reciprocate` finds every pair by binary
+search among the harvest levels (`_slice_index`), and the guide only
+its few draws whose bucket a level splits.  `_block_simulator` runs a
+block in tiles, and its draws, values and row sums are those of a
+value-level simulation (`sample`, `reciprocate`, `selfnorm_stat`) bit
+for bit.  A check builds its tables once, and the pool threads share
+them read-only.  The blocks run on `verifier.tail_counts`, so they
+share the supermartingale check's thread pool and per-block streams,
+and the counts are the same at any ASYMTAIL_THREADS.  The rows and the
+report come from `verifier` too: `verifier.mc_rows` adds the
+Clopper-Pearson limits, and a check returns a `verifier.McReport` whose
+rows name their bound curve: "normal" for vw, and "b_opt" for the kinds
+compared with a carrier, whose bound is `bounds.b_opt` of that carrier
+over the x grid.
 """
 from __future__ import annotations
 
@@ -64,7 +48,7 @@ import numpy as np
 
 from .bounds import b_opt, carrier_sum, normal_tail
 # `sample` stays importable here: perfbench/tracer.py wraps selfnorm.sample
-from .dist import (FiniteDist, _advanced, _GuideTable, _uniforms,  # noqa: F401
+from .dist import (FiniteDist, _advanced, _atom_guide, _GuideTable,  # noqa: F401
                    from_pairs, iid_sum, sample, scale, st)
 # `lc_majorant` stays importable here: perfbench/tracer.py wraps selfnorm.lc_majorant
 from .majorant import lc_majorant  # noqa: F401
@@ -156,55 +140,9 @@ class ReciprocatingMap:
         self._pair_partner = np.select(
             (self._pair_atom < n_neg, self._pair_atom >= first_pos),
             (self._plus.take(slices), self._minus.take(slices)))
-        self._guide_shift, self._guide = self._pair_guide(runs, slices)
-
-    def _pair_guide(self, runs: np.ndarray, slices: np.ndarray) -> tuple[int, np.ndarray]:
-        """The pair index by atom and uniform, as a guide table (Chen &
-        Asau, 1974): the shift s and the table that `_read_pairs` reads.
-
-        Row j holds atom j's 2^s buckets; bucket b holds the uniforms in
-        [b 2^-s, (b + 1) 2^-s).  The level `_slice_index` computes is
-        monotone in u, so the slice at the bucket's left edge and the one
-        at its right edge bound every slice inside; where they agree the
-        bucket stores its pair index, and where a harvest level falls
-        between them it stores -1.  Each pair after the first of its
-        atom's run starts at the first edge whose level lies above the
-        pair's slice's lower level, found by bisection over the edges of
-        all such pairs at once, so the table is built by one `repeat` of
-        the pair indices and never evaluates a level per bucket.  The
-        rows get k 2^s >= max(4096, 8 pairs) buckets in all, for the
-        least such s, so the table grows with the pairs, and so with the
-        atoms plus the slices.
-        """
-        k, pairs = runs.size, slices.size
-        shift = (-(-max(4096, 8 * pairs) // k) - 1).bit_length()
-        width = 1 << shift
-        first = np.cumsum(runs) - runs
-        later = np.ones(pairs, dtype=bool)
-        later[first] = False
-        j = self._pair_atom[later]
-        below = self.levels.take(slices[later] - 1)
-        span, h0 = self._span.take(j), self._h0.take(j)
-        # edge a's level is at most `below`, edge b's above it
-        a = np.zeros(j.size, dtype=np.int64)
-        b = np.full(j.size, width, dtype=np.int64)
-        for _ in range(shift):
-            mid = (a + b) >> 1
-            u = mid * (1.0 / width)
-            u *= span
-            u += h0
-            above = np.clip(u, 0.0, self.g_total, out=u) > below
-            b = np.where(above, mid, b)
-            a = np.where(above, a, mid)
-        edges = np.zeros(pairs, dtype=np.int64)
-        edges[later] = b
-        ends = np.append(edges[1:], width)
-        ends[first[1:] - 1] = width
-        guide = np.repeat(np.arange(pairs), ends - edges)
-        # the bucket just below each pair's first edge holds a level
-        guide[j * width + b - 1] = -1
-        guide.setflags(write=False)
-        return shift, guide
+        # The pair index by atom and uniform: a guide table with a row
+        # per atom, so it grows with the pairs.
+        self._pairs = _GuideTable(self._slice_index, self._pair_atom.size, rows=k)
 
     def _slice_atoms(self, side_h, side_x) -> np.ndarray:
         """The atom of one side met by each slice: side_x at the number of
@@ -219,54 +157,13 @@ class ReciprocatingMap:
 
         The level h0[j] + u span[j], clipped to [0, g_total], picks the
         slice s by one binary search over the levels, and the index is
-        _start[j] + s.  `reciprocate` looks every pair up here, and
-        `_read_pairs` only its few misses.
+        _start[j] + s.  `reciprocate` looks every pair up here, and the
+        pair guide (`_pairs`) only its few misses.
         """
         level = u * self._span.take(j)
         level += self._h0.take(j)
         np.clip(level, 0.0, self.g_total, out=level)
         return self._start.take(j) + np.searchsorted(self.levels, level, side="left")
-
-    def _keyed(self, by_pair: np.ndarray) -> np.ndarray:
-        """by_pair, one complex entry per pair of the table, laid over the
-        pair guide's keys: a bucket gets its pair's entry, and a bucket
-        that holds a harvest level gets -1j.  Every entry of by_pair must
-        have an imaginary part of +0.0 or more, so that -1j marks the misses.
-        """
-        keyed = by_pair.take(self._guide, mode="clip")
-        keyed[self._guide < 0] = -1j
-        keyed.setflags(write=False)
-        return keyed
-
-    def _read_pairs(self, keyed: np.ndarray, by_pair: np.ndarray, j: np.ndarray,
-                    raw: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """by_pair's entry of the pair of each atom j at the uniform
-        `dist._uniforms(raw)`, written into z and returned: one read of
-        `_keyed(by_pair)` per draw, by the pair guide's key
-        (j << s) + floor(u 2^s), whose low bits are the top s bits of the
-        uniform's PCG64 output, and one binary search (`_slice_index`)
-        for the few draws that miss.
-
-        j (intp), raw (uint64) and z (complex128) must be C-contiguous
-        arrays of one shape; j is overwritten with the keys, raw is left
-        as it is, and only the draws that miss make their uniforms.
-        """
-        shift = self._guide_shift
-        # the key's low bits go in z's first half, which the take overwrites
-        low = z.reshape(-1).view(np.intp)[:j.size].reshape(j.shape)
-        np.right_shift(raw, 64 - shift, out=low.view(np.uint64))
-        j <<= shift
-        j += low
-        # every key is in range, and mode "clip" writes straight to z
-        keyed.take(j, out=z, mode="clip")
-        flat = z.reshape(-1)
-        # the sign bit finds the -1j: no entry's imaginary part is -0.0
-        miss = np.signbit(flat.imag).nonzero()[0]
-        if miss.size:
-            keys = j.reshape(-1).take(miss)
-            u = _uniforms(raw.reshape(-1).take(miss))
-            flat[miss] = by_pair.take(self._slice_index(keys >> shift, u))
-        return z
 
     def _at_level(self, h, side: np.ndarray):
         ha = np.asarray(h, dtype=float)
@@ -287,7 +184,7 @@ class ReciprocatingMap:
         """r(x, u): the opposite-side partner at the harvest level picked
         uniformly (by u in [0,1)) inside x's own interval; r(0, u) = 0.
         An x outside the law's support or a u outside [0, 1) raises.  Each
-        pair is found by `_slice_index`, which `_read_pairs` reads by table."""
+        pair is found by `_slice_index`, which `_pairs` reads by table."""
         xa, ua = np.broadcast_arrays(np.asarray(x, dtype=float),
                                      np.asarray(u, dtype=float))
         # a positive x belongs to the first atom at or above it, a
@@ -622,14 +519,11 @@ def _bound_curve(cfg: SelfNormConfig, xs: np.ndarray, rm: ReciprocatingMap | Non
     return b_opt(scale(iid_sum(st(cfg.p), cfg.n), cfg.n ** -0.5), xs).value
 
 
-def _pair_tables(rm: ReciprocatingMap, kind: str, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """(by_pair, keyed) of vw or vym: by_pair holds x + 1j term for each
-    pair of rm's table, x its atom and term the kind's denominator term of
-    x and its partner, and keyed lays it over the pair guide's keys
-    (`ReciprocatingMap._keyed`)."""
+def _pair_table(rm: ReciprocatingMap, kind: str, m: float) -> np.ndarray:
+    """x + 1j term for each pair of rm's table, for vw or vym: x its atom
+    and term the kind's denominator term of x and its partner."""
     x = rm.dist.values.take(rm._pair_atom)
-    by_pair = _complex(x, _PAIRED[kind][0](x, rm._pair_partner.copy(), m))
-    return by_pair, rm._keyed(by_pair)
+    return _complex(x, _PAIRED[kind][0](x, rm._pair_partner.copy(), m))
 
 
 # Uniforms per tile of a Monte Carlo block.  A tile's index and complex
@@ -653,9 +547,10 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     size x n coordinates, then a second draw per coordinate (the harvest
     uniform, the multiplier, or for vhatsymm the conditioned draw of each
     zero coordinate in row-major order).  Every draw is read as the PCG64
-    output that its uniform is made of: the atoms, the multipliers and
-    the conditioned draws by a guide table (`dist._GuideTable`), and the
-    harvest uniforms by the pair guide (`_read_pairs`).  The paths go in
+    output that its uniform is made of, by a guide table
+    (`dist._GuideTable`): the atoms, the multipliers and the conditioned
+    draws by the law's (`dist._atom_guide`), and the harvest uniforms by
+    the map's pair guide, on the rows of their atoms.  The paths go in
     tiles of max(1, _TILE // n) rows.  A tile reads its atoms from rng
     and its second draws from `dist._advanced(rng, size * n)`, a copy of
     rng that starts after the first phase, and writes its statistic into
@@ -669,19 +564,19 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
     atom, or for vw and vym on its (atom, slice) pair, so the simulator
     tabulates each (value, term) once per check as one complex number,
     with the ufuncs `selfnorm_stat` runs on a sample, and a tile reads
-    them with one `take` into its complex array.  For vw and vym the
-    table is laid over the pair guide's keys (`ReciprocatingMap._keyed`
-    and `_read_pairs`); vsymm then multiplies the real parts by the
-    multipliers, and vhatsymm finds its zero coordinates by the -1j that
-    marks them and writes their conditioned draws' terms there.  The tile
-    sums both parts' rows at once with `_part_sums`, numpy's pairwise
-    order as whole-column adds, and no reduction per row, so every value,
-    term and sum is the one a value-level simulation gives, bit for bit.
+    them with one `take` into its complex array, by atom or, for vw and
+    vym, by pair (`_pair_table`).  vsymm then multiplies the real parts by
+    the multipliers, and vhatsymm finds its zero coordinates by the -1j
+    that marks them and writes their conditioned draws' terms there.  The
+    tile sums both parts' rows at once with `_part_sums`, numpy's
+    pairwise order as whole-column adds, and no reduction per row, so
+    every value, term and sum is the one a value-level simulation gives,
+    bit for bit.
     It runs on pool threads, so it calls only private helpers.
     """
     n = cfg.n
     rows = max(1, _TILE // n)
-    values, atoms = cfg.base.values, _GuideTable(np.cumsum(cfg.base.masses)[:-1])
+    values, atoms = cfg.base.values, _atom_guide(cfg.base)
 
     # A tile gets the block's generator and the second-phase copy, and j
     # (intp) and z (complex128) of its (t, n) shape, which it overwrites.
@@ -692,15 +587,19 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
 
     if rm is not None:
         ratio = _PAIRED[cfg.kind][1]
-        by_pair, keyed = _pair_tables(rm, cfg.kind, cfg.m)
+        by_pair = _pair_table(rm, cfg.kind, cfg.m)
 
         def tile(rng, second, j, z):
-            atoms.from_bits(bits(rng, j), out=j)
-            return ratio(*_part_sums(rm._read_pairs(keyed, by_pair, j, bits(second, j), z)),
-                         cfg.m)
+            # the atoms go to z's first half, the rows of the pair read,
+            # which shifts them in place and is spent before the last take
+            atom = z.reshape(-1).view(np.intp)[:j.size].reshape(j.shape)
+            atoms.from_bits(bits(rng, j), out=atom)
+            by_pair.take(rm._pairs.from_bits(bits(second, j), out=j, rows=atom), out=z,
+                         mode="clip")
+            return ratio(*_part_sums(z), cfg.m)
     elif cfg.kind == "vsymm":
         mult_law = st(cfg.p)
-        mult_values, mults = mult_law.values, _GuideTable(np.cumsum(mult_law.masses)[:-1])
+        mult_values, mults = mult_law.values, _atom_guide(mult_law)
         by_atom = _complex(values, _abs_power(values, 2.0 * cfg.m))
 
         def tile(rng, second, j, z):
@@ -712,7 +611,7 @@ def _block_simulator(cfg: SelfNormConfig, rm: ReciprocatingMap | None,
             return _norm_ratio(*_part_sums(z), cfg.m)
     else:
         hat_terms = _abs_power(hat.values, 2.0 * cfg.m)
-        hat_atoms = _GuideTable(np.cumsum(hat.masses)[:-1])
+        hat_atoms = _atom_guide(hat)
         zero = np.abs(values) <= _zero_tol(cfg.base)
         by_atom = _complex(values, np.where(zero, -1.0, _abs_power(values, 2.0 * cfg.m)))
 

@@ -750,6 +750,15 @@ def _increments(rule: str, ratio: float, sref: float, ci, S: np.ndarray,
     return A, B, np.divide(A, np.add(A, B, out=work), out=work)
 
 
+def _root_sum_squares(c: np.ndarray) -> float:
+    """sqrt(sum c^2) of positive finite c; where the sum overflows, c is
+    scaled by max(c) first, as `resolve_s_m` does for s_1, so every sum
+    that does not overflow keeps its bits."""
+    with np.errstate(over="ignore"):
+        top = float(c.max()) if np.sum(c * c) == math.inf else 1.0
+    return top * math.sqrt(float(np.sum((c / top) ** 2)))
+
+
 def _guard(excess: float, ci, top_ab, top_ba, ratio: float) -> float:
     """excess raised to the step's sqrt(A B) / c_i - 1, given the step's
     largest A B and B / A; a step that breaks either rule raises."""
@@ -793,7 +802,7 @@ def _simulate_block(cfg: SupermartingaleConfig, rng: np.random.Generator,
     p, q = cfg.p, 1.0 - cfg.p
     ratio = q / p
     c = np.asarray(cfg.coeffs, dtype=float)
-    sref = math.sqrt(float(np.sum(c * c)))
+    sref = _root_sum_squares(c)
     excess = -math.inf
     i = 0
     with _block_buffers(*[((size,), float)] * 4, ((size,), bool)) as (U, A, B, work, take_up):
@@ -901,6 +910,8 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
     """
     if cfg.rule not in _RULES:
         raise VerifyError(f"rule must be one of {_RULES}")
+    if not 0.0 < cfg.p < 1.0:
+        raise VerifyError(f"p must lie in (0, 1), got {cfg.p!r}")
     if len(cfg.coeffs) != cfg.n:
         raise VerifyError("coeffs length must equal n")
     if cfg.rule in ("constant", "random_modulated") and cfg.p > 0.5:
@@ -911,8 +922,8 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
     if not np.isfinite(c).all():
         raise VerifyError(f"coefficients must be finite, got {cfg.coeffs!r}")
     # the carrier's top atom at the m that combined_bound_grid builds it
-    # at; a p or m out of range is its BoundError
-    if 0.0 < cfg.p < 1.0 and 1.0 <= cfg.m < math.inf:
+    # at; an m out of range is its BoundError
+    if 1.0 <= cfg.m < math.inf:
         m = m_star(cfg.p) if below_m_star(cfg.m, cfg.p) else cfg.m
         if not math.isfinite(_carrier_top(cfg.p, cfg.n, resolve_s_m(m, coeffs=c)[1])):
             raise VerifyError(f"coefficients {cfg.coeffs!r} overflow the carrier's top atom")
@@ -922,7 +933,7 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
         if not np.isfinite(xs).all():
             raise VerifyError("x_grid must be finite")
     else:
-        sig = math.sqrt(float(np.sum(c * c)))
+        sig = _root_sum_squares(c)
         _, s_m, _ = resolve_s_m(cfg.m, coeffs=c)
         xs = np.linspace(0.5 * sig, min(3.5 * sig, 0.98 * _carrier_top(cfg.p, cfg.n, s_m)), 8)
 

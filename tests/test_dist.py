@@ -31,6 +31,7 @@ from asymtail.dist import (
     MERGE_RTOL,
     _advanced,
     _canonicalize,
+    _atom_guide,
     _GuideTable,
     _uniforms,
     _normal_products,
@@ -608,6 +609,11 @@ def test_advanced_draws_what_follows_k_discarded_doubles(k):
 LAWS = [bs(0.3), st(0.4), weighted_bs_sum(0.3, [1.0, 0.7, 1.4, 0.2, 0.9])]
 
 
+def edge_table(edges):
+    """The one-row guide table of np.searchsorted(edges, u, "right")."""
+    return _GuideTable(lambda r, u: np.searchsorted(edges, u, side="right"), len(edges) + 1)
+
+
 def read(table, raw):
     return table.from_bits(raw, np.empty(raw.shape, dtype=np.intp))
 
@@ -625,7 +631,7 @@ def test_atom_index_is_the_clipped_inverse_cdf(law):
     # the first atom whose cumulative mass exceeds the uniform, and the
     # last atom for a uniform at or above the rounded total
     cum = np.cumsum(law.masses)
-    table = _GuideTable(cum[:-1])
+    table = _atom_guide(law)
     raw = np.concatenate((bit_keys(table, cum, np.random.default_rng(0)),
                           outputs_at(np.concatenate((cum, [0.0, 1.0 - 2.0 ** -53])))))
     ref = np.minimum(np.searchsorted(cum, _uniforms(raw), side="right"), law.n_atoms - 1)
@@ -647,7 +653,7 @@ def test_sample_draws_the_guide_tables_atoms(law):
     # an RngSpec: the guide table's read of the same stream's PCG64 outputs,
     # as the Monte Carlo blocks draw them
     raw = RngSpec(8, 2).generator().bit_generator.random_raw(5000)
-    want = law.values[read(_GuideTable(cum[:-1]), raw)]
+    want = law.values[read(_atom_guide(law), raw)]
     assert sample(law, RngSpec(8, 2), 5000).tobytes() == want.tobytes()
 
 
@@ -664,17 +670,12 @@ def guide_keys(table, edges, rng):
         near, np.nextafter(near, -np.inf), rng.random(2000)))
 
 
-def assert_guide_table_is_searchsorted(edges):
+def assert_guide_table_is_searchsorted(edges, guide_reads_index):
+    # the guide table's property, at the outputs around every edge too
     rng = np.random.default_rng(len(edges))
-    table = _GuideTable(edges)
-    # [0, 1) spreads over at least least buckets, fewer than 2 least
-    least = max(4096, 16 * len(edges))
-    assert least <= len(table._table) < 2 * least
+    table = edge_table(edges)
     raw = np.concatenate((outputs_at(guide_keys(table, edges, rng)), bit_keys(table, edges, rng)))
-    want = np.searchsorted(edges, _uniforms(raw), side="right")
-    assert np.array_equal(read(table, raw), want)
-    block = raw[:60].reshape(12, 5)
-    assert np.array_equal(read(table, block), want[:60].reshape(12, 5))
+    guide_reads_index(table, 1, len(edges) + 1, raw)
 
 
 @hst.composite
@@ -688,10 +689,10 @@ def guide_edges(draw):
     return np.minimum(np.cumsum(w / w.sum())[:-1], 1.0)
 
 
-@given(guide_edges())
+@given(edges=guide_edges())
 @settings(max_examples=150, deadline=None)
-def test_guide_table_is_searchsorted(edges):
-    assert_guide_table_is_searchsorted(edges)
+def test_guide_table_is_searchsorted(edges, guide_reads_index):
+    assert_guide_table_is_searchsorted(edges, guide_reads_index)
 
 
 @pytest.mark.parametrize("edges", [
@@ -702,17 +703,17 @@ def test_guide_table_is_searchsorted(edges):
     np.array([-1.0, -0.5, 0.25]),           # edges below every uniform
     np.array([0.5, 1.0, 2.0]),              # edges above every uniform
 ], ids=["dyadic", "repeated", "empty", "tiny", "negative", "past-one"])
-def test_guide_table_corner_edges(edges):
-    assert_guide_table_is_searchsorted(edges)
+def test_guide_table_corner_edges(edges, guide_reads_index):
+    assert_guide_table_is_searchsorted(edges, guide_reads_index)
 
 
-def test_guide_table_on_a_large_law():
+def test_guide_table_on_a_large_law(guide_reads_index):
     masses = np.random.default_rng(5).random(10_000)
     cum = np.cumsum(masses / masses.sum())
-    assert_guide_table_is_searchsorted(cum[:-1])
+    assert_guide_table_is_searchsorted(cum[:-1], guide_reads_index)
     raw = np.random.default_rng(6).integers(0, 2 ** 64, 100_000, dtype=np.uint64,
                                             endpoint=False)
-    assert np.array_equal(read(_GuideTable(cum[:-1]), raw),
+    assert np.array_equal(read(edge_table(cum[:-1]), raw),
                           np.minimum(np.searchsorted(cum, _uniforms(raw), side="right"), 9_999))
 
 
@@ -740,21 +741,24 @@ def bit_keys(table, edges, rng):
         rng.integers(0, 2 ** 64, 2000, dtype=np.uint64, endpoint=False)))
 
 
-@given(guide_edges())
-@settings(max_examples=150, deadline=None)
-def test_guide_table_reads_bits_as_their_uniforms(edges):
-    # an output's low 11 bits make no part of its uniform and move no
-    # index; the read writes into out and leaves the outputs as they are
-    table = _GuideTable(edges)
-    raw = bit_keys(table, edges, np.random.default_rng(len(edges)))
-    kept = raw.copy()
-    out = np.empty(raw.shape, dtype=np.intp)
-    assert table.from_bits(raw, out) is out
-    assert np.array_equal(raw, kept)
-    assert np.array_equal(out, np.searchsorted(edges, _uniforms(raw), side="right"))
-    low = np.uint64(2 ** 11 - 1)
-    assert np.array_equal(read(table, raw | low), out)
-    assert np.array_equal(read(table, raw & ~low), out)
+@given(rows=hst.lists(guide_edges(), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_guide_table_reads_bits_as_their_uniforms(rows, guide_reads_index):
+    # rows of monotone edges, each row's index offset by the edges of the
+    # rows before it: every read keeps its row
+    starts = np.cumsum([0] + [len(e) + 1 for e in rows])
+
+    def index(r, u):
+        out = np.empty(r.shape, dtype=np.intp)
+        for k, edges in enumerate(rows):
+            at = r == k
+            out[at] = starts[k] + np.searchsorted(edges, u[at], side="right")
+        return out
+
+    table = _GuideTable(index, int(starts[-1]), rows=len(rows))
+    rng = np.random.default_rng(len(rows))
+    raw = np.concatenate([bit_keys(table, edges, rng) for edges in rows])
+    guide_reads_index(table, len(rows), int(starts[-1]), raw)
 
 
 def test_substream_derivation():

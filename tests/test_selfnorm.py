@@ -561,76 +561,50 @@ class TestSliceTablePairing:
     @given(d=zero_mean_laws() | hst.sampled_from([ASYM3, SYMM5]),
            seed=hst.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_pair_guide_reads_the_slice_index(self, d, seed):
-        # at the first and last PCG64 output of every bucket and at random
-        # outputs, one guide read (or its fallback) gives the pair index
-        # that _slice_index computes from the output's uniform
+    def test_pair_guide_reads_the_slice_index(self, guide_reads_index, d, seed):
+        # the pair guide is a guide table of _slice_index, a row per atom
         try:
             rm = ReciprocatingMap(d)
         except SelfNormError:
             return
-        k, width = d.values.size, 1 << rm._guide_shift
+        assert rm._pairs.index == rm._slice_index
+        raw = np.random.default_rng(seed).integers(0, 2 ** 64, 256, dtype=np.uint64,
+                                                   endpoint=False)
+        guide_reads_index(rm._pairs, d.values.size, rm._pair_atom.size, raw)
 
-        def slice_index(u):
-            j = np.repeat(np.arange(k), u.size // k)
-            return rm._slice_index(j, u)
-
-        # a table whose entry is the pair index itself reads that index
-        by_pair = np.arange(rm._pair_atom.size) + 0j
-        keyed = rm._keyed(by_pair)
-        first = np.arange(width, dtype=np.uint64) << np.uint64(64 - rm._guide_shift)
-        last = first + np.uint64(2 ** (64 - rm._guide_shift) - 1)
-        rand = np.random.default_rng(seed).integers(0, 2 ** 64, width, dtype=np.uint64,
-                                                    endpoint=False)
-        raw = np.tile(np.concatenate((first, last, rand)), k)
-        j = np.repeat(np.arange(k), 3 * width)
-        got = rm._read_pairs(keyed, by_pair, j, raw, np.empty(raw.shape, complex))
-        assert np.array_equal(got.real, slice_index(_uniforms(raw)))
-        # a bucket stores its pair where both its edges pick that pair, and
-        # -1 where they differ
-        edges = np.arange(width + 1) / width
-        at_edge = slice_index(np.tile(edges, k)).reshape(k, width + 1)
-        guide = rm._guide.reshape(k, width)
-        same = at_edge[:, :-1] == at_edge[:, 1:]
-        assert np.array_equal(guide[same], at_edge[:, :-1][same])
-        assert (guide[~same] == -1).all()
+    @pytest.mark.parametrize("law", ["ZERO4", "MANY_SLICES", "MANY_ATOMS"])
+    def test_pair_guides_of_the_tile_laws_read_the_slice_index(self, guide_reads_index, law):
+        # the laws are defined below, with the tile tests
+        d = globals()[law]
+        rm = ReciprocatingMap(d)
+        raw = np.random.default_rng(d.values.size).integers(0, 2 ** 64, 64, dtype=np.uint64,
+                                                            endpoint=False)
+        guide_reads_index(rm._pairs, d.values.size, rm._pair_atom.size, raw)
 
     @given(d=zero_mean_laws() | hst.sampled_from([ASYM3, SYMM5]),
            kind=hst.sampled_from(["vw", "vym"]), m=hst.sampled_from([1.0, 1.37]),
            seed=hst.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_value_term_tables_read_the_pair_index(self, d, kind, m, seed):
-        # every key of the guide holds its pair's atom value and term, as
-        # the kind's term ufuncs give them at the pair of its bucket's left
-        # edge, or exactly -1j where its bucket holds a harvest level
+        # each pair's atom value and term, as the kind's term ufuncs give
+        # them; a tile's read, the pair guide and then one take of the
+        # table, is the table at the _slice_index of the uniforms that the
+        # PCG64 outputs make
         try:
             rm = ReciprocatingMap(d)
         except SelfNormError:
             return
-        by_pair, keyed = selfnorm._pair_tables(rm, kind, m)
-        k, width = d.values.size, 1 << rm._guide_shift
-        j = np.repeat(np.arange(k), width)
-        u = np.tile(np.arange(width) / width, k)
-        idx = rm._slice_index(j, u)
-        x = d.values[j]
-        term = selfnorm._PAIRED[kind][0](x, rm._pair_partner[idx], m)
-        hit = rm._guide >= 0
-        assert np.array_equal(keyed.real[hit].view(np.int64), x[hit].view(np.int64))
-        assert np.array_equal(keyed.imag[hit].view(np.int64), term[hit].view(np.int64))
-        miss = keyed[~hit]
-        assert np.array_equal(miss.view(np.int64), np.full(miss.size, -1j).view(np.int64))
-        assert np.array_equal(by_pair.real, d.values[rm._pair_atom])
-        # a read through the keys, misses and all, is by_pair at the
-        # _slice_index of the uniforms that the PCG64 outputs make: the
-        # first and last output of every bucket, and random outputs
-        first = np.arange(width, dtype=np.uint64) << np.uint64(64 - rm._guide_shift)
-        last = first + np.uint64(2 ** (64 - rm._guide_shift) - 1)
-        rand = np.random.default_rng(seed).integers(0, 2 ** 64, width, dtype=np.uint64,
-                                                    endpoint=False)
-        raw = np.tile(np.concatenate((first, last, rand)), k).reshape(-1, 3)
-        j = np.repeat(np.arange(k), 3 * width).reshape(raw.shape)
+        by_pair = selfnorm._pair_table(rm, kind, m)
+        x = d.values[rm._pair_atom]
+        term = selfnorm._PAIRED[kind][0](x, rm._pair_partner.copy(), m)
+        assert np.array_equal(by_pair.real.view(np.int64), x.view(np.int64))
+        assert np.array_equal(by_pair.imag.view(np.int64), term.view(np.int64))
+        k = d.values.size
+        raw = np.random.default_rng(seed).integers(0, 2 ** 64, (k, 300), dtype=np.uint64,
+                                                   endpoint=False)
+        j = np.repeat(np.arange(k), 300).reshape(raw.shape)
         want = by_pair[rm._slice_index(j, _uniforms(raw))]
-        got = rm._read_pairs(keyed, by_pair, j.copy(), raw, np.empty(raw.shape, complex))
+        got = by_pair.take(rm._pairs.from_bits(raw, np.empty(raw.shape, np.intp), j.copy()))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_pair_guide_grows_with_the_pairs(self):
@@ -638,10 +612,11 @@ class TestSliceTablePairing:
         # all, where 2048 per atom would be 4 million
         rm = ReciprocatingMap(MANY_ATOMS)
         pairs = rm._pair_atom.size
-        assert max(4096, 8 * pairs) <= rm._guide.size < 2 * max(4096, 8 * pairs)
-        assert rm._guide.size == MANY_ATOMS.values.size << rm._guide_shift
+        table = rm._pairs._table
+        assert max(4096, 8 * pairs) <= table.size < 2 * max(4096, 8 * pairs)
+        assert table.size == MANY_ATOMS.values.size << rm._pairs._bits
         # few draws miss: about one bucket per harvest level and side
-        assert np.count_nonzero(rm._guide < 0) <= 2 * (rm.levels.size + 1)
+        assert np.count_nonzero(table < 0) <= 2 * (rm.levels.size + 1)
 
     @pytest.mark.parametrize("u", [1.0, -0.25, np.nan, np.inf])
     def test_uniform_outside_the_unit_interval_raises(self, u):
@@ -738,8 +713,10 @@ class TestSampledBlocks:
         assert (rep.blocks, rep.workers) == (1, 1)
 
     def test_two_blocks_in_flight_stay_small(self, monkeypatch):
-        # a block holds its (paths,) statistic and four arrays of one tile,
-        # 2^15 entries each: about 1.3 MiB, so two threads stay under 4 MiB
+        # a block holds its (paths,) statistic, one tile's index and
+        # complex arrays and the draws of the phase it reads, 32 bytes a
+        # coordinate for 2^15 coordinates: about 1.3 MiB, so two threads
+        # stay under 4 MiB
         # (blocks that built whole (paths, n) arrays peaked at 16-17 MiB);
         # a small check first, so that the lazy imports and caches of a
         # first check are not counted

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -18,7 +19,7 @@ from hypothesis import strategies as hst
 from scipy.stats import beta as scipy_beta
 
 from asymtail import selfnorm, verifier
-from asymtail.bounds import combined_bound_grid
+from asymtail.bounds import BoundError, combined_bound_grid
 from asymtail.dist import FiniteDist, RngSpec, bs, from_pairs, iid_sum, scale, weighted_bs_sum
 from asymtail.thresholds import m_star, p_star
 from asymtail.verifier import (
@@ -636,6 +637,40 @@ class TestSupermartingaleMC:
             with pytest.raises(VerifyError, match=match) as exc:
                 supermartingale_mc(cfg, McConfig(n_paths=1000))
         assert repr(coeffs) in str(exc.value)
+
+    @pytest.mark.parametrize("rule", ["constant", "history_scaled", "random_modulated"])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5, math.nan, math.inf])
+    def test_rejects_p_outside_the_unit_interval(self, rule, p):
+        # named before any carrier arithmetic: p = 0 and p = 1 used to
+        # divide by zero, p < 0 and p > 1 to take the root of a negative,
+        # and NaN and inf to reach the bound grid's BoundError
+        cfg = SupermartingaleConfig(n=2, p=p, coeffs=(1.0, 1.0), rule=rule)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VerifyError, match=r"p must lie in \(0, 1\)") as exc:
+                supermartingale_mc(cfg, McConfig(n_paths=1000))
+        assert repr(p) in str(exc.value)
+
+    @pytest.mark.parametrize("rule", ["constant", "history_scaled"])
+    def test_default_grid_of_coefficients_whose_squares_overflow(self, rule):
+        # the grid runs from 0.5 sqrt(sum c^2), taken over max(c) where the
+        # sum of squares overflows: b_opt's own overflow error at that x,
+        # and no numpy warning
+        cfg = SupermartingaleConfig(n=2, p=0.3, coeffs=(1e200, 1e200), rule=rule)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundError, match=re.escape(
+                    f"b_opt overflows at x = {0.5e200 * math.sqrt(2.0)!r}:")):
+                supermartingale_mc(cfg, McConfig(n_paths=1000))
+
+    @pytest.mark.parametrize("coeffs", [(3.0, 4.0), (0.1, 0.7, 1.3), (1e150, 3e153), (1e-200, 1.0)])
+    def test_root_sum_squares_keeps_the_bits_of_every_finite_sum(self, coeffs):
+        c = np.asarray(coeffs)
+        assert verifier._root_sum_squares(c) == math.sqrt(float(np.sum(c * c)))
+        # and the sum over max(c) where the squares overflow
+        big = c * (1e300 / c.max())
+        assert verifier._root_sum_squares(big) == pytest.approx(
+            1e300 * math.sqrt(float(np.sum((c / c.max()) ** 2))), rel=1e-15)
 
     def test_rows_name_the_bound_family_argmin(self):
         cfg = dataclasses.replace(self._cfg("constant", p=0.2, n=8), x_grid=(0.5, 2.0, 4.0, 6.0))
