@@ -48,8 +48,8 @@ from .majorant import lattice_params  # noqa: F401
 from .majorant import _lin_lc_at, _step, lc_majorant, lin_lc_majorant
 # golden_section is not called here; perfbench/tracer.py wraps it under this name
 from .optimize import golden_section  # noqa: F401
-from .optimize import (_all, _div, _exp, _falling_root, _float_or_array, _isfinite, _log, _maximum,
-                       _minimum, _search, _take, _where)
+from .optimize import (_all, _count, _div, _exp, _falling_root, _float_or_array, _isfinite, _log,
+                       _maximum, _minimum, _search, _take, _where)
 from .thresholds import below_m_star, c_const, m_star
 
 _C30 = c_const(3.0)
@@ -193,9 +193,11 @@ def hoeffding_bound(p: float, n: int, s_m: float, x) -> float | np.ndarray:
     builds it and at any x in its band (dist.atom_band); below the atom
     y is capped at q, which only rounding can pass, and past the band
     the bound is 0.  A scalar x is taken in float arithmetic, with the
-    array's body, bit for bit as the same x in an array."""
-    if n < 1 or s_m <= 0:
-        raise BoundError("hoeffding_bound needs n >= 1 and s_m > 0")
+    array's body, bit for bit as the same x in an array.  n is an integer
+    >= 1 (`optimize._count`) and s_m positive and finite."""
+    n = _count(n, "n", BoundError)
+    if not 0.0 < s_m < math.inf:
+        raise BoundError(f"hoeffding_bound needs s_m > 0 and finite, got {s_m!r}")
     if not 0.0 < p < 1.0:
         raise BoundError("hoeffding_bound requires p in (0, 1)")
     q = 1.0 - p
@@ -275,7 +277,7 @@ def resolve_s_m(m: float, coeffs=None, s_m: float | None = None,
         if c.ndim != 1 or len(c) == 0 or (c < 0).any():
             raise BoundError("coeffs must be a nonempty 1-d array of nonnegatives")
         nn = len(c)
-        if n is not None and n != nn:
+        if n is not None and _count(n, "n", BoundError) != nn:
             raise BoundError("n disagrees with len(coeffs)")
         # np.mean is np.add.reduce over the count, without its wrapper.  Where
         # the mean of c^{2m} overflows or is not a normal float (m_star(p) ~
@@ -309,8 +311,8 @@ def carrier_sum(p: float, n: int, s_m: float) -> FiniteDist:
     Raises BoundError where s_m is so small that neighbouring atoms fall
     within the merge tolerance, since merged atoms are no longer the
     carrier."""
-    d, atoms = _bs_sum(p, n, s_m)
-    if d.n_atoms < atoms:
+    d, window = _bs_sum(p, n, s_m)
+    if d.n_atoms < window.length:
         raise BoundError(
             f"s_m = {s_m!r} puts neighbouring carrier atoms within the merge tolerance "
             f"{MERGE_RTOL:g} * max(1, |atom|) of each other")
@@ -334,6 +336,7 @@ def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None, x) -> t
         m = m_star(p)
     n, sm, s1 = resolve_s_m(m, coeffs=coeffs, s_m=s_m, n=n)
     carrier = carrier_sum(p, n, sm)
+    n = int(n)  # carrier_sum took n as an integer, a numpy one included
     lc = lc_majorant(carrier)
     if type(x) is float or np.ndim(x) == 0:
         return p, m, n, sm, s1, carrier, lc, None, _step(carrier)

@@ -17,16 +17,15 @@ The atoms are sorted once; the merge runs only where some gap is within
 tolerance, and the drop only where some mass is below MIN_MASS
 (`_canonicalize`).
 
-iid_sum of a two-atom law {a: q, b: p} is the binomial lattice
-n a + k (b - a) in closed form, built and normalized only where its
-masses do not underflow: about 37.6 standard deviations each side of the
-mode, so its cost is that window, not O(n) (see _binomial_atoms).  A
-law with more atoms must carry its lattice: its mass vector is raised to
-the n-th convolution power on that lattice (see _lattice_power).  The
-comparison carrier c (BS_1 + ... + BS_n) of `bounds.carrier_sum` and the
-enumeration check is scale(iid_sum(bs(p), n), c) built in one
-construction from the same window (`_bs_sum`), with no law built for
-bs(p) or the unscaled sum.
+Every lattice sum's masses are normalized by their math.fsum, cut at
+both ends below MIN_MASS and given their atoms n v0 + k h by one helper
+(`_mass_window`), whose record (`_Window`) bounds the mass cut at each
+end.  iid_sum builds a two-atom law's binomial lattice in closed form,
+where its masses stay normal, at the window's cost (`_binomial_atoms`),
+and raises the masses of a law on a lattice to the n-th convolution
+power (`_lattice_power`).  The comparison carrier c (BS_1 + ... + BS_n)
+is scale(iid_sum(bs(p), n), c) built in one construction with the
+window's record (`_bs_sum`), which no bound reads yet.
 
 A law knows its lattice when it is built on one.  `bs`, `st`, iid_sum,
 `scale` of such a law by c > 0 and `_bs_sum` by c > 0 pass
@@ -67,11 +66,11 @@ import json
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .optimize import _maximum
+from .optimize import _count, _maximum
 
 MERGE_RTOL = 1e-12
 MASS_ATOL = 1e-12
@@ -313,14 +312,10 @@ def _bs_atoms(p: float) -> tuple[float, float]:
     return -math.sqrt(p / q), math.sqrt(q / p)
 
 
-def _sum_atom(a: float, b: float, n: int, k):
-    """Atom k (an int or an int array) of the n-fold sum of {a, b}."""
-    return n * a + k * (b - a)
-
-
 def _carrier_top(p: float, n: int, s_m: float) -> float:
     """The top atom of s_m (BS_1 + ... + BS_n) in _bs_sum's arithmetic."""
-    return _sum_atom(*_bs_atoms(p), n, n) * s_m
+    a, b = _bs_atoms(p)
+    return (n * a + n * (b - a)) * s_m
 
 
 def bs(p: float) -> FiniteDist:
@@ -385,7 +380,7 @@ _MAX_CHUNK = 1 << 20
 
 def _normal_products(ratio, start: int, stop: int, step: int) -> np.ndarray:
     """The running products of ratio(j) for j = start, start + step, ...
-    short of stop that are >= MIN_MASS.
+    short of stop that are >= MIN_MASS: where products stop, not a cut.
 
     Every ratio is <= 1, so the products fall and those >= MIN_MASS lead;
     they are computed in chunks, up to the first chunk that ends below
@@ -406,59 +401,75 @@ def _normal_products(ratio, start: int, stop: int, step: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _binomial_atoms(atoms, masses, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms and masses of the sum of n iid draws from the two-atom
-    law {a: q, b: p}, in closed form, on raw arrays.
+class _Window(NamedTuple):
+    """A lattice sum's indices kept, and bounds on the mass cut each side."""
+    lo: int
+    length: int
+    cut_below: float
+    cut_above: float
 
-    Atoms n a + k (b - a) with binomial masses from the ratio recurrence
-    P(k+1) / P(k) = (n - k) p / ((k + 1) q), run outward from 1 at the
-    mode and then normalized.  Every ratio taken is <= 1, and the total
-    is >= 1, so a product leaves the normal range only where the
-    normalized mass is below it too and the atom is dropped anyway.
-    (lgamma differences would lose about ten times more accuracy.)  So
-    atoms are built only for the window of products >= MIN_MASS, about
-    37.6 standard deviations each side of the mode, and the cost is that
-    window, not n.  The normalization is math.fsum of the window: the
-    products left out are fewer than n, each below MIN_MASS, so they add
-    less than n MIN_MASS (< 1e-290) to a total >= 1, which moves its
-    rounding only where the window's exact sum lies that close below a
-    rounding boundary, and then by one ulp.  The masses fall away from
-    the mode, so those the constructor keeps (>= MIN_MASS once
-    normalized) are consecutive and the law carries its lattice.
-    """
-    (a, b), (q, p) = atoms, masses
+    def atoms(self, n: int, v0: float, h: float) -> np.ndarray:
+        """The atoms n v0 + k h of the n-fold sum at the indices k kept."""
+        return n * v0 + np.arange(self.lo, self.lo + self.length) * h
+
+
+def _mass_window(mass: np.ndarray, lo: int, past=(0.0, 0.0),
+                 total: float | None = None) -> tuple[np.ndarray, _Window]:
+    """mass, at lattice indices lo, lo + 1, ..., over total (its fsum by
+    default) with its ends below MIN_MASS cut off, and its window: the one
+    cut at a lattice sum's ends, each end's cut the fsum of what it cut
+    plus past (bounds on the mass beyond mass's ends) over total."""
+    if total is None:
+        # fsum keeps few partials, and is fast, when the terms fall in size;
+        # in the order of the atoms it is 20 times slower at n = 600
+        total = math.fsum(np.sort(mass)[::-1].tolist())
+    mass = mass / total
+    keep = mass >= MIN_MASS
+    first, last = int(keep.argmax()), len(mass) - int(keep[::-1].argmax())
+    below = math.fsum(mass[:first].tolist()) + past[0] / total
+    above = math.fsum(mass[last:].tolist()) + past[1] / total
+    return mass[first:last], _Window(lo + first, last - first, below, above)
+
+
+def _binomial_atoms(atoms, masses, n: int) -> tuple[np.ndarray, np.ndarray, _Window]:
+    """The atoms, masses and window of the sum of n iid draws from the
+    two-atom law {a: q, b: p}, in closed form, on raw arrays.
+
+    P(k+1) / P(k) = (n - k) p / ((k + 1) q) runs outward from 1 at the
+    mode (lgamma differences would lose ten times more accuracy) while
+    the products are >= MIN_MASS.  The ratios taken are <= 1 and the
+    total >= 1, so a product left out would be cut once normalized, and
+    the cost is the window, about 37.6 standard deviations each side of
+    the mode; the products left out add less than n MIN_MASS (< 1e-290)
+    to the total, which moves its rounding by one ulp at most.  The
+    ratios fall outward, so the masses kept are consecutive, and past
+    products stopped at g, with r the first ratio not taken (0 at the
+    lattice's end), lies at most g r / (1 - r): the window adds that to
+    its cut at that end."""
+    (a, b), (q, p) = atoms.tolist(), masses.tolist()
     mode = min(int((n + 1) * p), n)
-    up = _normal_products(lambda j: (n - j) * p / ((j + 1) * q), mode, n, 1)
-    down = _normal_products(lambda j: j * q / ((n - j + 1) * p), mode, 0, -1)
-    mass = np.concatenate((down[::-1], [1.0], up))
-    # fsum keeps few partials, and is fast, when the terms fall in size;
-    # in the order of the atoms it is 20 times slower at n = 600
-    total = math.fsum(np.sort(mass)[::-1].tolist())
-    k = np.arange(mode - len(down), mode + len(up) + 1)
-    return _sum_atom(a, b, n, k), mass / total
-
-
-def _trimmed(mass: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
-    """mass with the entries below MIN_MASS at either end cut off, and
-    the lattice index of its first entry, which was lo."""
-    big = np.flatnonzero(mass >= MIN_MASS)
-    return mass[big[0]:big[-1] + 1], lo + int(big[0])
+    up = lambda j: (n - j) * p / ((j + 1) * q)  # noqa: E731
+    down = lambda j: j * q / ((n - j + 1) * p)  # noqa: E731
+    above = _normal_products(up, mode, n, 1)
+    below = _normal_products(down, mode, 0, -1)
+    mass = np.concatenate((below[::-1], [1.0], above))
+    lo, hi = mode - len(below), mode + len(above)
+    past = [g * r / (1.0 - r) for g, r in ((float(mass[0]), down(lo)), (float(mass[-1]), up(hi)))]
+    mass, window = _mass_window(mass, lo, past)
+    return window.atoms(n, a, b - a), mass, window
 
 
 def _lattice_power(d: FiniteDist, n: int) -> FiniteDist:
     """Sum of n iid draws from a law that carries its lattice.
 
-    Atom k of d sits at lattice index k, so the masses of the sum are
-    the n-th convolution power of d's mass vector, taken by binary
-    powering with np.convolve.  Each product is a sum of nonnegative
-    terms, so nothing cancels, and its ends below MIN_MASS are cut off,
-    as the constructor would drop them: the powers stay as short as the
-    window of masses that can be kept, and a mass cut off moves no later
-    mass by more than MIN_MASS times the masses it meets, which sum to
-    at most 1 per product.  Sub-normal masses between kept ones stay, and
-    the constructor drops them.  The masses are normalized once, by
-    math.fsum, and the atoms are n v_0 + k h, with h d's step, at the
-    lattice indices k kept."""
+    Atom k of d sits at lattice index k, so the sum's masses are the n-th
+    convolution power of d's, by binary powering with np.convolve.  Each
+    product is a sum of nonnegative terms, so nothing cancels, and
+    `_mass_window` cuts its ends below MIN_MASS as they are (total 1): a
+    mass cut moves no later mass by more than MIN_MASS times the masses
+    it meets, which sum to at most 1 per product.  `_mass_window`
+    normalizes and cuts the last product and gives its atoms; its window
+    is not kept, since the products' cuts took mass inside it too."""
     result, lo = None, 0
     power, power_lo = d.masses, 0
     bits = n
@@ -467,68 +478,55 @@ def _lattice_power(d: FiniteDist, n: int) -> FiniteDist:
             if result is None:
                 result, lo = power, power_lo
             else:
-                result, lo = _trimmed(np.convolve(result, power), lo + power_lo)
+                result, (lo, *_) = _mass_window(np.convolve(result, power), lo + power_lo,
+                                                total=1.0)
         bits >>= 1
         if not bits:
             break
-        power, power_lo = _trimmed(np.convolve(power, power), 2 * power_lo)
-    total = math.fsum(np.sort(result)[::-1].tolist())
-    k = np.arange(lo, lo + len(result))
-    return FiniteDist(n * d.min_value + k * d.lattice[1], result / total, on_lattice=True)
+        power, (power_lo, *_) = _mass_window(np.convolve(power, power), 2 * power_lo, total=1.0)
+    masses, window = _mass_window(result, lo)
+    return FiniteDist(window.atoms(n, d.min_value, d.lattice[1]), masses, on_lattice=True)
 
 
 def iid_sum(d: FiniteDist, n: int) -> FiniteDist:
-    """Law of the sum of n iid draws from d.
+    """Law of the sum of n iid draws from d; n an integer >= 1 (`_count`).
 
     A one-atom law gives the point mass at n v; a two-atom law the
-    binomial lattice in closed form (`_binomial_atoms`); a law that
-    carries its lattice the convolution power of its masses on that
-    lattice (`_lattice_power`).  Any other law is a DistError.
-    """
-    if n < 1:
-        raise DistError("n must be >= 1")
+    binomial lattice (`_binomial_atoms`); a law that carries its lattice
+    the convolution power of its masses (`_lattice_power`).  Any other
+    law is a DistError."""
+    n = _count(n, "n", DistError)
     if d.n_atoms == 1:
         return delta(n * d.min_value)
     if d.n_atoms == 2:
-        return FiniteDist(*_binomial_atoms(d.values, d.masses, n), on_lattice=True)
+        values, masses, _ = _binomial_atoms(d.values, d.masses, n)
+        return FiniteDist(values, masses, on_lattice=True)
     if d.lattice is None:
         raise DistError("iid_sum needs a law with at most two atoms or one on a known lattice")
     return _lattice_power(d, n)
 
 
-def _bs_sum(p: float, n: int, c: float) -> tuple[FiniteDist, int]:
-    """scale(iid_sum(bs(p), n), c) in one construction, and the atom count
-    of iid_sum(bs(p), n); the law has fewer atoms only where c merged some.
-
-    The same errors as that chain, in its order: p, then n, then c.  The
-    sum is iid_sum's binomial window (`_binomial_atoms`) with the ends
-    whose masses the constructor drops cut off, so the atoms scaled are
-    the sum's as built and the law is scale's bit for bit: on the lattice
-    for c > 0, through sort and merge otherwise, and the point mass at 0
-    for c = 0.  That holds wherever the sum carries its lattice, that is
-    wherever its float atoms stay apart: they are b - a >= max(|a|, b)
-    apart, and only the rounding of n a + k (b - a) at n near 1e16, with
-    p within about 1e-15 of 1, brings neighbours within the merge
-    tolerance.  There iid_sum merges them into the sum it builds; here
-    they merge in the one construction and the count is of the atoms
-    before the merge.
-    """
+def _bs_sum(p: float, n: int, c: float) -> tuple[FiniteDist, _Window]:
+    """scale(iid_sum(bs(p), n), c) in one construction, with that chain's
+    errors in its order (p, then n, then c), and the window of
+    iid_sum(bs(p), n) (`_binomial_atoms`).  The atoms scaled are the sum's
+    as built, so the law is scale's bit for bit, and it has fewer atoms
+    than the window only where c merged some (at c near 1e-12, or at n
+    near 1e16 with p within 1e-15 of 1).  Where p < MIN_MASS, bs(p) drops
+    p with its atom, and the window records the 1 - (1 - p)^n <= n p cut
+    above the atom left."""
     values, masses = _bs_law(p)
-    if n < 1:
-        raise DistError("n must be >= 1")
+    n = _count(n, "n", DistError)
     if not math.isfinite(c):
         raise DistError("scale factor must be finite")
     if len(values) == 1:
         values, masses = np.array([n * float(values[0])]), np.array([1.0])
+        window = _Window(0, 1, 0.0, min(1.0, n * p))
     else:
-        values, masses = _binomial_atoms(values, masses, n)
-        kept = np.flatnonzero(masses >= MIN_MASS)
-        lo, hi = kept[0], kept[-1] + 1
-        values, masses = values[lo:hi], masses[lo:hi]
-    atoms = len(values)
+        values, masses, window = _binomial_atoms(values, masses, n)
     if c == 0.0:
-        return delta(0.0), atoms
-    return FiniteDist(values * c, masses, on_lattice=c > 0.0 and atoms > 1), atoms
+        return delta(0.0), window
+    return FiniteDist(values * c, masses, on_lattice=c > 0.0 and window.length > 1), window
 
 
 def _scaled_atoms(values: np.ndarray, masses: np.ndarray,
@@ -739,11 +737,13 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
 
 
 def sample(d: FiniteDist, rng: RngSpec | np.random.Generator, size: int) -> np.ndarray:
-    """size iid draws via inverse CDF; deterministic per RngSpec.
+    """size iid draws (size an int >= 0, or a shape) by inverse CDF; deterministic per RngSpec.
 
     A uniform u draws the first atom whose cumulative mass exceeds u, and
     a u at or above the rounded total the last atom: the index that
     `_atom_guide` reads from the uniform's PCG64 output."""
+    for k in size if isinstance(size, tuple) else (size,):
+        _count(k, "size", DistError, 0)
     gen = rng.generator() if isinstance(rng, RngSpec) else rng
     return d.values[np.searchsorted(np.cumsum(d.masses)[:-1], gen.random(size), "right")]
 

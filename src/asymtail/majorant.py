@@ -69,8 +69,8 @@ from functools import cached_property
 import numpy as np
 
 from .dist import FiniteDist, atom_band
-from .optimize import (_all, _div, _exp, _float_or_array, _isfinite, _log, _maximum, _minimum,
-                       _quiet, _search, _take, _where)
+from .optimize import (_all, _count, _div, _exp, _float_or_array, _isfinite, _log, _maximum,
+                       _minimum, _quiet, _search, _take, _where)
 
 _LATTICE_RTOL = 1e-9
 _CERT_TOL = 1e-9
@@ -532,11 +532,10 @@ def lin_lc_majorant(d: FiniteDist, refine: int = 64) -> TailMajorant:
     _hull_rounds (_kept_arcs): each round drops every such arc at once
     and bridges only the new neighbour pairs, until nothing drops.  The
     result is checked exactly against the interpolant (_certify).
-    `refine` only sets the density of the knot sample that `to_obj`
-    reports, not the hull.
+    `refine`, an integer >= 2, only sets the density of the knot sample
+    that `to_obj` reports, not the hull.
     """
-    if refine < 2:
-        raise MajorantError("refine must be >= 2")
+    refine = _count(refine, "refine", MajorantError, 2)
     lat, qt, h = _lattice_tails(d)
     arcs = _arcs(qt)
     k, *_, r = arcs

@@ -11,6 +11,7 @@ is the one root that `bounds.b_opt` and the verifier's cube certificate
 take on each piece.  It and every bound member are written once for a
 Python float and an array, on the primitives `_maximum`, `_div`,
 `_where`, `_take` and the like, the only place where the two part ways.
+`_count` is the one rule for a count or a size given as an argument.
 """
 from __future__ import annotations
 
@@ -152,6 +153,16 @@ def _float_or_array(x):
     if type(x) is float or np.ndim(x) == 0:
         return float(x)
     return np.asarray(x, dtype=float)
+
+
+def _count(value, name: str, error: type, least: int = 1) -> int:
+    """A count or size as the int it holds: a bool, or anything but an int
+    or a numpy integer, is an error of the caller's class, as is one below least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def _all(c) -> bool:

@@ -52,6 +52,7 @@ from .dist import (FiniteDist, _advanced, _atom_guide, _GuideTable,  # noqa: F40
                    from_pairs, iid_sum, sample, scale, st)
 # `lc_majorant` stays importable here: perfbench/tracer.py wraps selfnorm.lc_majorant
 from .majorant import lc_majorant  # noqa: F401
+from .optimize import _count
 from .thresholds import SQRT2_MINUS_1, below_m_star, c_const, m_star
 # `beta_dist` stays importable here: perfbench/tracer.py patches selfnorm.beta_dist
 from .verifier import beta_dist  # noqa: F401
@@ -648,12 +649,8 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> McReport:
         raise SelfNormError(f"unknown check kind {cfg.kind!r}")
     if not math.isfinite(cfg.m):
         raise SelfNormError(f"m must be finite, got {cfg.m!r}")
-    if isinstance(cfg.n, bool) or not isinstance(cfg.n, (int, np.integer)):
-        raise SelfNormError(f"n must be an integer, got {cfg.n!r}")
-    if cfg.n < 1:
-        raise SelfNormError(f"n must be >= 1, got {cfg.n!r}")
     # a numpy integer runs as the int it holds: PCG64.advance takes no numpy integer
-    cfg = replace(cfg, n=int(cfg.n))
+    cfg = replace(cfg, n=_count(cfg.n, "n", SelfNormError))
     if cfg.x_grid is not None:
         xs = np.asarray(cfg.x_grid, dtype=float)
         if not np.isfinite(xs).all():

@@ -85,16 +85,16 @@ def p_star(m: float) -> float:
     Uses the rationalized form of the smaller quadratic root, which has
     no cancellation for large m.
     """
-    if m < 1.0:
-        raise ThresholdError("p_star requires m >= 1")
+    if not 1.0 <= m < math.inf:
+        raise ThresholdError(f"p_star requires a finite m >= 1, got {m!r}")
     disc = math.sqrt(4.0 * (m - 1.0) * (m + 2.0) + 1.0)
     return 2.0 / ((2.0 * m - 1.0) * (2.0 * m + 1.0 + disc))
 
 
 def p_star_upper(m: float) -> float:
     """Larger root of 2 (2m-1)^2 p^2 - (4m^2-1) p + 1 = 0; equals 1 at m = 1."""
-    if m < 1.0:
-        raise ThresholdError("p_star_upper requires m >= 1")
+    if not 1.0 <= m < math.inf:
+        raise ThresholdError(f"p_star_upper requires a finite m >= 1, got {m!r}")
     disc = math.sqrt(4.0 * (m - 1.0) * (m + 2.0) + 1.0)
     return (2.0 * m + 1.0 + disc) / (4.0 * (2.0 * m - 1.0))
 
@@ -110,8 +110,8 @@ _LARGE_K = 40.0
 
 
 def m_tilde(k: float) -> float:
-    if k <= 0:
-        raise ThresholdError("m_tilde requires k > 0")
+    if not 0.0 < k < math.inf:
+        raise ThresholdError(f"m_tilde requires a finite k > 0, got {k!r}")
     if k > _LARGE_K:
         emk = math.exp(-k)
         return k * (1.0 + emk) / (2.0 * (1.0 - emk))
@@ -120,8 +120,8 @@ def m_tilde(k: float) -> float:
 
 
 def p_tilde(k: float) -> float:
-    if k <= 0:
-        raise ThresholdError("p_tilde requires k > 0")
+    if not 0.0 < k < math.inf:
+        raise ThresholdError(f"p_tilde requires a finite k > 0, got {k!r}")
     if k > _LARGE_K:
         # numerator and both denominator factors divided by e^k
         emk = math.exp(-k)
@@ -320,8 +320,8 @@ def _log_c0(a: float) -> float:
 
 def c_const(alpha: float, beta: float = 0.0) -> float:
     """Tail-comparison constant c_{alpha,beta}; c_{alpha,0} when beta=0."""
-    if alpha < 0 or beta < 0 or beta > alpha:
-        raise ThresholdError("c_const requires 0 <= beta <= alpha")
+    if not 0.0 <= beta <= alpha < math.inf:
+        raise ThresholdError(f"c_const requires finite 0 <= beta <= alpha, got {alpha!r}, {beta!r}")
     if beta == alpha:
         return 1.0
     return math.exp(_log_c0(alpha) - _log_c0(beta))

@@ -62,7 +62,7 @@ from .dist import (DistError, FiniteDist, RngSpec, _bs_law, _bs_sum, _carrier_to
                    _suffix_moments_at, weighted_bs_sum)
 # iid_sum is not called here; perfbench/tracer.py wraps it under this name
 from .dist import iid_sum  # noqa: F401
-from .optimize import _falling_root, brent_root
+from .optimize import _count, _falling_root, brent_root
 from .thresholds import below_m_star, m_star
 
 
@@ -212,14 +212,13 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
     positive-part form region by region: each polynomial is checked on
     its own closed region, at the points and on the values the minimum
     used, so delta is evaluated once per region.  m must be finite (any
-    m, below 1 included) and resolution at least 1.
+    m, below 1 included) and resolution an integer >= 1.
     """
     if not 0.0 < p < 1.0:
         raise VerifyError("p must be in (0, 1)")
     if not math.isfinite(m):
         raise VerifyError(f"m must be finite, got {m!r}")
-    if not resolution >= 1:
-        raise VerifyError(f"resolution must be >= 1, got {resolution!r}")
+    resolution = _count(resolution, "resolution", VerifyError)
     cs = np.linspace(0.0, 1.0, resolution + 2)[1:-1][:, None]
     pw = _powers(cs, m)
     # vertex of the region-2 parabola
@@ -912,7 +911,7 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
         raise VerifyError(f"rule must be one of {_RULES}")
     if not 0.0 < cfg.p < 1.0:
         raise VerifyError(f"p must lie in (0, 1), got {cfg.p!r}")
-    if len(cfg.coeffs) != cfg.n:
+    if len(cfg.coeffs) != _count(cfg.n, "n", VerifyError):
         raise VerifyError("coeffs length must equal n")
     if cfg.rule in ("constant", "random_modulated") and cfg.p > 0.5:
         raise VerifyError(f"rule {cfg.rule!r} requires p <= 1/2")

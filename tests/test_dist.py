@@ -30,6 +30,7 @@ from asymtail.dist import (
 from asymtail.dist import (
     MERGE_RTOL,
     _advanced,
+    _bs_sum,
     _canonicalize,
     _atom_guide,
     _GuideTable,
@@ -449,6 +450,84 @@ def test_products_left_out_cannot_move_the_total(p, n):
     window = binomial_window(p, n)
     if len(window) < n + 1:
         assert math.fsum(window) == math.fsum(window + [n * MIN_MASS]), (p, n)
+
+
+def log_binomial_masses(p, n, k):
+    """log P(K = k) for K binomial(n, p), by lgamma."""
+    q = 1.0 - p
+    return (np.array([math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                      for j in k.tolist()]) + k * math.log(p) + (n - k) * math.log(q))
+
+
+def exact_cuts(p, n, window):
+    """The binomial mass below and above the window's lattice indices, by
+    lgamma and logaddexp; 0.0 where the window reaches that end."""
+    k = np.arange(n + 1)
+    ends = (k[:window.lo], k[window.lo + window.length:])
+    return [math.exp(np.logaddexp.reduce(log_binomial_masses(p, n, e))) if len(e) else 0.0
+            for e in ends]
+
+
+def assert_window_holds_the_cut(p, n, rtol):
+    """_bs_sum's window is iid_sum(bs(p), n)'s, and each end's cut is at
+    or above the exact cut mass, within the reference's rtol; 0 where
+    nothing was cut."""
+    d, window = _bs_sum(p, n, 1.0)
+    whole = iid_sum(bs(p), n)
+    a, b = bs(p).values
+    assert window.length == whole.n_atoms == d.n_atoms
+    assert whole.values[0] == n * a + window.lo * (b - a)
+    below, above = exact_cuts(p, n, window)
+    assert window.cut_below >= below * (1.0 - rtol), (p, n, window, below)
+    assert window.cut_above >= above * (1.0 - rtol), (p, n, window, above)
+    if window.lo == 0:
+        assert window.cut_below == 0.0
+    if window.lo + window.length == n + 1:
+        assert window.cut_above == 0.0
+    return window
+
+
+@given(p=hst.floats(0.01, 0.99),
+       n=hst.one_of(hst.integers(1, 4000), hst.integers(4000, 100_000)))
+@settings(max_examples=60, deadline=None)
+def test_the_window_records_at_least_the_mass_it_cut(p, n):
+    """The exact cut is lgamma's sum, good to about 1e-9 relative at
+    n = 10^5 (lgamma(n + 1) is 1.05e6 there, rounded to 1.2e-10); the
+    window's bound g r / (1 - r) past its products runs 1e-5 or more above
+    the exact mass past them, far above that."""
+    assert_window_holds_the_cut(p, n, 1e-8)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.05, 0.5, 0.99])
+@pytest.mark.parametrize("n", [287, 3000, 100_000])
+def test_windows_that_cut_record_it(p, n):
+    assert_window_holds_the_cut(p, n, 1e-8)
+
+
+@pytest.mark.parametrize("p,n", [(0.5, 3000), (0.01, 287), (0.99, 287), (0.05, 3000)])
+def test_the_window_holds_the_cut_in_40_digits(p, n):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    _, window = _bs_sum(p, n, 1.0)
+    mp, mq = mpmath.mpf(p), 1 - mpmath.mpf(p)
+    mass = [mpmath.binomial(n, k) * mp ** k * mq ** (n - k) for k in range(n + 1)]
+    assert window.cut_below >= mpmath.fsum(mass[:window.lo])
+    assert window.cut_above >= mpmath.fsum(mass[window.lo + window.length:])
+
+
+def test_the_stored_tail_and_the_cut_reach_the_exact_tail():
+    # the carrier's top atom 1970 at p = 1/2, n = 3000: the stored tail is
+    # that atom's mass, 3.9156e-308, and the exact tail 4.93792e-308
+    d, window = _bs_sum(0.5, 3000, 1.0)
+    assert d.max_value == 1970.0
+    assert tail(d, 1970.0) + window.cut_above >= 4.93792e-308
+
+
+def test_a_dropped_sub_normal_p_is_recorded_as_cut():
+    p, n = 1e-308, 10 ** 6
+    d, window = _bs_sum(p, n, 1.0)
+    assert d.n_atoms == 1 and window[:3] == (0, 1, 0.0)
+    assert window.cut_above >= -math.expm1(n * math.log1p(-p)) > 0.0
 
 
 def st_lattice_index(d, p, n):

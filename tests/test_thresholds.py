@@ -205,6 +205,18 @@ class TestConstants:
             c_const(2, 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("f", [
+    p_star, p_star_upper, m_tilde, p_tilde, c_const,
+    lambda beta: c_const(3.0, beta), m_star,
+], ids=["p_star", "p_star_upper", "m_tilde", "p_tilde", "c_const_alpha", "c_const_beta",
+        "m_star"])
+def test_a_non_finite_argument_raises(f, bad):
+    """No threshold answers NaN, or 0 or inf read off an infinite argument."""
+    with pytest.raises(ThresholdError):
+        f(bad)
+
+
 def test_threshold_row_has_all_columns():
     row = threshold_row(0.25)
     assert set(row) == {"p", "m_star", "p_star_inverse", "m_exp", "m_exp_up",
