@@ -122,9 +122,12 @@ def _canonicalize(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, n
     """The atoms sorted (stably), merged and stripped of sub-normal masses,
     in new arrays; the caller's are left as they are.
 
-    Merging and dropping are tested once each, and skipped where no gap
-    is within the merge tolerance or no mass is below MIN_MASS: the
-    sorted arrays, fresh and contiguous, are then the result as they are.
+    numpy's stable argsort of floats is a timsort, which finds the
+    ascending runs of its input and merges them, so atoms given as a few
+    sorted runs (`weighted_bs_sum`'s) are sorted in linear time.  Merging
+    and dropping are tested once each, and skipped where no gap is within
+    the merge tolerance or no mass is below MIN_MASS: the sorted arrays,
+    fresh and contiguous, are then the result as they are.
     """
     order = np.argsort(values, kind="stable")
     v = values[order]
@@ -385,8 +388,9 @@ def _normal_products(ratio, start: int, stop: int, step: int) -> np.ndarray:
     Every ratio is <= 1, so the products fall and those >= MIN_MASS lead;
     they are computed in chunks, up to the first chunk that ends below
     MIN_MASS.  Each chunk's first ratio is multiplied by the product
-    before it, so the chunks are one np.cumprod run bit for bit."""
-    chunks = [np.empty(0)]
+    before it, so the chunks are one np.cumprod run bit for bit; a lone
+    chunk is returned as it is, with no copy."""
+    chunks = []
     j, last, size = start, 1.0, _FIRST_CHUNK
     while j != stop:
         end = min(j + size, stop) if step > 0 else max(j - size, stop)
@@ -398,7 +402,9 @@ def _normal_products(ratio, start: int, stop: int, step: int) -> np.ndarray:
             break
         chunks.append(prod)
         j, last, size = end, prod[-1], min(2 * size, _MAX_CHUNK)
-    return np.concatenate(chunks)
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 class _Window(NamedTuple):
@@ -415,20 +421,36 @@ class _Window(NamedTuple):
 
 def _mass_window(mass: np.ndarray, lo: int, past=(0.0, 0.0),
                  total: float | None = None) -> tuple[np.ndarray, _Window]:
-    """mass, at lattice indices lo, lo + 1, ..., over total (its fsum by
-    default) with its ends below MIN_MASS cut off, and its window: the one
-    cut at a lattice sum's ends, each end's cut the fsum of what it cut
-    plus past (bounds on the mass beyond mass's ends) over total."""
+    """mass, at lattice indices lo, lo + 1, ..., over total with its ends
+    below MIN_MASS cut off, and its window: the one cut at a lattice sum's
+    ends, each end's cut the fsum of what it cut plus past (bounds on the
+    mass beyond mass's ends) over total.
+
+    total is mass's fsum, which the caller passes where it has it (fsum
+    rounds the exact sum, so any order of the terms gives it); by default
+    it is taken here.  Where both end masses are normal nothing is cut,
+    and the search for the cut is skipped."""
     if total is None:
         # fsum keeps few partials, and is fast, when the terms fall in size;
         # in the order of the atoms it is 20 times slower at n = 600
         total = math.fsum(np.sort(mass)[::-1].tolist())
     mass = mass / total
-    keep = mass >= MIN_MASS
-    first, last = int(keep.argmax()), len(mass) - int(keep[::-1].argmax())
+    if mass[0] >= MIN_MASS and mass[-1] >= MIN_MASS:
+        first, last = 0, len(mass)
+    else:
+        keep = mass >= MIN_MASS
+        first, last = int(keep.argmax()), len(mass) - int(keep[::-1].argmax())
     below = math.fsum(mass[:first].tolist()) + past[0] / total
     above = math.fsum(mass[last:].tolist()) + past[1] / total
     return mass[first:last], _Window(lo + first, last - first, below, above)
+
+
+# The most atoms a binomial window may keep: 8.7 times the 484 523 of
+# n = 2e8 at p = 0.3, and 34 MB per array of them
+MAX_WINDOW_ATOMS = 1 << 22
+# The window spans about this many standard deviations: the products
+# stop where exp(-k^2 / 2 sigma^2) falls below MIN_MASS, 37.6 each side
+_WINDOW_SDS = 2.0 * math.sqrt(-2.0 * math.log(MIN_MASS))
 
 
 def _binomial_atoms(atoms, masses, n: int) -> tuple[np.ndarray, np.ndarray, _Window]:
@@ -440,22 +462,30 @@ def _binomial_atoms(atoms, masses, n: int) -> tuple[np.ndarray, np.ndarray, _Win
     the products are >= MIN_MASS.  The ratios taken are <= 1 and the
     total >= 1, so a product left out would be cut once normalized, and
     the cost is the window, about 37.6 standard deviations each side of
-    the mode; the products left out add less than n MIN_MASS (< 1e-290)
-    to the total, which moves its rounding by one ulp at most.  The
-    ratios fall outward, so the masses kept are consecutive, and past
-    products stopped at g, with r the first ratio not taken (0 at the
-    lattice's end), lies at most g r / (1 - r): the window adds that to
-    its cut at that end."""
+    the mode: a window of more than MAX_WINDOW_ATOMS by that count is a
+    DistError, raised before any product is taken.  The products left
+    out add less than n MIN_MASS (< 1e-290) to the total, which moves
+    its rounding by one ulp at most.  Each run of products falls from
+    the mode, so the fsum of 1 and the two runs, in that order, is the
+    total `_mass_window` divides by.  The ratios fall outward, so the
+    masses kept are consecutive, and past products stopped at g, with r
+    the first ratio not taken (0 at the lattice's end), lies at most
+    g r / (1 - r): the window adds that to its cut at that end."""
     (a, b), (q, p) = atoms.tolist(), masses.tolist()
+    width = _WINDOW_SDS * math.sqrt(n * p * q)
+    if width > MAX_WINDOW_ATOMS:
+        raise DistError(f"the sum of n={n} draws at p={p!r} keeps about {width:.3g} atoms, "
+                        f"more than {MAX_WINDOW_ATOMS}")
     mode = min(int((n + 1) * p), n)
     up = lambda j: (n - j) * p / ((j + 1) * q)  # noqa: E731
     down = lambda j: j * q / ((n - j + 1) * p)  # noqa: E731
     above = _normal_products(up, mode, n, 1)
     below = _normal_products(down, mode, 0, -1)
+    total = math.fsum([1.0, *above.tolist(), *below.tolist()])
     mass = np.concatenate((below[::-1], [1.0], above))
     lo, hi = mode - len(below), mode + len(above)
     past = [g * r / (1.0 - r) for g, r in ((float(mass[0]), down(lo)), (float(mass[-1]), up(hi)))]
-    mass, window = _mass_window(mass, lo, past)
+    mass, window = _mass_window(mass, lo, past, total)
     return window.atoms(n, a, b - a), mass, window
 
 
@@ -562,9 +592,10 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
     term with one `_canonicalize` (sort and merge) before the next, so
     the law is bit for bit the fold of FiniteDist(outer sums, outer
     products) over the scaled laws; only the final law is built and
-    validated as a FiniteDist.  Merging keeps the atom count at n + 1
-    for equal coefficients.  The coefficients are arbitrary, so the law
-    carries no lattice.
+    validated as a FiniteDist.  The outer sums are written term by term
+    (`_term_runs`), so the sort merges two ascending runs.  Merging keeps
+    the atom count at n + 1 for equal coefficients.  The coefficients are
+    arbitrary, so the law carries no lattice.
     """
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) == 0:
@@ -583,8 +614,29 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
         if not (math.isfinite(float(v[0]) + float(tv[0]))
                 and math.isfinite(float(v[-1]) + float(tv[-1]))):
             raise DistError("atoms must be finite")
-        v, m = np.add.outer(v, tv).ravel(), np.multiply.outer(m, tm).ravel()
+        v, m = _term_runs(v, m, tv, tm)
     return FiniteDist(v, m)
+
+
+def _term_runs(v: np.ndarray, m: np.ndarray, tv: np.ndarray,
+               tm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outer sums v + tv and products m tm, flat, in an order whose
+    stable sort is that of np.add.outer(v, tv).ravel(), the atom-major
+    order; v and tv ascending, tv of one or two atoms t0 < t1.
+
+    Written term by term, the larger term first: t1 + v, then t0 + v, two
+    ascending runs (adding t is monotone), the same sums and products.
+    A stable sort orders equal sums by position.  Where t0 + v_i equals
+    t1 + v_k, k < i, unless t0 + v_i = t1 + v_i: atom-major puts (k, t1)
+    first, and so does t1's run.  t0 + v_i = t1 + v_i puts t1 - t0 within
+    an ulp of the sum, at most 2^-52 (|v| + |t|) or the sub-normal step
+    2^-1074; where t1 - t0 is that small, the sums are written
+    atom-major."""
+    if len(tv) == 2:
+        t0, t1 = tv.tolist()
+        if t1 - t0 <= 2.0 ** -50 * max(-float(v[0]), float(v[-1]), -t0, t1) + 2.0 ** -1070:
+            return np.add.outer(v, tv).ravel(), np.multiply.outer(m, tm).ravel()
+    return np.add.outer(tv[::-1], v).ravel(), np.multiply.outer(tm[::-1], m).ravel()
 
 
 def tail(d: FiniteDist, x) -> float | np.ndarray:
@@ -632,13 +684,15 @@ def _shifted_suffix_moments(d: FiniteDist, left: bool = False) -> np.ndarray:
     return out
 
 
-def _suffix_moments_at(d: FiniteDist, x, left: bool = False) -> np.ndarray:
+def _suffix_moments_at(d: FiniteDist, x, k, left: bool = False) -> np.ndarray:
     """P[j, i] = sum over v >= x_i of m (v - x_i)^j for j = 0..3, at each
     point of a 1-d array, in O(atoms + points); for left, sum over
     v <= x_i of m (x_i - v)^j, read as the moments of -D at -x_i.
 
-    With k the first atom >= x and u = v_k - x >= 0 these are the
-    shifted suffix moments at k moved down by u,
+    k is np.searchsorted(d.values, x, "left") (for left, "right"),
+    taken from the caller, which knows it from merging the points with
+    the atoms.  With k the first atom >= x and u = v_k - x >= 0 these are
+    the shifted suffix moments at k moved down by u,
 
         P0 = P0(k),  P1 = P1(k) + u P0(k),  P2 = P2(k) + u (2 P1(k) + u P0(k)),
         P3 = P3(k) + u (3 P2(k) + u (3 P1(k) + u P0(k))),
@@ -649,13 +703,17 @@ def _suffix_moments_at(d: FiniteDist, x, left: bool = False) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     v = d.values
     if left:
-        x, v = -x, -v[::-1]
-    # column len(v), past the top atom, holds the moments 0 and the gap 0
-    moments = np.zeros((4, len(v) + 1))
-    moments[:, :-1] = _shifted_suffix_moments(d, left)
-    k = np.searchsorted(v, x, side="left")
-    p0, p1, p2, p3 = moments.take(k, axis=1)
-    u = np.maximum(np.append(v, -math.inf).take(k) - x, 0.0)
+        # the atoms of -D below -x are those of D above x
+        x, v, k = -x, -v[::-1], len(v) - k
+    # the moments and the atom at each k, one take; column len(v), past
+    # the top atom, holds the moments 0 and the atom -inf, so u is 0 there
+    table = np.empty((5, len(v) + 1))
+    table[:4, :-1] = _shifted_suffix_moments(d, left)
+    table[:4, -1] = 0.0
+    table[4, :-1] = v
+    table[4, -1] = -math.inf
+    p0, p1, p2, p3, vk = table.take(k, axis=1)
+    u = np.maximum(vk - x, 0.0)
     up0 = u * p0
     out = np.empty((4, len(x)))
     out[0] = p0

@@ -47,11 +47,11 @@ any thread count.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -195,6 +195,31 @@ class DeltaGridResult:
         return self.min_value >= -DEFAULT_TOL
 
 
+# delta_grid_check's u-columns, region by region, in a (resolution, 9) array:
+# region 1 at u = 0, 3; region 2 at -c, 0, u*; region 3 at -1, -c; region 4
+# at -1 - c, -1
+_REGION_COLUMNS = {1: slice(0, 2), 2: slice(2, 5), 3: slice(5, 7), 4: slice(7, 9)}
+_VERTEX_COLUMN = 4
+
+
+@functools.lru_cache(maxsize=1)
+def _u_grid(resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The c-grid of delta_grid_check, a (resolution, 1) column, and its
+    u-columns (`_REGION_COLUMNS`) with the vertex column 0, both
+    read-only: built once, and shared by the calls at one resolution."""
+    cs = np.linspace(0.0, 1.0, resolution + 2)[1:-1][:, None]
+    ug = np.zeros((resolution, 9))
+    ug[:, 1] = 3.0
+    ug[:, 2:3] = -cs
+    ug[:, 5] = -1.0
+    ug[:, 6:7] = -cs
+    ug[:, 7:8] = -1.0 - cs
+    ug[:, 8] = -1.0
+    cs.setflags(write=False)
+    ug.setflags(write=False)
+    return cs, ug
+
+
 def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResult:
     """Exact minimum of the certificates over u, on `resolution` values of c.
 
@@ -208,44 +233,42 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
       region 3, concave on [-1, -c]:                 u in {-1, -c};
       region 4, the square (1-C) p (1+c+u)^2:        u in {-1-c, -1}.
 
-    identity_max_err compares the piecewise table with the
-    positive-part form region by region: each polynomial is checked on
-    its own closed region, at the points and on the values the minimum
-    used, so delta is evaluated once per region.  m must be finite (any
-    m, below 1 included) and resolution an integer >= 1.
+    The nine u-columns sit in one (resolution, 9) array, copied from a
+    read-only grid built once per resolution (`_u_grid`) with only the
+    vertex column written per call, and each region's values are written
+    into the same columns of a second one.  identity_max_err compares the
+    piecewise table with the positive-part form region by region: each
+    polynomial is checked on its own closed region, at the points and on
+    the values the minimum used, so delta is evaluated once per region.
+    m must be finite (any m, below 1 included) and resolution an integer
+    >= 1.
     """
     if not 0.0 < p < 1.0:
         raise VerifyError("p must be in (0, 1)")
     if not math.isfinite(m):
         raise VerifyError(f"m must be finite, got {m!r}")
     resolution = _count(resolution, "resolution", VerifyError)
-    cs = np.linspace(0.0, 1.0, resolution + 2)[1:-1][:, None]
+    cs, ug = _u_grid(resolution)
     pw = _powers(cs, m)
     # vertex of the region-2 parabola
     denom = (1.0 - pw[0]) * (1.0 - p)
     with np.errstate(divide="ignore", invalid="ignore"):
         u_star = -cs * (1.0 - pw[1]) / denom
-    u_star = np.clip(np.where(np.isfinite(u_star), u_star, 0.0), -cs, 0.0)
-    zero = np.zeros_like(cs)
-    grids = {
-        1: np.hstack([zero, zero + 3.0]),
-        2: np.hstack([-cs, zero, u_star]),
-        3: np.hstack([zero - 1.0, -cs]),
-        4: np.hstack([-1.0 - cs, zero - 1.0]),
-    }
+    ug = ug.copy()
+    ug[:, _VERTEX_COLUMN:_VERTEX_COLUMN + 1] = np.clip(
+        np.where(np.isfinite(u_star), u_star, 0.0), -cs, 0.0)
 
     best = (math.inf, 0, math.nan, math.nan)
-    region_vals = []
-    for region, ug in grids.items():
-        vals = _delta(region, ug, cs, p, pw)
-        region_vals.append(vals)
-        flat = int(np.argmin(vals))
-        ci, ui = divmod(flat, vals.shape[1])
-        if vals[ci, ui] < best[0]:
-            best = (float(vals[ci, ui]), region, float(cs[ci, 0]), float(ug[ci, ui]))
+    vals = np.empty_like(ug)
+    for region, cols in _REGION_COLUMNS.items():
+        vals[:, cols] = _delta(region, ug[:, cols], cs, p, pw)
+        region_vals = vals[:, cols]
+        ci, ui = divmod(int(np.argmin(region_vals)), region_vals.shape[1])
+        if region_vals[ci, ui] < best[0]:
+            best = (float(region_vals[ci, ui]), region, float(cs[ci, 0]),
+                    float(ug[ci, cols][ui]))
     # the identity residual over all regions' points in one pass
-    ug = np.hstack(list(grids.values()))
-    resid = np.hstack(region_vals) - _positive_part_form(ug, cs, p, pw[0])
+    resid = vals - _positive_part_form(ug, cs, p, pw[0])
     ident_err = float(np.max(np.abs(resid)))
     return DeltaGridResult(p=p, m=m, resolution=resolution,
                            min_value=best[0], argmin_region=best[1],
@@ -315,11 +338,47 @@ def _piece_peaks(b: np.ndarray, dp: np.ndarray, dq: np.ndarray | None = None):
     with np.errstate(divide="ignore", invalid="ignore"):
         u, _ = _falling_root(qa, qb, qc)
     u[~((u > 0.0) & (u < h))] = 0.0
-    peak = p3 + u * (3.0 * p2 + u * (3.0 * p1 + u * p0))
+    vals, ts = np.empty((2, 3, len(h)))
+    vals[0], vals[1], ts[0], ts[1] = ends[:-1], ends[1:], b[:-1], b[1:]
+    peak = vals[2]
+    np.add(p3, u * (3.0 * p2 + u * (3.0 * p1 + u * p0)), out=peak)
     if dq is not None:
         w = h - u
         peak += q3 + w * (3.0 * q2 + w * (3.0 * q1 + w * q0))
-    return np.stack((ends[:-1], ends[1:], peak)), np.stack((b[:-1], b[1:], b[1:] - u))
+    np.subtract(b[1:], u, out=ts[2])
+    return vals, ts
+
+
+def _merged_support(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of two ascending atom arrays and, at each of its points,
+    each array's first atom at or above it: np.union1d(a, b) and
+    np.searchsorted(a, union, "left") and (b, union, "left"), from one
+    merge.
+
+    A stable argsort of a's atoms then b's merges the two ascending runs
+    in linear time (numpy's timsort).  Each union point is the first of
+    its run of equal atoms in the merge, and the atoms before it are
+    those below it.  The merge keeps each array's atoms in their order,
+    so where the point is a's atom i, i of a's atoms are before it, and
+    where it is b's atom j, j of b's and the rest of a's."""
+    both = np.concatenate((a, b))
+    order = np.argsort(both, kind="stable")
+    merged = both.take(order)
+    first = np.empty(len(merged), dtype=bool)
+    first[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    at = np.flatnonzero(first)
+    i = order.take(at)
+    ka = np.where(i < len(a), i, at - (i - len(a)))
+    return merged.take(at), ka, at - ka
+
+
+def _at_or_below(k: np.ndarray, n_atoms: int) -> np.ndarray:
+    """np.searchsorted(values, union, "right") from the "left" indices k
+    at every point of a union that holds all n_atoms values: no atom lies
+    strictly between two union points, so the atoms at or below one are
+    those below the next."""
+    return np.append(k[1:], n_atoms)
 
 
 def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) -> EnumCheck:
@@ -333,7 +392,11 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) ->
     d(t) = E (S - t)_+^3 - E (eta - t)_+^3 <= 0 at every t.  Between
     consecutive atoms of the two laws d is one cubic, from the suffix
     moments at the piece's ends (`dist._suffix_moments_at`), and peaks at
-    an end or at a root of d' (`_piece_peaks`).  Above both supports d is
+    an end or at a root of d' (`_piece_peaks`).  The pieces' ends, the
+    union of the two supports, come from one merge of the two laws'
+    sorted atoms, which also gives each law's first atom at or above
+    every end (two-sided: at or below) to `_suffix_moments_at`
+    (`_merged_support`).  Above both supports d is
     0; below them it is affine with slope -3 (E S^2 - E eta^2) >= 0, so
     the lowest atom holds its maximum there.
 
@@ -362,17 +425,17 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) ->
     if s_m <= 0:
         raise VerifyError("coefficients are all zero")
     rhs, _ = _bs_sum(p, n, s_m)
-    b = np.union1d(lhs.values, rhs.values)
+    b, kl, kr = _merged_support(lhs.values, rhs.values)
     if len(b) < 2:
         raise VerifyError("the coefficients are too small: both laws are one point")
-    right = _suffix_moments_at(rhs, b)
-    dp = _suffix_moments_at(lhs, b) - right
+    right = _suffix_moments_at(rhs, b, kr)
+    dp = _suffix_moments_at(lhs, b, kl) - right
     vals, ts = _piece_peaks(b, dp)
     families = [("cube_plus", vals / np.maximum(1.0, right[3, 1:]), ts)]
     lam_count = 0
     if two_sided:
-        left = _suffix_moments_at(rhs, b, left=True)
-        dq = _suffix_moments_at(lhs, b, left=True) - left
+        left = _suffix_moments_at(rhs, b, _at_or_below(kr, rhs.n_atoms), left=True)
+        dq = _suffix_moments_at(lhs, b, _at_or_below(kl, lhs.n_atoms), left=True) - left
         vals, ts = _piece_peaks(b, dp, dq)
         families.append(("abs_cube", vals / np.maximum(1.0, right[3, 1:] + left[3, :-1]), ts))
         # E cosh(lam D) = (E e^{lam D} + E e^{-lam D}) / 2; the halving
@@ -587,7 +650,7 @@ class _BlockPool:
 
     def _forget(self) -> None:
         self._lock = threading.Lock()
-        self._executor: ThreadPoolExecutor | None = None
+        self._executor = None   # a ThreadPoolExecutor, imported on first use
         self._size = 0
         self._marks = threading.local()
 
@@ -600,6 +663,9 @@ class _BlockPool:
     def map(self, fn, n: int, size: int) -> list:
         """[fn(0), ..., fn(n - 1)] run on the pool, once every call is done;
         the first call that raised raises here."""
+        # imported here, so that a process that runs no Monte Carlo check
+        # in parallel does not load concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor, wait
         with self._lock:
             if self._size != size:
                 if self._executor is not None:

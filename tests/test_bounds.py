@@ -794,6 +794,17 @@ class TestLargeCarriers:
         with pytest.raises(BoundError, match="b_opt overflows"):
             combined_bound(p, 1.0, 0.5 * top, n=n, s_m=s_m)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the carrier drops the mass its window cuts above its top atom")
+    def test_minimum_at_the_windows_top_atom_is_not_below_the_exact_tail(self):
+        # at p = 1/2 the carrier is the sum itself, and its window ends at
+        # 1970 of 3000; the exact P(sum BS_i >= 1970) = P(Bin(3000, 1/2) >=
+        # 2485) is 4.93791598596e-308 (mpmath, 40 digits), and the reported
+        # minimum is 3.9156019968092926e-308 (b_opt) while the cut mass is
+        # lost
+        rep = combined_bound(0.5, 1.0, 1970.0, n=3000, s_m=1.0)
+        assert rep.minimum >= 4.93791598596e-308 * (1 - 1e-12)
+
     def test_argmin_takes_first_of_equal_members(self):
         # past the top atom every member but normal_dom is 0
         rep = combined_bound(0.6, 1.0, 100.0, n=5, s_m=1.0)

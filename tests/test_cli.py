@@ -122,7 +122,8 @@ class TestBoundCommand:
     def test_out_of_memory_exit_2(self):
         # the carrier's atoms above the float range, about 37.6 standard
         # deviations each side of the mode (1.2e9 atoms at n = 10^15 and
-        # p = 1/2), do not fit in a 1.5 GiB address space
+        # p = 1/2), would not fit in a 1.5 GiB address space: the window's
+        # size is refused before any of it is built
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
@@ -133,7 +134,21 @@ class TestBoundCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         err = proc.stderr.splitlines()
-        assert err[0].startswith("error: out of memory")
+        assert err[0].startswith("error: the sum of n=1000000000000000 draws at p=0.5")
+        assert "1.19e+09 atoms" in err[0]
+        assert len(err) == 2 and err[1].startswith("wall time")
+
+    def test_memory_error_is_one_error_line_exit_2(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "combined_bound_grid", exhausted)
+        argv = ["bound", "--p", "0.5", "--n", "10", "--s-m", "1", "--x", "1"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert err[0] == "error: out of memory"
         assert len(err) == 2 and err[1].startswith("wall time")
 
     def test_large_n_builds_only_the_mass_window(self):

@@ -121,6 +121,13 @@ def test_weighted_bs_sum_equals_the_convolve_fold_on_random_laws():
     (0.3, [1e-14, 1.0]),     # the first term's two atoms merge
     (0.5, [0.0, 0.0]),
     *((0.3, [1.0] * n) for n in (2, 5, 13, 24)),
+    # ties between the two runs of each outer sum, which a stable sort must
+    # keep in the atom-major order
+    (0.5, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+    (0.5, [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]),
+    (0.3, [0.7] * 8 + [1.4] * 8),
+    # a term's two atoms lost in the rounding of the larger atoms
+    (0.3, [1e20, 1e-3, 1e-3, 2e-3]),
 ])
 def test_weighted_bs_sum_equals_the_convolve_fold(p, coeffs):
     _assert_bit_equal(weighted_bs_sum(p, coeffs), convolve_fold(p, coeffs))
@@ -912,7 +919,7 @@ def cube_cases(draw):
 def test_cube_plus_matches_fsum(case):
     # all four moments sum (v - t)^j m over v >= t; P3 is E (D - t)_+^3
     law, ts = case
-    got = _suffix_moments_at(law, ts)
+    got = _suffix_moments_at(law, ts, np.searchsorted(law.values, ts, "left"))
     for i, t in enumerate(ts.tolist()):
         if t > law.max_value:
             assert not got[:, i].any()

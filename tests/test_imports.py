@@ -6,7 +6,9 @@ the Monte Carlo ones (`verify --suite supermartingale`, `selfnorm`)
 included, pay for numpy alone: roots come from `optimize.brent_root`,
 not `scipy.optimize`, and the Clopper-Pearson limit from
 `clopper_pearson`'s binomial tail sum, not `scipy.special`; only a
-Monte Carlo check imports that module.  The checks run in a fresh
+Monte Carlo check imports that module.  The thread pool's module,
+`concurrent.futures`, is loaded only when a Monte Carlo check first
+spreads its blocks over threads.  The checks run in a fresh
 interpreter, since this test process has scipy loaded already.
 """
 import json
@@ -16,13 +18,13 @@ import sys
 import pytest
 
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import asymtail, asymtail.cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-seen = {"import": scipy_modules()}
+seen = {"import": scipy_modules(), "pool module after import": "concurrent.futures" in sys.modules}
 from asymtail.bounds import combined_bound_grid
 for p in (0.3, 0.7):
     reports = combined_bound_grid(p, 1.0 if p >= 0.5 else asymtail.m_star(p),
@@ -47,12 +49,15 @@ def cli(*argv, key=None):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         seen[f"cli {key} exit"] = asymtail.cli.main(list(argv))
     seen[f"cli {key}"] = scipy_modules()
+    seen[f"pool module after {key}"] = "concurrent.futures" in sys.modules
 
 cli("thresholds", "--p", "0.3")
 cli("bound", "--p", "0.3", "--m", repr(m), "--n", "10", "--s-m", "1", "--x", "2")
 cli("majorant", "--p", "0.3", "--n", "10", "--kind", "linlc", "--eval", "1,2")
 cli("verify", "--suite", "delta")
 seen["cp module before Monte Carlo"] = "asymtail.clopper_pearson" in sys.modules
+# its four blocks of paths run on two threads
+os.environ["ASYMTAIL_THREADS"] = "2"
 cli("verify", "--suite", "supermartingale", key="verify --suite supermartingale")
 seen["cp module after Monte Carlo"] = "asymtail.clopper_pearson" in sys.modules
 cli("selfnorm", "--kind", "vw", "--preset", "asym3", "--n", "4", "--paths", "1000")
@@ -105,6 +110,15 @@ def test_cli_command_loads_no_scipy(probe, command):
 def test_monte_carlo_loads_no_scipy(probe, command):
     assert probe[f"cli {command} exit"] == 0
     assert probe[f"cli {command}"] == []
+
+
+@pytest.mark.parametrize("step", ["import", "thresholds", "bound", "majorant", "verify"])
+def test_no_thread_pool_module_before_a_parallel_check(probe, step):
+    assert probe[f"pool module after {step}"] is False
+
+
+def test_a_parallel_check_loads_the_thread_pool_module(probe):
+    assert probe["pool module after verify --suite supermartingale"] is True
 
 
 def test_only_monte_carlo_loads_the_cp_module(probe):

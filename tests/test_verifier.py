@@ -413,6 +413,34 @@ def test_enumeration_check_equals_the_fold_of_laws_field_for_field(mode, monkeyp
     assert got == checks()
 
 
+def _support_cases():
+    rng = np.random.default_rng(42)
+    cases = [(np.sort(rng.normal(size=int(rng.integers(1, 60)))),
+              np.sort(rng.normal(size=int(rng.integers(1, 60))))) for _ in range(30)]
+    for _ in range(30):   # ties within and between the two arrays
+        grid = np.arange(-5.0, 6.0)
+        a = np.unique(rng.choice(grid, int(rng.integers(1, 11))))
+        b = np.unique(rng.choice(grid, int(rng.integers(1, 11))))
+        cases.append((a, b))
+    one = np.array([0.5])
+    cases += [(one, one), (one, np.array([-1.0, 0.5, 2.0])), (np.array([-1.0, 2.0]), one),
+              (one, np.array([1.0]))]
+    law = weighted_bs_sum(0.3, [1.0, 0.7, 1.4])
+    cases.append((law.values, scale(iid_sum(bs(0.3), 3), 1.0).values))
+    return cases
+
+
+@pytest.mark.parametrize("a,b", _support_cases())
+def test_merged_support_is_the_union_and_its_searches(a, b):
+    union, ka, kb = verifier._merged_support(a, b)
+    want = np.union1d(a, b)
+    assert union.tobytes() == want.tobytes()
+    for values, k in ((a, ka), (b, kb)):
+        assert k.tolist() == np.searchsorted(values, want, "left").tolist()
+        assert (verifier._at_or_below(k, len(values)).tolist()
+                == np.searchsorted(values, want, "right").tolist())
+
+
 class TestEnumerationOverflow:
     LAM = np.geomspace(0.1, 5.0, 20)
 
