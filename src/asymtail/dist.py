@@ -127,21 +127,27 @@ def _canonicalize(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, n
     sorted runs (`weighted_bs_sum`'s) are sorted in linear time.  Merging
     and dropping are tested once each, and skipped where no gap is within
     the merge tolerance or no mass is below MIN_MASS: the sorted arrays,
-    fresh and contiguous, are then the result as they are.
+    fresh and contiguous, are then the result as they are.  Each gap is
+    held to its own tolerance only where the smallest gap is within the
+    largest atom's.
     """
     order = np.argsort(values, kind="stable")
     v = values[order]
     m = masses[order]
     if len(v) > 1:
         gaps = v[1:] - v[:-1]
-        size = np.abs(v)
-        tol = np.maximum(size[:-1], size[1:])
-        np.maximum(tol, 1.0, out=tol)
-        tol *= MERGE_RTOL
-        apart = gaps > tol
-        if not apart.all():
-            firsts = np.flatnonzero(np.concatenate(([True], apart)))
-            v, m = v[firsts], np.add.reduceat(m, firsts)
+        # every gap's tolerance is at most the largest |atom|'s (v sorted:
+        # at an end), so where the smallest gap clears that, all clear theirs
+        if not float(np.minimum.reduce(gaps)) > MERGE_RTOL * max(1.0, -float(v[0]),
+                                                                 float(v[-1])):
+            size = np.abs(v)
+            tol = np.maximum(size[:-1], size[1:])
+            np.maximum(tol, 1.0, out=tol)
+            tol *= MERGE_RTOL
+            apart = gaps > tol
+            if not apart.all():
+                firsts = np.flatnonzero(np.concatenate(([True], apart)))
+                v, m = v[firsts], np.add.reduceat(m, firsts)
     if np.minimum.reduce(m) < MIN_MASS:
         keep = m >= MIN_MASS
         v, m = v[keep], m[keep]

@@ -263,7 +263,7 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
     for region, cols in _REGION_COLUMNS.items():
         vals[:, cols] = _delta(region, ug[:, cols], cs, p, pw)
         region_vals = vals[:, cols]
-        ci, ui = divmod(int(np.argmin(region_vals)), region_vals.shape[1])
+        ci, ui = divmod(int(region_vals.argmin()), region_vals.shape[1])
         if region_vals[ci, ui] < best[0]:
             best = (float(region_vals[ci, ui]), region, float(cs[ci, 0]),
                     float(ug[ci, cols][ui]))
