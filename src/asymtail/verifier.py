@@ -34,11 +34,11 @@ above the exact one.
 `tail_counts` splits the paths into blocks, gives block i child stream
 i of the seed, spreads the blocks over at most ASYMTAIL_THREADS threads
 and counts the tail per block.  The threads are the process's one pool
-(`_BlockPool`): built on first use, kept from check to check, rebuilt
-when ASYMTAIL_THREADS changes and forgotten in a forked child.  A
-thread lends each block it runs the same scratch buffer
-(`_block_buffers`), so a check's blocks take turns with one working set
-per thread.  `mc_rows` turns the counts into one `McRow` per x: the
+(`_BlockPool`): built on first use (which imports concurrent.futures),
+kept from check to check, rebuilt when ASYMTAIL_THREADS changes and
+forgotten in a forked child.  A thread lends each block it runs the
+same scratch buffer (`_block_buffers`), so a check's blocks take turns
+with one working set per thread.  `mc_rows` turns the counts into one `McRow` per x: the
 99% Clopper-Pearson lower limit, the bound, its name and the margin between
 them.  The supermartingale check here and the self-normalized checks in
 `selfnorm` both run on them and report an `McReport`, with the paths
