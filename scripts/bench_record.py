@@ -18,7 +18,12 @@ environment is recorded under `machine`):
   protocol, the base against itself;
 - then, per workload, three --trace 1 runs of 4 s per side, at seeds
   1-3, and a base-against-base control of three more per side, the pair
-  and the control interleaved at each seed (see traced_runs).
+  and the control interleaved at each seed (see traced_runs);
+- and last, per workload, an interleaved run in this process with both
+  checkouts loaded under separate module tables: blocks 0-7 of seed 1,
+  base and head alternating block by block, three rounds (see
+  interleaved_runs).  Both sides then see the same phases of the
+  machine's speed, which separate processes minutes apart do not.
 
 The record holds, per workload and side, the median and quartiles of
 each end-to-end metric over the seeds, how many pairs the head won on
@@ -41,16 +46,21 @@ traced per-layer metric each side's median, range and values, the
 control's, `apart` where the two sides' ranges do not overlap, and
 `changed` only where they are apart, the control's are not, and the
 base-to-head median gap exceeds the control's own (see traced_change);
-and the machine (nproc, CPU model, Python, numpy and scipy versions, and
+and under `interleaved`, the median and quartiles of the per-block ratio of
+the head's operation time to the base's, and whether every operation's
+fingerprint matched (information only: no claim rule reads it); and
+the machine (nproc, CPU model, Python, numpy and scipy versions, and
 PYTHONDONTWRITEBYTECODE as the caller had it), both commit ids and the
 record's wall time.  The runs go one at a time, so
 the record costs about 2 x workloads x 10 x (run_seconds + 5 s of cold
 starts), and as much again for each workload that claims, plus 12
-traced runs per workload.
+traced runs and 48 timed blocks per workload.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import importlib.metadata
 import io
 import json
@@ -70,6 +80,13 @@ RUN_TIMEOUT_S = 1800
 SEEDS = list(range(1, 11))
 TRACE_SEEDS = [1, 2, 3]
 TRACE_SECONDS = 4
+INTERLEAVED_SEED = 1
+INTERLEAVED_BLOCKS = list(range(8))
+INTERLEAVED_ROUNDS = 3
+# the top-level modules a checkout brings: its package and perfbench's
+CHECKOUT_MODULES = ("asymtail", "workloads", "oracle", "tracer")
+# perfbench/run.py's address-space cap, held while the interleaved runs go
+MEM_CAP = 2 << 30
 
 
 def git(*args: str) -> str:
@@ -262,6 +279,108 @@ def traced_change(sp: dict) -> dict:
             "control": control, "changed": changed}
 
 
+def _pop_checkout_modules() -> dict:
+    """Take the modules of CHECKOUT_MODULES out of sys.modules."""
+    names = [n for n in sys.modules if n.partition(".")[0] in CHECKOUT_MODULES]
+    return {n: sys.modules.pop(n) for n in names}
+
+
+def load_modules(checkout: Path) -> dict:
+    """A module table of the checkout's own: its asymtail and perfbench
+    modules, imported from it and kept out of sys.modules."""
+    outside = _pop_checkout_modules()
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    try:
+        importlib.import_module("workloads")
+    finally:
+        del sys.path[:2]
+        table = _pop_checkout_modules()
+        sys.modules.update(outside)
+    return table
+
+
+@contextlib.contextmanager
+def modules(table: dict):
+    """sys.modules with a checkout's table in it, so that what its code
+    imports while it runs is its own; modules imported then join it."""
+    outside = _pop_checkout_modules()
+    sys.modules.update(table)
+    try:
+        yield
+    finally:
+        table.update(_pop_checkout_modules())
+        sys.modules.update(outside)
+
+
+def timed_block(wl, ops: list, fingerprints: list | None) -> float:
+    """The operation time of one block, as perfbench/run.py's Tally counts
+    it; with a list, each operation's fingerprint (or the type of what it
+    raised) is appended to it, outside the timing."""
+    total = 0.0
+    for op in ops:
+        err = res = None
+        t0 = time.perf_counter()
+        try:
+            res = wl.run(op)
+        except Exception as exc:  # counted, as the benchmark counts it
+            err = exc
+        total += time.perf_counter() - t0
+        if fingerprints is not None:
+            if err is not None:
+                fingerprints.append(f"error:{type(err).__name__}")
+            else:
+                out = wl.check(op, res)
+                fingerprints.append(f"{out.wrong}:{out.fingerprint}")
+    return total
+
+
+def interleaved_runs(checkouts: dict[str, Path], wl: str) -> dict:
+    """The head's operation time over the base's, block by block, with
+    both checkouts loaded in this process under separate module tables.
+
+    Blocks INTERLEAVED_BLOCKS of seed INTERLEAVED_SEED, after each side's
+    warm-up, run base and head in turn, the side that goes first
+    alternating from block to block and from round to round, for
+    INTERLEAVED_ROUNDS rounds, under perfbench/run.py's thread count and
+    address-space cap.  The fingerprints of the first round's operations
+    are compared."""
+    tables = {side: load_modules(path) for side, path in checkouts.items()}
+    threads = os.environ.get("ASYMTAIL_THREADS")
+    os.environ["ASYMTAIL_THREADS"] = str(min(2, len(os.sched_getaffinity(0))))
+    cap = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (MEM_CAP if cap[1] == resource.RLIM_INFINITY
+                                            else min(MEM_CAP, cap[1]), cap[1]))
+    try:
+        work = {}
+        for side, table in tables.items():
+            with modules(table):
+                w = table["workloads"].WORKLOADS[wl](INTERLEAVED_SEED)
+                for op in w.warmup():
+                    w.run(op)
+                work[side] = (w, [w.block(b) for b in INTERLEAVED_BLOCKS])
+        ratios = []
+        prints: dict[str, list] = {side: [] for side in tables}
+        for rnd in range(INTERLEAVED_ROUNDS):
+            for i, b in enumerate(INTERLEAVED_BLOCKS):
+                t = {}
+                for side in (("base", "head") if (i + rnd) % 2 == 0 else ("head", "base")):
+                    w, blocks = work[side]
+                    with modules(tables[side]):
+                        t[side] = timed_block(w, blocks[i], prints[side] if rnd == 0 else None)
+                ratios.append(t["head"] / t["base"])
+            print(f"{wl} interleaved round {rnd + 1}: done", flush=True)
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, cap)
+        if threads is None:
+            os.environ.pop("ASYMTAIL_THREADS")
+        else:
+            os.environ["ASYMTAIL_THREADS"] = threads
+    return {"seed": INTERLEAVED_SEED, "blocks": INTERLEAVED_BLOCKS,
+            "rounds": INTERLEAVED_ROUNDS, "head_over_base": quartiles(ratios),
+            "operations": len(prints["base"]),
+            "fingerprints_match": prints["base"] == prints["head"]}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD~1", help="the commit before the change")
@@ -308,6 +427,7 @@ def main(argv=None) -> int:
             m["claim"] = verdict(m, "claim_rule_met")
             m["loss"] = verdict(m, "loss_rule_met")
         entry["traced"] = traced_runs(checkouts, wl)
+        entry["interleaved"] = interleaved_runs(checkouts, wl)
         record["workloads"][wl] = entry
         args.out.write_text(json.dumps(record, indent=1) + "\n")   # partial results survive
     record["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -329,6 +449,10 @@ def main(argv=None) -> int:
               f"head {entry['minor_faults']['head']['median']:.0f}, traced layers changed: "
               f"{', '.join(changed) or 'none'}; apart but also apart in the control: "
               f"{', '.join(drift) or 'none'}")
+        inter = entry["interleaved"]["head_over_base"]
+        print(f"{wl:<12} interleaved head/base time {inter['median']:.3f} "
+              f"(q1 {inter['q1']:.3f}, q3 {inter['q3']:.3f}), fingerprints "
+              f"{'identical' if entry['interleaved']['fingerprints_match'] else 'DIFFER'}")
     print(f"record took {record['wall_s']:.0f} s")
     return 0
 

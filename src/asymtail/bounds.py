@@ -16,10 +16,13 @@ each x of an array, with one carrier and one pair of hulls for all of
 them, and combined_bound at one x.  Each member has one body, which
 takes one x as a Python float and an x grid as an array (optimize's
 primitives), so one x agrees with the grid at [x] bit for bit and pays
-no numpy per-call cost.  At one x the lin_lc member builds no whole
-hull: it reads the hull segment at x and certifies that value by its
-supporting line (majorant._lin_lc_at), and builds the whole hull only
-where that declines.
+no numpy per-call cost.  At one x neither hull member builds its whole
+hull: lc reads the chord of the step corners around x, where every
+other corner lies clear below its line (majorant._lc_at), and lin_lc
+reads the hull segment at x from the arcs around it and their own
+bridges, certified by its supporting line against every cell, then from
+the pruned arc chain (majorant._lin_lc_at).  Each builds its whole hull
+only where those decline, so every report is the grid's at [x].
 The carrier s_m (BS_1 + ... + BS_n) is one validated law, built from its
 binomial window with no law for bs(p) or the unscaled sum (carrier_sum),
 and each report is stored as one instance dict (_report).
@@ -45,7 +48,7 @@ from .dist import MERGE_RTOL, FiniteDist, _bs_sum, _carrier_top, _shifted_suffix
 from .dist import iid_sum  # noqa: F401
 # lattice_params is not called here; perfbench/tracer.py wraps it under this name
 from .majorant import lattice_params  # noqa: F401
-from .majorant import _lin_lc_at, _step, lc_majorant, lin_lc_majorant
+from .majorant import _lc_at, _lin_lc_at, _step, lc_majorant, lin_lc_majorant
 # golden_section is not called here; perfbench/tracer.py wraps it under this name
 from .optimize import golden_section  # noqa: F401
 from .optimize import (_all, _count, _div, _exp, _falling_root, _float_or_array, _isfinite, _log,
@@ -322,9 +325,9 @@ def carrier_sum(p: float, n: int, s_m: float) -> FiniteDist:
 def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None, x) -> tuple:
     """What the x of one query share, its inputs checked and m lifted to
     m_star(p) for coefficients below it: (p, m, n, s_m, s_1, carrier, lc,
-    linlc, h), with h the carrier's lattice step.  The whole lin_lc hull
-    is built for an array x only: a scalar x reads its one segment
-    (_lin_lc_value), and linlc is None."""
+    linlc, h), with h the carrier's lattice step.  The whole hulls are
+    built for an array x only: a scalar x reads each at its one segment
+    (_lc_value, _lin_lc_value), and lc and linlc are None."""
     if not 0.0 < p < 1.0:
         raise BoundError(f"p must lie in (0, 1), got {p!r}")
     if not 1.0 <= m < math.inf:
@@ -337,11 +340,21 @@ def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None, x) -> t
     n, sm, s1 = resolve_s_m(m, coeffs=coeffs, s_m=s_m, n=n)
     carrier = carrier_sum(p, n, sm)
     n = int(n)  # carrier_sum took n as an integer, a numpy one included
-    lc = lc_majorant(carrier)
     if type(x) is float or np.ndim(x) == 0:
-        return p, m, n, sm, s1, carrier, lc, None, _step(carrier)
+        return p, m, n, sm, s1, carrier, None, None, _step(carrier)
+    lc = lc_majorant(carrier)
     linlc = lin_lc_majorant(carrier)
     return p, m, n, sm, s1, carrier, lc, linlc, linlc.step
+
+
+def _lc_value(carrier: FiniteDist, x: float) -> float:
+    """lc_majorant(carrier).value(x) at one x, from the chord of the
+    corners around x (majorant._lc_at), or from the whole hull where that
+    declines."""
+    lv = _lc_at(carrier, x)
+    if lv is None:
+        lv = lc_majorant(carrier).log_value(x)
+    return _exp(lv)
 
 
 def _lin_lc_value(carrier: FiniteDist, x: float) -> float:
@@ -361,7 +374,7 @@ def _members(query: tuple, x) -> tuple[BOptResult, dict]:
     bo = b_opt(carrier, x)
     raw = {
         "b_opt": bo.raw,
-        "lc": _C30 * lc.value(x),
+        "lc": _C30 * (_lc_value(carrier, x) if lc is None else lc.value(x)),
         "lin_lc": _C30 * (_lin_lc_value(carrier, x + 0.5 * h) if linlc is None
                           else linlc.value(x + 0.5 * h)),
         "hoeffding": hoeffding_bound(p, n, sm, x),
@@ -425,11 +438,13 @@ def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
     field for field, raw included, wherever the grid answers, and the same
     error where that raises.
 
-    The carrier and the lc hull are built as for a grid, and each member
-    runs its one body on x as a Python float.  lin_lc reads only the hull
-    segment at x, certified by its supporting line against the
-    interpolant on every cell, and falls back to the whole hull where
-    that declines (_lin_lc_value).  So where the whole hull fails its own
+    The carrier is built as for a grid, and each member runs its one body
+    on x as a Python float.  lc reads the chord of the corners around x,
+    certified against every corner, and lin_lc the hull segment at x,
+    from the window's own bridges or else the pruned chain, certified by
+    its supporting line against the interpolant on every cell; each falls
+    back to its whole hull where its check declines (_lc_value,
+    _lin_lc_value).  So where the whole lin_lc hull fails its own
     certificate (atoms from about 1e256 on, past b_opt's overflow near
     1e77), the grid raises that MajorantError, while this can answer from
     a certified segment, or raise b_opt's overflow first."""

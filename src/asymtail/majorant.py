@@ -48,12 +48,23 @@ arc is kept the vertex build gathers nothing (otherwise one take serves
 every field), and the bridge solve stops after its first pass where
 every pair has converged.
 
-A point query needs one segment of the hull: _lin_lc_at runs the same
-construction up to the bridge slopes, builds only the touch points of
-the kept arcs around x, evaluates it by log_value's formulas (_arc_log,
-_bridge_log), and certifies the value by its supporting line against
-every cell, as _certify checks a hull segment (see _least_slack),
-falling back to the whole hull where it cannot.
+A point query needs one segment of each hull, read from the stretch
+around x and certified by one supporting-line pass over the whole law;
+the whole hull is only the fallback, so a point reads its grid's bits.
+_lc_at takes the chord of the corners around x where every other corner
+lies below its line by more than the rounding of the hull's own test
+(_chord_majorizes): both are then adjacent hull vertices.  _lin_lc_at
+takes the arcs around x with the bridges of their own pairs (at most
+four, each solved as floats by _bridges' one body), evaluates the
+segment at x by log_value's formulas (_arc_log, _bridge_log), and
+certifies its supporting line against every cell, as _certify checks a
+hull segment (see _slack): the value lies on the interpolant or
+on a chord between two of its points, so below the hull, and the hull
+lies below a certified line, so the value is the hull's.  The cells
+outside the window must clear that line, so that no arc past the window
+is on the hull near x.  Where the line check declines, the window is
+rebuilt from the pruned chain (_kept_arcs), and where that declines
+too, the caller builds the whole hull.
 
 Evaluation is exact on arc segments (linear in probability space),
 log-linear on bridges.  The ends follow dist.atom_band: x up to
@@ -69,8 +80,9 @@ from functools import cached_property
 import numpy as np
 
 from .dist import FiniteDist, atom_band
-from .optimize import (_all, _count, _div, _exp, _float_or_array, _isfinite, _log, _maximum,
-                       _minimum, _quiet, _search, _take, _where)
+from .optimize import (_abs, _all, _any, _count, _div, _exp, _expm1, _float_or_array, _isfinite,
+                       _log, _log1p, _logaddexp, _maximum, _minimum, _quiet, _search, _take,
+                       _where)
 
 _LATTICE_RTOL = 1e-9
 _CERT_TOL = 1e-9
@@ -293,6 +305,61 @@ def lc_majorant(d: FiniteDist) -> TailMajorant:
         step=step, origin=origin)
 
 
+def _lc_at(d: FiniteDist, x: float) -> float | None:
+    """lc_majorant(d).log_value(x) at one x, bit for bit, from the chord
+    of the step corners around x; None where the whole hull has to answer.
+
+    x is clipped as log_value clips it: x in a corner's band reads at the
+    corner.  Up to the band of the last corner whose tail is 1 the hull is
+    flat at 0, and x reads 0.  Past it, the corners a < b = a + 1 around
+    the clipped x answer where every other corner lies below the line
+    through them by more than the rounding of the hull's test
+    (_chord_majorizes): a and b are then adjacent hull vertices, and x
+    reads their segment by log_value's formula.  x in the bottom atom's
+    band reads 0 and past the top atom's band -inf."""
+    if not math.isfinite(x):
+        return None
+    v = d.values
+    if x <= atom_band(float(v[0])):
+        return 0.0
+    if x > atom_band(float(v[-1])):
+        return -math.inf
+    # the first corner whose band reaches x (bands rise with the corners)
+    c = _search(v, x)
+    if x <= atom_band(float(v[c - 1])):
+        c -= 1
+    q = np.minimum(d.upper_tails, 1.0)
+    if q[c] == 1.0:
+        return 0.0
+    xc = _minimum(x, float(v[c]))
+    a = c - 1 if xc < v[c] or c == len(v) - 1 else c
+    logq = np.log(q)
+    if not _chord_majorizes(v, logq, a):
+        return None
+    x0, x1, y0, y1 = float(v[a]), float(v[a + 1]), float(logq[a]), float(logq[a + 1])
+    return _bridge_log(xc, x0, x1, y0, y1)
+
+
+def _chord_majorizes(v: np.ndarray, logq: np.ndarray, a: int) -> bool:
+    """Whether every corner but a and b = a + 1 lies below the line
+    through them by more than the rounding of _upper_hull_indices' test,
+    so that both are adjacent vertices of the hull it builds.
+
+    With y in [-Y, 0], that test's cross product for corners l < m < r is
+    within 3.01 eps/2 of 2 Y (v_r - v_l) of its value, which for m = a or
+    b is -(v_r - v_m) delta_l - (v_m - v_l) delta_r, delta being the depth
+    below the line.  So depths with delta_j (v_b - v_a) above 8 eps Y
+    times the farther of v_b - v_j and v_j - v_a keep every such sign.
+    delta_j (v_b - v_a) is taken as the cross product (y_a - y_j) (v_b -
+    v_a) + (y_b - y_a) (v_j - v_a), within 4 eps Y of the same span of its
+    value, so 32 eps Y covers both.  It is 0 at a and b, which fail."""
+    x0, x1 = v[a], v[a + 1]
+    y0 = logq[a]
+    cross = (y0 - logq) * (x1 - x0) + (logq[a + 1] - y0) * (v - x0)
+    span = np.abs(v - 0.5 * (x0 + x1)) + 0.5 * (x1 - x0)
+    return np.count_nonzero(cross > (32.0 * _EPS * -logq[-1]) * span) == len(v) - 2
+
+
 # ---------------------------------------------------------------------------
 # exact hull over the log of the linearly interpolated tail
 # ---------------------------------------------------------------------------
@@ -367,9 +434,10 @@ def _arcs(qt: np.ndarray) -> tuple[np.ndarray, ...]:
     return k, np.log(m), lq0, lq1, q0 / m
 
 
-def _bridges(k, lm, lq0, lq1, r, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+def _bridges(k, lm, lq0, lq1, r, a, b) -> tuple[float | np.ndarray, int]:
     """u of the common support line of arcs a[i] < b[i], all pairs at once,
-    and the number of psi evaluations it took.
+    and the number of psi evaluations it took; for one pair of int indices
+    a < b, u as a float.
 
     The intercept difference psi(u) = log(I_a / I_b) - e^u (k_b + t_b -
     k_a - t_a), with I = clip(m e^-u, q1, q0) and touch offsets t = clip(r
@@ -384,71 +452,64 @@ def _bridges(k, lm, lq0, lq1, r, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarr
     points are interior, and e^u plus or minus log e^u where one is.
     Where psi is 0 (both arcs touch a shared corner) u stays, so such a
     bridge has no length.
+
+    One body for both (optimize's primitives): each pair's u moves on its
+    own, and a pair stops where its |psi| first falls to rounding level,
+    so one pair solved as floats is the same pair in an array bit for
+    bit.  Float arithmetic raises no numpy warning; for arrays they are
+    off.
     """
-    pair = np.array((a, b))
-    kp = k[pair]
-    dk = (kp[1] - kp[0]).astype(float)
-    lm, lq0, lq1, r = lm[pair], lq0[pair], lq1[pair], r[pair]
-    neighbours = dk == 1
-    d = lm[0] - lm[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    dk = 1.0 * (_take(k, b) - _take(k, a))
+    lma, q0a, q1a, ra = _take(lm, a), _take(lq0, a), _take(lq1, a), _take(r, a)
+    lmb, q0b, q1b, rb = _take(lm, b), _take(lq0, b), _take(lq1, b), _take(r, b)
+    d = lma - lmb
+    with _quiet(d):
         # neighbour cells share q1_a = q0_b, so the closed form is
         # log(m_a m_b / (q0_b L)) with L the logarithmic mean of m_a, m_b:
         # no cancellation, and exact where the masses are equal (a double
         # root of psi)
-        nad = -np.abs(d)
-        log_mean = np.where(d != 0, np.log(np.expm1(nad) / nad), 0.0)
-        u = lm[0] - lq0[1] - log_mean - np.maximum(d, 0.0)
-        if not neighbours.all():
-            u = np.where(neighbours, u, np.log(d / (dk + r[1] - r[0])))
+        nad = -_abs(d)
+        log_mean = _where(d != 0, _log(_div(_expm1(nad), nad)), 0.0)
+        u = lma - q0b - log_mean - _maximum(d, 0.0)
+        neighbours = dk == 1
+        if not _all(neighbours):
+            u = _where(neighbours, u, _log(_div(d, dk + rb - ra)))
         inside = (u > _U_FLAT) & (u < _U_STEEP)
-        if not inside.all():
-            mid = np.logaddexp(lq0, lq1)
-            chord = np.log((mid[0] - mid[1]) / dk)
-            u = np.where(inside, u, np.minimum(np.maximum(chord, _U_FLAT), _U_STEEP))
-    # the first pass takes every pair; after it act, lo and hi exist, and
-    # dk and the pair fields hold only the pairs in act
-    act = lo = hi = None
-    ua = u
-    evals = 0
-    while len(ua) and evals < _MAX_EVALS:
-        evals += 1
-        if act is not None:
-            ua = u[act]
-        g = np.exp(-ua)
-        log_i = np.minimum(np.maximum(lm - ua, lq1), lq0)
-        off = r - g
-        t = np.minimum(np.maximum(off, 0.0), 1.0)
-        drop = (dk + t[1] - t[0]) / g  # -psi'
-        psi = (log_i[0] - log_i[1]) - drop
-        # rounding level: the logs, psi' times the float spacing at u, and
-        # e^u times the rounding of each touch offset that is not clipped
-        # by more than that rounding.  The last term is >= 0, so it is
-        # added only if some |psi| is above the level without it
-        abs_i = np.abs(log_i)
-        abs_psi = np.abs(psi)
-        level = 4.0 * _EPS * (abs_i[0] + abs_i[1] + (dk + 1.0) * (1.0 + np.abs(ua)) / g)
-        busy = abs_psi > level
-        if busy.any():
-            off_err = 4.0 * _EPS * (r + g)
-            near = (off > -off_err) & (off < 1.0 + off_err)
-            near_err = np.where(near, off_err, 0.0)
-            busy = abs_psi > level + (near_err[0] + near_err[1]) / g
-        if not busy.any():
-            break
-        if act is None:
-            act = np.arange(len(a))
-            lo = np.full(len(a), _U_FLAT)
-            hi = np.full(len(a), _U_STEEP)
-        still = busy.nonzero()[0]
-        act, ua, psi, drop = act[still], ua[still], psi[still], drop[still]
-        dk, lm, lq0, lq1, r = dk[still], lm[:, still], lq0[:, still], lq1[:, still], r[:, still]
-        lo[act] = np.where(psi > 0, ua, lo[act])
-        hi[act] = np.where(psi < 0, ua, hi[act])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = ua + np.log1p(psi / drop)
-        u[act] = np.where((nxt > lo[act]) & (nxt < hi[act]), nxt,
-                          0.5 * (lo[act] + hi[act]))
+        if not _all(inside):
+            chord = _log(_div(_logaddexp(q0a, q1a) - _logaddexp(q0b, q1b), dk))
+            u = _where(inside, u, _minimum(_maximum(chord, _U_FLAT), _U_STEEP))
+        # the bracket of each pair's root, narrowed by each step it takes
+        lo, hi = _U_FLAT, _U_STEEP
+        evals = 0
+        while evals < _MAX_EVALS:
+            evals += 1
+            g = _exp(-u)
+            la = _minimum(_maximum(lma - u, q1a), q0a)
+            lb = _minimum(_maximum(lmb - u, q1b), q0b)
+            offa, offb = ra - g, rb - g
+            drop = (dk + _minimum(_maximum(offb, 0.0), 1.0)
+                    - _minimum(_maximum(offa, 0.0), 1.0)) / g  # -psi'
+            psi = (la - lb) - drop
+            # rounding level: the logs, psi' times the float spacing at u,
+            # and e^u times the rounding of each touch offset that is not
+            # clipped by more than that rounding.  The last term is >= 0,
+            # so it is added only if some |psi| is above the level without it
+            abs_psi = _abs(psi)
+            level = 4.0 * _EPS * (_abs(la) + _abs(lb) + (dk + 1.0) * (1.0 + _abs(u)) / g)
+            busy = abs_psi > level
+            if _any(busy):
+                erra, errb = 4.0 * _EPS * (ra + g), 4.0 * _EPS * (rb + g)
+                near_a = _where((offa > -erra) & (offa < 1.0 + erra), erra, 0.0)
+                near_b = _where((offb > -errb) & (offb < 1.0 + errb), errb, 0.0)
+                busy = abs_psi > level + (near_a + near_b) / g
+            if not _any(busy):
+                break
+            # a safeguarded Newton step for the pairs still busy; a pair
+            # at rounding level keeps its u, so its psi stays there
+            lo = _where(busy & (psi > 0), u, lo)
+            hi = _where(busy & (psi < 0), u, hi)
+            nxt = u + _log1p(_div(psi, drop))
+            u = _where(busy, _where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi)), u)
     return u, evals
 
 
@@ -460,24 +521,24 @@ def _kept_arcs(arcs) -> tuple[np.ndarray, np.ndarray]:
                         bridge=lambda a, b: _bridges(*arcs, a, b)[0])
 
 
-def _least_slack(lo, hi, x0, q0, beta, s, top: float, hull) -> float:
-    """The least of hull(x) - log(q0 + beta (x - x0)) over the ends of
-    each overlap [lo, hi] of a line or arc with a lattice cell and the
-    cell's touch point for slope s clipped to it; +inf where none counts.
+def _slack(lo, hi, x0, q0, beta, s, top: float, hull) -> np.ndarray:
+    """hull(x) - log(q0 + beta (x - x0)) at the ends of each overlap [lo,
+    hi] of a line or arc with a lattice cell and at the cell's touch point
+    for slope s clipped to it, a (3, overlaps) array; +inf where a point
+    does not count.
 
     On a decreasing cell a line of slope s minus the log interpolant is
     convex, least at the touch point x0 + 1/s - q0/beta; on a flat cell
     it is linear.  Elsewhere the touch point is another point of the
     overlap, checked to no harm, or NaN, which the comparison skips; one
     past the float range (a slope or a beta near 0) clips to an end.
-    Past the last lattice point, top, both are 0.  A NaN slack is
-    returned as NaN.  Its callers ignore numpy's divide, invalid and
+    Past the last lattice point, top, both are 0, and no point counts.  A
+    NaN slack stays NaN.  Its callers ignore numpy's divide, invalid and
     overflow warnings."""
     touch = x0 + 1.0 / s - q0 / beta
     x = np.array((lo, hi, np.minimum(np.maximum(touch, lo), hi)))
     q = q0 + beta * (x - x0)
-    slack = (hull(x) - np.log(q))[(q > 0) & (x < top)]
-    return float(slack.min()) if slack.size else math.inf
+    return np.where((q > 0) & (x < top), hull(x) - np.log(q), math.inf)
 
 
 def _certify(maj: TailMajorant, lat: np.ndarray, qt: np.ndarray) -> None:
@@ -487,7 +548,7 @@ def _certify(maj: TailMajorant, lat: np.ndarray, qt: np.ndarray) -> None:
     Exact in O(cells): each hull segment is compared with the log
     interpolant on every cell it overlaps, at the ends of the overlap and,
     under a bridge of slope s, where their difference is least (see
-    _least_slack).  On an arc segment both are logs of linear functions,
+    _slack).  On an arc segment both are logs of linear functions,
     whose difference is monotone.
     """
     h = maj.step
@@ -508,9 +569,9 @@ def _certify(maj: TailMajorant, lat: np.ndarray, qt: np.ndarray) -> None:
         x0, x1, q0, beta = np.array(
             (lat[:-1], lat[1:], qt[:-1], (qt[1:] - qt[:-1]) / h)).take(cell, axis=1)
         arc = maj.seg_is_arc[seg]
-        least = _least_slack(np.maximum(x0, hx0), np.minimum(x1, hx1), x0, q0, beta, s, lat[-1],
-                             lambda x: np.where(arc, np.log(sq + sb * (x - sx0)),
-                                                hy0 + s * (x - hx0)))
+        least = _slack(np.maximum(x0, hx0), np.minimum(x1, hx1), x0, q0, beta, s, lat[-1],
+                       lambda x: np.where(arc, np.log(sq + sb * (x - sx0)),
+                                          hy0 + s * (x - hx0))).min()
     if not least >= -_CERT_TOL:
         raise MajorantError(f"hull fails to majorize the interpolant (deficit {least:g})")
 
@@ -579,24 +640,30 @@ def _lin_lc_at(d: FiniteDist, x: float) -> float | None:
     """lin_lc_majorant(d).log_value(x) at one x, bit for bit, from the
     hull segment at x alone; None where the whole hull has to answer.
 
-    The arcs, the kept arcs and the bridge slopes are lin_lc_majorant's
-    own.  Around the kept arc a whose cell starts last at or below x, the
-    in and out touch points of kept arcs a - 1, a and a + 1 are built with
-    the vertex build's expressions on floats (numpy's exp and log, as
-    log_value takes them), and its rule merges the segments shorter than
-    roundoff.  x lies at or past the out touch point of a - 1 and below
-    the in touch point of a + 1, so the hull vertices around x are those
-    of the window; the segment at x is picked as TailMajorant.log_value
-    picks it and evaluated by its formulas (_arc_log, _bridge_log), with
-    x clipped the same way.  That value is certified by its supporting
-    line (the bridge's chord, or the arc's tangent at x) against the
-    interpolant on every cell (_line_majorizes): exp of the line is
-    log-concave and majorizes the interpolant, so the least such
-    majorant lies below it at x.  x in the bottom atom's band reads 0 and
-    x past the top lattice point's band -inf, with no arc built.  None
-    where the window has no vertex at or below x or none above it (every
-    segment of a stretch merged), and where the line is not finite or
-    fails.
+    The window is the arc a whose cell starts last at or below x and the
+    arcs a - 1 and a + 1 next to it, with the bridges into, between and
+    out of them (at most four).  It is taken first from the arcs' own
+    chain: each bridge is solved alone, as floats (_bridges), for the
+    window's pairs of neighbours, and the window is used only where no
+    arc of it lies under the bridge of its neighbours (each incoming
+    bridge no steeper than the outgoing one), as lin_lc_majorant's first
+    round would keep it.  Where that window declines, it is taken from
+    lin_lc_majorant's own pruned chain (_kept_arcs), and where that
+    declines too, None.
+
+    _window_at evaluates the segment at x and its supporting line, which
+    is certified against the interpolant on every cell (_line_majorizes):
+    exp of the line is log-concave and majorizes the interpolant, so the
+    hull lies below the line, and the value, on an arc of the interpolant
+    or the chord between two of its points, lies below the hull.  So a
+    certified value is the hull's, to within the check's 1e-9.  The
+    pruned chain's window has the hull's own vertices, so its value is
+    the hull's bit for bit.  The chain's own window has them where no arc
+    outside it comes near the line, so there every cell outside the
+    window must clear the line by more than 1e-9: an arc the hull bridges
+    to past the window would lie on or above it.  x in the bottom atom's
+    band reads 0 and x past the top lattice point's band -inf, with no
+    arc built.
     """
     if not math.isfinite(x):
         return None
@@ -610,19 +677,52 @@ def _lin_lc_at(d: FiniteDist, x: float) -> float | None:
     k, r = arcs[0], arcs[-1]
     if len(k) == 0:
         return None
+    cell = _search(lat, x, "right") - 1
+    n = len(k)
+    a = _search(k, cell, "right") - 1
+    lo, hi = max(a - 1, 0), min(a + 1, n - 1)
+    u = [_bridges(*arcs, i, i + 1)[0] for i in range(max(lo - 1, 0), min(hi + 1, n - 1))]
+    if all(u0 <= u1 for u0, u1 in zip(u, u[1:])):
+        line = _window_at(x, lat, qt, top, k, r, lo, hi, n, [_exp(-v) for v in u])
+        if line is not None and _line_majorizes(lat, qt, h, *line, (int(k[lo]), int(k[hi]))):
+            return line[1]
     keep, u = _kept_arcs(arcs)
-    if len(keep) < len(k):
+    if len(keep) < n:
         k, r = k[keep], r[keep]
     n = len(k)
-    a = _search(k, _search(lat, x, "right") - 1, "right") - 1
+    a = _search(k, cell, "right") - 1
     lo, hi = max(a - 1, 0), min(a + 1, n - 1)
-    # e^-u at the in touch point of each arc lo..hi and after the last:
-    # +inf before the first arc and 0 after the last
-    g = np.exp(-u[max(lo - 1, 0):min(hi + 1, n - 1)]).tolist()
+    line = _window_at(x, lat, qt, top, k, r, lo, hi, n,
+                      np.exp(-u[max(lo - 1, 0):min(hi + 1, n - 1)]).tolist())
+    if line is not None and _line_majorizes(lat, qt, h, *line):
+        return line[1]
+    return None
+
+
+def _window_at(x: float, lat: np.ndarray, qt: np.ndarray, top: float, k: np.ndarray,
+               r: np.ndarray, lo: int, hi: int, n: int,
+               g: list[float]) -> tuple[float, float, float] | None:
+    """x clipped as log_value clips it, the log-value at x of the hull of
+    arcs lo..hi of a chain of n (cells k, r = q0 / m), and the slope of
+    the segment's supporting line there; None where the window has no
+    vertex at or below x or none above it (every segment of a stretch
+    merged).
+
+    g holds e^-u of the bridges into, between and out of the window's
+    arcs, with none into arc 0 or out of arc n - 1.  The in and out touch
+    points of each arc are built with lin_lc_majorant's vertex expressions
+    on floats (numpy's exp and log, as log_value takes them), and its
+    rule merges the segments shorter than roundoff.  x lies at or past the
+    out touch point of arc lo and below the in touch point of arc hi (at
+    the chain's ends, anywhere), so the vertices around x are the
+    window's; the segment at x is picked as TailMajorant.log_value picks
+    it and evaluated by its formulas (_arc_log, _bridge_log), its line
+    being the bridge's chord or the arc's tangent at x."""
+    # e^-u is +inf before the first arc and 0 after the last
     if lo == 0:
-        g.insert(0, math.inf)
+        g = [math.inf, *g]
     if hi == n - 1:
-        g.append(0.0)
+        g = [*g, 0.0]
     tx, tq, fields = [], [], []
     for b in range(lo, hi + 1):
         j = int(k[b])
@@ -651,24 +751,27 @@ def _lin_lc_at(d: FiniteDist, x: float) -> float | None:
     xc = _minimum(_maximum(x, tx[0]), top)
     if end % 2 == 0:
         q0, beta, x0 = fields[end // 2]
-        lv = _arc_log(xc, q0, beta, x0)
-        s = _div(beta, q0 + beta * (xc - x0))
-    else:
-        with np.errstate(divide="ignore"):
-            y0, y1 = np.log((_maximum(tq[ends[i] + 1], 0.0), _maximum(tq[end + 1], 0.0))).tolist()
-        v0, v1 = vert[i], vert[i + 1]
-        lv = _bridge_log(xc, v0, v1, y0, y1)
-        s = (y1 - y0) / (v1 - v0)
-    return lv if _line_majorizes(lat, qt, h, xc, lv, s) else None
+        return xc, _arc_log(xc, q0, beta, x0), _div(beta, q0 + beta * (xc - x0))
+    y0, y1 = _log(_maximum(tq[ends[i] + 1], 0.0)), _log(_maximum(tq[end + 1], 0.0))
+    v0, v1 = vert[i], vert[i + 1]
+    return xc, _bridge_log(xc, v0, v1, y0, y1), (y1 - y0) / (v1 - v0)
 
 
 def _line_majorizes(lat: np.ndarray, qt: np.ndarray, h: float, x: float, y: float,
-                    s: float) -> bool:
+                    s: float, clear: tuple[int, int] | None = None) -> bool:
     """Whether the line through (x, y) of slope s < 0, both finite, lies
     above the log of the linear interpolant of the tail values qt at the
-    lattice points lat on every cell, to within 1e-9 (see _least_slack)."""
+    lattice points lat on every cell, to within 1e-9 (see _slack).  With
+    clear = (c0, c1), every cell outside cells c0..c1 must lie below it by
+    more than 1e-9."""
     if not (math.isfinite(y) and s < 0.0):
         return False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _least_slack(lat[:-1], lat[1:], lat[:-1], qt[:-1], (qt[1:] - qt[:-1]) / h, s,
-                            float(lat[-1]), lambda t: y + s * (t - x)) >= -_CERT_TOL
+        slack = _slack(lat[:-1], lat[1:], lat[:-1], qt[:-1], (qt[1:] - qt[:-1]) / h, s,
+                       float(lat[-1]), lambda t: y + s * (t - x))
+    if clear is None:
+        return slack.min() >= -_CERT_TOL
+    c0, c1 = clear
+    return bool(slack[:, c0:c1 + 1].min() >= -_CERT_TOL
+                and min(slack[:, :c0].min(initial=math.inf),
+                        slack[:, c1 + 1:].min(initial=math.inf)) > _CERT_TOL)

@@ -222,7 +222,9 @@ def _search(a: np.ndarray, x, side: str = "left"):
 def _take(a: np.ndarray, i):
     """a's entries at index i of its last axis: for one index as Python
     floats (a float, or a list of one per row)."""
-    return a.take(i, axis=-1) if type(i) is _ARRAY else a[..., i].tolist()
+    if type(i) is _ARRAY:
+        return a.take(i, axis=-1)
+    return a.item(i) if a.ndim == 1 else a[..., i].tolist()
 
 
 def _sqrt(a):
@@ -232,13 +234,48 @@ def _sqrt(a):
     return math.sqrt(a) if a >= 0.0 else float(np.sqrt(a))
 
 
-# numpy's exp and log on floats too: they can differ from libm's
+def _abs(a):
+    return np.abs(a) if type(a) is _ARRAY else abs(a)
+
+
+def _any(c) -> bool:
+    """Whether the condition c holds anywhere: a bool, or at some entry."""
+    return bool(c.any()) if type(c) is _ARRAY else bool(c)
+
+
+# numpy's exp and log on floats too: they can differ from libm's.  A float
+# outside a log's domain takes numpy's value, -inf or NaN with its bits,
+# with no warning
 def _exp(a):
     return np.exp(a) if type(a) is _ARRAY else float(np.exp(a))
 
 
+def _expm1(a):
+    return np.expm1(a) if type(a) is _ARRAY else float(np.expm1(a))
+
+
 def _log(a):
-    return np.log(a) if type(a) is _ARRAY else float(np.log(a))
+    if type(a) is _ARRAY:
+        return np.log(a)
+    if a > 0.0:
+        return float(np.log(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.log(a))
+
+
+def _log1p(a):
+    if type(a) is _ARRAY:
+        return np.log1p(a)
+    if a > -1.0:
+        return float(np.log1p(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.log1p(a))
+
+
+def _logaddexp(a, b):
+    if type(a) is _ARRAY or type(b) is _ARRAY:
+        return np.logaddexp(a, b)
+    return float(np.logaddexp(a, b))
 
 
 def _falling_root(a, b, c):

@@ -127,21 +127,32 @@ def delta(i: int, u, c, p: float, m: float):
     if i not in (1, 2, 3, 4):
         raise VerifyError("delta index must be 1..4")
     c = np.asarray(c, dtype=float)
-    return _delta(i, np.asarray(u, dtype=float), c, p, _powers(c, m))
+    return _delta(i, np.asarray(u, dtype=float), _coefficients(c, p, _powers(c, m)))
 
 
-def _delta(i: int, u, c, p: float, pw: tuple):
-    """delta_i with the powers of c taken once (_powers)."""
+def _coefficients(c, p: float, pw: tuple) -> tuple:
+    """The coefficients of the four certificate polynomials in c, each
+    formed once from the powers of c (_powers), as _delta's expressions
+    group them: delta_1 = (a1 u + b1) + d1, delta_2 = e2 u u + delta_1,
+    delta_3 = (a3 u u - b3 u) + d3 and delta_4 = a4 (c1 + u)^2."""
     C, c2m2, c2m3, c2m, c2m1 = pw
+    one_c = 1.0 - C
+    return (2.0 * c * (1.0 - c2m2), 2.0 * p * c * one_c, c * c * (1.0 - c2m3),
+            (1.0 - p) * one_c,
+            -C, 2.0 * (C - c * p + c2m * p), (2.0 * c + c * c - 2.0 * c2m - c2m1) * p - C,
+            one_c * p, 1.0 + c)
+
+
+def _delta(i: int, u, k: tuple):
+    """delta_i with its coefficients taken once (_coefficients)."""
+    a1, b1, d1, e2, a3, b3, d3, a4, c1 = k
     if i == 1:
-        return 2.0 * c * (1.0 - c2m2) * u + 2.0 * p * c * (1.0 - C) + c * c * (1.0 - c2m3)
+        return a1 * u + b1 + d1
     if i == 2:
-        return (1.0 - p) * (1.0 - C) * u * u + _delta(1, u, c, p, pw)
+        return e2 * u * u + (a1 * u + b1 + d1)
     if i == 3:
-        return (-C * u * u
-                - 2.0 * (C - c * p + c2m * p) * u
-                + ((2.0 * c + c * c - 2.0 * c2m - c2m1) * p - C))
-    return (1.0 - C) * p * (1.0 + c + u) ** 2
+        return a3 * u * u - b3 * u + d3
+    return a4 * (c1 + u) ** 2
 
 
 def delta_piecewise(u, c, p, m):
@@ -235,8 +246,9 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
 
     The nine u-columns sit in one (resolution, 9) array, copied from a
     read-only grid built once per resolution (`_u_grid`) with only the
-    vertex column written per call, and each region's values are written
-    into the same columns of a second one.  identity_max_err compares the
+    vertex column written per call, the polynomials' coefficient columns
+    are formed once per call (_coefficients), and each region's values are
+    written into the same columns of a second one.  identity_max_err compares the
     piecewise table with the positive-part form region by region: each
     polynomial is checked on its own closed region, at the points and on
     the values the minimum used, so delta is evaluated once per region.
@@ -260,8 +272,9 @@ def delta_grid_check(p: float, m: float, resolution: int = 200) -> DeltaGridResu
 
     best = (math.inf, 0, math.nan, math.nan)
     vals = np.empty_like(ug)
+    k = _coefficients(cs, p, pw)
     for region, cols in _REGION_COLUMNS.items():
-        vals[:, cols] = _delta(region, ug[:, cols], cs, p, pw)
+        vals[:, cols] = _delta(region, ug[:, cols], k)
         region_vals = vals[:, cols]
         ci, ui = divmod(int(region_vals.argmin()), region_vals.shape[1])
         if region_vals[ci, ui] < best[0]:

@@ -690,36 +690,53 @@ def _count_whole_hulls(monkeypatch) -> list:
     return builds
 
 
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Record each call of module.name, by its first argument."""
+    calls = []
+    f = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda first, *args: calls.append(first) or f(first, *args))
+    return calls
+
+
 def test_combined_bound_is_the_grid_on_every_bound_point_query(monkeypatch):
     """Every bound_point query at seeds 1-10, blocks 0-1: the scalar path
     gives the grid path's report, or its error, bit for bit; and at most
-    5% of the answered queries build the whole lin_lc hull on the scalar
-    path, the rest reading their one certified segment."""
+    5% of the answered queries build the whole lin_lc hull, prune its
+    whole arc chain (_kept_arcs) or build the whole lc hull on the scalar
+    path, the rest reading their certified segments."""
     workload = _bound_point_workload()
     builds = _count_whole_hulls(monkeypatch)
-    answered = whole = 0
+    pruned = _count_calls(monkeypatch, majorant, "_kept_arcs")
+    lc_builds = _count_calls(monkeypatch, bounds, "lc_majorant")
+    answered = whole = prunes = lc_whole = 0
     for seed in range(1, 11):
         for block in (0, 1):
             for q in workload(seed).block(block):
                 kw = {"coeffs": q.coeffs} if q.coeffs is not None else {"n": q.n, "s_m": q.s_m}
-                before = len(builds)
+                before = len(builds), len(pruned), len(lc_builds)
                 if _paths_agree(q.p, q.m, float(q.xs[0]), **kw).startswith("BoundReport("):
                     answered += 1
-                    whole += len(builds) - before - 1  # the grid path builds one
+                    # the grid path builds each whole hull, and prunes, once
+                    whole += len(builds) - before[0] - 1
+                    prunes += len(pruned) - before[1] - 1
+                    lc_whole += len(lc_builds) - before[2] - 1
     assert answered > 2000
     assert whole <= 0.05 * answered
+    assert prunes <= 0.05 * answered
+    assert lc_whole <= 0.05 * answered
 
 
 def test_a_failed_line_takes_the_whole_hull(monkeypatch):
     """With every certified line lowered by 2e-9 in log, the line check
     fails on every bound_point query of seed 1, block 0, and each answer
     comes from the whole hull: one build per query, with the grid's
-    report bit for bit."""
+    report bit for bit.  A query may check two lines, the window's own
+    and the pruned chain's, and each fails."""
     verdicts = []
     check = majorant._line_majorizes
 
-    def lowered(lat, qt, h, x, y, s):
-        verdicts.append(check(lat, qt, h, x, y - 2e-9, s))
+    def lowered(lat, qt, h, x, y, s, *clear):
+        verdicts.append(check(lat, qt, h, x, y - 2e-9, s, *clear))
         return verdicts[-1]
     monkeypatch.setattr(majorant, "_line_majorizes", lowered)
     builds = _count_whole_hulls(monkeypatch)
@@ -733,6 +750,44 @@ def test_a_failed_line_takes_the_whole_hull(monkeypatch):
             assert len(builds) - before == 2, (q, one)  # the scalar path's, and the grid's
     assert answered > 50
     assert not any(verdicts)
+    assert len(verdicts) > answered
+
+
+def test_a_failed_chord_takes_the_whole_lc_hull(monkeypatch):
+    """With the chord check failing everywhere, every bound_point query of
+    seed 1, block 0 that reaches it reads lc from the whole hull: one
+    build on the scalar path, with the grid's report bit for bit."""
+    chords = []
+    monkeypatch.setattr(majorant, "_chord_majorizes", lambda *args: chords.append(args) and False)
+    lc_builds = _count_calls(monkeypatch, bounds, "lc_majorant")
+    answered = 0
+    for q in _bound_point_workload()(1).block(0):
+        kw = {"coeffs": q.coeffs} if q.coeffs is not None else {"n": q.n, "s_m": q.s_m}
+        before, checks = len(lc_builds), len(chords)
+        one = _paths_agree(q.p, q.m, float(q.xs[0]), **kw)
+        if one.startswith("BoundReport(") and len(chords) > checks:
+            answered += 1
+            assert len(lc_builds) - before == 2, (q, one)  # the scalar path's, and the grid's
+    assert answered > 50
+
+
+def test_one_pair_solved_as_floats_is_its_array_solve():
+    """majorant._bridges on one pair of neighbour arcs as floats equals its
+    solve in an array of every neighbour pair, bit for bit, on the arc
+    chain of each bound_point carrier at seed 1, blocks 0-1."""
+    workload = _bound_point_workload()(1)
+    pairs = 0
+    for block in (0, 1):
+        for q in workload.block(block):
+            kw = ((None, q.coeffs, None) if q.coeffs is not None else (q.n, None, q.s_m))
+            d = bounds._query(q.p, q.m, *kw, float(q.xs[0]))[5]
+            arcs = majorant._arcs(majorant._lattice_tails(d)[1])
+            n = len(arcs[0])
+            u, _ = majorant._bridges(*arcs, np.arange(n - 1), np.arange(1, n))
+            one = [majorant._bridges(*arcs, i, i + 1)[0] for i in range(n - 1)]
+            assert [repr(v) for v in one] == [repr(v) for v in u.tolist()], q
+            pairs += n - 1
+    assert pairs > 10_000
 
 
 class TestLargeCarriers:

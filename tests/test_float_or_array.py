@@ -13,8 +13,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from asymtail.optimize import (_all, _div, _exp, _float_or_array, _isfinite, _log, _maximum,
-                               _minimum, _search, _sqrt, _take, _where)
+from asymtail.optimize import (_abs, _all, _any, _div, _exp, _expm1, _float_or_array, _isfinite,
+                               _log, _log1p, _logaddexp, _maximum, _minimum, _search, _sqrt,
+                               _take, _where)
 
 _SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324, 1e-320, 709.8, -745.2)
 _FLOAT = hst.one_of(hst.floats(), hst.sampled_from(_SPECIAL))
@@ -40,7 +41,7 @@ def _one(x) -> np.ndarray:
 @example(1.0, math.nan)
 @example(math.inf, -math.inf)
 def test_binary_primitives(a, b):
-    for f in (_maximum, _minimum, _div):
+    for f in (_maximum, _minimum, _div, _logaddexp):
         with np.errstate(all="ignore"):
             got, arr = f(a, b), f(_one(a), _one(b))
         assert type(got) is float, f
@@ -55,7 +56,7 @@ def test_binary_primitives(a, b):
 @example(math.inf)
 @example(-math.inf)
 def test_unary_primitives(a):
-    for f in (_sqrt, _exp, _log):
+    for f in (_sqrt, _exp, _log, _expm1, _log1p, _abs):
         with np.errstate(all="ignore"):
             got, arr = f(a), f(_one(a))
         assert type(got) is float, f
@@ -71,6 +72,7 @@ def test_select_and_all(c, a, b):
     assert type(got) is float
     assert _bits(got) == _bits(arr[0])
     assert _all(c) is c is _all(_one(c))
+    assert _any(c) is c is _any(_one(c))
 
 
 @given(hst.lists(hst.floats(allow_nan=False), min_size=1, max_size=8), _FLOAT,

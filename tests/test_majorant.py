@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from asymtail import majorant
+from asymtail import bounds, majorant
 from asymtail.bounds import carrier_sum, combined_bound_grid, resolve_s_m
 from asymtail.dist import FiniteDist, bs, from_pairs, iid_sum, scale, tail, weighted_bs_sum
 from asymtail.majorant import (
@@ -535,9 +535,23 @@ class TestCertificate:
             _certify(chord, lat, qt)
 
 
+def assert_floats_solve_as_arrays(d) -> int:
+    """_bridges on each neighbour pair of d's arc chain, one pair at a
+    time as floats, equals the solve of all of them as arrays, bit for
+    bit; returns the number of pairs."""
+    arcs = _arcs(_lattice_tails(d)[1])
+    n = len(arcs[0])
+    u, _ = majorant._bridges(*arcs, np.arange(n - 1), np.arange(1, n))
+    one = [majorant._bridges(*arcs, i, i + 1)[0] for i in range(n - 1)]
+    assert all(type(v) is float for v in one)
+    assert [repr(v) for v in one] == [repr(v) for v in u.tolist()]
+    return n - 1
+
+
 class TestPointPath:
-    """majorant._lin_lc_at: the whole hull's log-value at one x, bit for
-    bit, from the hull segment at x and its supporting line, or None."""
+    """majorant._lin_lc_at and majorant._lc_at: the whole hull's log-value
+    at one x, bit for bit, from the hull segment at x and its supporting
+    line, or from the chord of the corners around x, or None."""
     LAWS = {
         "carrier": lambda: carrier_sum(0.3, 6, 1.0),
         "bulk": lambda: carrier_sum(0.3, 200, 1.0),
@@ -602,6 +616,70 @@ class TestPointPath:
             assert not majorant._line_majorizes(lat, qt, h, x, y - 2e-9, s), (i, x)
             checked += 1
         assert checked >= 2
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_lc_chord_is_the_whole_hull_bit_for_bit(self, law):
+        # every corner, cell midpoint and hull vertex, 1 ulp either side of
+        # each vertex, and the band edges of both ends; the chord answers
+        # at least 90% of them on each carrier, skewed included
+        d = self.LAWS[law]()
+        maj = lc_majorant(d)
+        v = d.values
+        vertices = maj.hull_x.tolist()
+        edges = [c + 1e-12 * max(1.0, abs(c)) for c in (v[0], v[-1])]
+        xs = (v.tolist() + (0.5 * (v[1:] + v[:-1])).tolist() + vertices
+              + [math.nextafter(c, -math.inf) for c in vertices]
+              + [math.nextafter(c, math.inf) for c in vertices]
+              + [math.nextafter(e, k) for e in edges for k in (-math.inf, math.inf)])
+        answered = 0
+        for x in xs:
+            lv = majorant._lc_at(d, x)
+            if lv is not None:
+                answered += 1
+                assert repr(lv) == repr(maj.log_value(x)), x
+        if law not in ("weighted", "hole"):
+            assert answered >= 0.9 * len(xs), (answered, len(xs))
+
+    def test_lines_decline_under_a_far_heavy_atom(self, monkeypatch):
+        # k = 300 equal masses and a 0.5 atom k steps past them: both
+        # tails' logs are concave there and lie under the bridge to the
+        # heavy atom, so every local line fails, and the whole hulls
+        # answer bit for bit (lin_lc from its pruned chain)
+        d = from_pairs([(float(j), 0.5 / 300) for j in range(300)] + [(599.0, 0.5)])
+        lc, linlc = lc_majorant(d), lin_lc_majorant(d)
+        pruned = []
+        kept = majorant._kept_arcs
+        monkeypatch.setattr(majorant, "_kept_arcs", lambda arcs: pruned.append(1) or kept(arcs))
+        xs = [float(j) + f for j in (1, 40, 150, 297) for f in (0.0, 0.5)]
+        for x in xs:
+            assert majorant._lc_at(d, x) is None, x
+            assert repr(bounds._lc_value(d, x)) == repr(lc.value(x)), x
+            before = len(pruned)
+            lv = majorant._lin_lc_at(d, x)
+            assert len(pruned) == before + 1, x
+            assert lv is None or repr(lv) == repr(linlc.log_value(x)), x
+            assert repr(bounds._lin_lc_value(d, x)) == repr(linlc.value(x)), x
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_one_pair_solved_as_floats_is_its_array_solve(self, law):
+        assert_floats_solve_as_arrays(self.LAWS[law]())
+
+    def test_a_line_near_a_cell_outside_the_window_is_not_clear(self):
+        # the hole law's long bridge touches the arcs at both ends of its
+        # hole: its line clears every other cell, but the far arc's cell
+        # only where the window takes it in
+        d = self.LAWS["hole"]()
+        lat, qt, h = _lattice_tails(d)
+        maj = lin_lc_majorant(d)
+        i = int(np.argmax(np.diff(maj.hull_x) * ~maj.seg_is_arc))
+        x, y = float(maj.hull_x[i]), float(maj.hull_logq[i])
+        s = (float(maj.hull_logq[i + 1]) - y) / (float(maj.hull_x[i + 1]) - x)
+        c0, c1 = (int(np.floor((float(v) - lat[0]) / h)) for v in maj.hull_x[i:i + 2])
+        c1 = min(c1, len(lat) - 2)
+        assert majorant._line_majorizes(lat, qt, h, x, y, s)
+        assert majorant._line_majorizes(lat, qt, h, x, y, s, (c0, c1))
+        assert not majorant._line_majorizes(lat, qt, h, x, y, s, (c0, c0))
+        assert not majorant._line_majorizes(lat, qt, h, x, y, s, (c1, c1))
 
     def test_no_line_for_a_flat_or_rising_slope(self):
         d = carrier_sum(0.3, 6, 1.0)

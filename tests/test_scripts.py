@@ -1,8 +1,10 @@
 """Tests for scripts/bench_record.py: the claim rule it records per
-workload and metric, the minor page faults it records per run, and the
-compiled checkouts its children run in."""
+workload and metric, the minor page faults it records per run, the
+compiled checkouts its children run in, and the interleaved run of both
+checkouts in one process."""
 import io
 import json
+import os
 import pathlib
 import resource
 import runpy
@@ -13,12 +15,24 @@ import types
 
 import pytest
 
+import asymtail
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture(scope="module")
 def bench_record():
     return runpy.run_path(str(SCRIPTS / "bench_record.py"))
+
+
+# what the record's main stores per workload in place of an interleaved
+# run, where its checkouts are fakes with no perfbench to load
+INTERLEAVED = {"head_over_base": {"median": 1.0, "q1": 1.0, "q3": 1.0},
+               "fingerprints_match": True}
+
+
+def no_interleaved_runs(main, monkeypatch):
+    monkeypatch.setitem(main.__globals__, "interleaved_runs", lambda checkouts, wl: INTERLEAVED)
 
 
 BASE = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]  # q3 - q1 = 1.75
@@ -63,6 +77,7 @@ def test_record_keeps_each_runs_minor_faults(bench_record, tmp_path, monkeypatch
 
     main = bench_record["main"]
     monkeypatch.setitem(main.__globals__, "export", lambda rev: (rev, sides[rev]))
+    no_interleaved_runs(main, monkeypatch)
     monkeypatch.setattr(subprocess, "run", fake_run)
     monkeypatch.setattr(resource, "getrusage",
                         lambda who: types.SimpleNamespace(ru_minflt=faults[0]))
@@ -74,6 +89,7 @@ def test_record_keeps_each_runs_minor_faults(bench_record, tmp_path, monkeypatch
     assert entry["minor_faults"]["base"]["values"] == [100 * s + 1000 for s in seeds]
     assert entry["minor_faults"]["head"]["median"] == 550.0
     assert entry["digests_match"]
+    assert entry["interleaved"] == INTERLEAVED
 
 
 def test_record_controls_each_claim_and_compares_three_traced_runs(bench_record, tmp_path,
@@ -126,6 +142,7 @@ def test_record_controls_each_claim_and_compares_three_traced_runs(bench_record,
 
     main = bench_record["main"]
     monkeypatch.setitem(main.__globals__, "export", lambda rev: (rev, sides[rev]))
+    no_interleaved_runs(main, monkeypatch)
     monkeypatch.setattr(subprocess, "run", fake_run)
     out = tmp_path / "BENCH.json"
     assert main(["--base", "base", "--head", "head", "--out", str(out)]) == 0
@@ -200,6 +217,7 @@ def test_record_controls_each_loss(bench_record, tmp_path, monkeypatch, capsys):
 
     main = bench_record["main"]
     monkeypatch.setitem(main.__globals__, "export", lambda rev: (rev, sides[rev]))
+    no_interleaved_runs(main, monkeypatch)
     monkeypatch.setattr(subprocess, "run", fake_run)
     out = tmp_path / "BENCH.json"
     assert main(["--base", "base", "--head", "head", "--out", str(out)]) == 0
@@ -308,6 +326,7 @@ def test_children_run_without_the_bytecode_switch(bench_record, tmp_path, monkey
 
     main = bench_record["main"]
     monkeypatch.setitem(main.__globals__, "export", lambda rev: (rev, sides[rev]))
+    no_interleaved_runs(main, monkeypatch)
     monkeypatch.setattr(subprocess, "run", fake_run)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
@@ -316,3 +335,100 @@ def test_children_run_without_the_bytecode_switch(bench_record, tmp_path, monkey
     assert envs and all("PYTHONDONTWRITEBYTECODE" not in e and "PYTHONPATH" not in e
                         for e in envs)
     assert json.loads(out.read_text())["machine"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+TOY_WORKLOADS = """\
+from dataclasses import dataclass
+
+from asymtail import work
+
+
+@dataclass
+class Outcome:
+    units: int
+    wrong: str | None = None
+    fingerprint: str = ""
+
+
+class Doubling:
+    def __init__(self, seed):
+        self.seed = seed
+
+    def warmup(self):
+        return [0]
+
+    def block(self, b):
+        return [100 * self.seed + 10 * b + i for i in range(2)]
+
+    def run(self, op):
+        return work.double(op)
+
+    def check(self, op, res):
+        return Outcome(1, None if res == 2 * op else "wrong", repr(res))
+
+
+WORKLOADS = {"doubling": Doubling}
+"""
+
+# the operation imports the module that sets its cost while it runs, so
+# each side must find its own checkout's module then
+TOY_WORK = """\
+import time
+
+
+def double(x):
+    from . import speed
+    time.sleep(speed.DELAY)
+    return 2 * x + speed.OFFSET
+"""
+
+
+def toy_repository(root: pathlib.Path) -> pathlib.Path:
+    """A git repository of three commits of a toy package and benchmark:
+    an operation that takes 10 ms, then 5 ms, then 5 ms with a wrong
+    answer."""
+    (root / "src" / "asymtail").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    (root / "src" / "asymtail" / "__init__.py").write_text("")
+    (root / "src" / "asymtail" / "work.py").write_text(TOY_WORK)
+    (root / "perfbench" / "workloads.py").write_text(TOY_WORKLOADS)
+    (root / "perfbench" / "run.py").write_text("")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=toy", "-c", "user.email=toy@example.com",
+                        *args], cwd=root, check=True, capture_output=True)
+    git("init", "-q")
+    for delay, offset in ((0.010, 0), (0.005, 0), (0.005, 1)):
+        (root / "src" / "asymtail" / "speed.py").write_text(f"DELAY = {delay}\nOFFSET = {offset}\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", f"delay {delay}, offset {offset}")
+    return root
+
+
+def test_interleaved_runs_load_both_checkouts_in_one_process(bench_record, tmp_path,
+                                                             monkeypatch):
+    root = toy_repository(tmp_path / "repo")
+    export = bench_record["export"]
+    monkeypatch.setitem(export.__globals__, "ROOT", root)
+    monkeypatch.setitem(export.__globals__, "BUILD", tmp_path / "build")
+    checkouts = {rev: export(rev)[1] for rev in ("HEAD~2", "HEAD~1", "HEAD")}
+    limit = resource.getrlimit(resource.RLIMIT_AS)
+    threads = os.environ.get("ASYMTAIL_THREADS")
+    interleaved_runs = bench_record["interleaved_runs"]
+    faster = interleaved_runs({"base": checkouts["HEAD~2"], "head": checkouts["HEAD~1"]},
+                              "doubling")
+    rounds, blocks = bench_record["INTERLEAVED_ROUNDS"], bench_record["INTERLEAVED_BLOCKS"]
+    assert (faster["seed"], faster["blocks"], faster["rounds"]) == (1, blocks, rounds)
+    assert len(faster["head_over_base"]["values"]) == rounds * len(blocks)
+    # each block runs two 5 ms operations against two of 10 ms
+    assert 0.3 < faster["head_over_base"]["median"] < 0.8
+    assert faster["operations"] == 2 * len(blocks)
+    assert faster["fingerprints_match"]
+    wrong = interleaved_runs({"base": checkouts["HEAD~2"], "head": checkouts["HEAD"]},
+                             "doubling")
+    assert not wrong["fingerprints_match"]
+    # the caller's modules, address-space limit and thread count are back
+    assert sys.modules["asymtail"] is asymtail
+    assert "workloads" not in sys.modules
+    assert resource.getrlimit(resource.RLIMIT_AS) == limit
+    assert os.environ.get("ASYMTAIL_THREADS") == threads
