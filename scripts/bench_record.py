@@ -348,8 +348,8 @@ def interleaved_runs(checkouts: dict[str, Path], wl: str) -> dict:
     threads = os.environ.get("ASYMTAIL_THREADS")
     os.environ["ASYMTAIL_THREADS"] = str(min(2, len(os.sched_getaffinity(0))))
     cap = resource.getrlimit(resource.RLIMIT_AS)
-    resource.setrlimit(resource.RLIMIT_AS, (MEM_CAP if cap[1] == resource.RLIM_INFINITY
-                                            else min(MEM_CAP, cap[1]), cap[1]))
+    resource.setrlimit(resource.RLIMIT_AS, (min(v for v in (*cap, MEM_CAP)
+                                                if v != resource.RLIM_INFINITY), cap[1]))
     try:
         work = {}
         for side, table in tables.items():
@@ -361,7 +361,7 @@ def interleaved_runs(checkouts: dict[str, Path], wl: str) -> dict:
         ratios = []
         prints: dict[str, list] = {side: [] for side in tables}
         for rnd in range(INTERLEAVED_ROUNDS):
-            for i, b in enumerate(INTERLEAVED_BLOCKS):
+            for i in range(len(INTERLEAVED_BLOCKS)):
                 t = {}
                 for side in (("base", "head") if (i + rnd) % 2 == 0 else ("head", "base")):
                     w, blocks = work[side]
