@@ -310,8 +310,11 @@ def _lc_at(d: FiniteDist, x: float) -> float | None:
     of the step corners around x; None where the whole hull has to answer.
 
     x is clipped as log_value clips it: x in a corner's band reads at the
-    corner.  Up to the band of the last corner whose tail is 1 the hull is
-    flat at 0, and x reads 0.  Past it, the corners a < b = a + 1 around
+    corner.  Up to the band of the last corner whose tail is the first
+    corner's (1, or 1 - 2^-53 where the suffix sums round below 1), the
+    hull is flat at the first corner's log tail, and x reads it: the test
+    drops every corner inside such a run and keeps its ends.  Past it,
+    the corners a < b = a + 1 around
     the clipped x answer where every other corner lies below the line
     through them by more than the rounding of the hull's test
     (_chord_majorizes): a and b are then adjacent hull vertices, and x
@@ -329,11 +332,11 @@ def _lc_at(d: FiniteDist, x: float) -> float | None:
     if x <= atom_band(float(v[c - 1])):
         c -= 1
     q = np.minimum(d.upper_tails, 1.0)
-    if q[c] == 1.0:
-        return 0.0
+    logq = np.log(q)
+    if q[c] == q[0]:
+        return float(logq[0])
     xc = _minimum(x, float(v[c]))
     a = c - 1 if xc < v[c] or c == len(v) - 1 else c
-    logq = np.log(q)
     if not _chord_majorizes(v, logq, a):
         return None
     x0, x1, y0, y1 = float(v[a]), float(v[a + 1]), float(logq[a]), float(logq[a + 1])

@@ -640,6 +640,28 @@ class TestPointPath:
         if law not in ("weighted", "hole"):
             assert answered >= 0.9 * len(xs), (answered, len(xs))
 
+    def test_lc_reads_a_run_of_equal_first_tails_flat(self):
+        # the suffix sums of carrier_sum(0.6, 300, 1) round to 1 - 2^-53 on
+        # its first 110 corners: the hull is flat there, at that log tail,
+        # and the chord answers nine in ten corners and midpoints in all
+        d = carrier_sum(0.6, 300, 1.0)
+        maj = lc_majorant(d)
+        q0 = float(d.upper_tails[0])
+        assert q0 == 1.0 - 2.0 ** -53
+        v = d.values
+        run = int(np.count_nonzero(d.upper_tails == q0))
+        assert run > 100
+        xs = v.tolist() + (0.5 * (v[1:] + v[:-1])).tolist()
+        flat = [x for x in xs if x <= v[run - 1] + 1e-12 * max(1.0, abs(v[run - 1]))]
+        assert all(majorant._lc_at(d, x) == math.log(q0) for x in flat[1:])
+        answered = 0
+        for x in xs:
+            lv = majorant._lc_at(d, x)
+            if lv is not None:
+                answered += 1
+                assert repr(lv) == repr(maj.log_value(x)), x
+        assert answered >= 0.9 * len(xs)
+
     def test_lines_decline_under_a_far_heavy_atom(self, monkeypatch):
         # k = 300 equal masses and a 0.5 atom k steps past them: both
         # tails' logs are concave there and lie under the bridge to the
