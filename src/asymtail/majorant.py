@@ -312,14 +312,13 @@ def _lc_at(d: FiniteDist, x: float) -> float | None:
     x is clipped as log_value clips it: x in a corner's band reads at the
     corner.  Up to the band of the last corner whose tail is the first
     corner's (1, or 1 - 2^-53 where the suffix sums round below 1), the
-    hull is flat at the first corner's log tail, and x reads it: the test
-    drops every corner inside such a run and keeps its ends.  Past it,
-    the corners a < b = a + 1 around
-    the clipped x answer where every other corner lies below the line
-    through them by more than the rounding of the hull's test
-    (_chord_majorizes): a and b are then adjacent hull vertices, and x
-    reads their segment by log_value's formula.  x in the bottom atom's
-    band reads 0 and past the top atom's band -inf."""
+    hull is flat at the first corner's log tail, and x reads it: the
+    hull's test drops every corner inside such a run and keeps its ends.
+    Past it, the corners a < b = a + 1 around the clipped x answer where
+    every other corner lies below the line through them by more than the
+    rounding of that test (_chord_majorizes): a and b are then adjacent
+    hull vertices, and x reads their segment by log_value's formula.  x
+    in the bottom atom's band reads 0 and past the top atom's band -inf."""
     if not math.isfinite(x):
         return None
     v = d.values

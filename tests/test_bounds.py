@@ -682,20 +682,17 @@ def _bound_point_workload():
     return module.BoundPoint
 
 
-def _count_whole_hulls(monkeypatch) -> list:
-    """Record each carrier that `bounds` builds the whole lin_lc hull of."""
-    builds = []
-    whole = bounds.lin_lc_majorant
-    monkeypatch.setattr(bounds, "lin_lc_majorant", lambda d: builds.append(d) or whole(d))
-    return builds
-
-
 def _count_calls(monkeypatch, module, name: str) -> list:
     """Record each call of module.name, by its first argument."""
     calls = []
     f = getattr(module, name)
     monkeypatch.setattr(module, name, lambda first, *args: calls.append(first) or f(first, *args))
     return calls
+
+
+def _count_whole_hulls(monkeypatch) -> list:
+    """Record each carrier that `bounds` builds the whole lin_lc hull of."""
+    return _count_calls(monkeypatch, bounds, "lin_lc_majorant")
 
 
 def test_combined_bound_is_the_grid_on_every_bound_point_query(monkeypatch):
