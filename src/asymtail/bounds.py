@@ -19,10 +19,11 @@ primitives), so one x agrees with the grid at [x] bit for bit and pays
 no numpy per-call cost.  At one x neither hull member builds its whole
 hull: lc reads the chord of the step corners around x, where every
 other corner lies clear below its line (majorant._lc_at), and lin_lc
-reads the hull segment at x from the arcs around it and their own
-bridges, certified by its supporting line against every cell, then from
-the pruned arc chain (majorant._lin_lc_at).  Each builds its whole hull
-only where those decline, so every report is the grid's at [x].
+reads x up to its first arc flat and past it the hull segment at x from
+the arcs around it and their own bridges, certified by its supporting
+line against every cell (majorant._lin_lc_at).  Each builds its whole
+hull only where those decline (_hull_value), so every report is the
+grid's at [x].
 The carrier s_m (BS_1 + ... + BS_n) is one validated law, built from its
 binomial window with no law for bs(p) or the unscaled sum (carrier_sum),
 and each report is stored as one instance dict (_report).
@@ -327,7 +328,7 @@ def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None, x) -> t
     m_star(p) for coefficients below it: (p, m, n, s_m, s_1, carrier, lc,
     linlc, h), with h the carrier's lattice step.  The whole hulls are
     built for an array x only: a scalar x reads each at its one segment
-    (_lc_value, _lin_lc_value), and lc and linlc are None."""
+    (_hull_value), and lc and linlc are None."""
     if not 0.0 < p < 1.0:
         raise BoundError(f"p must lie in (0, 1), got {p!r}")
     if not 1.0 <= m < math.inf:
@@ -342,28 +343,17 @@ def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None, x) -> t
     n = int(n)  # carrier_sum took n as an integer, a numpy one included
     if type(x) is float or np.ndim(x) == 0:
         return p, m, n, sm, s1, carrier, None, None, _step(carrier)
-    lc = lc_majorant(carrier)
-    linlc = lin_lc_majorant(carrier)
-    return p, m, n, sm, s1, carrier, lc, linlc, linlc.step
+    return p, m, n, sm, s1, carrier, lc_majorant(carrier), lin_lc_majorant(carrier), _step(carrier)
 
 
-def _lc_value(carrier: FiniteDist, x: float) -> float:
-    """lc_majorant(carrier).value(x) at one x, from the chord of the
-    corners around x (majorant._lc_at), or from the whole hull where that
-    declines."""
-    lv = _lc_at(carrier, x)
+def _hull_value(carrier: FiniteDist, x: float, at, whole) -> float:
+    """whole(carrier).value(x) at one x: exp of at(carrier, x), the
+    hull's log-value read from the stretch around x (majorant._lc_at,
+    _lin_lc_at), or of the whole hull's where that is None.  The whole
+    hull answers, or raises, as for a grid."""
+    lv = at(carrier, x)
     if lv is None:
-        lv = lc_majorant(carrier).log_value(x)
-    return _exp(lv)
-
-
-def _lin_lc_value(carrier: FiniteDist, x: float) -> float:
-    """lin_lc_majorant(carrier).value(x) at one x, from its certified
-    segment (majorant._lin_lc_at), or from the whole hull where that
-    declines; the whole hull answers, or raises, as for a grid."""
-    lv = _lin_lc_at(carrier, x)
-    if lv is None:
-        lv = lin_lc_majorant(carrier).log_value(x)
+        lv = whole(carrier).log_value(x)
     return _exp(lv)
 
 
@@ -372,11 +362,14 @@ def _members(query: tuple, x) -> tuple[BOptResult, dict]:
     first of equal minima); each member dispatches on x, scalar or array."""
     p, _, n, sm, s1, carrier, lc, linlc, h = query
     bo = b_opt(carrier, x)
+    # the whole-hull builders by this module's names, which perfbench's
+    # tracer wraps, so that a fallback build is counted
     raw = {
         "b_opt": bo.raw,
-        "lc": _C30 * (_lc_value(carrier, x) if lc is None else lc.value(x)),
-        "lin_lc": _C30 * (_lin_lc_value(carrier, x + 0.5 * h) if linlc is None
-                          else linlc.value(x + 0.5 * h)),
+        "lc": _C30 * (_hull_value(carrier, x, _lc_at, lc_majorant) if lc is None
+                      else lc.value(x)),
+        "lin_lc": _C30 * (_hull_value(carrier, x + 0.5 * h, _lin_lc_at, lin_lc_majorant)
+                          if linlc is None else linlc.value(x + 0.5 * h)),
         "hoeffding": hoeffding_bound(p, n, sm, x),
     }
     if p >= 0.5 and s1 is not None:
@@ -440,14 +433,18 @@ def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
 
     The carrier is built as for a grid, and each member runs its one body
     on x as a Python float.  lc reads the chord of the corners around x,
-    certified against every corner, and lin_lc the hull segment at x,
-    from the window's own bridges or else the pruned chain, certified by
-    its supporting line against the interpolant on every cell; each falls
-    back to its whole hull where its check declines (_lc_value,
-    _lin_lc_value).  So where the whole lin_lc hull fails its own
-    certificate (atoms from about 1e256 on, past b_opt's overflow near
-    1e77), the grid raises that MajorantError, while this can answer from
-    a certified segment, or raise b_opt's overflow first."""
+    certified against every corner, and lin_lc reads x up to its first
+    arc flat and past it the hull segment at x, from the window's own
+    bridges, certified by its supporting line against the interpolant on
+    every cell; each falls back to its whole hull where its check
+    declines (_hull_value).  The whole lin_lc hull fails its own
+    certificate from s_m = 1e254 on, where the grid raises that
+    MajorantError.  There b_opt's moments overflow too (from atoms near
+    1e77), so one x answers only where b_opt takes no root: where it
+    reads 1, at or below the carrier's mean, or 0, past the top atom's
+    band.  lin_lc then reads its flat head, a certified segment or 0
+    past its top, and elsewhere the query raises b_opt's overflow or the
+    whole hull's error."""
     x = float(x)
     query = _query(p, m, n, coeffs, s_m, x)
     bo, raw = _members(query, x)

@@ -54,17 +54,17 @@ the whole hull is only the fallback, so a point reads its grid's bits.
 _lc_at takes the chord of the corners around x where every other corner
 lies below its line by more than the rounding of the hull's own test
 (_chord_majorizes): both are then adjacent hull vertices.  _lin_lc_at
-takes the arcs around x with the bridges of their own pairs (at most
-four, each solved as floats by _bridges' one body), evaluates the
-segment at x by log_value's formulas (_arc_log, _bridge_log), and
-certifies its supporting line against every cell, as _certify checks a
-hull segment (see _slack): the value lies on the interpolant or
-on a chord between two of its points, so below the hull, and the hull
-lies below a certified line, so the value is the hull's.  The cells
-outside the window must clear that line, so that no arc past the window
-is on the hull near x.  Where the line check declines, the window is
-rebuilt from the pruned chain (_kept_arcs), and where that declines
-too, the caller builds the whole hull.
+reads x up to the first arc's left corner flat, at that corner's log
+tail, as log_value does.  Past it, it takes the arcs around x with the
+bridges of their own pairs (at most four, each solved as floats by
+_bridges' one body), evaluates the segment at x by log_value's formulas
+(_arc_log, _bridge_log), and certifies its supporting line against
+every cell, as _certify checks a hull segment (see _slack): the value
+lies on the interpolant or on a chord between two of its points, so
+below the hull, and the hull lies below a certified line, so the value
+is the hull's.  The cells outside the window must clear that line, so
+that no arc past the window is on the hull near x.  Where the line
+check declines, the caller builds the whole hull.
 
 Evaluation is exact on arc segments (linear in probability space),
 log-linear on bridges.  The ends follow dist.atom_band: x up to
@@ -642,30 +642,28 @@ def _lin_lc_at(d: FiniteDist, x: float) -> float | None:
     """lin_lc_majorant(d).log_value(x) at one x, bit for bit, from the
     hull segment at x alone; None where the whole hull has to answer.
 
-    The window is the arc a whose cell starts last at or below x and the
-    arcs a - 1 and a + 1 next to it, with the bridges into, between and
-    out of them (at most four).  It is taken first from the arcs' own
-    chain: each bridge is solved alone, as floats (_bridges), for the
-    window's pairs of neighbours, and the window is used only where no
-    arc of it lies under the bridge of its neighbours (each incoming
-    bridge no steeper than the outgoing one), as lin_lc_majorant's first
-    round would keep it.  Where that window declines, it is taken from
-    lin_lc_majorant's own pruned chain (_kept_arcs), and where that
-    declines too, None.
+    x at or below the first arc's left corner, the hull's first vertex,
+    reads that corner's log tail, as log_value reads it: it clips x to
+    that vertex.  Otherwise the window is the arc a whose cell starts
+    last at or below x and the arcs a - 1 and a + 1 next to it, with the
+    bridges into, between and out of them (at most four), each solved
+    alone, as floats (_bridges).  The window is used only where no arc of
+    it lies under the bridge of its neighbours (each incoming bridge no
+    steeper than the outgoing one), as lin_lc_majorant's first round
+    would keep it, and otherwise None.
 
     _window_at evaluates the segment at x and its supporting line, which
     is certified against the interpolant on every cell (_line_majorizes):
     exp of the line is log-concave and majorizes the interpolant, so the
     hull lies below the line, and the value, on an arc of the interpolant
     or the chord between two of its points, lies below the hull.  So a
-    certified value is the hull's, to within the check's 1e-9.  The
-    pruned chain's window has the hull's own vertices, so its value is
-    the hull's bit for bit.  The chain's own window has them where no arc
-    outside it comes near the line, so there every cell outside the
-    window must clear the line by more than 1e-9: an arc the hull bridges
-    to past the window would lie on or above it.  x in the bottom atom's
-    band reads 0 and x past the top lattice point's band -inf, with no
-    arc built.
+    certified value is the hull's, to within the check's 1e-9.  It has
+    the hull's own vertices where no arc outside the window comes near
+    the line, so every cell outside the window must clear the line by
+    more than 1e-9: an arc the hull bridges to past the window would lie
+    on or above it.  Where the check declines, None.  x in the bottom
+    atom's band reads 0 and x past the top lattice point's band -inf,
+    with no arc built.
     """
     if not math.isfinite(x):
         return None
@@ -679,51 +677,45 @@ def _lin_lc_at(d: FiniteDist, x: float) -> float | None:
     k, r = arcs[0], arcs[-1]
     if len(k) == 0:
         return None
-    cell = _search(lat, x, "right") - 1
-    n = len(k)
-    a = _search(k, cell, "right") - 1
-    lo, hi = max(a - 1, 0), min(a + 1, n - 1)
-    u = [_bridges(*arcs, i, i + 1)[0] for i in range(max(lo - 1, 0), min(hi + 1, n - 1))]
-    if all(u0 <= u1 for u0, u1 in zip(u, u[1:])):
-        line = _window_at(x, lat, qt, top, k, r, lo, hi, n, [_exp(-v) for v in u])
-        if line is not None and _line_majorizes(lat, qt, h, *line, (int(k[lo]), int(k[hi]))):
-            return line[1]
-    keep, u = _kept_arcs(arcs)
-    if len(keep) < n:
-        k, r = k[keep], r[keep]
-    n = len(k)
-    a = _search(k, cell, "right") - 1
-    lo, hi = max(a - 1, 0), min(a + 1, n - 1)
-    line = _window_at(x, lat, qt, top, k, r, lo, hi, n,
-                      np.exp(-u[max(lo - 1, 0):min(hi + 1, n - 1)]).tolist())
-    if line is not None and _line_majorizes(lat, qt, h, *line):
-        return line[1]
-    return None
+    if x <= lat[k[0]]:
+        return _log(qt[k[0]])
+    a = _search(k, _search(lat, x, "right") - 1, "right") - 1
+    lo, hi = max(a - 1, 0), min(a + 1, len(k) - 1)
+    u = [_bridges(*arcs, i, i + 1)[0] for i in range(max(lo - 1, 0), min(hi + 1, len(k) - 1))]
+    if not all(u0 <= u1 for u0, u1 in zip(u, u[1:])):
+        return None
+    line = _window_at(x, lat, qt, top, k, r, lo, hi, [_exp(-v) for v in u])
+    if line is None or not _line_majorizes(lat, qt, h, *line, (int(k[lo]), int(k[hi]))):
+        return None
+    return line[1]
 
 
 def _window_at(x: float, lat: np.ndarray, qt: np.ndarray, top: float, k: np.ndarray,
-               r: np.ndarray, lo: int, hi: int, n: int,
+               r: np.ndarray, lo: int, hi: int,
                g: list[float]) -> tuple[float, float, float] | None:
-    """x clipped as log_value clips it, the log-value at x of the hull of
-    arcs lo..hi of a chain of n (cells k, r = q0 / m), and the slope of
+    """x clipped to the top lattice point, the log-value at x of the hull
+    of arcs lo..hi of the chain (cells k, r = q0 / m), and the slope of
     the segment's supporting line there; None where the window has no
     vertex at or below x or none above it (every segment of a stretch
-    merged).
+    merged).  x lies past the chain's first vertex, the left corner of
+    arc 0 (the caller reads x up to it flat).
 
     g holds e^-u of the bridges into, between and out of the window's
-    arcs, with none into arc 0 or out of arc n - 1.  The in and out touch
-    points of each arc are built with lin_lc_majorant's vertex expressions
-    on floats (numpy's exp and log, as log_value takes them), and its
-    rule merges the segments shorter than roundoff.  x lies at or past the
-    out touch point of arc lo and below the in touch point of arc hi (at
-    the chain's ends, anywhere), so the vertices around x are the
-    window's; the segment at x is picked as TailMajorant.log_value picks
-    it and evaluated by its formulas (_arc_log, _bridge_log), its line
-    being the bridge's chord or the arc's tangent at x."""
+    arcs, with none into arc 0 or out of the last arc.  The in and out
+    touch points of each arc are built with lin_lc_majorant's vertex
+    expressions on floats (numpy's exp and log, as log_value takes
+    them), and its rule merges the segments shorter than roundoff.  x
+    lies at or past the out touch point of arc lo and below the in touch
+    point of arc hi (at the chain's ends, anywhere), so the vertices
+    around x are the window's; the segment at x is picked as
+    TailMajorant.log_value picks it and evaluated by its formulas
+    (_arc_log, _bridge_log), its line being the bridge's chord or the
+    arc's tangent at x."""
     # e^-u is +inf before the first arc and 0 after the last
+    last = hi == len(k) - 1
     if lo == 0:
         g = [math.inf, *g]
-    if hi == n - 1:
+    if last:
         g = [*g, 0.0]
     tx, tq, fields = [], [], []
     for b in range(lo, hi + 1):
@@ -743,14 +735,13 @@ def _window_at(x: float, lat: np.ndarray, qt: np.ndarray, top: float, k: np.ndar
     ends += [i for i, (t0, t1) in enumerate(zip(tx, tx[1:]))
              if t1 > t0 + 1e-15 * _maximum(1.0, abs(t1))]
     vert = [tx[i + 1] for i in ends]
-    if len(vert) < 2 or not ((lo == 0 or vert[0] <= x) and (hi == n - 1 or x < vert[-1])):
+    if len(vert) < 2 or not (vert[0] <= x and (last or x < vert[-1])):
         return None
     # the segment at x, which ends where segment `end` of the window does
     i = sum(v <= x for v in vert[1:-1])
     end = ends[i + 1]
-    # x clipped as log_value clips it: tx[0] is the hull's first vertex
-    # where lo is 0, and at or below x otherwise
-    xc = _minimum(_maximum(x, tx[0]), top)
+    # x clipped as log_value clips it: x is past the hull's first vertex
+    xc = _minimum(x, top)
     if end % 2 == 0:
         q0, beta, x0 = fields[end // 2]
         return xc, _arc_log(xc, q0, beta, x0), _div(beta, q0 + beta * (xc - x0))
@@ -760,19 +751,16 @@ def _window_at(x: float, lat: np.ndarray, qt: np.ndarray, top: float, k: np.ndar
 
 
 def _line_majorizes(lat: np.ndarray, qt: np.ndarray, h: float, x: float, y: float,
-                    s: float, clear: tuple[int, int] | None = None) -> bool:
+                    s: float, clear: tuple[int, int]) -> bool:
     """Whether the line through (x, y) of slope s < 0, both finite, lies
     above the log of the linear interpolant of the tail values qt at the
-    lattice points lat on every cell, to within 1e-9 (see _slack).  With
-    clear = (c0, c1), every cell outside cells c0..c1 must lie below it by
-    more than 1e-9."""
+    lattice points lat on cells c0..c1 of clear = (c0, c1), to within
+    1e-9 (see _slack), and by more than 1e-9 on every other cell."""
     if not (math.isfinite(y) and s < 0.0):
         return False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slack = _slack(lat[:-1], lat[1:], lat[:-1], qt[:-1], (qt[1:] - qt[:-1]) / h, s,
                        float(lat[-1]), lambda t: y + s * (t - x))
-    if clear is None:
-        return slack.min() >= -_CERT_TOL
     c0, c1 = clear
     return bool(slack[:, c0:c1 + 1].min() >= -_CERT_TOL
                 and min(slack[:, :c0].min(initial=math.inf),
