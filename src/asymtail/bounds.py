@@ -323,12 +323,10 @@ def carrier_sum(p: float, n: int, s_m: float) -> FiniteDist:
     return d
 
 
-def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None, x) -> tuple:
+def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None) -> tuple:
     """What the x of one query share, its inputs checked and m lifted to
-    m_star(p) for coefficients below it: (p, m, n, s_m, s_1, carrier, lc,
-    linlc, h), with h the carrier's lattice step.  The whole hulls are
-    built for an array x only: a scalar x reads each at its one segment
-    (_hull_value), and lc and linlc are None."""
+    m_star(p) for coefficients below it: (p, m, n, s_m, s_1, carrier, h),
+    with h the carrier's lattice step."""
     if not 0.0 < p < 1.0:
         raise BoundError(f"p must lie in (0, 1), got {p!r}")
     if not 1.0 <= m < math.inf:
@@ -341,17 +339,16 @@ def _query(p: float, m: float, n: int | None, coeffs, s_m: float | None, x) -> t
     n, sm, s1 = resolve_s_m(m, coeffs=coeffs, s_m=s_m, n=n)
     carrier = carrier_sum(p, n, sm)
     n = int(n)  # carrier_sum took n as an integer, a numpy one included
-    if type(x) is float or np.ndim(x) == 0:
-        return p, m, n, sm, s1, carrier, None, None, _step(carrier)
-    return p, m, n, sm, s1, carrier, lc_majorant(carrier), lin_lc_majorant(carrier), _step(carrier)
+    return p, m, n, sm, s1, carrier, _step(carrier)
 
 
-def _hull_value(carrier: FiniteDist, x: float, at, whole) -> float:
-    """whole(carrier).value(x) at one x: exp of at(carrier, x), the
+def _hull_value(carrier: FiniteDist, x, at, whole) -> float | np.ndarray:
+    """whole(carrier).value(x): for one x, exp of at(carrier, x), the
     hull's log-value read from the stretch around x (majorant._lc_at,
-    _lin_lc_at), or of the whole hull's where that is None.  The whole
-    hull answers, or raises, as for a grid."""
-    lv = at(carrier, x)
+    _lin_lc_at), or of the whole hull's where that is None; an array x
+    reads the whole hull.  The whole hull answers, or raises, as for a
+    grid."""
+    lv = at(carrier, x) if type(x) is float else None
     if lv is None:
         lv = whole(carrier).log_value(x)
     return _exp(lv)
@@ -360,16 +357,20 @@ def _hull_value(carrier: FiniteDist, x: float, at, whole) -> float:
 def _members(query: tuple, x) -> tuple[BOptResult, dict]:
     """b_opt at x and the raw members in tie-break order (argmin keeps the
     first of equal minima); each member dispatches on x, scalar or array."""
-    p, _, n, sm, s1, carrier, lc, linlc, h = query
-    bo = b_opt(carrier, x)
+    p, _, n, sm, s1, carrier, h = query
+    # one x takes b_opt before the hulls and a grid after them, so where
+    # both raise, each raises the error it always has
+    bo = b_opt(carrier, x) if type(x) is float else None
     # the whole-hull builders by this module's names, which perfbench's
-    # tracer wraps, so that a fallback build is counted
+    # tracer wraps, so that every build is counted
+    lc = _C30 * _hull_value(carrier, x, _lc_at, lc_majorant)
+    lin_lc = _C30 * _hull_value(carrier, x + 0.5 * h, _lin_lc_at, lin_lc_majorant)
+    if bo is None:
+        bo = b_opt(carrier, x)
     raw = {
         "b_opt": bo.raw,
-        "lc": _C30 * (_hull_value(carrier, x, _lc_at, lc_majorant) if lc is None
-                      else lc.value(x)),
-        "lin_lc": _C30 * (_hull_value(carrier, x + 0.5 * h, _lin_lc_at, lin_lc_majorant)
-                          if linlc is None else linlc.value(x + 0.5 * h)),
+        "lc": lc,
+        "lin_lc": lin_lc,
         "hoeffding": hoeffding_bound(p, n, sm, x),
     }
     if p >= 0.5 and s1 is not None:
@@ -414,7 +415,7 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
         raise BoundError("need at least one x")
-    query = _query(p, m, n, coeffs, s_m, xs)
+    query = _query(p, m, n, coeffs, s_m)
     bo, raw = _members(query, xs)
     names = list(raw)
     rows = np.array(list(raw.values()))
@@ -446,7 +447,7 @@ def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
     past its top, and elsewhere the query raises b_opt's overflow or the
     whole hull's error."""
     x = float(x)
-    query = _query(p, m, n, coeffs, s_m, x)
+    query = _query(p, m, n, coeffs, s_m)
     bo, raw = _members(query, x)
     r = list(raw.values())
     c = [min(v, 1.0) for v in r]  # np.minimum(v, 1.0), NaN included

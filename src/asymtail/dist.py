@@ -603,7 +603,10 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
     the atom count at n + 1 for equal coefficients.  The coefficients are
     arbitrary, so the law carries no lattice.
     """
-    coeffs = [float(c) for c in coeffs]
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1:
+        raise DistError(f"coefficients must be a 1-d sequence, got shape {coeffs.shape}")
+    coeffs = coeffs.tolist()
     if len(coeffs) == 0:
         raise DistError("need at least one coefficient")
     if len(coeffs) > MAX_BS_TERMS:
@@ -657,10 +660,22 @@ def tail(d: FiniteDist, x) -> float | np.ndarray:
     return float(suffix[idx]) if xa.ndim == 0 else suffix[idx]
 
 
-def _shifted_suffix_moments(d: FiniteDist, left: bool = False) -> np.ndarray:
-    """P[j, k] = sum over i >= k of m_i (v_i - v_k)^j for j = 0..3; for
-    left, the same of -D, whose atoms are d's negated in reverse order,
-    with d's prefix sums of the masses, reversed, as their upper tails.
+def _suffix_sums(x: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = x[k] + x[k+1] + ... along axis 0, each running sum one
+    addition in sequence from the last entry down (np.add.accumulate of
+    x reversed, written back to front).  Two columns are summed as one
+    complex column, whose real and imaginary parts add as the columns
+    would, in one pass in place of two."""
+    if x.ndim == 2:
+        x, out = x.view(complex)[:, 0], out.view(complex)[:, 0]
+    np.add.accumulate(x[::-1], out=out[::-1])
+
+
+def _shifted_suffix_moments(d, masses: np.ndarray | None = None) -> np.ndarray:
+    """P[j, k] = sum over i >= k of m_i (v_i - v_k)^j for j = 0..3 over
+    the atoms v_i and masses m_i of the law d; or, given masses (points,
+    2), over an ascending support d with two laws' masses on it as
+    columns (zero where a law has no atom), as P[j, k, law].
 
     One backward pass: shifting the origin from v_{k+1} down to v_k is a
     binomial expansion in the nonnegative gap h = v_{k+1} - v_k,
@@ -672,60 +687,56 @@ def _shifted_suffix_moments(d: FiniteDist, left: bool = False) -> np.ndarray:
 
     so every term added is nonnegative and nothing cancels.  A row's
     increments need only the rows below it, so each row is one running
-    sum from the top atom down, written into the row back to front;
-    np.add.accumulate adds in sequence, in the order of a loop over k."""
-    if left:
-        v, tails = -d.values[::-1], np.add.accumulate(d.masses)[::-1]
+    sum from the top atom down (`_suffix_sums`), in the order of a loop
+    over k.  P3 at v_k is E (D - v_k)_+^3.
+
+    On a support, each point steps from its law's next atom above it (h
+    is that atom's distance), and only the steps of the law's atoms are
+    summed: a zero mass and a zero step add 0 exactly, so at its atoms a
+    column holds its law's own moments bit for bit, and a point between
+    them holds the moments of the atom above moved down to it by the
+    same step (0 past the top atom)."""
+    if masses is None:
+        v = d.values
+        out = np.empty((4, len(v)))
+        out[0] = d.upper_tails
+        h = v[1:] - v[:-1]
+        on = None  # every point is an atom
     else:
-        v, tails = d.values, d.upper_tails
-    h = v[1:] - v[:-1]
-    out = np.empty((4, len(v)))
+        # the support once per column: numpy runs two equal columns as one
+        # array, where a broadcast one would run in pairs
+        v = np.column_stack((d, d))
+        out = np.empty((4,) + masses.shape)
+        _suffix_sums(masses, out[0])
+        has = masses > 0.0
+        on = has[:-1].astype(float)  # 1 where a point is its law's atom
+        # each law's next atom above each point; past the top atom the
+        # tails are 0, so the step to d[-1] adds 0
+        h = np.where(has[1:], v[1:], d[-1])
+        np.fmin.accumulate(h[::-1], out=h[::-1])
+        h -= v[:-1]
     p0, p1, p2, p3 = out
-    p0[:] = tails
     out[1:, -1] = 0.0
     hp0 = h * p0[1:]
-    np.add.accumulate(hp0[::-1], out=p1[-2::-1])
-    np.add.accumulate((h * (2.0 * p1[1:] + hp0))[::-1], out=p2[-2::-1])
-    np.add.accumulate((h * (3.0 * p2[1:] + h * (3.0 * p1[1:] + hp0)))[::-1], out=p3[-2::-1])
-    return out
-
-
-def _suffix_moments_at(d: FiniteDist, x, k, left: bool = False) -> np.ndarray:
-    """P[j, i] = sum over v >= x_i of m (v - x_i)^j for j = 0..3, at each
-    point of a 1-d array, in O(atoms + points); for left, sum over
-    v <= x_i of m (x_i - v)^j, read as the moments of -D at -x_i.
-
-    k is np.searchsorted(d.values, x, "left") (for left, "right"),
-    taken from the caller, which knows it from merging the points with
-    the atoms.  With k the first atom >= x and u = v_k - x >= 0 these are
-    the shifted suffix moments at k moved down by u,
-
-        P0 = P0(k),  P1 = P1(k) + u P0(k),  P2 = P2(k) + u (2 P1(k) + u P0(k)),
-        P3 = P3(k) + u (3 P2(k) + u (3 P1(k) + u P0(k))),
-
-    each a sum of nonnegative terms.  Above the top atom every moment is
-    0 exactly.  P3 is E (D - x)_+^3.
-    """
-    x = np.asarray(x, dtype=float)
-    v = d.values
-    if left:
-        # the atoms of -D below -x are those of D above x
-        x, v, k = -x, -v[::-1], len(v) - k
-    # the moments and the atom at each k, one take; column len(v), past
-    # the top atom, holds the moments 0 and the atom -inf, so u is 0 there
-    table = np.empty((5, len(v) + 1))
-    table[:4, :-1] = _shifted_suffix_moments(d, left)
-    table[:4, -1] = 0.0
-    table[4, :-1] = v
-    table[4, -1] = -math.inf
-    p0, p1, p2, p3, vk = table.take(k, axis=1)
-    u = np.maximum(vk - x, 0.0)
-    up0 = u * p0
-    out = np.empty((4, len(x)))
-    out[0] = p0
-    out[1] = p1 + up0
-    out[2] = p2 + u * (2.0 * p1 + up0)
-    out[3] = p3 + u * (3.0 * p2 + u * (3.0 * p1 + up0))
+    _suffix_sums(hp0 if on is None else hp0 * on, p1[:-1])
+    # h (2 P1 + h P0) and h (3 P2 + h (3 P1 + h P0)) in place, with the
+    # same roundings (float sums and products commute)
+    step2 = 2.0 * p1[1:]
+    step2 += hp0
+    step2 *= h
+    _suffix_sums(step2 if on is None else step2 * on, p2[:-1])
+    step3 = 3.0 * p1[1:]
+    step3 += hp0
+    step3 *= h
+    step3 += 3.0 * p2[1:]
+    step3 *= h
+    _suffix_sums(step3 if on is None else step3 * on, p3[:-1])
+    if on is not None:
+        # a point that is not its law's atom takes its own step on top
+        off = 1.0 - on
+        for p, step in zip(out[1:], (hp0, step2, step3)):
+            step *= off
+            p[:-1] += step
     return out
 
 

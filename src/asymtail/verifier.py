@@ -59,7 +59,7 @@ import numpy as np
 
 from .bounds import combined_bound_grid, resolve_s_m
 from .dist import (DistError, FiniteDist, RngSpec, _bs_law, _bs_sum, _carrier_top,
-                   _suffix_moments_at, weighted_bs_sum)
+                   _shifted_suffix_moments, weighted_bs_sum)
 # iid_sum is not called here; perfbench/tracer.py wraps it under this name
 from .dist import iid_sum  # noqa: F401
 from .optimize import _count, _falling_root, brent_root
@@ -329,11 +329,12 @@ def _piece_peaks(b: np.ndarray, dp: np.ndarray, dq: np.ndarray | None = None):
     of the breakpoints b, and their t: (values, t), each (3, pieces).
 
     dp holds the differences dP_j of the two laws' suffix moments at
-    every b_i; with u = b_{i+1} - t in [0, h], h = b_{i+1} - b_i, the
-    right cubes differ on the piece by R(u) = dP3 + 3u dP2 + 3u^2 dP1 +
-    u^3 dP0 at b_{i+1}.  dq, the differences of the two laws' prefix
-    moments at every b_i (`_suffix_moments_at(..., left=True)`), adds
-    the left cubes, L(w) = dQ3 + 3w dQ2 + 3w^2 dQ1 + w^3 dQ0 at b_i, in
+    every b_i, the two columns of one `dist._shifted_suffix_moments` pass
+    over b; with u = b_{i+1} - t in [0, h], h = b_{i+1} - b_i, the right
+    cubes differ on the piece by R(u) = dP3 + 3u dP2 + 3u^2 dP1 + u^3 dP0
+    at b_{i+1}.  dq, the differences of the two laws' prefix moments at
+    every b_i (the columns of the pass over the reversed, negated b),
+    adds the left cubes, L(w) = dQ3 + 3w dQ2 + 3w^2 dQ1 + w^3 dQ0 at b_i, in
     w = h - u.  d = R(u) + L(h - u) peaks at an end, where it is dP3
     (+ dQ3) at that breakpoint, or at the root of a third of its
     derivative, A u^2 + 2B u + C, where A u + B < 0: optimize's
@@ -363,35 +364,23 @@ def _piece_peaks(b: np.ndarray, dp: np.ndarray, dq: np.ndarray | None = None):
 
 
 def _merged_support(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The union of two ascending atom arrays and, at each of its points,
-    each array's first atom at or above it: np.union1d(a, b) and
-    np.searchsorted(a, union, "left") and (b, union, "left"), from one
-    merge.
+    """The union of two ascending arrays of distinct atoms, np.union1d(a,
+    b), and where each array's atoms lie in it: union[ia] = a, union[ib]
+    = b.
 
     A stable argsort of a's atoms then b's merges the two ascending runs
     in linear time (numpy's timsort).  Each union point is the first of
-    its run of equal atoms in the merge, and the atoms before it are
-    those below it.  The merge keeps each array's atoms in their order,
-    so where the point is a's atom i, i of a's atoms are before it, and
-    where it is b's atom j, j of b's and the rest of a's."""
+    its run of equal atoms in the merge, so an atom's place in the union
+    is the count of run starts up to it, less one."""
     both = np.concatenate((a, b))
     order = np.argsort(both, kind="stable")
     merged = both.take(order)
     first = np.empty(len(merged), dtype=bool)
     first[0] = True
     np.not_equal(merged[1:], merged[:-1], out=first[1:])
-    at = np.flatnonzero(first)
-    i = order.take(at)
-    ka = np.where(i < len(a), i, at - (i - len(a)))
-    return merged.take(at), ka, at - ka
-
-
-def _at_or_below(k: np.ndarray, n_atoms: int) -> np.ndarray:
-    """np.searchsorted(values, union, "right") from the "left" indices k
-    at every point of a union that holds all n_atoms values: no atom lies
-    strictly between two union points, so the atoms at or below one are
-    those below the next."""
-    return np.append(k[1:], n_atoms)
+    at = np.empty(len(both), dtype=np.intp)
+    at[order] = np.add.accumulate(first) - 1
+    return merged[first], at[:len(a)], at[len(a):]
 
 
 def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) -> EnumCheck:
@@ -404,19 +393,24 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) ->
     E eta^2, so the comparison holds for every such f exactly when
     d(t) = E (S - t)_+^3 - E (eta - t)_+^3 <= 0 at every t.  Between
     consecutive atoms of the two laws d is one cubic, from the suffix
-    moments at the piece's ends (`dist._suffix_moments_at`), and peaks at
-    an end or at a root of d' (`_piece_peaks`).  The pieces' ends, the
-    union of the two supports, come from one merge of the two laws'
-    sorted atoms, which also gives each law's first atom at or above
-    every end (two-sided: at or below) to `_suffix_moments_at`
-    (`_merged_support`).  Above both supports d is
-    0; below them it is affine with slope -3 (E S^2 - E eta^2) >= 0, so
-    the lowest atom holds its maximum there.
+    moments at the piece's ends, and peaks at an end or at a root of d'
+    (`_piece_peaks`).  The pieces' ends, the union of the two supports,
+    come from one merge of the two laws' sorted atoms, which also places
+    each law's atoms in it (`_merged_support`).  Both laws' masses go
+    onto the union as two columns, 0 where a law has no atom, and one
+    pass of b_opt's recurrence over it (`dist._shifted_suffix_moments`)
+    gives both laws' suffix moments at every end, each law's own moments
+    at its atoms bit for bit; two-sided, a second pass over the
+    reversed, negated union gives the prefix moments.  Moments that
+    overflow (atoms some 5e102 apart) raise one VerifyError.  Above both
+    supports d is 0; below them it is affine with slope
+    -3 (E S^2 - E eta^2) >= 0, so the lowest atom holds its maximum
+    there.
 
     The families, in tie-break order: cube_plus, and for two_sided
     abs_cube (E |D - t|^3, the left cubes E (t - D)_+^3 added from each
-    law's prefix moments, read off its atoms and masses in reverse
-    order with no reflected law built, and certified the same way) and
+    law's prefix moments, the reversed pass's, with no reflected law
+    built, and certified the same way) and
     cosh (E cosh(lam D) at 20 rates in [0.1, 5], sampled by log-sum-exp
     so that none overflows; the violation is expm1 of the log ratio).
     A cube family's violation on a piece is its peak over a lower bound
@@ -432,24 +426,36 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) ->
     if not 1.0 <= m < math.inf:
         raise VerifyError(f"m must be finite and >= 1, got {m!r}")
     c = np.asarray(coeffs, dtype=float)
-    n = len(c)
     lhs = weighted_bs_sum(p, c)
+    n = len(c)
     _, s_m, _ = resolve_s_m(m, coeffs=c)
     if s_m <= 0:
         raise VerifyError("coefficients are all zero")
     rhs, _ = _bs_sum(p, n, s_m)
-    b, kl, kr = _merged_support(lhs.values, rhs.values)
+    b, il, ir = _merged_support(lhs.values, rhs.values)
     if len(b) < 2:
         raise VerifyError("the coefficients are too small: both laws are one point")
-    right = _suffix_moments_at(rhs, b, kr)
-    dp = _suffix_moments_at(lhs, b, kl) - right
+    masses = np.zeros((len(b), 2))
+    masses[il, 0] = lhs.masses
+    masses[ir, 1] = rhs.masses
+    # the right moments, and the left ones as the right moments of -S and
+    # -eta, read back in b's order.  Each law's cube is largest at the
+    # pass's first point, and a moment that overflows anywhere makes it
+    # inf or NaN, so that point is checked alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _shifted_suffix_moments(b, masses)
+        Q = _shifted_suffix_moments(-b[::-1], masses[::-1])[:, ::-1] if two_sided else P
+    if not (np.isfinite(P[3, 0]).all() and np.isfinite(Q[3, -1]).all()):
+        raise VerifyError(f"the cube moments overflow on atoms up to {max(-b[0], b[-1]):g} "
+                          "in size, so the comparison is NaN")
+    right = P[..., 1]
+    dp = P[..., 0] - right
     vals, ts = _piece_peaks(b, dp)
     families = [("cube_plus", vals / np.maximum(1.0, right[3, 1:]), ts)]
     lam_count = 0
     if two_sided:
-        left = _suffix_moments_at(rhs, b, _at_or_below(kr, rhs.n_atoms), left=True)
-        dq = _suffix_moments_at(lhs, b, _at_or_below(kl, lhs.n_atoms), left=True) - left
-        vals, ts = _piece_peaks(b, dp, dq)
+        left = Q[..., 1]
+        vals, ts = _piece_peaks(b, dp, Q[..., 0] - left)
         families.append(("abs_cube", vals / np.maximum(1.0, right[3, 1:] + left[3, :-1]), ts))
         # E cosh(lam D) = (E e^{lam D} + E e^{-lam D}) / 2; the halving
         # cancels in the log ratio

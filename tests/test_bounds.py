@@ -777,7 +777,7 @@ def test_one_pair_solved_as_floats_is_its_array_solve():
     for block in (0, 1):
         for q in workload.block(block):
             kw = ((None, q.coeffs, None) if q.coeffs is not None else (q.n, None, q.s_m))
-            d = bounds._query(q.p, q.m, *kw, float(q.xs[0]))[5]
+            d = bounds._query(q.p, q.m, *kw)[5]
             arcs = majorant._arcs(majorant._lattice_tails(d)[1])
             n = len(arcs[0])
             u, _ = majorant._bridges(*arcs, np.arange(n - 1), np.arange(1, n))

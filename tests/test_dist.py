@@ -37,7 +37,6 @@ from asymtail.dist import (
     _uniforms,
     _normal_products,
     _shifted_suffix_moments,
-    _suffix_moments_at,
 )
 from asymtail.majorant import _lattice_tails, lattice_params, lc_majorant, lin_lc_majorant
 
@@ -148,6 +147,13 @@ def test_weighted_bs_sum_rejects_overflow_like_the_fold(coeffs, msg):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DistError, match=msg):
             build(0.3, coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[[1.0, 2.0]], np.ones((2, 2)), 2.0],
+                         ids=["nested", "square", "scalar"])
+def test_weighted_bs_sum_rejects_a_coefficient_array_not_1d(coeffs):
+    with pytest.raises(DistError, match="coefficients must be a 1-d sequence"):
+        weighted_bs_sum(0.3, coeffs)
 
 
 @pytest.mark.parametrize("p,coeffs", [
@@ -914,20 +920,58 @@ def cube_cases(draw):
     return law, ts
 
 
+def _merged_moments(law, ts, left=False):
+    """The moments at each t as the enumeration check reads them: one
+    pass over the union of the law's atoms and ts, with the law's masses
+    as one column (0 at the ts that are not its atoms) and equal masses
+    on every point as the other; left, the pass over the reversed,
+    negated union.  Returns the moments and each column's atoms."""
+    support = np.union1d(law.values, ts)
+    masses = np.zeros((len(support), 2))
+    masses[np.searchsorted(support, law.values), 0] = law.masses
+    masses[:, 1] = 1.0 / len(support)
+    if left:
+        moments = _shifted_suffix_moments(-support[::-1], masses[::-1])[:, ::-1]
+    else:
+        moments = _shifted_suffix_moments(support, masses)
+    columns = [list(zip(support.tolist(), masses[:, k].tolist())) for k in (0, 1)]
+    return moments[:, np.searchsorted(support, ts)], [[a for a in c if a[1]] for c in columns]
+
+
+def _assert_moments(ts, got, columns, left):
+    """got[j, i, k] against fsum of m r^j over column k's atoms (v, m)
+    at reach r = v - t_i >= 0 (left: t_i - v); 0 past the column's last
+    atom, and the cube 0 at it."""
+    for k, pairs in enumerate(columns):
+        edge = pairs[0][0] if left else pairs[-1][0]
+        for i, t in enumerate(ts.tolist()):
+            reach = [((t - v) if left else (v - t), m) for v, m in pairs]
+            if max(r for r, _ in reach) < 0:
+                assert not got[:, i, k].any()
+                continue
+            for j in range(4):
+                g = float(got[j, i, k])
+                ref = math.fsum(m * r ** j for r, m in reach if r >= 0)
+                if j == 3 and t == edge:
+                    assert g == 0.0
+                # below the smallest normal double no float has 4e-15 relative precision
+                assert abs(g - ref) <= 4e-15 * ref + MIN_MASS, (t, j, k, g, ref)
+
+
 @given(case=cube_cases())
 @settings(max_examples=100, deadline=None)
 def test_cube_plus_matches_fsum(case):
     # all four moments sum (v - t)^j m over v >= t; P3 is E (D - t)_+^3
     law, ts = case
-    got = _suffix_moments_at(law, ts, np.searchsorted(law.values, ts, "left"))
-    for i, t in enumerate(ts.tolist()):
-        if t > law.max_value:
-            assert not got[:, i].any()
-            continue
-        for j in range(4):
-            g = float(got[j, i])
-            ref = math.fsum(m * (v - t) ** j for v, m in atoms(law) if v >= t)
-            if j == 3 and t == law.max_value:
-                assert g == 0.0
-            # below the smallest normal double no float has 4e-15 relative precision
-            assert abs(g - ref) <= 4e-15 * ref + MIN_MASS, (t, j, g, ref)
+    got, columns = _merged_moments(law, ts)
+    _assert_moments(ts, got, columns, left=False)
+    # at its own atoms the column is the law's own pass, bit for bit
+    assert np.array_equal(got[:, :law.n_atoms, 0], _shifted_suffix_moments(law))
+
+
+@given(case=cube_cases())
+@settings(max_examples=100, deadline=None)
+def test_left_cubes_match_fsum(case):
+    # the reversed pass sums (t - v)^j m over v <= t; Q3 is E (t - D)_+^3
+    law, ts = case
+    _assert_moments(ts, *_merged_moments(law, ts, left=True), left=True)
