@@ -671,7 +671,8 @@ def _suffix_sums(x: np.ndarray, out: np.ndarray) -> None:
     np.add.accumulate(x[::-1], out=out[::-1])
 
 
-def _shifted_suffix_moments(d, masses: np.ndarray | None = None) -> np.ndarray:
+def _shifted_suffix_moments(d: FiniteDist | np.ndarray,
+                            masses: np.ndarray | None = None) -> np.ndarray:
     """P[j, k] = sum over i >= k of m_i (v_i - v_k)^j for j = 0..3 over
     the atoms v_i and masses m_i of the law d; or, given masses (points,
     2), over an ascending support d with two laws' masses on it as

@@ -10,9 +10,10 @@ confidence guard:
   laws and its equalized carrier, certified over every threshold t: for
   the paper's class of test functions it is the order of the cubes
   E (D - t)_+^3, whose difference is one cubic in t between consecutive
-  atoms, from the suffix moments that b_opt also uses, so each piece's
-  maximum lies at its ends or at the root of its derivative, taken by
-  b_opt's root kernel (O(atoms) per law); two-sided adds E |D - t|^3
+  atoms, from both laws' suffix moments in one pass of b_opt's
+  recurrence over their merged atoms, so each piece's maximum lies at
+  its ends or at the root of its derivative, taken by b_opt's root
+  kernel (O(atoms) per law); two-sided adds E |D - t|^3
   the same way and E cosh(lam D) at 20 rates by log-sum-exp, so that
   none overflows;
 - Schur-direction sweeps along the constant-(2m)-norm coefficient path,
