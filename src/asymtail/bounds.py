@@ -39,12 +39,12 @@ whole x grid is then evaluated at once, one root per x (see b_opt).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import MERGE_RTOL, FiniteDist, _bs_sum, _carrier_top, _shifted_suffix_moments, atom_band
+from .dist import (MERGE_RTOL, FiniteDist, _bs_sum, _carrier_top, _coefficient_vector, _power_sum,
+                   _shifted_suffix_moments, atom_band)
 # iid_sum is not called here; perfbench/tracer.py wraps it under this name
 from .dist import iid_sum  # noqa: F401
 # lattice_params is not called here; perfbench/tracer.py wraps it under this name
@@ -275,31 +275,17 @@ class BoundReport:
 
 def resolve_s_m(m: float, coeffs=None, s_m: float | None = None,
                 n: int | None = None) -> tuple[int, float, float | None]:
-    """Return (n, s_m, s_1) from either explicit coefficients or s_m."""
+    """Return (n, s_m, s_1) from either coefficients c (`dist._coefficient_vector`)
+    or s_m; s_m and s_1 are c's power means of order 2m and 2 (`dist._power_sum`)."""
     if coeffs is not None:
-        c = np.asarray(coeffs, dtype=float)
-        if c.ndim != 1 or len(c) == 0 or (c < 0).any():
-            raise BoundError("coeffs must be a nonempty 1-d array of nonnegatives")
+        c = _coefficient_vector(coeffs, BoundError)
+        if s_m is not None:
+            raise BoundError("give coeffs or s_m, not both")
         nn = len(c)
         if n is not None and _count(n, "n", BoundError) != nn:
             raise BoundError("n disagrees with len(coeffs)")
-        # np.mean is np.add.reduce over the count, without its wrapper.  Where
-        # the mean of c^{2m} overflows or is not a normal float (m_star(p) ~
-        # 1/(2 sqrt p) is large at small p), s_m comes from c / max(c)
-        top = top1 = 1.0
-        with np.errstate(over="ignore", under="ignore"):
-            ms = np.add.reduce(c ** (2.0 * m)) / nn
-            if not sys.float_info.min <= ms < math.inf and 0.0 < c.max() < math.inf:
-                top = float(c.max())
-                ms = np.add.reduce((c / top) ** (2.0 * m)) / nn
-            # s_1 the same way, but only where c^2 overflows
-            ms1 = np.add.reduce(c ** 2) / nn
-            if ms1 == math.inf and 0.0 < c.max() < math.inf:
-                top1 = float(c.max())
-                ms1 = np.add.reduce((c / top1) ** 2) / nn
-        sm = top * float(ms ** (1.0 / (2.0 * m)))
-        s1 = top1 * math.sqrt(ms1)
-        return nn, sm, s1
+        (top, total), (top1, total1) = _power_sum(c, 2.0 * m), _power_sum(c, 2.0)
+        return nn, top * float((total / nn) ** (1.0 / (2.0 * m))), top1 * math.sqrt(total1 / nn)
     if s_m is None or n is None:
         raise BoundError("need coeffs, or both s_m and n")
     if s_m <= 0:
@@ -412,7 +398,10 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
     BoundError, and coefficients are taken at m = m_star(p), the m the
     reports give: s_m of given coefficients rises with m, so those bounds
     hold."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    try:
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    except (TypeError, ValueError, OverflowError):
+        raise BoundError(f"xs must be a number or an array of numbers, got {xs!r}") from None
     if xs.size == 0:
         raise BoundError("need at least one x")
     query = _query(p, m, n, coeffs, s_m)

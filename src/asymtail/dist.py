@@ -588,6 +588,37 @@ def _scaled_atoms(values: np.ndarray, masses: np.ndarray,
     return _canonicalize(v, masses)
 
 
+def _float_vector(values, name: str, error) -> np.ndarray:
+    """values as a nonempty 1-d float array, else error (ragged ones too)."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or a.ndim != 1 or len(a) == 0:
+        raise error(f"{name} must be a 1-d sequence of one or more numbers, got {values!r}")
+    return a
+
+
+def _coefficient_vector(coeffs, error=DistError) -> np.ndarray:
+    """The one reader of a coefficient vector: `_float_vector`, none < 0."""
+    c = _float_vector(coeffs, "coefficients", error)
+    if (c < 0).any():
+        raise error("coefficients must be >= 0")
+    return c
+
+
+def _power_sum(c: np.ndarray, r: float) -> tuple[float, np.float64]:
+    """(top, sum (c / top)^r): top is 1, keeping the sum's bits, where the
+    mean of c^r is a normal float, else max(c) if positive and finite."""
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.add.reduce(c ** r)
+        if not MIN_MASS <= total / len(c) < math.inf:
+            top = float(np.maximum.reduce(c))
+            if 0.0 < top < math.inf:
+                return top, np.add.reduce((c / top) ** r)
+    return 1.0, total
+
+
 def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
     """Exact law of sum_i c_i * BS_i with BS_i iid bs(p).
 
@@ -603,16 +634,9 @@ def weighted_bs_sum(p: float, coeffs: Sequence[float]) -> FiniteDist:
     the atom count at n + 1 for equal coefficients.  The coefficients are
     arbitrary, so the law carries no lattice.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1:
-        raise DistError(f"coefficients must be a 1-d sequence, got shape {coeffs.shape}")
-    coeffs = coeffs.tolist()
-    if len(coeffs) == 0:
-        raise DistError("need at least one coefficient")
+    coeffs = _coefficient_vector(coeffs).tolist()
     if len(coeffs) > MAX_BS_TERMS:
         raise DistError(f"refusing {len(coeffs)} terms (enumeration guard is {MAX_BS_TERMS})")
-    if any(c < 0 for c in coeffs):
-        raise DistError("coefficients must be >= 0")
     base = _bs_law(p)
     v, m = _scaled_atoms(*base, coeffs[0])
     for i, c in enumerate(coeffs[1:]):

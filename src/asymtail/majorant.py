@@ -423,10 +423,10 @@ def _arcs(qt: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arc table (k, log m, log q0, log q1, r): one entry per lattice
     cell k where the tail decreases, with mass m = q0 - q1 and r = q0 / m.
 
-    The tail is > 0 up to its last point, where it is 0, so log q1 of
-    the last arc is -inf.  Where every cell decreases (each atom's mass
-    shows in the tail sums), the per-arc fields are the cells' own, and
-    no gather is made."""
+    The tail is > 0 up to its last point, where it is 0, so the last
+    cell is an arc, and its log q1 is -inf.  Where every cell decreases
+    (each atom's mass shows in the tail sums), the per-arc fields are the
+    cells' own, and no gather is made."""
     k = (qt[:-1] > qt[1:]).nonzero()[0]
     lq = np.empty(len(qt))
     np.log(qt[:-1], out=lq[:-1])
@@ -602,8 +602,6 @@ def lin_lc_majorant(d: FiniteDist, refine: int = 64) -> TailMajorant:
     lat, qt, h = _lattice_tails(d)
     arcs = _arcs(qt)
     k, *_, r = arcs
-    if len(k) == 0:
-        raise MajorantError("tail has no decreasing segment")
     x0, x1, q0, q1 = _at_arcs(k, lat, qt)
     dx = x1 - x0
     # the fields of the arcs on the hull, one row each
@@ -675,8 +673,6 @@ def _lin_lc_at(d: FiniteDist, x: float) -> float | None:
         return -math.inf
     arcs = _arcs(qt)
     k, r = arcs[0], arcs[-1]
-    if len(k) == 0:
-        return None
     if x <= lat[k[0]]:
         return _log(qt[k[0]])
     a = _search(k, _search(lat, x, "right") - 1, "right") - 1

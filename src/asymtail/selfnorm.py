@@ -31,12 +31,12 @@ value-level simulation (`sample`, `reciprocate`, `selfnorm_stat`) bit
 for bit.  A check builds its tables once, and the pool threads share
 them read-only.  The blocks run on `verifier.tail_counts`, so they
 share the supermartingale check's thread pool and per-block streams,
-and the counts are the same at any ASYMTAIL_THREADS.  The rows and the
-report come from `verifier` too: `verifier.mc_rows` adds the
-Clopper-Pearson limits, and a check returns a `verifier.McReport` whose
-rows name their bound curve: "normal" for vw, and "b_opt" for the kinds
-compared with a carrier, whose bound is `bounds.b_opt` of that carrier
-over the x grid.
+and the counts are the same at any ASYMTAIL_THREADS.  The grid, rows
+and report come from `verifier` too: `verifier._x_grid` reads a given
+x grid, `verifier.mc_rows` adds the Clopper-Pearson limits, and a check
+returns a `verifier.McReport` whose rows name their bound curve:
+"normal" for vw, and "b_opt" for the kinds compared with a carrier,
+whose bound is `bounds.b_opt` of that carrier over the x grid.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ from .optimize import _count
 from .thresholds import SQRT2_MINUS_1, below_m_star, c_const, m_star
 # `beta_dist` stays importable here: perfbench/tracer.py patches selfnorm.beta_dist
 from .verifier import beta_dist  # noqa: F401
-from .verifier import McConfig, McReport, _block_buffers, mc_rows, tail_counts
+from .verifier import McConfig, McReport, _block_buffers, _x_grid, mc_rows, tail_counts
 
 
 class SelfNormError(ValueError):
@@ -651,12 +651,7 @@ def selfnorm_bound_check(cfg: SelfNormConfig, mc: McConfig) -> McReport:
         raise SelfNormError(f"m must be finite, got {cfg.m!r}")
     # a numpy integer runs as the int it holds: PCG64.advance takes no numpy integer
     cfg = replace(cfg, n=_count(cfg.n, "n", SelfNormError))
-    if cfg.x_grid is not None:
-        xs = np.asarray(cfg.x_grid, dtype=float)
-        if not np.isfinite(xs).all():
-            raise SelfNormError("x_grid must be finite")
-    else:
-        xs = np.linspace(0.5, 3.0, 6)
+    xs = np.linspace(0.5, 3.0, 6) if cfg.x_grid is None else _x_grid(cfg.x_grid, SelfNormError)
     rm = None
     hat = None
     nonzero_p = None

@@ -60,7 +60,8 @@ import numpy as np
 
 from .bounds import combined_bound_grid, resolve_s_m
 from .dist import (DistError, FiniteDist, RngSpec, _bs_law, _bs_sum, _carrier_top,
-                   _shifted_suffix_moments, weighted_bs_sum)
+                   _coefficient_vector, _float_vector, _power_sum, _shifted_suffix_moments,
+                   weighted_bs_sum)
 # iid_sum is not called here; perfbench/tracer.py wraps it under this name
 from .dist import iid_sum  # noqa: F401
 from .optimize import _count, _falling_root, brent_root
@@ -426,12 +427,10 @@ def enumeration_check(p: float, m: float, coeffs, *, two_sided: bool = False) ->
     """
     if not 1.0 <= m < math.inf:
         raise VerifyError(f"m must be finite and >= 1, got {m!r}")
-    c = np.asarray(coeffs, dtype=float)
+    c = _coefficient_vector(coeffs)
     lhs = weighted_bs_sum(p, c)
     n = len(c)
     _, s_m, _ = resolve_s_m(m, coeffs=c)
-    if s_m <= 0:
-        raise VerifyError("coefficients are all zero")
     rhs, _ = _bs_sum(p, n, s_m)
     b, il, ir = _merged_support(lhs.values, rhs.values)
     if len(b) < 2:
@@ -739,6 +738,14 @@ def _block_buffers(*specs):
             spare.append(buf)
 
 
+def _x_grid(x_grid, error) -> np.ndarray:
+    """A Monte Carlo check's x_grid as a nonempty 1-d finite array, else error."""
+    xs = _float_vector(x_grid, "x_grid", error)
+    if not np.isfinite(xs).all():
+        raise error("x_grid must be finite")
+    return xs
+
+
 def tail_counts(simulate, xs, mc: McConfig) -> TailCounts:
     """Count stat >= x over mc.n_paths simulated paths, block by block.
 
@@ -835,15 +842,6 @@ def _increments(rule: str, ratio: float, sref: float, ci, S: np.ndarray,
     return A, B, np.divide(A, np.add(A, B, out=work), out=work)
 
 
-def _root_sum_squares(c: np.ndarray) -> float:
-    """sqrt(sum c^2) of positive finite c; where the sum overflows, c is
-    scaled by max(c) first, as `resolve_s_m` does for s_1, so every sum
-    that does not overflow keeps its bits."""
-    with np.errstate(over="ignore"):
-        top = float(c.max()) if np.sum(c * c) == math.inf else 1.0
-    return top * math.sqrt(float(np.sum((c / top) ** 2)))
-
-
 def _guard(excess: float, ci, top_ab, top_ba, ratio: float) -> float:
     """excess raised to the step's sqrt(A B) / c_i - 1, given the step's
     largest A B and B / A; a step that breaks either rule raises."""
@@ -886,8 +884,9 @@ def _simulate_block(cfg: SupermartingaleConfig, rng: np.random.Generator,
     """
     p, q = cfg.p, 1.0 - cfg.p
     ratio = q / p
-    c = np.asarray(cfg.coeffs, dtype=float)
-    sref = _root_sum_squares(c)
+    c = _coefficient_vector(cfg.coeffs, VerifyError)
+    top, total = _power_sum(c, 2.0)
+    sref = top * math.sqrt(total)  # ||c||_2
     excess = -math.inf
     i = 0
     with _block_buffers(*[((size,), float)] * 4, ((size,), bool)) as (U, A, B, work, take_up):
@@ -997,15 +996,13 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
         raise VerifyError(f"rule must be one of {_RULES}")
     if not 0.0 < cfg.p < 1.0:
         raise VerifyError(f"p must lie in (0, 1), got {cfg.p!r}")
-    if len(cfg.coeffs) != _count(cfg.n, "n", VerifyError):
+    c = _coefficient_vector(cfg.coeffs, VerifyError)
+    if len(c) != _count(cfg.n, "n", VerifyError):
         raise VerifyError("coeffs length must equal n")
     if cfg.rule in ("constant", "random_modulated") and cfg.p > 0.5:
         raise VerifyError(f"rule {cfg.rule!r} requires p <= 1/2")
-    c = np.asarray(cfg.coeffs, dtype=float)
-    if np.any(c <= 0):
-        raise VerifyError("coefficients must be positive")
-    if not np.isfinite(c).all():
-        raise VerifyError(f"coefficients must be finite, got {cfg.coeffs!r}")
+    if not ((0.0 < c) & (c < math.inf)).all():
+        raise VerifyError(f"coefficients must be finite and positive, got {cfg.coeffs!r}")
     # the carrier's top atom at the m that combined_bound_grid builds it
     # at; an m out of range is its BoundError
     if 1.0 <= cfg.m < math.inf:
@@ -1014,11 +1011,10 @@ def supermartingale_mc(cfg: SupermartingaleConfig, mc: McConfig) -> Supermarting
             raise VerifyError(f"coefficients {cfg.coeffs!r} overflow the carrier's top atom")
 
     if cfg.x_grid is not None:
-        xs = np.asarray(cfg.x_grid, dtype=float)
-        if not np.isfinite(xs).all():
-            raise VerifyError("x_grid must be finite")
+        xs = _x_grid(cfg.x_grid, VerifyError)
     else:
-        sig = _root_sum_squares(c)
+        top, total = _power_sum(c, 2.0)
+        sig = top * math.sqrt(total)  # ||c||_2
         _, s_m, _ = resolve_s_m(cfg.m, coeffs=c)
         xs = np.linspace(0.5 * sig, min(3.5 * sig, 0.98 * _carrier_top(cfg.p, cfg.n, s_m)), 8)
 

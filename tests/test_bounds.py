@@ -404,6 +404,12 @@ class TestCombinedBound:
         with pytest.raises(BoundError):
             combined_bound(p, m, x, n=10, s_m=1.0)
 
+    @pytest.mark.parametrize("xs", [[[1.0], [1.0, 2.0]], ["a"], [1.0, "b"]],
+                             ids=["ragged", "text", "mixed"])
+    def test_grid_rejects_xs_that_are_no_numbers(self, xs):
+        with pytest.raises(BoundError, match="xs must be a number or an array of numbers"):
+            combined_bound_grid(0.3, 1.2, xs, n=4, s_m=1.0)
+
     def test_needs_no_golden_section(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("golden_section called")
@@ -439,8 +445,36 @@ class TestResolveSM:
         _, _, s_1 = resolve_s_m(2.0, coeffs=coeffs)
         assert s_1 == pytest.approx(self.exact(1.0, coeffs), rel=1e-15, abs=0.0)
 
+    def test_s_1_where_the_squares_underflow(self):
+        # the mean of c^2 is 0.0, so s_1 is read over max(c) as s_m is
+        coeffs = [1e-170, 2e-170]
+        _, s_m, s_1 = resolve_s_m(1.0, coeffs=coeffs)
+        assert s_1 == s_m == 1.5811388300841897e-170
+        assert s_1 == pytest.approx(self.exact(1.0, coeffs), rel=1e-15, abs=0.0)
+
+    def test_coefficients_and_s_m_together_raise(self):
+        with pytest.raises(BoundError, match="give coeffs or s_m, not both"):
+            resolve_s_m(2.0, coeffs=[1.0, 2.0], s_m=5.0)
+        with pytest.raises(BoundError, match="give coeffs or s_m, not both"):
+            combined_bound(0.3, 2.0, 1.0, coeffs=[1.0, 2.0], s_m=5.0)
+
     def test_all_zero_coefficients_stay_zero(self):
         assert resolve_s_m(60.0, coeffs=[0.0, 0.0])[1] == 0.0
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: partial_moment(bs(0.3), -1.0, 0.0), "alpha must be >= 0"),
+    (lambda: b_opt(iid_sum(bs(0.3), 3), np.ones((2, 2))), "x must be a scalar or a 1-d array"),
+    (lambda: hoeffding_H(0.0, 0.5), r"hoeffding_H requires p in \(0, 1\)"),
+    (lambda: hoeffding_H(1.0, np.array([0.5])), r"hoeffding_H requires p in \(0, 1\)"),
+    (lambda: hoeffding_bound(0.0, 3, 1.0, 1.0), r"hoeffding_bound requires p in \(0, 1\)"),
+    (lambda: hoeffding_bound(1.0, 3, 1.0, np.array([1.0])),
+     r"hoeffding_bound requires p in \(0, 1\)"),
+], ids=["partial_moment_alpha", "b_opt_2d", "hoeffding_H_p_0", "hoeffding_H_p_1",
+        "hoeffding_bound_p_0", "hoeffding_bound_p_1"])
+def test_inputs_out_of_domain_raise(call, match):
+    with pytest.raises(BoundError, match=match):
+        call()
 
 
 def log_binomial_tail(p, n, s_m, x):

@@ -430,6 +430,16 @@ class TestBadInputExit2:
         assert err[0].startswith("error: s_m = 4e-13 ") and "merge tolerance" in err[0]
         assert len(err) == 2 and err[1].startswith("wall time")
 
+    def test_coefficients_with_an_s_m(self, capsys):
+        # the coefficients' s_m was taken and the given one dropped
+        argv = ["bound", "--p", "0.3", "--m", "2", "--coeffs", "1,2", "--s-m", "5", "--x", "1"]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = out.err.splitlines()
+        assert err[0] == "error: give coeffs or s_m, not both"
+        assert len(err) == 2 and err[1].startswith("wall time")
+
     def test_overflowing_masses_print_one_error_line(self, tmp_path):
         # a fresh interpreter, so numpy's RuntimeWarning would reach stderr
         law = tmp_path / "law.json"

@@ -36,6 +36,7 @@ from asymtail.dist import (
     _GuideTable,
     _uniforms,
     _normal_products,
+    _power_sum,
     _shifted_suffix_moments,
 )
 from asymtail.majorant import _lattice_tails, lattice_params, lc_majorant, lin_lc_majorant
@@ -154,6 +155,29 @@ def test_weighted_bs_sum_rejects_overflow_like_the_fold(coeffs, msg):
 def test_weighted_bs_sum_rejects_a_coefficient_array_not_1d(coeffs):
     with pytest.raises(DistError, match="coefficients must be a 1-d sequence"):
         weighted_bs_sum(0.3, coeffs)
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: weighted_bs_sum(0.3, [1.0] * 25), "refusing 25 terms"),
+    (lambda: iid_sum(bs(0.5), 10**15), "keeps about 1.19e[+]09 atoms"),
+    (lambda: st(0.0), r"st requires p in \(0, 1\]"),
+], ids=["25_terms", "window_guard", "st_at_0"])
+def test_guards_refuse_before_building(build, match):
+    with pytest.raises(DistError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("coeffs", [(3.0, 4.0), (0.1, 0.7, 1.3), (1e150, 3e153), (1e-200, 1.0)])
+def test_power_sum_keeps_the_bits_of_every_finite_sum(coeffs):
+    # ||c||_2 as the supermartingale check reads it
+    c = np.asarray(coeffs)
+    top, total = _power_sum(c, 2.0)
+    assert top * math.sqrt(total) == math.sqrt(float(np.sum(c * c)))
+    # and the sum over max(c) where the squares overflow
+    big = c * (1e300 / c.max())
+    top, total = _power_sum(big, 2.0)
+    assert top * math.sqrt(total) == pytest.approx(
+        1e300 * math.sqrt(float(np.sum((c / c.max()) ** 2))), rel=1e-15)
 
 
 @pytest.mark.parametrize("p,coeffs", [

@@ -12,7 +12,8 @@ from hypothesis import strategies as hst
 
 from asymtail import selfnorm
 from asymtail.bounds import b_opt, carrier_sum, normal_tail
-from asymtail.dist import (FiniteDist, RngSpec, _uniforms, from_pairs, iid_sum, scale, st)
+from asymtail.dist import (FiniteDist, RngSpec, _uniforms, delta, from_pairs, iid_sum, scale,
+                           st)
 from asymtail.selfnorm import (
     ReciprocatingMap,
     TwoPointDecomposition,
@@ -123,6 +124,10 @@ class TestTwoPointDecomposition:
     def test_roundtrip_exact_on_lattice(self):
         dec = two_point_decomposition(ASYM3)
         dist_close(recombine(dec), ASYM3, tol=1e-14)
+
+    def test_a_law_at_zero_has_no_component(self):
+        assert two_point_decomposition(delta(0.0)) == TwoPointDecomposition(components=(),
+                                                                            zero_mass=1.0)
 
 
 class TestVarIdentity:
@@ -408,6 +413,19 @@ class TestGuards:
         with pytest.raises(SelfNormError, match="x_grid must be finite"):
             selfnorm_bound_check(cfg, McConfig(n_paths=1000))
 
+    @pytest.mark.parametrize("kind,kwargs", [("vw", {}), ("vym", {"m": m_star(0.25), "p": 0.25})],
+                             ids=["vw", "vym"])
+    @pytest.mark.parametrize("x_grid", [(), ((1.0,), (2.0,)), ((1.0,), (1.0, 2.0)), ("a",)],
+                             ids=["empty", "2d", "ragged", "text"])
+    def test_rejects_an_x_grid_before_any_path(self, kind, kwargs, x_grid, monkeypatch):
+        # an empty grid simulated the paths and passed with no row
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths simulated")
+        monkeypatch.setattr(selfnorm, "tail_counts", refuse)
+        cfg = SelfNormConfig(base=ASYM3, n=3, kind=kind, x_grid=x_grid, **kwargs)
+        with pytest.raises(SelfNormError, match="x_grid must be a 1-d sequence of one or more"):
+            selfnorm_bound_check(cfg, McConfig(n_paths=1000))
+
     def test_vym_rejects_m_below_threshold(self):
         cfg = SelfNormConfig(base=ASYM3, n=4, kind="vym", m=1.0, p=0.25)
         with pytest.raises(SelfNormError):
@@ -501,6 +519,19 @@ def zero_mean_laws(draw):
 
 
 U_EDGES = [0.0, 1.0 - 2.0 ** -53]
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: selfnorm_stat("vsymm", np.ones((3, 2))), "vsymm needs the symmetric multipliers"),
+    (lambda: selfnorm_stat("vhatsymm", np.ones((3, 2)), hat_abs=np.ones((3, 2))),
+     "vhatsymm needs hat_abs and p"),
+    (lambda: selfnorm_bound_check(SelfNormConfig(base=ASYM3, n=3, kind="w"),
+                                  McConfig(n_paths=1000)), "unknown check kind 'w'"),
+    (lambda: hat_dist(delta(0.0)), "law is concentrated at zero"),
+], ids=["vsymm", "vhatsymm", "check_kind", "hat_of_zero"])
+def test_inputs_out_of_domain_raise(call, match):
+    with pytest.raises(SelfNormError, match=match):
+        call()
 
 
 class TestSliceTablePairing:

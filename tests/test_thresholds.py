@@ -23,6 +23,7 @@ from asymtail.thresholds import (
     m_conj,
     m_exp,
     m_exp_up,
+    m_low_sym,
     m_one,
     m_st_high,
     m_st_low,
@@ -139,6 +140,15 @@ class TestExponentialClass:
             else:
                 assert 0.0 <= p_tilde(k) <= 2.0 * float(p_ref) + 1e-320
 
+    @pytest.mark.parametrize("k", [1e-4, 1e-6])
+    def test_small_k_series_against_mpmath(self, k):
+        # below k = 1e-3 the numerator e^k - 1 - k is read from its series
+        with mpmath.workdps(50):
+            kk = mpmath.mpf(k)
+            ek = mpmath.exp(kk)
+            p_ref = (ek - 1 - kk) / ((ek - 1) * (1 + kk + (kk - 1) * ek))
+        assert p_tilde(k) == pytest.approx(float(p_ref), rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("p", [5e-324, 1e-323, 2.5e-320, 1e-310, 2.2e-308])
     def test_m_exp_at_subnormal_p(self, p):
         # subnormal p leaves few bits in the residual, but the answer is
@@ -215,6 +225,16 @@ def test_a_non_finite_argument_raises(f, bad):
     """No threshold answers NaN, or 0 or inf read off an infinite argument."""
     with pytest.raises(ThresholdError):
         f(bad)
+
+
+@pytest.mark.parametrize("f,p", [
+    (k_tilde, 0.0), (k_tilde, 0.5), (m_exp, 0.0), (m_exp, 1.0), (m_exp_up, 0.0), (m_exp_up, 0.5),
+    (m_st_high, 0.0), (m_st_high, 1.5), (m_low_sym, 0.0), (m_low_sym, 1.5), (m_conj, 0.0),
+    (m_conj, 1.5),
+])
+def test_a_p_outside_the_domain_raises(f, p):
+    with pytest.raises(ThresholdError, match=f"{f.__name__} requires p in"):
+        f(p)
 
 
 def test_threshold_row_has_all_columns():

@@ -491,6 +491,19 @@ def test_enumeration_rejects_a_2d_coefficient_array(coeffs):
         enumeration_check(0.3, 1.2, coeffs)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: delta(5, 0.5, 1.0, 0.3, 2.0), r"delta index must be 1\.\.4"),
+    (lambda: delta_grid_check(0.0, 2.0, 10), r"p must be in \(0, 1\)"),
+    (lambda: delta_grid_check(1.0, 2.0, 10), r"p must be in \(0, 1\)"),
+    (lambda: supermartingale_mc(SupermartingaleConfig(n=2, p=0.3, coeffs=(1.0, 1.0),
+                                                      rule="linear"), McConfig(n_paths=1000)),
+     "rule must be one of"),
+], ids=["delta_index", "delta_grid_p_0", "delta_grid_p_1", "unknown_rule"])
+def test_inputs_out_of_domain_raise(call, match):
+    with pytest.raises(VerifyError, match=match):
+        call()
+
+
 def test_twelve_term_enumeration_peaks_under_4_mib():
     # the dense (401 x 4096) sums peaked at 25.2 MiB here
     coeffs = np.random.default_rng(1).uniform(0.2, 2.0, 12)
@@ -705,15 +718,6 @@ class TestSupermartingaleMC:
                     f"b_opt overflows at x = {0.5e200 * math.sqrt(2.0)!r}:")):
                 supermartingale_mc(cfg, McConfig(n_paths=1000))
 
-    @pytest.mark.parametrize("coeffs", [(3.0, 4.0), (0.1, 0.7, 1.3), (1e150, 3e153), (1e-200, 1.0)])
-    def test_root_sum_squares_keeps_the_bits_of_every_finite_sum(self, coeffs):
-        c = np.asarray(coeffs)
-        assert verifier._root_sum_squares(c) == math.sqrt(float(np.sum(c * c)))
-        # and the sum over max(c) where the squares overflow
-        big = c * (1e300 / c.max())
-        assert verifier._root_sum_squares(big) == pytest.approx(
-            1e300 * math.sqrt(float(np.sum((c / c.max()) ** 2))), rel=1e-15)
-
     def test_rows_name_the_bound_family_argmin(self):
         cfg = dataclasses.replace(self._cfg("constant", p=0.2, n=8), x_grid=(0.5, 2.0, 4.0, 6.0))
         rep = supermartingale_mc(cfg, McConfig(seed=3, n_paths=5_000))
@@ -725,6 +729,16 @@ class TestSupermartingaleMC:
     def test_rejects_non_finite_x_grid(self, x):
         cfg = dataclasses.replace(self._cfg("constant"), x_grid=(1.0, x))
         with pytest.raises(VerifyError, match="x_grid must be finite"):
+            supermartingale_mc(cfg, McConfig(n_paths=1000))
+
+    @pytest.mark.parametrize("x_grid", [(), ((1.0,), (2.0,)), ((1.0,), (1.0, 2.0)), ("a",)],
+                             ids=["empty", "2d", "ragged", "text"])
+    def test_rejects_an_x_grid_before_any_path(self, x_grid, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths simulated")
+        monkeypatch.setattr(verifier, "tail_counts", refuse)
+        cfg = dataclasses.replace(self._cfg("constant"), x_grid=x_grid)
+        with pytest.raises(VerifyError, match="x_grid must be a 1-d sequence of one or more"):
             supermartingale_mc(cfg, McConfig(n_paths=1000))
 
     @pytest.mark.parametrize("kwargs", [
