@@ -418,8 +418,11 @@ def combined_bound_grid(p: float, m: float, xs, *, n: int | None = None,
 def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
                    coeffs=None, s_m: float | None = None) -> BoundReport:
     """The bound family at one x: combined_bound_grid(p, m, [x], ...)[0],
-    field for field, raw included, wherever the grid answers, and the same
-    error where that raises.
+    field for field, raw included, wherever the grid answers, and the
+    grid's error where that raises, with one exception: where b_opt and a
+    hull both raise, one x raises b_opt's error and the grid the hull's
+    (`_members`).  An x that is not one number is a BoundError, as are
+    xs the grid cannot read as numbers.
 
     The carrier is built as for a grid, and each member runs its one body
     on x as a Python float.  lc reads the chord of the corners around x,
@@ -435,7 +438,10 @@ def combined_bound(p: float, m: float, x: float, *, n: int | None = None,
     band.  lin_lc then reads its flat head, a certified segment or 0
     past its top, and elsewhere the query raises b_opt's overflow or the
     whole hull's error."""
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise BoundError(f"x must be a number, got {x!r}") from None
     query = _query(p, m, n, coeffs, s_m)
     bo, raw = _members(query, x)
     r = list(raw.values())

@@ -25,7 +25,9 @@ where its masses stay normal, at the window's cost (`_binomial_atoms`),
 and raises the masses of a law on a lattice to the n-th convolution
 power (`_lattice_power`).  The comparison carrier c (BS_1 + ... + BS_n)
 is scale(iid_sum(bs(p), n), c) built in one construction with the
-window's record (`_bs_sum`), which no bound reads yet.
+window's record (`_bs_sum`), which no bound reads yet.  `scale`, that
+carrier and each term of `weighted_bs_sum` scale atoms by c by one rule
+(`_scaled`).
 
 A law knows its lattice when it is built on one.  `bs`, `st`, iid_sum,
 `scale` of such a law by c > 0 and `_bs_sum` by c > 0 pass
@@ -35,10 +37,11 @@ atoms' rounding (1e-7 relative) of the smallest, and that clears the
 merge tolerance of the largest |atom|, the constructor skips the sort
 and merge, which would do nothing, and sets `FiniteDist.lattice` to
 (top atom, smallest gap), the (origin, step) that
-`majorant.lattice_params` would infer; where it does not, the law is
-built the general way, with no lattice.  A sub-normal mass is dropped
-either way; where one is dropped between kept atoms, those are no longer
-consecutive lattice points, and `lattice` is None.  Every other law
+`majorant.lattice_params` would infer; where it does not (a gap past
+the float range is no step), the law is built the general way, with no
+lattice.  A sub-normal mass is dropped either way; where one is dropped
+between kept atoms, those are no longer consecutive lattice points, and
+`lattice` is None.  Every other law
 (`weighted_bs_sum`, laws read from JSON) has `lattice` None.  Either way
 the atoms and masses pass the same checks.
 
@@ -70,7 +73,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .optimize import _count, _maximum
+from .optimize import _count, _maximum, _quiet
 
 MERGE_RTOL = 1e-12
 MASS_ATOL = 1e-12
@@ -118,6 +121,16 @@ class RngSpec:
         return RngSpec(self.seed, stream)
 
 
+def _gaps(v: np.ndarray) -> np.ndarray:
+    """v[1:] - v[:-1] for ascending v, inf where a gap passes the float
+    range, with no numpy warning: the errstate is set only where the span
+    passes it, since no gap does where the span does not."""
+    if math.isfinite(float(v[-1]) - float(v[0])):
+        return v[1:] - v[:-1]
+    with np.errstate(over="ignore"):
+        return v[1:] - v[:-1]
+
+
 def _canonicalize(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The atoms sorted (stably), merged and stripped of sub-normal masses,
     in new arrays; the caller's are left as they are.
@@ -135,7 +148,7 @@ def _canonicalize(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, n
     v = values[order]
     m = masses[order]
     if len(v) > 1:
-        gaps = v[1:] - v[:-1]
+        gaps = _gaps(v)
         # every gap's tolerance is at most the largest |atom|'s (v sorted:
         # at an end), so where the smallest gap clears that, all clear theirs
         if not float(np.minimum.reduce(gaps)) > MERGE_RTOL * max(1.0, -float(v[0]),
@@ -194,9 +207,10 @@ class FiniteDist:
         # as they are
         step = 0.0
         if on_lattice and len(v) > 1:
-            gaps = v[1:] - v[:-1]
+            gaps = _gaps(v)
             step = float(np.minimum.reduce(gaps))
-            if float(np.maximum.reduce(gaps)) - step > _GAP_RTOL * step:
+            # an inf gap (past the float range) makes max - step inf or NaN: no step
+            if not float(np.maximum.reduce(gaps)) - step <= _GAP_RTOL * step:
                 step = 0.0
         if step > MERGE_RTOL * max(1.0, -v[0], v[-1]):
             if lightest >= MIN_MASS:
@@ -312,8 +326,10 @@ def atom_band(v):
     x has reached or passed an atom: x counts as atom v while x <=
     atom_band(v), and is then evaluated at v.  `tail` counts atoms by it;
     b_opt, hoeffding_bound and TailMajorant evaluate x in the top atom's
-    band at the atom and read 0 past it."""
-    return v + MERGE_RTOL * _maximum(1.0, abs(v))
+    band at the atom and read 0 past it.  An atom within 1e-12 of the
+    float range's end has its band reach inf."""
+    with _quiet(v):
+        return v + MERGE_RTOL * _maximum(1.0, abs(v))
 
 
 def _bs_atoms(p: float) -> tuple[float, float]:
@@ -367,17 +383,35 @@ def st(p: float) -> FiniteDist:
 
 # -- operations --------------------------------------------------------------
 
-def scale(d: FiniteDist, c: float) -> FiniteDist:
-    """Law of c * D.  c = 0 collapses to the point mass at 0.
+def _scaled(values: np.ndarray, masses: np.ndarray,
+            c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms and masses of c times the law of ascending atoms values
+    with masses, on raw arrays: the one rule for scaling a law by c.
 
-    A law on a known lattice scaled by c > 0 keeps it, unless its gaps
-    shrink into the merge tolerance.
-    """
+    A c that is not finite raises "scale factor must be finite"; c = 0
+    gives the atom 0 with mass 1.  The end atoms' products, taken on
+    Python floats before numpy multiplies, bound every other atom's, so
+    where either is not finite the atoms are not, and that is a DistError
+    raised with no numpy warning before it."""
     if not math.isfinite(c):
         raise DistError("scale factor must be finite")
     if c == 0.0:
-        return delta(0.0)
-    return FiniteDist(d.values * c, d.masses, on_lattice=c > 0.0 and d.lattice is not None)
+        return np.array([0.0]), np.array([1.0])
+    c = float(c)
+    if not (math.isfinite(float(values[0]) * c) and math.isfinite(float(values[-1]) * c)):
+        raise DistError("atoms must be finite")
+    return values * c, masses
+
+
+def scale(d: FiniteDist, c: float) -> FiniteDist:
+    """Law of c * D, with `_scaled`'s errors: c = 0 collapses to the point
+    mass at 0.
+
+    A law on a known lattice scaled by c > 0 keeps it, unless its gaps
+    shrink into the merge tolerance or pass the float range.
+    """
+    return FiniteDist(*_scaled(d.values, d.masses, c),
+                      on_lattice=c > 0.0 and d.lattice is not None)
 
 
 # The ratio products come in chunks: the first of this many, each later
@@ -421,7 +455,14 @@ class _Window(NamedTuple):
     cut_above: float
 
     def atoms(self, n: int, v0: float, h: float) -> np.ndarray:
-        """The atoms n v0 + k h of the n-fold sum at the indices k kept."""
+        """The atoms n v0 + k h of the n-fold sum at the indices k kept.
+
+        They rise with k, so where both end atoms are finite, taken on
+        Python floats, every atom is, and elsewhere "atoms must be finite"
+        is raised before numpy could warn."""
+        for k in (self.lo, self.lo + self.length - 1):
+            if not math.isfinite(n * v0 + k * h):
+                raise DistError("atoms must be finite")
         return n * v0 + np.arange(self.lo, self.lo + self.length) * h
 
 
@@ -544,25 +585,22 @@ def iid_sum(d: FiniteDist, n: int) -> FiniteDist:
 
 def _bs_sum(p: float, n: int, c: float) -> tuple[FiniteDist, _Window]:
     """scale(iid_sum(bs(p), n), c) in one construction, with that chain's
-    errors in its order (p, then n, then c), and the window of
-    iid_sum(bs(p), n) (`_binomial_atoms`).  The atoms scaled are the sum's
-    as built, so the law is scale's bit for bit, and it has fewer atoms
-    than the window only where c merged some (at c near 1e-12, or at n
-    near 1e16 with p within 1e-15 of 1).  Where p < MIN_MASS, bs(p) drops
-    p with its atom, and the window records the 1 - (1 - p)^n <= n p cut
-    above the atom left."""
+    errors in its order (p, then n and the window, then c: `_scaled`), and
+    the window of iid_sum(bs(p), n) (`_binomial_atoms`).  The atoms scaled
+    are the sum's as built, so the law is scale's bit for bit, and it has
+    fewer atoms than the window only where c merged some (at c near
+    1e-12, or at n near 1e16 with p within 1e-15 of 1).  Where p <
+    MIN_MASS, bs(p) drops p with its atom, and the window records the
+    1 - (1 - p)^n <= n p cut above the atom left."""
     values, masses = _bs_law(p)
     n = _count(n, "n", DistError)
-    if not math.isfinite(c):
-        raise DistError("scale factor must be finite")
     if len(values) == 1:
         values, masses = np.array([n * float(values[0])]), np.array([1.0])
         window = _Window(0, 1, 0.0, min(1.0, n * p))
     else:
         values, masses, window = _binomial_atoms(values, masses, n)
-    if c == 0.0:
-        return delta(0.0), window
-    return FiniteDist(values * c, masses, on_lattice=c > 0.0 and window.length > 1), window
+    return FiniteDist(*_scaled(values, masses, c),
+                      on_lattice=c > 0.0 and window.length > 1), window
 
 
 def _scaled_atoms(values: np.ndarray, masses: np.ndarray,
@@ -570,22 +608,17 @@ def _scaled_atoms(values: np.ndarray, masses: np.ndarray,
     """The atoms and masses of c times the law of bs(p)'s atoms and
     masses (`_bs_law`), c >= 0, on raw arrays.
 
-    The same errors and the same arrays as scale(bs(p), c): c = 0 gives
-    the atom 0 with mass 1; two atoms within merge tolerance merge
-    through `_canonicalize`, as the constructor merges them.  bs(p)'s
-    masses are normal, and where it has two atoms they clear the merge
-    tolerance and the law carries its lattice."""
-    if not math.isfinite(c):
-        raise DistError("scale factor must be finite")
-    if c == 0.0:
-        return np.array([0.0]), np.array([1.0])
-    v = values * c
-    # c > 0: the atoms stay sorted, and each is finite or infinite
-    if not (math.isfinite(v[0]) and math.isfinite(v[-1])):
-        raise DistError("atoms must be finite")
-    if len(v) == 2 and v[1] - v[0] > MERGE_RTOL * max(1.0, -v[0], v[1]):
-        return v, masses
-    return _canonicalize(v, masses)
+    The same errors and the same arrays as scale(bs(p), c) (`_scaled`);
+    two atoms within merge tolerance merge through `_canonicalize`, as the
+    constructor merges them, and the test is taken on Python floats, so a
+    gap past the float range reads as apart with no numpy warning.
+    bs(p)'s masses are normal, and where it has two atoms they clear the
+    merge tolerance and the law carries its lattice."""
+    v, m = _scaled(values, masses, c)
+    a, b = float(v[0]), float(v[-1])  # one atom: a = b, and _canonicalize keeps it
+    if b - a > MERGE_RTOL * max(1.0, -a, b):
+        return v, m
+    return _canonicalize(v, m)
 
 
 def _float_vector(values, name: str, error) -> np.ndarray:

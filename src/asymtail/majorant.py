@@ -107,14 +107,16 @@ def lattice_params(d: FiniteDist) -> tuple[float, float]:
     v = d.values
     if len(v) < 2:
         raise LatticeError("lattice inference needs at least two atoms")
-    gaps = np.diff(v)
-    base = float(np.min(gaps))
-    scale = float(np.max(np.abs(v)))
-    for div in range(1, 9):
-        h = base / div
-        ratios = gaps / h
-        if np.all(np.abs(ratios - np.round(ratios)) * h <= _LATTICE_RTOL * scale):
-            return float(v[-1]), h
+    # a gap past the float range is inf, and its ratios inf or NaN: no lattice
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.diff(v)
+        base = float(np.min(gaps))
+        scale = float(np.max(np.abs(v)))
+        for div in range(1, 9):
+            h = base / div
+            ratios = gaps / h
+            if np.all(np.abs(ratios - np.round(ratios)) * h <= _LATTICE_RTOL * scale):
+                return float(v[-1]), h
     raise LatticeError("support is not an affine lattice (within 1e-9)")
 
 
@@ -271,14 +273,26 @@ def _hull_rounds(n: int, off, cols=(), bridge=None) -> tuple[np.ndarray, np.ndar
     return keep, w
 
 
+def _hull_x(x: np.ndarray) -> np.ndarray:
+    """x, or x times 2^-24 where its span passes 2^1000, for the chord
+    tests: a power of two scales their differences and cross products
+    exactly (atoms below 2^-998 aside, each at least 1e-12 from any
+    other), so it keeps every sign and comparison, and the products of
+    such a span with log tails (at most 745 apart) stay below the float
+    range."""
+    if float(x[-1]) - float(x[0]) < 2.0 ** 1000:
+        return x
+    return x * 2.0 ** -24
+
+
 def _upper_hull_indices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Upper concave hull of points sorted by x, as indices: _hull_rounds
     drops each middle point on or below the chord of its neighbours, whose
-    cross product is >= 0 (the monotone chain's test)."""
+    cross product is >= 0 (the monotone chain's test), on `_hull_x`."""
     def under_chord(cols, _):
         x, y = cols
         return (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (x[2:] - x[:-2]) * (y[1:-1] - y[:-2]) >= 0
-    return _hull_rounds(len(x), under_chord, (x, y))[0]
+    return _hull_rounds(len(x), under_chord, (_hull_x(x), y))[0]
 
 
 def lc_majorant(d: FiniteDist) -> TailMajorant:
@@ -354,7 +368,9 @@ def _chord_majorizes(v: np.ndarray, logq: np.ndarray, a: int) -> bool:
     times the farther of v_b - v_j and v_j - v_a keep every such sign.
     delta_j (v_b - v_a) is taken as the cross product (y_a - y_j) (v_b -
     v_a) + (y_b - y_a) (v_j - v_a), within 4 eps Y of the same span of its
-    value, so 32 eps Y covers both.  It is 0 at a and b, which fail."""
+    value, so 32 eps Y covers both.  It is 0 at a and b, which fail.  v is
+    taken on `_hull_x`, as that test takes it."""
+    v = _hull_x(v)
     x0, x1 = v[a], v[a + 1]
     y0 = logq[a]
     cross = (y0 - logq) * (x1 - x0) + (logq[a + 1] - y0) * (v - x0)
@@ -403,10 +419,17 @@ def _lattice_tails(d: FiniteDist) -> tuple[np.ndarray, np.ndarray, float]:
     suffix = np.concatenate((d.upper_tails, [0.0]))
     np.minimum(suffix, 1.0, out=suffix)
     h = _step(d)
+    if d.lattice is None:
+        with np.errstate(over="ignore"):  # a span past the float range reads inf
+            index = np.rint((v - v[0]) / h)
+    points = len(suffix) if d.lattice is not None else float(index[-1]) + 2.0
+    # the points rise, so all are finite where the last, through max + h, is
+    if not math.isfinite(float(v[0]) + h * (points - 1)):
+        raise MajorantError("the lattice through the top atom plus one step passes "
+                            "the float range")
+    lat = v[0] + h * np.arange(points)
     if d.lattice is not None:
-        return v[0] + h * np.arange(len(suffix)), suffix, h  # through max + h
-    index = np.rint((v - v[0]) / h)
-    lat = v[0] + h * np.arange(index[-1] + 2)
+        return lat, suffix, h
     return lat, suffix[np.searchsorted(index, np.arange(len(lat)))], h
 
 

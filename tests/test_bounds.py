@@ -410,6 +410,11 @@ class TestCombinedBound:
         with pytest.raises(BoundError, match="xs must be a number or an array of numbers"):
             combined_bound_grid(0.3, 1.2, xs, n=4, s_m=1.0)
 
+    @pytest.mark.parametrize("x", ["a", [1.0, 2.0], None], ids=["text", "list", "none"])
+    def test_one_x_that_is_no_number_is_a_bound_error(self, x):
+        with pytest.raises(BoundError, match=r"x must be a number, got"):
+            combined_bound(0.3, 2.0, x, n=3, s_m=1.0)
+
     def test_needs_no_golden_section(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("golden_section called")

@@ -495,26 +495,37 @@ def _p_values():
     return hst.one_of(hst.sampled_from([1e-9, 1.0 - 1e-9]), hst.floats(1e-9, 1.0 - 1e-9))
 
 
+def _scales(lo, hi):
+    """Floats in [lo, hi], or in [lo, the largest float], where scaled
+    atoms and their gaps pass the float range."""
+    return hst.one_of(hst.floats(lo, hi), hst.floats(lo, sys.float_info.max))
+
+
 @hst.composite
 def _bound_argv(draw):
     """`bound` at p in (0, 1) with both ends' 1e-9, m in [1, 1e4], x in
     [-5, 1e6] or in [-1e300, 1e300], and up to 60 coefficients (each 0 or
-    in [1e-8, 1e300]) or n <= 300 with s_m in [1e-6, 1e300]; x is its
-    own token, so a negative one must not read as an option."""
+    in [1e-8, 1e300] or up to the largest float) or n <= 300 with s_m in
+    [1e-6, 1e300] or up to the largest float; x is its own token, so a
+    negative one must not read as an option."""
     argv = ["bound", "--p", repr(draw(_p_values())), "--m", repr(draw(hst.floats(1.0, 1e4)))]
     if draw(hst.booleans()):
-        coeffs = draw(hst.lists(hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e300)),
+        coeffs = draw(hst.lists(hst.one_of(hst.just(0.0), _scales(1e-8, 1e300)),
                                 min_size=1, max_size=60))
         argv += ["--coeffs", ",".join(map(repr, coeffs))]
     else:
         argv += ["--n", str(draw(hst.integers(1, 300))),
-                 "--s-m", repr(draw(hst.floats(1e-6, 1e300)))]
+                 "--s-m", repr(draw(_scales(1e-6, 1e300)))]
     x = draw(hst.one_of(hst.floats(-5.0, 1e6), hst.floats(-1e300, 1e300)))
     return argv + ["--x", repr(x)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(argv=_bound_argv())
+# the carriers' top atoms pass the float range: one error line, no warning
+@example(argv=["bound", "--p", "0.3", "--m", "2.0", "--coeffs", "1e308,1e308", "--x", "1.0"])
+@example(argv=["bound", "--p", "0.3", "--m", "2.0", "--n", "2", "--s-m", "1e308",
+               "--x", "1.0"])
 def test_bound_keeps_the_cli_contract(argv):
     """The contract, with no null s_m, m or member in a row."""
     body = _keeps_the_contract(argv, "bound_report.schema.json")
@@ -540,14 +551,15 @@ def test_thresholds_keeps_the_cli_contract(ps):
 @hst.composite
 def _majorant_argv(draw):
     """`majorant` of either kind on the carrier at p in (0, 1) with both
-    ends' 1e-9, n <= 3000 and s_m in [1e-6, 1e6], with an --eval list
-    that may hold negative entries, passed as its own token.  --refine is
+    ends' 1e-9, n <= 3000 and s_m in [1e-6, 1e6] or up to the largest
+    float, with an --eval list that may hold negative entries, passed as
+    its own token.  --refine is
     at most 8 (below 2 an error): the knots it samples per lattice step
     only add to the output, which at the default 64 and n = 3000 is 9 MB
     and takes 5 s to validate."""
     argv = ["majorant", "--kind", draw(hst.sampled_from(["lc", "linlc"])),
             "--p", repr(draw(_p_values())), "--n", str(draw(hst.integers(1, 3000))),
-            "--s-m", repr(draw(hst.floats(1e-6, 1e6))),
+            "--s-m", repr(draw(_scales(1e-6, 1e6))),
             "--refine", str(draw(hst.integers(-1, 8)))]
     xs = draw(hst.lists(hst.floats(-1e4, 1e4), min_size=1, max_size=5))
     return argv + ["--eval", ",".join(map(repr, xs))]
@@ -559,6 +571,9 @@ def _majorant_argv(draw):
 # -124 lies between them, where the value must stay at 1
 @example(argv=["majorant", "--kind", "linlc", "--p", "0.999999999", "--n", "2",
                "--s-m", "0.00390625", "--refine", "2", "--eval", "-124.0"])
+# the carrier's one gap passes the float range: a law with no lattice
+@example(argv=["majorant", "--kind", "lc", "--p", "0.3", "--n", "1", "--s-m", "1e308",
+               "--refine", "2", "--eval", "1.0"])
 def test_majorant_keeps_the_cli_contract(argv):
     """The contract, with a value at every --eval point and a finite log
     tail at every hull vertex but the last, where the tail is 0."""

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 import types
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from asymtail.dist import (
     DistError,
     FiniteDist,
     RngSpec,
+    atom_band,
     bs,
     delta,
     from_pairs,
@@ -39,7 +41,16 @@ from asymtail.dist import (
     _power_sum,
     _shifted_suffix_moments,
 )
-from asymtail.majorant import _lattice_tails, lattice_params, lc_majorant, lin_lc_majorant
+from asymtail.bounds import carrier_sum
+from asymtail.majorant import (
+    LatticeError,
+    _lattice_tails,
+    _step,
+    lattice_params,
+    lc_majorant,
+    lin_lc_majorant,
+)
+from asymtail.verifier import enumeration_check
 
 
 def atoms(d):
@@ -165,6 +176,37 @@ def test_weighted_bs_sum_rejects_a_coefficient_array_not_1d(coeffs):
 def test_guards_refuse_before_building(build, match):
     with pytest.raises(DistError, match=match):
         build()
+
+
+_WIDE = np.array([-1e308, 1e308])  # one gap, past the float range
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: scale(bs(0.3), 1.7e308), DistError, "atoms must be finite"),
+    (lambda: carrier_sum(0.3, 2, 1e308), DistError, "atoms must be finite"),
+    (lambda: weighted_bs_sum(0.3, [1.7e308]), DistError, "atoms must be finite"),
+    (lambda: weighted_bs_sum(0.3, [1e308, 1e308]), DistError, "atoms must be finite"),
+    (lambda: enumeration_check(0.3, 2.0, [1.7e308]), DistError, "atoms must be finite"),
+    (lambda: iid_sum(FiniteDist(np.array([-1e307, 1e307]), np.array([0.5, 0.5])), 30),
+     DistError, "atoms must be finite"),
+    # the law builds, with no lattice to read whether or not it claims one
+    (lambda: _step(FiniteDist(_WIDE, np.array([0.5, 0.5]))), LatticeError, "not an affine"),
+    (lambda: _step(FiniteDist(_WIDE, np.array([0.5, 0.5]), on_lattice=True)),
+     LatticeError, "not an affine"),
+    # the chain scale(iid_sum(bs(p), n), c) takes the window before c
+    (lambda: _bs_sum(0.5, 10**15, math.inf), DistError, "keeps about 1.19e[+]09 atoms"),
+], ids=["scale", "carrier", "one_term", "term_sum", "enumeration", "iid_sum",
+        "wide_law", "wide_lattice", "window_before_c"])
+def test_the_float_range_edge_raises_one_error_and_no_warning(build, error, match):
+    # pyproject makes a numpy RuntimeWarning an error, so any warning fails
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_an_atom_at_the_float_max_has_its_band_reach_inf():
+    top = sys.float_info.max
+    assert atom_band(np.array([1.0, top])).tolist() == [1.0 + 1e-12, math.inf]
+    assert atom_band(top) == math.inf
 
 
 @pytest.mark.parametrize("coeffs", [(3.0, 4.0), (0.1, 0.7, 1.3), (1e150, 3e153), (1e-200, 1.0)])

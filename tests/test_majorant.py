@@ -26,6 +26,7 @@ from asymtail.majorant import (
     _certify,
     _kept_arcs,
     _lattice_tails,
+    _lc_at,
     lattice_params,
     lc_majorant,
     lin_lc_majorant,
@@ -112,6 +113,36 @@ class TestLatticeParams:
         assert lattice_params(d) == pytest.approx((2.5e-10, 5e-11), rel=1e-12)
         for maj in (lc_majorant(d), lin_lc_majorant(d)):
             assert (maj.value(d.values) >= tail(d, d.values)).all()
+
+
+class TestFloatRangeEdge:
+    """Hulls of carriers whose span passes 2^1000 or the float range,
+    with no numpy warning (pyproject makes one an error)."""
+
+    @pytest.mark.parametrize("law", [
+        # the cross products of the chord test pass the float range
+        lambda: carrier_sum(0.5, 3, 4.649027101851833e307),
+        # they do not, but the span passes 2^1000
+        lambda: carrier_sum(0.3, 20, 2e306),
+    ], ids=["overflowing", "wide"])
+    def test_lc_hull_is_that_of_the_law_scaled_down(self, law):
+        d = law()
+        hull = lc_majorant(d)
+        small = lc_majorant(scale(d, 2.0 ** -24))
+        assert np.array_equal(hull.hull_x * 2.0 ** -24, small.hull_x)
+        assert np.array_equal(hull.hull_logq, small.hull_logq)
+        x = 0.25 * d.max_value
+        assert _lc_at(d, x) == hull.log_value(x)
+
+    @pytest.mark.parametrize("law", [
+        # top atom 1.54e308, step 1.03e308: the carried lattice's last point is past
+        lambda: carrier_sum(0.5, 3, 5.138425362999366e307),
+        # an inferred lattice whose span is past
+        lambda: from_pairs([(-1e308, 0.25), (0.0, 0.5), (1e308, 0.25)]),
+    ], ids=["carried", "inferred"])
+    def test_lin_lc_lattice_past_the_float_range_is_an_error(self, law):
+        with pytest.raises(MajorantError, match="passes the float range"):
+            lin_lc_majorant(law())
 
 
 class TestPointHull:
